@@ -58,9 +58,7 @@ impl Default for PageRankJob {
 
 /// Init-task merge: output 0 (the rank/degree table) merges by keyed
 /// degree sum; outputs ≥ 1 (per-iteration edge copies) concatenate.
-struct InitMerge {
-    vertices: u32,
-}
+struct InitMerge;
 
 impl MergeLogic for InitMerge {
     fn merge(
@@ -75,7 +73,6 @@ impl MergeLogic for InitMerge {
             // the per-clone partial degrees sum to the true out-degree.
             // The fold runs over borrowed views; only the per-vertex
             // accumulator is owned.
-            let _ = self.vertices;
             let keyed =
                 KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), b: (f64, u32)| {
                     acc.1 += b.1
@@ -127,7 +124,7 @@ impl PageRankJob {
                 }
                 Ok(())
             },
-            InitMerge { vertices: n },
+            InitMerge,
         );
         let mut prev_ranks = ranks0;
         for (i, &edges_i) in edge_copies.iter().enumerate() {
@@ -138,24 +135,12 @@ impl PageRankJob {
                 &[next_ranks],
                 move |ctx: &mut TaskCtx| {
                     // Full rank/degree table: every clone needs all of it.
-                    // The decode buffer lives in a thread-local so clones
-                    // executing on the same worker thread reuse its
-                    // capacity instead of re-collecting a Vec each run.
-                    thread_local! {
-                        static TABLE: std::cell::RefCell<Vec<(u32, (f64, u32))>> =
-                            const { std::cell::RefCell::new(Vec::new()) };
-                    }
                     let mut rank = vec![0.0f64; n as usize];
                     let mut deg = vec![0u32; n as usize];
-                    TABLE.with(|buf| -> Result<(), EngineError> {
-                        let mut table = buf.borrow_mut();
-                        ctx.snapshot_input_into(0, &mut table)?;
-                        for &(v, (contrib, d)) in table.iter() {
-                            rank[v as usize] = 0.15 / n as f64 + DAMPING * contrib;
-                            deg[v as usize] = d;
-                        }
-                        Ok(())
-                    })?;
+                    for (v, (contrib, d)) in ctx.snapshot_input::<(u32, (f64, u32))>(0)? {
+                        rank[v as usize] = 0.15 / n as f64 + DAMPING * contrib;
+                        deg[v as usize] = d;
+                    }
                     // Edge chunks: exactly-once across clones — this is
                     // where skewed work splits. Borrowed views keep the
                     // traversal allocation-free.

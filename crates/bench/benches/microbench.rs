@@ -281,18 +281,15 @@ fn bench_merge_path(c: &mut Criterion) {
         }
     }
 
-    /// Two sealed partial bags of (key, count) records plus an output
-    /// writer — the unit a keyed merge consumes per call.
-    fn keyed_setup() -> (Vec<BagReader>, BagWriter) {
+    /// Two sealed partial bags, each written by `fill(partial, writer)`,
+    /// plus an output writer — the unit a keyed merge consumes per call.
+    fn merge_setup(fill: impl Fn(u64, &mut BagWriter)) -> (Vec<BagReader>, BagWriter) {
         let cluster = StorageCluster::new(1, ClusterConfig::default());
         let mut readers = Vec::new();
         for part in 0..PARTIALS {
             let bag = cluster.create_bag();
             let mut w = BagWriter::open(cluster.clone(), bag, part, MERGE_CHUNK);
-            for i in 0..RECS / PARTIALS {
-                let key = SplitMix64::mix(part * 1_000_003 + i) % KEYS;
-                w.write_record(&(key, 1u64)).unwrap();
-            }
+            fill(part, &mut w);
             w.flush().unwrap();
             cluster.seal_bag(bag).unwrap();
             readers.push(BagReader::open(cluster.clone(), bag, 100 + part, 4, None));
@@ -300,6 +297,16 @@ fn bench_merge_path(c: &mut Criterion) {
         let out_bag = cluster.create_bag();
         let out = BagWriter::open(cluster, out_bag, 999, MERGE_CHUNK);
         (readers, out)
+    }
+
+    /// (key, count) records over 1,024 distinct keys.
+    fn keyed_setup() -> (Vec<BagReader>, BagWriter) {
+        merge_setup(|part, w| {
+            for i in 0..RECS / PARTIALS {
+                let key = SplitMix64::mix(part * 1_000_003 + i) % KEYS;
+                w.write_record(&(key, 1u64)).unwrap();
+            }
+        })
     }
 
     let mut g = c.benchmark_group("merge_path");
@@ -318,6 +325,37 @@ fn bench_merge_path(c: &mut Criterion) {
         let live = KeyedMerge::<u64, u64, _>::new(|a, b| a + b);
         b.iter_batched(
             keyed_setup,
+            |(mut readers, mut out)| {
+                live.merge(0, &mut readers, &mut out).unwrap();
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // The regime a cloned job's merge is in (`benchmark`'s PageRank merge
+    // replay, exactly): every key distinct within a partial, each
+    // partial written `for v in 0..n` from ordered task state, so the
+    // table takes one insert per record of the first partial and one
+    // hit per record of the second. The 1,024-key case above never
+    // grows its table and hides the per-key cost.
+    const HC_KEYS: u32 = 131_072;
+    fn distinct_setup() -> (Vec<BagReader>, BagWriter) {
+        merge_setup(|part, w| {
+            for v in 0..HC_KEYS {
+                let contrib = 1.0 / f64::from(v + 1);
+                w.write_record(&(v, (contrib, part as u32))).unwrap();
+            }
+        })
+    }
+    g.throughput(Throughput::Elements(PARTIALS * u64::from(HC_KEYS)));
+    g.bench_function("keyed_fold_128k_keys/borrowed", |b| {
+        let live =
+            KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), v: (f64, u32)| {
+                acc.0 += v.0;
+                acc.1 = acc.1.max(v.1);
+            });
+        b.iter_batched(
+            distinct_setup,
             |(mut readers, mut out)| {
                 live.merge(0, &mut readers, &mut out).unwrap();
             },

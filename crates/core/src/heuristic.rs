@@ -12,17 +12,25 @@
 //!
 //! `T` is estimated by sampling the input bag (how much data is left, how
 //! fast it drains); `T_IO` is estimated as *two times* the remaining input
-//! the task will read (once for input, once for output) divided by I/O
-//! bandwidth. This module is pure and shared by the threaded runtime and
-//! the discrete-event simulator.
+//! the task will read (once for input, once for output), plus once the
+//! state every clone loads in full before it can start (inputs the task
+//! snapshots instead of consuming), divided by I/O bandwidth. This module
+//! is pure and shared by the threaded runtime and the discrete-event
+//! simulator.
 
 /// Inputs to one cloning decision.
 #[derive(Debug, Clone, Copy)]
 pub struct CloneDecision {
     /// Current number of instances processing the task (k ≥ 1).
     pub instances: u32,
-    /// Bytes remaining in the task's input bag(s).
+    /// Bytes remaining in the input bag(s) the task consumes — the work
+    /// clones share.
     pub remaining_bytes: u64,
+    /// Bytes of task state a new clone loads whole before it does any
+    /// work: the inputs the task reads by snapshot (PageRank's rank
+    /// vector, a join's build side). They never drain, so they are no
+    /// part of `remaining_bytes`; they cost a clone one read.
+    pub state_bytes: u64,
     /// Observed drain rate of the input bag(s), bytes/second.
     pub drain_rate: f64,
     /// Modeled I/O bandwidth available for clone state + merge, bytes/s.
@@ -48,15 +56,16 @@ impl CloneDecision {
         }
     }
 
-    /// Estimated clone overhead `T_IO ≈ 2 · remaining / io_bandwidth`
-    /// (paper §4.2: "we estimate it as two times the size of the remaining
+    /// Estimated clone overhead `T_IO ≈ (2 · remaining + state) /
+    /// io_bandwidth` (paper §4.2: "loading task state, merging its
+    /// output ... we estimate it as two times the size of the remaining
     /// portion of the input bag that the task will read (for input and
-    /// output)").
+    /// output)"; the state term is the snapshot inputs, read once).
     pub fn io_time(&self) -> f64 {
         if self.io_bandwidth <= 0.0 {
             return f64::INFINITY;
         }
-        2.0 * self.remaining_bytes as f64 / self.io_bandwidth
+        (2.0 * self.remaining_bytes as f64 + self.state_bytes as f64) / self.io_bandwidth
     }
 
     /// Eq. 2: clone iff `T > (k + 1) · T_IO`.
@@ -136,6 +145,7 @@ mod tests {
         CloneDecision {
             instances: k,
             remaining_bytes: remaining,
+            state_bytes: 0,
             drain_rate: rate,
             io_bandwidth: bw,
         }
@@ -193,6 +203,28 @@ mod tests {
         // false, so the clone is refused.
         let d = decision(1, 10, 1000.0, 2000.0);
         assert!(!d.should_clone());
+    }
+
+    #[test]
+    fn state_is_charged_once_to_io_time_and_never_to_remaining() {
+        // T = 100 B / 10 B/s = 10 s. Without state T_IO = 2·100/200 = 1 s
+        // and k = 1 clones (10 > 2). 1 900 B of snapshot state add
+        // 1900/200 = 9.5 s to T_IO once — not twice, and not to T.
+        let lean = decision(1, 100, 10.0, 200.0);
+        let heavy = CloneDecision {
+            state_bytes: 1900,
+            ..lean
+        };
+        assert!((heavy.io_time() - (lean.io_time() + 9.5)).abs() < 1e-9);
+        assert_eq!(heavy.expected_remaining(), lean.expected_remaining());
+        assert!(lean.should_clone());
+        assert!(!heavy.should_clone());
+        // State alone is not work: nothing left to share, nothing to clone.
+        let drained = CloneDecision {
+            remaining_bytes: 0,
+            ..heavy
+        };
+        assert!(!drained.should_clone());
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod descriptor;
 pub mod error;
 pub mod graph;
 pub mod heuristic;
+mod keyed_table;
 pub mod manager;
 pub mod master;
 pub mod merges;

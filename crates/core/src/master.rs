@@ -187,8 +187,11 @@ impl Master {
             while let Ok(msg) = self.control_rx.try_recv() {
                 match msg {
                     ControlMsg::CloneRequest {
-                        task, generation, ..
-                    } => self.handle_clone_request(task, generation)?,
+                        task,
+                        generation,
+                        consumed,
+                        ..
+                    } => self.handle_clone_request(task, generation, &consumed)?,
                     ControlMsg::NodeFailed { node } => self.handle_node_failure(node)?,
                     ControlMsg::Fatal { task, message } => {
                         self.deps.kill.shutdown_all();
@@ -415,7 +418,20 @@ impl Master {
     }
 
     /// Applies the cloning policy to one worker request (paper §4.2).
-    fn handle_clone_request(&mut self, task: u32, generation: u32) -> Result<(), EngineError> {
+    ///
+    /// `consumed` lists the task inputs the worker removes chunks from;
+    /// only those hold work a clone could share. Every other input is
+    /// read by snapshot — it never drains, so counting it as remaining
+    /// would keep the minimum-chunks gate open forever and grant clones
+    /// after the consumed inputs ran dry — and is charged to `T_IO` once,
+    /// as state the clone loads. An empty `consumed` (sender unknown)
+    /// counts every input as consumed.
+    fn handle_clone_request(
+        &mut self,
+        task: u32,
+        generation: u32,
+        consumed: &[u32],
+    ) -> Result<(), EngineError> {
         self.report.clone_requests += 1;
         let t = TaskId(task);
         let Some(st) = self.state.get(t.index()) else {
@@ -444,11 +460,16 @@ impl Master {
         let mut remaining_bytes = 0u64;
         let mut remaining_chunks = 0u64;
         let mut removed_bytes = 0u64;
-        for &b in &self.deps.graph.task(t).inputs {
+        let mut state_bytes = 0u64;
+        for (i, &b) in self.deps.graph.task(t).inputs.iter().enumerate() {
             let s = self.deps.cluster.sample_bag(self.physical(b))?;
-            remaining_bytes += s.remaining_bytes;
-            remaining_chunks += s.remaining_chunks;
-            removed_bytes += s.total_bytes - s.remaining_bytes;
+            if consumed.is_empty() || consumed.contains(&(i as u32)) {
+                remaining_bytes += s.remaining_bytes;
+                remaining_chunks += s.remaining_chunks;
+                removed_bytes += s.total_bytes - s.remaining_bytes;
+            } else {
+                state_bytes += s.total_bytes;
+            }
         }
         let now = self.now_secs();
         let st = &mut self.state[t.index()];
@@ -456,6 +477,7 @@ impl Master {
         let decision = CloneDecision {
             instances: st.instances,
             remaining_bytes,
+            state_bytes,
             drain_rate: rate,
             io_bandwidth: self.deps.config.io_bandwidth,
         };
@@ -586,5 +608,94 @@ impl Master {
         }
         self.report.restarts += 1;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::task::{BagWriter, TaskCtx};
+    use hurricane_storage::{BagClient, ClusterConfig};
+
+    /// A master over the PageRank-iteration shape — one task reading
+    /// input 0 (`state_chunks` chunks) by snapshot and consuming input 1
+    /// (`work_chunks` chunks) — scheduled, with `drained` work chunks
+    /// already removed. No manager runs; the master is driven by hand.
+    fn master_over(state_chunks: u64, work_chunks: u64, drained: u64) -> Master {
+        let mut g = AppGraph::builder();
+        let state = g.source("state");
+        let work = g.source("work");
+        let out = g.bag("out");
+        g.task("iter", &[state, work], &[out], |_: &mut TaskCtx| Ok(()));
+        let graph = Arc::new(g.build().expect("two sources, one task"));
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let bag_map: Vec<BagId> = (0..graph.num_bags())
+            .map(|_| cluster.create_bag())
+            .collect();
+        for (bag, chunks) in [(state, state_chunks), (work, work_chunks)] {
+            // One 8-byte record per 8-byte chunk.
+            let mut w = BagWriter::open(cluster.clone(), bag_map[bag.0], 1, 8);
+            for i in 0..chunks {
+                w.write_record(&hurricane_format::FixedU64(i)).unwrap();
+            }
+            w.flush().unwrap();
+            cluster.seal_bag(bag_map[bag.0]).unwrap();
+        }
+        let mut worker = BagClient::new(cluster.clone(), bag_map[work.0], 2);
+        for _ in 0..drained {
+            worker.try_remove().unwrap();
+        }
+        let deps = MasterDeps {
+            graph,
+            endpoint: Arc::new(StorageEndpoint::direct(cluster.clone())),
+            config: Arc::new(HurricaneConfig::default()),
+            kill: Arc::new(KillSwitch::new()),
+            registry: Arc::new(RunningRegistry::new()),
+            workbags: WorkBagIds {
+                ready: cluster.create_bag(),
+                running: cluster.create_bag(),
+                done: cluster.create_bag(),
+            },
+            bag_map: Arc::new(bag_map),
+            seeds: Arc::new(SeedGen::new(7)),
+            app_done: Arc::new(AtomicBool::new(false)),
+            cluster,
+        };
+        let (_tx, rx) = crossbeam::channel::unbounded();
+        let mut master = Master::new(deps, rx);
+        master.progress().expect("schedules the task");
+        assert!(master.state[0].scheduled);
+        master
+    }
+
+    #[test]
+    fn snapshot_input_is_not_remaining_work() {
+        // The consumed input is empty; 35 chunks of snapshot state never
+        // drain. A worker that says which input it consumes gets no clone
+        // ...
+        let mut master = master_over(35, 8, 8);
+        master.handle_clone_request(0, 0, &[1]).unwrap();
+        assert_eq!(master.report.total_clones, 0);
+        assert_eq!(master.report.clone_rejections, 1);
+        // ... while a request that does not say (the fallback) counts
+        // every input as consumed and sees 35 chunks left.
+        master.handle_clone_request(0, 0, &[]).unwrap();
+        assert_eq!(master.report.total_clones, 1);
+    }
+
+    #[test]
+    fn min_remaining_chunks_gate_counts_consumed_inputs_only() {
+        let min = HurricaneConfig::default().min_remaining_chunks_to_clone;
+        // One chunk short of the gate on the consumed input: refused,
+        // whatever the snapshot input holds.
+        let mut master = master_over(35, 8, 8 - (min - 1));
+        master.handle_clone_request(0, 0, &[1]).unwrap();
+        assert_eq!(master.report.total_clones, 0);
+        // At the gate: granted (first request, no drain rate yet, so T
+        // is unbounded and Eq. 2 accepts).
+        let mut master = master_over(35, 8, 8 - min);
+        master.handle_clone_request(0, 0, &[1]).unwrap();
+        assert_eq!(master.report.total_clones, 1);
+        assert_eq!(master.report.clone_rejections, 0);
     }
 }

@@ -28,9 +28,13 @@
 //!   and [`KeyedMerge`] stream every record as a [`RecordView`] borrowed
 //!   straight from the chunk bytes and fold it into accumulators in
 //!   place. Only the *surviving* state is owned: one accumulator for a
-//!   reduce, one `(encoded key, accumulator)` table entry per distinct
-//!   key for a keyed merge. The records themselves — including string
-//!   payloads and nested sequences — are never copied out of the chunk.
+//!   reduce; for a keyed merge one flat table (`keyed_table`) — every
+//!   distinct key's encoded bytes back to back in one arena, one
+//!   `(key end, accumulator)` entry per key in arrival order, and an
+//!   open-addressing index of `(hash tag, entry number)` slots over
+//!   them — so a new key costs three appends and no allocation. The
+//!   records themselves — including string payloads and nested
+//!   sequences — are never copied out of the chunk.
 //! * **Own the records** — [`SortedMerge`], [`SetUnionMerge`],
 //!   [`TopKMerge`] and [`MedianMerge`] must compare records that outlive
 //!   their chunks, so they convert each view to an owned record into a
@@ -40,7 +44,16 @@
 //!
 //! Results re-encode through the single-pass writer path
 //! (`BagWriter::write_record` serializes straight into the chunk
-//! buffer).
+//! buffer); a keyed merge re-encodes only accumulators and copies each
+//! key's bytes back as it ingested them.
+//!
+//! A keyed merge's emit is *run-aware*. Partials written from ordered
+//! task state — a `for v in 0..n` loop, another keyed merge's output, a
+//! spill run — arrive as ascending key runs, and the table keeps arrival
+//! order. When that order is already ascending (one such partial, or
+//! several over the same keys) the emit is a sequential walk with no
+//! sort; otherwise a stable, run-adaptive sort orders `(key, entry)`
+//! pairs. Either way the output is in ascending key order.
 //!
 //! # Execution model: parallel outputs
 //!
@@ -62,13 +75,21 @@
 //! under a configured budget (`merge_memory_budget`) by external
 //! aggregation:
 //!
-//! * **Partial-record format.** When the table's estimated residency
-//!   crosses the budget (checked at chunk boundaries, so residency
-//!   overshoots by at most one chunk's new entries), the whole table
-//!   drains into a scratch *run*: `(key, partial-accumulator)` records in
-//!   the canonical codec — the exact encoding the final output uses — in
-//!   ascending key order. Runs land in scratch bags pinned to one storage
-//!   node so their chunks read back in insertion (i.e. key) order.
+//! * **Budget arithmetic.** The table's residency is counted exactly:
+//!   key arena bytes + entries x `size_of::<(usize, Option<V>)>()` +
+//!   index slots x 8, the index a power of two kept at most half full.
+//!   Per distinct key of `(u32, u64)` records that is the key's 1–5
+//!   bytes, a 24-byte entry and 16–32 bytes of index. Not counted: heap
+//!   payloads *inside* an accumulator (a `Vec` value's elements) and
+//!   the vectors' spare capacity.
+//! * **Partial-record format.** When that count crosses the budget
+//!   (checked at chunk boundaries, so residency overshoots by at most
+//!   one chunk's new entries), the whole table drains into a scratch
+//!   *run* and releases its memory. A run is `(key,
+//!   partial-accumulator)` records in the canonical codec — the exact
+//!   encoding the final output uses — in ascending key order. Runs land
+//!   in scratch bags pinned to one storage node so their chunks read
+//!   back in insertion (i.e. key) order.
 //! * **Round invariants.** After the inputs drain, the surviving table
 //!   spills as the final run. While more than `RUN_FANIN` runs exist, the
 //!   oldest `RUN_FANIN` are k-way merged — equal keys folded oldest-run
@@ -89,25 +110,19 @@
 //!   property test.
 
 use crate::error::EngineError;
+use crate::keyed_table::KeyTable;
 use crate::task::{BagReader, BagWriter, MergeLogic, SpillSink, SpillStats};
 use hurricane_common::BagId;
 use hurricane_format::{Chunk, ChunkReader, RecordView};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 
 /// Fan-in of one spill-merge round: how many scratch runs a bounded
 /// [`KeyedMerge`] re-folds at a time. Bounds a round's memory at this
 /// many run cursors (one chunk each) plus one accumulator.
 const RUN_FANIN: usize = 8;
-
-/// Estimated table overhead per distinct key beyond the key bytes and
-/// accumulator value: hash-table slot, `Box<[u8]>` header, `Option`
-/// discriminant. The budget arithmetic is an estimate — accumulators
-/// with heap payloads (e.g. `Vec` values) count only their inline size.
-const ENTRY_OVERHEAD: u64 = 64;
 
 /// The default merge: concatenates all partial chunks into the output.
 ///
@@ -260,47 +275,17 @@ where
     }
 }
 
-/// FxHash-style byte hasher for the keyed-merge table. Keys are short
-/// encoded records hashed on every record of every partial; SipHash's
-/// per-call setup would dominate at that grain.
-#[derive(Default)]
-struct FxBytesHasher(u64);
-
-impl Hasher for FxBytesHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        const SEED: u64 = 0x517c_c1b7_2722_0a95;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let v = u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"));
-            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            // Disambiguate short tails by length (rem.len() < 8, so byte
-            // 7 is never a data byte).
-            tail[7] = rem.len() as u8;
-            let v = u64::from_le_bytes(tail);
-            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Merges keyed records by combining values of equal keys — the merge
 /// combiner shape (group-by aggregation) generalized to clone partials.
 ///
 /// The hot loop never materializes a record: each `(key, value)` pair is
 /// decoded as borrowed views, the key's *encoded bytes* (which are equal
-/// iff the keys are equal — the codec is canonical) index a hash table,
-/// and the value view folds into that key's accumulator in place. Only
-/// the surviving entries own memory: one boxed key-byte string plus one
-/// accumulator per distinct key. Keys are decoded once at emit time and
-/// the output is written in key order, so results are deterministic.
+/// iff the keys are equal — the codec is canonical) index one flat
+/// arrival-ordered table (`KeyTable`: key arena, entry vector, tag index
+/// — no allocation per key), and the value view folds into that key's
+/// accumulator in place. Keys are decoded only at emit time, to order
+/// the output: it is written in ascending key order, each key's bytes
+/// copied back verbatim, so results are deterministic.
 pub struct KeyedMerge<K, V, F> {
     fold: F,
     _marker: PhantomData<fn(&K, &V)>,
@@ -337,9 +322,6 @@ where
         }
     }
 }
-
-/// The keyed-merge accumulator table: encoded key bytes → accumulator.
-type KeyTable<V> = HashMap<Box<[u8]>, Option<V>, BuildHasherDefault<FxBytesHasher>>;
 
 /// A read cursor over one sorted scratch run: walks `(key, value)`
 /// records across the run's chunks, exposing the current decoded key
@@ -424,71 +406,79 @@ where
     /// key — and no Hash bridge between K and its view — is needed on
     /// the per-record path. The manual span walk (instead of a
     /// ChunkReader driver) is what exposes each key's byte range.
-    fn fold_chunk(
-        &self,
-        chunk: &Chunk,
-        table: &mut KeyTable<V>,
-        table_bytes: &mut u64,
-    ) -> Result<(), EngineError> {
+    fn fold_chunk(&self, chunk: &Chunk, table: &mut KeyTable<V>) -> Result<(), EngineError> {
         let mut rest = chunk.bytes();
         while !rest.is_empty() {
             let record_start = rest;
             K::decode_view(&mut rest).map_err(EngineError::Codec)?;
             let key_bytes = &record_start[..record_start.len() - rest.len()];
             let value = V::decode_view(&mut rest).map_err(EngineError::Codec)?;
-            match table.get_mut(key_bytes) {
-                Some(slot) => self.fold.fold(slot, value),
-                None => {
-                    let mut slot = None;
-                    self.fold.fold(&mut slot, value);
-                    *table_bytes +=
-                        key_bytes.len() as u64 + std::mem::size_of::<V>() as u64 + ENTRY_OVERHEAD;
-                    table.insert(key_bytes.into(), slot);
-                }
-            }
+            self.fold.fold(table.slot(key_bytes), value);
         }
         Ok(())
     }
 
-    /// Drains the table into `(key, value)` entries sorted by key.
-    fn drain_sorted(table: &mut KeyTable<V>) -> Vec<(K, V)> {
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(table.len());
-        for (key_bytes, slot) in table.drain() {
-            let mut kb = &key_bytes[..];
-            let key = K::decode(&mut kb).expect("key bytes were validated on ingest");
-            entries.push((key, slot.expect("every table slot is filled on insert")));
+    /// The order that emits the table by ascending key, as `(key, entry)`
+    /// pairs — or `None` when arrival order already is that order.
+    ///
+    /// Partials written from ordered task state (a `for v in 0..n` loop,
+    /// the output of another keyed merge, a spill run) arrive as
+    /// ascending runs. One such partial, or several over the same keys,
+    /// fills the table in key order and needs no sort at all; the check
+    /// for that decodes keys only until the first descent. Otherwise the
+    /// sort is the run-adaptive stable one, which merges the runs that
+    /// arrival order kept intact instead of starting from hash order.
+    fn key_order(table: &KeyTable<V>) -> Option<Vec<(K, u32)>> {
+        let decode =
+            |i: usize| K::decode(&mut table.key(i)).expect("key bytes were validated on ingest");
+        let mut prev: Option<K> = None;
+        let ascending = (0..table.len()).all(|i| {
+            let key = decode(i);
+            let ok = prev.as_ref().is_none_or(|p| *p < key);
+            prev = Some(key);
+            ok
+        });
+        if ascending {
+            return None;
         }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        entries
+        // Entry numbers fit u32: the table's index holds them as such.
+        let mut order: Vec<(K, u32)> = (0..table.len()).map(|i| (decode(i), i as u32)).collect();
+        order.sort_by(|a, b| a.0.cmp(&b.0));
+        Some(order)
     }
 
-    /// Writes the table to `out` in ascending key order — the terminal
-    /// emit both the bounded and unbounded paths share.
-    fn emit_table(mut table: KeyTable<V>, out: &mut BagWriter) -> Result<(), EngineError> {
-        for rec in &Self::drain_sorted(&mut table) {
-            out.write_record(rec)?;
+    /// Writes the table to `out` in ascending key order — what the
+    /// terminal emit and every spill run share. Each record is the key's
+    /// bytes as ingested (the codec is canonical, so these are the bytes
+    /// re-encoding the decoded key would produce) followed by the
+    /// encoded accumulator.
+    fn write_sorted(table: &KeyTable<V>, out: &mut BagWriter) -> Result<(), EngineError> {
+        let mut record = Vec::new();
+        let mut write = |i: usize| {
+            record.clear();
+            record.extend_from_slice(table.key(i));
+            table.value(i).encode(&mut record);
+            out.write_encoded(&record)
+        };
+        match Self::key_order(table) {
+            None => (0..table.len()).try_for_each(write),
+            Some(order) => order.iter().try_for_each(|&(_, i)| write(i as usize)),
         }
-        out.flush()?;
-        Ok(())
     }
 
     /// Drains the table into a fresh sorted scratch run; returns its bag.
     fn spill_table(
         &self,
         table: &mut KeyTable<V>,
-        table_bytes: &mut u64,
         sink: &mut dyn SpillSink,
         stats: &mut SpillStats,
     ) -> Result<BagId, EngineError> {
-        let entries = Self::drain_sorted(table);
         let mut w = sink.create_run()?;
-        for rec in &entries {
-            w.write_record(rec)?;
-        }
+        Self::write_sorted(table, &mut w)?;
         w.flush()?;
-        stats.spilled_records += entries.len() as u64;
+        stats.spilled_records += table.len() as u64;
         stats.runs += 1;
-        *table_bytes = 0;
+        table.clear();
         Ok(w.bag_id())
     }
 
@@ -550,14 +540,14 @@ where
         partials: &mut [BagReader],
         out: &mut BagWriter,
     ) -> Result<(), EngineError> {
-        let mut table: KeyTable<V> = HashMap::default();
-        let mut table_bytes = 0u64;
+        let mut table = KeyTable::new();
         for p in partials {
             while let Some(chunk) = p.next_chunk()? {
-                self.fold_chunk(&chunk, &mut table, &mut table_bytes)?;
+                self.fold_chunk(&chunk, &mut table)?;
             }
         }
-        Self::emit_table(table, out)
+        Self::write_sorted(&table, out)?;
+        out.flush()
     }
 
     /// External aggregation under a memory budget — see the module doc's
@@ -572,32 +562,30 @@ where
         sink: &mut dyn SpillSink,
     ) -> Result<SpillStats, EngineError> {
         let mut stats = SpillStats::default();
-        let mut table: KeyTable<V> = HashMap::default();
-        let mut table_bytes = 0u64;
+        let mut table = KeyTable::new();
         let mut runs: VecDeque<BagId> = VecDeque::new();
         for p in partials.iter_mut() {
             while let Some(chunk) = p.next_chunk()? {
-                self.fold_chunk(&chunk, &mut table, &mut table_bytes)?;
+                self.fold_chunk(&chunk, &mut table)?;
                 // Budget check at chunk boundaries: residency overshoots
-                // by at most the entries one chunk introduced.
-                if table_bytes > budget && !table.is_empty() {
-                    runs.push_back(self.spill_table(
-                        &mut table,
-                        &mut table_bytes,
-                        sink,
-                        &mut stats,
-                    )?);
+                // by at most the entries one chunk introduced. (An empty
+                // table counts 0 bytes, so it never spills.)
+                if table.bytes() > budget {
+                    runs.push_back(self.spill_table(&mut table, sink, &mut stats)?);
                 }
             }
         }
         if runs.is_empty() {
             // Nothing spilled: exactly the unbounded emit.
-            Self::emit_table(table, out)?;
+            Self::write_sorted(&table, out)?;
+            out.flush()?;
             return Ok(stats);
         }
         if !table.is_empty() {
-            runs.push_back(self.spill_table(&mut table, &mut table_bytes, sink, &mut stats)?);
+            runs.push_back(self.spill_table(&mut table, sink, &mut stats)?);
         }
+        // The re-fold rounds hold cursors, not the table.
+        drop(table);
         // Hierarchical re-fold: merge the RUN_FANIN *oldest* runs into
         // one that re-enters at the front, keeping the queue (and thus
         // per-key fold order) oldest-first. Run count strictly
@@ -1596,18 +1584,5 @@ mod tests {
         assert!(stats.runs > 0, "tiny budget must spill");
         assert!(live.lock().is_empty(), "scratch runs leaked");
         assert_eq!(collect(&cluster, out_bags), plain);
-    }
-
-    #[test]
-    fn fx_hasher_distinguishes_lengths_and_bytes() {
-        fn hash(bytes: &[u8]) -> u64 {
-            let mut h = FxBytesHasher::default();
-            h.write(bytes);
-            h.finish()
-        }
-        assert_ne!(hash(b"a"), hash(b"b"));
-        assert_ne!(hash(b"abc"), hash(b"abcd"));
-        assert_ne!(hash(&[0; 3]), hash(&[0; 4]));
-        assert_eq!(hash(b"hurricane"), hash(b"hurricane"));
     }
 }

@@ -39,6 +39,12 @@ pub enum ControlMsg {
         generation: u32,
         /// Compute node issuing the request.
         node: u32,
+        /// Inputs (by index) the worker has removed chunks from: the
+        /// work a clone would share. Its other inputs it reads whole
+        /// (`snapshot_input*`) and never removes from, so they are state
+        /// a clone must load, not work that is left. Empty means
+        /// unknown — the master then counts every input as consumed.
+        consumed: Vec<u32>,
     },
     /// A compute node failed (detected or injected).
     NodeFailed {
@@ -369,6 +375,9 @@ pub struct TaskCtx {
     pub(crate) clone_tx: Option<Sender<ControlMsg>>,
     pub(crate) clone_interval: Duration,
     pub(crate) last_ping: Instant,
+    /// Inputs `next_chunk` has been called on, reported with each clone
+    /// request.
+    pub(crate) consumed: Vec<u32>,
     /// Reusable encode buffer for [`TaskCtx::write_record_multi`]:
     /// cleared, never shrunk, so steady-state fan-out allocates nothing.
     pub(crate) scratch: Vec<u8>,
@@ -401,6 +410,9 @@ impl TaskCtx {
     /// getting chunks without waiting is continuously busy, and every
     /// `clone_interval` it asks the master to consider cloning its task.
     pub fn next_chunk(&mut self, i: usize) -> Result<Option<Chunk>, EngineError> {
+        if !self.consumed.contains(&(i as u32)) {
+            self.consumed.push(i as u32);
+        }
         self.maybe_ping();
         self.inputs[i].next_chunk()
     }
@@ -522,10 +534,10 @@ impl TaskCtx {
     }
 
     /// Like [`TaskCtx::snapshot_input`], but decodes into a caller-owned
-    /// buffer (cleared first, capacity retained). Task logic that runs
-    /// once per clone can keep the buffer in a `thread_local!` so repeated
-    /// executions on the same worker reuse the allocation instead of
-    /// re-collecting a fresh `Vec` per clone.
+    /// buffer (cleared first, capacity retained), for logic that
+    /// snapshots more than once in one execution. A `thread_local!`
+    /// buffer does *not* carry across executions: the manager runs every
+    /// claimed unit on a fresh thread.
     pub fn snapshot_input_into<T: Record>(
         &mut self,
         i: usize,
@@ -558,6 +570,7 @@ impl TaskCtx {
                 task: self.instance.task.0,
                 generation: self.generation,
                 node: self.node,
+                consumed: self.consumed.clone(),
             });
         }
     }
@@ -859,6 +872,7 @@ mod tests {
             clone_tx: None,
             clone_interval: Duration::from_secs(3600),
             last_ping: Instant::now(),
+            consumed: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -1006,6 +1020,25 @@ mod tests {
         // And it must replace, not append.
         ctx.snapshot_input_into(0, &mut buf).unwrap();
         assert_eq!(buf.len(), 500);
+    }
+
+    #[test]
+    fn clone_request_names_only_the_inputs_removed_from() {
+        // The PageRank / HashJoin shape: input 0 read whole, input 1
+        // consumed chunk by chunk.
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let state = filled_bag(&cluster, 0..100);
+        let work = filled_bag(&cluster, 0..100);
+        let mut ctx = test_ctx(&cluster, vec![state, work], vec![]);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        ctx.clone_tx = Some(tx);
+        ctx.clone_interval = Duration::ZERO;
+        let _: Vec<u64> = ctx.snapshot_input(0).unwrap();
+        ctx.next_chunk(1).unwrap();
+        match rx.try_recv().unwrap() {
+            ControlMsg::CloneRequest { consumed, .. } => assert_eq!(consumed, vec![1]),
+            other => panic!("unexpected message {other:?}"),
+        }
     }
 
     #[test]

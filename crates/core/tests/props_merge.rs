@@ -112,6 +112,13 @@ fn assert_spill_agrees<M: MergeLogic>(
     Ok(())
 }
 
+/// A budget between two growth steps of the table's byte account
+/// (arena + entries + index) for `(u32 < 64, u64)` records: 16 one-byte
+/// keys with 24-byte entries under a 32-slot index are 656 bytes, and
+/// the 17th key doubles the index, to 937 — so this budget is crossed by
+/// an index step alone, not by the entry that caused it.
+const INDEX_STEP_BUDGET: u64 = 800;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -126,17 +133,63 @@ proptest! {
         folding in prop::bool::ANY,
     ) {
         // Both keyed merge logics — the owned combiner and the in-place
-        // borrowed fold — under the same associative operation.
-        if folding {
-            let merge = KeyedMerge::<u32, u64, _>::folding(|acc, v: u64| {
-                *acc = acc.wrapping_add(v)
-            });
-            assert_spill_agrees(&merge, &parts, budget, chunk_size)?;
-        } else {
-            let merge =
-                KeyedMerge::<u32, u64, _>::new(|a: u64, b: u64| a.wrapping_add(b));
-            assert_spill_agrees(&merge, &parts, budget, chunk_size)?;
+        // borrowed fold — under the same associative operation, at the
+        // drawn budget and at one between two growth steps of the
+        // table's byte account.
+        for budget in [budget, INDEX_STEP_BUDGET] {
+            if folding {
+                let merge = KeyedMerge::<u32, u64, _>::folding(|acc, v: u64| {
+                    *acc = acc.wrapping_add(v)
+                });
+                assert_spill_agrees(&merge, &parts, budget, chunk_size)?;
+            } else {
+                let merge =
+                    KeyedMerge::<u32, u64, _>::new(|a: u64, b: u64| a.wrapping_add(b));
+                assert_spill_agrees(&merge, &parts, budget, chunk_size)?;
+            }
         }
+    }
+
+    #[test]
+    fn descending_partials_still_emit_ascending(
+        keys in prop::collection::vec(0u32..5000, 1..300),
+        parts in 1usize..4,
+        budget in 0u64..20_000,
+        chunk_size in 48usize..320,
+    ) {
+        // Every partial written in *descending* key order — the opposite
+        // of the ascending runs ordered task state produces, which the
+        // emit's already-sorted shortcut must not mistake for one — with
+        // keys wide enough (two-byte varints) that byte order and key
+        // order differ. The unbounded output itself is held against an
+        // owned reference, not only against the bounded path.
+        let mut keys = keys;
+        keys.sort_unstable_by(|a, b| b.cmp(a));
+        keys.dedup();
+        let parts: Vec<Vec<(u32, u64)>> = (0..parts as u64)
+            .map(|p| keys.iter().map(|&k| (k, p + 1)).collect())
+            .collect();
+        let merge = KeyedMerge::<u32, u64, _>::new(|a: u64, b: u64| a.wrapping_add(b));
+        assert_spill_agrees(&merge, &parts, budget, chunk_size)?;
+
+        // One storage node: a bag is FIFO per node, so the snapshot
+        // below reads the output chunks in the order they were written.
+        let cluster = StorageCluster::new(1, ClusterConfig::default());
+        let mut readers = build_partials(&cluster, &parts);
+        let out_bag = cluster.create_bag();
+        let mut out = BagWriter::open(cluster.clone(), out_bag, 77, chunk_size);
+        merge.merge(0, &mut readers, &mut out).unwrap();
+        out.flush().unwrap();
+        cluster.seal_bag(out_bag).unwrap();
+        let got: Vec<(u32, u64)> = cluster
+            .snapshot_bag(out_bag)
+            .unwrap()
+            .iter()
+            .flat_map(|c| hurricane_format::decode_all::<(u32, u64)>(c).unwrap())
+            .collect();
+        let sum: u64 = (1..=parts.len() as u64).sum();
+        let want: Vec<(u32, u64)> = keys.iter().rev().map(|&k| (k, sum)).collect();
+        prop_assert_eq!(got, want);
     }
 
     #[test]

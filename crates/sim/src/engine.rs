@@ -501,6 +501,7 @@ pub fn simulate(app: &SimApp, cluster: &ClusterSpec, opts: &HurricaneOpts) -> Si
                         let decision = CloneDecision {
                             instances: k as u32,
                             remaining_bytes: runs[i].remaining as u64,
+                            state_bytes: 0,
                             drain_rate: rates[i].max(1.0),
                             io_bandwidth: io_bw,
                         };
