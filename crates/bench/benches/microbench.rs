@@ -550,6 +550,152 @@ fn bench_decode_swar(c: &mut Criterion) {
     g.finish();
 }
 
+/// The record codec's two regimes: `ChunkWriter::push` and
+/// `for_each_view` (the word-at-a-time varint paths) against the per-byte
+/// loops they replaced, on the benchmark's three length mixes: uniform
+/// and Zipf s = 1.0 `u32` keys below 2^18 (`clicklog_uniform`, 94%
+/// three-byte, 2.94 B/record; `clicklog_skew`, 1.80 B/record) and
+/// R-MAT-17 `(u32, u32)` edges (`pagerank_rmat`, 4.99 B/record). On
+/// uniform keys the byte loop's branches predict and the word paths must
+/// hold parity; on the mixed lengths of Zipf keys and R-MAT vertex ids
+/// the byte loop pays a mispredict per varint and the word paths do not.
+fn bench_varint(c: &mut Criterion) {
+    use hurricane_format::{for_each_view, Chunk, ChunkBuf, ChunkWriter, CodecError};
+
+    /// The pre-word `varint::encode`, vendored verbatim as the
+    /// before-number.
+    fn encode_bytewise(mut value: u64, out: &mut Vec<u8>) {
+        loop {
+            let byte = (value & 0x7f) as u8;
+            value >>= 7;
+            if value == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    /// The pre-word `varint::decode`, vendored verbatim.
+    fn decode_bytewise(input: &mut &[u8]) -> Result<u64, CodecError> {
+        let mut value: u64 = 0;
+        let mut shift = 0u32;
+        for (i, &byte) in input.iter().enumerate() {
+            if i >= 10 {
+                return Err(CodecError::InvalidVarint);
+            }
+            let payload = (byte & 0x7f) as u64;
+            if shift == 63 && payload > 1 {
+                return Err(CodecError::InvalidVarint);
+            }
+            value |= payload << shift;
+            if byte & 0x80 == 0 {
+                *input = &input[i + 1..];
+                return Ok(value);
+            }
+            shift += 7;
+        }
+        Err(CodecError::Truncated)
+    }
+
+    const VALUES: usize = 1_000_000;
+    const CHUNK: usize = 64 * 1024;
+    const KEYS: usize = 1 << 18;
+    let mut rng = DetRng::new(0x5eed);
+    let uniform: Vec<[u32; 1]> = (0..VALUES)
+        .map(|_| [rng.gen_range(KEYS as u64) as u32])
+        .collect();
+    let zipf_keys = ZipfSampler::new(KEYS, 1.0);
+    let zipf: Vec<[u32; 1]> = (0..VALUES)
+        .map(|_| [zipf_keys.sample(&mut rng) as u32])
+        .collect();
+    let rmat: Vec<[u32; 2]> = RmatGen::new(RmatSpec {
+        scale: 17,
+        edges: VALUES as u64,
+        seed: 5,
+    })
+    .map(|(u, v)| [u as u32, v as u32])
+    .collect();
+
+    /// Benches one mix of `N`-field records (`N` varints each): the word
+    /// paths through the typed `T`, the byte loops through the same
+    /// `ChunkBuf` framing and the same width check.
+    fn mix<const N: usize, T: hurricane_format::RecordView>(
+        c: &mut Criterion,
+        name: &str,
+        fields: &[[u32; N]],
+        typed: impl Fn(&[u32; N]) -> T,
+    ) {
+        let records: Vec<T> = fields.iter().map(typed).collect();
+        let mut writer = ChunkWriter::<T>::new(CHUNK);
+        let mut chunks: Vec<Chunk> = Vec::new();
+        for r in &records {
+            chunks.extend(writer.push(r).unwrap());
+        }
+        chunks.extend(writer.finish());
+
+        let mut g = c.benchmark_group(format!("varint/{name}"));
+        g.throughput(Throughput::Elements(records.len() as u64));
+        g.bench_function("encode_bytewise", |b| {
+            b.iter(|| {
+                let mut body = ChunkBuf::new(CHUNK);
+                let mut sealed = 0usize;
+                for rec in fields {
+                    let start = body.len();
+                    for &field in rec {
+                        encode_bytewise(field as u64, body.encode_buf());
+                    }
+                    sealed += body.commit(start).unwrap().is_some() as usize;
+                }
+                sealed
+            })
+        });
+        g.bench_function("encode_word", |b| {
+            b.iter(|| {
+                let mut w = ChunkWriter::<T>::new(CHUNK);
+                let mut sealed = 0usize;
+                for r in &records {
+                    sealed += w.push(r).unwrap().is_some() as usize;
+                }
+                sealed
+            })
+        });
+        g.bench_function("decode_bytewise", |b| {
+            b.iter(|| {
+                let mut n = 0u64;
+                for chunk in &chunks {
+                    let mut rest = chunk.bytes();
+                    while !rest.is_empty() {
+                        for _ in 0..N {
+                            let v = decode_bytewise(&mut rest).unwrap();
+                            criterion::black_box(u32::try_from(v).unwrap());
+                        }
+                        n += 1;
+                    }
+                }
+                n
+            })
+        });
+        g.bench_function("decode_word", |b| {
+            b.iter(|| {
+                let mut n = 0u64;
+                for chunk in &chunks {
+                    n += for_each_view::<T, _>(chunk, |v| {
+                        criterion::black_box(v);
+                    })
+                    .unwrap();
+                }
+                n
+            })
+        });
+        g.finish();
+    }
+
+    mix(c, "uniform_keys", &uniform, |&[k]| k);
+    mix(c, "zipf_keys", &zipf, |&[k]| k);
+    mix(c, "rmat17_pairs", &rmat, |&[u, v]| (u, v));
+}
+
 /// One merge phase's independent output indices dispatched through
 /// `merges::merge_outputs` at parallelism 1 (the sequential baseline)
 /// vs the worker pool — keyed merges over skewed partials, the
@@ -1278,6 +1424,7 @@ criterion_group!(
     bench_compute_path,
     bench_merge_path,
     bench_decode_swar,
+    bench_varint,
     bench_merge_parallel,
     bench_merge_spill,
     bench_bags,

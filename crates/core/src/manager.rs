@@ -397,7 +397,7 @@ fn run_task(
         clone_tx: deps.config.cloning_enabled.then(|| deps.control_tx.clone()),
         clone_interval: deps.config.clone_interval,
         last_ping: Instant::now(),
-        consumed: Vec::new(),
+        consumed: Arc::new([]),
         scratch: Vec::new(),
     };
     logic.run(&mut ctx)?;

@@ -44,7 +44,9 @@ pub enum ControlMsg {
         /// (`snapshot_input*`) and never removes from, so they are state
         /// a clone must load, not work that is left. Empty means
         /// unknown — the master then counts every input as consumed.
-        consumed: Vec<u32>,
+        /// Shared with the sender's context: a request costs a refcount,
+        /// not an allocation.
+        consumed: Arc<[u32]>,
     },
     /// A compute node failed (detected or injected).
     NodeFailed {
@@ -376,8 +378,8 @@ pub struct TaskCtx {
     pub(crate) clone_interval: Duration,
     pub(crate) last_ping: Instant,
     /// Inputs `next_chunk` has been called on, reported with each clone
-    /// request.
-    pub(crate) consumed: Vec<u32>,
+    /// request; rebuilt only when a new input is first touched.
+    pub(crate) consumed: Arc<[u32]>,
     /// Reusable encode buffer for [`TaskCtx::write_record_multi`]:
     /// cleared, never shrunk, so steady-state fan-out allocates nothing.
     pub(crate) scratch: Vec<u8>,
@@ -411,7 +413,7 @@ impl TaskCtx {
     /// `clone_interval` it asks the master to consider cloning its task.
     pub fn next_chunk(&mut self, i: usize) -> Result<Option<Chunk>, EngineError> {
         if !self.consumed.contains(&(i as u32)) {
-            self.consumed.push(i as u32);
+            self.consumed = self.consumed.iter().copied().chain([i as u32]).collect();
         }
         self.maybe_ping();
         self.inputs[i].next_chunk()
@@ -527,30 +529,16 @@ impl TaskCtx {
     /// e.g. the sorted build side of a hash join, or the rank vector in a
     /// PageRank iteration — while the *other* input is consumed chunk-by-
     /// chunk to partition the work among clones.
-    pub fn snapshot_input<T: Record>(&mut self, i: usize) -> Result<Vec<T>, EngineError> {
-        let mut out = Vec::new();
-        self.snapshot_input_into(i, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`TaskCtx::snapshot_input`], but decodes into a caller-owned
-    /// buffer (cleared first, capacity retained), for logic that
-    /// snapshots more than once in one execution. A `thread_local!`
-    /// buffer does *not* carry across executions: the manager runs every
-    /// claimed unit on a fresh thread.
-    pub fn snapshot_input_into<T: Record>(
-        &mut self,
-        i: usize,
-        out: &mut Vec<T>,
-    ) -> Result<(), EngineError> {
-        out.clear();
+    pub fn snapshot_input<T: RecordView>(&mut self, i: usize) -> Result<Vec<T>, EngineError> {
         let chunks = self.cluster.snapshot_bag(self.input_bags[i])?;
+        // A size hint, not a bound: a record's encoding is about as large
+        // as the record, so this is within a doubling or two of the count.
+        let bytes: usize = chunks.iter().map(Chunk::len).sum();
+        let mut out = Vec::with_capacity(bytes / std::mem::size_of::<T>().max(1));
         for c in &chunks {
-            for rec in hurricane_format::ChunkReader::<T>::new(c) {
-                out.push(rec?);
-            }
+            hurricane_format::for_each_view::<T, _>(c, |view| out.push(T::view_to_owned(view)))?;
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Flushes all output writers. Called by the worker after the logic
@@ -570,7 +558,7 @@ impl TaskCtx {
                 task: self.instance.task.0,
                 generation: self.generation,
                 node: self.node,
-                consumed: self.consumed.clone(),
+                consumed: Arc::clone(&self.consumed),
             });
         }
     }
@@ -872,7 +860,7 @@ mod tests {
             clone_tx: None,
             clone_interval: Duration::from_secs(3600),
             last_ping: Instant::now(),
-            consumed: Vec::new(),
+            consumed: Arc::new([]),
             scratch: Vec::new(),
         }
     }
@@ -1001,25 +989,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_input_into_reuses_the_buffer() {
+    fn snapshot_input_reads_everything_and_removes_nothing() {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let input = filled_bag(&cluster, 0..500);
         let mut ctx = test_ctx(&cluster, vec![input], vec![]);
-        let mut buf: Vec<u64> = Vec::new();
-        ctx.snapshot_input_into(0, &mut buf).unwrap();
-        let mut got = buf.clone();
+        let mut got: Vec<u64> = ctx.snapshot_input(0).unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..500).collect::<Vec<_>>());
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        // A second snapshot into the same buffer must not reallocate.
-        ctx.snapshot_input_into(0, &mut buf).unwrap();
-        assert_eq!(buf.len(), 500);
-        assert_eq!(buf.capacity(), cap);
-        assert_eq!(buf.as_ptr(), ptr);
-        // And it must replace, not append.
-        ctx.snapshot_input_into(0, &mut buf).unwrap();
-        assert_eq!(buf.len(), 500);
+        // Non-destructive: a second snapshot sees the same records.
+        assert_eq!(ctx.snapshot_input::<u64>(0).unwrap().len(), 500);
     }
 
     #[test]
@@ -1036,7 +1014,7 @@ mod tests {
         let _: Vec<u64> = ctx.snapshot_input(0).unwrap();
         ctx.next_chunk(1).unwrap();
         match rx.try_recv().unwrap() {
-            ControlMsg::CloneRequest { consumed, .. } => assert_eq!(consumed, vec![1]),
+            ControlMsg::CloneRequest { consumed, .. } => assert_eq!(*consumed, [1]),
             other => panic!("unexpected message {other:?}"),
         }
     }

@@ -112,10 +112,12 @@ impl Record for u8 {
 macro_rules! varint_record {
     ($ty:ty) => {
         impl Record for $ty {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 varint::encode(*self as u64, out);
             }
 
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
                 let v = varint::decode(input)?;
                 <$ty>::try_from(v).map_err(|_| CodecError::InvalidVarint)
@@ -136,10 +138,12 @@ varint_record!(usize);
 macro_rules! zigzag_record {
     ($ty:ty) => {
         impl Record for $ty {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 varint::encode(zigzag(*self as i64), out);
             }
 
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
                 let v = unzigzag(varint::decode(input)?);
                 <$ty>::try_from(v).map_err(|_| CodecError::InvalidVarint)
@@ -208,12 +212,12 @@ impl Record for bool {
 
 impl Record for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        varint::encode(self.len() as u64, out);
+        varint::encode_len(self.len(), out);
         out.extend_from_slice(self.as_bytes());
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let len = varint::decode(input)?;
+        let len = varint::decode_len(input)?;
         if len > input.len() as u64 {
             return Err(CodecError::Truncated);
         }
@@ -239,12 +243,12 @@ pub struct Blob(pub Vec<u8>);
 
 impl Record for Blob {
     fn encode(&self, out: &mut Vec<u8>) {
-        varint::encode(self.0.len() as u64, out);
+        varint::encode_len(self.0.len(), out);
         out.extend_from_slice(&self.0);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let len = varint::decode(input)?;
+        let len = varint::decode_len(input)?;
         if len > input.len() as u64 {
             return Err(CodecError::Truncated);
         }
@@ -337,14 +341,14 @@ impl<T: Record> Record for Option<T> {
 
 impl<T: Record> Record for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        varint::encode(self.len() as u64, out);
+        varint::encode_len(self.len(), out);
         for item in self {
             item.encode(out);
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let len = varint::decode(input)?;
+        let len = varint::decode_len(input)?;
         // Each element consumes at least one byte, so a declared length
         // beyond the remaining input is corrupt, not just large.
         if len > input.len() as u64 {
@@ -365,10 +369,12 @@ impl<T: Record> Record for Vec<T> {
 macro_rules! tuple_record {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: Record),+> Record for ($($name,)+) {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 $(self.$idx.encode(out);)+
             }
 
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
                 Ok(($($name::decode(input)?,)+))
             }

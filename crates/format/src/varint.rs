@@ -1,33 +1,81 @@
 //! LEB128 variable-length integer encoding.
 //!
-//! Used for string/blob/vector length prefixes so that short records stay
-//! short. Encoding is the standard unsigned LEB128: seven payload bits per
-//! byte, continuation bit in the MSB.
+//! Integer records and string/blob/vector length prefixes are unsigned
+//! LEB128: seven payload bits per byte, continuation bit in the MSB, so
+//! small values stay short. The wire form is fixed (`WIRE.md`); this
+//! module only decides how fast it is produced and consumed, and it does
+//! so without a branch on the value's length — on skewed keys, where
+//! one-, two- and three-byte encodings mix, a per-byte loop's exit
+//! branch mispredicts about once per varint.
 //!
-//! # SWAR trusted decode
+//! # Checked word decode
 //!
-//! [`decode_trusted`] is not a per-byte loop: it loads eight bytes at
-//! once, finds the terminator (first byte with a clear MSB) in the loaded
-//! word via `!word & 0x8080…`, and compacts all seven-bit payload lanes
-//! into the result with three masked shift-merge steps — one load and a
-//! handful of ALU ops instead of up to eight dependent byte iterations.
-//! Encodings of nine or ten bytes take the same SWAR word for their low
-//! 56 payload bits and finish the remaining one or two bytes scalar.
+//! [`decode`] loads eight bytes at once. `!word & 0x8080…` marks every
+//! byte whose continuation bit is clear; the lowest mark is the
+//! terminator, its `trailing_zeros` the length, `mark ^ (mark - 1)` the
+//! mask of the encoding's own bytes, and three masked shift-merge steps
+//! (`compact7`) pack the seven-bit lanes into the value. Finding a
+//! terminator inside the loaded word is the *whole* validation:
 //!
-//! Two invariants govern the fast path:
+//! * **not truncated** — the terminator is one of eight bytes that are
+//!   all inside the slice;
+//! * **not overlong** — at most eight bytes, under [`MAX_VARINT_LEN`];
+//! * **no overflow** — at most 8 × 7 = 56 payload bits, so the check on
+//!   the tenth byte (`shift == 63 && payload > 1`) cannot apply.
 //!
-//! * **Trusted-bytes contract** — the input must begin with a varint a
-//!   validating decode ([`decode`] or the view-plane equivalent) already
-//!   accepted at this exact position. Every bounds/overflow check the
-//!   fast path omits is a check that first pass performed. The 8-byte
-//!   load can therefore assume a terminator exists in bounds.
-//! * **Tail-guard rule** — an 8-byte load is only issued when the slice
-//!   holds at least eight bytes. Within eight bytes of the slice end the
-//!   decoder falls back to the scalar per-byte loop, so the SWAR path
-//!   never reads past the validated slice (not even speculatively —
-//!   reads beyond the slice would be UB regardless of the values read).
+//! Everything else takes the per-byte loop (`decode_bytes`, the one
+//! `#[cold]` slow path, unchanged from when it was the only decoder):
+//! varints that start within eight bytes of the slice end, nine- and
+//! ten-byte encodings, and every input that is rejected. Non-canonical
+//! padded encodings (`80 00`) are accepted on both paths, as before. So
+//! the accepted and rejected inputs, the error kinds and the bytes
+//! consumed are exactly what they were.
+//!
+//! **Tail-guard rule** — an eight-byte load is issued only when the
+//! slice holds at least eight bytes (`first_chunk`, a checked access), so
+//! no byte past the slice is read, not even speculatively.
+//!
+//! # Runs
+//!
+//! One varint per load still leaves a load → length → next address →
+//! load dependency per varint. `decode_run` serves every varint that
+//! terminates inside a loaded word from that one load, walking the
+//! terminator marks, so the dependency is paid once per word. A chunk of
+//! integer records is one such run ([`crate::RecordView::decode_run`]).
+//!
+//! # Trusted decode
+//!
+//! [`decode_trusted`] is the same word step (`split_word`) with the
+//! validation dropped from what surrounds it. Its contract: the input
+//! begins with a varint [`decode`] already accepted at this position, so
+//! a terminator exists in bounds. Its per-byte loop, for the tail and for
+//! the last bytes of a nine- or ten-byte encoding, carries no checks. It
+//! keeps a one-byte shortcut in front of the word step: what sequences
+//! re-read is mostly small fields and length prefixes.
+//!
+//! # Encode
+//!
+//! [`encode`] is the inverse: length from `leading_zeros`, `expand7`
+//! spreading the value into seven-bit lanes, continuation bits from a
+//! mask, one eight-byte store into spare capacity and `set_len`. Values
+//! of 2^56 and up (nine or ten bytes) and buffers with fewer than eight
+//! spare bytes take the per-byte `push` loop. Called on a `u16` or `u32`
+//! the upper bits are known zero after inlining and the compiler drops
+//! the spread steps that would move them. The emitted bytes are
+//! unchanged.
+//!
+//! # What the constant cost costs
+//!
+//! The word paths take the same few nanoseconds whatever the length, and
+//! that is the point: a key distribution cannot make them slow. A
+//! per-byte loop is cheaper still when every length is one byte *and*
+//! predictable (field tags, tiny counters), because the predictor then
+//! hides the whole dependency; record integers give that case up. Length
+//! prefixes do not — `encode_len` and `decode_len` keep a one-byte
+//! shortcut, since lengths really are short and regular.
 
 use crate::codec::CodecError;
+use core::mem::MaybeUninit;
 
 /// All continuation bits of an 8-byte word (bit 7 of every byte).
 const CONT_BITS: u64 = 0x8080_8080_8080_8080;
@@ -38,8 +86,33 @@ const PAYLOAD_BITS: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 /// Maximum encoded size of a `u64` varint (10 bytes).
 pub const MAX_VARINT_LEN: usize = 10;
 
+/// Longest encoding the word paths handle: eight bytes, 56 payload bits.
+const WORD_LEN: usize = 8;
+
 /// Appends the LEB128 encoding of `value` to `out`.
-pub fn encode(mut value: u64, out: &mut Vec<u8>) {
+#[inline]
+pub fn encode(value: u64, out: &mut Vec<u8>) {
+    if value >> (7 * WORD_LEN) == 0 {
+        if let Some(dst) = out.spare_capacity_mut().first_chunk_mut::<WORD_LEN>() {
+            let n = encoded_len(value);
+            // A continuation bit on every byte before the last.
+            let cont = CONT_BITS & !(u64::MAX << (8 * (n - 1)));
+            *dst = (expand7(value) | cont).to_le_bytes().map(MaybeUninit::new);
+            let len = out.len();
+            debug_assert!(len + n <= out.capacity());
+            // SAFETY: the eight bytes after `len` were just initialised
+            // inside the spare capacity, and `n <= 8` of them are kept.
+            unsafe { out.set_len(len + n) };
+            return;
+        }
+    }
+    encode_bytes(value, out)
+}
+
+/// The per-byte encoder: nine- and ten-byte encodings, and buffers with
+/// fewer than eight spare bytes.
+#[cold]
+fn encode_bytes(mut value: u64, out: &mut Vec<u8>) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -52,10 +125,136 @@ pub fn encode(mut value: u64, out: &mut Vec<u8>) {
 }
 
 /// Returns the encoded length of `value` without encoding it.
+#[inline]
 pub fn encoded_len(value: u64) -> usize {
-    // 64-bit values need ceil(bits/7) bytes; zero needs one byte.
-    let bits = 64 - value.leading_zeros() as usize;
-    core::cmp::max(1, bits.div_ceil(7))
+    // ceil(bits / 7) for 1..=64 significant bits (zero counts as one) is
+    // (9 * bits + 64) / 64: no division and no branch on the value.
+    let bits = 64 - (value | 1).leading_zeros() as usize;
+    (9 * bits + 64) >> 6
+}
+
+/// Loads the first eight bytes of `input` as a little-endian word, or
+/// `None` within eight bytes of its end (the tail-guard rule).
+#[inline(always)]
+fn load_word(input: &[u8]) -> Option<u64> {
+    input
+        .first_chunk::<WORD_LEN>()
+        .map(|bytes| u64::from_le_bytes(*bytes))
+}
+
+/// The word step both decoders share: the value and encoded length of
+/// the varint at the low end of `word`, or `None` when all eight bytes
+/// carry continuation bits (a nine- or ten-byte encoding, or garbage).
+#[inline(always)]
+fn split_word(word: u64) -> Option<(u64, usize)> {
+    let term = !word & CONT_BITS;
+    if term == 0 {
+        return None;
+    }
+    // The lowest mark is bit 7 of the terminating byte; `own` is every
+    // bit up to and including it.
+    let len = (term.trailing_zeros() as usize >> 3) + 1;
+    let own = term ^ (term - 1);
+    Some((compact7(word & own & PAYLOAD_BITS), len))
+}
+
+/// Compacts the eight 7-bit payload lanes of `x` (one per byte,
+/// continuation bits already cleared) into the low 56 bits: three
+/// masked shift-merge steps take 8×7-bit lanes to 4×14, 2×28, 1×56.
+#[inline]
+const fn compact7(x: u64) -> u64 {
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+    (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
+}
+
+/// Inverse of [`compact7`]: spreads the low 56 bits of `x` into eight
+/// 7-bit lanes, one per byte, continuation bits clear.
+#[inline]
+const fn expand7(x: u64) -> u64 {
+    let x = (x & 0x0000_0000_0fff_ffff) | ((x & 0x00ff_ffff_f000_0000) << 4);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
+    (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1)
+}
+
+/// Decodes a LEB128 value from the front of `input`, advancing it.
+///
+/// Rejects encodings longer than [`MAX_VARINT_LEN`] and encodings whose
+/// final byte overflows 64 bits, so every `u64` has exactly one accepted
+/// canonical-length ceiling.
+#[inline]
+pub fn decode(input: &mut &[u8]) -> Result<u64, CodecError> {
+    let (value, len) = match load_word(input).and_then(split_word) {
+        Some(hit) => hit,
+        None => decode_bytes(input)?,
+    };
+    *input = &input[len..];
+    Ok(value)
+}
+
+/// The per-byte validating decoder: varints that start within eight
+/// bytes of the slice end, nine- and ten-byte encodings, and every
+/// rejected input. Returns the value and its encoded length; taking the
+/// slice by value keeps the caller's cursor in registers.
+#[cold]
+fn decode_bytes(input: &[u8]) -> Result<(u64, usize), CodecError> {
+    let mut value: u64 = 0;
+    let mut shift = 0u32;
+    for (i, &byte) in input.iter().enumerate() {
+        if i >= MAX_VARINT_LEN {
+            return Err(CodecError::InvalidVarint);
+        }
+        let payload = (byte & 0x7f) as u64;
+        if shift == 63 && payload > 1 {
+            return Err(CodecError::InvalidVarint);
+        }
+        value |= payload << shift;
+        if byte & 0x80 == 0 {
+            return Ok((value, i + 1));
+        }
+        shift += 7;
+    }
+    Err(CodecError::Truncated)
+}
+
+/// Decodes back-to-back varints until `input` is empty, handing each
+/// value to `f` and returning how many there were. Accepts and rejects
+/// exactly what a loop of [`decode`] calls would, in the same order; on
+/// an error (the decoder's or `f`'s) the position of `input` is
+/// unspecified.
+#[inline]
+pub(crate) fn decode_run<E: From<CodecError>>(
+    input: &mut &[u8],
+    mut f: impl FnMut(u64) -> Result<(), E>,
+) -> Result<u64, E> {
+    let mut count = 0;
+    while !input.is_empty() {
+        // Within eight bytes of the end there is no word; all-ones reads
+        // as "no terminator here", the same per-byte step a nine- or
+        // ten-byte encoding takes.
+        let word = load_word(input).unwrap_or(u64::MAX);
+        let mut term = !word & CONT_BITS;
+        if term == 0 {
+            let (value, len) = decode_bytes(input)?;
+            f(value)?;
+            count += 1;
+            *input = &input[len..];
+            continue;
+        }
+        // Every varint that terminates inside the word, lowest first;
+        // the next load starts after the last of them.
+        let used = WORD_LEN - (term.leading_zeros() as usize >> 3);
+        let mut start = 0;
+        while term != 0 {
+            let own = term ^ (term - 1);
+            f(compact7(((word & own) >> start) & PAYLOAD_BITS))?;
+            count += 1;
+            start = term.trailing_zeros() + 1;
+            term &= term - 1;
+        }
+        *input = &input[used..];
+    }
+    Ok(count)
 }
 
 /// Decodes a LEB128 value whose bytes were already validated by
@@ -74,164 +273,166 @@ pub fn encoded_len(value: u64) -> usize {
 /// [`MAX_VARINT_LEN`] bytes.
 #[inline]
 pub unsafe fn decode_trusted(input: &mut &[u8]) -> u64 {
-    // SAFETY: the caller guarantees a validated varint starts here, so
-    // byte 0 exists and the terminator lands in bounds.
-    let b0 = *input.get_unchecked(0);
-    if b0 < 0x80 {
+    // SAFETY: a validated varint starts here, so byte 0 exists.
+    let first = *input.get_unchecked(0);
+    if first < 0x80 {
+        // Re-read sequences are mostly small element fields and length
+        // prefixes: one byte, predictably, and cheaper than the word step.
         *input = input.get_unchecked(1..);
-        return b0 as u64;
+        return first as u64;
     }
-    if input.len() >= 8 {
-        // SWAR fast path (see the module docs): one load covers every
-        // encoding of up to eight bytes. The tail guard above keeps the
-        // load inside the slice.
-        let word = u64::from_le_bytes(input.get_unchecked(..8).try_into().unwrap_unchecked());
-        let term = !word & CONT_BITS;
-        let payload = word & PAYLOAD_BITS;
-        if term != 0 {
-            // Terminator inside the loaded word: the encoding spans
-            // `n` bytes (2..=8 — a 1-byte encoding returned above).
-            let n = (term.trailing_zeros() >> 3) as usize + 1;
-            *input = input.get_unchecked(n..);
-            return compact7(payload & (u64::MAX >> (64 - 8 * n)));
+    let Some(word) = load_word(input) else {
+        return decode_trusted_bytes(input, 0, 0);
+    };
+    match split_word(word) {
+        Some((value, len)) => {
+            // SAFETY: `len <= 8 <= input.len()`, or no word was loaded.
+            *input = input.get_unchecked(len..);
+            value
         }
-        // All eight loaded bytes carry continuation bits: a 9- or
-        // 10-byte encoding (the validating pass bounded it at
-        // MAX_VARINT_LEN). SWAR supplies the low 56 payload bits; the
-        // final one or two bytes finish scalar.
-        let mut value = compact7(payload);
-        let mut shift = 56u32;
-        let mut i = 8usize;
-        loop {
-            let byte = *input.get_unchecked(i);
-            value |= ((byte & 0x7f) as u64) << shift;
-            i += 1;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        *input = input.get_unchecked(i..);
-        return value;
+        // Nine or ten bytes: the word supplies the low 56 payload bits,
+        // the last one or two bytes finish per byte.
+        None => decode_trusted_bytes(input, compact7(word & PAYLOAD_BITS), WORD_LEN),
     }
-    decode_trusted_scalar(input, b0)
 }
 
-/// Compacts the eight 7-bit payload lanes of `x` (one per byte,
-/// continuation bits already cleared) into the low 56 bits: three
-/// masked shift-merge steps take 8×7-bit lanes to 4×14, 2×28, 1×56.
-#[inline]
-const fn compact7(x: u64) -> u64 {
-    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
-    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
-    (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
-}
-
-/// The per-byte trusted loop: the tail-guard fallback for varints that
-/// start within eight bytes of the slice end. `b0` is the (continuation)
-/// first byte the caller already read.
+/// The per-byte trusted loop, resuming at byte `i` with the payload of
+/// bytes `0..i` already in `value`.
 ///
 /// # Safety
 ///
-/// Same contract as [`decode_trusted`].
+/// Same contract as [`decode_trusted`]; bytes `0..i` must all carry
+/// continuation bits.
 #[inline]
-unsafe fn decode_trusted_scalar(input: &mut &[u8], b0: u8) -> u64 {
-    let mut value = (b0 & 0x7f) as u64;
-    let mut shift = 7u32;
-    let mut i = 1usize;
+unsafe fn decode_trusted_bytes(input: &mut &[u8], mut value: u64, mut i: usize) -> u64 {
     loop {
+        // SAFETY: the validated varint's terminator lies at or after `i`.
         let byte = *input.get_unchecked(i);
-        value |= ((byte & 0x7f) as u64) << shift;
+        value |= ((byte & 0x7f) as u64) << (7 * i);
         i += 1;
         if byte & 0x80 == 0 {
             break;
         }
-        shift += 7;
     }
     *input = input.get_unchecked(i..);
     value
 }
 
-/// Decodes a LEB128 value from the front of `input`, advancing it.
+/// Appends a length prefix (`String`, `Blob`, `Vec`).
 ///
-/// Rejects encodings longer than [`MAX_VARINT_LEN`] and encodings whose
-/// final byte overflows 64 bits, so every `u64` has exactly one accepted
-/// canonical-length ceiling.
-pub fn decode(input: &mut &[u8]) -> Result<u64, CodecError> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &byte) in input.iter().enumerate() {
-        if i >= MAX_VARINT_LEN {
-            return Err(CodecError::InvalidVarint);
-        }
-        let payload = (byte & 0x7f) as u64;
-        if shift == 63 && payload > 1 {
-            return Err(CodecError::InvalidVarint);
-        }
-        value |= payload << shift;
-        if byte & 0x80 == 0 {
-            *input = &input[i + 1..];
-            return Ok(value);
-        }
-        shift += 7;
+/// Lengths differ from record integers in two ways: nearly all are
+/// under 128, so one byte and predictably so; and a decoded length's
+/// *value*, not only its encoded size, decides the next address. So
+/// `encode_len` and `decode_len` put a one-byte shortcut in front of the
+/// general paths — same bytes, same accepted inputs.
+#[inline]
+pub(crate) fn encode_len(len: usize, out: &mut Vec<u8>) {
+    if len < 0x80 {
+        out.push(len as u8);
+    } else {
+        encode(len as u64, out);
     }
-    Err(CodecError::Truncated)
+}
+
+/// [`decode`] for a length prefix; see [`encode_len`].
+#[inline]
+pub(crate) fn decode_len(input: &mut &[u8]) -> Result<u64, CodecError> {
+    match input.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *input = rest;
+            Ok(byte as u64)
+        }
+        _ => decode(input),
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! The per-byte loops (`decode_bytes`, `encode_bytes`) are the bodies
+    //! `decode` and `encode` had before the word paths existed, kept as
+    //! the cold paths; the equivalence tests below use them as the
+    //! reference the word paths must match.
 
-    fn roundtrip(v: u64) {
+    use super::*;
+    use crate::codec::Record;
+    use proptest::prelude::*;
+
+    fn encoded(v: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode(v, &mut buf);
-        assert_eq!(buf.len(), encoded_len(v), "length mismatch for {v}");
-        let mut slice = buf.as_slice();
-        assert_eq!(decode(&mut slice).unwrap(), v);
-        assert!(slice.is_empty(), "decode must consume exactly the varint");
+        encode_bytes(v, &mut buf);
+        buf
+    }
+
+    /// `2^(7k) - 1`, `2^(7k)`, `2^(7k) + 1` for every length boundary,
+    /// plus the width and word-path edges.
+    fn edge_values() -> Vec<u64> {
+        let mut values = vec![0, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        for k in 1..=9 {
+            let p = 1u64 << (7 * k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        values
+    }
+
+    /// Runs every decoder on `bytes` and checks them against the
+    /// per-byte reference: same value or error kind, same remainder.
+    fn check_decoders(bytes: &[u8]) {
+        // An exact-size allocation, so a read past the end is out of
+        // bounds for Miri and not just for the slice.
+        let exact: Box<[u8]> = bytes.into();
+        let want = decode_bytes(&exact);
+        for checked in [decode, decode_len] {
+            let mut at = &exact[..];
+            let got = checked(&mut at);
+            assert_eq!(got, want.map(|(v, _)| v), "bytes {bytes:02x?}");
+            let consumed = want.map_or(0, |(_, len)| len);
+            assert_eq!(at, &exact[consumed..], "remainder of {bytes:02x?}");
+        }
+        if let Ok((value, len)) = want {
+            let mut at = &exact[..];
+            // SAFETY: the reference decoder just accepted these bytes.
+            assert_eq!(unsafe { decode_trusted(&mut at) }, value);
+            assert_eq!(at, &exact[len..], "trusted remainder");
+            assert!(encoded_len(value) <= len, "never shorter than canonical");
+        }
+    }
+
+    /// `decode_run` against a loop of reference decodes: the same values
+    /// in the same order, then the same count or the same error.
+    fn check_run(bytes: &[u8]) {
+        let exact: Box<[u8]> = bytes.into();
+        let mut want = Vec::new();
+        let mut at = &exact[..];
+        let want_end = loop {
+            if at.is_empty() {
+                break Ok(want.len() as u64);
+            }
+            match decode_bytes(at) {
+                Ok((value, len)) => {
+                    want.push(value);
+                    at = &at[len..];
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        let mut got = Vec::new();
+        let got_end = decode_run(&mut &exact[..], |v| {
+            got.push(v);
+            Ok::<(), CodecError>(())
+        });
+        assert_eq!(got, want, "bytes {bytes:02x?}");
+        assert_eq!(got_end, want_end, "bytes {bytes:02x?}");
     }
 
     #[test]
     fn roundtrips_edge_values() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            255,
-            16_383,
-            16_384,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            roundtrip(v);
-        }
-    }
-
-    #[test]
-    fn trusted_decode_agrees_with_validating_decode() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            255,
-            16_383,
-            16_384,
-            u32::MAX as u64,
-            u64::MAX,
-        ] {
+        for v in edge_values() {
             let mut buf = Vec::new();
             encode(v, &mut buf);
-            buf.extend_from_slice(&[0xAA, 0xBB]); // Trailing bytes untouched.
-            let mut checked = buf.as_slice();
-            let want = decode(&mut checked).unwrap();
-            let mut trusted = buf.as_slice();
-            // SAFETY: the same bytes were just accepted by `decode`.
-            let got = unsafe { decode_trusted(&mut trusted) };
-            assert_eq!(got, want);
-            assert_eq!(trusted, checked, "must consume identical bytes for {v}");
+            assert_eq!(buf.len(), encoded_len(v), "length mismatch for {v}");
+            let mut slice = buf.as_slice();
+            assert_eq!(decode(&mut slice).unwrap(), v);
+            assert!(slice.is_empty(), "decode must consume exactly the varint");
         }
     }
 
@@ -263,75 +464,120 @@ mod tests {
         assert_eq!(decode(&mut overflow), Err(CodecError::InvalidVarint));
     }
 
-    /// A value whose canonical encoding is exactly `len` bytes.
-    fn value_of_encoded_len(len: usize) -> u64 {
-        match len {
-            1 => 0x5a,
-            10 => u64::MAX,
-            _ => 1u64 << (7 * (len - 1)),
-        }
-    }
-
     #[test]
-    fn swar_covers_every_length_and_tail_distance() {
-        // Every encoded length exercises both the SWAR path (plenty of
-        // slack after the varint) and the tail-guard scalar path (the
-        // varint ends within eight bytes of the slice end).
-        for len in 1..=MAX_VARINT_LEN {
-            let v = value_of_encoded_len(len);
-            let mut buf = Vec::new();
-            encode(v, &mut buf);
-            assert_eq!(buf.len(), len);
-            for pad in 0..=16usize {
-                let mut padded = buf.clone();
-                padded.extend(std::iter::repeat_n(0xEEu8, pad));
-                let mut checked = padded.as_slice();
-                let want = decode(&mut checked).unwrap();
-                let mut trusted = padded.as_slice();
-                // SAFETY: `decode` just accepted these bytes.
-                let got = unsafe { decode_trusted(&mut trusted) };
-                assert_eq!(got, want, "len {len}, pad {pad}");
-                assert_eq!(trusted.len(), checked.len(), "len {len}, pad {pad}");
+    fn decoders_match_the_reference_at_every_tail_distance() {
+        let mut cases: Vec<Vec<u8>> = edge_values().into_iter().map(encoded).collect();
+        cases.extend([
+            vec![],
+            vec![0x80, 0x00],                            // 0, padded
+            vec![0x81, 0x00],                            // 1, padded
+            vec![0xff, 0x80, 0x00],                      // 0x7f, padded
+            vec![0x80, 0x80, 0x80, 0x80, 0x80, 0x00],    // 0 in six bytes
+            [&[0x85][..], &[0x80; 7], &[0x00]].concat(), // 5 in nine bytes
+            [&[0x85][..], &[0x80; 8], &[0x00]].concat(), // 5 in ten bytes
+            [&[0xff; 9][..], &[0x02]].concat(),          // tenth byte overflows
+            vec![0x80; 10],                              // ten bytes, no terminator
+            vec![0x80; 11],                              // eleven continuation bytes
+            vec![0x80, 0x80],                            // truncated
+        ]);
+        for case in &cases {
+            // The varint at every distance 0..=16 from the slice end: the
+            // word paths (slack after it) and the tail guard (none). The
+            // continuation-bit padding also turns each case into the
+            // prefix of a longer, differently judged input.
+            for pad in 0..=16 {
+                for fill in [0x00, 0x6e, 0xee] {
+                    let mut bytes = case.clone();
+                    bytes.resize(case.len() + pad, fill);
+                    check_decoders(&bytes);
+                    check_run(&bytes);
+                }
             }
         }
     }
 
     #[test]
-    fn swar_handles_non_canonical_encodings() {
-        // The validating decoder accepts overlong-but-in-range encodings
-        // (e.g. 1 encoded with redundant continuation bytes); the trusted
-        // decoder must agree on them byte for byte.
-        let cases: &[&[u8]] = &[
-            &[0x81, 0x00],                                           // 1 in 2 bytes
-            &[0xff, 0x80, 0x80, 0x00],                               // 0x7f in 4 bytes
-            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x00],                   // 0 in 6 bytes
-            &[0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00], // 5 in 9 bytes
-        ];
-        for bytes in cases {
-            let mut checked = *bytes;
-            let want = decode(&mut checked).unwrap();
-            let mut trusted = *bytes;
-            // SAFETY: `decode` just accepted these bytes.
-            let got = unsafe { decode_trusted(&mut trusted) };
-            assert_eq!(got, want, "bytes {bytes:?}");
-            assert_eq!(trusted.len(), checked.len(), "bytes {bytes:?}");
+    fn encode_matches_the_reference_at_any_spare_capacity() {
+        for v in edge_values() {
+            let want = encoded(v);
+            assert_eq!(encoded_len(v), want.len(), "encoded_len of {v}");
+            // 0, 1 and 7 spare bytes take the per-byte path, 8 and up the
+            // word store; a non-empty prefix must survive both.
+            for spare in [0, 1, 7, 8, 9, 64] {
+                let mut buf = Vec::with_capacity(3 + spare);
+                buf.extend_from_slice(&[0xde, 0xad, 0xbe]);
+                encode(v, &mut buf);
+                assert_eq!(&buf[..3], &[0xde, 0xad, 0xbe]);
+                assert_eq!(&buf[3..], &want[..], "value {v}, {spare} spare bytes");
+                if let Ok(len) = usize::try_from(v) {
+                    buf.truncate(3);
+                    encode_len(len, &mut buf);
+                    assert_eq!(&buf[3..], &want[..], "length {len}");
+                }
+            }
         }
     }
 
     #[test]
-    fn compact7_packs_payload_lanes() {
-        assert_eq!(compact7(0), 0);
-        assert_eq!(compact7(0x7f), 0x7f);
-        // Lane i contributes its 7 bits at bit 7*i.
-        assert_eq!(compact7(0x0100), 1 << 7);
-        assert_eq!(compact7(0x7f7f_7f7f_7f7f_7f7f), (1u64 << 56) - 1);
+    fn narrow_types_reject_wide_values_on_every_path() {
+        // Five bytes, a terminator inside the first word, and a value one
+        // past u32::MAX: the word path decodes it, the width check fails.
+        let mut bytes = encoded(u32::MAX as u64 + 1);
+        assert_eq!(bytes.len(), 5);
+        bytes.resize(16, 0x00);
+        assert_eq!(u32::decode(&mut &bytes[..]), Err(CodecError::InvalidVarint));
+        assert_eq!(
+            u32::decode(&mut &bytes[..5]),
+            Err(CodecError::InvalidVarint)
+        );
+        let chunk = crate::Chunk::from_vec(bytes);
+        let run = crate::for_each_view::<u32, _>(&chunk, |_| ());
+        assert_eq!(run, Err(CodecError::InvalidVarint));
+        assert_eq!(crate::for_each_view::<u64, _>(&chunk, |_| ()), Ok(12));
     }
 
     #[test]
-    fn max_u64_is_ten_bytes() {
-        assert_eq!(encoded_len(u64::MAX), 10);
-        assert_eq!(encoded_len(0), 1);
-        assert_eq!(encoded_len(127), 1);
-        assert_eq!(encoded_len(128), 2);
+    fn compact7_and_expand7_are_inverses() {
+        assert_eq!(compact7(0x0100), 1 << 7, "lane i lands at bit 7 * i");
+        assert_eq!(compact7(PAYLOAD_BITS), (1u64 << 56) - 1);
+        for v in edge_values() {
+            let v = v & ((1 << 56) - 1);
+            assert_eq!(expand7(v) & CONT_BITS, 0);
+            assert_eq!(compact7(expand7(v)), v);
+        }
+    }
+
+    proptest! {
+        // Miri runs these too (the CI `miri` job); it is ~100x slower.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 16 } else { 1024 }))]
+
+        /// Arbitrary bytes: mostly malformed, with terminators wherever
+        /// chance puts them.
+        #[test]
+        fn arbitrary_bytes_decode_like_the_reference(
+            bytes in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            check_decoders(&bytes);
+            check_run(&bytes);
+        }
+
+        /// Well-formed runs of every length mix, then cut anywhere.
+        #[test]
+        fn value_runs_decode_like_the_reference(
+            values in prop::collection::vec((any::<u64>(), 0u32..64), 0..24),
+            cut in 0usize..8,
+        ) {
+            let mut bytes = Vec::new();
+            for &(v, shift) in &values {
+                let before = bytes.clone();
+                encode(v >> shift, &mut bytes);
+                let mut want = before;
+                encode_bytes(v >> shift, &mut want);
+                prop_assert_eq!(&bytes, &want);
+            }
+            bytes.truncate(bytes.len().saturating_sub(cut));
+            check_decoders(&bytes);
+            check_run(&bytes);
+        }
     }
 }

@@ -170,6 +170,26 @@ pub trait RecordView: Record {
         Self::decode_view(input).expect("trusted bytes were previously validated")
     }
 
+    /// Decodes back-to-back records until `input` is empty, handing each
+    /// view to `f`; returns the record count. Equivalent to a loop of
+    /// [`RecordView::decode_view`] calls (which is what the default does)
+    /// and stops at the first error, the decoder's or `f`'s. This is the
+    /// loop [`crate::ChunkReader`] drives, so a type with a cheaper way
+    /// to decode a run than one record at a time overrides it — the
+    /// varint integers do (see the [`varint`] module docs).
+    #[inline]
+    fn decode_run<'a, E: From<CodecError>>(
+        input: &mut &'a [u8],
+        mut f: impl FnMut(Self::View<'a>) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let mut count = 0;
+        while !input.is_empty() {
+            f(Self::decode_view(input)?)?;
+            count += 1;
+        }
+        Ok(count)
+    }
+
     /// Rebuilds the owned record from a view. The bridge back to the
     /// owned plane — and the instrument the view-law property tests use.
     fn view_to_owned(view: Self::View<'_>) -> Self;
@@ -204,6 +224,7 @@ macro_rules! self_view {
         impl RecordView for $ty {
             type View<'a> = $ty;
 
+            #[inline]
             fn decode_view(input: &mut &[u8]) -> Result<$ty, CodecError> {
                 <$ty as Record>::decode(input)
             }
@@ -226,19 +247,61 @@ macro_rules! self_view {
 // canonicality, integer width, bool tag) already passed.
 self_view! {
     u8 => |input| take_trusted(input, 1)[0],
-    u16 => |input| varint::decode_trusted(input) as u16,
-    u32 => |input| varint::decode_trusted(input) as u32,
-    u64 => |input| varint::decode_trusted(input),
-    usize => |input| varint::decode_trusted(input) as usize,
-    i16 => |input| unzigzag(varint::decode_trusted(input)) as i16,
-    i32 => |input| unzigzag(varint::decode_trusted(input)) as i32,
-    i64 => |input| unzigzag(varint::decode_trusted(input)),
     f32 => |input| f32::from_le_bytes(read_array_trusted(input)),
     f64 => |input| f64::from_le_bytes(read_array_trusted(input)),
     bool => |input| take_trusted(input, 1)[0] == 1,
     () => |_input| (),
     FixedU32 => |input| FixedU32(u32::from_le_bytes(read_array_trusted(input))),
     FixedU64 => |input| FixedU64(u64::from_le_bytes(read_array_trusted(input))),
+}
+
+/// The integers whose wire form is one varint (`$wide` undoes zig-zag for
+/// the signed ones). Self views like the types above, plus the run
+/// decoder: a chunk of them is one long varint run, which
+/// [`varint::decode_run`] decodes a word at a time.
+macro_rules! varint_view {
+    ($($ty:ty => $wide:expr),+ $(,)?) => {$(
+        impl RecordView for $ty {
+            type View<'a> = $ty;
+
+            #[inline]
+            fn decode_view(input: &mut &[u8]) -> Result<$ty, CodecError> {
+                <$ty as Record>::decode(input)
+            }
+
+            #[inline]
+            unsafe fn decode_view_trusted(input: &mut &[u8]) -> $ty {
+                // SAFETY: the caller's contract is `decode_trusted`'s; the
+                // width check passed when these bytes were validated.
+                $wide(varint::decode_trusted(input)) as $ty
+            }
+
+            #[inline]
+            fn decode_run<'a, E: From<CodecError>>(
+                input: &mut &'a [u8],
+                mut f: impl FnMut(Self::View<'a>) -> Result<(), E>,
+            ) -> Result<u64, E> {
+                varint::decode_run(input, |raw| {
+                    let value = <$ty>::try_from($wide(raw)).map_err(|_| CodecError::InvalidVarint)?;
+                    f(value)
+                })
+            }
+
+            fn view_to_owned(view: $ty) -> $ty {
+                view
+            }
+        }
+    )+};
+}
+
+varint_view! {
+    u16 => core::convert::identity,
+    u32 => core::convert::identity,
+    u64 => core::convert::identity,
+    usize => core::convert::identity,
+    i16 => unzigzag,
+    i32 => unzigzag,
+    i64 => unzigzag,
 }
 
 // SAFETY: one byte always, and `u8::decode` accepts any byte (total).
@@ -271,7 +334,7 @@ impl RecordView for String {
     type View<'a> = &'a str;
 
     fn decode_view<'a>(input: &mut &'a [u8]) -> Result<&'a str, CodecError> {
-        let len = varint::decode(input)?;
+        let len = varint::decode_len(input)?;
         if len > input.len() as u64 {
             return Err(CodecError::Truncated);
         }
@@ -296,7 +359,7 @@ impl RecordView for Blob {
     type View<'a> = &'a [u8];
 
     fn decode_view<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
-        let len = varint::decode(input)?;
+        let len = varint::decode_len(input)?;
         if len > input.len() as u64 {
             return Err(CodecError::Truncated);
         }
@@ -589,7 +652,7 @@ impl<T: RecordView> RecordView for Vec<T> {
     type View<'a> = SeqView<'a, T>;
 
     fn decode_view<'a>(input: &mut &'a [u8]) -> Result<Self::View<'a>, CodecError> {
-        let len = varint::decode(input)?;
+        let len = varint::decode_len(input)?;
         // Mirrors the owned decoder: each element consumes at least one
         // byte, so a longer declared length is corrupt.
         if len > input.len() as u64 {
@@ -636,6 +699,7 @@ macro_rules! tuple_view {
         impl<$($name: RecordView),+> RecordView for ($($name,)+) {
             type View<'a> = ($($name::View<'a>,)+);
 
+            #[inline]
             fn decode_view<'a>(input: &mut &'a [u8]) -> Result<Self::View<'a>, CodecError> {
                 Ok(($($name::decode_view(input)?,)+))
             }

@@ -234,6 +234,53 @@ proptest! {
         prop_assert_eq!(restored, records);
     }
 
+    /// Integer chunks decode as one varint run (a word at a time); the
+    /// run drivers must see exactly what the record-at-a-time iterator
+    /// sees on the same bytes — the same values, then the same error or
+    /// the same end — for every width and for zig-zag, on arbitrary
+    /// (mostly malformed) bytes and on well-formed runs alike.
+    #[test]
+    fn integer_runs_decode_like_single_records(
+        junk in prop::collection::vec(any::<u8>(), 0..64),
+        values in prop::collection::vec((any::<u64>(), 0u32..64), 0..32),
+    ) {
+        fn check<T>(chunk: &hurricane_format::Chunk) -> Result<(), proptest::TestCaseError>
+        where
+            T: for<'a> RecordView<View<'a> = T> + PartialEq + std::fmt::Debug,
+        {
+            // The `Iterator` impl decodes one record per `next`.
+            let mut single = Vec::new();
+            let mut single_end = Ok(());
+            for record in ChunkReader::<T>::new(chunk) {
+                match record {
+                    Ok(v) => single.push(v),
+                    Err(e) => single_end = Err(e),
+                }
+            }
+            let mut run = Vec::new();
+            let run_end = ChunkReader::<T>::new(chunk).for_each(|v| run.push(v));
+            prop_assert_eq!(&run, &single);
+            prop_assert_eq!(run_end.map(|_| ()), single_end);
+            let folded = ChunkReader::<T>::new(chunk).fold(0u64, |n, _| n + 1);
+            prop_assert_eq!(folded.ok(), run_end.ok());
+            Ok(())
+        }
+        let mut well_formed = Vec::new();
+        for &(v, shift) in &values {
+            hurricane_format::varint::encode(v >> shift, &mut well_formed);
+        }
+        for bytes in [junk, well_formed] {
+            let chunk = hurricane_format::Chunk::from_vec(bytes);
+            check::<u16>(&chunk)?;
+            check::<u32>(&chunk)?;
+            check::<u64>(&chunk)?;
+            check::<usize>(&chunk)?;
+            check::<i16>(&chunk)?;
+            check::<i32>(&chunk)?;
+            check::<i64>(&chunk)?;
+        }
+    }
+
     /// The SWAR trusted varint decoder agrees with the validating scalar
     /// decoder on every encoded length (1..=10 bytes) at every distance
     /// from the end of the slice — covering the 8-byte fast path, the
