@@ -864,6 +864,92 @@ fn bench_merge_spill(c: &mut Criterion) {
     g.finish();
 }
 
+/// The durable write path (`SEGMENT.md`) in its three parts, each on the
+/// in-memory virtual disk and on a real directory: the frame checksum
+/// (byte-table loop against the carry-less-multiply kernel, GB/s),
+/// journaling one insert run of ten 64 KB chunks — the benchmark's chunk
+/// size — into an emptied bag (chunks/s; `mem` is encode + CRC + copy,
+/// `disk` adds the `pwrite`), and the life of a bag that never holds a
+/// chunk (first touch, seal, probe, collect; bags/s), which on `disk` is
+/// the cost of creating whatever files the layout gives a bag.
+fn bench_journal(c: &mut Criterion) {
+    use hurricane_common::{BagId, StorageNodeId};
+    use hurricane_format::Chunk;
+    use hurricane_storage::{segment, SegmentStore, StorageNode};
+
+    const CHUNK: usize = 64 * 1024;
+    const RUN: usize = 10;
+    const BAGS_PER_ITER: u64 = 16;
+
+    let payload: Vec<u8> = (0..CHUNK as u64)
+        .map(|i| hurricane_common::SplitMix64::mix(i) as u8)
+        .collect();
+    let mut g = c.benchmark_group("journal/crc32/64k");
+    g.throughput(Throughput::Bytes(CHUNK as u64));
+    g.bench_function("table", |b| b.iter(|| segment::crc32_table(&payload)));
+    g.bench_function("kernel", |b| b.iter(|| segment::crc32(&payload)));
+    g.finish();
+
+    let root = std::env::temp_dir().join(format!("hurricane-bench-journal-{}", std::process::id()));
+    // A durable node over an empty store of each medium.
+    let mem = || SegmentStore::mem();
+    let disk = || {
+        let _ = std::fs::remove_dir_all(&root);
+        SegmentStore::disk(&root).expect("bench data dir")
+    };
+    let media: [(&str, &dyn Fn() -> SegmentStore); 2] = [("mem", &mem), ("disk", &disk)];
+    let node = |store: SegmentStore| {
+        StorageNode::durable(StorageNodeId(0), store, u64::MAX).expect("empty store")
+    };
+
+    let run: Vec<Chunk> = (0..RUN).map(|_| Chunk::from_vec(payload.clone())).collect();
+    let mut g = c.benchmark_group("journal/insert_run/10x64k");
+    g.throughput(Throughput::Elements(RUN as u64));
+    for (medium, store) in media {
+        let node = node(store());
+        let bag = BagId(0);
+        let mut run_id = 0;
+        g.bench_function(medium, |b| {
+            b.iter_batched(
+                || {
+                    // Untimed: empty the bag (and its log) again, so the
+                    // node holds one run however long the bench runs.
+                    node.discard(bag).unwrap();
+                    run_id += 1;
+                    run_id
+                },
+                |run_id| node.insert_run(bag, &run, 0, run_id).unwrap(),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("journal/bag_lifecycle");
+    g.throughput(Throughput::Elements(BAGS_PER_ITER));
+    for (medium, store) in media {
+        g.bench_function(medium, |b| {
+            b.iter_batched(
+                // Untimed: a fresh store per iteration, so the timed
+                // creates never land in a directory the bench itself
+                // has filled.
+                || node(store()),
+                |node| {
+                    for bag in (0..BAGS_PER_ITER).map(BagId) {
+                        node.sample(bag).unwrap();
+                        node.seal(bag).unwrap();
+                        assert!(node.remove_batch(bag, 8).unwrap().eof);
+                        node.collect(bag).unwrap();
+                    }
+                },
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 fn bench_bags(c: &mut Criterion) {
     let mut g = c.benchmark_group("bags");
     g.throughput(Throughput::Elements(1000));
@@ -1427,6 +1513,7 @@ criterion_group!(
     bench_varint,
     bench_merge_parallel,
     bench_merge_spill,
+    bench_journal,
     bench_bags,
     bench_contended,
     bench_prefetch,

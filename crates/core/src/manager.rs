@@ -221,7 +221,7 @@ fn manager_loop(node_id: u32, deps: ManagerDeps, alive: Arc<AtomicBool>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     // Consecutive ready-bag claim failures. Transient storage errors
     // (a node mid-failover, a disk hiccup) deserve a retry; a *persistent*
-    // failure — e.g. a poisoned work-bag stream after a failed journal
+    // failure — e.g. a poisoned work-bag log after a failed journal
     // append — would otherwise spin this loop silently forever while the
     // master waits for progress that can never come.
     let mut claim_errors: u32 = 0;

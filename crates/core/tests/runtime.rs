@@ -183,6 +183,112 @@ fn durable_spilling_storage_completes_a_full_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// What a durable job leaves behind, counted: a ClickLog-shaped graph
+/// (one router fanning a source out to eight region bags, then two
+/// merged stages per region — 25 graph bags plus the engine's work and
+/// partial bags) on two storage nodes. Every bag journals to one flat
+/// `bag-<id>.log` per node that holds any of it, created by its first
+/// frame: no directory below `node-<i>/`, no second file per bag, and
+/// nothing for a bag a node only ever probed. The per-stream layout
+/// this replaced made a directory, a meta log and a log per origin for
+/// each (bag, node), touched or not: 88 directories and 168 files (30
+/// of them never written) for this very job, where this makes 88 files.
+#[test]
+fn durable_job_creates_one_flat_log_per_bag_per_node() {
+    const REGIONS: usize = 8;
+    const STORAGE_NODES: usize = 2;
+    let dir = std::env::temp_dir().join(format!("hurricane-runtime-files-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = HurricaneConfig {
+        compute_nodes: 2,
+        worker_slots: 1,
+        ..test_config()
+    }
+    .without_cloning() // a clone adds bags: keep the count a constant
+    .with_storage_rpc()
+    .with_data_dir(&dir);
+
+    let mut g = GraphBuilder::new();
+    let input = g.source("clicks");
+    let regions: Vec<_> = (0..REGIONS).map(|r| g.bag(format!("region.{r}"))).collect();
+    g.task("route", &[input], &regions, |ctx: &mut TaskCtx| {
+        while let Some(recs) = ctx.next_records::<u64>(0)? {
+            for v in recs {
+                ctx.write_record(v as usize % REGIONS, &v)?;
+            }
+        }
+        Ok(())
+    });
+    let sum_stage = |ctx: &mut TaskCtx| {
+        let mut total = 0u64;
+        while let Some(recs) = ctx.next_records::<u64>(0)? {
+            total += recs.iter().sum::<u64>();
+        }
+        ctx.write_record(0, &total)?;
+        Ok(())
+    };
+    let mut totals = Vec::new();
+    for (r, &region) in regions.iter().enumerate() {
+        let partial = g.bag(format!("partial.{r}"));
+        let total = g.bag(format!("total.{r}"));
+        let add = || ReduceMerge::new(|a: u64, b: u64| a + b);
+        g.task_with_merge(format!("sum.{r}"), &[region], &[partial], sum_stage, add());
+        g.task_with_merge(format!("fold.{r}"), &[partial], &[total], sum_stage, add());
+        totals.push(total);
+    }
+    let mut app = HurricaneApp::deploy_with_storage(
+        g.build().unwrap(),
+        STORAGE_NODES,
+        ClusterConfig::default(),
+        config,
+    )
+    .unwrap();
+    let n = 20_000u64;
+    app.fill_source(input, 0..n).unwrap();
+    app.run().unwrap();
+    let mut sum = 0;
+    for &total in &totals {
+        sum += app.read_records::<u64>(total).unwrap().iter().sum::<u64>();
+    }
+    assert_eq!(sum, n * (n - 1) / 2, "durable run lost exactness");
+
+    // Bag ids are dense from 0, so the next one is how many were made.
+    let bags = app.cluster().create_bag().0;
+    let mut roots: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    roots.sort();
+    assert_eq!(roots, ["node-0", "node-1"]);
+    let mut files = 0u64;
+    for root in roots {
+        let mut seen = std::collections::BTreeSet::new();
+        for entry in std::fs::read_dir(dir.join(&root)).unwrap() {
+            let entry = entry.unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            assert!(
+                entry.file_type().unwrap().is_file(),
+                "{root}/{name} is not a plain file"
+            );
+            let id: u64 = name
+                .strip_prefix("bag-")
+                .and_then(|s| s.strip_suffix(".log"))
+                .and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| panic!("{root}/{name} is not a bag log"));
+            assert!(id < bags, "{root}/{name} names a bag nobody created");
+            assert!(seen.insert(id), "{root} holds two logs for bag {id}");
+            files += 1;
+        }
+    }
+    assert!(files > 0, "a durable job journaled nothing");
+    assert!(
+        files <= bags * STORAGE_NODES as u64 && files <= 90,
+        "{files} files for {bags} bags on {STORAGE_NODES} nodes"
+    );
+    drop(app);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn rpc_run_survives_compute_node_failure() {
     // Fault recovery (cancel, rewind, restart at a bumped generation)

@@ -13,7 +13,7 @@
 //!   the retryable [`StorageError::DiskIo`].
 //! * **Short write** — an append writes only a *prefix* of the frame
 //!   before failing: torn bytes stay in the log, exactly what a crash
-//!   mid-`write(2)` leaves. The node's stream poisoning must refuse
+//!   mid-`write(2)` leaves. The node's bag-log poisoning must refuse
 //!   later appends so the torn frame is never buried where the
 //!   recovery scan's torn-tail cut cannot reach it (`SEGMENT.md`).
 //! * **fsync failure** — [`SegmentLog::sync`] fails; callers must treat
@@ -283,7 +283,7 @@ impl LogBackend for FaultyLog {
             f.short_writes.fetch_add(1, Ordering::Relaxed);
             // Tear the frame: a nonempty strict prefix lands, then the
             // write dies. The torn bytes stay — the caller must poison
-            // the stream so no later append buries them beyond the
+            // the bag's log so no later append buries them beyond the
             // recovery scan's torn-tail cut.
             let torn = 1 + f.draw(frame.len() as u64 - 1) as usize;
             let _ = self.inner.append(&frame[..torn]);
@@ -348,7 +348,7 @@ mod tests {
         let log = store
             .subdir("node-0")
             .unwrap()
-            .open_log("bag-0/meta.log")
+            .open_log("bag-0.log")
             .unwrap();
         for _ in 0..200 {
             log.append(b"frame").unwrap();
@@ -367,7 +367,7 @@ mod tests {
                 ..DiskFaultConfig::off()
             },
         );
-        let log = store.open_log("bag-0/seg-0.log").unwrap();
+        let log = store.open_log("bag-0.log").unwrap();
         let err = log.append(b"payload").unwrap_err();
         assert_eq!(err.raw_os_error(), Some(28));
         assert_eq!(log.len(), 0, "ENOSPC must not leave bytes behind");
@@ -383,7 +383,7 @@ mod tests {
                 ..DiskFaultConfig::off()
             },
         );
-        let log = store.open_log("bag-0/seg-0.log").unwrap();
+        let log = store.open_log("bag-0.log").unwrap();
         let frame = vec![0xAB; 64];
         log.append(&frame).unwrap_err();
         let torn = log.len();
@@ -403,7 +403,7 @@ mod tests {
                 ..DiskFaultConfig::off()
             },
         );
-        let log = store.open_log("bag-0/seg-0.log").unwrap();
+        let log = store.open_log("bag-0.log").unwrap();
         let frame = vec![0u8; 32];
         log.append(&frame).unwrap();
         let read = log.read(0, 32).unwrap();
@@ -424,7 +424,7 @@ mod tests {
                 ..DiskFaultConfig::off()
             },
         );
-        let log = store.open_log("bag-0/meta.log").unwrap();
+        let log = store.open_log("bag-0.log").unwrap();
         log.sync().unwrap_err();
         assert_eq!(faults.counts().sync_fails, 1);
         faults.disarm_all();
@@ -441,7 +441,7 @@ mod tests {
                     ..DiskFaultConfig::off()
                 },
             );
-            let log = store.open_log("bag-0/seg-0.log").unwrap();
+            let log = store.open_log("bag-0.log").unwrap();
             (0..64)
                 .map(|_| log.append(b"x").is_err())
                 .collect::<Vec<_>>()

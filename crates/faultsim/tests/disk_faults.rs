@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hurricane_common::DetRng;
+use hurricane_common::{BagId, DetRng, StorageNodeId};
 use hurricane_core::graph::GraphBuilder;
 use hurricane_core::merges::KeyedMerge;
 use hurricane_core::task::TaskCtx;
@@ -18,7 +18,9 @@ use hurricane_faultsim::scenario::{
 };
 use hurricane_faultsim::store::{DiskFaultConfig, DiskFaults, FaultyStore};
 use hurricane_storage::cluster::{ClusterConfig, DurabilityConfig, StorageCluster};
+use hurricane_storage::node::NodeRemove;
 use hurricane_storage::segment::SegmentStore;
+use hurricane_storage::{StorageEndpoint, StorageError, StorageNode};
 
 /// A full disk is not a dead node: with one storage node answering
 /// ENOSPC on every journal append, inserts must route around it (the
@@ -88,6 +90,146 @@ fn failover_routes_around_full_disk() {
     let attempted2: Vec<u64> = (N..N + 30).collect();
     assert_exactly_once(&attempted2, &attempted2, &drained2);
     assert_eq!(drained2.len() as u64, 30);
+}
+
+/// A torn `SEAL` append leaves the bag unsealed and its log poisoned:
+/// every later operation that must journal to that bag is refused, on a
+/// healed disk too, because a later success would bury the tear inside
+/// the log. The tear is a tail, so a restart cuts it and recovers
+/// everything acknowledged before it; a discard or collect truncates it
+/// away and the bag journals again.
+#[test]
+fn torn_seal_leaves_bag_unsealed_and_poisoned_until_truncated() {
+    let seed = scenario_seed(0x5E_A1);
+    let faults = DiskFaults::new(
+        seed,
+        DiskFaultConfig {
+            short_write_per_mille: 1000,
+            ..DiskFaultConfig::off()
+        },
+    );
+    let root = FaultyStore::wrap(SegmentStore::mem(), faults.clone());
+    let id = StorageNodeId(0);
+    let open = || {
+        let store = root.subdir("node-0").expect("node namespace");
+        StorageNode::durable(id, store, u64::MAX).expect("recover")
+    };
+    let node = open();
+    let (discarded, collected, bystander) = (BagId(1), BagId(2), BagId(3));
+    for bag in [discarded, collected] {
+        node.insert(bag, chunk_of(1)).unwrap();
+        faults.arm(0);
+        assert_eq!(node.seal(bag), Err(StorageError::DiskIo(id)));
+        faults.disarm(0);
+        assert!(
+            !node.sample(bag).unwrap().sealed,
+            "a seal that is not durable is not a seal"
+        );
+        // The disk is healthy again; the bag is not.
+        assert_eq!(node.seal(bag), Err(StorageError::DiskIo(id)));
+        assert_eq!(node.insert(bag, chunk_of(2)), Err(StorageError::DiskIo(id)));
+        assert_eq!(
+            node.remove(bag),
+            Err(StorageError::DiskIo(id)),
+            "a serve that cannot journal its consume must be refused"
+        );
+        assert_eq!(node.sample(bag).unwrap().remaining_chunks, 1);
+    }
+    assert_eq!(faults.counts().short_writes, 2);
+    // Poison is per bag: the same node journals other bags normally.
+    node.insert(bystander, chunk_of(7)).unwrap();
+    node.seal(bystander).unwrap();
+
+    // The tear is a tail: a restart cuts it and recovers the chunk
+    // acknowledged before it, unsealed.
+    let restarted = open();
+    for bag in [discarded, collected] {
+        let s = restarted.sample(bag).unwrap();
+        assert_eq!((s.total_chunks, s.removed_chunks, s.sealed), (1, 0, false));
+    }
+    assert!(restarted.sample(bystander).unwrap().sealed);
+    drop(restarted);
+
+    // Truncation removes the tear with everything else.
+    node.discard(discarded).unwrap();
+    node.insert(discarded, chunk_of(3)).unwrap();
+    node.seal(discarded).unwrap();
+    assert_eq!(
+        node.remove(discarded).unwrap(),
+        NodeRemove::Chunk(chunk_of(3))
+    );
+    node.collect(collected).unwrap();
+    let restarted = open();
+    let s = restarted.sample(discarded).unwrap();
+    assert_eq!((s.total_chunks, s.removed_chunks, s.sealed), (1, 1, true));
+    assert_eq!(
+        restarted.sample(collected),
+        Err(StorageError::BagCollected(collected))
+    );
+}
+
+/// A node whose bag log is poisoned still holds its chunks but can
+/// serve none of them (every serve journals its consume first). A
+/// reader has to surface that as the typed disk error, on either plane:
+/// skipping the node like a dead one and calling the sealed bag drained
+/// is a silently short answer — what the 32-seed sweep below caught at
+/// seed 3512467485 (a torn `CONSUME` on the direct plane).
+#[test]
+fn poisoned_node_fails_the_drain_instead_of_shortening_it() {
+    let seed = scenario_seed(0xD2_A1);
+    const N: u64 = 60;
+    for direct in [true, false] {
+        let sim = FaultSim::new_with_disk(
+            3,
+            1,
+            SimConfig::reliable(seed),
+            DiskFaultConfig {
+                short_write_per_mille: 1000,
+                ..DiskFaultConfig::off()
+            },
+        );
+        let client = |seed| {
+            if direct {
+                StorageEndpoint::direct(sim.cluster.clone()).client(sim.bag, seed)
+            } else {
+                sim.client(seed, 1)
+            }
+        };
+        let mut writer = client(seed);
+        for v in 0..N {
+            writer.insert(chunk_of(v)).unwrap();
+        }
+        sim.seal();
+        let held = sim.cluster.node(1).sample(sim.bag).unwrap().total_chunks;
+        assert!(held > 0, "node 1 took no share of the bag");
+
+        // Node 1's first serve tears its CONSUME append.
+        sim.net.apply(FaultAction::DiskFault(1));
+        let err = drain_all(&mut client(seed ^ 1)).expect_err("a short drain passed for complete");
+        assert_eq!(
+            err,
+            StorageError::DiskIo(StorageNodeId(1)),
+            "direct = {direct}"
+        );
+        // Healing the disk does not heal the bag, and still nothing is
+        // reported drained.
+        sim.net.apply(FaultAction::DiskHeal(1));
+        let err = drain_all(&mut client(seed ^ 2)).expect_err("poison forgotten");
+        assert_eq!(
+            err,
+            StorageError::DiskIo(StorageNodeId(1)),
+            "direct = {direct}"
+        );
+        assert_eq!(
+            sim.cluster
+                .node(1)
+                .sample(sim.bag)
+                .unwrap()
+                .remaining_chunks,
+            held,
+            "a refused serve consumed chunks"
+        );
+    }
 }
 
 /// CI sweep: the bounded (spilling) keyed merge over storage whose

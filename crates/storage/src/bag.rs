@@ -249,6 +249,22 @@ impl BagClient {
             )
     }
 
+    /// Whether a remove error means the probed replica group is gone
+    /// (down or disconnected): the probe loop moves on, and whatever the
+    /// group held is unreachable until it recovers. A group that is up
+    /// but cannot journal the consume ([`StorageError::DiskFull`] /
+    /// [`StorageError::DiskIo`]) still holds its chunks, so that error
+    /// propagates — skipping it would let a sealed bag read as drained
+    /// with chunks unread. The pipelined prefetcher draws the same line.
+    fn unreachable(e: &StorageError) -> bool {
+        matches!(
+            e,
+            StorageError::NodeDown(_)
+                | StorageError::AllReplicasDown(_)
+                | StorageError::Disconnected(_)
+        )
+    }
+
     /// Inserts every chunk of `chunks` with one cluster call per target
     /// node instead of one per chunk.
     ///
@@ -354,7 +370,7 @@ impl BagClient {
                 Ok(NodeRemove::Chunk(c)) => return Ok(RemoveResult::Chunk(c)),
                 Ok(NodeRemove::Empty) => saw_pending = true,
                 Ok(NodeRemove::Eof) => {}
-                Err(e) if Self::reroutes(&e) => down += 1,
+                Err(e) if Self::unreachable(&e) => down += 1,
                 Err(e) => return Err(e),
             }
         }
@@ -404,7 +420,10 @@ impl BagClient {
                     }
                     got.extend(batch.chunks);
                 }
-                Err(e) if Self::reroutes(&e) => down += 1,
+                Err(e) if Self::unreachable(&e) => down += 1,
+                // Chunks already removed this round are delivered first;
+                // the next call meets the error again if it persists.
+                Err(_) if !got.is_empty() => break,
                 Err(e) => return Err(e),
             }
         }

@@ -466,6 +466,7 @@ impl StorageCluster {
         let mut serving = None;
         let mut first_empty: Option<NodeRemoveBatch> = None;
         let mut probed_empty: Vec<usize> = Vec::new();
+        let mut disk_sick = None;
         for idx in self.replicas(primary_idx, m) {
             match nodes[idx].remove_from_batch(bag, origin, max_n) {
                 // An empty serve is not authoritative: replica logs can
@@ -487,13 +488,19 @@ impl StorageCluster {
                 }
                 // A replica that can't serve (down, or its segment log
                 // can't journal the consume) fails over to the next one.
+                Err(e @ (StorageError::DiskFull(_) | StorageError::DiskIo(_))) => {
+                    disk_sick = Some(e);
+                }
                 Err(e) if e.routes_around() => continue,
                 Err(e) => return Err(e),
             }
         }
         let Some((served_by, mut outcome)) = serving else {
             let Some(mut outcome) = first_empty else {
-                return Err(StorageError::AllReplicasDown(bag));
+                // A replica that is up but disk-sick still holds its
+                // chunks: report its error, not "down", or a reader
+                // would take the group for lost and the bag for drained.
+                return Err(disk_sick.unwrap_or(StorageError::AllReplicasDown(bag)));
             };
             outcome.eof = outcome.exhausted && sealed;
             return Ok(outcome);

@@ -32,8 +32,8 @@
 //!   cluster access over either the direct or the RPC port; [`prefetch`]
 //!   adds the b-outstanding-requests pipeline.
 //! * [`segment`] — the durable storage plane (`SEGMENT.md`): append-only
-//!   CRC-framed segment logs per `(bag, origin)` stream, on disk or on
-//!   the fault simulator's in-memory virtual disk. Durable nodes
+//!   CRC-framed segment logs, one per bag, on disk or on the fault
+//!   simulator's in-memory virtual disk. Durable nodes
 //!   ([`StorageNode::durable`]) journal every append, pointer advance,
 //!   and lifecycle event, recover all of it by log scan on restart, and
 //!   spill cold chunks back to the log under a resident-memory budget.

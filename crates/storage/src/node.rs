@@ -25,15 +25,18 @@
 //!
 //! Durability ([`StorageNode::durable`], `SEGMENT.md`): a node given a
 //! [`SegmentStore`] journals every append, consumed-pointer advance, and
-//! lifecycle event to per-`(bag, origin)` segment logs under the same
-//! per-bag locks, and [`StorageNode::restart_recover`] rebuilds bags,
-//! running counters, and consumed-pointer state by scanning those logs —
-//! the paper's disk-backed storage nodes, where a process crash loses no
-//! acknowledged data. The journal doubles as a spill target: above a
-//! configurable resident-byte threshold the node drops in-memory chunk
-//! copies coldest-bag-first and re-reads them from their recorded frame
-//! locations on demand, so bags larger than RAM degrade to disk serves
-//! instead of falling over.
+//! lifecycle event to one segment log per bag under the same per-bag
+//! locks, and [`StorageNode::restart_recover`] rebuilds bags, running
+//! counters, and consumed-pointer state by scanning those logs — the
+//! paper's disk-backed storage nodes, where a process crash loses no
+//! acknowledged data. A bag's log is created by the first frame
+//! journaled for it: looking a bag up, probing or sampling it touches no
+//! file, and an insert's frames are encoded before the bag lock is
+//! taken, so the lock covers one append. The journal doubles as a spill
+//! target: above a configurable resident-byte threshold the node drops
+//! in-memory chunk copies coldest-bag-first and re-reads them from their
+//! recorded frame locations on demand, so bags larger than RAM degrade
+//! to disk serves instead of falling over.
 //!
 //! The node also supports fault injection ([`StorageNode::fail`] /
 //! [`StorageNode::recover`]) used by the fault-tolerance tests and the
@@ -201,8 +204,8 @@ pub fn next_run_id() -> u64 {
     NEXT_RUN.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Location of one journaled frame in its stream's segment log: the
-/// spill index entry that lets a dropped chunk be re-read on demand.
+/// Location of one journaled frame in its bag's segment log: the spill
+/// index entry that lets a dropped chunk be re-read on demand.
 #[derive(Debug, Clone, Copy)]
 struct FrameLoc {
     /// Offset of the frame's length prefix in the log.
@@ -244,10 +247,11 @@ impl Slot {
 /// here but not at the serving replica). Serving skips consumed entries,
 /// so the marooned chunks are still served exactly once on failover.
 ///
-/// On a durable node the stream owns a [`SegmentLog`]: appends journal a
-/// `DATA` frame (before the insert is acknowledged), serves and mirrors
-/// journal `CONSUME` frames, rewinds journal `REWIND` — replaying the
-/// log deterministically rebuilds the stream, consumed pointer included.
+/// On a durable node every mutation is journaled to the bag's log under
+/// this stream's origin first: appends as `DATA` frames (before the
+/// insert is acknowledged), serves and mirrors as `CONSUME` frames,
+/// rewinds as `REWIND` — replaying the log deterministically rebuilds
+/// the stream, consumed pointer included.
 #[derive(Debug, Default)]
 struct Stream {
     slots: Vec<Slot>,
@@ -270,9 +274,6 @@ struct Stream {
     /// bytes mirrored here for other primaries. Spilled chunks count in
     /// full.
     total_bytes: u64,
-    /// This stream's segment log on a durable node; `None` on a
-    /// memory-only node.
-    log: Option<SegmentLog>,
     /// Identities named consumed (by a mirror or a claim) before this
     /// log recorded their insert — a claim racing a replicated insert
     /// still in flight, or a serve of a run this replica missed. An
@@ -280,11 +281,6 @@ struct Stream {
     /// serve named the identity delivered that chunk, so serving it
     /// here again would break exactly-once.
     pre_consumed: HashSet<(u64, u32)>,
-    /// Set when an append to this stream's log failed: the log may end
-    /// in torn bytes, so every further append is refused — a later
-    /// success would bury the tear *inside* the log, past the recovery
-    /// scan's torn-tail cut, corrupting everything after it.
-    poisoned: bool,
 }
 
 /// What one [`Stream::consume_tags`] call did.
@@ -324,30 +320,6 @@ fn push_tag(tags: &mut Vec<TagSegment>, (run, k): (u64, u32)) {
 const CLAIM_POSITIONS_CAP: u64 = 1 << 16;
 
 impl Stream {
-    /// Appends `bytes` (one or more encoded frames) to this stream's
-    /// segment log, returning the offset they start at — or `None` on a
-    /// memory-only stream. A failed append *poisons* the stream (see
-    /// [`Stream::poisoned`]); callers journal **before** mutating any
-    /// in-memory state, so a refused journal refuses the whole
-    /// operation and the log never disagrees with served state.
-    fn journal(&mut self, bytes: &[u8]) -> io::Result<Option<u64>> {
-        let Some(log) = &self.log else {
-            return Ok(None);
-        };
-        if self.poisoned {
-            return Err(io::Error::other(
-                "segment stream poisoned by an earlier failed append",
-            ));
-        }
-        match log.append(bytes) {
-            Ok(offset) => Ok(Some(offset)),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
-
     /// Appends a chunk already journaled at `at` (or memory-only when
     /// `None`). Returns the chunk's length (the caller's resident-byte
     /// delta) and whether the chunk landed already consumed (its
@@ -381,20 +353,17 @@ impl Stream {
         }
     }
 
-    /// The chunk at `i`, re-read from the segment log when spilled. A
-    /// failed or CRC-corrupt read-back is an error, not a panic — the
-    /// caller refuses the serve and the chunk stays live for a retry
-    /// (transient corruption) or a replica failover.
-    fn chunk_at(&self, i: usize) -> io::Result<Chunk> {
+    /// The chunk at `i`, re-read from the bag's segment log `log` when
+    /// spilled. A failed or CRC-corrupt read-back is an error, not a
+    /// panic — the caller refuses the serve and the chunk stays live for
+    /// a retry (transient corruption) or a replica failover.
+    fn chunk_at(&self, i: usize, log: Option<&SegmentLog>) -> io::Result<Chunk> {
         match &self.slots[i] {
             Slot::Resident { chunk, .. } => Ok(chunk.clone()),
             Slot::Spilled { at, .. } => {
-                let log = self
-                    .log
-                    .as_ref()
-                    .ok_or_else(|| io::Error::other("spilled slot without a log"))?;
+                let log = log.ok_or_else(|| io::Error::other("spilled slot without a log"))?;
                 let frame = log.read(at.offset, at.frame_len as usize)?;
-                let (_, _, payload) = segment::decode_data_frame(&frame).ok_or_else(|| {
+                let (.., payload) = segment::decode_data_frame(&frame).ok_or_else(|| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         "spilled frame failed CRC on read-back",
@@ -571,13 +540,22 @@ struct BagFileInner {
     streams: HashMap<u32, Stream>,
     sealed: bool,
     collected: bool,
-    /// The bag's meta log on a durable node (seal/discard/collect
-    /// events); `None` on a memory-only node.
-    meta: Option<SegmentLog>,
-    /// Set when a meta append failed: later meta appends are refused so
-    /// a torn frame is never buried inside the log (see
-    /// [`StorageNode::journal_meta`]).
-    meta_poisoned: bool,
+    log: BagLog,
+}
+
+/// One bag's segment log at a durable node (see [`StorageNode::journal`]).
+#[derive(Debug, Default)]
+struct BagLog {
+    /// The open log, once a frame has been journaled for the bag (or
+    /// recovery found one): `None` on a memory-only node and for a bag
+    /// that has journaled nothing yet.
+    handle: Option<SegmentLog>,
+    /// Set when an append to the log failed: it may end in torn bytes,
+    /// so every further append is refused — a later success would bury
+    /// the tear *inside* the log, past the recovery scan's torn-tail
+    /// cut, corrupting everything after it. Cleared when a discard or
+    /// collect truncates the log, tear included.
+    poisoned: bool,
 }
 
 /// Lock-free mirrors of the node's *own* (primary) stream counters for
@@ -801,102 +779,75 @@ impl StorageNode {
     }
 
     /// Rebuilds all bag state from the segment store: replays each bag's
-    /// meta log (seal/discard/collect), then each origin stream's data
-    /// log (appends, consumed-pointer advances, rewinds), truncating any
-    /// torn tail a mid-append crash left. Recovered chunks start
-    /// spilled — resident memory is zero until reads warm nothing (serves
-    /// read through from the log). Memory-only nodes are a no-op.
+    /// log in order (appends, consumed-pointer advances and rewinds per
+    /// origin stream; seal and collect for the bag), truncating any torn
+    /// tail a mid-append crash left. Recovered chunks start spilled —
+    /// resident memory is zero until reads warm nothing (serves read
+    /// through from the log). Memory-only nodes are a no-op. A store
+    /// holding the per-stream layout this format replaced is refused
+    /// with [`io::ErrorKind::InvalidData`] ([`segment::parse_log_name`]).
     pub fn restart_recover(&self) -> io::Result<()> {
         let Some(store) = self.store.clone() else {
             return Ok(());
         };
-        let mut found: HashMap<BagId, Vec<u32>> = HashMap::new();
+        let mut bags = HashMap::new();
         for name in store.list_logs()? {
-            match segment::parse_log_name(&name) {
-                Some((bag, segment::LogKind::Data(origin))) => {
-                    found.entry(bag).or_default().push(origin);
-                }
-                Some((bag, segment::LogKind::Meta)) => {
-                    found.entry(bag).or_default();
-                }
-                None => {}
+            let Some(bag) = segment::parse_log_name(&name)? else {
+                continue;
+            };
+            let log = store.open_log(&name)?;
+            let bytes = log.read_all()?;
+            let (frames, valid) = segment::scan(&bytes);
+            if valid < bytes.len() as u64 {
+                log.truncate(valid)?;
             }
-        }
-        let mut bags = HashMap::with_capacity(found.len());
-        for (bag, mut origins) in found {
-            origins.sort_unstable();
-            let file = self.new_bag_file(bag)?;
-            {
-                let mut inner = file.inner.lock();
-                if let Some(meta) = inner.meta.clone() {
-                    let bytes = meta.read_all()?;
-                    let (events, valid) = segment::scan_meta(&bytes);
-                    if valid < bytes.len() as u64 {
-                        meta.truncate(valid)?;
+            let mut inner = BagFileInner::default();
+            inner.log.handle = Some(log);
+            for frame in frames {
+                match frame.record {
+                    segment::Record::Data {
+                        origin,
+                        run,
+                        k,
+                        payload_len,
+                    } => inner.streams.entry(origin).or_default().recover_entry(
+                        FrameLoc {
+                            offset: frame.offset,
+                            frame_len: frame.frame_len,
+                        },
+                        payload_len,
+                        run,
+                        k,
+                    ),
+                    segment::Record::Consume { origin, tags } => {
+                        inner.streams.entry(origin).or_default().consume_tags(&tags);
                     }
-                    for event in events {
-                        match event {
-                            segment::META_SEAL => inner.sealed = true,
-                            segment::META_DISCARD => {
-                                inner.sealed = false;
-                                inner.collected = false;
-                            }
-                            segment::META_COLLECT => inner.collected = true,
-                            _ => {}
-                        }
+                    segment::Record::Rewind { origin } => {
+                        inner.streams.entry(origin).or_default().rewind();
                     }
+                    segment::Record::Seal => inner.sealed = true,
+                    segment::Record::Collect => inner.collected = true,
                 }
-                for origin in origins {
-                    let log = store.open_log(&segment::data_log_name(bag, origin))?;
-                    let bytes = log.read_all()?;
-                    let (frames, valid) = segment::scan(&bytes);
-                    if valid < bytes.len() as u64 {
-                        log.truncate(valid)?;
-                    }
-                    let mut stream = Stream {
-                        log: Some(log),
-                        ..Stream::default()
-                    };
-                    for frame in frames {
-                        match frame.record {
-                            segment::Record::Data {
-                                run,
-                                k,
-                                payload_len,
-                            } => stream.recover_entry(
-                                FrameLoc {
-                                    offset: frame.offset,
-                                    frame_len: frame.frame_len,
-                                },
-                                payload_len,
-                                run,
-                                k,
-                            ),
-                            segment::Record::Consume(tags) => {
-                                stream.consume_tags(&tags);
-                            }
-                            segment::Record::Rewind => stream.rewind(),
-                        }
-                    }
-                    inner.streams.insert(origin, stream);
-                }
-                let cells = &file.cells;
-                cells.update(|| {
-                    cells.sealed.store(inner.sealed, Ordering::Relaxed);
-                    cells.collected.store(inner.collected, Ordering::Relaxed);
-                    if let Some(own) = inner.streams.get(&self.id.0) {
-                        let consumed = (own.slots.len() - own.live) as u64;
-                        cells
-                            .total_chunks
-                            .store(own.slots.len() as u64, Ordering::Relaxed);
-                        cells.removed_chunks.store(consumed, Ordering::Relaxed);
-                        cells
-                            .remaining_bytes
-                            .store(own.remaining_bytes, Ordering::Relaxed);
-                        cells.total_bytes.store(own.total_bytes, Ordering::Relaxed);
-                    }
-                });
             }
+            let cells = SampleCells::default();
+            cells.sealed.store(inner.sealed, Ordering::Relaxed);
+            cells.collected.store(inner.collected, Ordering::Relaxed);
+            if let Some(own) = inner.streams.get(&self.id.0) {
+                let consumed = (own.slots.len() - own.live) as u64;
+                cells
+                    .total_chunks
+                    .store(own.slots.len() as u64, Ordering::Relaxed);
+                cells.removed_chunks.store(consumed, Ordering::Relaxed);
+                cells
+                    .remaining_bytes
+                    .store(own.remaining_bytes, Ordering::Relaxed);
+                cells.total_bytes.store(own.total_bytes, Ordering::Relaxed);
+            }
+            let file = BagFile {
+                inner: Mutex::new(inner),
+                cells,
+                touch: AtomicU64::new(0),
+            };
             bags.insert(bag, Arc::new(file));
         }
         *self.bags.write() = bags;
@@ -910,14 +861,8 @@ impl StorageNode {
     pub fn sync_all(&self) -> io::Result<()> {
         let files: Vec<Arc<BagFile>> = self.bags.read().values().cloned().collect();
         for file in files {
-            let inner = file.inner.lock();
-            if let Some(meta) = &inner.meta {
-                meta.sync()?;
-            }
-            for stream in inner.streams.values() {
-                if let Some(log) = &stream.log {
-                    log.sync()?;
-                }
+            if let Some(log) = &file.inner.lock().log.handle {
+                log.sync()?;
             }
         }
         Ok(())
@@ -964,53 +909,47 @@ impl StorageNode {
         StorageError::from_disk_io(self.id, e)
     }
 
-    /// Builds a bag file, opening its meta log on a durable node.
-    fn new_bag_file(&self, bag: BagId) -> io::Result<BagFile> {
-        let file = BagFile::default();
-        if let Some(store) = &self.store {
-            file.inner.lock().meta = Some(store.open_log(&segment::meta_log_name(bag))?);
-        }
-        Ok(file)
-    }
-
-    /// Returns `bag`'s file, creating it on first touch. The read lock is
-    /// the only directory-level synchronization on the hot path. A
-    /// durable node that cannot open the bag's meta log refuses the
-    /// operation with a typed disk error rather than caching a broken
-    /// bag file.
-    fn bag_file(&self, bag: BagId) -> Result<Arc<BagFile>, StorageError> {
+    /// Returns `bag`'s file, creating it on first touch — in memory
+    /// only: the bag's log is created by its first journaled frame
+    /// ([`StorageNode::journal`]), never by a lookup. The read lock is
+    /// the only directory-level synchronization on the hot path.
+    fn bag_file(&self, bag: BagId) -> Arc<BagFile> {
         if let Some(file) = self.bags.read().get(&bag) {
-            return Ok(file.clone());
+            return file.clone();
         }
-        let mut bags = self.bags.write();
-        if let Some(file) = bags.get(&bag) {
-            return Ok(file.clone());
-        }
-        let file = Arc::new(self.new_bag_file(bag).map_err(|e| self.disk_err(&e))?);
-        bags.insert(bag, file.clone());
-        Ok(file)
+        self.bags.write().entry(bag).or_default().clone()
     }
 
-    /// `inner.streams.entry(origin)`, attaching the stream's segment log
-    /// on first touch of a durable node. Refuses with a typed disk
-    /// error when the log cannot be opened.
-    fn stream_entry<'a>(
-        &self,
-        inner: &'a mut BagFileInner,
-        bag: BagId,
-        origin: u32,
-    ) -> Result<&'a mut Stream, StorageError> {
-        let stream = inner.streams.entry(origin).or_default();
-        if stream.log.is_none() {
-            if let Some(store) = &self.store {
-                stream.log = Some(
-                    store
-                        .open_log(&segment::data_log_name(bag, origin))
-                        .map_err(|e| StorageError::from_disk_io(self.id, &e))?,
-                );
-            }
+    /// Appends `frames` (one or more encoded frames) to `bag`'s segment
+    /// log, opening — creating — the log if this is the bag's first
+    /// append, and returns the offset they start at. A no-op on a
+    /// memory-only node (the data plane does not even encode its frames
+    /// there). Callers journal **before** mutating any in-memory state,
+    /// so a refused journal refuses the whole operation and the log
+    /// never disagrees with served state. A failed append *poisons* the
+    /// bag (see [`BagLog::poisoned`]); a log that cannot be created
+    /// refuses the operation and leaves nothing behind to poison.
+    fn journal(&self, log: &mut BagLog, bag: BagId, frames: &[u8]) -> Result<u64, StorageError> {
+        let Some(store) = &self.store else {
+            return Ok(0);
+        };
+        if log.poisoned {
+            return Err(self.disk_err(&io::Error::other(
+                "bag log poisoned by an earlier failed append",
+            )));
         }
-        Ok(stream)
+        let handle = match &log.handle {
+            Some(handle) => handle,
+            None => log.handle.insert(
+                store
+                    .open_log(&segment::log_name(bag))
+                    .map_err(|e| self.disk_err(&e))?,
+            ),
+        };
+        handle.append(frames).map_err(|e| {
+            log.poisoned = true;
+            self.disk_err(&e)
+        })
     }
 
     /// Stamps `file` as the most recently touched bag (spill recency).
@@ -1122,7 +1061,13 @@ impl StorageNode {
         if chunks.is_empty() {
             return Ok(());
         }
-        let file = self.bag_file(bag)?;
+        // Encode the whole run before taking the bag lock — sizing,
+        // the one payload copy and the CRCs happen here — so the lock
+        // covers the state checks, one append and the pushes.
+        let frames = self
+            .is_durable()
+            .then(|| segment::data_run(origin, run, chunks));
+        let file = self.bag_file(bag);
         self.touch(&file);
         let mut inner = file.inner.lock();
         if inner.collected {
@@ -1131,39 +1076,25 @@ impl StorageNode {
         if inner.sealed {
             return Err(StorageError::BagSealed(bag));
         }
+        // Journal the run as one append *before* touching any in-memory
+        // state: a refused or short append fails the insert cleanly with
+        // nothing landed (all-or-nothing), and the caller re-routes the
+        // batch to a healthy node.
+        let BagFileInner { streams, log, .. } = &mut *inner;
+        let mut offset = match &frames {
+            Some((buf, _)) => self.journal(log, bag, buf)?,
+            None => 0,
+        };
         let mut bytes = 0u64;
         let mut claimed = 0u64;
         let mut claimed_bytes = 0u64;
-        let stream = self.stream_entry(&mut inner, bag, origin)?;
-        // Journal the whole run as one append *before* touching any
-        // in-memory state: a refused or short append fails the insert
-        // cleanly with nothing landed (all-or-nothing), and the caller
-        // re-routes the batch to a healthy node.
-        let locs: Option<Vec<FrameLoc>> = if stream.log.is_some() {
-            let mut buf = Vec::new();
-            let mut locs = Vec::with_capacity(chunks.len());
-            for (k, chunk) in chunks.iter().enumerate() {
-                let start = buf.len() as u64;
-                segment::data_frame_into(run, k as u32, chunk.bytes(), &mut buf);
-                locs.push((start, (buf.len() as u64 - start) as u32));
-            }
-            let base = stream
-                .journal(&buf)
-                .map_err(|e| self.disk_err(&e))?
-                .unwrap_or(0);
-            Some(
-                locs.into_iter()
-                    .map(|(start, frame_len)| FrameLoc {
-                        offset: base + start,
-                        frame_len,
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let stream = streams.entry(origin).or_default();
         for (k, chunk) in chunks.iter().enumerate() {
-            let at = locs.as_ref().map(|l| l[k]);
+            let at = frames.as_ref().map(|(_, lens)| FrameLoc {
+                offset,
+                frame_len: lens[k],
+            });
+            offset += at.map_or(0, |at| u64::from(at.frame_len));
             let (len, was_claimed) = stream.push(chunk.clone(), run, k as u32, at);
             bytes += len;
             if was_claimed {
@@ -1210,14 +1141,15 @@ impl StorageNode {
     /// allocate.
     pub fn remove_from(&self, bag: BagId, origin: u32) -> Result<NodeRemove, StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         self.touch(&file);
         let mut inner = file.inner.lock();
         if inner.collected {
             return Err(StorageError::BagCollected(bag));
         }
         let sealed = inner.sealed;
-        let stream = self.stream_entry(&mut inner, bag, origin)?;
+        let BagFileInner { streams, log, .. } = &mut *inner;
+        let stream = streams.entry(origin).or_default();
         // Scan (without consuming) → read → journal → commit: a failed
         // read-back or consume journal refuses the serve with the chunk
         // still live.
@@ -1228,16 +1160,17 @@ impl StorageNode {
         let picked = (i < stream.slots.len()).then_some(i);
         match picked {
             Some(i) => {
-                let chunk = stream.chunk_at(i).map_err(|e| self.disk_err(&e))?;
-                let (run, k) = stream.tags[i];
-                if stream.log.is_some() {
-                    stream
-                        .journal(&segment::consume_frame(&[TagSegment {
-                            run,
-                            start: k,
-                            len: 1,
-                        }]))
-                        .map_err(|e| self.disk_err(&e))?;
+                let chunk = stream
+                    .chunk_at(i, log.handle.as_ref())
+                    .map_err(|e| self.disk_err(&e))?;
+                if self.is_durable() {
+                    let (run, k) = stream.tags[i];
+                    let tag = TagSegment {
+                        run,
+                        start: k,
+                        len: 1,
+                    };
+                    self.journal(log, bag, &segment::consume_frame(origin, &[tag]))?;
                 }
                 stream.commit_consumed(&[i]);
                 if origin == self.id.0 {
@@ -1283,14 +1216,15 @@ impl StorageNode {
         max_n: usize,
     ) -> Result<NodeRemoveBatch, StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         self.touch(&file);
         let mut inner = file.inner.lock();
         if inner.collected {
             return Err(StorageError::BagCollected(bag));
         }
         let sealed = inner.sealed;
-        let stream = self.stream_entry(&mut inner, bag, origin)?;
+        let BagFileInner { streams, log, .. } = &mut *inner;
+        let stream = streams.entry(origin).or_default();
         // Scan (without consuming) → read → journal → commit, as in
         // [`StorageNode::remove_from`]: any disk failure refuses the
         // whole batch with every chunk still live.
@@ -1300,15 +1234,15 @@ impl StorageNode {
         let mut tags: Vec<TagSegment> = Vec::new();
         let mut bytes = 0u64;
         for &i in &picked {
-            let chunk = stream.chunk_at(i).map_err(|e| self.disk_err(&e))?;
+            let chunk = stream
+                .chunk_at(i, log.handle.as_ref())
+                .map_err(|e| self.disk_err(&e))?;
             bytes += chunk.len() as u64;
             chunks.push(chunk);
             push_tag(&mut tags, stream.tags[i]);
         }
-        if !tags.is_empty() && stream.log.is_some() {
-            stream
-                .journal(&segment::consume_frame(&tags))
-                .map_err(|e| self.disk_err(&e))?;
+        if !tags.is_empty() && self.is_durable() {
+            self.journal(log, bag, &segment::consume_frame(origin, &tags))?;
         }
         stream.commit_consumed(&picked);
         let exhausted = chunks.len() < max_n;
@@ -1392,19 +1326,16 @@ impl StorageNode {
         tags: &[TagSegment],
     ) -> Result<ConsumeOutcome, StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         let mut inner = file.inner.lock();
-        let stream = self.stream_entry(&mut inner, bag, origin)?;
         // Journal before mutating: a refused journal refuses the whole
         // mirror/claim. Replaying the full tag set is idempotent, so
         // journaling even a no-change request is safe (and cheaper than
         // pre-scanning to find out).
-        if !tags.is_empty() && stream.log.is_some() {
-            stream
-                .journal(&segment::consume_frame(tags))
-                .map_err(|e| self.disk_err(&e))?;
+        if !tags.is_empty() && self.is_durable() {
+            self.journal(&mut inner.log, bag, &segment::consume_frame(origin, tags))?;
         }
-        let outcome = stream.consume_tags(tags);
+        let outcome = inner.streams.entry(origin).or_default().consume_tags(tags);
         if origin == self.id.0 {
             let cells = &file.cells;
             cells.update(|| {
@@ -1424,17 +1355,18 @@ impl StorageNode {
     /// e.g. broadcasting the small relation of a hash join.
     pub fn read_at(&self, bag: BagId, index: usize) -> Result<Option<Chunk>, StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         let inner = file.inner.lock();
         if inner.collected {
             return Err(StorageError::BagCollected(bag));
         }
         let own = self.id.0;
+        let log = inner.log.handle.as_ref();
         inner
             .streams
             .get(&own)
             .filter(|s| index < s.slots.len())
-            .map(|s| s.chunk_at(index).map_err(|e| self.disk_err(&e)))
+            .map(|s| s.chunk_at(index, log).map_err(|e| self.disk_err(&e)))
             .transpose()
     }
 
@@ -1442,15 +1374,16 @@ impl StorageNode {
     /// read pointer. Used to replay the done work bag on master recovery.
     pub fn snapshot(&self, bag: BagId) -> Result<Vec<Chunk>, StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         let inner = file.inner.lock();
         if inner.collected {
             return Err(StorageError::BagCollected(bag));
         }
+        let log = inner.log.handle.as_ref();
         inner
             .streams
             .values()
-            .flat_map(|s| (0..s.slots.len()).map(move |i| s.chunk_at(i)))
+            .flat_map(|s| (0..s.slots.len()).map(move |i| s.chunk_at(i, log)))
             .collect::<io::Result<Vec<Chunk>>>()
             .map_err(|e| self.disk_err(&e))
     }
@@ -1460,17 +1393,18 @@ impl StorageNode {
     /// the chunks it mirrors for that primary.
     pub fn snapshot_from(&self, bag: BagId, origin: u32) -> Result<Vec<Chunk>, StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         let inner = file.inner.lock();
         if inner.collected {
             return Err(StorageError::BagCollected(bag));
         }
+        let log = inner.log.handle.as_ref();
         inner
             .streams
             .get(&origin)
             .map(|s| {
                 (0..s.slots.len())
-                    .map(|i| s.chunk_at(i))
+                    .map(|i| s.chunk_at(i, log))
                     .collect::<io::Result<Vec<Chunk>>>()
             })
             .unwrap_or_else(|| Ok(Vec::new()))
@@ -1481,35 +1415,16 @@ impl StorageNode {
     /// "end-of-file" and lets workers terminate (paper §3.1).
     pub fn seal(&self, bag: BagId) -> Result<(), StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         let mut inner = file.inner.lock();
         if !inner.sealed {
             // Journal before mutating: a bag whose seal cannot be made
             // durable is not sealed.
-            Self::journal_meta(&mut inner, segment::META_SEAL).map_err(|e| self.disk_err(&e))?;
+            self.journal(&mut inner.log, bag, &segment::seal_frame())?;
             inner.sealed = true;
         }
         let cells = &file.cells;
         cells.update(|| cells.sealed.store(true, Ordering::Relaxed));
-        Ok(())
-    }
-
-    /// Appends one lifecycle event to the bag's meta log, with the same
-    /// poison rule as [`Stream::journal`]: a failed append refuses every
-    /// later meta append so a tear is never buried inside the log.
-    fn journal_meta(inner: &mut BagFileInner, tag: u8) -> io::Result<()> {
-        let Some(meta) = &inner.meta else {
-            return Ok(());
-        };
-        if inner.meta_poisoned {
-            return Err(io::Error::other(
-                "meta log poisoned by an earlier failed append",
-            ));
-        }
-        if let Err(e) = meta.append(&segment::meta_frame(tag)) {
-            inner.meta_poisoned = true;
-            return Err(e);
-        }
         Ok(())
     }
 
@@ -1518,22 +1433,27 @@ impl StorageNode {
     /// from a compute-node failure, §4.4).
     pub fn rewind(&self, bag: BagId) -> Result<(), StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         let mut inner = file.inner.lock();
         if inner.collected {
             return Err(StorageError::BagCollected(bag));
         }
-        // Journal-then-rewind per stream. A mid-loop failure leaves a
-        // partial rewind; the error propagates and the (idempotent)
-        // rewind is retried by the caller's recovery machinery.
-        for stream in inner.streams.values_mut() {
-            if stream.log.is_some() {
-                stream
-                    .journal(&segment::rewind_frame())
-                    .map_err(|e| self.disk_err(&e))?;
+        // Journal every stream's rewind in one append, then rewind them
+        // all: a refused journal refuses the whole rewind. A stream with
+        // nothing consumed has nothing to reset, so rewinding a bag that
+        // was never read journals nothing.
+        let BagFileInner { streams, log, .. } = &mut *inner;
+        if self.is_durable() {
+            let frames: Vec<u8> = streams
+                .iter()
+                .filter(|(_, s)| s.live < s.slots.len() || !s.pre_consumed.is_empty())
+                .flat_map(|(&origin, _)| segment::rewind_frame(origin))
+                .collect();
+            if !frames.is_empty() {
+                self.journal(log, bag, &frames)?;
             }
-            stream.rewind();
         }
+        streams.values_mut().for_each(Stream::rewind);
         let cells = &file.cells;
         cells.update(|| {
             cells.removed_chunks.store(0, Ordering::Relaxed);
@@ -1544,25 +1464,19 @@ impl StorageNode {
         Ok(())
     }
 
-    /// Discards all chunks of `bag` and reopens it for inserts. Used to
-    /// clear the partial output bags of tasks restarted after a compute
-    /// node failure (paper §4.4). On a durable node the segment logs are
-    /// truncated, so the discard itself survives a restart.
-    pub fn discard(&self, bag: BagId) -> Result<(), StorageError> {
-        self.check_up()?;
-        let file = self.bag_file(bag)?;
-        let mut inner = file.inner.lock();
-        // Truncate the data logs and journal the discard *before*
-        // clearing memory: a disk failure refuses the discard with the
-        // in-memory bag intact (the logs may be partially truncated —
-        // the node is disk-sick and the caller routes around it).
-        for stream in inner.streams.values() {
-            if let Some(log) = &stream.log {
-                log.truncate(0).map_err(|e| self.disk_err(&e))?;
-            }
+    /// Empties `bag` under its lock: truncates its log to zero, then
+    /// drops every stream and clears the seal and collect flags — an
+    /// empty log *is* an unsealed, uncollected, empty bag, so the one
+    /// truncation is the whole durable discard. The truncation also
+    /// removes whatever tear poisoned the log. A failed truncation
+    /// refuses with the in-memory bag intact. Returns the resident
+    /// bytes freed, for the caller to settle after unlocking.
+    fn clear(&self, file: &BagFile, inner: &mut BagFileInner) -> Result<u64, StorageError> {
+        if let Some(log) = &inner.log.handle {
+            log.truncate(0).map_err(|e| self.disk_err(&e))?;
         }
-        Self::journal_meta(&mut inner, segment::META_DISCARD).map_err(|e| self.disk_err(&e))?;
-        inner.streams.clear();
+        inner.log.poisoned = false;
+        inner.streams = HashMap::new();
         inner.sealed = false;
         inner.collected = false;
         let cells = &file.cells;
@@ -1576,34 +1490,35 @@ impl StorageNode {
             cells.collected.store(false, Ordering::Relaxed);
             freed = cells.resident_bytes.swap(0, Ordering::Relaxed);
         });
-        drop(inner);
+        Ok(freed)
+    }
+
+    /// Discards all chunks of `bag` and reopens it for inserts. Used to
+    /// clear the partial output bags of tasks restarted after a compute
+    /// node failure (paper §4.4). On a durable node the bag's log is
+    /// truncated, so the discard itself survives a restart.
+    pub fn discard(&self, bag: BagId) -> Result<(), StorageError> {
+        self.check_up()?;
+        let file = self.bag_file(bag);
+        let freed = self.clear(&file, &mut file.inner.lock())?;
         self.resident.fetch_sub(freed, Ordering::Relaxed);
         Ok(())
     }
 
     /// Garbage-collects `bag`: frees its chunks; subsequent access fails.
+    /// A discard followed by a journaled `COLLECT`: if that append is
+    /// refused the bag is left discarded — empty in memory as on disk —
+    /// and the caller may retry.
     pub fn collect(&self, bag: BagId) -> Result<(), StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         let mut inner = file.inner.lock();
-        // Same ordering as [`StorageNode::discard`]: disk work first,
-        // memory mutation only after it all succeeded.
-        for stream in inner.streams.values() {
-            if let Some(log) = &stream.log {
-                log.truncate(0).map_err(|e| self.disk_err(&e))?;
-            }
-        }
-        Self::journal_meta(&mut inner, segment::META_COLLECT).map_err(|e| self.disk_err(&e))?;
-        inner.streams = HashMap::new();
+        let freed = self.clear(&file, &mut inner)?;
+        self.resident.fetch_sub(freed, Ordering::Relaxed);
+        self.journal(&mut inner.log, bag, &segment::collect_frame())?;
         inner.collected = true;
         let cells = &file.cells;
-        let mut freed = 0;
-        cells.update(|| {
-            cells.collected.store(true, Ordering::Relaxed);
-            freed = cells.resident_bytes.swap(0, Ordering::Relaxed);
-        });
-        drop(inner);
-        self.resident.fetch_sub(freed, Ordering::Relaxed);
+        cells.update(|| cells.collected.store(true, Ordering::Relaxed));
         Ok(())
     }
 
@@ -1618,7 +1533,7 @@ impl StorageNode {
     /// per-node samples sum to a consistent cluster sample.
     pub fn sample(&self, bag: BagId) -> Result<BagSample, StorageError> {
         self.check_up()?;
-        let file = self.bag_file(bag)?;
+        let file = self.bag_file(bag);
         // Only the node's own (primary) stream is counted — chunks *and*
         // bytes: with replication, summing primaries across nodes yields
         // exact cluster-wide totals without double-counting backups.
@@ -2326,6 +2241,211 @@ mod tests {
         assert_eq!(got.chunks.len(), 32);
         assert!(got.chunks.iter().all(|c| c.bytes() == payload));
         assert!(got.eof);
+    }
+
+    /// Every operation that journals nothing, against bags that hold
+    /// nothing: probes, samples, rewinds, drains, reads, discards.
+    fn touch_without_journaling(n: &StorageNode) {
+        for b in 0..4u64 {
+            let bag = BagId(b);
+            assert_eq!(n.remove(bag).unwrap(), NodeRemove::Empty);
+            assert_eq!(n.remove_from(bag, 3).unwrap(), NodeRemove::Empty);
+            assert!(n.remove_batch(bag, 8).unwrap().chunks.is_empty());
+            assert!(n.remove_from_batch(bag, 3, 8).unwrap().chunks.is_empty());
+            assert_eq!(n.sample(bag).unwrap().total_chunks, 0);
+            assert_eq!(n.read_at(bag, 0).unwrap(), None);
+            assert!(n.snapshot(bag).unwrap().is_empty());
+            assert!(n.snapshot_from(bag, 3).unwrap().is_empty());
+            assert!(n.mirror_consumed(bag, 3, &[]).is_ok());
+            n.rewind(bag).unwrap();
+            n.discard(bag).unwrap();
+            n.insert_batch(bag, &[]).unwrap();
+        }
+        n.is_drained().unwrap();
+        n.sync_all().unwrap();
+    }
+
+    /// Each operation that does journal creates exactly its own bag's
+    /// log, with its first frame. Returns the bags journaled for.
+    fn first_frames(n: &StorageNode) -> Vec<BagId> {
+        let seg = TagSegment {
+            run: 9,
+            start: 0,
+            len: 1,
+        };
+        n.insert(BagId(10), chunk(b"x")).unwrap();
+        n.seal(BagId(11)).unwrap();
+        n.collect(BagId(12)).unwrap();
+        n.mirror_consumed(BagId(13), 3, &[seg]).unwrap();
+        n.claim_consumed(BagId(14), 0, &[seg]).unwrap();
+        (10..15).map(BagId).collect()
+    }
+
+    #[test]
+    fn reads_do_not_write_to_the_store() {
+        let store = SegmentStore::mem();
+        let n = durable_node(&store);
+        touch_without_journaling(&n);
+        assert!(
+            store.list_logs().unwrap().is_empty(),
+            "an operation that journals nothing created {:?}",
+            store.list_logs().unwrap()
+        );
+        let mut expect: Vec<String> = first_frames(&n)
+            .into_iter()
+            .map(segment::log_name)
+            .collect();
+        let mut logs = store.list_logs().unwrap();
+        logs.sort();
+        expect.sort();
+        assert_eq!(logs, expect, "one log per journaled bag");
+        // Probing the bags that now exist still writes nothing new.
+        touch_without_journaling(&n);
+        assert_eq!(store.list_logs().unwrap().len(), expect.len());
+    }
+
+    #[test]
+    fn reads_create_no_filesystem_object() {
+        let root = std::env::temp_dir().join(format!("hurricane-node-lazy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let n = durable_node(&SegmentStore::disk(&root).unwrap());
+        let entries = || -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&root)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        touch_without_journaling(&n);
+        assert!(
+            entries().is_empty(),
+            "created without journaling: {:?}",
+            entries()
+        );
+        let mut expect: Vec<String> = first_frames(&n)
+            .into_iter()
+            .map(segment::log_name)
+            .collect();
+        expect.sort();
+        assert_eq!(entries(), expect, "one flat file per journaled bag");
+        assert!(std::fs::read_dir(&root).unwrap().all(|e| e
+            .unwrap()
+            .file_type()
+            .unwrap()
+            .is_file()));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn rewind_journals_only_streams_with_something_to_reset() {
+        let store = SegmentStore::mem();
+        let n = durable_node(&store);
+        let bag = BagId(1);
+        n.insert_run(bag, &[chunk(b"a")], 0, 1).unwrap();
+        n.insert_run(bag, &[chunk(b"b")], 3, 2).unwrap();
+        let log = store.open_log(&segment::log_name(bag)).unwrap();
+        let before = log.len();
+        n.rewind(bag).unwrap();
+        assert_eq!(
+            log.len(),
+            before,
+            "nothing was consumed: nothing to journal"
+        );
+        n.remove_from(bag, 3).unwrap();
+        n.rewind(bag).unwrap();
+        let (frames, _) = segment::scan(&log.read_all().unwrap());
+        assert_eq!(
+            frames.last().unwrap().record,
+            segment::Record::Rewind { origin: 3 },
+            "only the consumed stream is rewound in the log"
+        );
+        assert_eq!(frames.len(), 4, "DATA, DATA, CONSUME, REWIND");
+        let n = durable_node(&store);
+        assert_eq!(
+            n.remove_from(bag, 3).unwrap(),
+            NodeRemove::Chunk(chunk(b"b"))
+        );
+    }
+
+    #[test]
+    fn streams_of_one_bag_share_one_log_and_recover_apart() {
+        let store = SegmentStore::mem();
+        let bag = BagId(8);
+        {
+            let n = durable_node(&store);
+            n.insert_run(bag, &[chunk(b"own0"), chunk(b"own1")], 0, 1)
+                .unwrap();
+            n.insert_run(bag, &[chunk(b"mir0")], 2, 2).unwrap();
+            n.insert_run(bag, &[chunk(b"own2")], 0, 3).unwrap();
+            assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"own0")));
+            n.seal(bag).unwrap();
+        }
+        assert_eq!(store.list_logs().unwrap(), vec![segment::log_name(bag)]);
+        let n = durable_node(&store);
+        let s = n.sample(bag).unwrap();
+        assert_eq!(
+            (s.total_chunks, s.removed_chunks),
+            (3, 1),
+            "own stream only"
+        );
+        assert!(s.sealed);
+        let own = n.remove_batch(bag, 8).unwrap();
+        assert_eq!(own.chunks, vec![chunk(b"own1"), chunk(b"own2")]);
+        let mirrored = n.remove_from_batch(bag, 2, 8).unwrap();
+        assert_eq!(mirrored.chunks, vec![chunk(b"mir0")]);
+        assert!(own.eof && mirrored.eof);
+    }
+
+    #[test]
+    fn collect_survives_restart_and_leaves_one_record() {
+        let store = SegmentStore::mem();
+        let bag = BagId(9);
+        {
+            let n = durable_node(&store);
+            n.insert(bag, chunk(b"gone")).unwrap();
+            n.seal(bag).unwrap();
+            n.collect(bag).unwrap();
+            assert_eq!(n.resident_bytes(), 0);
+        }
+        let log = store.open_log(&segment::log_name(bag)).unwrap();
+        assert_eq!(log.read_all().unwrap(), segment::collect_frame());
+        let n = durable_node(&store);
+        assert_eq!(n.remove(bag), Err(StorageError::BagCollected(bag)));
+        assert_eq!(n.sample(bag), Err(StorageError::BagCollected(bag)));
+    }
+
+    /// A recovery that skipped the per-stream layout's `bag-<id>/`
+    /// directories as "unparsable names" would bring an upgraded node up
+    /// empty; it must refuse instead, naming the layout.
+    #[test]
+    fn old_per_stream_layout_is_refused_not_ignored() {
+        let store = SegmentStore::mem();
+        store.open_log("bag-3/seg-0.log").unwrap();
+        store.open_log("bag-3/meta.log").unwrap();
+        let err = StorageNode::durable(StorageNodeId(0), store, u64::MAX)
+            .err()
+            .expect("old layout accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bag-3/"), "{err}");
+
+        let root = std::env::temp_dir().join(format!("hurricane-node-old-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("bag-7")).unwrap();
+        std::fs::write(root.join("bag-7").join("meta.log"), b"").unwrap();
+        std::fs::write(root.join("notes.txt"), b"unrelated files are skipped").unwrap();
+        let err = StorageNode::durable(
+            StorageNodeId(0),
+            SegmentStore::disk(&root).unwrap(),
+            u64::MAX,
+        )
+        .err()
+        .expect("old layout accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bag-7/"), "{err}");
+        std::fs::remove_dir_all(root.join("bag-7")).unwrap();
+        durable_node(&SegmentStore::disk(&root).unwrap());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
