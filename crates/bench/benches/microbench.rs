@@ -1026,10 +1026,13 @@ fn run_clients(clients: usize, per_client: impl Fn(u64) + Sync) {
 }
 
 /// Contended insert/remove: N clients hammer ONE bag on 8 nodes — the
-/// traffic pattern task cloning creates. `sharded/*` uses the live
-/// implementation (single-op and batched); `coarse/*` uses the pre-shard
-/// node-global-mutex baseline. The acceptance target is sharded ≥ 2× the
-/// coarse baseline at 8 clients.
+/// traffic pattern task cloning creates. `coarse` is the pre-shard
+/// node-global-mutex baseline; everything else is the live data plane
+/// (an `RpcPort` per client): `sharded` one chunk per request on the
+/// inline plane, `rpc_inline*` batched on the inline plane (what a
+/// default-configuration engine run does), `rpc_batch` batched on the
+/// channel plane. The acceptance target is sharded ≥ 2× the coarse
+/// baseline at 8 clients.
 fn bench_contended(c: &mut Criterion) {
     for &clients in &[1usize, 4, 8] {
         let total_ops = clients as u64 * OPS_PER_CLIENT;
@@ -1067,27 +1070,10 @@ fn bench_contended(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
-        g.bench_function("insert/sharded_batch", |b| {
-            b.iter_batched(
-                || StorageCluster::new(CONTENDED_NODES, ClusterConfig::default()),
-                |cluster| {
-                    let bag = cluster.create_bag();
-                    run_clients(clients, |t| {
-                        let mut cl = BagClient::new(cluster.clone(), bag, 7 + t);
-                        let chunks: Vec<_> =
-                            (0..OPS_PER_CLIENT).map(|_| contended_chunk()).collect();
-                        for batch in chunks.chunks(BATCH) {
-                            cl.insert_batch(batch).unwrap();
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        // The RPC insert paths run with the cross-batch coalescer on (a
-        // window of 8 batches), the data-plane configuration this layer
-        // exists for; `rpc_inline_eager` keeps the uncoalesced number for
-        // the before/after record in BENCH_storage.json.
+        // The batched insert paths run with the cross-batch coalescer on
+        // (a window of 8 batches), as the engine's writers do;
+        // `rpc_inline_eager` keeps the uncoalesced number for the
+        // before/after record in BENCH_storage.json.
         g.bench_function("insert/rpc_inline", |b| {
             b.iter_batched(
                 || StorageCluster::new(CONTENDED_NODES, ClusterConfig::default()),
@@ -1194,32 +1180,6 @@ fn bench_contended(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
-        g.bench_function("remove/sharded_batch", |b| {
-            b.iter_batched(
-                || {
-                    let cluster = StorageCluster::new(CONTENDED_NODES, ClusterConfig::default());
-                    let bag = cluster.create_bag();
-                    let mut cl = BagClient::new(cluster.clone(), bag, 3);
-                    let chunks: Vec<_> = (0..total_ops).map(|_| contended_chunk()).collect();
-                    cl.insert_batch(&chunks).unwrap();
-                    cluster.seal_bag(bag).unwrap();
-                    (cluster, bag)
-                },
-                |(cluster, bag)| {
-                    run_clients(clients, |t| {
-                        let mut cl = BagClient::new(cluster.clone(), bag, 11 + t);
-                        let mut left = OPS_PER_CLIENT as usize;
-                        while left > 0 {
-                            match cl.try_remove_batch(left.min(BATCH)).unwrap() {
-                                BatchRemoveResult::Chunks(chunks) => left -= chunks.len(),
-                                _ => break,
-                            }
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
         g.bench_function("remove/rpc_inline", |b| {
             b.iter_batched(
                 || {
@@ -1278,15 +1238,16 @@ fn bench_contended(c: &mut Criterion) {
     }
 }
 
-/// The consumer-side prefetcher draining one bag: the synchronous
-/// one-probe-at-a-time loop over the direct port vs the RPC pipeline
-/// keeping `b = 10` requests in flight against distinct nodes.
+/// The consumer-side prefetcher draining one bag with `b = 10`: the one
+/// fetch loop on the inline plane (each probe answered on the fetcher's
+/// thread as it is submitted) vs the channel plane (probes genuinely in
+/// flight against distinct nodes' server threads).
 fn bench_prefetch(c: &mut Criterion) {
     const CHUNKS: u64 = 8_000;
     let mut g = c.benchmark_group("prefetch_8n");
     g.throughput(Throughput::Elements(CHUNKS));
     g.sample_size(10);
-    g.bench_function("direct", |b| {
+    g.bench_function("inline", |b| {
         b.iter_batched(
             || {
                 let cluster = StorageCluster::new(CONTENDED_NODES, ClusterConfig::default());

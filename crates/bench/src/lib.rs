@@ -22,7 +22,6 @@
 //! | `storage_scaling` | §5.2 — storage bandwidth scaling 1→32 nodes |
 //! | `utilization` | Eq. 1 — analytic vs Monte-Carlo utilization |
 //! | `ablation_clone_interval` | extension — clone-interval sensitivity |
-//! | `real_engine` | laptop-scale: real runtime vs real static engine |
 
 pub mod coarse;
 pub mod experiments;

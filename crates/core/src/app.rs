@@ -221,17 +221,21 @@ impl HurricaneApp {
         let app_done = Arc::new(AtomicBool::new(false));
         let (control_tx, control_rx) = unbounded();
         // The storage endpoint every worker and the master mint their bag
-        // clients from: the channel RPC plane (per-node server loops)
-        // when enabled, the direct in-process plane otherwise.
-        let endpoint = Arc::new(if self.config.storage_rpc {
-            StorageEndpoint::channel(self.cluster.clone())
+        // clients from. One protocol either way; `storage_rpc` only picks
+        // who runs the node side of it — per-node server threads, or the
+        // caller's own thread.
+        let plane = if self.config.storage_rpc {
+            StorageEndpoint::channel
+        } else {
+            StorageEndpoint::inline
+        };
+        let endpoint = Arc::new(
+            plane(self.cluster.clone())
                 .with_dispatch_threads(self.config.rpc_dispatch_threads.max(1))
                 .with_request_timeout(self.config.rpc_request_timeout)
                 .with_retry_attempts(self.config.rpc_retry_attempts)
-                .with_writer_credit(self.config.rpc_writer_credit.max(1))
-        } else {
-            StorageEndpoint::direct(self.cluster.clone())
-        });
+                .with_writer_credit(self.config.rpc_writer_credit.max(1)),
+        );
         let mdeps = ManagerDeps {
             graph: self.graph.clone(),
             cluster: self.cluster.clone(),
@@ -304,7 +308,7 @@ pub struct RunningApp {
     managers: Vec<ComputeNodeHandle>,
     master: Option<JoinHandle<Result<MasterOutcome, EngineError>>>,
     master_deps: MasterDeps,
-    /// Keeps the storage endpoint (and, on the channel plane, its RPC
+    /// Keeps the storage endpoint (and, on the channel plane, its
     /// server loops) alive for the run's duration; shut down (draining
     /// in-flight requests) once everything has joined.
     endpoint: Arc<StorageEndpoint>,

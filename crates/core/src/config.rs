@@ -38,17 +38,20 @@ pub struct HurricaneConfig {
     pub cloning_enabled: bool,
     /// Master poll period for the done bag / control messages.
     pub master_poll: Duration,
-    /// Route the data plane through the storage RPC boundary
-    /// (request/response messages to per-node server loops) instead of
-    /// direct in-process calls. Turns the prefetcher into a true pipeline
-    /// of `batch_factor` outstanding requests and lets writers overlap
-    /// replica acks; the direct path remains the default for tests and
-    /// benches of the storage substrate itself.
+    /// Who runs the storage-node side of the data plane. Every bag
+    /// client speaks the same storage protocol (envelopes, `(client,
+    /// seq)` dedup, replica fan-out — `hurricane_storage::rpc`); this
+    /// flag only picks the transport under it. `true`: per-node server
+    /// threads behind in-process channels, so the prefetcher's probes
+    /// and a writer's replica acks genuinely overlap. `false` (the
+    /// default): each request is served on the caller's own thread
+    /// before `send` returns — no thread hop, nothing in flight.
     pub storage_rpc: bool,
-    /// Dispatch threads per storage-node RPC server (only used when
-    /// `storage_rpc` is on).
+    /// Dispatch threads per storage-node server. Inert on the inline
+    /// plane (`storage_rpc` off), which has no server threads.
     pub rpc_dispatch_threads: usize,
-    /// Insert-coalescing window (chunks) for RPC-connected task writers:
+    /// Insert-coalescing window (chunks) for task writers, on either
+    /// plane:
     /// buckets from successive batch flushes stage on the port and go out
     /// as one merged envelope per (node, bag) once this many chunks are
     /// staged. `0` disables coalescing (every batch call flushes). A
@@ -58,22 +61,25 @@ pub struct HurricaneConfig {
     /// writers coalesce — work-bag scheduling traffic stays
     /// call-synchronous so claims are immediately visible.
     pub rpc_coalesce_chunks: usize,
-    /// Per-connection writer credit when `storage_rpc` is on: how many
-    /// requests may be on the wire unanswered before a writer blocks
-    /// (flow control; a stalled storage node bounds its lane at this many
-    /// envelopes instead of accumulating unbounded queue).
+    /// Per-connection writer credit: how many requests may be on the
+    /// wire unanswered before a writer blocks (flow control; a stalled
+    /// storage node bounds its lane at this many envelopes instead of
+    /// accumulating unbounded queue). Inert on the inline plane, where
+    /// nothing is ever on the wire unanswered.
     pub rpc_writer_credit: usize,
-    /// Client-side RPC request timeout: how long a caller waits for one
+    /// Client-side request timeout: how long a caller waits for one
     /// reply before abandoning the request (its outcome then unknown).
     /// The per-connection credit-acquire timeout is aligned with this
     /// automatically when ports are minted, so flow control never fails
-    /// faster than a request wait would.
+    /// faster than a request wait would. Inert on the inline plane: a
+    /// reply exists by the time the request is sent.
     pub rpc_request_timeout: Duration,
-    /// Total attempts per RPC request when `storage_rpc` is on: `1`
-    /// (the default) fails fast on timeout; higher values retransmit a
-    /// timed-out request under its original sequence number, which the
-    /// server-side dedup window resolves to at most one execution (see
-    /// `hurricane_storage::rpc::RetryPolicy`).
+    /// Total attempts per request: `1` (the default) fails fast on
+    /// timeout; higher values retransmit a timed-out request under its
+    /// original sequence number, which the server-side dedup window
+    /// resolves to at most one execution (see
+    /// `hurricane_storage::rpc::RetryPolicy`). Inert on the inline
+    /// plane, which never times out.
     pub rpc_retry_attempts: u32,
     /// Root directory for durable segment logs (`SEGMENT.md`). `None`
     /// (the default) keeps storage nodes purely in-memory; when set,
@@ -153,8 +159,8 @@ impl HurricaneConfig {
         self
     }
 
-    /// Returns a copy with the data plane routed over the storage RPC
-    /// boundary.
+    /// Returns a copy with the storage nodes served by their own threads
+    /// (the channel plane) instead of inline on each caller's.
     pub fn with_storage_rpc(mut self) -> Self {
         self.storage_rpc = true;
         self

@@ -122,9 +122,10 @@ pub struct ManagerDeps {
     pub graph: Arc<AppGraph>,
     /// The storage cluster.
     pub cluster: Arc<StorageCluster>,
-    /// The storage endpoint bag clients are minted from: the channel RPC
-    /// plane when the deployment routes the data plane through messages
-    /// (`HurricaneConfig::storage_rpc`), the direct plane otherwise.
+    /// The storage endpoint bag clients are minted from: the channel
+    /// plane (per-node server threads) when
+    /// `HurricaneConfig::storage_rpc` is set, the inline plane (the same
+    /// protocol served on the caller's thread) otherwise.
     pub endpoint: Arc<StorageEndpoint>,
     /// Runtime configuration.
     pub config: Arc<HurricaneConfig>,
@@ -178,9 +179,8 @@ impl ComputeNodeHandle {
 }
 
 impl ManagerDeps {
-    /// Opens a bag client for `bag` over the deployment's storage path:
-    /// RPC messages when the boundary is enabled, direct calls otherwise.
-    /// The endpoint carries the knobs (writer credit, timeout, retry).
+    /// Opens a bag client for `bag` over the deployment's storage
+    /// endpoint, which carries the knobs (writer credit, timeout, retry).
     pub(crate) fn bag_client(&self, bag: BagId) -> BagClient {
         self.endpoint.client(bag, self.seeds.next())
     }

@@ -63,8 +63,8 @@ pub struct MasterDeps {
     pub graph: Arc<AppGraph>,
     /// The storage cluster.
     pub cluster: Arc<StorageCluster>,
-    /// The storage endpoint bag clients are minted from (channel RPC
-    /// plane or direct, per `HurricaneConfig::storage_rpc`).
+    /// The storage endpoint bag clients are minted from (the channel or
+    /// the inline plane, per `HurricaneConfig::storage_rpc`).
     pub endpoint: Arc<StorageEndpoint>,
     /// Runtime configuration.
     pub config: Arc<HurricaneConfig>,
@@ -110,8 +110,7 @@ pub struct Master {
 }
 
 impl MasterDeps {
-    /// Opens a typed work bag over the deployment's storage path (RPC
-    /// messages when the boundary is enabled, direct calls otherwise).
+    /// Opens a typed work bag over the deployment's storage endpoint.
     fn workbag<T: hurricane_format::Record>(&self, bag: BagId) -> WorkBag<T> {
         WorkBag::with_client(self.endpoint.client(bag, self.seeds.next()))
     }
@@ -647,7 +646,7 @@ mod tests {
         }
         let deps = MasterDeps {
             graph,
-            endpoint: Arc::new(StorageEndpoint::direct(cluster.clone())),
+            endpoint: Arc::new(StorageEndpoint::inline(cluster.clone())),
             config: Arc::new(HurricaneConfig::default()),
             kill: Arc::new(KillSwitch::new()),
             registry: Arc::new(RunningRegistry::new()),

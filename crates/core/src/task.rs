@@ -167,7 +167,9 @@ impl CancelProbe {
 }
 
 impl BagReader {
-    /// Opens a reader over `bag` with `batch_factor` outstanding requests.
+    /// Opens a reader over `bag` on the inline plane
+    /// ([`BagClient::new`]) holding at most `batch_factor` chunks in
+    /// flight.
     pub fn open(
         cluster: Arc<StorageCluster>,
         bag: BagId,
@@ -178,10 +180,11 @@ impl BagReader {
         Self::open_client(BagClient::new(cluster, bag, seed), batch_factor, cancel)
     }
 
-    /// Opens a reader over an existing bag client. With a client minted
-    /// over the RPC boundary (`StorageEndpoint::client`), the prefetcher
-    /// keeps `batch_factor` requests genuinely in flight against distinct
-    /// storage nodes.
+    /// Opens a reader over an existing bag client. The prefetcher spreads
+    /// its `batch_factor`-chunk budget over probes to distinct storage
+    /// nodes; with a client minted from a channel or TCP endpoint
+    /// (`StorageEndpoint::client`) those probes are genuinely in flight
+    /// together.
     pub fn open_client(
         client: BagClient,
         batch_factor: usize,
@@ -260,9 +263,9 @@ impl BagWriter {
         Self::open_batched_client(BagClient::new(cluster, bag, seed), chunk_size, batch_factor)
     }
 
-    /// Opens a batched writer over an existing bag client. With an
-    /// RPC-connected client, replicated batch flushes overlap their backup
-    /// acks on the wire.
+    /// Opens a batched writer over an existing bag client. With a client
+    /// minted from a channel or TCP endpoint, replicated batch flushes
+    /// overlap their backup acks on the wire.
     pub fn open_batched_client(client: BagClient, chunk_size: usize, batch_factor: usize) -> Self {
         Self {
             client,
@@ -340,7 +343,7 @@ impl BagWriter {
     }
 
     /// Seals buffered records and inserts every pending chunk — including
-    /// draining any inserts the RPC port staged for coalescing. After
+    /// draining any inserts the client's port staged for coalescing. After
     /// `flush` returns, all written data is visible in the bag.
     pub fn flush(&mut self) -> Result<(), EngineError> {
         self.seal_chunk()?;

@@ -102,10 +102,10 @@ fn cloning_kicks_in_on_long_tasks() {
 
 #[test]
 fn sum_with_merge_is_exact_over_storage_rpc() {
-    // The same pipeline with the data plane routed through the storage
-    // RPC boundary: workers' readers become pipelines of b outstanding
-    // requests and writers flush through per-node server loops. The
-    // result must be bit-identical to the direct path.
+    // The same pipeline on the channel plane: workers' probes are
+    // genuinely outstanding together and writers flush through per-node
+    // server loops. The result must be bit-identical to the inline
+    // plane's.
     let cluster = StorageCluster::new(4, ClusterConfig::default());
     let (mut app, input, summed) = sum_pipeline(cluster, test_config().with_storage_rpc(), 0);
     let n = 10_000u64;
@@ -609,7 +609,18 @@ fn task_error_aborts_run() {
 fn skewed_two_region_pipeline_clones_the_heavy_region() {
     // A miniature of the paper's central claim: two downstream tasks, one
     // with 50x the data. With cloning, the heavy task should attract
-    // clones while the light one completes on a single worker.
+    // clones while the light one completes on a single worker. Cloning
+    // can only move work still in the bag (late binding, paper §2.2), so
+    // this is also the check that readers do not claim the heavy bag
+    // into their prefetch queues ahead of the master's sample — on
+    // either transport.
+    for config in [test_config(), test_config().with_storage_rpc()] {
+        skewed_two_region_pipeline(config);
+    }
+}
+
+fn skewed_two_region_pipeline(config: HurricaneConfig) {
+    let storage_rpc = config.storage_rpc;
     let cluster = StorageCluster::new(4, ClusterConfig::default());
     let mut g = GraphBuilder::new();
     let input = g.source("records");
@@ -643,7 +654,7 @@ fn skewed_two_region_pipeline_clones_the_heavy_region() {
         );
         outs.push(out);
     }
-    let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster, test_config()).unwrap();
+    let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster, config).unwrap();
     let n = 30_000u64;
     app.fill_source(input, 0..n).unwrap();
     let report = app.run().unwrap();
@@ -661,7 +672,7 @@ fn skewed_two_region_pipeline_clones_the_heavy_region() {
         .unwrap_or(0);
     assert!(
         heavy_clones >= 1,
-        "the heavy region should attract clones: {report:?}"
+        "the heavy region should attract clones (storage_rpc = {storage_rpc}): {report:?}"
     );
 }
 

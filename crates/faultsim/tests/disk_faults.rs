@@ -170,15 +170,17 @@ fn torn_seal_leaves_bag_unsealed_and_poisoned_until_truncated() {
 
 /// A node whose bag log is poisoned still holds its chunks but can
 /// serve none of them (every serve journals its consume first). A
-/// reader has to surface that as the typed disk error, on either plane:
-/// skipping the node like a dead one and calling the sealed bag drained
-/// is a silently short answer — what the 32-seed sweep below caught at
-/// seed 3512467485 (a torn `CONSUME` on the direct plane).
+/// reader has to surface that as the typed disk error, on the inline
+/// plane (the engine's default) as on the simulated network: skipping
+/// the node like a dead one and calling the sealed bag drained is a
+/// silently short answer — what the 32-seed sweep below caught at seed
+/// 3512467485 (a torn `CONSUME`, in the direct-call data plane that has
+/// since been deleted).
 #[test]
 fn poisoned_node_fails_the_drain_instead_of_shortening_it() {
     let seed = scenario_seed(0xD2_A1);
     const N: u64 = 60;
-    for direct in [true, false] {
+    for inline in [true, false] {
         let sim = FaultSim::new_with_disk(
             3,
             1,
@@ -189,8 +191,8 @@ fn poisoned_node_fails_the_drain_instead_of_shortening_it() {
             },
         );
         let client = |seed| {
-            if direct {
-                StorageEndpoint::direct(sim.cluster.clone()).client(sim.bag, seed)
+            if inline {
+                StorageEndpoint::inline(sim.cluster.clone()).client(sim.bag, seed)
             } else {
                 sim.client(seed, 1)
             }
@@ -209,7 +211,7 @@ fn poisoned_node_fails_the_drain_instead_of_shortening_it() {
         assert_eq!(
             err,
             StorageError::DiskIo(StorageNodeId(1)),
-            "direct = {direct}"
+            "inline = {inline}"
         );
         // Healing the disk does not heal the bag, and still nothing is
         // reported drained.
@@ -218,7 +220,7 @@ fn poisoned_node_fails_the_drain_instead_of_shortening_it() {
         assert_eq!(
             err,
             StorageError::DiskIo(StorageNodeId(1)),
-            "direct = {direct}"
+            "inline = {inline}"
         );
         assert_eq!(
             sim.cluster

@@ -32,9 +32,8 @@
 //! merges spill their accumulator tables into scratch bags on these
 //! nodes — is a *driver*-process knob: merges run in the engine's task
 //! managers, not here. Drivers set it through
-//! `HurricaneConfig::with_merge_memory_budget`, the
-//! `--merge-memory-budget` flag on engine binaries (`real_engine`), or
-//! the `HURRICANE_MERGE_MEMORY_BUDGET` environment override; a storage
+//! `HurricaneConfig::with_merge_memory_budget` or the
+//! `HURRICANE_MERGE_MEMORY_BUDGET` environment override; a storage
 //! node only sees the resulting scratch-bag traffic (`SEGMENT.md`,
 //! "Error handling").
 //!

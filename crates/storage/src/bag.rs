@@ -1,102 +1,25 @@
 //! `BagClient` — the per-worker handle to one bag.
 //!
-//! A bag client combines the cluster connection with two private
-//! pseudorandom cyclic placements (one for inserts, one for removes,
-//! paper §3.3). Multiple clients on the same bag interleave freely: the
-//! per-node read pointers give exactly-once chunk delivery, which is the
-//! property task clones rely on to partition work dynamically (late
-//! binding of chunks to workers, paper §2.2).
+//! A bag client combines a data-plane port ([`RpcPort`]: one connection
+//! per storage node, over whichever transport the client's
+//! [`crate::StorageEndpoint`] chose) with two private pseudorandom cyclic
+//! placements (one for inserts, one for removes, paper §3.3). The client
+//! decides *which replica group* each operation addresses and what a
+//! round of probes adds up to (`Pending` vs `Drained`); everything inside
+//! one group — replication, fail-over, mirroring — is the port's.
+//! Multiple clients on the same bag interleave freely: the per-node read
+//! pointers give exactly-once chunk delivery, which is the property task
+//! clones rely on to partition work dynamically (late binding of chunks
+//! to workers, paper §2.2).
 
 use crate::cluster::StorageCluster;
 use crate::error::StorageError;
-use crate::node::{BagSample, NodeRemove, NodeRemoveBatch};
+use crate::node::{BagSample, NodeRemove};
 use crate::placement::CyclicPlacement;
-use crate::rpc::RpcPort;
+use crate::rpc::{PortStats, RpcPort};
 use hurricane_common::{BagId, DetRng};
 use hurricane_format::Chunk;
 use std::sync::Arc;
-
-/// How a client reaches storage: direct in-process method calls on the
-/// shared cluster object, or correlated messages over the RPC boundary
-/// ([`crate::rpc`]). Both expose the same cluster-level data-plane
-/// semantics; the port is chosen at client construction and invisible to
-/// everything above [`BagClient`].
-pub(crate) enum StoragePort {
-    /// In-process method calls (the original path; tests and benches).
-    Direct(Arc<StorageCluster>),
-    /// Correlated request/response messages to per-node server loops.
-    Rpc(RpcPort),
-}
-
-impl StoragePort {
-    pub(crate) fn cluster(&self) -> &Arc<StorageCluster> {
-        match self {
-            StoragePort::Direct(c) => c,
-            StoragePort::Rpc(p) => p.cluster(),
-        }
-    }
-
-    /// Number of storage nodes addressable through this port. A direct
-    /// port tracks cluster growth; an RPC port tracks its connection set,
-    /// which grows at [`StoragePort::refresh`] when a membership is
-    /// attached.
-    pub(crate) fn num_nodes(&self) -> usize {
-        match self {
-            StoragePort::Direct(c) => c.num_nodes(),
-            StoragePort::Rpc(p) => p.num_nodes(),
-        }
-    }
-
-    /// Syncs an RPC port's connections with its membership view (no-op
-    /// for direct ports, which read the live cluster already).
-    pub(crate) fn refresh(&mut self) {
-        if let StoragePort::Rpc(p) = self {
-            p.refresh_membership();
-        }
-    }
-
-    pub(crate) fn insert_batch(
-        &mut self,
-        primary_idx: usize,
-        bag: BagId,
-        chunks: &[Chunk],
-    ) -> Result<(), StorageError> {
-        match self {
-            StoragePort::Direct(c) => c.insert_batch(primary_idx, bag, chunks),
-            StoragePort::Rpc(p) => p.insert_batch(primary_idx, bag, chunks),
-        }
-    }
-
-    pub(crate) fn remove(
-        &mut self,
-        primary_idx: usize,
-        bag: BagId,
-    ) -> Result<NodeRemove, StorageError> {
-        match self {
-            StoragePort::Direct(c) => c.remove(primary_idx, bag),
-            StoragePort::Rpc(p) => p.remove(primary_idx, bag),
-        }
-    }
-
-    pub(crate) fn remove_batch(
-        &mut self,
-        primary_idx: usize,
-        bag: BagId,
-        max_n: usize,
-    ) -> Result<NodeRemoveBatch, StorageError> {
-        match self {
-            StoragePort::Direct(c) => c.remove_batch(primary_idx, bag, max_n),
-            StoragePort::Rpc(p) => p.remove_batch(primary_idx, bag, max_n),
-        }
-    }
-
-    pub(crate) fn sample_bag(&mut self, bag: BagId) -> Result<BagSample, StorageError> {
-        match self {
-            StoragePort::Direct(c) => c.sample_bag(bag),
-            StoragePort::Rpc(p) => p.sample_bag(bag),
-        }
-    }
-}
 
 /// Outcome of a bag-level remove attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,7 +48,7 @@ pub enum BatchRemoveResult {
 
 /// A client handle for inserting into / removing from one bag.
 pub struct BagClient {
-    pub(crate) port: StoragePort,
+    pub(crate) port: RpcPort,
     pub(crate) bag: BagId,
     insert_cursor: CyclicPlacement,
     pub(crate) remove_cursor: CyclicPlacement,
@@ -140,13 +63,15 @@ pub struct BagClient {
 }
 
 impl BagClient {
-    /// Creates a client for `bag`. Each client should use a distinct
-    /// `seed` so that placement cycles decorrelate across workers.
+    /// Creates a client for `bag` over an inline port
+    /// ([`RpcPort::inline`]): the storage protocol dispatched on the
+    /// caller's thread. Each client should use a distinct `seed` so that
+    /// placement cycles decorrelate across workers.
     pub fn new(cluster: Arc<StorageCluster>, bag: BagId, seed: u64) -> Self {
-        Self::with_port(StoragePort::Direct(cluster), bag, seed)
+        Self::with_port(RpcPort::inline(cluster), bag, seed)
     }
 
-    pub(crate) fn with_port(port: StoragePort, bag: BagId, seed: u64) -> Self {
+    pub(crate) fn with_port(port: RpcPort, bag: BagId, seed: u64) -> Self {
         let mut rng = DetRng::new(seed);
         let m = port.num_nodes();
         Self {
@@ -195,12 +120,11 @@ impl BagClient {
     }
 
     /// Picks up storage nodes added since this client was created
-    /// (paper §3.4: the master informs compute nodes about new nodes).
-    /// Over an RPC port this first syncs the connection set with the
-    /// attached membership view, then grows the placement cycles to
-    /// cover the new nodes.
+    /// (paper §3.4: the master informs compute nodes about new nodes):
+    /// syncs the port's connection set with its membership view, then
+    /// grows the placement cycles to cover the new nodes.
     pub fn refresh_membership(&mut self) {
-        self.port.refresh();
+        self.port.refresh_membership();
         let m = self.port.num_nodes();
         if m > self.insert_cursor.len() {
             self.insert_cursor.grow(m, &mut self.rng);
@@ -211,9 +135,10 @@ impl BagClient {
     }
 
     /// Inserts `chunk`, targeting the next storage node in this client's
-    /// pseudorandom cyclic order. If that node refuses (down / draining),
-    /// the next nodes in the cycle are tried — data placement has no
-    /// locality to preserve, so any node is as good as any other.
+    /// pseudorandom cyclic order. If that node's replica group refuses
+    /// (down, draining, disk-sick, disconnected), the next nodes in the
+    /// cycle are tried — data placement has no locality to preserve, so
+    /// any node is as good as any other.
     pub fn insert(&mut self, chunk: Chunk) -> Result<(), StorageError> {
         if let Some(p) = self.pinned {
             return self
@@ -229,24 +154,11 @@ impl BagClient {
                 .insert_batch(target, self.bag, std::slice::from_ref(&chunk))
             {
                 Ok(()) => return Ok(()),
-                Err(e) if Self::reroutes(&e) => last_err = Some(e),
+                Err(e) if RpcPort::reroutes(&e) => last_err = Some(e),
                 Err(e) => return Err(e),
             }
         }
         Err(last_err.unwrap_or(StorageError::AllReplicasDown(self.bag)))
-    }
-
-    /// Whether an insert error means "try the next node in the cycle":
-    /// the target is down, draining, disk-sick
-    /// ([`StorageError::routes_around`]), wholly unreachable, or its
-    /// transport dropped. Anything else (sealed, collected, codec) is a
-    /// caller error and propagates.
-    fn reroutes(e: &StorageError) -> bool {
-        e.routes_around()
-            || matches!(
-                e,
-                StorageError::AllReplicasDown(_) | StorageError::Disconnected(_)
-            )
     }
 
     /// Whether a remove error means the probed replica group is gone
@@ -255,8 +167,8 @@ impl BagClient {
     /// but cannot journal the consume ([`StorageError::DiskFull`] /
     /// [`StorageError::DiskIo`]) still holds its chunks, so that error
     /// propagates — skipping it would let a sealed bag read as drained
-    /// with chunks unread. The pipelined prefetcher draws the same line.
-    fn unreachable(e: &StorageError) -> bool {
+    /// with chunks unread. The prefetcher draws the same line.
+    pub(crate) fn unreachable(e: &StorageError) -> bool {
         matches!(
             e,
             StorageError::NodeDown(_)
@@ -265,14 +177,18 @@ impl BagClient {
         )
     }
 
-    /// Inserts every chunk of `chunks` with one cluster call per target
-    /// node instead of one per chunk.
+    /// Inserts every chunk of `chunks` with one request per target node
+    /// instead of one per chunk, all submitted before any ack is awaited
+    /// (and possibly coalesced with later batches, see
+    /// [`BagClient::set_coalescing`]). A bucket its target refuses (down,
+    /// draining, disk-sick) is re-routed to the next nodes, as
+    /// [`BagClient::insert`] does.
     ///
     /// The placement cursor still advances chunk-by-chunk (a cheap local
     /// operation), so per-cycle balance is identical to repeated
     /// [`BagClient::insert`]; what is amortized is the expensive part —
-    /// storage-node lock acquisitions and replication fan-out, which
-    /// happen at most once per node per batch. Prefer
+    /// envelopes, storage-node lock acquisitions and replication fan-out,
+    /// which happen at most once per node per batch. Prefer
     /// [`BagClient::insert_batch_vec`] when the chunks can be given away:
     /// it buckets by move, with no per-chunk refcount traffic.
     pub fn insert_batch(&mut self, chunks: &[Chunk]) -> Result<(), StorageError> {
@@ -283,7 +199,7 @@ impl BagClient {
             return self.port.insert_batch(p, self.bag, chunks);
         }
         self.bucket_chunks(chunks.iter().cloned());
-        self.dispatch_buckets()
+        self.port.insert_buckets(self.bag, &mut self.insert_buckets)
     }
 
     /// [`BagClient::insert_batch`] taking the chunks by value: bucketing
@@ -298,12 +214,12 @@ impl BagClient {
             return self.port.insert_batch(p, self.bag, &chunks);
         }
         self.bucket_chunks(chunks.into_iter());
-        self.dispatch_buckets()
+        self.port.insert_buckets(self.bag, &mut self.insert_buckets)
     }
 
     /// Buckets chunks into per-target runs following the cyclic order.
     /// The buckets are client-owned scratch space: cleared, never
-    /// deallocated (the RPC port drains them by value when staging).
+    /// deallocated (the port drains them by value when staging).
     fn bucket_chunks(&mut self, chunks: impl Iterator<Item = Chunk>) {
         let m = self.insert_cursor.len();
         self.insert_buckets.resize_with(m, Vec::new);
@@ -313,40 +229,6 @@ impl BagClient {
         for chunk in chunks {
             self.insert_buckets[self.insert_cursor.next_node()].push(chunk);
         }
-    }
-
-    fn dispatch_buckets(&mut self) -> Result<(), StorageError> {
-        let m = self.insert_buckets.len();
-        // Over RPC the buckets are staged (and possibly coalesced with
-        // later batches) before going on the wire, all submitted before
-        // any ack is awaited.
-        if let StoragePort::Rpc(port) = &mut self.port {
-            return port.insert_buckets(self.bag, &mut self.insert_buckets);
-        }
-        for (target, bucket) in self.insert_buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            // Primary target first; on refusal (down / draining) re-route
-            // the whole bucket to the next nodes, as `insert` does.
-            let mut landed = false;
-            let mut last_err = None;
-            for offset in 0..m {
-                let idx = (target + offset) % m;
-                match self.port.insert_batch(idx, self.bag, bucket) {
-                    Ok(()) => {
-                        landed = true;
-                        break;
-                    }
-                    Err(e) if Self::reroutes(&e) => last_err = Some(e),
-                    Err(e) => return Err(e),
-                }
-            }
-            if !landed {
-                return Err(last_err.unwrap_or(StorageError::AllReplicasDown(self.bag)));
-            }
-        }
-        Ok(())
     }
 
     /// Attempts to remove one chunk, probing storage nodes in cyclic order.
@@ -377,11 +259,13 @@ impl BagClient {
         if down == m {
             return Err(StorageError::AllReplicasDown(self.bag));
         }
-        if saw_pending || !self.port.cluster().is_sealed(self.bag)? {
-            Ok(RemoveResult::Pending)
+        // Every reachable group answered end-of-bag, which the port only
+        // reports under the cluster's sealed flag.
+        Ok(if saw_pending {
+            RemoveResult::Pending
         } else {
-            Ok(RemoveResult::Drained)
-        }
+            RemoveResult::Drained
+        })
     }
 
     /// Attempts to remove up to `max_n` chunks, probing storage nodes in
@@ -389,13 +273,13 @@ impl BagClient {
     /// the budget allows — one storage round-trip per node rather than
     /// per chunk (the data-plane analog of batch sampling, paper §3.3).
     ///
-    /// Over either port the probe loop is sequential — a full-budget
-    /// probe usually fills from the first non-empty node, so one message
-    /// moves the whole batch. (Scattering capped sub-requests across all
-    /// nodes was tried and rejected: it multiplies message count by `m`
-    /// per batch. Latency hiding for reads belongs to the
-    /// [`Prefetcher`](crate::prefetch::Prefetcher), whose RPC pipeline
-    /// keeps `b` of these probes in flight.)
+    /// The probe loop is sequential — a full-budget probe usually fills
+    /// from the first non-empty node, so one message moves the whole
+    /// batch. (Scattering capped sub-requests across all nodes was tried
+    /// and rejected: it multiplies message count by `m` per batch.
+    /// Latency hiding for reads belongs to the
+    /// [`Prefetcher`](crate::prefetch::Prefetcher), whose pipeline keeps
+    /// up to `b` probes in flight.)
     pub fn try_remove_batch(&mut self, max_n: usize) -> Result<BatchRemoveResult, StorageError> {
         let m = if self.pinned.is_some() {
             1
@@ -415,9 +299,7 @@ impl BagClient {
                 .unwrap_or_else(|| self.remove_cursor.next_node());
             match self.port.remove_batch(target, self.bag, budget) {
                 Ok(batch) => {
-                    if batch.exhausted && !batch.eof {
-                        saw_pending = true;
-                    }
+                    saw_pending |= !batch.eof;
                     got.extend(batch.chunks);
                 }
                 Err(e) if Self::unreachable(&e) => down += 1,
@@ -433,11 +315,11 @@ impl BagClient {
         if down == m {
             return Err(StorageError::AllReplicasDown(self.bag));
         }
-        if saw_pending || !self.port.cluster().is_sealed(self.bag)? {
-            Ok(BatchRemoveResult::Pending)
+        Ok(if saw_pending {
+            BatchRemoveResult::Pending
         } else {
-            Ok(BatchRemoveResult::Drained)
-        }
+            BatchRemoveResult::Drained
+        })
     }
 
     /// Removes one chunk, spinning (with exponential backoff capped at
@@ -461,17 +343,14 @@ impl BagClient {
         self.port.sample_bag(self.bag)
     }
 
-    /// Enables cross-batch insert coalescing on an RPC port: successive
+    /// Enables cross-batch insert coalescing: successive
     /// [`BagClient::insert_batch`] calls stage their buckets and the port
     /// sends one merged envelope per (node, bag) once `window_chunks`
     /// chunks are staged. Staged chunks are durable only after the next
     /// flush — call [`BagClient::flush`] at batch-boundary handoffs (the
-    /// engine's writers do). No-op over a direct port, which has no
-    /// per-message cost to amortize.
+    /// engine's writers do).
     pub fn set_coalescing(&mut self, window_chunks: usize) {
-        if let StoragePort::Rpc(port) = &mut self.port {
-            port.set_coalescing(window_chunks);
-        }
+        self.port.set_coalescing(window_chunks);
     }
 
     /// Builder form of [`BagClient::set_coalescing`].
@@ -482,32 +361,27 @@ impl BagClient {
     }
 
     /// Bounds the outstanding on-wire request budget of each underlying
-    /// RPC connection (writer flow control; see
-    /// [`crate::rpc::NodeConnection::with_credit`]). No-op over a direct
-    /// port.
+    /// connection (writer flow control; see
+    /// [`crate::rpc::NodeConnection::with_credit`]). Never reached on the
+    /// inline plane, where every request is answered before `send`
+    /// returns.
     pub fn set_writer_credit(&mut self, credit: usize) {
-        if let StoragePort::Rpc(port) = &mut self.port {
-            port.set_writer_credit(credit);
-        }
+        self.port.set_writer_credit(credit);
     }
 
     /// Flushes any coalesced inserts still staged on the port. After this
     /// returns `Ok`, every chunk handed to `insert_batch` is durable at
-    /// storage. A no-op over a direct port or when nothing is staged.
+    /// storage. A no-op when nothing is staged.
     pub fn flush(&mut self) -> Result<(), StorageError> {
-        match &mut self.port {
-            StoragePort::Rpc(port) => port.flush(),
-            StoragePort::Direct(_) => Ok(()),
-        }
+        self.port.flush()
     }
 
-    /// RPC data-plane statistics of this client's port — envelope counts,
-    /// staged chunks, flushes. `None` over a direct port.
-    pub fn port_stats(&self) -> Option<crate::rpc::PortStats> {
-        match &self.port {
-            StoragePort::Rpc(port) => Some(port.stats()),
-            StoragePort::Direct(_) => None,
-        }
+    /// Data-plane statistics of this client's port — envelope counts,
+    /// staged chunks, flushes. Always `Some`: every client speaks
+    /// through a port. (The `Option` is what `benchmark/` compiles
+    /// against; it goes with that package's migration.)
+    pub fn port_stats(&self) -> Option<PortStats> {
+        Some(self.port.stats())
     }
 }
 

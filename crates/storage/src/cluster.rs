@@ -1,13 +1,29 @@
-//! The storage cluster: node membership, bag lifecycle, replication.
+//! The storage cluster: node membership, bag metadata, whole-bag control.
 //!
 //! The cluster object is what compute nodes are configured with (paper §3:
 //! "each compute node ... is configured so that it knows the list of
-//! storage nodes"). It owns bag metadata — the authoritative sealed flag —
-//! and implements primary–backup replication (paper §4.4): with a
-//! replication factor of `n + 1`, each chunk written to primary node `i`
-//! is also written to the next `n` nodes in ring order, and removes mirror
-//! the primary's pointer advance onto the backups so a failover resumes
-//! from (approximately) the primary's position.
+//! storage nodes"). It is the **metadata authority** — the bag registry,
+//! the authoritative sealed flag, the replication factor, the per-(bag,
+//! origin) append-ordering locks — and it performs the **whole-bag
+//! control operations** that touch every node at once: create / seal /
+//! rewind / discard / collect, the aggregated sample, the non-destructive
+//! snapshot, and node addition / draining (paper §3.4).
+//!
+//! It does **not** move chunks. Inserting and removing — replica fan-out,
+//! backups-first ordering, fail-over, empty-probe reconciliation, pointer
+//! mirroring, end-of-bag detection — is one protocol with one
+//! implementation, [`crate::rpc::RpcPort`], spoken by every client over
+//! whichever transport its [`crate::StorageEndpoint`] chose. For
+//! in-process clients the cluster keeps a [`Membership`] of inline
+//! connectors, one per node, which [`StorageCluster::add_node`] joins:
+//! an inline port is an ordinary membership-backed port and follows
+//! cluster growth exactly like a channel or TCP one.
+//!
+//! Primary–backup replication (paper §4.4): with a replication factor of
+//! `n + 1`, each chunk written to primary node `i` is also written to the
+//! next `n` nodes in ring order, and removes mirror the primary's pointer
+//! advance onto the backups so a failover resumes from (approximately)
+//! the primary's position.
 //!
 //! A design note on failover atomicity: mirroring the pointer to backups is
 //! a second message, not a distributed transaction. If the primary dies
@@ -27,7 +43,9 @@
 //! simulator used to document as modeled-away).
 
 use crate::error::StorageError;
-use crate::node::{next_run_id, BagSample, NodeRemove, NodeRemoveBatch, StorageNode};
+use crate::membership::Membership;
+use crate::node::{BagSample, StorageNode};
+use crate::rpc::InlineConnector;
 use crate::segment::SegmentStore;
 use hurricane_common::{BagId, StorageNodeId};
 use hurricane_format::Chunk;
@@ -75,7 +93,7 @@ struct BagMeta {
 }
 
 /// Append-ordering locks keyed by (bag, origin); see
-/// [`StorageCluster::insert_batch`].
+/// [`StorageCluster::order_lock`].
 type OrderLocks = HashMap<(BagId, u32), Arc<parking_lot::Mutex<()>>>;
 
 /// The set of storage nodes plus bag metadata.
@@ -86,6 +104,9 @@ type OrderLocks = HashMap<(BagId, u32), Arc<parking_lot::Mutex<()>>>;
 /// read lock instead of serializing on a metadata mutex.
 pub struct StorageCluster {
     nodes: RwLock<Vec<Arc<StorageNode>>>,
+    /// One inline connector per node, index-aligned with `nodes`: the
+    /// view in-process ports dial and refresh against.
+    inline: Membership,
     config: ClusterConfig,
     /// Durable-storage settings; `None` keeps every node memory-only.
     /// Kept so nodes added later ([`StorageCluster::add_node`]) journal
@@ -94,9 +115,7 @@ pub struct StorageCluster {
     bags: RwLock<HashMap<BagId, BagMeta>>,
     next_bag: AtomicU64,
     /// Per-(bag, origin) append-ordering locks, used only when
-    /// replication > 1: holding one across the replica fan-out
-    /// guarantees every replica's origin stream receives chunks in the
-    /// same order, which count-based pointer mirroring depends on. With
+    /// replication > 1 (see [`StorageCluster::order_lock`]). With
     /// replication = 1 the map stays empty and inserts never touch it.
     repl_order: RwLock<OrderLocks>,
 }
@@ -131,17 +150,20 @@ impl StorageCluster {
             config.replication >= 1 && config.replication <= m,
             "replication factor must be in 1..=m"
         );
-        let nodes = (0..m)
-            .map(|i| Self::build_node(i as u32, durability.as_ref()))
-            .collect();
-        Arc::new(Self {
-            nodes: RwLock::new(nodes),
+        let cluster = Arc::new(Self {
+            nodes: RwLock::new(Vec::with_capacity(m)),
+            inline: Membership::new(),
             config,
             durability,
             bags: RwLock::new(HashMap::new()),
             next_bag: AtomicU64::new(0),
             repl_order: RwLock::new(HashMap::new()),
-        })
+        });
+        // Founding members join the way later ones do.
+        for _ in 0..m {
+            cluster.add_node();
+        }
+        cluster
     }
 
     fn build_node(id: u32, durability: Option<&DurabilityConfig>) -> Arc<StorageNode> {
@@ -179,14 +201,22 @@ impl StorageCluster {
         self.config.replication
     }
 
+    /// The membership in-process ports dial: one inline connector per
+    /// node, joined by [`StorageCluster::add_node`].
+    pub(crate) fn inline_membership(&self) -> &Membership {
+        &self.inline
+    }
+
     /// Adds a storage node (paper §3.4). Returns its index. Existing bag
     /// clients keep their old cycle until they call
     /// `BagClient::refresh_membership`; new clients see the new node
     /// immediately.
     pub fn add_node(&self) -> usize {
         let mut nodes = self.nodes.write();
-        let id = nodes.len() as u32;
-        nodes.push(Self::build_node(id, self.durability.as_ref()));
+        let node = Self::build_node(nodes.len() as u32, self.durability.as_ref());
+        nodes.push(node.clone());
+        // Joined under the node-list lock so member `i` is node `i`.
+        self.inline.join(Arc::new(InlineConnector::new(node)));
         nodes.len() - 1
     }
 
@@ -206,12 +236,7 @@ impl StorageCluster {
     }
 
     pub(crate) fn check_bag(&self, bag: BagId) -> Result<(), StorageError> {
-        let bags = self.bags.read();
-        match bags.get(&bag) {
-            None => Err(StorageError::UnknownBag(bag)),
-            Some(m) if m.collected => Err(StorageError::BagCollected(bag)),
-            Some(_) => Ok(()),
-        }
+        self.bag_state(bag).map(drop)
     }
 
     /// Validates `bag` and returns its sealed flag in one metadata-lock
@@ -319,23 +344,10 @@ impl StorageCluster {
         Ok(agg)
     }
 
-    /// Replica node indices for a chunk whose primary is `primary`.
-    fn replicas(&self, primary: usize, m: usize) -> impl DoubleEndedIterator<Item = usize> {
-        let r = self.config.replication;
-        (0..r).map(move |k| (primary + k) % m)
-    }
-
-    /// Inserts `chunk` into `bag` at primary node `primary_idx`, writing
-    /// backups per the replication factor.
-    ///
-    /// Succeeds if the write lands on at least one replica; a fully
-    /// unreachable replica set is an error.
-    pub fn insert(&self, primary_idx: usize, bag: BagId, chunk: Chunk) -> Result<(), StorageError> {
-        self.insert_batch(primary_idx, bag, std::slice::from_ref(&chunk))
-    }
-
     /// Returns the append-ordering lock for `(bag, origin)`, creating it
-    /// on first use. Only called when replication > 1.
+    /// on first use. [`crate::rpc::RpcPort`] holds it across a replicated
+    /// run's fan-out (only when replication > 1), so every replica's
+    /// origin stream receives concurrent writers' runs in the same order.
     pub(crate) fn order_lock(&self, bag: BagId, origin: u32) -> Arc<parking_lot::Mutex<()>> {
         if let Some(l) = self.repl_order.read().get(&(bag, origin)) {
             return l.clone();
@@ -345,194 +357,6 @@ impl StorageCluster {
             .entry((bag, origin))
             .or_default()
             .clone()
-    }
-
-    /// Batched [`StorageCluster::insert`]: writes every chunk of `chunks`
-    /// to primary `primary_idx` with one storage-node call per replica —
-    /// replication is mirrored per batch, not per chunk. The whole batch
-    /// is one insert run sharing one [`next_run_id`] across replicas, so
-    /// pointer mirrors can name its chunks by identity.
-    ///
-    /// Replicated writes take two precautions:
-    ///
-    /// * **Backups before primary.** A chunk only becomes removable once
-    ///   it lands at the primary; writing backups first means any remove
-    ///   that wins the race finds the chunk already present at every
-    ///   backup, so a failover after the primary's death can always
-    ///   serve what the primary served from its own log.
-    /// * **Per-(bag, origin) append ordering.** Concurrent writers to the
-    ///   same primary serialize their replica fan-out on a tiny ordering
-    ///   lock so every replica's origin stream holds the runs in the
-    ///   same order. Identity-tagged mirroring no longer *requires* this
-    ///   for correctness, but converged logs keep the mirror scan O(batch)
-    ///   and failover positions exact. With replication = 1 neither cost
-    ///   is paid.
-    pub fn insert_batch(
-        &self,
-        primary_idx: usize,
-        bag: BagId,
-        chunks: &[Chunk],
-    ) -> Result<(), StorageError> {
-        if self.bag_state(bag)? {
-            return Err(StorageError::BagSealed(bag));
-        }
-        if chunks.is_empty() {
-            return Ok(());
-        }
-        let nodes = self.nodes.read();
-        let m = nodes.len();
-        let origin = (primary_idx % m) as u32;
-        let run = next_run_id();
-        if self.config.replication > 1 {
-            let lock = self.order_lock(bag, origin);
-            let _held = lock.lock();
-            Self::insert_batch_inner(
-                &nodes,
-                self.replicas(primary_idx, m),
-                bag,
-                chunks,
-                origin,
-                run,
-            )
-        } else {
-            Self::insert_batch_inner(
-                &nodes,
-                self.replicas(primary_idx, m),
-                bag,
-                chunks,
-                origin,
-                run,
-            )
-        }
-    }
-
-    fn insert_batch_inner(
-        nodes: &[Arc<StorageNode>],
-        replicas: impl DoubleEndedIterator<Item = usize>,
-        bag: BagId,
-        chunks: &[Chunk],
-        origin: u32,
-        run: u64,
-    ) -> Result<(), StorageError> {
-        let mut landed = 0usize;
-        let mut last_err = None;
-        // Reverse order: backups first, primary last (see insert_batch).
-        for idx in replicas.rev() {
-            match nodes[idx].insert_run(bag, chunks, origin, run) {
-                Ok(()) => landed += 1,
-                // Down, draining, or disk-sick replicas are routed around:
-                // the write still succeeds if any replica journals it
-                // (see [`StorageError::routes_around`]).
-                Err(e) if e.routes_around() => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        if landed > 0 {
-            Ok(())
-        } else {
-            Err(last_err.unwrap_or(StorageError::AllReplicasDown(bag)))
-        }
-    }
-
-    /// Removes the next chunk of `bag` whose primary is `primary_idx`.
-    ///
-    /// On primary failure the first reachable backup serves the request
-    /// (failover); successful removes are mirrored to the remaining live
-    /// replicas so their pointers track the serving node.
-    pub fn remove(&self, primary_idx: usize, bag: BagId) -> Result<NodeRemove, StorageError> {
-        // Single-chunk removes ride the batch path so the mirror carries
-        // the served chunk's identity tag.
-        let batch = self.remove_batch(primary_idx, bag, 1)?;
-        Ok(match batch.chunks.into_iter().next() {
-            Some(c) => NodeRemove::Chunk(c),
-            None if batch.eof => NodeRemove::Eof,
-            None => NodeRemove::Empty,
-        })
-    }
-
-    /// Batched [`StorageCluster::remove`]: removes up to `max_n` chunks
-    /// whose primary is `primary_idx` in one storage-node call, mirroring
-    /// the whole batch's pointer advance to the live backups at once.
-    pub fn remove_batch(
-        &self,
-        primary_idx: usize,
-        bag: BagId,
-        max_n: usize,
-    ) -> Result<NodeRemoveBatch, StorageError> {
-        let sealed = self.bag_state(bag)?;
-        let nodes = self.nodes.read();
-        let m = nodes.len();
-        let origin = (primary_idx % m) as u32;
-        let mut serving = None;
-        let mut first_empty: Option<NodeRemoveBatch> = None;
-        let mut probed_empty: Vec<usize> = Vec::new();
-        let mut disk_sick = None;
-        for idx in self.replicas(primary_idx, m) {
-            match nodes[idx].remove_from_batch(bag, origin, max_n) {
-                // An empty serve is not authoritative: replica logs can
-                // diverge — this replica restarted and recovered a log
-                // missing runs that landed only at a backup while it was
-                // down. Keep probing; the group is exhausted only when
-                // every reachable replica comes back empty, otherwise
-                // acked chunks marooned at a backup would be masked by
-                // a premature end-of-bag.
-                Ok(outcome) if outcome.chunks.is_empty() => {
-                    probed_empty.push(idx);
-                    if first_empty.is_none() {
-                        first_empty = Some(outcome);
-                    }
-                }
-                Ok(outcome) => {
-                    serving = Some((idx, outcome));
-                    break;
-                }
-                // A replica that can't serve (down, or its segment log
-                // can't journal the consume) fails over to the next one.
-                Err(e @ (StorageError::DiskFull(_) | StorageError::DiskIo(_))) => {
-                    disk_sick = Some(e);
-                }
-                Err(e) if e.routes_around() => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        let Some((served_by, mut outcome)) = serving else {
-            let Some(mut outcome) = first_empty else {
-                // A replica that is up but disk-sick still holds its
-                // chunks: report its error, not "down", or a reader
-                // would take the group for lost and the bag for drained.
-                return Err(disk_sick.unwrap_or(StorageError::AllReplicasDown(bag)));
-            };
-            outcome.eof = outcome.exhausted && sealed;
-            return Ok(outcome);
-        };
-        // Reconcile a fallback serve: a replica probed empty above may
-        // have concurrently served the very same chunks to another
-        // reader whose mirror hadn't landed at `served_by` yet. Claim
-        // the served identities at each such replica and drop whatever
-        // it reports already consumed — those chunks belong to the
-        // other reader. An unreachable replica claims nothing (its
-        // consumed state can't race anyone while it's down).
-        for &idx in &probed_empty {
-            if outcome.chunks.is_empty() {
-                break;
-            }
-            if let Ok(already) = nodes[idx].claim_consumed(bag, origin, &outcome.tags) {
-                outcome.drop_already_consumed(&already);
-            }
-        }
-        if !outcome.chunks.is_empty() {
-            for idx in self.replicas(primary_idx, m) {
-                // Replicas probed empty were just claimed — the claim
-                // is the mirror.
-                if idx != served_by && !probed_empty.contains(&idx) {
-                    let _ = nodes[idx].mirror_consumed(bag, origin, &outcome.tags);
-                }
-            }
-        }
-        // As in `remove`, the cluster-level sealed flag is the authority
-        // for end-of-bag.
-        outcome.eof = outcome.exhausted && sealed;
-        Ok(outcome)
     }
 
     /// Non-destructive full scan of `bag` (replay of work bags). With
@@ -585,17 +409,40 @@ impl StorageCluster {
 
 #[cfg(test)]
 mod tests {
+    //! The cluster's control operations, and the replica-group semantics
+    //! they interact with, observed through a data-plane port. Every test
+    //! runs once per in-process plane ([`planes`]): the protocol is the
+    //! same code on both, the transports differ (caller's thread vs
+    //! server threads).
+
     use super::*;
+    use crate::endpoint::{StorageEndpoint, IN_PROCESS_PLANES};
+    use crate::node::{next_run_id, NodeRemove};
+    use crate::rpc::RpcPort;
 
     fn chunk(b: &[u8]) -> Chunk {
         Chunk::from_vec(b.to_vec())
     }
 
-    fn drain_all(cluster: &StorageCluster, bag: BagId) -> Vec<Chunk> {
-        let m = cluster.num_nodes();
+    /// One endpoint per in-process plane, each over its own fresh
+    /// `m`-node cluster.
+    fn planes(m: usize, replication: usize) -> [StorageEndpoint; 2] {
+        IN_PROCESS_PLANES.map(|make| make(StorageCluster::new(m, ClusterConfig { replication })))
+    }
+
+    fn insert(
+        port: &mut RpcPort,
+        primary: usize,
+        bag: BagId,
+        c: Chunk,
+    ) -> Result<(), StorageError> {
+        port.insert_batch(primary, bag, std::slice::from_ref(&c))
+    }
+
+    fn drain_all(port: &mut RpcPort, bag: BagId) -> Vec<Chunk> {
         let mut out = Vec::new();
-        for idx in 0..m {
-            while let NodeRemove::Chunk(c) = cluster.remove(idx, bag).unwrap() {
+        for idx in 0..port.num_nodes() {
+            while let NodeRemove::Chunk(c) = port.remove(idx, bag).unwrap() {
                 out.push(c);
             }
         }
@@ -604,231 +451,257 @@ mod tests {
 
     #[test]
     fn create_seal_remove_lifecycle() {
-        let cluster = StorageCluster::new(4, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        for i in 0..8u8 {
-            cluster.insert(i as usize % 4, bag, chunk(&[i])).unwrap();
-        }
-        cluster.seal_bag(bag).unwrap();
-        assert!(cluster.is_sealed(bag).unwrap());
-        assert_eq!(
-            cluster.insert(0, bag, chunk(b"late")),
-            Err(StorageError::BagSealed(bag))
-        );
-        let got = drain_all(&cluster, bag);
-        assert_eq!(got.len(), 8);
-        // Fully drained + sealed => every node reports Eof.
-        for idx in 0..4 {
-            assert_eq!(cluster.remove(idx, bag).unwrap(), NodeRemove::Eof);
+        for ep in planes(4, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            for i in 0..8u8 {
+                insert(&mut port, i as usize % 4, bag, chunk(&[i])).unwrap();
+            }
+            cluster.seal_bag(bag).unwrap();
+            assert!(cluster.is_sealed(bag).unwrap());
+            assert_eq!(
+                insert(&mut port, 0, bag, chunk(b"late")),
+                Err(StorageError::BagSealed(bag))
+            );
+            let got = drain_all(&mut port, bag);
+            assert_eq!(got.len(), 8);
+            // Fully drained + sealed => every node reports Eof.
+            for idx in 0..4 {
+                assert_eq!(port.remove(idx, bag).unwrap(), NodeRemove::Eof);
+            }
         }
     }
 
     #[test]
     fn unsealed_empty_reports_empty_not_eof() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        assert_eq!(cluster.remove(0, bag).unwrap(), NodeRemove::Empty);
+        for ep in planes(2, 1) {
+            let bag = ep.cluster().create_bag();
+            assert_eq!(ep.port().remove(0, bag).unwrap(), NodeRemove::Empty);
+        }
     }
 
     #[test]
     fn unknown_bag_rejected() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        assert_eq!(
-            cluster.insert(0, BagId(99), chunk(b"x")),
-            Err(StorageError::UnknownBag(BagId(99)))
-        );
+        for ep in planes(2, 1) {
+            assert_eq!(
+                insert(&mut ep.port(), 0, BagId(99), chunk(b"x")),
+                Err(StorageError::UnknownBag(BagId(99)))
+            );
+        }
     }
 
     #[test]
     fn sample_aggregates_across_nodes() {
-        let cluster = StorageCluster::new(3, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"aa")).unwrap();
-        cluster.insert(1, bag, chunk(b"bbb")).unwrap();
-        let s = cluster.sample_bag(bag).unwrap();
-        assert_eq!(s.total_chunks, 2);
-        assert_eq!(s.remaining_bytes, 5);
-        assert!(!s.sealed);
-        cluster.seal_bag(bag).unwrap();
-        assert!(cluster.sample_bag(bag).unwrap().sealed);
+        for ep in planes(3, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"aa")).unwrap();
+            insert(&mut port, 1, bag, chunk(b"bbb")).unwrap();
+            let s = cluster.sample_bag(bag).unwrap();
+            assert_eq!(s.total_chunks, 2);
+            assert_eq!(s.remaining_bytes, 5);
+            assert!(!s.sealed);
+            cluster.seal_bag(bag).unwrap();
+            assert!(cluster.sample_bag(bag).unwrap().sealed);
+        }
     }
 
     #[test]
     fn replication_writes_backups() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        // Primary 0 and backup 1 both hold the chunk; backups store it
-        // under the primary's origin stream (samples count only the
-        // node's own stream, so cluster-wide sums stay exact).
-        assert_eq!(cluster.node(0).sample(bag).unwrap().total_chunks, 1);
-        assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 1);
-        assert_eq!(cluster.node(1).sample(bag).unwrap().total_chunks, 0);
-        assert!(cluster.node(2).snapshot_from(bag, 0).unwrap().is_empty());
+        for ep in planes(3, 2) {
+            let cluster = ep.cluster();
+            let bag = cluster.create_bag();
+            insert(&mut ep.port(), 0, bag, chunk(b"x")).unwrap();
+            // Primary 0 and backup 1 both hold the chunk; backups store it
+            // under the primary's origin stream (samples count only the
+            // node's own stream, so cluster-wide sums stay exact).
+            assert_eq!(cluster.node(0).sample(bag).unwrap().total_chunks, 1);
+            assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 1);
+            assert_eq!(cluster.node(1).sample(bag).unwrap().total_chunks, 0);
+            assert!(cluster.node(2).snapshot_from(bag, 0).unwrap().is_empty());
+        }
     }
 
     #[test]
     fn failover_serves_from_backup() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"a")).unwrap();
-        cluster.insert(0, bag, chunk(b"b")).unwrap();
-        cluster.seal_bag(bag).unwrap();
-        // Remove one chunk normally: backup pointer mirrors.
-        assert_eq!(
-            cluster.remove(0, bag).unwrap(),
-            NodeRemove::Chunk(chunk(b"a"))
-        );
-        // Kill the primary; the backup serves the remainder from the
-        // mirrored position.
-        cluster.node(0).fail();
-        assert_eq!(
-            cluster.remove(0, bag).unwrap(),
-            NodeRemove::Chunk(chunk(b"b"))
-        );
-        assert_eq!(cluster.remove(0, bag).unwrap(), NodeRemove::Eof);
+        for ep in planes(3, 2) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"a")).unwrap();
+            insert(&mut port, 0, bag, chunk(b"b")).unwrap();
+            cluster.seal_bag(bag).unwrap();
+            // Remove one chunk normally: backup pointer mirrors.
+            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"a")));
+            // Kill the primary; the backup serves the remainder from the
+            // mirrored position.
+            cluster.node(0).fail();
+            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"b")));
+            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Eof);
+        }
     }
 
     #[test]
     fn all_replicas_down_is_an_error() {
-        let cluster = StorageCluster::new(2, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"a")).unwrap();
-        cluster.node(0).fail();
-        cluster.node(1).fail();
-        assert_eq!(
-            cluster.remove(0, bag),
-            Err(StorageError::AllReplicasDown(bag))
-        );
+        for ep in planes(2, 2) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"a")).unwrap();
+            cluster.node(0).fail();
+            cluster.node(1).fail();
+            assert!(matches!(
+                port.remove(0, bag),
+                Err(StorageError::NodeDown(_) | StorageError::AllReplicasDown(_))
+            ));
+        }
     }
 
     #[test]
     fn insert_survives_one_down_replica() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        cluster.node(0).fail();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 1);
+        for ep in planes(3, 2) {
+            let cluster = ep.cluster();
+            let bag = cluster.create_bag();
+            cluster.node(0).fail();
+            insert(&mut ep.port(), 0, bag, chunk(b"x")).unwrap();
+            assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 1);
+        }
     }
 
     #[test]
     fn discard_then_reuse() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        cluster.seal_bag(bag).unwrap();
-        cluster.discard_bag(bag).unwrap();
-        assert!(!cluster.is_sealed(bag).unwrap());
-        cluster.insert(1, bag, chunk(b"y")).unwrap();
-        let s = cluster.sample_bag(bag).unwrap();
-        assert_eq!(s.total_chunks, 1);
+        for ep in planes(2, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"x")).unwrap();
+            cluster.seal_bag(bag).unwrap();
+            cluster.discard_bag(bag).unwrap();
+            assert!(!cluster.is_sealed(bag).unwrap());
+            insert(&mut port, 1, bag, chunk(b"y")).unwrap();
+            let s = cluster.sample_bag(bag).unwrap();
+            assert_eq!(s.total_chunks, 1);
+        }
     }
 
     #[test]
     fn rewind_allows_second_pass() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        cluster.seal_bag(bag).unwrap();
-        assert_eq!(drain_all(&cluster, bag).len(), 1);
-        cluster.rewind_bag(bag).unwrap();
-        assert!(cluster.is_sealed(bag).unwrap(), "rewind keeps the seal");
-        assert_eq!(drain_all(&cluster, bag).len(), 1);
+        for ep in planes(2, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"x")).unwrap();
+            cluster.seal_bag(bag).unwrap();
+            assert_eq!(drain_all(&mut port, bag).len(), 1);
+            cluster.rewind_bag(bag).unwrap();
+            assert!(cluster.is_sealed(bag).unwrap(), "rewind keeps the seal");
+            assert_eq!(drain_all(&mut port, bag).len(), 1);
+        }
     }
 
     #[test]
     fn collect_blocks_access() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        cluster.collect_bag(bag).unwrap();
-        assert_eq!(cluster.remove(0, bag), Err(StorageError::BagCollected(bag)));
+        for ep in planes(2, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"x")).unwrap();
+            cluster.collect_bag(bag).unwrap();
+            assert_eq!(port.remove(0, bag), Err(StorageError::BagCollected(bag)));
+        }
     }
 
     #[test]
     fn snapshot_without_replication_sees_everything() {
-        let cluster = StorageCluster::new(4, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        for i in 0..10u8 {
-            cluster.insert(i as usize % 4, bag, chunk(&[i])).unwrap();
+        for ep in planes(4, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            for i in 0..10u8 {
+                insert(&mut port, i as usize % 4, bag, chunk(&[i])).unwrap();
+            }
+            drain_all(&mut port, bag);
+            assert_eq!(cluster.snapshot_bag(bag).unwrap().len(), 10);
         }
-        drain_all(&cluster, bag);
-        assert_eq!(cluster.snapshot_bag(bag).unwrap().len(), 10);
     }
 
     #[test]
     fn snapshot_with_replication_dedups() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        for i in 0..6u8 {
-            cluster.insert(i as usize % 3, bag, chunk(&[i])).unwrap();
+        for ep in planes(3, 2) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            for i in 0..6u8 {
+                insert(&mut port, i as usize % 3, bag, chunk(&[i])).unwrap();
+            }
+            assert_eq!(cluster.snapshot_bag(bag).unwrap().len(), 6);
         }
-        assert_eq!(cluster.snapshot_bag(bag).unwrap().len(), 6);
     }
 
     #[test]
     fn add_node_grows_cluster() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        assert_eq!(cluster.num_nodes(), 2);
-        let idx = cluster.add_node();
-        assert_eq!(idx, 2);
-        assert_eq!(cluster.num_nodes(), 3);
-        let bag = cluster.create_bag();
-        cluster.insert(2, bag, chunk(b"x")).unwrap();
-        assert_eq!(cluster.node(2).sample(bag).unwrap().total_chunks, 1);
+        for ep in planes(2, 1) {
+            let cluster = ep.cluster();
+            assert_eq!(cluster.num_nodes(), 2);
+            let idx = ep.add_node();
+            assert_eq!(idx, 2);
+            assert_eq!(cluster.num_nodes(), 3);
+            let bag = cluster.create_bag();
+            insert(&mut ep.port(), 2, bag, chunk(b"x")).unwrap();
+            assert_eq!(cluster.node(2).sample(bag).unwrap().total_chunks, 1);
+        }
     }
 
     #[test]
     fn insert_batch_replicates_whole_batch() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        let chunks: Vec<Chunk> = (0..6u8).map(|i| chunk(&[i])).collect();
-        cluster.insert_batch(0, bag, &chunks).unwrap();
-        assert_eq!(cluster.node(0).sample(bag).unwrap().total_chunks, 6);
-        assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 6);
+        for ep in planes(3, 2) {
+            let cluster = ep.cluster();
+            let bag = cluster.create_bag();
+            let chunks: Vec<Chunk> = (0..6u8).map(|i| chunk(&[i])).collect();
+            ep.port().insert_batch(0, bag, &chunks).unwrap();
+            assert_eq!(cluster.node(0).sample(bag).unwrap().total_chunks, 6);
+            assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 6);
+        }
     }
 
     #[test]
     fn remove_batch_drains_and_mirrors() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        for i in 0..8u8 {
-            cluster.insert(0, bag, chunk(&[i])).unwrap();
+        for ep in planes(3, 2) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            for i in 0..8u8 {
+                insert(&mut port, 0, bag, chunk(&[i])).unwrap();
+            }
+            cluster.seal_bag(bag).unwrap();
+            let got = port.remove_batch(0, bag, 5).unwrap();
+            assert_eq!(got.chunks.len(), 5);
+            assert!(!got.eof);
+            // The backup's pointer followed the batch: a failover now
+            // serves exactly the remaining three chunks.
+            cluster.node(0).fail();
+            let rest = port.remove_batch(0, bag, 100).unwrap();
+            assert_eq!(rest.chunks.len(), 3);
+            assert!(rest.eof);
         }
-        cluster.seal_bag(bag).unwrap();
-        let got = cluster.remove_batch(0, bag, 5).unwrap();
-        assert_eq!(got.chunks.len(), 5);
-        assert!(!got.eof);
-        // The backup's pointer followed the batch: a failover now serves
-        // exactly the remaining three chunks.
-        cluster.node(0).fail();
-        let rest = cluster.remove_batch(0, bag, 100).unwrap();
-        assert_eq!(rest.chunks.len(), 3);
-        assert!(rest.eof);
     }
 
     #[test]
     fn concurrent_replicated_inserts_keep_replica_order_identical() {
-        // Count-based pointer mirroring requires every replica's origin
-        // stream to hold chunks in the same order. Hammer one primary
-        // from many threads and compare the full streams.
-        let cluster = StorageCluster::new(2, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        std::thread::scope(|s| {
-            for t in 0..4u8 {
-                let cluster = &cluster;
-                s.spawn(move || {
-                    for i in 0..500u16 {
-                        let payload = [t, i.to_le_bytes()[0], i.to_le_bytes()[1]];
-                        cluster.insert(0, bag, chunk(&payload)).unwrap();
-                    }
-                });
-            }
-        });
-        let primary = cluster.node(0).snapshot_from(bag, 0).unwrap();
-        let backup = cluster.node(1).snapshot_from(bag, 0).unwrap();
-        assert_eq!(primary.len(), 2000);
-        assert_eq!(primary, backup, "replica append order must be identical");
+        // Hammer one primary from many threads, each on its own port,
+        // and compare the full streams: the per-(bag, origin) ordering
+        // lock must give every replica the runs in the same order.
+        for ep in planes(2, 2) {
+            let cluster = ep.cluster();
+            let bag = cluster.create_bag();
+            std::thread::scope(|s| {
+                for t in 0..4u8 {
+                    let mut port = ep.port();
+                    s.spawn(move || {
+                        for i in 0..500u16 {
+                            let payload = [t, i.to_le_bytes()[0], i.to_le_bytes()[1]];
+                            insert(&mut port, 0, bag, chunk(&payload)).unwrap();
+                        }
+                    });
+                }
+            });
+            let primary = cluster.node(0).snapshot_from(bag, 0).unwrap();
+            let backup = cluster.node(1).snapshot_from(bag, 0).unwrap();
+            assert_eq!(primary.len(), 2000);
+            assert_eq!(primary, backup, "replica append order must be identical");
+        }
     }
 
     #[test]
@@ -837,51 +710,50 @@ mod tests {
         // backup already holds it, so every successful remove's mirror
         // finds a chunk to skip. Race inserts against removes, then kill
         // the primary and drain: nothing may be served twice.
-        let cluster = StorageCluster::new(2, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        let total = 2000u64;
-        let removed: Vec<Chunk> = std::thread::scope(|s| {
-            let inserter = {
-                let cluster = &cluster;
-                s.spawn(move || {
+        for ep in planes(2, 2) {
+            let cluster = ep.cluster();
+            let bag = cluster.create_bag();
+            let total = 2000u64;
+            let removed: Vec<Chunk> = std::thread::scope(|s| {
+                let mut port = ep.port();
+                let inserter = s.spawn(move || {
                     for i in 0..total {
-                        cluster.insert(0, bag, chunk(&i.to_le_bytes())).unwrap();
+                        insert(&mut port, 0, bag, chunk(&i.to_le_bytes())).unwrap();
                     }
-                })
-            };
-            let remover = {
-                let cluster = &cluster;
-                s.spawn(move || {
+                });
+                let mut port = ep.port();
+                let remover = s.spawn(move || {
                     let mut got = Vec::new();
                     while got.len() < (total / 2) as usize {
-                        match cluster.remove(0, bag).unwrap() {
+                        match port.remove(0, bag).unwrap() {
                             NodeRemove::Chunk(c) => got.push(c),
                             _ => std::thread::yield_now(),
                         }
                     }
                     got
-                })
-            };
-            inserter.join().unwrap();
-            remover.join().unwrap()
-        });
-        cluster.seal_bag(bag).unwrap();
-        cluster.node(0).fail();
-        let mut seen: std::collections::HashSet<Vec<u8>> =
-            removed.iter().map(|c| c.bytes().to_vec()).collect();
-        loop {
-            match cluster.remove(0, bag).unwrap() {
-                NodeRemove::Chunk(c) => {
-                    assert!(
-                        seen.insert(c.bytes().to_vec()),
-                        "failover re-served an already-delivered chunk"
-                    );
+                });
+                inserter.join().unwrap();
+                remover.join().unwrap()
+            });
+            cluster.seal_bag(bag).unwrap();
+            cluster.node(0).fail();
+            let mut seen: std::collections::HashSet<Vec<u8>> =
+                removed.iter().map(|c| c.bytes().to_vec()).collect();
+            let mut port = ep.port();
+            loop {
+                match port.remove(0, bag).unwrap() {
+                    NodeRemove::Chunk(c) => {
+                        assert!(
+                            seen.insert(c.bytes().to_vec()),
+                            "failover re-served an already-delivered chunk"
+                        );
+                    }
+                    NodeRemove::Eof => break,
+                    NodeRemove::Empty => unreachable!("sealed"),
                 }
-                NodeRemove::Eof => break,
-                NodeRemove::Empty => unreachable!("sealed"),
             }
+            assert_eq!(seen.len() as u64, total, "chunks lost across failover");
         }
-        assert_eq!(seen.len() as u64, total, "chunks lost across failover");
     }
 
     #[test]
@@ -891,51 +763,54 @@ mod tests {
         // a log that never saw it. The group-level remove must keep
         // probing past the primary's empty serve and deliver the
         // marooned chunk instead of declaring a premature end-of-bag.
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        cluster.node(0).fail();
-        cluster.insert(0, bag, chunk(b"marooned")).unwrap(); // backup 1 only
-        cluster.node(0).recover();
-        cluster.seal_bag(bag).unwrap();
-        let got = cluster.remove_batch(0, bag, 8).unwrap();
-        assert_eq!(got.chunks, vec![chunk(b"marooned")]);
-        let end = cluster.remove_batch(0, bag, 8).unwrap();
-        assert!(end.chunks.is_empty() && end.eof);
+        for ep in planes(3, 2) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            cluster.node(0).fail();
+            insert(&mut port, 0, bag, chunk(b"marooned")).unwrap(); // backup 1 only
+            cluster.node(0).recover();
+            cluster.seal_bag(bag).unwrap();
+            let got = port.remove_batch(0, bag, 8).unwrap();
+            assert_eq!(got.chunks, vec![chunk(b"marooned")]);
+            let end = port.remove_batch(0, bag, 8).unwrap();
+            assert!(end.chunks.is_empty() && end.eof);
+        }
     }
 
     #[test]
     fn durable_cluster_recovers_node_from_shared_store() {
-        let store = SegmentStore::mem();
-        let cluster = StorageCluster::new_durable(
-            2,
-            ClusterConfig::default(),
-            DurabilityConfig {
-                store,
-                spill_threshold_bytes: u64::MAX,
-            },
-        );
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        cluster.node(0).crash_lose_memory();
-        cluster.node(0).restart_recover().unwrap();
-        assert_eq!(
-            cluster.remove(0, bag).unwrap(),
-            NodeRemove::Chunk(chunk(b"x"))
-        );
-        // Nodes added later join the same store.
-        let idx = cluster.add_node();
-        assert!(cluster.node(idx).is_durable());
+        for make in IN_PROCESS_PLANES {
+            let ep = make(StorageCluster::new_durable(
+                2,
+                ClusterConfig::default(),
+                DurabilityConfig {
+                    store: SegmentStore::mem(),
+                    spill_threshold_bytes: u64::MAX,
+                },
+            ));
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"x")).unwrap();
+            cluster.node(0).crash_lose_memory();
+            cluster.node(0).restart_recover().unwrap();
+            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+            // Nodes added later join the same store.
+            let idx = cluster.add_node();
+            assert!(cluster.node(idx).is_durable());
+        }
     }
 
     #[test]
     fn remove_batch_eof_follows_cluster_seal() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        let got = cluster.remove_batch(0, bag, 4).unwrap();
-        assert!(got.chunks.is_empty() && !got.eof, "unsealed: pending");
-        cluster.seal_bag(bag).unwrap();
-        let got = cluster.remove_batch(0, bag, 4).unwrap();
-        assert!(got.eof, "sealed and empty: end of bag");
+        for ep in planes(2, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            let got = port.remove_batch(0, bag, 4).unwrap();
+            assert!(got.chunks.is_empty() && !got.eof, "unsealed: pending");
+            cluster.seal_bag(bag).unwrap();
+            let got = port.remove_batch(0, bag, 4).unwrap();
+            assert!(got.eof, "sealed and empty: end of bag");
+        }
     }
 
     #[test]
@@ -945,26 +820,28 @@ mod tests {
         // runs: the primary answers empty while the backup would serve
         // the same chunks again. B's claim at the primary must reveal
         // the concurrent serve so B drops them.
-        let cluster = StorageCluster::new(2, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        cluster.insert(0, bag, chunk(b"y")).unwrap();
-        // Reader A, mid-flight: consumed at the primary, mirror pending.
-        let served = cluster.node(0).remove_batch(bag, 8).unwrap();
-        assert_eq!(served.chunks.len(), 2);
-        // Reader B via the cluster: primary empty, backup serves, claim
-        // reports both chunks already delivered.
-        let got = cluster.remove_batch(0, bag, 8).unwrap();
-        assert!(
-            got.chunks.is_empty(),
-            "claim must drop concurrently served chunks, got {:?}",
-            got.chunks
-        );
-        // The backup's pointer advanced with the claim-drop: the group
-        // is drained for good.
-        cluster.seal_bag(bag).unwrap();
-        let end = cluster.remove_batch(0, bag, 8).unwrap();
-        assert!(end.chunks.is_empty() && end.eof);
+        for ep in planes(2, 2) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"x")).unwrap();
+            insert(&mut port, 0, bag, chunk(b"y")).unwrap();
+            // Reader A, mid-flight: consumed at the primary, mirror pending.
+            let served = cluster.node(0).remove_batch(bag, 8).unwrap();
+            assert_eq!(served.chunks.len(), 2);
+            // Reader B through a port: primary empty, backup serves,
+            // claim reports both chunks already delivered.
+            let got = port.remove_batch(0, bag, 8).unwrap();
+            assert!(
+                got.chunks.is_empty(),
+                "claim must drop concurrently served chunks, got {:?}",
+                got.chunks
+            );
+            // The backup's pointer advanced with the claim-drop: the group
+            // is drained for good.
+            cluster.seal_bag(bag).unwrap();
+            let end = port.remove_batch(0, bag, 8).unwrap();
+            assert!(end.chunks.is_empty() && end.eof);
+        }
     }
 
     #[test]
@@ -975,41 +852,42 @@ mod tests {
         // probe delivers the marooned chunk exactly once; a replicated
         // insert of the same identity arriving at the primary later
         // lands already consumed.
-        let cluster = StorageCluster::new(2, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        let run = next_run_id();
-        cluster
-            .node(1)
-            .insert_run(bag, &[chunk(b"marooned")], 0, run)
-            .unwrap();
-        let got = cluster.remove_batch(0, bag, 8).unwrap();
-        assert_eq!(got.chunks, vec![chunk(b"marooned")]);
-        // The in-flight replicated copy lands at the primary after the
-        // serve: the claim pre-consumed its identity, so it can never
-        // be served a second time.
-        cluster
-            .node(0)
-            .insert_run(bag, &[chunk(b"marooned")], 0, run)
-            .unwrap();
-        cluster.seal_bag(bag).unwrap();
-        let end = cluster.remove_batch(0, bag, 8).unwrap();
-        assert!(end.chunks.is_empty() && end.eof, "got {:?}", end.chunks);
+        for ep in planes(2, 2) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            let run = next_run_id();
+            cluster
+                .node(1)
+                .insert_run(bag, &[chunk(b"marooned")], 0, run)
+                .unwrap();
+            let got = port.remove_batch(0, bag, 8).unwrap();
+            assert_eq!(got.chunks, vec![chunk(b"marooned")]);
+            // The in-flight replicated copy lands at the primary after the
+            // serve: the claim pre-consumed its identity, so it can never
+            // be served a second time.
+            cluster
+                .node(0)
+                .insert_run(bag, &[chunk(b"marooned")], 0, run)
+                .unwrap();
+            cluster.seal_bag(bag).unwrap();
+            let end = port.remove_batch(0, bag, 8).unwrap();
+            assert!(end.chunks.is_empty() && end.eof, "got {:?}", end.chunks);
+        }
     }
 
     #[test]
     fn drain_node_rejects_inserts_but_serves() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        cluster.insert(0, bag, chunk(b"x")).unwrap();
-        cluster.drain_node(0);
-        assert!(matches!(
-            cluster.insert(0, bag, chunk(b"y")),
-            Err(StorageError::NodeDraining(_))
-        ));
-        assert_eq!(
-            cluster.remove(0, bag).unwrap(),
-            NodeRemove::Chunk(chunk(b"x"))
-        );
-        assert!(cluster.node(0).is_drained().unwrap());
+        for ep in planes(2, 1) {
+            let (cluster, mut port) = (ep.cluster(), ep.port());
+            let bag = cluster.create_bag();
+            insert(&mut port, 0, bag, chunk(b"x")).unwrap();
+            cluster.drain_node(0);
+            assert!(matches!(
+                insert(&mut port, 0, bag, chunk(b"y")),
+                Err(StorageError::NodeDraining(_))
+            ));
+            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+            assert!(cluster.node(0).is_drained().unwrap());
+        }
     }
 }

@@ -1,23 +1,25 @@
 //! One unified way to reach storage: the [`StorageEndpoint`] builder.
 //!
-//! Hurricane grew four ways to open a [`BagClient`] — direct cluster
-//! calls, inline RPC dispatch, channel servers, and hand-built ports —
-//! each with its own constructor and its own knob plumbing. A
-//! `StorageEndpoint` replaces all of them: pick a *plane*, set the
-//! shared knobs once, and mint as many clients and ports as needed.
+//! There is one data plane — the storage protocol of [`crate::rpc`],
+//! spoken by an [`RpcPort`] — and four *planes* that differ only in the
+//! transport under it. A `StorageEndpoint` picks the plane, holds the
+//! shared knobs, and mints as many clients and ports as needed.
 //!
-//! | constructor | data path | use |
+//! | constructor | transport | use |
 //! |---|---|---|
-//! | [`StorageEndpoint::direct`] | in-process method calls | tests, benches, single-process runs |
-//! | [`StorageEndpoint::inline`] | RPC messages, same-thread dispatch | protocol testing without thread hops |
-//! | [`StorageEndpoint::channel`] | RPC over in-process channel servers | multi-threaded single-process runs |
-//! | [`StorageEndpoint::tcp`] | RPC over sockets to `hurricane-node` processes | real clusters |
-//! | [`StorageEndpoint::custom`] | RPC over caller-supplied connectors | fault simulation, harnesses |
+//! | [`StorageEndpoint::inline`] | dispatch on the caller's thread | single-process runs (the engine's default), tests, benches |
+//! | [`StorageEndpoint::channel`] | in-process channel servers, per-node dispatch pools | single-process runs with real request concurrency |
+//! | [`StorageEndpoint::tcp`] | sockets to `hurricane-node` processes | real clusters |
+//! | [`StorageEndpoint::custom`] | caller-supplied connectors | fault simulation, harnesses |
 //!
-//! Every non-direct plane is membership-backed: clients and prefetchers
-//! observe [`Membership`] epoch bumps and extend themselves to nodes
-//! that join mid-job (`tcp` via [`JoinServer`], `channel` via
-//! [`StorageEndpoint::sync`] after [`StorageCluster::add_node`]).
+//! [`StorageEndpoint::direct`] is an alias of `inline`, kept because
+//! `benchmark/` still calls it by that name.
+//!
+//! Every plane is membership-backed: clients and prefetchers observe
+//! [`Membership`] epoch bumps and extend themselves to nodes that join
+//! mid-job (`tcp` via [`JoinServer`], `inline` straight from
+//! [`StorageCluster::add_node`], `channel` once [`StorageEndpoint::sync`]
+//! has started the new node's server).
 //!
 //! Knobs are consuming builder methods; set them before sharing the
 //! endpoint:
@@ -36,7 +38,7 @@
 //! endpoint.shutdown();
 //! ```
 
-use crate::bag::{BagClient, StoragePort};
+use crate::bag::BagClient;
 use crate::cluster::{ClusterConfig, StorageCluster};
 use crate::membership::Membership;
 use crate::rpc::{
@@ -50,17 +52,16 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which data plane an endpoint reaches storage over.
+/// Which transport an endpoint's ports reach storage over.
 enum Plane {
-    /// Direct in-process method calls on the cluster.
-    Direct(Arc<StorageCluster>),
-    /// RPC envelopes dispatched inline on the caller's thread.
+    /// Envelopes dispatched inline on the caller's thread, over the
+    /// cluster's own membership of inline connectors.
     Inline(Arc<StorageCluster>),
     /// RPC over in-process channel servers; the [`StorageRpc`] is built
     /// lazily so builder knobs set after the constructor still apply.
     Channel {
         cluster: Arc<StorageCluster>,
-        rpc: Mutex<Option<Arc<StorageRpc>>>,
+        rpc: Mutex<Option<StorageRpc>>,
     },
     /// RPC over a live membership of caller-reachable nodes: TCP members
     /// ([`TcpConnector`]) or custom connectors (fault simulation).
@@ -94,22 +95,23 @@ impl StorageEndpoint {
         }
     }
 
-    /// Direct in-process calls on `cluster` — no RPC boundary.
+    /// [`StorageEndpoint::inline`] under the name `benchmark/` still
+    /// calls; goes with that package's migration.
     pub fn direct(cluster: Arc<StorageCluster>) -> Self {
-        Self::with_plane(Plane::Direct(cluster))
+        Self::inline(cluster)
     }
 
-    /// The RPC message protocol with inline dispatch: envelopes are
-    /// built and served on the caller's thread. The full protocol
-    /// without the thread hops, for colocated compute and storage.
+    /// The storage protocol with inline dispatch: envelopes are built
+    /// and served on the caller's thread. The full protocol — dedup,
+    /// correlation, replica fan-out — without the thread hops, for
+    /// colocated compute and storage.
     pub fn inline(cluster: Arc<StorageCluster>) -> Self {
         Self::with_plane(Plane::Inline(cluster))
     }
 
     /// RPC over in-process channel servers: per-node dispatch pools,
     /// real concurrency, no sockets. The servers start on first use and
-    /// honor [`StorageEndpoint::with_dispatch_threads`] /
-    /// [`StorageEndpoint::with_request_timeout`].
+    /// honor [`StorageEndpoint::with_dispatch_threads`].
     pub fn channel(cluster: Arc<StorageCluster>) -> Self {
         Self::with_plane(Plane::Channel {
             cluster,
@@ -161,7 +163,8 @@ impl StorageEndpoint {
 
     // -- knobs ------------------------------------------------------------
 
-    /// Per-request reply timeout (default 10 s).
+    /// Per-request reply timeout (default 10 s). Never reached on the
+    /// inline plane, where a request is answered before `send` returns.
     pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
@@ -205,67 +208,41 @@ impl StorageEndpoint {
     /// The cluster holding this endpoint's metadata authority.
     pub fn cluster(&self) -> &Arc<StorageCluster> {
         match &self.plane {
-            Plane::Direct(c) | Plane::Inline(c) => c,
-            Plane::Channel { cluster, .. } | Plane::Mesh { cluster, .. } => cluster,
+            Plane::Inline(cluster)
+            | Plane::Channel { cluster, .. }
+            | Plane::Mesh { cluster, .. } => cluster,
         }
     }
 
-    /// The live membership view, if this plane has one (`channel`,
-    /// `tcp`, `custom`). Direct and inline planes read the cluster
-    /// itself and need no membership.
-    pub fn membership(&self) -> Option<Membership> {
+    /// The live membership view this endpoint's ports refresh against.
+    pub fn membership(&self) -> Membership {
         match &self.plane {
-            Plane::Direct(_) | Plane::Inline(_) => None,
-            Plane::Channel { .. } => Some(self.channel_rpc().membership().clone()),
-            Plane::Mesh { membership, .. } => Some(membership.clone()),
+            Plane::Inline(cluster) => cluster.inline_membership().clone(),
+            Plane::Channel { cluster, rpc } => rpc
+                .lock()
+                .get_or_insert_with(|| StorageRpc::serve(cluster.clone(), self.dispatch_threads))
+                .membership()
+                .clone(),
+            Plane::Mesh { membership, .. } => membership.clone(),
         }
     }
 
-    /// The lazily started channel-plane [`StorageRpc`]. Panics on other
-    /// planes (callers reaching for the rpc know they built `channel`).
-    fn channel_rpc(&self) -> Arc<StorageRpc> {
-        let Plane::Channel { cluster, rpc } = &self.plane else {
-            panic!("not a channel endpoint");
-        };
-        rpc.lock()
-            .get_or_insert_with(|| {
-                Arc::new(StorageRpc::serve_with(
-                    cluster.clone(),
-                    self.dispatch_threads,
-                    self.timeout,
-                ))
-            })
-            .clone()
-    }
-
-    /// Opens a fresh data-plane port, or `None` on the direct plane
-    /// (which has no RPC port by construction).
-    pub fn port(&self) -> Option<RpcPort> {
-        let mut port = match &self.plane {
-            Plane::Direct(_) => return None,
-            Plane::Inline(cluster) => RpcPort::inline(cluster.clone()),
-            Plane::Channel { .. } => self.channel_rpc().port(),
-            Plane::Mesh {
-                cluster,
-                membership,
-                ..
-            } => RpcPort::from_membership(cluster.clone(), membership.clone(), self.timeout),
-        };
+    /// Opens a fresh data-plane port: one private connection to every
+    /// current member, with the shared knobs applied.
+    pub fn port(&self) -> RpcPort {
+        let mut port =
+            RpcPort::from_membership(self.cluster().clone(), self.membership(), self.timeout);
         port.set_retry_policy(self.retry);
         if let Some(credit) = self.writer_credit {
             port.set_writer_credit(credit);
         }
-        Some(port)
+        port
     }
 
     /// Opens a bag client for `bag`. Give each client a distinct `seed`
     /// so placement cycles decorrelate across workers.
     pub fn client(&self, bag: BagId, seed: u64) -> BagClient {
-        let port = match self.port() {
-            None => StoragePort::Direct(self.cluster().clone()),
-            Some(port) => StoragePort::Rpc(port),
-        };
-        let client = BagClient::with_port(port, bag, seed);
+        let client = BagClient::with_port(self.port(), bag, seed);
         if self.coalesce_chunks > 0 {
             client.with_coalescing(self.coalesce_chunks)
         } else {
@@ -275,11 +252,11 @@ impl StorageEndpoint {
 
     // -- membership control ----------------------------------------------
 
-    /// Publishes cluster nodes added since the last sync to the RPC
-    /// plane. Required on the `channel` plane after
-    /// [`StorageCluster::add_node`]; a no-op elsewhere (`tcp` joins
-    /// arrive through the join server, direct/inline read the live
-    /// cluster).
+    /// Starts a channel server for every cluster node added since the
+    /// last sync and publishes it in the membership. Required on the
+    /// `channel` plane after [`StorageCluster::add_node`]; a no-op
+    /// elsewhere (`tcp` joins arrive through the join server, and
+    /// `add_node` itself joins the inline membership).
     pub fn sync(&self) {
         if let Plane::Channel { rpc, .. } = &self.plane {
             if let Some(rpc) = rpc.lock().as_ref() {
@@ -338,7 +315,7 @@ impl StorageEndpoint {
                     server.shutdown();
                 }
             }
-            Plane::Direct(_) | Plane::Inline(_) => {}
+            Plane::Inline(_) => {}
         }
     }
 }
@@ -346,7 +323,6 @@ impl StorageEndpoint {
 impl std::fmt::Debug for StorageEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mode = match &self.plane {
-            Plane::Direct(_) => "direct",
             Plane::Inline(_) => "inline",
             Plane::Channel { .. } => "channel",
             Plane::Mesh { .. } => "mesh",
@@ -358,6 +334,11 @@ impl std::fmt::Debug for StorageEndpoint {
             .finish()
     }
 }
+
+/// The in-process planes, for tests that run one body over each.
+#[cfg(test)]
+pub(crate) const IN_PROCESS_PLANES: [fn(Arc<StorageCluster>) -> StorageEndpoint; 2] =
+    [StorageEndpoint::inline, StorageEndpoint::channel];
 
 #[cfg(test)]
 mod tests {
@@ -384,11 +365,7 @@ mod tests {
 
     #[test]
     fn every_in_process_plane_roundtrips() {
-        for make in [
-            StorageEndpoint::direct as fn(Arc<StorageCluster>) -> StorageEndpoint,
-            StorageEndpoint::inline,
-            StorageEndpoint::channel,
-        ] {
+        for make in IN_PROCESS_PLANES {
             let cluster = StorageCluster::new(3, ClusterConfig::default());
             let endpoint = make(cluster).with_retry_attempts(2);
             roundtrip(&endpoint, 40);
@@ -397,28 +374,35 @@ mod tests {
     }
 
     #[test]
-    fn direct_plane_has_no_port() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        assert!(StorageEndpoint::direct(cluster.clone()).port().is_none());
-        assert!(StorageEndpoint::inline(cluster).port().is_some());
+    fn every_plane_mints_a_port() {
+        for make in IN_PROCESS_PLANES {
+            let endpoint = make(StorageCluster::new(2, ClusterConfig::default()));
+            assert_eq!(endpoint.port().num_nodes(), 2);
+            assert_eq!(endpoint.membership().len(), 2);
+            let bag = endpoint.cluster().create_bag();
+            assert!(endpoint.client(bag, 1).port_stats().is_some());
+            endpoint.shutdown();
+        }
     }
 
     #[test]
     fn channel_add_node_is_visible_to_refreshed_clients() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        let endpoint = StorageEndpoint::channel(cluster.clone());
-        let mut client = endpoint.client(bag, 3);
-        let idx = endpoint.add_node();
-        client.refresh_membership();
-        for v in 0..30 {
-            client.insert(chunk(v)).unwrap();
+        for make in IN_PROCESS_PLANES {
+            let cluster = StorageCluster::new(2, ClusterConfig::default());
+            let bag = cluster.create_bag();
+            let endpoint = make(cluster.clone());
+            let mut client = endpoint.client(bag, 3);
+            let idx = endpoint.add_node();
+            client.refresh_membership();
+            for v in 0..30 {
+                client.insert(chunk(v)).unwrap();
+            }
+            assert!(
+                cluster.node(idx).sample(bag).unwrap().total_chunks >= 9,
+                "added node must receive its cyclic share"
+            );
+            endpoint.shutdown();
         }
-        assert!(
-            cluster.node(idx).sample(bag).unwrap().total_chunks >= 9,
-            "added node must receive its cyclic share"
-        );
-        endpoint.shutdown();
     }
 
     #[test]
@@ -456,7 +440,7 @@ mod tests {
     #[test]
     fn serve_joins_rejects_in_process_planes() {
         let cluster = StorageCluster::new(1, ClusterConfig::default());
-        let endpoint = StorageEndpoint::direct(cluster);
+        let endpoint = StorageEndpoint::inline(cluster);
         assert!(endpoint.serve_joins("127.0.0.1:0").is_err());
     }
 }

@@ -12,25 +12,29 @@
 //! * [`node`] — one storage node: append-only chunk logs per bag, a
 //!   sequential read pointer (exactly-once removal), sampling, rewind,
 //!   sealing, and fault injection.
-//! * [`cluster`] — the set of storage nodes plus bag metadata, primary–
-//!   backup replication, failover, and dynamic node addition / draining
-//!   (paper §3.4, §4.4).
+//! * [`cluster`] — the set of storage nodes plus bag metadata (the
+//!   sealed-flag authority), whole-bag control operations (seal / rewind /
+//!   discard / collect / sample / snapshot), and dynamic node addition /
+//!   draining (paper §3.4). It moves no chunks.
 //! * [`placement`] — the pseudorandom cyclic permutation policy that
 //!   decides which node receives each insert / serves each remove. Pure,
 //!   shared with the simulator.
 //! * [`batch`] — batch-sampling math: the utilization lower bound of
 //!   paper Eq. 1 and a Monte-Carlo counterpart used to validate it.
-//! * [`rpc`] — the explicit message boundary between compute and storage:
-//!   request/response enums covering the node API, a [`rpc::Transport`]
-//!   trait (in-process channels today, a network socket tomorrow),
-//!   per-node server loops, the correlation layer that lets clients
-//!   keep many requests in flight, and retry-safe request semantics
-//!   (bounded retransmission under a server-side dedup window, so a
-//!   duplicated or retried envelope can never double-insert or lose a
-//!   removed chunk).
+//! * [`rpc`] — the data plane, and the explicit message boundary between
+//!   compute and storage. [`RpcPort`] is the one implementation of
+//!   primary–backup replication, failover and pointer mirroring (paper
+//!   §4.4); under it sit request/response enums covering the node API,
+//!   a [`rpc::Transport`] trait (inline dispatch, in-process channels,
+//!   sockets), per-node server loops, the correlation layer that lets
+//!   clients keep many requests in flight, and retry-safe request
+//!   semantics (bounded retransmission under a server-side dedup window,
+//!   so a duplicated or retried envelope can never double-insert or lose
+//!   a removed chunk).
 //! * [`bag`] — `BagClient`, the per-worker handle combining placement with
-//!   cluster access over either the direct or the RPC port; [`prefetch`]
-//!   adds the b-outstanding-requests pipeline.
+//!   a port; [`prefetch`] adds the b-outstanding-requests pipeline.
+//! * [`endpoint`] — picks the transport under the ports (inline, channel
+//!   servers, TCP, custom) and carries the shared client knobs.
 //! * [`segment`] — the durable storage plane (`SEGMENT.md`): append-only
 //!   CRC-framed segment logs, one per bag, on disk or on the fault
 //!   simulator's in-memory virtual disk. Durable nodes

@@ -4,8 +4,8 @@
 //! Before this module, every RPC surface froze the node set at
 //! construction time: `StorageRpc::serve` snapshotted the cluster,
 //! `RpcPort` held a fixed connection vector, and a node added to the
-//! cluster afterwards was reachable only through the direct in-process
-//! API. A [`Membership`] is the shared, versioned view that replaces
+//! cluster afterwards was unreachable through them. A [`Membership`] is
+//! the shared, versioned view that replaces
 //! those snapshots: an ordered list of members (index = cluster node
 //! index) plus an **epoch** counter bumped on every change. Holders of
 //! the view — [`crate::rpc::RpcPort`] via
@@ -178,16 +178,12 @@ impl std::fmt::Debug for Membership {
 mod tests {
     use super::*;
     use crate::node::StorageNode;
-    use crate::rpc::InlineTransport;
+    use crate::rpc::InlineConnector;
 
-    struct InlineConnector {
-        node: Arc<StorageNode>,
-    }
-
-    impl Connect for InlineConnector {
-        fn connect(&self) -> Result<Box<dyn Transport>, StorageError> {
-            Ok(Box::new(InlineTransport::new(self.node.clone())))
-        }
+    fn inline(id: u32) -> Arc<InlineConnector> {
+        Arc::new(InlineConnector::new(Arc::new(StorageNode::new(
+            StorageNodeId(id),
+        ))))
     }
 
     #[test]
@@ -195,12 +191,8 @@ mod tests {
         let ms = Membership::new();
         assert_eq!(ms.epoch(), 0);
         assert!(ms.is_empty());
-        let a = ms.join(Arc::new(InlineConnector {
-            node: Arc::new(StorageNode::new(StorageNodeId(0))),
-        }));
-        let b = ms.join(Arc::new(InlineConnector {
-            node: Arc::new(StorageNode::new(StorageNodeId(1))),
-        }));
+        let a = ms.join(inline(0));
+        let b = ms.join(inline(1));
         assert_eq!((a, b), (StorageNodeId(0), StorageNodeId(1)));
         assert_eq!(ms.epoch(), 2);
         assert_eq!(ms.len(), 2);
@@ -213,9 +205,7 @@ mod tests {
     fn clones_share_one_view() {
         let ms = Membership::new();
         let other = ms.clone();
-        ms.join(Arc::new(InlineConnector {
-            node: Arc::new(StorageNode::new(StorageNodeId(0))),
-        }));
+        ms.join(inline(0));
         assert_eq!(other.len(), 1);
         assert_eq!(other.epoch(), ms.epoch());
     }
@@ -223,8 +213,7 @@ mod tests {
     #[test]
     fn member_connector_dials() {
         let ms = Membership::new();
-        let node = Arc::new(StorageNode::new(StorageNodeId(0)));
-        ms.join(Arc::new(InlineConnector { node }));
+        ms.join(inline(0));
         let member = ms.member(0).unwrap();
         let transport = member.connector.connect().unwrap();
         assert_eq!(transport.node(), StorageNodeId(0));

@@ -4,18 +4,32 @@
 //! that storage stays busy and workers are never starved — "essentially
 //! overlapping computation and communication through prefetching of
 //! chunks". The prefetcher runs one background fetcher thread per
-//! consuming worker and delivers chunks through a bounded queue; how the
-//! fetcher talks to storage depends on the client's port:
+//! consuming worker and delivers chunks through a bounded queue.
 //!
-//! * **Direct port** (in-process method calls): one synchronous probe
-//!   round at a time, each asking the bag for up to `b` chunks
-//!   ([`BagClient::try_remove_batch`]). The queue bound stands in for the
-//!   outstanding-request budget.
-//! * **RPC port** ([`crate::rpc`]): a true pipeline. The fetcher keeps up
-//!   to `b` *concurrently outstanding* `RemoveBatch` requests against
-//!   distinct storage nodes (walking the client's pseudorandom cyclic
-//!   order) and collects completions as they arrive, so storage-side
-//!   latency is overlapped across nodes exactly as the paper describes.
+//! There is one fetch loop, whatever transport the client's port wraps.
+//! The fetcher keeps up to `min(b, m)` remove probes *concurrently
+//! outstanding* against distinct replica groups (walking the client's
+//! pseudorandom cyclic order; `RpcPort::submit_remove`) and collects
+//! completions as they arrive (`RpcPort::poll_remove`), so storage-side
+//! latency is overlapped across nodes exactly as the paper describes. On
+//! the inline plane a probe is answered before `submit_remove` returns
+//! and the pipeline degenerates to eager execution; nothing else differs.
+//! Everything inside one replica group — fail-over, mirroring, the
+//! sealed-flag end-of-bag — is the port's; this module only schedules
+//! probes and adds their answers up.
+//!
+//! # The late-binding invariant: a reader holds at most `b` chunks in flight
+//!
+//! A chunk a probe has claimed is bound to this reader and is invisible
+//! to every other one — to a clone the master is about to create, and to
+//! the master's sample that decides whether to create it. Late binding
+//! (paper §2.2) is only worth anything while the unread work is still in
+//! the bag, so the fetcher's claim is bounded by the paper's `b`, not by
+//! `b` per node: each probe asks for `⌈b / min(b, m)⌉` chunks, so the
+//! probes in flight never request more than `b + min(b, m) − 1` chunks
+//! together (exactly `b` when `min(b, m)` divides `b`), and no new probe
+//! goes out while the fetcher is parked on a full handoff queue (at most
+//! `HANDOFF_RUNS` = 2 answered probes waiting for the consumer).
 //!
 //! Transport failures are *surfaced*: a fetcher that loses its connection
 //! mid-stream sends the error to the consumer rather than ending the
@@ -24,22 +38,22 @@
 //! drained bag and a dead fetcher are never confused.
 //!
 //! The fetcher→consumer handoff is **batched**: each completed probe (a
-//! whole `RemoveBatch` reply, up to `b` chunks) crosses the bounded
-//! queue as one run, not one channel operation per chunk. The consumer
-//! side buffers the current run and serves [`Prefetcher::recv`] from it,
-//! so per-chunk delivery cost is a `VecDeque` pop, and the channel's
-//! synchronization is paid once per batch.
+//! whole `RemoveBatch` reply) crosses the bounded queue as one run, not
+//! one channel operation per chunk. The consumer side buffers the current
+//! run and serves [`Prefetcher::recv`] from it, so per-chunk delivery
+//! cost is a `VecDeque` pop, and the channel's synchronization is paid
+//! once per batch.
 
-use crate::bag::{BagClient, BatchRemoveResult, StoragePort};
+use crate::bag::BagClient;
 use crate::error::StorageError;
-use crate::rpc::{CompletionToken, StorageRequest, StorageResponse};
+use crate::rpc::{RemoveProbe, RpcPort};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use hurricane_format::Chunk;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How many chunk runs the fetcher→consumer queue buffers. Two gives
 /// double buffering (the fetcher refills one run while the consumer
@@ -68,9 +82,9 @@ pub struct Prefetcher {
 }
 
 impl Prefetcher {
-    /// Spawns a fetcher over `client` keeping up to `batch_factor` chunks
-    /// buffered (and, over an RPC port, up to `batch_factor` requests in
-    /// flight).
+    /// Spawns a fetcher over `client` holding at most `batch_factor`
+    /// chunks in flight, spread over up to `batch_factor` concurrently
+    /// outstanding probes (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -82,16 +96,9 @@ impl Prefetcher {
         let ended = Arc::new(AtomicBool::new(false));
         let shutdown2 = shutdown.clone();
         let ended2 = ended.clone();
-        let pipelined = matches!(client.port, StoragePort::Rpc(_));
         let handle = std::thread::Builder::new()
             .name(format!("prefetch-{}", client.bag_id()))
-            .spawn(move || {
-                if pipelined {
-                    pipelined_fetch(client, batch_factor, &tx, &shutdown2, &ended2);
-                } else {
-                    direct_fetch(client, batch_factor, &tx, &shutdown2, &ended2);
-                }
-            })
+            .spawn(move || fetch(client, batch_factor, &tx, &shutdown2, &ended2))
             .expect("spawning prefetch thread");
         Self {
             rx: Some(rx),
@@ -155,46 +162,7 @@ impl Drop for Prefetcher {
     }
 }
 
-/// The synchronous fetch loop used over a direct (in-process) port: one
-/// batched probe round outstanding at a time.
-fn direct_fetch(
-    mut client: BagClient,
-    batch_factor: usize,
-    tx: &Sender<Result<Vec<Chunk>, StorageError>>,
-    shutdown: &AtomicBool,
-    ended: &AtomicBool,
-) {
-    let mut backoff_us = 10u64;
-    while !shutdown.load(Ordering::Acquire) {
-        // Grow the placement cycles over nodes added mid-stream.
-        client.refresh_membership();
-        match client.try_remove_batch(batch_factor) {
-            Ok(BatchRemoveResult::Chunks(chunks)) => {
-                backoff_us = 10;
-                // One handoff per probe round. A failed send means the
-                // consumer dropped the handle; exit immediately.
-                if tx.send(Ok(chunks)).is_err() {
-                    return;
-                }
-            }
-            Ok(BatchRemoveResult::Pending) => {
-                std::thread::sleep(Duration::from_micros(backoff_us));
-                backoff_us = (backoff_us * 2).min(1000);
-            }
-            Ok(BatchRemoveResult::Drained) => {
-                ended.store(true, Ordering::Release);
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                ended.store(true, Ordering::Release);
-                return;
-            }
-        }
-    }
-}
-
-/// What the last completed request from a node reported.
+/// What the last completed probe of a replica group reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeLast {
     /// No completion yet.
@@ -203,41 +171,20 @@ enum NodeLast {
     Chunks,
     /// Exhausted with nothing to give, bag not at end-of-file there.
     Empty,
-    /// End-of-file: sealed and exhausted. The node is done for good.
+    /// End-of-file: sealed and exhausted. The group is done for good.
     Eof,
     /// Unreachable (node down / all its replicas down).
     Down,
 }
 
-/// How long the collector blocks on one connection when no completion is
-/// ready anywhere — short, so top-up latency stays bounded.
+/// How long the collector blocks when no completion is ready anywhere —
+/// short, so top-up latency stays bounded.
 const PUMP_WAIT: Duration = Duration::from_micros(200);
 
-/// Resubmission budget for one logical probe: how many times a request
-/// whose reply never arrives is retransmitted (under its original
-/// sequence number, so the server dedup window replays rather than
-/// re-executes) before the node is written off as unreachable.
-const PREFETCH_ATTEMPTS: u32 = 8;
-
-/// One in-flight `RemoveBatch` probe against one node.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    token: CompletionToken,
-    /// Cluster sealed flag read before the ORIGINAL submit (retries keep
-    /// it: a retransmission is the same logical request).
-    sealed_at_submit: bool,
-    /// The probe's sequence number, reused by every retransmission.
-    seq: u64,
-    /// When the current attempt went on the wire.
-    issued: Instant,
-    /// Attempts made so far (≥ 1 once in flight).
-    attempts: u32,
-}
-
-/// The pipelined fetch loop used over an RPC port: keeps up to `b`
-/// `RemoveBatch` requests outstanding against distinct nodes and collects
-/// completions out of order.
-fn pipelined_fetch(
+/// The fetch loop: keeps up to `min(b, m)` remove probes outstanding
+/// against distinct replica groups, `b` chunks requested between them,
+/// and collects completions out of order.
+fn fetch(
     mut client: BagClient,
     b: usize,
     tx: &Sender<Result<Vec<Chunk>, StorageError>>,
@@ -247,34 +194,14 @@ fn pipelined_fetch(
     let bag = client.bag;
     let mut m = client.remove_cursor.len();
     let mut target = b.min(m).max(1);
-    // At most one outstanding request per node (the paper spreads the `b`
-    // requests over distinct nodes); `tokens[i]` is node i's in-flight
-    // request plus the cluster sealed flag captured *at submit time* —
-    // sealed-before-probe is what makes an `exhausted && sealed`
-    // conclusion safe (a sealed bag rejects inserts, so nothing can land
-    // after a pre-probe sealed read; a post-completion read would race a
-    // concurrent insert-then-seal and drop the inserted chunk).
-    let mut tokens: Vec<Option<InFlight>> = vec![None; m];
+    // At most one outstanding probe per group (the paper spreads the `b`
+    // requests over distinct nodes); `probes[i]` is the one whose primary
+    // is node i.
+    let mut probes: Vec<Option<RemoveProbe>> = (0..m).map(|_| None).collect();
     let mut last: Vec<NodeLast> = vec![NodeLast::Unknown; m];
     let mut outstanding = 0usize;
     let mut empty_streak = 0usize;
     let mut backoff_us = 10u64;
-
-    macro_rules! refresh_membership {
-        () => {{
-            // Pick up nodes that joined mid-stream (epoch check: one
-            // atomic load when nothing changed). New nodes start Unknown,
-            // so the top-up probes them like any other node.
-            client.refresh_membership();
-            let grown = client.remove_cursor.len();
-            if grown > m {
-                tokens.resize(grown, None);
-                last.resize(grown, NodeLast::Unknown);
-                m = grown;
-                target = b.min(m).max(1);
-            }
-        }};
-    }
 
     macro_rules! fail {
         ($e:expr) => {{
@@ -288,50 +215,42 @@ fn pipelined_fetch(
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        refresh_membership!();
-        let StoragePort::Rpc(port) = &mut client.port else {
-            unreachable!("pipelined_fetch requires an RPC port");
-        };
+        // Pick up nodes that joined mid-stream (epoch check: one atomic
+        // load when nothing changed). New nodes start Unknown, so the
+        // top-up probes them like any other node.
+        client.refresh_membership();
+        let grown = client.remove_cursor.len();
+        if grown > m {
+            probes.resize_with(grown, || None);
+            last.resize(grown, NodeLast::Unknown);
+            m = grown;
+            target = b.min(m).max(1);
+        }
+        let port: &mut RpcPort = &mut client.port;
 
-        // Top up: issue requests to non-EOF nodes without one in flight,
-        // following the cyclic placement order.
+        // Top up: probe non-EOF groups without a probe in flight,
+        // following the cyclic placement order. The per-probe budget
+        // keeps the chunks requested across all probes at `b` (the
+        // late-binding invariant of the module docs).
         let mut scanned = 0;
         while outstanding < target && scanned < m {
             let node = client.remove_cursor.next_node();
             scanned += 1;
-            if tokens[node].is_some() || last[node] == NodeLast::Eof {
+            if probes[node].is_some() || last[node] == NodeLast::Eof {
                 continue;
             }
-            let sealed_at_submit = match port.cluster().is_sealed(bag) {
-                Ok(s) => s,
-                Err(e) => fail!(e),
-            };
-            match port.conns[node].submit_tracked(StorageRequest::RemoveBatch {
-                bag,
-                origin: node as u32,
-                max_n: b,
-            }) {
-                Ok((t, seq)) => {
-                    tokens[node] = Some(InFlight {
-                        token: t,
-                        sealed_at_submit,
-                        seq,
-                        issued: Instant::now(),
-                        attempts: 1,
-                    });
+            match port.submit_remove(node, bag, b.div_ceil(target)) {
+                Ok(probe) => {
+                    probes[node] = Some(probe);
                     outstanding += 1;
                 }
-                // A dead connection marks the node unreachable, like a
-                // down node; the all-down check below surfaces the error
-                // once nothing is left to serve from.
-                Err(StorageError::Disconnected(_)) => last[node] = NodeLast::Down,
                 Err(e) => fail!(e),
             }
         }
 
         if outstanding == 0 && last.iter().all(|&s| s == NodeLast::Eof) {
-            // Nothing in flight and every node is at end-of-file: the bag
-            // is drained. (Mixtures involving unreachable nodes fall
+            // Nothing in flight and every group is at end-of-file: the
+            // bag is drained. (Mixtures involving unreachable nodes fall
             // through to the classification below.)
             ended.store(true, Ordering::Release);
             return;
@@ -341,112 +260,31 @@ fn pipelined_fetch(
         let mut completed = 0usize;
         let mut delivered = false;
         for node in 0..m {
-            let Some(inflight) = tokens[node] else {
+            let Some(probe) = probes[node].as_mut() else {
                 continue;
             };
-            let InFlight {
-                token,
-                sealed_at_submit,
-                ..
-            } = inflight;
-            match port.conns[node].try_poll(token) {
-                Ok(None) => {
-                    // No reply yet. A probe outstanding past the port's
-                    // request timeout is presumed lost (lossy transport or
-                    // wedged server): cancel the attempt and retransmit it
-                    // under the SAME sequence number — the server's dedup
-                    // window either executes it (original lost) or replays
-                    // the recorded reply, chunks included (reply lost), so
-                    // nothing is ever consumed twice or dropped. Without
-                    // this sweep a single lost message would hang the
-                    // stream forever.
-                    if inflight.issued.elapsed() >= port.timeout {
-                        port.conns[node].cancel(token);
-                        tokens[node] = None;
-                        outstanding -= 1;
-                        if inflight.attempts >= PREFETCH_ATTEMPTS {
-                            last[node] = NodeLast::Down;
-                        } else {
-                            match port.conns[node].resubmit(
-                                StorageRequest::RemoveBatch {
-                                    bag,
-                                    origin: node as u32,
-                                    max_n: b,
-                                },
-                                inflight.seq,
-                            ) {
-                                Ok(t) => {
-                                    tokens[node] = Some(InFlight {
-                                        token: t,
-                                        issued: Instant::now(),
-                                        attempts: inflight.attempts + 1,
-                                        ..inflight
-                                    });
-                                    outstanding += 1;
-                                }
-                                Err(StorageError::Disconnected(_)) => last[node] = NodeLast::Down,
-                                Err(e) => fail!(e),
-                            }
-                        }
+            let Some(result) = port.poll_remove(probe) else {
+                continue;
+            };
+            probes[node] = None;
+            outstanding -= 1;
+            completed += 1;
+            match result {
+                Ok(batch) if !batch.chunks.is_empty() => {
+                    delivered = true;
+                    last[node] = NodeLast::Chunks;
+                    // The whole drained reply crosses the consumer
+                    // boundary once.
+                    if tx.send(Ok(batch.chunks)).is_err() {
+                        return;
                     }
                 }
-                Ok(Some(StorageResponse::Removed(batch))) => {
-                    tokens[node] = None;
-                    outstanding -= 1;
-                    completed += 1;
-                    if !batch.chunks.is_empty() {
-                        delivered = true;
-                        last[node] = NodeLast::Chunks;
-                        if port.cluster().replication() > 1 {
-                            // Keep the backup pointers in step (the raw
-                            // node request bypasses the cluster's mirror).
-                            mirror(port, node, bag, &batch.tags);
-                        }
-                        // The whole drained reply crosses the consumer
-                        // boundary once.
-                        if tx.send(Ok(batch.chunks)).is_err() {
-                            return;
-                        }
-                    } else if batch.eof || (batch.exhausted && sealed_at_submit) {
-                        // The cluster-level sealed flag is the end-of-bag
-                        // authority, read BEFORE the probe was issued: a
-                        // sealed bag rejects inserts, so an exhausted
-                        // stream under a pre-probe seal is final.
-                        last[node] = NodeLast::Eof;
-                    } else {
-                        last[node] = NodeLast::Empty;
-                    }
-                }
-                Ok(Some(_)) => fail!(StorageError::Disconnected(port.conns[node].node())),
-                Err(
-                    e @ (StorageError::NodeDown(_)
-                    | StorageError::AllReplicasDown(_)
-                    | StorageError::Disconnected(_)),
-                ) => {
-                    tokens[node] = None;
-                    outstanding -= 1;
-                    completed += 1;
-                    if port.cluster().replication() > 1 {
-                        // Failover: retry through the replica set with the
-                        // synchronous port path (rare; correctness first).
-                        match port.remove_batch(node, bag, b) {
-                            Ok(batch) if !batch.chunks.is_empty() => {
-                                delivered = true;
-                                last[node] = NodeLast::Chunks;
-                                if tx.send(Ok(batch.chunks)).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(batch) if batch.eof => last[node] = NodeLast::Eof,
-                            Ok(_) => last[node] = NodeLast::Empty,
-                            Err(StorageError::AllReplicasDown(_)) => last[node] = NodeLast::Down,
-                            Err(e) => fail!(e),
-                        }
-                    } else {
-                        let _ = e;
-                        last[node] = NodeLast::Down;
-                    }
-                }
+                Ok(batch) if batch.eof => last[node] = NodeLast::Eof,
+                Ok(_) => last[node] = NodeLast::Empty,
+                // A group that is gone is skipped like a down node; one
+                // that is up but disk-sick still holds its chunks, so its
+                // error ends the stream (see `BagClient::unreachable`).
+                Err(e) if BagClient::unreachable(&e) => last[node] = NodeLast::Down,
                 Err(e) => fail!(e),
             }
         }
@@ -456,22 +294,16 @@ fn pipelined_fetch(
         if last.iter().all(|&s| s == NodeLast::Down) {
             fail!(StorageError::AllReplicasDown(bag));
         }
-        // Sealed bag with every node at end-of-file or unreachable: the
-        // reachable data is exhausted. (Same caveat as the direct path:
-        // chunks marooned on a down node without replicas are unreachable
-        // until it recovers.)
+        // Every group at end-of-file (which the port only reports under
+        // the cluster's sealed flag) or unreachable: the reachable data
+        // is exhausted. Chunks marooned on a down node without replicas
+        // are unreachable until it recovers.
         if last
             .iter()
             .all(|&s| matches!(s, NodeLast::Eof | NodeLast::Down))
         {
-            let sealed = match client.port.cluster().is_sealed(bag) {
-                Ok(s) => s,
-                Err(e) => fail!(e),
-            };
-            if sealed {
-                ended.store(true, Ordering::Release);
-                return;
-            }
+            ended.store(true, Ordering::Release);
+            return;
         }
 
         if delivered {
@@ -481,69 +313,75 @@ fn pipelined_fetch(
             empty_streak += completed;
             if empty_streak >= m {
                 // A full round of empty completions: the bag is (locally)
-                // empty but unsealed. Back off like the direct path.
+                // empty but unsealed. Back off.
                 std::thread::sleep(Duration::from_micros(backoff_us));
                 backoff_us = (backoff_us * 2).min(1000);
                 empty_streak = 0;
             }
+        } else if let Some(probe) = probes.iter().flatten().next() {
+            // Nothing completed this sweep: block briefly on one
+            // in-flight connection instead of spinning.
+            port.pump_remove(probe, PUMP_WAIT);
         } else {
-            // Nothing completed this sweep: block briefly on one in-flight
-            // connection instead of spinning — or, with nothing in flight
-            // (unreachable nodes being re-probed), back off.
-            let StoragePort::Rpc(port) = &mut client.port else {
-                unreachable!();
-            };
-            if let Some(node) = (0..m).find(|&n| tokens[n].is_some()) {
-                port.conns[node].pump(PUMP_WAIT);
-            } else {
-                std::thread::sleep(Duration::from_micros(backoff_us));
-                backoff_us = (backoff_us * 2).min(1000);
-            }
+            // Nothing in flight (unreachable nodes being re-probed).
+            std::thread::sleep(Duration::from_micros(backoff_us));
+            backoff_us = (backoff_us * 2).min(1000);
         }
-    }
-}
-
-/// Marks the chunks the pipeline just consumed from `primary`'s own
-/// stream consumed on the backups too, by identity tag: all mirrors
-/// submitted first, acks collected afterwards (one overlapped round
-/// trip, not `r − 1`). Unreachable replicas are skipped exactly as in
-/// the direct path.
-fn mirror(
-    port: &mut crate::rpc::RpcPort,
-    primary: usize,
-    bag: hurricane_common::BagId,
-    tags: &[crate::node::TagSegment],
-) {
-    let m = port.conns.len();
-    let r = port.cluster().replication();
-    let origin = primary as u32;
-    let timeout = port.timeout;
-    let request = StorageRequest::MirrorConsumed {
-        bag,
-        origin,
-        tags: tags.to_vec(),
-    };
-    #[allow(clippy::type_complexity)]
-    let tokens: Vec<(usize, Result<(CompletionToken, u64), StorageError>)> = (1..r)
-        .map(|k| {
-            let idx = (primary + k) % m;
-            let t = port.conns[idx].submit_tracked(request.clone());
-            (idx, t)
-        })
-        .collect();
-    for (idx, token) in tokens {
-        let _ = token.and_then(|(t, seq)| port.conns[idx].wait_retrying(t, seq, &request, timeout));
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! One fetch loop, two in-process transports: clients opened with
+    //! `BagClient::new` run it on the inline plane (probes answered on
+    //! the fetcher's own thread), clients minted from a `channel`
+    //! endpoint on server threads (the `pipelined_*` legs).
+
     use super::*;
     use crate::cluster::{ClusterConfig, StorageCluster};
-    use crate::endpoint::StorageEndpoint;
+    use crate::endpoint::{StorageEndpoint, IN_PROCESS_PLANES};
 
     fn chunk(v: u64) -> Chunk {
         Chunk::from_vec(v.to_le_bytes().to_vec())
+    }
+
+    #[test]
+    fn reader_claims_at_most_b_chunks_ahead_of_its_consumer() {
+        // The late-binding invariant: with nobody consuming, the fetcher
+        // parks holding `b` chunks in probes plus the handoff queue — not
+        // `b` per node — and everything else stays in the bag for other
+        // readers (and for the master's sample) to see.
+        const B: usize = 4;
+        for make in IN_PROCESS_PLANES {
+            let ep = make(StorageCluster::new(2, ClusterConfig::default()));
+            let bag = ep.cluster().create_bag();
+            let chunks: Vec<Chunk> = (0..100).map(chunk).collect();
+            ep.client(bag, 1).insert_batch(&chunks).unwrap();
+            ep.cluster().seal_bag(bag).unwrap();
+            let mut pf = Prefetcher::spawn(ep.client(bag, 2), B);
+            let per_probe = B.div_ceil(2);
+            let bound = (B + HANDOFF_RUNS * per_probe) as u64;
+            // Parked means the claim count stopped moving.
+            let mut held = 0;
+            for _ in 0..200 {
+                std::thread::sleep(Duration::from_millis(5));
+                let now = ep.cluster().sample_bag(bag).unwrap().removed_chunks;
+                if now == held && now > 0 {
+                    break;
+                }
+                held = now;
+            }
+            assert!(
+                (1..=bound).contains(&held),
+                "an idle reader holds {held} chunks, bound {bound}"
+            );
+            let mut n = 0;
+            while pf.recv().unwrap().is_some() {
+                n += 1;
+            }
+            assert_eq!(n, 100, "the bound must not cost a chunk");
+            ep.shutdown();
+        }
     }
 
     #[test]
@@ -619,13 +457,10 @@ mod tests {
             }
             assert_eq!(n, 60);
         }
-        // The pipeline mirrored its pointer advances: failing every
-        // primary now serves nothing a second time.
-        for i in 0..3 {
-            cluster.node(i).recover();
-        }
+        // The pipeline mirrored its pointer advances: failing a primary
+        // now serves nothing a second time.
         cluster.node(0).fail();
-        let rest = cluster.remove_batch(0, bag, 100).unwrap();
+        let rest = ep.port().remove_batch(0, bag, 100).unwrap();
         assert!(rest.chunks.is_empty() && rest.eof, "no chunk served twice");
     }
 

@@ -46,14 +46,14 @@
 //! * [`RpcPort`] — a per-owner set of connections (one per node) plus the
 //!   cluster metadata handle; implements the cluster-level data plane
 //!   (replica fan-out with backups-first ordering, failover, pointer
-//!   mirroring) on top of submit/wait. [`crate::BagClient`] routes through
-//!   it when minted from a non-direct [`crate::StorageEndpoint`].
+//!   mirroring) on top of submit/wait. Every [`crate::BagClient`] holds
+//!   one; the cluster object keeps only metadata and whole-bag control.
 //! * [`StorageRpc`] — serves every node of a cluster and mints ports.
 //!
 //! # Replication over RPC
 //!
 //! Replicated inserts preserve the backups-first invariant (see
-//! [`crate::StorageCluster::insert_batch`]): backups are written —
+//! `RpcPort::insert_run`): backups are written —
 //! concurrently, overlapping their acks — and *acknowledged* before the
 //! primary write is issued, so anything a reader could have been served
 //! from the primary already exists on every backup. Every fan-out shares
@@ -1329,6 +1329,26 @@ impl Transport for InlineTransport {
     }
 }
 
+/// A [`crate::membership::Connect`] that dials an in-process node with an
+/// [`InlineTransport`]. [`StorageCluster`] keeps one per node in the
+/// membership every inline port is built over.
+pub struct InlineConnector {
+    node: Arc<StorageNode>,
+}
+
+impl InlineConnector {
+    /// A connector dispatching into `node` on the caller's thread.
+    pub fn new(node: Arc<StorageNode>) -> Self {
+        Self { node }
+    }
+}
+
+impl crate::membership::Connect for InlineConnector {
+    fn connect(&self) -> Result<Box<dyn Transport>, StorageError> {
+        Ok(Box::new(InlineTransport::new(self.node.clone())))
+    }
+}
+
 /// The placeholder connection for a membership member whose dial failed:
 /// behaves exactly like a connection whose peer died mid-conversation —
 /// every send reports [`StorageError::Disconnected`], so replica
@@ -1429,10 +1449,9 @@ impl crate::membership::Connect for ChannelConnector {
     }
 }
 
-/// The served cluster: one [`NodeServerHandle`] per storage node,
-/// registered in an epoch-versioned [`crate::Membership`], plus the
-/// shared metadata handle. Mint per-owner [`RpcPort`]s with
-/// [`StorageRpc::port`].
+/// The channel plane's servers: one [`NodeServerHandle`] per storage
+/// node, registered in an epoch-versioned [`crate::Membership`] that
+/// [`crate::StorageEndpoint::channel`] mints its ports over.
 ///
 /// The node set is **live**, not snapshotted: after
 /// [`StorageCluster::add_node`], call [`StorageRpc::sync`] to serve the
@@ -1447,30 +1466,17 @@ pub struct StorageRpc {
     servers: Mutex<Vec<Arc<NodeServerHandle>>>,
     membership: crate::membership::Membership,
     dispatch_threads: usize,
-    timeout: Duration,
-    retry: RetryPolicy,
 }
 
 impl StorageRpc {
-    /// Serves every node of `cluster` with default pool size and timeout.
-    pub fn serve(cluster: Arc<StorageCluster>) -> Self {
-        Self::serve_with(cluster, DEFAULT_DISPATCH_THREADS, DEFAULT_REQUEST_TIMEOUT)
-    }
-
-    /// Serves with an explicit per-node dispatch pool size and client
-    /// request timeout.
-    pub fn serve_with(
-        cluster: Arc<StorageCluster>,
-        dispatch_threads: usize,
-        timeout: Duration,
-    ) -> Self {
+    /// Serves every node of `cluster` with `dispatch_threads` server
+    /// threads per node.
+    pub fn serve(cluster: Arc<StorageCluster>, dispatch_threads: usize) -> Self {
         let rpc = Self {
             cluster,
             servers: Mutex::new(Vec::new()),
             membership: crate::membership::Membership::new(),
             dispatch_threads,
-            timeout,
-            retry: RetryPolicy::default(),
         };
         rpc.sync();
         rpc
@@ -1478,7 +1484,8 @@ impl StorageRpc {
 
     /// Serves every cluster node not yet served and publishes it in the
     /// membership — the call that makes [`StorageCluster::add_node`]
-    /// visible to the RPC plane. Idempotent; cheap when nothing changed.
+    /// visible to the channel plane. Idempotent; cheap when nothing
+    /// changed.
     pub fn sync(&self) {
         let mut servers = self.servers.lock();
         for i in servers.len()..self.cluster.num_nodes() {
@@ -1492,35 +1499,9 @@ impl StorageRpc {
         }
     }
 
-    /// Sets the retry policy every subsequently minted port applies to
-    /// timed-out requests (see [`RetryPolicy`]; default: retries off).
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The cluster being served.
-    pub fn cluster(&self) -> &Arc<StorageCluster> {
-        &self.cluster
-    }
-
     /// The live membership view ports refresh against.
     pub fn membership(&self) -> &crate::membership::Membership {
         &self.membership
-    }
-
-    /// Number of served nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.servers.lock().len()
-    }
-
-    /// Opens a fresh port: one new connection to every served node, with
-    /// the live membership attached so the port can grow with the
-    /// cluster.
-    pub fn port(&self) -> RpcPort {
-        let mut port =
-            RpcPort::from_membership(self.cluster.clone(), self.membership.clone(), self.timeout);
-        port.set_retry_policy(self.retry);
-        port
     }
 
     /// Shuts every node server down (draining in-flight requests).
@@ -1544,18 +1525,19 @@ pub struct PortStats {
     pub flushes: u64,
 }
 
-/// A per-owner data-plane handle over RPC: one connection per node plus
-/// the cluster metadata. Implements the same cluster-level semantics as
-/// the direct API (replication fan-out, failover, pointer mirroring,
-/// sealed-flag authority), but over correlated messages — with the
-/// cross-batch insert coalescer of the module docs in front of the wire.
+/// A per-owner data-plane handle: one connection per node plus the
+/// cluster metadata. This is the one implementation of the replica-group
+/// protocol — replication fan-out with backups-first ordering, fail-over,
+/// empty-probe reconciliation, pointer mirroring, sealed-flag end-of-bag —
+/// spoken as correlated messages over whatever transport the connections
+/// wrap, with the cross-batch insert coalescer of the module docs in
+/// front of the wire.
 pub struct RpcPort {
     cluster: Arc<StorageCluster>,
-    pub(crate) conns: Vec<NodeConnection>,
-    pub(crate) timeout: Duration,
+    conns: Vec<NodeConnection>,
+    timeout: Duration,
     /// The live node view this port refreshes against, when elastic
-    /// (minted by [`StorageRpc::port`] or built over a membership);
-    /// `None` for fixed-connection ports.
+    /// (built over a membership); `None` for fixed-connection ports.
     membership: Option<crate::membership::Membership>,
     /// The membership epoch the connection set was last synced to.
     epoch_seen: u64,
@@ -1581,19 +1563,59 @@ pub struct RpcPort {
     stats: PortStats,
 }
 
+/// Resubmission budget for one logical remove probe: how many times a
+/// request whose reply never arrives is retransmitted (under its original
+/// sequence number, so the server dedup window replays rather than
+/// re-executes) before its node is written off as disconnected.
+const REMOVE_PROBE_ATTEMPTS: u32 = 8;
+
+/// One wire attempt of a [`RemoveProbe`].
+#[derive(Debug, Clone, Copy)]
+struct ProbeAttempt {
+    token: CompletionToken,
+    /// The probe's sequence number, reused by every retransmission.
+    seq: u64,
+    /// When this attempt went on the wire.
+    issued: Instant,
+}
+
+/// An in-flight remove against one replica group: what
+/// [`RpcPort::submit_remove`] hands back and [`RpcPort::poll_remove`]
+/// finishes.
+#[derive(Debug)]
+pub(crate) struct RemoveProbe {
+    primary: usize,
+    bag: BagId,
+    max_n: usize,
+    /// Cluster sealed flag read before the ORIGINAL submit (retries keep
+    /// it: a retransmission is the same logical request).
+    sealed: bool,
+    /// The current attempt at the primary, or why it could not be sent.
+    attempt: Result<ProbeAttempt, StorageError>,
+    /// Attempts made so far (≥ 1).
+    attempts: u32,
+}
+
+impl RemoveProbe {
+    fn request(&self) -> StorageRequest {
+        StorageRequest::RemoveBatch {
+            bag: self.bag,
+            origin: self.primary as u32,
+            max_n: self.max_n,
+        }
+    }
+}
+
 impl RpcPort {
     /// Builds a port whose every connection is an [`InlineTransport`]:
     /// the message protocol without server threads, for colocated
-    /// compute and storage.
+    /// compute and storage. The port is built over the cluster's own
+    /// membership of inline connectors, so it follows
+    /// [`StorageCluster::add_node`] at its next
+    /// [`RpcPort::refresh_membership`] like any other plane's port.
     pub fn inline(cluster: Arc<StorageCluster>) -> Self {
-        let conns = (0..cluster.num_nodes())
-            .map(|i| {
-                NodeConnection::new(
-                    Box::new(InlineTransport::new(cluster.node(i))) as Box<dyn Transport>
-                )
-            })
-            .collect();
-        Self::from_connections(cluster, conns, DEFAULT_REQUEST_TIMEOUT)
+        let membership = cluster.inline_membership().clone();
+        Self::from_membership(cluster, membership, DEFAULT_REQUEST_TIMEOUT)
     }
 
     /// Builds a port from explicit connections — the seam where custom
@@ -1774,8 +1796,9 @@ impl RpcPort {
         self.conns[idx].call(request, self.timeout)
     }
 
-    /// Whether `e` marks a replica as unreachable (fail over / reroute)
-    /// rather than a hard protocol error.
+    /// Whether `e` marks a replica as unable to take part (fail over /
+    /// reroute) rather than a hard protocol error: it is down, draining,
+    /// disk-sick ([`StorageError::routes_around`]) or disconnected.
     ///
     /// `Disconnected` qualifies: server shutdown *drains* (every accepted
     /// request is answered before the loops exit), so a disconnect means
@@ -1786,21 +1809,24 @@ impl RpcPort {
     /// propagate as hard errors for the caller's recovery machinery
     /// (task restart) to handle.
     fn replica_unreachable(e: &StorageError) -> bool {
-        matches!(
-            e,
-            StorageError::NodeDown(_)
-                | StorageError::NodeDraining(_)
-                | StorageError::Disconnected(_)
-        )
+        e.routes_around() || matches!(e, StorageError::Disconnected(_))
     }
 
-    /// RPC counterpart of [`StorageCluster::insert_batch`]: writes `chunks`
-    /// to the replica set of `primary_idx`, overlapping the backup acks.
-    ///
-    /// Backups are submitted concurrently and *all acknowledged* before the
-    /// primary write is issued, preserving the backups-first invariant.
-    /// Flushes any staged coalesced inserts first, so the port's writes
-    /// stay ordered across the two paths.
+    /// Whether an insert error means "try the next replica group": the
+    /// addressed one refused at every replica
+    /// (`RpcPort::replica_unreachable`) or is wholly unreachable.
+    /// Anything else (sealed, collected, codec, timeout) is a caller
+    /// error and propagates.
+    pub(crate) fn reroutes(e: &StorageError) -> bool {
+        Self::replica_unreachable(e) || matches!(e, StorageError::AllReplicasDown(_))
+    }
+
+    /// Writes `chunks` as one run to the replica set of `primary_idx`
+    /// (see `RpcPort::insert_run` for the fan-out). Succeeds if the run
+    /// lands on at least one replica; a replica set that cannot take it
+    /// is an error the caller may reroute. Flushes any staged coalesced
+    /// inserts first, so the port's writes stay ordered across the two
+    /// paths.
     pub fn insert_batch(
         &mut self,
         primary_idx: usize,
@@ -1868,6 +1894,21 @@ impl RpcPort {
     /// id, so the chunks carry identical `(run, k)` identity tags at
     /// every replica. Bag-state checks are the caller's job (entry points
     /// and the coalescer check at staging time).
+    ///
+    /// Replicated writes take two precautions:
+    ///
+    /// * **Backups before primary.** A chunk only becomes removable once
+    ///   it lands at the primary; writing backups first means any remove
+    ///   that wins the race finds the chunk already present at every
+    ///   backup, so a failover after the primary's death can always
+    ///   serve what the primary served from its own log.
+    /// * **Per-(bag, origin) append ordering.** Concurrent writers to the
+    ///   same primary serialize their replica fan-out on
+    ///   [`StorageCluster::order_lock`] so every replica's origin stream
+    ///   holds the runs in the same order. Identity-tagged mirroring does
+    ///   not *require* this for correctness, but converged logs keep the
+    ///   mirror scan O(batch) and failover positions exact. With
+    ///   replication = 1 neither cost is paid.
     fn insert_run(
         &mut self,
         primary_idx: usize,
@@ -2042,46 +2083,171 @@ impl RpcPort {
             let idx = (target + offset) % m;
             match self.insert_run(idx, bag, run.clone()) {
                 Ok(()) => return Ok(()),
-                Err(e)
-                    if Self::replica_unreachable(&e)
-                        || matches!(e, StorageError::AllReplicasDown(_)) =>
-                {
-                    last_err = Some(e);
-                }
+                Err(e) if Self::reroutes(&e) => last_err = Some(e),
                 Err(e) => return Err(e),
             }
         }
         Err(last_err.unwrap_or(StorageError::AllReplicasDown(bag)))
     }
 
-    /// RPC counterpart of [`StorageCluster::remove_batch`]: failover
-    /// across the replica set, pointer mirroring onto the live backups,
-    /// cluster sealed flag as the end-of-bag authority. Staged coalesced
-    /// inserts are flushed first so a port always reads its own writes.
+    /// Removes up to `max_n` chunks whose primary is `primary_idx` with
+    /// one request to the serving replica: `RpcPort::submit_remove`, a
+    /// blocking wait for the primary's answer, then
+    /// `RpcPort::finish_remove` for everything the replica group adds.
     pub fn remove_batch(
         &mut self,
         primary_idx: usize,
         bag: BagId,
         max_n: usize,
     ) -> Result<NodeRemoveBatch, StorageError> {
+        let probe = self.submit_remove(primary_idx, bag, max_n)?;
+        let first = match &probe.attempt {
+            Ok(a) => {
+                let timeout = self.timeout;
+                self.conns[probe.primary].wait_retrying(a.token, a.seq, &probe.request(), timeout)
+            }
+            Err(e) => Err(e.clone()),
+        };
+        self.finish_remove(&probe, first)
+    }
+
+    /// First half of a remove: reads the cluster sealed flag, then puts
+    /// the `RemoveBatch` request to the group's primary on the wire and
+    /// returns without waiting, so a pipeline can keep probes to several
+    /// groups in flight ([`RpcPort::poll_remove`] collects them). Staged
+    /// coalesced inserts are flushed first so a port always reads its
+    /// own writes. Fails only on bag metadata (unknown / collected bag)
+    /// or a failed flush; a primary that cannot be reached is recorded in
+    /// the probe and handled as a fail-over when the probe is finished.
+    pub(crate) fn submit_remove(
+        &mut self,
+        primary_idx: usize,
+        bag: BagId,
+        max_n: usize,
+    ) -> Result<RemoveProbe, StorageError> {
         self.flush()?;
+        // Sealed-before-probe is what makes an `exhausted && sealed`
+        // conclusion safe: a sealed bag rejects inserts, so nothing can
+        // land after a pre-probe sealed read; a post-completion read
+        // would race a concurrent insert-then-seal and drop the chunk.
         let sealed = self.cluster.bag_state(bag)?;
+        let primary = primary_idx % self.conns.len();
+        let request = StorageRequest::RemoveBatch {
+            bag,
+            origin: primary as u32,
+            max_n,
+        };
+        let attempt = self.conns[primary]
+            .submit_tracked(request)
+            .map(|(token, seq)| ProbeAttempt {
+                token,
+                seq,
+                issued: Instant::now(),
+            });
+        Ok(RemoveProbe {
+            primary,
+            bag,
+            max_n,
+            sealed,
+            attempt,
+            attempts: 1,
+        })
+    }
+
+    /// Non-blocking second half of [`RpcPort::submit_remove`]: `None`
+    /// while the primary's answer is outstanding, otherwise the finished
+    /// remove.
+    ///
+    /// A probe outstanding past the port's request timeout is presumed
+    /// lost (lossy transport or wedged server): the attempt is cancelled
+    /// and retransmitted under the SAME sequence number — the server's
+    /// dedup window either executes it (original lost) or replays the
+    /// recorded reply, chunks included (reply lost), so nothing is ever
+    /// consumed twice or dropped. After [`REMOVE_PROBE_ATTEMPTS`] the
+    /// primary is written off as disconnected and the group fails over.
+    pub(crate) fn poll_remove(
+        &mut self,
+        probe: &mut RemoveProbe,
+    ) -> Option<Result<NodeRemoveBatch, StorageError>> {
+        let first = match probe.attempt {
+            Err(ref e) => Err(e.clone()),
+            Ok(a) => {
+                let conn = &mut self.conns[probe.primary];
+                match conn.try_poll(a.token) {
+                    Ok(Some(response)) => Ok(response),
+                    Err(e) => Err(e),
+                    Ok(None) if a.issued.elapsed() < self.timeout => return None,
+                    Ok(None) => {
+                        conn.cancel(a.token);
+                        if probe.attempts >= REMOVE_PROBE_ATTEMPTS {
+                            Err(StorageError::Disconnected(conn.node()))
+                        } else {
+                            match conn.resubmit(probe.request(), a.seq) {
+                                Ok(token) => {
+                                    probe.attempts += 1;
+                                    probe.attempt = Ok(ProbeAttempt {
+                                        token,
+                                        issued: Instant::now(),
+                                        ..a
+                                    });
+                                    return None;
+                                }
+                                Err(e) => Err(e),
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        Some(self.finish_remove(probe, first))
+    }
+
+    /// Blocks up to `wait` for a reply to arrive on `probe`'s primary
+    /// connection — what a pipeline does instead of spinning when no
+    /// probe has completed.
+    pub(crate) fn pump_remove(&mut self, probe: &RemoveProbe, wait: Duration) {
+        self.conns[probe.primary].pump(wait);
+    }
+
+    /// Everything a replica group adds to the primary's answer `first`:
+    /// failover across the replica set, reconciliation of a fallback
+    /// serve, pointer mirroring onto the live backups, and the cluster
+    /// sealed flag (as read before the probe went out) as the end-of-bag
+    /// authority.
+    fn finish_remove(
+        &mut self,
+        probe: &RemoveProbe,
+        first: Result<StorageResponse, StorageError>,
+    ) -> Result<NodeRemoveBatch, StorageError> {
+        let &RemoveProbe {
+            primary,
+            bag,
+            sealed,
+            ..
+        } = probe;
         let m = self.conns.len();
-        let primary = primary_idx % m;
         let origin = primary as u32;
         let r = self.cluster.replication();
         let mut serving = None;
         let mut first_empty: Option<NodeRemoveBatch> = None;
         let mut probed_empty: Vec<usize> = Vec::new();
         let mut soft_err = None;
+        let mut disk_sick = None;
+        let mut first = Some(first);
         for k in 0..r {
             let idx = (primary + k) % m;
-            match self.call(idx, StorageRequest::RemoveBatch { bag, origin, max_n }) {
-                // As in the direct path: an empty serve is not
-                // authoritative, because a restarted replica may have
-                // recovered a log missing runs that landed only at a
-                // backup while it was down. Probe the whole replica set
-                // before reporting the group exhausted.
+            let answer = match first.take() {
+                Some(answer) => answer,
+                None => self.call(idx, probe.request()),
+            };
+            match answer {
+                // An empty serve is not authoritative: replica logs can
+                // diverge — this replica restarted and recovered a log
+                // missing runs that landed only at a backup while it was
+                // down. Keep probing; the group is exhausted only when
+                // every reachable replica comes back empty, otherwise
+                // acked chunks marooned at a backup would be masked by
+                // a premature end-of-bag.
                 Ok(StorageResponse::Removed(batch)) if batch.chunks.is_empty() => {
                     probed_empty.push(idx);
                     if first_empty.is_none() {
@@ -2093,13 +2259,23 @@ impl RpcPort {
                     break;
                 }
                 Ok(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
+                // A replica that can't serve (down, or its segment log
+                // can't journal the consume) fails over to the next one.
+                Err(e @ (StorageError::DiskFull(_) | StorageError::DiskIo(_))) => {
+                    disk_sick = Some(e);
+                }
                 Err(e) if Self::replica_unreachable(&e) => soft_err = Some(e),
                 Err(e) => return Err(e),
             }
         }
         let Some((served_by, mut batch)) = serving else {
             let Some(mut batch) = first_empty else {
-                return Err(soft_err.unwrap_or(StorageError::AllReplicasDown(bag)));
+                // A replica that is up but disk-sick still holds its
+                // chunks: report its error, not "down", or a reader
+                // would take the group for lost and the bag for drained.
+                return Err(disk_sick
+                    .or(soft_err)
+                    .unwrap_or(StorageError::AllReplicasDown(bag)));
             };
             batch.eof = batch.exhausted && sealed;
             return Ok(batch);
@@ -2129,10 +2305,12 @@ impl RpcPort {
         }
         if !batch.chunks.is_empty() && r > 1 {
             // Mirror the served chunks' identities onto the other
-            // replicas. Acks are awaited (cheap) so a subsequent failover
-            // cannot observe a lagging pointer; unreachable replicas are
-            // skipped exactly as in the direct path. Replicas probed
-            // empty were just claimed — the claim is the mirror.
+            // replicas: all mirrors submitted first, acks collected
+            // afterwards (one overlapped round trip, not `r − 1`). Acks
+            // are awaited (cheap) so a subsequent failover cannot observe
+            // a lagging pointer; unreachable replicas are skipped.
+            // Replicas probed empty were just claimed — the claim is the
+            // mirror.
             let request = StorageRequest::MirrorConsumed {
                 bag,
                 origin,
@@ -2158,7 +2336,8 @@ impl RpcPort {
         Ok(batch)
     }
 
-    /// RPC counterpart of [`StorageCluster::remove`] (the `n = 1` case).
+    /// Single-chunk [`RpcPort::remove_batch`]: the `n = 1` case, so the
+    /// mirror still carries the served chunk's identity tag.
     pub fn remove(&mut self, primary_idx: usize, bag: BagId) -> Result<NodeRemove, StorageError> {
         let batch = self.remove_batch(primary_idx, bag, 1)?;
         Ok(match batch.chunks.into_iter().next() {
@@ -2168,9 +2347,9 @@ impl RpcPort {
         })
     }
 
-    /// RPC counterpart of [`StorageCluster::sample_bag`]: fans the sample
-    /// out to every node concurrently and merges the replies. Staged
-    /// coalesced inserts are flushed first so the sample sees them.
+    /// [`StorageCluster::sample_bag`] as seen through this port: fans
+    /// the sample out to every node concurrently and merges the replies.
+    /// Staged coalesced inserts are flushed first so the sample sees them.
     pub fn sample_bag(&mut self, bag: BagId) -> Result<BagSample, StorageError> {
         self.flush()?;
         self.cluster.check_bag(bag)?;
@@ -2364,35 +2543,17 @@ mod tests {
     }
 
     #[test]
-    fn port_insert_remove_with_replication() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let rpc = StorageRpc::serve(cluster.clone());
-        let bag = cluster.create_bag();
-        let mut port = rpc.port();
-        port.insert_batch(0, bag, &[chunk(1), chunk(2)]).unwrap();
-        // Backup holds the mirrored copies under origin 0.
-        assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 2);
-        let got = port.remove_batch(0, bag, 10).unwrap();
-        assert_eq!(got.chunks.len(), 2);
-        // The mirror advanced the backup pointer: failover serves nothing.
-        cluster.node(0).fail();
-        cluster.seal_bag(bag).unwrap();
-        let rest = port.remove_batch(0, bag, 10).unwrap();
-        assert!(rest.chunks.is_empty() && rest.eof);
-    }
-
-    #[test]
     fn port_grows_with_membership() {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let rpc = StorageRpc::serve(cluster.clone());
+        let channel = crate::StorageEndpoint::channel(cluster.clone());
         let bag = cluster.create_bag();
-        let mut port = rpc.port();
+        let mut port = channel.port();
         assert_eq!(port.num_nodes(), 2);
         assert!(!port.refresh_membership(), "no change, no growth");
         // A node joins mid-job: served and published by sync, picked up
         // by the existing port at its next refresh.
         let idx = cluster.add_node();
-        rpc.sync();
+        channel.sync();
         assert!(port.refresh_membership());
         assert_eq!(port.num_nodes(), 3);
         port.insert_batch(idx, bag, &[chunk(9)]).unwrap();
@@ -2469,11 +2630,12 @@ mod tests {
     #[test]
     fn fresh_port_sees_synced_nodes_immediately() {
         let cluster = StorageCluster::new(1, ClusterConfig::default());
-        let rpc = StorageRpc::serve(cluster.clone());
+        let channel = crate::StorageEndpoint::channel(cluster.clone());
+        assert_eq!(channel.port().num_nodes(), 1);
         cluster.add_node();
-        rpc.sync();
-        assert_eq!(rpc.num_nodes(), 2);
-        assert_eq!(rpc.port().num_nodes(), 2);
+        channel.sync();
+        assert_eq!(channel.membership().len(), 2);
+        assert_eq!(channel.port().num_nodes(), 2);
     }
 
     #[test]
@@ -2494,22 +2656,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(e, StorageError::NodeDraining(StorageNodeId(0)));
-    }
-
-    #[test]
-    fn inline_transport_speaks_the_same_protocol() {
-        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
-        let bag = cluster.create_bag();
-        let mut port = RpcPort::inline(cluster.clone());
-        port.insert_batch(0, bag, &[chunk(1), chunk(2)]).unwrap();
-        assert_eq!(cluster.node(1).snapshot_from(bag, 0).unwrap().len(), 2);
-        let got = port.remove_batch(0, bag, 10).unwrap();
-        assert_eq!(got.chunks.len(), 2);
-        // Mirrors flowed inline too: failover after seal serves nothing.
-        cluster.node(0).fail();
-        cluster.seal_bag(bag).unwrap();
-        let rest = port.remove_batch(0, bag, 10).unwrap();
-        assert!(rest.chunks.is_empty() && rest.eof);
     }
 
     #[test]
@@ -2614,9 +2760,8 @@ mod tests {
     #[test]
     fn port_sample_merges_nodes() {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let rpc = StorageRpc::serve(cluster.clone());
         let bag = cluster.create_bag();
-        let mut port = rpc.port();
+        let mut port = crate::StorageEndpoint::channel(cluster).port();
         port.insert_batch(0, bag, &[chunk(1)]).unwrap();
         port.insert_batch(1, bag, &[chunk(2), chunk(3)]).unwrap();
         let s = port.sample_bag(bag).unwrap();
@@ -2657,6 +2802,31 @@ mod tests {
             2,
             "no double insert"
         );
+    }
+
+    #[test]
+    fn default_client_suppresses_a_duplicated_insert_envelope() {
+        // An inline-endpoint client is what `HurricaneApp::start` mints
+        // with `storage_rpc` off, the default: it is covered by the same
+        // `(client, seq)` window as a networked one.
+        let cluster = StorageCluster::new(1, ClusterConfig::default());
+        let bag = cluster.create_bag();
+        let mut client = crate::StorageEndpoint::inline(cluster.clone()).client(bag, 1);
+        let request = StorageRequest::InsertBatch {
+            bag,
+            origin: 0,
+            run: next_run_id(),
+            chunks: vec![chunk(7)].into(),
+        };
+        let conn = &mut client.port.conns[0];
+        let (token, seq) = conn.submit_tracked(request.clone()).unwrap();
+        let wait = Duration::from_secs(1);
+        assert_eq!(conn.wait(token, wait).unwrap(), StorageResponse::Inserted);
+        // The same envelope again, as a duplicating network or a
+        // retransmission would deliver it: acknowledged, not re-executed.
+        let dup = conn.resubmit(request, seq).unwrap();
+        assert_eq!(conn.wait(dup, wait).unwrap(), StorageResponse::Inserted);
+        assert_eq!(cluster.node(0).sample(bag).unwrap().total_chunks, 1);
     }
 
     #[test]

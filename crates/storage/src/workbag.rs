@@ -26,13 +26,14 @@ pub struct WorkBag<T: Record> {
 }
 
 impl<T: Record> WorkBag<T> {
-    /// Wraps bag `bag` on `cluster` as a typed work bag.
+    /// Wraps bag `bag` on `cluster` as a typed work bag over an inline
+    /// client ([`BagClient::new`]).
     pub fn new(cluster: Arc<StorageCluster>, bag: BagId, seed: u64) -> Self {
         Self::with_client(BagClient::new(cluster, bag, seed))
     }
 
-    /// Wraps an existing bag client (e.g. one minted over the RPC
-    /// boundary via [`crate::StorageEndpoint::client`]) as a typed work
+    /// Wraps an existing bag client (one minted by
+    /// [`crate::StorageEndpoint::client`], on any plane) as a typed work
     /// bag.
     pub fn with_client(client: BagClient) -> Self {
         Self {

@@ -69,7 +69,9 @@ fn correlation_matches_under_concurrent_outstanding_requests() {
 fn request_timeout_surfaces_through_the_port() {
     let cluster = StorageCluster::new(1, ClusterConfig::default());
     let bag = cluster.create_bag();
-    cluster.insert(0, bag, chunk(1)).unwrap();
+    BagClient::new(cluster.clone(), bag, 1)
+        .insert(chunk(1))
+        .unwrap();
     // A port whose single connection leads to a server nobody runs.
     let (transport, _server) = loopback(StorageNodeId(0));
     let conns = vec![NodeConnection::new(Box::new(transport))];

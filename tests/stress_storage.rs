@@ -34,8 +34,9 @@ fn chunk_val(c: &Chunk) -> u64 {
 }
 
 /// Runs the stress pattern on `cluster` and checks exactly-once delivery
-/// plus exact final sample totals. `make_client` decides the storage path
-/// (direct in-process calls, or messages over the RPC boundary).
+/// plus exact final sample totals. `make_client` decides the transport
+/// under the clients' ports: inline dispatch on each client's own thread
+/// (`BagClient::new`), or the channel plane's per-node server pools.
 fn stress_with(
     cluster: Arc<StorageCluster>,
     make_client: impl Fn(hurricane_common::BagId, u64) -> BagClient + Send + Sync,
@@ -135,6 +136,8 @@ fn stress_with(
 
 #[test]
 fn concurrent_batched_insert_remove_is_exactly_once() {
+    // Inline plane: every client thread runs the node side of its own
+    // requests, so the storage nodes' shard locks see real contention.
     let cluster = StorageCluster::new(NODES, ClusterConfig::default());
     let c2 = cluster.clone();
     stress_with(cluster, move |bag, seed| {
@@ -156,9 +159,9 @@ fn concurrent_batched_insert_remove_with_replication() {
 
 #[test]
 fn concurrent_insert_remove_over_rpc_is_exactly_once() {
-    // The same traffic pattern with every data-plane operation flowing
-    // through the RPC boundary: correlated messages to per-node server
-    // pools, concurrent clients each on their own connections.
+    // The same traffic pattern on the channel plane: correlated messages
+    // to per-node server pools, concurrent clients each on their own
+    // connections.
     let cluster = StorageCluster::new(NODES, ClusterConfig::default());
     let endpoint = StorageEndpoint::channel(cluster.clone());
     stress_with(cluster, move |bag, seed| endpoint.client(bag, seed));
@@ -166,9 +169,9 @@ fn concurrent_insert_remove_over_rpc_is_exactly_once() {
 
 #[test]
 fn concurrent_insert_remove_over_rpc_with_replication() {
-    // RPC path with replication: overlapped backup-ack writes and
-    // RPC-mirrored pointer advances must preserve exactly-once delivery
-    // and exact sample totals.
+    // Channel plane with replication: genuinely overlapped backup-ack
+    // writes and mirrored pointer advances must preserve exactly-once
+    // delivery and exact sample totals.
     let cluster = StorageCluster::new(NODES, ClusterConfig { replication: 2 });
     let endpoint = StorageEndpoint::channel(cluster.clone());
     stress_with(cluster, move |bag, seed| endpoint.client(bag, seed));
