@@ -1,10 +1,8 @@
 //! Criterion microbenchmarks of the substrates: serialization, bag
 //! operations, placement, workload generation — and the contended
-//! storage-node benchmarks comparing the sharded hot path against the
-//! pre-shard coarse-lock baseline (`hurricane_bench::coarse`).
+//! storage-node benchmarks of the sharded hot path on each plane.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use hurricane_bench::coarse::{CoarseClient, CoarseCluster};
 use hurricane_common::DetRng;
 use hurricane_format::{decode_all, encode_all};
 use hurricane_storage::bag::{BagClient, BatchRemoveResult, RemoveResult};
@@ -37,63 +35,14 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 /// The compute-side record hot path (PR 4): owned vs borrowed decode,
-/// two-pass vs single-pass encode, and the fan-out spectrum — re-encode
-/// per output vs encode-once (`push_encoded`) vs chunk splatting.
+/// single-pass encode, and the fan-out spectrum — re-encode per output
+/// vs encode-once (`push_encoded`) vs chunk splatting.
 fn bench_compute_path(c: &mut Criterion) {
     use hurricane_format::{Chunk, ChunkReader, ChunkWriter, Record};
 
     const RECS: u64 = 10_000;
     const CHUNK: usize = 64 * 1024;
     const FAN_OUT: usize = 4;
-
-    /// The pre-PR-4 `ChunkWriter::push`: probe `encoded_len()`, seal on
-    /// would-overflow, then `encode` — every record traversed twice.
-    /// Kept here verbatim as the before-number for the encode benches.
-    struct TwoPassWriter {
-        chunk_size: usize,
-        buf: Vec<u8>,
-        records_in_buf: u64,
-        records_total: u64,
-    }
-
-    impl TwoPassWriter {
-        fn new(chunk_size: usize) -> Self {
-            Self {
-                chunk_size,
-                buf: Vec::with_capacity(chunk_size),
-                records_in_buf: 0,
-                records_total: 0,
-            }
-        }
-
-        fn push<T: Record>(
-            &mut self,
-            record: &T,
-        ) -> Result<Option<Chunk>, hurricane_format::CodecError> {
-            let len = record.encoded_len();
-            if len > self.chunk_size {
-                return Err(hurricane_format::CodecError::RecordTooLarge {
-                    record: len,
-                    chunk: self.chunk_size,
-                });
-            }
-            let mut completed = None;
-            if self.buf.len() + len > self.chunk_size {
-                let data = std::mem::replace(&mut self.buf, Vec::with_capacity(self.chunk_size));
-                self.records_in_buf = 0;
-                completed = Some(Chunk::from_vec(data));
-            }
-            record.encode(&mut self.buf);
-            self.records_in_buf += 1;
-            self.records_total += 1;
-            Ok(completed)
-        }
-
-        fn finish(mut self) -> Option<Chunk> {
-            let _ = (self.records_in_buf, self.records_total);
-            (!self.buf.is_empty()).then(|| Chunk::from_vec(std::mem::take(&mut self.buf)))
-        }
-    }
 
     let records: Vec<(u64, String)> = (0..RECS).map(|i| (i, format!("payload-{i}"))).collect();
     let chunks = encode_all(records.iter().cloned(), CHUNK).unwrap();
@@ -127,20 +76,8 @@ fn bench_compute_path(c: &mut Criterion) {
         })
     });
 
-    // Encode: the two-pass (encoded_len + encode) before-number vs the
-    // live single-pass push — on flat records (encoded_len is O(1), the
-    // probe was nearly free) and on nested records (encoded_len walks
-    // the whole vector, so two-pass traverses every byte twice).
-    g.bench_function("encode/two_pass", |b| {
-        b.iter(|| {
-            let mut w = TwoPassWriter::new(CHUNK);
-            let mut n = 0usize;
-            for r in &records {
-                n += w.push(r).unwrap().is_some() as usize;
-            }
-            n + w.finish().is_some() as usize
-        })
-    });
+    // Encode: the live single-pass push, on flat records and on nested
+    // records (whose `encoded_len` would walk the whole vector).
     g.bench_function("encode/single_pass", |b| {
         b.iter(|| {
             let mut w = ChunkWriter::<(u64, String)>::new(CHUNK);
@@ -162,16 +99,6 @@ fn bench_compute_path(c: &mut Criterion) {
             )
         })
         .collect();
-    g.bench_function("encode_nested/two_pass", |b| {
-        b.iter(|| {
-            let mut w = TwoPassWriter::new(CHUNK);
-            let mut n = 0usize;
-            for r in &nested {
-                n += w.push(r).unwrap().is_some() as usize;
-            }
-            n + w.finish().is_some() as usize
-        })
-    });
     g.bench_function("encode_nested/single_pass", |b| {
         b.iter(|| {
             let mut w = ChunkWriter::<Nested>::new(CHUNK);
@@ -229,57 +156,19 @@ fn bench_compute_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The merge plane (PR 5): the borrowed keyed fold vs the owned-decode
-/// baseline it replaced, trusted `SeqView` iteration vs the validating
-/// second pass, and fixed-stride random access vs sequential checked
-/// decoding of the same bytes.
+/// The merge plane (PR 5): the borrowed keyed fold, trusted `SeqView`
+/// iteration vs a validating second pass over the same bytes, and
+/// fixed-stride random access vs sequential checked decoding.
 fn bench_merge_path(c: &mut Criterion) {
     use hurricane_common::SplitMix64;
     use hurricane_core::merges::KeyedMerge;
     use hurricane_core::task::{BagReader, BagWriter, MergeLogic};
-    use hurricane_core::EngineError;
     use hurricane_format::{FixedU64, Record, RecordView, SeqView};
-    use std::collections::BTreeMap;
 
     const RECS: u64 = 40_000;
     const KEYS: u64 = 1024;
     const PARTIALS: u64 = 2;
     const MERGE_CHUNK: usize = 64 * 1024;
-
-    /// The pre-PR-5 `KeyedMerge`: decode every record owned, BTreeMap
-    /// remove+insert per record. Vendored verbatim as the before-number
-    /// for the borrowed fold.
-    struct OwnedKeyedMerge;
-
-    impl MergeLogic for OwnedKeyedMerge {
-        fn merge(
-            &self,
-            _output_index: usize,
-            partials: &mut [BagReader],
-            out: &mut BagWriter,
-        ) -> Result<(), EngineError> {
-            let mut table: BTreeMap<u64, u64> = BTreeMap::new();
-            for p in partials {
-                while let Some(chunk) = p.next_chunk()? {
-                    for (k, v) in hurricane_format::decode_all::<(u64, u64)>(&chunk)? {
-                        match table.remove(&k) {
-                            None => {
-                                table.insert(k, v);
-                            }
-                            Some(prev) => {
-                                table.insert(k, prev + v);
-                            }
-                        }
-                    }
-                }
-            }
-            for (k, v) in table {
-                out.write_record(&(k, v))?;
-            }
-            out.flush()?;
-            Ok(())
-        }
-    }
 
     /// Two sealed partial bags, each written by `fill(partial, writer)`,
     /// plus an output writer — the unit a keyed merge consumes per call.
@@ -312,15 +201,6 @@ fn bench_merge_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("merge_path");
     g.sample_size(10);
     g.throughput(Throughput::Elements(RECS));
-    g.bench_function("keyed_fold/owned_btree", |b| {
-        b.iter_batched(
-            keyed_setup,
-            |(mut readers, mut out)| {
-                OwnedKeyedMerge.merge(0, &mut readers, &mut out).unwrap();
-            },
-            BatchSize::SmallInput,
-        )
-    });
     g.bench_function("keyed_fold/borrowed", |b| {
         let live = KeyedMerge::<u64, u64, _>::new(|a, b| a + b);
         b.iter_batched(
@@ -390,8 +270,7 @@ fn bench_merge_path(c: &mut Criterion) {
     g.throughput(Throughput::Elements((SEQ_RECORDS * ELEMS_PER) as u64));
     g.bench_function("seq_iter/validating", |b| {
         b.iter(|| {
-            // The pre-PR-5 second pass: re-decode each element with the
-            // checked decoder.
+            // Re-decode each element with the checked decoder.
             let mut bytes = 0usize;
             for v in &views {
                 let mut rest = v.payload();
@@ -472,41 +351,16 @@ fn bench_merge_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The SWAR trusted varint decoder against the per-byte scalar loop it
-/// replaced, over dense `Vec<u64>` word sequences — the shape every
-/// `SeqView::iter` trusted re-read walks.
+/// The SWAR trusted varint decoder over dense `Vec<u64>` word sequences
+/// — the shape every `SeqView::iter` trusted re-read walks.
 fn bench_decode_swar(c: &mut Criterion) {
     use hurricane_common::SplitMix64;
     use hurricane_format::varint;
 
-    /// The pre-SWAR `decode_trusted`: one dependent shift-or per byte.
-    /// Vendored verbatim as the before-number.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`varint::decode_trusted`].
-    unsafe fn decode_trusted_scalar(input: &mut &[u8]) -> u64 {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        let mut i = 0usize;
-        loop {
-            let byte = *input.get_unchecked(i);
-            value |= ((byte & 0x7f) as u64) << shift;
-            i += 1;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        *input = input.get_unchecked(i..);
-        value
-    }
-
     const WORDS: u64 = 40_000;
     // Dense word run: pseudorandom full-entropy words right-shifted by a
     // data-dependent amount, so encoded lengths span 1..=10 bytes with
-    // no pattern a branch predictor can learn — the scalar loop pays a
-    // mispredict per varint while SWAR's length math is branch-free.
+    // no pattern a branch predictor can learn.
     let words: Vec<u64> = (0..WORDS)
         .map(|i| {
             let w = SplitMix64::mix(i);
@@ -521,26 +375,13 @@ fn bench_decode_swar(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("decode_swar");
     g.throughput(Throughput::Elements(WORDS));
-    g.bench_function("trusted_scalar_40k", |b| {
-        b.iter(|| {
-            let mut at = buf.as_slice();
-            let mut sum = 0u64;
-            for _ in 0..WORDS {
-                // SAFETY: `at` is positioned at a varint this process
-                // encoded (and the first iteration's full-buffer decode
-                // validates transitively).
-                sum = sum.wrapping_add(unsafe { decode_trusted_scalar(&mut at) });
-            }
-            assert_eq!(sum, expect);
-            sum
-        })
-    });
     g.bench_function("trusted_swar_40k", |b| {
         b.iter(|| {
             let mut at = buf.as_slice();
             let mut sum = 0u64;
             for _ in 0..WORDS {
-                // SAFETY: as above — bytes come from our own encoder.
+                // SAFETY: `at` is positioned at a varint this process
+                // encoded.
                 sum = sum.wrapping_add(unsafe { varint::decode_trusted(&mut at) });
             }
             assert_eq!(sum, expect);
@@ -550,130 +391,52 @@ fn bench_decode_swar(c: &mut Criterion) {
     g.finish();
 }
 
-/// The record codec's two regimes: `ChunkWriter::push` and
-/// `for_each_view` (the word-at-a-time varint paths) against the per-byte
-/// loops they replaced, on the benchmark's three length mixes: uniform
-/// and Zipf s = 1.0 `u32` keys below 2^18 (`clicklog_uniform`, 94%
-/// three-byte, 2.94 B/record; `clicklog_skew`, 1.80 B/record) and
-/// R-MAT-17 `(u32, u32)` edges (`pagerank_rmat`, 4.99 B/record). On
-/// uniform keys the byte loop's branches predict and the word paths must
-/// hold parity; on the mixed lengths of Zipf keys and R-MAT vertex ids
-/// the byte loop pays a mispredict per varint and the word paths do not.
+/// The record codec, `ChunkWriter::push` and `for_each_view` (the
+/// word-at-a-time varint paths), on the benchmark's three length mixes:
+/// uniform and Zipf s = 1.0 `u32` keys below 2^18 (`clicklog_uniform`,
+/// 94% three-byte, 2.94 B/record; `clicklog_skew`, 1.80 B/record) and
+/// R-MAT-17 `(u32, u32)` edges (`pagerank_rmat`, 4.99 B/record).
 fn bench_varint(c: &mut Criterion) {
-    use hurricane_format::{for_each_view, Chunk, ChunkBuf, ChunkWriter, CodecError};
-
-    /// The pre-word `varint::encode`, vendored verbatim as the
-    /// before-number.
-    fn encode_bytewise(mut value: u64, out: &mut Vec<u8>) {
-        loop {
-            let byte = (value & 0x7f) as u8;
-            value >>= 7;
-            if value == 0 {
-                out.push(byte);
-                return;
-            }
-            out.push(byte | 0x80);
-        }
-    }
-
-    /// The pre-word `varint::decode`, vendored verbatim.
-    fn decode_bytewise(input: &mut &[u8]) -> Result<u64, CodecError> {
-        let mut value: u64 = 0;
-        let mut shift = 0u32;
-        for (i, &byte) in input.iter().enumerate() {
-            if i >= 10 {
-                return Err(CodecError::InvalidVarint);
-            }
-            let payload = (byte & 0x7f) as u64;
-            if shift == 63 && payload > 1 {
-                return Err(CodecError::InvalidVarint);
-            }
-            value |= payload << shift;
-            if byte & 0x80 == 0 {
-                *input = &input[i + 1..];
-                return Ok(value);
-            }
-            shift += 7;
-        }
-        Err(CodecError::Truncated)
-    }
+    use hurricane_format::{for_each_view, Chunk, ChunkWriter};
 
     const VALUES: usize = 1_000_000;
     const CHUNK: usize = 64 * 1024;
     const KEYS: usize = 1 << 18;
     let mut rng = DetRng::new(0x5eed);
-    let uniform: Vec<[u32; 1]> = (0..VALUES)
-        .map(|_| [rng.gen_range(KEYS as u64) as u32])
+    let uniform: Vec<u32> = (0..VALUES)
+        .map(|_| rng.gen_range(KEYS as u64) as u32)
         .collect();
     let zipf_keys = ZipfSampler::new(KEYS, 1.0);
-    let zipf: Vec<[u32; 1]> = (0..VALUES)
-        .map(|_| [zipf_keys.sample(&mut rng) as u32])
+    let zipf: Vec<u32> = (0..VALUES)
+        .map(|_| zipf_keys.sample(&mut rng) as u32)
         .collect();
-    let rmat: Vec<[u32; 2]> = RmatGen::new(RmatSpec {
+    let rmat: Vec<(u32, u32)> = RmatGen::new(RmatSpec {
         scale: 17,
         edges: VALUES as u64,
         seed: 5,
     })
-    .map(|(u, v)| [u as u32, v as u32])
+    .map(|(u, v)| (u as u32, v as u32))
     .collect();
 
-    /// Benches one mix of `N`-field records (`N` varints each): the word
-    /// paths through the typed `T`, the byte loops through the same
-    /// `ChunkBuf` framing and the same width check.
-    fn mix<const N: usize, T: hurricane_format::RecordView>(
-        c: &mut Criterion,
-        name: &str,
-        fields: &[[u32; N]],
-        typed: impl Fn(&[u32; N]) -> T,
-    ) {
-        let records: Vec<T> = fields.iter().map(typed).collect();
+    /// Benches one mix of records.
+    fn mix<T: hurricane_format::RecordView>(c: &mut Criterion, name: &str, records: &[T]) {
         let mut writer = ChunkWriter::<T>::new(CHUNK);
         let mut chunks: Vec<Chunk> = Vec::new();
-        for r in &records {
+        for r in records {
             chunks.extend(writer.push(r).unwrap());
         }
         chunks.extend(writer.finish());
 
         let mut g = c.benchmark_group(format!("varint/{name}"));
         g.throughput(Throughput::Elements(records.len() as u64));
-        g.bench_function("encode_bytewise", |b| {
-            b.iter(|| {
-                let mut body = ChunkBuf::new(CHUNK);
-                let mut sealed = 0usize;
-                for rec in fields {
-                    let start = body.len();
-                    for &field in rec {
-                        encode_bytewise(field as u64, body.encode_buf());
-                    }
-                    sealed += body.commit(start).unwrap().is_some() as usize;
-                }
-                sealed
-            })
-        });
         g.bench_function("encode_word", |b| {
             b.iter(|| {
                 let mut w = ChunkWriter::<T>::new(CHUNK);
                 let mut sealed = 0usize;
-                for r in &records {
+                for r in records {
                     sealed += w.push(r).unwrap().is_some() as usize;
                 }
                 sealed
-            })
-        });
-        g.bench_function("decode_bytewise", |b| {
-            b.iter(|| {
-                let mut n = 0u64;
-                for chunk in &chunks {
-                    let mut rest = chunk.bytes();
-                    while !rest.is_empty() {
-                        for _ in 0..N {
-                            let v = decode_bytewise(&mut rest).unwrap();
-                            criterion::black_box(u32::try_from(v).unwrap());
-                        }
-                        n += 1;
-                    }
-                }
-                n
             })
         });
         g.bench_function("decode_word", |b| {
@@ -691,9 +454,9 @@ fn bench_varint(c: &mut Criterion) {
         g.finish();
     }
 
-    mix(c, "uniform_keys", &uniform, |&[k]| k);
-    mix(c, "zipf_keys", &zipf, |&[k]| k);
-    mix(c, "rmat17_pairs", &rmat, |&[u, v]| (u, v));
+    mix(c, "uniform_keys", &uniform);
+    mix(c, "zipf_keys", &zipf);
+    mix(c, "rmat17_pairs", &rmat);
 }
 
 /// One merge phase's independent output indices dispatched through
@@ -1005,8 +768,7 @@ const BATCH: usize = 64;
 const COALESCE_WINDOW: usize = 8 * BATCH;
 
 /// One shared template payload: per-op "data" is a refcount clone, so the
-/// measurement isolates storage-path cost rather than allocator cost
-/// (identically for the coarse baseline and the sharded path).
+/// measurement isolates storage-path cost rather than allocator cost.
 fn contended_chunk() -> hurricane_format::Chunk {
     thread_local! {
         static TEMPLATE: hurricane_format::Chunk =
@@ -1026,13 +788,11 @@ fn run_clients(clients: usize, per_client: impl Fn(u64) + Sync) {
 }
 
 /// Contended insert/remove: N clients hammer ONE bag on 8 nodes — the
-/// traffic pattern task cloning creates. `coarse` is the pre-shard
-/// node-global-mutex baseline; everything else is the live data plane
-/// (an `RpcPort` per client): `sharded` one chunk per request on the
-/// inline plane, `rpc_inline*` batched on the inline plane (what a
+/// traffic pattern task cloning creates — on the live data plane (an
+/// `RpcPort` per client): `sharded` one chunk per request on the inline
+/// plane, `rpc_inline*` batched on the inline plane (what a
 /// default-configuration engine run does), `rpc_batch` batched on the
-/// channel plane. The acceptance target is sharded ≥ 2× the coarse
-/// baseline at 8 clients.
+/// channel plane.
 fn bench_contended(c: &mut Criterion) {
     for &clients in &[1usize, 4, 8] {
         let total_ops = clients as u64 * OPS_PER_CLIENT;
@@ -1040,21 +800,6 @@ fn bench_contended(c: &mut Criterion) {
         g.throughput(Throughput::Elements(total_ops));
         g.sample_size(10);
 
-        g.bench_function("insert/coarse", |b| {
-            b.iter_batched(
-                || CoarseCluster::new(CONTENDED_NODES, 1),
-                |cluster| {
-                    let bag = cluster.create_bag();
-                    run_clients(clients, |t| {
-                        let mut cl = CoarseClient::new(cluster.clone(), bag, 7 + t);
-                        for _ in 0..OPS_PER_CLIENT {
-                            cl.insert(contended_chunk()).unwrap();
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
         g.bench_function("insert/sharded", |b| {
             b.iter_batched(
                 || StorageCluster::new(CONTENDED_NODES, ClusterConfig::default()),
@@ -1135,29 +880,6 @@ fn bench_contended(c: &mut Criterion) {
             )
         });
 
-        g.bench_function("remove/coarse", |b| {
-            b.iter_batched(
-                || {
-                    let cluster = CoarseCluster::new(CONTENDED_NODES, 1);
-                    let bag = cluster.create_bag();
-                    let mut cl = CoarseClient::new(cluster.clone(), bag, 3);
-                    for _ in 0..total_ops {
-                        cl.insert(contended_chunk()).unwrap();
-                    }
-                    cluster.seal_bag(bag).unwrap();
-                    (cluster, bag)
-                },
-                |(cluster, bag)| {
-                    run_clients(clients, |t| {
-                        let mut cl = CoarseClient::new(cluster.clone(), bag, 11 + t);
-                        for _ in 0..OPS_PER_CLIENT {
-                            let _ = cl.try_remove().unwrap();
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
         g.bench_function("remove/sharded", |b| {
             b.iter_batched(
                 || {
@@ -1330,27 +1052,11 @@ fn bench_flow_control(c: &mut Criterion) {
 }
 
 /// `BagSample` polling: the master samples input bags every heuristic
-/// tick. Sharded sampling is O(1) per node (running counters); the
-/// pre-shard baseline re-scans the unread suffix of a 10k-chunk bag.
+/// tick. Sampling is O(1) per node (running counters), whatever the
+/// bag holds — here a half-consumed 10k-chunk bag.
 fn bench_sample(c: &mut Criterion) {
     const CHUNKS: u64 = 10_000;
     let mut g = c.benchmark_group("sample_10k_chunks_8n");
-
-    let coarse = CoarseCluster::new(CONTENDED_NODES, 1);
-    let coarse_bag = coarse.create_bag();
-    {
-        let mut cl = CoarseClient::new(coarse.clone(), coarse_bag, 5);
-        for _ in 0..CHUNKS {
-            cl.insert(contended_chunk()).unwrap();
-        }
-        // Half-consumed: the scan covers the remaining half.
-        for _ in 0..CHUNKS / 2 {
-            let _ = cl.try_remove().unwrap();
-        }
-    }
-    g.bench_function("coarse_scan", |b| {
-        b.iter(|| coarse.sample_bag(coarse_bag).unwrap())
-    });
 
     let sharded = StorageCluster::new(CONTENDED_NODES, ClusterConfig::default());
     let sharded_bag = sharded.create_bag();

@@ -1,5 +1,4 @@
-//! Runs every table and figure reproduction in sequence (the full
-//! EXPERIMENTS.md regeneration).
+//! Runs every table and figure reproduction in sequence.
 fn main() {
     use hurricane_bench::experiments as e;
     e::table1();

@@ -4,7 +4,7 @@
 //! the paper's testbed parameters ([`ClusterSpec::paper`]); laptop-scale
 //! experiments run the real threaded engine. Functions return their data
 //! so the regression tests in `tests/` can assert the paper's qualitative
-//! shapes, and print the paper-vs-measured comparison for EXPERIMENTS.md.
+//! shapes, and print the paper-vs-measured comparison.
 
 use crate::output;
 use hurricane_sim::apps::{

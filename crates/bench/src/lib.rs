@@ -23,6 +23,5 @@
 //! | `utilization` | Eq. 1 — analytic vs Monte-Carlo utilization |
 //! | `ablation_clone_interval` | extension — clone-interval sensitivity |
 
-pub mod coarse;
 pub mod experiments;
 pub mod output;

@@ -229,13 +229,7 @@ impl HurricaneApp {
         } else {
             StorageEndpoint::inline
         };
-        let endpoint = Arc::new(
-            plane(self.cluster.clone())
-                .with_dispatch_threads(self.config.rpc_dispatch_threads.max(1))
-                .with_request_timeout(self.config.rpc_request_timeout)
-                .with_retry_attempts(self.config.rpc_retry_attempts)
-                .with_writer_credit(self.config.rpc_writer_credit.max(1)),
-        );
+        let endpoint = Arc::new(plane(self.cluster.clone()));
         let mdeps = ManagerDeps {
             graph: self.graph.clone(),
             cluster: self.cluster.clone(),

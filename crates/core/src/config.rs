@@ -7,9 +7,11 @@ use std::time::Duration;
 ///
 /// Defaults are scaled for in-process, laptop-scale execution: the paper's
 /// 4 MB chunks and 2-second clone interval become 64 KB and 50 ms so tests
-/// and examples exercise the same code paths in milliseconds. The
-/// benchmark harness overrides these to paper values where an experiment
-/// depends on them.
+/// and examples exercise the same code paths in milliseconds. Every field
+/// is one some test, example, binary or benchmark workload sets; what
+/// nothing set is a constant next to the code that reads it (the Eq. 2
+/// terms in [`crate::heuristic`], credit / timeout / retry / dispatch
+/// threads in `hurricane_storage::rpc`).
 #[derive(Debug, Clone)]
 pub struct HurricaneConfig {
     /// Number of compute nodes (task managers) to run.
@@ -24,16 +26,6 @@ pub struct HurricaneConfig {
     pub batch_factor: usize,
     /// Minimum spacing between clone requests from one worker (paper: 2 s).
     pub clone_interval: Duration,
-    /// Maximum instances (original + clones) per task. The paper clones
-    /// until a task "runs on every compute node"; `None` uses the number
-    /// of compute nodes.
-    pub max_clones_per_task: Option<usize>,
-    /// Modeled I/O bandwidth in bytes/s used by the cloning heuristic to
-    /// estimate `T_IO` (reading remaining state + merging outputs).
-    pub io_bandwidth: f64,
-    /// Do not clone when fewer than this many chunks remain in the input:
-    /// the master's cheap proxy for "too close to completion".
-    pub min_remaining_chunks_to_clone: u64,
     /// Disable cloning entirely (the paper's HurricaneNC configuration).
     pub cloning_enabled: bool,
     /// Master poll period for the done bag / control messages.
@@ -45,42 +37,9 @@ pub struct HurricaneConfig {
     /// threads behind in-process channels, so the prefetcher's probes
     /// and a writer's replica acks genuinely overlap. `false` (the
     /// default): each request is served on the caller's own thread
-    /// before `send` returns — no thread hop, nothing in flight.
+    /// before `send` returns — no thread hop, nothing in flight, so
+    /// writer credit, the request timeout and retries are never reached.
     pub storage_rpc: bool,
-    /// Dispatch threads per storage-node server. Inert on the inline
-    /// plane (`storage_rpc` off), which has no server threads.
-    pub rpc_dispatch_threads: usize,
-    /// Insert-coalescing window (chunks) for task writers, on either
-    /// plane:
-    /// buckets from successive batch flushes stage on the port and go out
-    /// as one merged envelope per (node, bag) once this many chunks are
-    /// staged. `0` disables coalescing (every batch call flushes). A
-    /// nonzero window below two write batches cannot merge anything, so
-    /// the engine clamps the effective window to `2 * batch_factor` (see
-    /// [`HurricaneConfig::effective_coalesce_window`]). Only task-output
-    /// writers coalesce — work-bag scheduling traffic stays
-    /// call-synchronous so claims are immediately visible.
-    pub rpc_coalesce_chunks: usize,
-    /// Per-connection writer credit: how many requests may be on the
-    /// wire unanswered before a writer blocks (flow control; a stalled
-    /// storage node bounds its lane at this many envelopes instead of
-    /// accumulating unbounded queue). Inert on the inline plane, where
-    /// nothing is ever on the wire unanswered.
-    pub rpc_writer_credit: usize,
-    /// Client-side request timeout: how long a caller waits for one
-    /// reply before abandoning the request (its outcome then unknown).
-    /// The per-connection credit-acquire timeout is aligned with this
-    /// automatically when ports are minted, so flow control never fails
-    /// faster than a request wait would. Inert on the inline plane: a
-    /// reply exists by the time the request is sent.
-    pub rpc_request_timeout: Duration,
-    /// Total attempts per request: `1` (the default) fails fast on
-    /// timeout; higher values retransmit a timed-out request under its
-    /// original sequence number, which the server-side dedup window
-    /// resolves to at most one execution (see
-    /// `hurricane_storage::rpc::RetryPolicy`). Inert on the inline
-    /// plane, which never times out.
-    pub rpc_retry_attempts: u32,
     /// Root directory for durable segment logs (`SEGMENT.md`). `None`
     /// (the default) keeps storage nodes purely in-memory; when set,
     /// every storage node journals its bag contents into
@@ -119,21 +78,9 @@ impl Default for HurricaneConfig {
             chunk_size: 64 * 1024,
             batch_factor: 10,
             clone_interval: Duration::from_millis(50),
-            max_clones_per_task: None,
-            io_bandwidth: 4.0e9,
-            min_remaining_chunks_to_clone: 4,
             cloning_enabled: true,
             master_poll: Duration::from_millis(2),
             storage_rpc: false,
-            rpc_dispatch_threads: 2,
-            // Nonzero = coalescing on; the effective window is clamped
-            // to at least two write batches whatever batch_factor is
-            // (see effective_coalesce_window), so this default tracks
-            // batch_factor rather than duplicating its value.
-            rpc_coalesce_chunks: 1,
-            rpc_writer_credit: hurricane_storage::rpc::DEFAULT_WRITER_CREDIT,
-            rpc_request_timeout: hurricane_storage::rpc::DEFAULT_REQUEST_TIMEOUT,
-            rpc_retry_attempts: 1,
             data_dir: None,
             spill_threshold_bytes: u64::MAX,
             merge_memory_budget: u64::MAX,
@@ -146,11 +93,10 @@ impl Default for HurricaneConfig {
 }
 
 impl HurricaneConfig {
-    /// The effective per-task instance cap.
+    /// The per-task instance cap (original + clones): the paper clones
+    /// until a task "runs on every compute node".
     pub fn instance_cap(&self) -> usize {
-        self.max_clones_per_task
-            .unwrap_or(self.compute_nodes)
-            .max(1)
+        self.compute_nodes.max(1)
     }
 
     /// Returns a copy with cloning disabled (HurricaneNC, paper §5.2).
@@ -172,25 +118,26 @@ impl HurricaneConfig {
         self
     }
 
-    /// Returns a copy with the per-output merge memory budget set.
-    pub fn with_merge_memory_budget(mut self, bytes: u64) -> Self {
-        self.merge_memory_budget = bytes;
-        self
-    }
-
     /// Returns a copy with the deployment environment's memory knobs
     /// applied: `HURRICANE_MERGE_MEMORY_BUDGET` overrides
     /// [`merge_memory_budget`](Self::merge_memory_budget) and
     /// `HURRICANE_SPILL_THRESHOLD_BYTES` overrides
     /// [`spill_threshold_bytes`](Self::spill_threshold_bytes) (both in
-    /// bytes). Unset or unparsable variables leave the config untouched.
-    /// Harnesses that build their configs in code route through this so
-    /// one environment can squeeze a whole suite under a tiny budget —
-    /// CI's low-memory stress leg runs the runtime tests exactly this
-    /// way.
+    /// bytes). Unset variables leave the config untouched. Harnesses that
+    /// build their configs in code route through this so one environment
+    /// can squeeze a whole suite under a tiny budget — CI's low-memory
+    /// stress leg runs the runtime tests exactly this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when one is set to
+    /// something that is not a byte count: a suite meant to run squeezed
+    /// must not run unsqueezed and pass.
     pub fn with_env_overrides(mut self) -> Self {
         fn read(var: &str) -> Option<u64> {
-            std::env::var(var).ok()?.parse().ok()
+            let value = std::env::var_os(var)?;
+            let bytes = value.to_str().and_then(|v| v.parse().ok());
+            Some(bytes.unwrap_or_else(|| panic!("{var}={value:?} is not a byte count (u64)")))
         }
         if let Some(v) = read("HURRICANE_MERGE_MEMORY_BUDGET") {
             self.merge_memory_budget = v;
@@ -214,18 +161,6 @@ impl HurricaneConfig {
             spill_threshold_bytes: self.spill_threshold_bytes,
         }))
     }
-
-    /// The insert-coalescing window task writers actually use: `0` when
-    /// coalescing is disabled, otherwise at least two write batches — a
-    /// smaller window could never merge across batches, silently
-    /// degenerating to the eager path when `batch_factor` is raised.
-    pub fn effective_coalesce_window(&self) -> usize {
-        if self.rpc_coalesce_chunks == 0 {
-            0
-        } else {
-            self.rpc_coalesce_chunks.max(2 * self.batch_factor)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,20 +175,27 @@ mod tests {
         assert!(c.chunk_size > 0);
         assert_eq!(c.instance_cap(), c.compute_nodes);
         assert!(c.cloning_enabled);
-        assert_eq!(
-            c.rpc_request_timeout,
-            hurricane_storage::rpc::DEFAULT_REQUEST_TIMEOUT
-        );
-        assert_eq!(c.rpc_retry_attempts, 1);
     }
 
     #[test]
-    fn cap_override() {
-        let c = HurricaneConfig {
-            max_clones_per_task: Some(7),
-            ..Default::default()
-        };
-        assert_eq!(c.instance_cap(), 7);
+    fn every_field_is_listed_here() {
+        // Exhaustive on purpose: a new field does not compile until it is
+        // named here, next to the count of options this config carries.
+        let HurricaneConfig {
+            compute_nodes: _,
+            worker_slots: _,
+            chunk_size: _,
+            batch_factor: _,
+            clone_interval: _,
+            cloning_enabled: _,
+            master_poll: _,
+            storage_rpc: _,
+            data_dir: _,
+            spill_threshold_bytes: _,
+            merge_memory_budget: _,
+            merge_parallelism: _,
+            seed: _,
+        } = HurricaneConfig::default();
     }
 
     #[test]
@@ -277,6 +219,25 @@ mod tests {
         std::env::remove_var("HURRICANE_SPILL_THRESHOLD_BYTES");
         assert_eq!(c.merge_memory_budget, 512);
         assert_eq!(c.spill_threshold_bytes, 4096);
+
+        // Set but unparsable: refused by name, not silently ignored.
+        for (var, value) in [
+            ("HURRICANE_MERGE_MEMORY_BUDGET", "512B"),
+            ("HURRICANE_SPILL_THRESHOLD_BYTES", ""),
+        ] {
+            std::env::set_var(var, value);
+            let refused =
+                std::panic::catch_unwind(|| HurricaneConfig::default().with_env_overrides());
+            std::env::remove_var(var);
+            let message = *refused
+                .expect_err("unparsable override must panic")
+                .downcast::<String>()
+                .expect("panic message");
+            assert!(
+                message.contains(var) && message.contains(&format!("{value:?}")),
+                "{message}"
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,16 @@
 //! is pure and shared by the threaded runtime and the discrete-event
 //! simulator.
 
+/// The I/O bandwidth, in bytes/s, the threaded engine's master models
+/// when it estimates `T_IO` (reading remaining state + merging outputs).
+/// The simulator models its own per task.
+pub const MODELED_IO_BANDWIDTH: f64 = 4.0e9;
+
+/// The master does not clone a task with fewer than this many chunks
+/// left in the inputs it consumes: its cheap proxy, checked before
+/// Eq. 2, for "too close to completion".
+pub const MIN_REMAINING_CHUNKS_TO_CLONE: u64 = 4;
+
 /// Inputs to one cloning decision.
 #[derive(Debug, Clone, Copy)]
 pub struct CloneDecision {

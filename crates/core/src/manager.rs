@@ -180,18 +180,22 @@ impl ComputeNodeHandle {
 
 impl ManagerDeps {
     /// Opens a bag client for `bag` over the deployment's storage
-    /// endpoint, which carries the knobs (writer credit, timeout, retry).
+    /// endpoint.
     pub(crate) fn bag_client(&self, bag: BagId) -> BagClient {
         self.endpoint.client(bag, self.seeds.next())
     }
 
     /// A bag client for a task-output writer: like
-    /// [`ManagerDeps::bag_client`], plus the configured insert-coalescing
-    /// window. Writers flush at task boundaries ([`BagWriter::flush`]
-    /// drains the port), so deferred completion never leaks past a task.
+    /// [`ManagerDeps::bag_client`], plus an insert-coalescing window of
+    /// two write batches, so a port sends one envelope per node per `2b`
+    /// sealed chunks. Only task-output writers coalesce — work-bag
+    /// scheduling traffic stays call-synchronous so claims are
+    /// immediately visible. Writers flush at task boundaries
+    /// ([`BagWriter::flush`] drains the port), so deferred completion
+    /// never leaks past a task.
     pub(crate) fn writer_client(&self, bag: BagId) -> BagClient {
         self.bag_client(bag)
-            .with_coalescing(self.config.effective_coalesce_window())
+            .with_coalescing(2 * self.config.batch_factor)
     }
 
     /// Opens a typed work bag over the deployment's storage path.

@@ -17,7 +17,9 @@ use crate::config::HurricaneConfig;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};
 use crate::error::EngineError;
 use crate::graph::AppGraph;
-use crate::heuristic::{CloneDecision, RateTracker};
+use crate::heuristic::{
+    CloneDecision, RateTracker, MIN_REMAINING_CHUNKS_TO_CLONE, MODELED_IO_BANDWIDTH,
+};
 use crate::manager::{RunningRegistry, SeedGen, WorkBagIds};
 use crate::task::{ControlMsg, KillSwitch};
 use crossbeam::channel::Receiver;
@@ -478,11 +480,9 @@ impl Master {
             remaining_bytes,
             state_bytes,
             drain_rate: rate,
-            io_bandwidth: self.deps.config.io_bandwidth,
+            io_bandwidth: MODELED_IO_BANDWIDTH,
         };
-        if remaining_chunks < self.deps.config.min_remaining_chunks_to_clone
-            || !decision.should_clone()
-        {
+        if remaining_chunks < MIN_REMAINING_CHUNKS_TO_CLONE || !decision.should_clone() {
             self.report.clone_rejections += 1;
             return Ok(());
         }
@@ -684,7 +684,7 @@ mod tests {
 
     #[test]
     fn min_remaining_chunks_gate_counts_consumed_inputs_only() {
-        let min = HurricaneConfig::default().min_remaining_chunks_to_clone;
+        let min = MIN_REMAINING_CHUNKS_TO_CLONE;
         // One chunk short of the gate on the consumed input: refused,
         // whatever the snapshot input holds.
         let mut master = master_over(35, 8, 8 - (min - 1));

@@ -1451,6 +1451,31 @@ mod tests {
     }
 
     #[test]
+    fn spill_run_write_fails_at_the_chunk_its_node_refuses() {
+        // A run is pinned for its read-back order, so its writer must
+        // not re-route, and must report the refusal at the chunk that
+        // met it (no window hides it until a later flush).
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let mut sink = TestSink::new(&cluster, 64);
+        let mut run = sink.create_run().unwrap();
+        let bag = run.bag_id();
+        run.emit_chunk(hurricane_format::Chunk::from_vec(vec![1]))
+            .unwrap();
+        cluster.node(0).fail();
+        let refused = run.emit_chunk(hurricane_format::Chunk::from_vec(vec![2]));
+        assert!(
+            matches!(
+                refused,
+                Err(EngineError::Storage(
+                    hurricane_storage::StorageError::NodeDown(_)
+                ))
+            ),
+            "{refused:?}"
+        );
+        assert_eq!(cluster.node(1).sample(bag).unwrap().total_chunks, 0);
+    }
+
+    #[test]
     fn bounded_keyed_merge_folding_is_byte_identical() {
         let merge = KeyedMerge::<String, u64, _>::folding(|acc, v: u64| *acc += v);
         let (plain, bounded, stats, sink) = bounded_vs_unbounded(&merge, 0, 96, 2, &skewed_fill);

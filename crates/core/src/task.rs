@@ -19,7 +19,6 @@ use crate::error::EngineError;
 use crossbeam::channel::Sender;
 use hurricane_common::{BagId, TaskInstanceId};
 use hurricane_format::{Chunk, ChunkBuf, Record, RecordView};
-use hurricane_storage::batch::ChunkBatch;
 use hurricane_storage::prefetch::Prefetcher;
 use hurricane_storage::{BagClient, StorageCluster};
 use parking_lot::RwLock;
@@ -227,17 +226,18 @@ impl BagReader {
 }
 
 /// A buffering writer into one bag: records accumulate into chunks of the
-/// configured size (never splitting a record), sealed chunks accumulate
-/// into a [`ChunkBatch`] of up to the write batch factor, and whole
-/// batches spread across storage nodes in pseudorandom cyclic order — one
-/// storage call per node per batch instead of one per chunk.
+/// configured size (never splitting a record), and each sealed chunk is
+/// staged on the client's port for the next storage node in pseudorandom
+/// cyclic order ([`BagClient::stage`]). The port's staging queues are
+/// the one buffer of sealed chunks: they go out as one envelope per
+/// node once the port's window fills — one storage call per node per
+/// window instead of one per chunk — or at [`BagWriter::flush`].
 pub struct BagWriter {
     client: BagClient,
     /// The shared single-pass chunk-building core: the boundary
     /// invariant, encode headroom, and overflow-carry protocol live in
     /// `hurricane_format::ChunkBuf`, not here.
     body: ChunkBuf,
-    batch: ChunkBatch,
     bytes_written: u64,
     chunks_written: u64,
 }
@@ -250,9 +250,7 @@ impl BagWriter {
     }
 
     /// Opens a writer that holds up to `batch_factor` sealed chunks and
-    /// inserts them with batched storage calls. The runtime wires the
-    /// configured batch-sampling factor `b` through here so task output
-    /// ports flush whole chunk runs at once.
+    /// inserts them with batched storage calls.
     pub fn open_batched(
         cluster: Arc<StorageCluster>,
         bag: BagId,
@@ -263,21 +261,30 @@ impl BagWriter {
         Self::open_batched_client(BagClient::new(cluster, bag, seed), chunk_size, batch_factor)
     }
 
-    /// Opens a batched writer over an existing bag client. With a client
-    /// minted from a channel or TCP endpoint, replicated batch flushes
-    /// overlap their backup acks on the wire.
-    pub fn open_batched_client(client: BagClient, chunk_size: usize, batch_factor: usize) -> Self {
+    /// Opens a batched writer over an existing bag client, whose port
+    /// window becomes at least `batch_factor` chunks (a wider window the
+    /// client already carries is kept: the engine's task writers come
+    /// with `2 * batch_factor`). With a client minted from a channel or
+    /// TCP endpoint, replicated batch flushes overlap their backup acks
+    /// on the wire. A pinned client ignores the window: each sealed
+    /// chunk is inserted synchronously, so writes land, and fail, in
+    /// emission order.
+    pub fn open_batched_client(
+        mut client: BagClient,
+        chunk_size: usize,
+        batch_factor: usize,
+    ) -> Self {
+        client.set_coalescing(client.coalescing().max(batch_factor));
         Self {
             client,
             body: ChunkBuf::new(chunk_size),
-            batch: ChunkBatch::new(batch_factor.max(1)),
             bytes_written: 0,
             chunks_written: 0,
         }
     }
 
-    /// Appends one record, sealing a chunk (and, at the batch factor,
-    /// inserting the pending batch) when full.
+    /// Appends one record, sealing a chunk (and, when that fills the
+    /// port's window, inserting the staged chunks) when full.
     ///
     /// Encoding is single-pass: the record serializes straight into the
     /// chunk buffer (no `encoded_len` pre-traversal). On capacity
@@ -314,15 +321,10 @@ impl BagWriter {
     /// Buffered records are sealed first so framing is preserved.
     pub fn emit_chunk(&mut self, chunk: Chunk) -> Result<(), EngineError> {
         self.seal_chunk()?;
-        self.bytes_written += chunk.len() as u64;
-        self.chunks_written += 1;
-        if self.batch.push(chunk) {
-            self.batch.flush_into(&mut self.client)?;
-        }
-        Ok(())
+        self.stage(chunk)
     }
 
-    /// Seals buffered records into a chunk, queueing it on the batch.
+    /// Seals buffered records into a chunk and stages it.
     fn seal_chunk(&mut self) -> Result<(), EngineError> {
         match self.body.take() {
             Some(data) => self.seal_data(data),
@@ -330,24 +332,25 @@ impl BagWriter {
         }
     }
 
-    /// Queues `data` (a complete chunk payload) on the pending batch.
-    /// Cold: runs once per sealed chunk.
+    /// Stages `data` (a complete chunk payload). Cold: runs once per
+    /// sealed chunk.
     #[cold]
     fn seal_data(&mut self, data: Vec<u8>) -> Result<(), EngineError> {
-        self.bytes_written += data.len() as u64;
+        self.stage(Chunk::from_vec(data))
+    }
+
+    fn stage(&mut self, chunk: Chunk) -> Result<(), EngineError> {
+        self.bytes_written += chunk.len() as u64;
         self.chunks_written += 1;
-        if self.batch.push(Chunk::from_vec(data)) {
-            self.batch.flush_into(&mut self.client)?;
-        }
+        self.client.stage(chunk)?;
         Ok(())
     }
 
-    /// Seals buffered records and inserts every pending chunk — including
-    /// draining any inserts the client's port staged for coalescing. After
-    /// `flush` returns, all written data is visible in the bag.
+    /// Seals buffered records and inserts every chunk still staged on the
+    /// client's port. After `flush` returns, all written data is visible
+    /// in the bag.
     pub fn flush(&mut self) -> Result<(), EngineError> {
         self.seal_chunk()?;
-        self.batch.flush_into(&mut self.client)?;
         self.client.flush()?;
         Ok(())
     }
@@ -357,12 +360,13 @@ impl BagWriter {
         self.client.bag_id()
     }
 
-    /// Bytes inserted so far (flushed only).
+    /// Bytes in the chunks sealed so far, whether or not the port has
+    /// sent them yet.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
-    /// Chunks inserted so far.
+    /// Chunks sealed so far.
     pub fn chunks_written(&self) -> u64 {
         self.chunks_written
     }
@@ -812,10 +816,37 @@ mod tests {
         for i in 0..20u8 {
             w.emit_chunk(Chunk::from_vec(vec![i])).unwrap();
         }
-        // 20 chunks emitted; 16 inserted via 2 full batches, 4 pending.
+        // 20 chunks sealed at window 8: two full windows went out, 4
+        // are still staged on the port.
         assert_eq!(w.chunks_written(), 20);
         assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 16);
+        assert_eq!(w.client.port_stats().unwrap().flushes, 2);
         w.flush().unwrap();
+        // N chunks at window W cost ⌈N / W⌉ flushes, every chunk went
+        // through the staging queues once, and none is left in them.
+        let stats = w.client.port_stats().unwrap();
+        assert_eq!(stats.flushes, 20u64.div_ceil(8));
+        assert_eq!(stats.staged_chunks, 20);
+        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 20);
+        // A flush with nothing staged costs nothing.
+        w.flush().unwrap();
+        assert_eq!(w.client.port_stats().unwrap().flushes, 3);
+    }
+
+    #[test]
+    fn writer_keeps_a_wider_client_window() {
+        // The engine's shape: the client arrives with a 2b window and
+        // the writer is opened at b — one flush per 2b chunks.
+        let cluster = StorageCluster::new(4, ClusterConfig::default());
+        let bag = cluster.create_bag();
+        let client = BagClient::new(cluster.clone(), bag, 1).with_coalescing(8);
+        let mut w = BagWriter::open_batched_client(client, 64, 4);
+        for i in 0..20u8 {
+            w.emit_chunk(Chunk::from_vec(vec![i])).unwrap();
+        }
+        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 16);
+        w.flush().unwrap();
+        assert_eq!(w.client.port_stats().unwrap().flushes, 3);
         assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 20);
     }
 
@@ -837,6 +868,9 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..200u64).collect::<Vec<_>>());
         assert_eq!(r.chunks_read(), w.chunks_written());
+        let stats = w.client.port_stats().unwrap();
+        assert_eq!(stats.staged_chunks, w.chunks_written());
+        assert_eq!(stats.flushes, w.chunks_written().div_ceil(4));
     }
 
     /// Builds a bare context over `cluster` for exercising the streaming

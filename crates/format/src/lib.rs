@@ -22,12 +22,10 @@
 //!   floats, tuples of them) get O(1) random access into sequences and
 //!   whole chunks ([`view::StrideSlice`]). See the [`view`] module docs
 //!   for when to use `Record` vs `RecordView`.
-//! * [`kernels`] — batch kernels (word OR, popcount, widening sums,
-//!   equality filter, strided column gather) over the flat byte runs
-//!   fixed-stride sequences expose, with runtime-dispatched SSE2/AVX2
-//!   implementations behind the `simd` cargo feature and scalar
-//!   fallbacks as the default build. Surfaced as methods on
-//!   [`view::SeqView`] / [`view::StrideSlice`].
+//! * [`kernels`] — the three batch kernels with callers (word OR,
+//!   popcount, strided column gather) over the flat byte runs
+//!   fixed-stride sequences expose: safe loops, one build. Surfaced as
+//!   methods on [`view::SeqView`] / [`view::StrideSlice`].
 //! * [`stream::ChunkWriter`] / [`stream::ChunkReader`] — the typed
 //!   iterators that serialize a record stream into boundary-respecting
 //!   chunks (single-pass encoding, with [`stream::ChunkWriter::push_encoded`]

@@ -540,8 +540,7 @@ impl<'a, T: FixedStride> SeqView<'a, T> {
 impl SeqView<'_, FixedU64> {
     /// ORs this word sequence into `acc` (growing it to cover every
     /// word) via the batch kernels ([`crate::kernels::or_le64`]): the
-    /// bitset-merge fold, run 2–4 words per instruction under the
-    /// `simd` feature.
+    /// bitset-merge fold.
     pub fn or_into(&self, acc: &mut Vec<FixedU64>) {
         if self.len > acc.len() {
             acc.resize(self.len, FixedU64(0));
@@ -553,25 +552,6 @@ impl SeqView<'_, FixedU64> {
     /// ([`crate::kernels::popcount_le64`]).
     pub fn popcount(&self) -> u64 {
         kernels::popcount_le64(self.bytes)
-    }
-
-    /// Wrapping sum of all words ([`crate::kernels::sum_le64`]).
-    pub fn wrapping_sum(&self) -> u64 {
-        kernels::sum_le64(self.bytes)
-    }
-}
-
-impl SeqView<'_, FixedU32> {
-    /// Sum of all words, each widened to `u64` before adding
-    /// ([`crate::kernels::sum_le32`]).
-    pub fn wrapping_sum(&self) -> u64 {
-        kernels::sum_le32(self.bytes)
-    }
-
-    /// Counts the words equal to `needle` — the filter kernel
-    /// ([`crate::kernels::count_eq_le32`]).
-    pub fn count_eq(&self, needle: FixedU32) -> usize {
-        kernels::count_eq_le32(self.bytes, needle.0)
     }
 }
 
@@ -836,25 +816,6 @@ impl StrideSlice<'_, FixedU64> {
     /// ([`crate::kernels::popcount_le64`]).
     pub fn popcount(&self) -> u64 {
         kernels::popcount_le64(self.bytes)
-    }
-
-    /// Wrapping sum of all records ([`crate::kernels::sum_le64`]).
-    pub fn wrapping_sum(&self) -> u64 {
-        kernels::sum_le64(self.bytes)
-    }
-}
-
-impl StrideSlice<'_, FixedU32> {
-    /// Sum of all records, each widened to `u64` before adding
-    /// ([`crate::kernels::sum_le32`]).
-    pub fn wrapping_sum(&self) -> u64 {
-        kernels::sum_le32(self.bytes)
-    }
-
-    /// Counts the records equal to `needle` — the filter kernel
-    /// ([`crate::kernels::count_eq_le32`]).
-    pub fn count_eq(&self, needle: FixedU32) -> usize {
-        kernels::count_eq_le32(self.bytes, needle.0)
     }
 }
 
@@ -1123,10 +1084,6 @@ mod tests {
             seq.popcount(),
             words.iter().map(|w| w.0.count_ones() as u64).sum::<u64>()
         );
-        assert_eq!(
-            seq.wrapping_sum(),
-            words.iter().fold(0u64, |a, w| a.wrapping_add(w.0))
-        );
         let mut acc = vec![FixedU64(0xF0F0); 10];
         seq.or_into(&mut acc);
         assert_eq!(acc.len(), 37, "accumulator grows to the view");
@@ -1134,15 +1091,6 @@ mod tests {
             let seed = if i < 10 { 0xF0F0 } else { 0 };
             assert_eq!(slot.0, seed | words[i].0);
         }
-
-        let keys: Vec<FixedU32> = (0..23u32).map(|i| FixedU32(i % 5)).collect();
-        let mut buf = Vec::new();
-        keys.encode(&mut buf);
-        let mut slice = buf.as_slice();
-        let seq = Vec::<FixedU32>::decode_view(&mut slice).unwrap();
-        assert_eq!(seq.wrapping_sum(), keys.iter().map(|k| k.0 as u64).sum());
-        assert_eq!(seq.count_eq(FixedU32(3)), 4);
-        assert_eq!(seq.count_eq(FixedU32(99)), 0);
     }
 
     #[test]
@@ -1159,18 +1107,10 @@ mod tests {
 
         let words: Vec<u8> = (0..16u64).flat_map(|i| i.to_le_bytes()).collect();
         let w = StrideSlice::<FixedU64>::new(&words).unwrap();
-        assert_eq!(w.wrapping_sum(), (0..16u64).sum::<u64>());
         assert_eq!(
             w.popcount(),
             (0..16u64).map(|i| i.count_ones() as u64).sum::<u64>()
         );
-        let keys: Vec<u8> = [7u32, 8, 7, 9]
-            .iter()
-            .flat_map(|k| k.to_le_bytes())
-            .collect();
-        let k = StrideSlice::<FixedU32>::new(&keys).unwrap();
-        assert_eq!(k.count_eq(FixedU32(7)), 2);
-        assert_eq!(k.wrapping_sum(), 31);
     }
 
     #[test]

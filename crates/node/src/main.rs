@@ -31,8 +31,7 @@
 //! The other memory bound — `merge_memory_budget`, which makes keyed
 //! merges spill their accumulator tables into scratch bags on these
 //! nodes — is a *driver*-process knob: merges run in the engine's task
-//! managers, not here. Drivers set it through
-//! `HurricaneConfig::with_merge_memory_budget` or the
+//! managers, not here. Drivers set the `HurricaneConfig` field or the
 //! `HURRICANE_MERGE_MEMORY_BUDGET` environment override; a storage
 //! node only sees the resulting scratch-bag traffic (`SEGMENT.md`,
 //! "Error handling").

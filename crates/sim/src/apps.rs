@@ -6,7 +6,7 @@
 //! processing ≈ 400 MB/s (16-core parse + geolocate), phase-2 (bitset
 //! membership) ≈ 800 MB/s, disk-bound behaviour at ≥ 10 GB/machine, and
 //! the 2-second cloning doubling ramp — together these reproduce Table 1
-//! within the shape tolerances recorded in EXPERIMENTS.md.
+//! within the shape tolerances `hurricane-bench`'s tests assert.
 
 use crate::spec::{DataPlacement, MergeModel, SimApp, SimTask};
 use hurricane_common::units::{GB, MB};

@@ -18,8 +18,7 @@
 //! * [`baselines`] — structural models of Spark, Hadoop, and GraphX
 //!   (static partitions, sort-based shuffle, task-memory OOM, spill).
 //!
-//! Every experiment in EXPERIMENTS.md drives these pieces through
-//! `hurricane-bench`.
+//! Every experiment of `hurricane-bench` drives these pieces.
 
 pub mod alloc;
 pub mod apps;

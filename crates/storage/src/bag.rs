@@ -188,9 +188,7 @@ impl BagClient {
     /// operation), so per-cycle balance is identical to repeated
     /// [`BagClient::insert`]; what is amortized is the expensive part —
     /// envelopes, storage-node lock acquisitions and replication fan-out,
-    /// which happen at most once per node per batch. Prefer
-    /// [`BagClient::insert_batch_vec`] when the chunks can be given away:
-    /// it buckets by move, with no per-chunk refcount traffic.
+    /// which happen at most once per node per batch.
     pub fn insert_batch(&mut self, chunks: &[Chunk]) -> Result<(), StorageError> {
         if chunks.is_empty() {
             return Ok(());
@@ -198,37 +196,30 @@ impl BagClient {
         if let Some(p) = self.pinned {
             return self.port.insert_batch(p, self.bag, chunks);
         }
-        self.bucket_chunks(chunks.iter().cloned());
-        self.port.insert_buckets(self.bag, &mut self.insert_buckets)
-    }
-
-    /// [`BagClient::insert_batch`] taking the chunks by value: bucketing
-    /// moves each chunk, so a producer that drains its accumulator into
-    /// this call (see [`crate::batch::ChunkBatch::flush_into`]) hands the
-    /// storage layer ownership with zero defensive copies.
-    pub fn insert_batch_vec(&mut self, chunks: Vec<Chunk>) -> Result<(), StorageError> {
-        if chunks.is_empty() {
-            return Ok(());
-        }
-        if let Some(p) = self.pinned {
-            return self.port.insert_batch(p, self.bag, &chunks);
-        }
-        self.bucket_chunks(chunks.into_iter());
-        self.port.insert_buckets(self.bag, &mut self.insert_buckets)
-    }
-
-    /// Buckets chunks into per-target runs following the cyclic order.
-    /// The buckets are client-owned scratch space: cleared, never
-    /// deallocated (the port drains them by value when staging).
-    fn bucket_chunks(&mut self, chunks: impl Iterator<Item = Chunk>) {
         let m = self.insert_cursor.len();
         self.insert_buckets.resize_with(m, Vec::new);
         for bucket in &mut self.insert_buckets {
             bucket.clear();
         }
         for chunk in chunks {
-            self.insert_buckets[self.insert_cursor.next_node()].push(chunk);
+            self.insert_buckets[self.insert_cursor.next_node()].push(chunk.clone());
         }
+        self.port.insert_buckets(self.bag, &mut self.insert_buckets)
+    }
+
+    /// Hands one chunk to the port's staging queue for the next node in
+    /// the cyclic order, by value; the port sends it with the rest of
+    /// its window ([`BagClient::set_coalescing`]) or at
+    /// [`BagClient::flush`]. This is a writer's per-sealed-chunk call. A
+    /// pinned client inserts synchronously instead
+    /// ([`BagClient::insert`]) and never re-routes: its caller must
+    /// learn, at this chunk, that the node refused.
+    pub fn stage(&mut self, chunk: Chunk) -> Result<(), StorageError> {
+        if self.pinned.is_some() {
+            return self.insert(chunk);
+        }
+        let target = self.insert_cursor.next_node();
+        self.port.stage(target, self.bag, chunk)
     }
 
     /// Attempts to remove one chunk, probing storage nodes in cyclic order.
@@ -344,13 +335,18 @@ impl BagClient {
     }
 
     /// Enables cross-batch insert coalescing: successive
-    /// [`BagClient::insert_batch`] calls stage their buckets and the port
-    /// sends one merged envelope per (node, bag) once `window_chunks`
-    /// chunks are staged. Staged chunks are durable only after the next
-    /// flush — call [`BagClient::flush`] at batch-boundary handoffs (the
-    /// engine's writers do).
+    /// [`BagClient::insert_batch`] / [`BagClient::stage`] calls stage
+    /// their chunks and the port sends one merged envelope per (node,
+    /// bag) once `window_chunks` chunks are staged. Staged chunks are
+    /// durable only after the next flush — call [`BagClient::flush`] at
+    /// batch-boundary handoffs (the engine's writers do).
     pub fn set_coalescing(&mut self, window_chunks: usize) {
         self.port.set_coalescing(window_chunks);
+    }
+
+    /// The configured coalesce window (chunks; 0 = off).
+    pub fn coalescing(&self) -> usize {
+        self.port.coalescing()
     }
 
     /// Builder form of [`BagClient::set_coalescing`].
@@ -673,9 +669,41 @@ mod tests {
         let mut w = BagClient::new(cluster.clone(), bag, 15).with_pinned_node(0);
         cluster.node(0).fail();
         // No silent re-route: the caller must learn the write failed
-        // even though node 1 is healthy.
+        // even though node 1 is healthy — through either entry, and
+        // whatever window a writer gave the port.
+        w.set_coalescing(8);
         assert!(matches!(w.insert(chunk(1)), Err(StorageError::NodeDown(_))));
+        assert!(matches!(w.stage(chunk(2)), Err(StorageError::NodeDown(_))));
+        assert_eq!(w.port.staged_chunks(), 0);
         assert_eq!(cluster.node(1).sample(bag).unwrap().total_chunks, 0);
+    }
+
+    #[test]
+    fn staged_chunks_go_out_by_the_window_and_keep_cyclic_balance() {
+        let cluster = StorageCluster::new(4, ClusterConfig::default());
+        let bag = cluster.create_bag();
+        let mut w = BagClient::new(cluster.clone(), bag, 16).with_coalescing(8);
+        for i in 0..20 {
+            w.stage(chunk(i)).unwrap();
+        }
+        // Two full windows sent, one envelope per node each; 4 staged.
+        assert_eq!(w.port.staged_chunks(), 4);
+        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 16);
+        w.flush().unwrap();
+        assert_eq!(w.port.staged_chunks(), 0);
+        let stats = w.port_stats().unwrap();
+        assert_eq!(stats.flushes, 3);
+        assert_eq!(stats.staged_chunks, 20);
+        assert_eq!(stats.insert_envelopes, 12);
+        for idx in 0..4 {
+            assert_eq!(cluster.node(idx).sample(bag).unwrap().total_chunks, 5);
+        }
+        // A sealed bag refuses at the stage call, not at some later flush.
+        cluster.seal_bag(bag).unwrap();
+        assert!(matches!(
+            w.stage(chunk(99)),
+            Err(StorageError::BagSealed(_))
+        ));
     }
 
     #[test]

@@ -13,73 +13,8 @@
 //! of storage nodes". This module implements the analytic bound, a
 //! Monte-Carlo estimator used to validate it (experiment E13), and the
 //! drain-latency estimate `m·L/b` for nearly-empty bags.
-//!
-//! It also hosts [`ChunkBatch`], the write-side counterpart of batch
-//! sampling: an accumulator of sealed chunks that producers flush through
-//! [`BagClient::insert_batch`](crate::bag::BagClient::insert_batch) in
-//! runs of up to `b`, amortizing storage-node locking and replication
-//! fan-out the same way the read side amortizes probe round-trips.
 
-use crate::bag::BagClient;
-use crate::error::StorageError;
 use hurricane_common::DetRng;
-use hurricane_format::Chunk;
-
-/// An accumulator of completed chunks awaiting one batched insert.
-#[derive(Debug)]
-pub struct ChunkBatch {
-    chunks: Vec<Chunk>,
-    capacity: usize,
-}
-
-impl ChunkBatch {
-    /// Creates a batch that triggers a flush at `capacity` chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "batch capacity must be at least 1");
-        Self {
-            chunks: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Appends a sealed chunk; returns true when the batch reached
-    /// capacity and should be flushed.
-    pub fn push(&mut self, chunk: Chunk) -> bool {
-        self.chunks.push(chunk);
-        self.chunks.len() >= self.capacity
-    }
-
-    /// Number of chunks buffered.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Returns whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Inserts every buffered chunk through `client` in one batched call,
-    /// draining the buffer **by value**: the chunks are moved into
-    /// [`BagClient::insert_batch_vec`], so downstream ports (bucketing,
-    /// RPC staging, envelope construction) take ownership without a
-    /// defensive copy or per-chunk refcount traffic. No-op when empty.
-    ///
-    /// On error the drained chunks are consumed with the failed insert —
-    /// the batch does not retain them for retry (callers recover at the
-    /// task level, not the batch level).
-    pub fn flush_into(&mut self, client: &mut BagClient) -> Result<(), StorageError> {
-        if self.chunks.is_empty() {
-            return Ok(());
-        }
-        let run = std::mem::replace(&mut self.chunks, Vec::with_capacity(self.capacity));
-        client.insert_batch_vec(run)
-    }
-}
 
 /// The utilization lower bound of Eq. 1: `1 − (1 − 1/m)^(b·m)`.
 ///
@@ -144,26 +79,6 @@ pub fn simulate_utilization(b: u32, m: u32, rounds: u32, rng: &mut DetRng) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, StorageCluster};
-
-    #[test]
-    fn chunk_batch_flushes_at_capacity() {
-        let cluster = StorageCluster::new(4, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        let mut client = BagClient::new(cluster.clone(), bag, 1);
-        let mut batch = ChunkBatch::new(8);
-        let mut flushes = 0;
-        for i in 0..20u8 {
-            if batch.push(Chunk::from_vec(vec![i])) {
-                batch.flush_into(&mut client).unwrap();
-                flushes += 1;
-            }
-        }
-        batch.flush_into(&mut client).unwrap();
-        assert_eq!(flushes, 2, "20 chunks at capacity 8 = 2 full flushes");
-        assert!(batch.is_empty());
-        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 20);
-    }
 
     #[test]
     fn matches_paper_reference_points() {

@@ -21,18 +21,21 @@
 //! [`StorageCluster::add_node`], `channel` once [`StorageEndpoint::sync`]
 //! has started the new node's server).
 //!
-//! Knobs are consuming builder methods; set them before sharing the
-//! endpoint:
+//! Three knobs, each a consuming builder method to set before sharing
+//! the endpoint: [`StorageEndpoint::with_request_timeout`],
+//! [`StorageEndpoint::with_retry_policy`] and
+//! [`StorageEndpoint::with_coalescing`]. Writer credit and the channel
+//! servers' dispatch pool are constants of [`crate::rpc`].
 //!
 //! ```
-//! use hurricane_storage::{ClusterConfig, StorageCluster, StorageEndpoint};
+//! use hurricane_storage::{ClusterConfig, RetryPolicy, StorageCluster, StorageEndpoint};
 //! use std::time::Duration;
 //!
 //! let cluster = StorageCluster::new(4, ClusterConfig::default());
 //! let bag = cluster.create_bag();
 //! let endpoint = StorageEndpoint::channel(cluster)
 //!     .with_request_timeout(Duration::from_secs(5))
-//!     .with_retry_attempts(3);
+//!     .with_retry_policy(RetryPolicy::with_attempts(3));
 //! let mut client = endpoint.client(bag, 7);
 //! client.insert(hurricane_format::Chunk::from_vec(vec![1, 2, 3])).unwrap();
 //! endpoint.shutdown();
@@ -58,7 +61,7 @@ enum Plane {
     /// cluster's own membership of inline connectors.
     Inline(Arc<StorageCluster>),
     /// RPC over in-process channel servers; the [`StorageRpc`] is built
-    /// lazily so builder knobs set after the constructor still apply.
+    /// on first use.
     Channel {
         cluster: Arc<StorageCluster>,
         rpc: Mutex<Option<StorageRpc>>,
@@ -78,9 +81,7 @@ pub struct StorageEndpoint {
     plane: Plane,
     timeout: Duration,
     retry: RetryPolicy,
-    writer_credit: Option<usize>,
     coalesce_chunks: usize,
-    dispatch_threads: usize,
 }
 
 impl StorageEndpoint {
@@ -89,9 +90,7 @@ impl StorageEndpoint {
             plane,
             timeout: DEFAULT_REQUEST_TIMEOUT,
             retry: RetryPolicy::default(),
-            writer_credit: None,
             coalesce_chunks: 0,
-            dispatch_threads: DEFAULT_DISPATCH_THREADS,
         }
     }
 
@@ -110,8 +109,7 @@ impl StorageEndpoint {
     }
 
     /// RPC over in-process channel servers: per-node dispatch pools,
-    /// real concurrency, no sockets. The servers start on first use and
-    /// honor [`StorageEndpoint::with_dispatch_threads`].
+    /// real concurrency, no sockets. The servers start on first use.
     pub fn channel(cluster: Arc<StorageCluster>) -> Self {
         Self::with_plane(Plane::Channel {
             cluster,
@@ -176,30 +174,10 @@ impl StorageEndpoint {
         self
     }
 
-    /// Retry budget with the default backoff; `attempts` counts total
-    /// tries (1 = fail fast).
-    pub fn with_retry_attempts(self, attempts: u32) -> Self {
-        let retry = RetryPolicy::with_attempts(attempts);
-        self.with_retry_policy(retry)
-    }
-
-    /// Per-connection writer credit: how many requests one connection
-    /// keeps in flight before the writer blocks.
-    pub fn with_writer_credit(mut self, credit: usize) -> Self {
-        self.writer_credit = Some(credit.max(1));
-        self
-    }
-
     /// Insert-coalescing window in chunks for minted clients (0 = off):
     /// staged inserts flush as batched envelopes.
     pub fn with_coalescing(mut self, chunks: usize) -> Self {
         self.coalesce_chunks = chunks;
-        self
-    }
-
-    /// Per-node server dispatch pool size (`channel` plane only).
-    pub fn with_dispatch_threads(mut self, threads: usize) -> Self {
-        self.dispatch_threads = threads.max(1);
         self
     }
 
@@ -220,7 +198,7 @@ impl StorageEndpoint {
             Plane::Inline(cluster) => cluster.inline_membership().clone(),
             Plane::Channel { cluster, rpc } => rpc
                 .lock()
-                .get_or_insert_with(|| StorageRpc::serve(cluster.clone(), self.dispatch_threads))
+                .get_or_insert_with(|| StorageRpc::serve(cluster.clone(), DEFAULT_DISPATCH_THREADS))
                 .membership()
                 .clone(),
             Plane::Mesh { membership, .. } => membership.clone(),
@@ -233,9 +211,6 @@ impl StorageEndpoint {
         let mut port =
             RpcPort::from_membership(self.cluster().clone(), self.membership(), self.timeout);
         port.set_retry_policy(self.retry);
-        if let Some(credit) = self.writer_credit {
-            port.set_writer_credit(credit);
-        }
         port
     }
 
@@ -367,7 +342,7 @@ mod tests {
     fn every_in_process_plane_roundtrips() {
         for make in IN_PROCESS_PLANES {
             let cluster = StorageCluster::new(3, ClusterConfig::default());
-            let endpoint = make(cluster).with_retry_attempts(2);
+            let endpoint = make(cluster).with_retry_policy(RetryPolicy::with_attempts(2));
             roundtrip(&endpoint, 40);
             endpoint.shutdown();
         }

@@ -1135,68 +1135,14 @@ impl StorageNode {
 
     /// Removes the next chunk of the stream addressed to primary
     /// `origin` — the failover read path when `origin`'s node is down.
-    ///
-    /// Dedicated single-chunk path (no batch `Vec`): the unbatched remove
-    /// is still what probe loops issue near bag emptiness, so it must not
-    /// allocate.
+    /// The `n = 1` case of [`StorageNode::remove_from_batch`].
     pub fn remove_from(&self, bag: BagId, origin: u32) -> Result<NodeRemove, StorageError> {
-        self.check_up()?;
-        let file = self.bag_file(bag);
-        self.touch(&file);
-        let mut inner = file.inner.lock();
-        if inner.collected {
-            return Err(StorageError::BagCollected(bag));
-        }
-        let sealed = inner.sealed;
-        let BagFileInner { streams, log, .. } = &mut *inner;
-        let stream = streams.entry(origin).or_default();
-        // Scan (without consuming) → read → journal → commit: a failed
-        // read-back or consume journal refuses the serve with the chunk
-        // still live.
-        let mut i = stream.next;
-        while i < stream.slots.len() && stream.consumed[i] {
-            i += 1;
-        }
-        let picked = (i < stream.slots.len()).then_some(i);
-        match picked {
-            Some(i) => {
-                let chunk = stream
-                    .chunk_at(i, log.handle.as_ref())
-                    .map_err(|e| self.disk_err(&e))?;
-                if self.is_durable() {
-                    let (run, k) = stream.tags[i];
-                    let tag = TagSegment {
-                        run,
-                        start: k,
-                        len: 1,
-                    };
-                    self.journal(log, bag, &segment::consume_frame(origin, &[tag]))?;
-                }
-                stream.commit_consumed(&[i]);
-                if origin == self.id.0 {
-                    let cells = &file.cells;
-                    cells.update(|| {
-                        cells.removed_chunks.fetch_add(1, Ordering::Relaxed);
-                        cells
-                            .remaining_bytes
-                            .fetch_sub(chunk.len() as u64, Ordering::Relaxed);
-                    });
-                }
-                drop(inner);
-                self.stats.removes.incr();
-                self.stats.bytes_out.add(chunk.len() as u64);
-                Ok(NodeRemove::Chunk(chunk))
-            }
-            None => {
-                drop(inner);
-                self.stats.empty_probes.incr();
-                Ok(if sealed {
-                    NodeRemove::Eof
-                } else {
-                    NodeRemove::Empty
-                })
-            }
-        }
+        let mut batch = self.remove_from_batch(bag, origin, 1)?;
+        Ok(match batch.chunks.pop() {
+            Some(chunk) => NodeRemove::Chunk(chunk),
+            None if batch.eof => NodeRemove::Eof,
+            None => NodeRemove::Empty,
+        })
     }
 
     /// Removes up to `max_n` chunks of `bag`'s own stream under one lock
@@ -1225,9 +1171,9 @@ impl StorageNode {
         let sealed = inner.sealed;
         let BagFileInner { streams, log, .. } = &mut *inner;
         let stream = streams.entry(origin).or_default();
-        // Scan (without consuming) → read → journal → commit, as in
-        // [`StorageNode::remove_from`]: any disk failure refuses the
-        // whole batch with every chunk still live.
+        // Scan (without consuming) → read → journal → commit: a failed
+        // read-back or consume journal refuses the whole batch with
+        // every chunk still live.
         let mut picked = Vec::new();
         stream.peek_live(max_n, &mut picked);
         let mut chunks = Vec::with_capacity(picked.len());
@@ -1804,6 +1750,9 @@ mod tests {
         assert_eq!(n.stats().empty_probes.get(), 1);
         assert_eq!(n.stats().bytes_in.get(), 4);
         assert_eq!(n.stats().bytes_out.get(), 4);
+        // A single-chunk remove is a batch of one: the insert and the
+        // serving remove each count, the empty probe does not.
+        assert_eq!(n.stats().batch_ops.get(), 2);
     }
 
     #[test]

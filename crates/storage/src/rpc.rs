@@ -72,13 +72,16 @@
 //! implement that amortization on the write path:
 //!
 //! ```text
-//!  BagClient::insert_batch / insert_batch_vec
-//!        │  cyclic bucketing (origin = target node)
+//!  BagWriter (seals records into chunks; holds no sealed chunk)
+//!        │  BagClient::stage, one sealed chunk at a time
+//!        │  (or BagClient::insert_batch, a slice at a time)
+//!        │  cyclic placement (origin = target node)
 //!        ▼
 //!  ┌─ RpcPort ──────────────────────────────────────────────────────┐
-//!  │ insert COALESCER: per-node staging queues merge buckets from   │
-//!  │ successive calls into one run per (node, bag); flushed when    │
-//!  │ staged chunks reach the coalesce window, or by flush().        │
+//!  │ insert COALESCER: per-node staging queues — the one buffer of  │
+//!  │ sealed chunks — merge successive calls into one run per        │
+//!  │ (node, bag); flushed when staged chunks reach the coalesce     │
+//!  │ window, or by flush().                                         │
 //!  │        │  one InsertBatch envelope per (node, bag) per flush   │
 //!  │        ▼                                                       │
 //!  │ ChunkRun retransmit buffers: each envelope carries an          │
@@ -99,15 +102,16 @@
 //! ```
 //!
 //! Coalescing is **off by default** (`coalesce window = 0` flushes every
-//! call, preserving call-synchronous semantics); the engine and the
-//! contended microbenches opt in. With a window of `w`, successive
-//! batches of `n` chunks over `m` nodes send `m` envelopes per `w`
-//! staged chunks instead of `m` per `n` — an `w / n`-fold envelope
-//! reduction — at the cost of deferred completion: staged chunks are
-//! durable only after the next flush, so writers must [`RpcPort::flush`]
-//! before sealing the bag or handing off to readers. Reads and
-//! synchronous inserts through the same port flush first, so a port
-//! always reads its own writes.
+//! call, preserving call-synchronous semantics); a `BagWriter` opens its
+//! port's window to its write batch factor `b`, the engine's task
+//! writers to `2b`, and the contended microbenches opt in. With a window
+//! of `w`, successive batches of `n` chunks over `m` nodes send `m`
+//! envelopes per `w` staged chunks instead of `m` per `n` — an `w /
+//! n`-fold envelope reduction — at the cost of deferred completion:
+//! staged chunks are durable only after the next flush, so writers must
+//! [`RpcPort::flush`] before sealing the bag or handing off to readers.
+//! Reads and synchronous inserts through the same port flush first, so
+//! a port always reads its own writes.
 
 use crate::cluster::StorageCluster;
 use crate::error::StorageError;
@@ -1834,9 +1838,7 @@ impl RpcPort {
         chunks: &[Chunk],
     ) -> Result<(), StorageError> {
         self.flush()?;
-        if self.cluster.bag_state(bag)? {
-            return Err(StorageError::BagSealed(bag));
-        }
+        self.ensure_unsealed(bag)?;
         if chunks.is_empty() {
             return Ok(());
         }
@@ -1969,32 +1971,61 @@ impl RpcPort {
     /// Stages pre-bucketed chunk runs — `buckets[i]` destined for node
     /// `i`, drained by value — into the per-node coalescing queues, then
     /// flushes if the staged total reached the coalesce window (always,
-    /// when coalescing is off). Within a node, chunks for the same bag
-    /// merge into one pending run regardless of which call staged them:
-    /// that is the cross-batch amortization, and it is also what keeps
-    /// per-(bag, origin) order — one envelope per stream per flush.
+    /// when coalescing is off).
     pub fn insert_buckets(
         &mut self,
         bag: BagId,
         buckets: &mut [Vec<Chunk>],
     ) -> Result<(), StorageError> {
+        self.ensure_unsealed(bag)?;
+        debug_assert!(buckets.len() <= self.conns.len());
+        for (target, bucket) in buckets.iter_mut().enumerate() {
+            self.stage_run(target, bag, std::mem::take(bucket).into_iter());
+        }
+        self.flush_at_window()
+    }
+
+    /// Stages one chunk destined for node `target`: what a writer calls
+    /// per sealed chunk, so the staging queues are the only buffer
+    /// between a task and the wire. Same sealed-bag check, run merge and
+    /// window flush as [`RpcPort::insert_buckets`].
+    pub fn stage(&mut self, target: usize, bag: BagId, chunk: Chunk) -> Result<(), StorageError> {
+        self.ensure_unsealed(bag)?;
+        self.stage_run(target, bag, std::iter::once(chunk));
+        self.flush_at_window()
+    }
+
+    fn ensure_unsealed(&self, bag: BagId) -> Result<(), StorageError> {
         if self.cluster.bag_state(bag)? {
             return Err(StorageError::BagSealed(bag));
         }
-        debug_assert!(buckets.len() <= self.conns.len());
-        for (target, bucket) in buckets.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let chunks = std::mem::take(bucket);
-            self.staged_len += chunks.len();
-            self.stats.staged_chunks += chunks.len() as u64;
-            let stage = &mut self.staged[target];
-            match stage.iter_mut().find(|(b, _)| *b == bag) {
-                Some((_, run)) => run.extend(chunks),
-                None => stage.push((bag, chunks)),
-            }
+        Ok(())
+    }
+
+    /// Appends `chunks` to node `target`'s pending run for `bag`. Within
+    /// a node, chunks for the same bag merge into one pending run
+    /// regardless of which call staged them: that is the cross-batch
+    /// amortization, and it is also what keeps per-(bag, origin) order —
+    /// one envelope per stream per flush.
+    fn stage_run(
+        &mut self,
+        target: usize,
+        bag: BagId,
+        chunks: impl ExactSizeIterator<Item = Chunk>,
+    ) {
+        if chunks.len() == 0 {
+            return;
         }
+        self.staged_len += chunks.len();
+        self.stats.staged_chunks += chunks.len() as u64;
+        let stage = &mut self.staged[target];
+        match stage.iter_mut().find(|(b, _)| *b == bag) {
+            Some((_, run)) => run.extend(chunks),
+            None => stage.push((bag, chunks.collect())),
+        }
+    }
+
+    fn flush_at_window(&mut self) -> Result<(), StorageError> {
         if self.coalesce_chunks == 0 || self.staged_len >= self.coalesce_chunks {
             self.flush()?;
         }

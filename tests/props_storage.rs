@@ -156,7 +156,15 @@ proptest! {
             }
             let chunks: Vec<Chunk> = (0..n as u64).map(|k| chunk(next_val + k)).collect();
             next_val += n as u64;
-            client.insert_batch_vec(chunks).unwrap();
+            // Both staging entries share one set of queues: whole batches
+            // and a writer's chunk-at-a-time calls interleave.
+            if i % 2 == 0 {
+                client.insert_batch(&chunks).unwrap();
+            } else {
+                for c in chunks {
+                    client.stage(c).unwrap();
+                }
+            }
         }
         client.flush().unwrap();
         if failed {
