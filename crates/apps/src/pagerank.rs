@@ -232,6 +232,7 @@ pub struct PageRankPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hurricane_core::CloneVerdict;
     use hurricane_storage::ClusterConfig;
     use hurricane_workloads::rmat::{RmatGen, RmatSpec};
     use std::time::Duration;
@@ -290,6 +291,47 @@ mod tests {
             .map(|(u, v)| (u as u32, v as u32))
             .collect();
         check(&edges, 256, 5);
+    }
+
+    #[test]
+    fn every_granted_clone_satisfied_eq2_on_its_own_measurements() {
+        // A ping on every chunk: each task files requests from its first
+        // chunk to its last, so the log holds unmeasured, early and late
+        // requests whatever the host's timing.
+        let spec = RmatSpec {
+            scale: 10,
+            edges: 16 * 1024,
+            seed: 23,
+        };
+        let edges: Vec<(u32, u32)> = RmatGen::new(spec)
+            .map(|(u, v)| (u as u32, v as u32))
+            .collect();
+        let job = PageRankJob {
+            vertices: 1024,
+            iterations: 3,
+        };
+        let config = HurricaneConfig {
+            chunk_size: 1024,
+            clone_interval: Duration::ZERO,
+            ..config()
+        };
+        let cluster = StorageCluster::new(4, ClusterConfig::default());
+        let (got, report) = job.run(cluster, config, &edges).expect("pagerank run");
+        for (v, (g, e)) in got.iter().zip(&job.reference(&edges)).enumerate() {
+            assert!((g - e).abs() < 1e-9, "vertex {v}: got {g}, expected {e}");
+        }
+        assert_eq!(report.clone_log.len() as u64, report.clone_requests);
+        assert!(report.clone_requests > 0, "every first chunk pings");
+        let granted: Vec<_> = report
+            .clone_log
+            .iter()
+            .filter(|e| e.verdict == CloneVerdict::Granted)
+            .collect();
+        assert_eq!(granted.len() as u32, report.total_clones);
+        for e in granted {
+            let bar = (e.instances as f64 + 1.0) * (e.startup_s + e.reconcile_s);
+            assert!(e.remaining_s.is_finite() && e.remaining_s > bar, "{e}");
+        }
     }
 
     #[test]

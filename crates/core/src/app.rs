@@ -38,7 +38,7 @@ use crate::graph::{AppGraph, BagKind, GraphBag};
 use crate::manager::{
     spawn_manager, ComputeNodeHandle, ManagerDeps, RunningRegistry, SeedGen, WorkBagIds,
 };
-use crate::master::{Master, MasterDeps, MasterOutcome, MasterReport};
+use crate::master::{CloneLogEntry, CloneVerdict, Master, MasterDeps, MasterOutcome, MasterReport};
 use crate::task::{BagWriter, ControlMsg, KillSwitch};
 use crossbeam::channel::{unbounded, Sender};
 use hurricane_common::BagId;
@@ -68,10 +68,22 @@ pub struct AppReport {
     pub clone_rejections: u64,
     /// Master recoveries performed during the run.
     pub master_recoveries: u32,
+    /// Every clone request the (last) master handled, in arrival order,
+    /// with the Eq. 2 inputs it was decided on and the gate that decided.
+    pub clone_log: Vec<CloneLogEntry>,
 }
 
 impl AppReport {
     fn from_master(m: MasterReport, elapsed: Duration, recoveries: u32) -> Self {
+        let refused = m
+            .clone_log
+            .iter()
+            .filter(|e| e.verdict != CloneVerdict::Granted)
+            .count();
+        assert_eq!(
+            m.clone_rejections, refused as u64,
+            "one log entry per request"
+        );
         Self {
             elapsed,
             clones_per_task: m.clones_per_task,
@@ -81,6 +93,7 @@ impl AppReport {
             clone_requests: m.clone_requests,
             clone_rejections: m.clone_rejections,
             master_recoveries: recoveries,
+            clone_log: m.clone_log,
         }
     }
 }

@@ -156,6 +156,10 @@ pub struct DoneRecord {
     /// The unit's output bag ids, echoed from its descriptor so a
     /// recovered master learns partial bags it never saw scheduled.
     pub outputs: Vec<u64>,
+    /// Microseconds the unit ran, claim to completion. For a merge this
+    /// is what reconciling its partials cost: the master's measured
+    /// `reconcile` term of Eq. 2 (see [`crate::heuristic`]).
+    pub elapsed_us: u64,
 }
 
 impl Record for DoneRecord {
@@ -166,19 +170,21 @@ impl Record for DoneRecord {
             self.generation,
             self.node,
             self.outputs.clone(),
+            self.elapsed_us,
         )
             .encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let (kind, instance, generation, node, outputs) =
-            <(u8, u64, u32, u32, Vec<u64>)>::decode(input)?;
+        let (kind, instance, generation, node, outputs, elapsed_us) =
+            <(u8, u64, u32, u32, Vec<u64>, u64)>::decode(input)?;
         Ok(Self {
             kind,
             instance,
             generation,
             node,
             outputs,
+            elapsed_us,
         })
     }
 
@@ -189,6 +195,7 @@ impl Record for DoneRecord {
             self.generation,
             self.node,
             self.outputs.clone(),
+            self.elapsed_us,
         )
             .encoded_len()
     }
@@ -349,6 +356,7 @@ mod tests {
             generation: 2,
             node: 0,
             outputs: vec![9],
+            elapsed_us: 14_250,
         });
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Hurricane clones a task only when cloning is expected to shorten its
 //! completion. With `k` current instances, expected remaining time `T`
-//! without a new clone, and `T_IO` the extra I/O the clone introduces
+//! without a new clone, and `T_IO` the overhead the clone introduces
 //! (loading task state, merging its output), adding a clone yields
 //! `T_C = k/(k+1) · T + T_IO`, so cloning pays off iff
 //!
@@ -10,140 +10,97 @@
 //! T > (k + 1) · T_IO            (Eq. 2)
 //! ```
 //!
-//! `T` is estimated by sampling the input bag (how much data is left, how
-//! fast it drains); `T_IO` is estimated as *two times* the remaining input
-//! the task will read (once for input, once for output), plus once the
-//! state every clone loads in full before it can start (inputs the task
-//! snapshots instead of consuming), divided by I/O bandwidth. This module
-//! is pure and shared by the threaded runtime and the discrete-event
-//! simulator.
+//! Both sides are seconds, and in the threaded engine both are seconds
+//! *this job measured* — no modeled bandwidth enters. Who measures what:
+//!
+//! * `T = remaining_bytes / (k · r)`. The master samples the inputs the
+//!   task *consumes* for `remaining_bytes` — the only work a clone can
+//!   share; inputs read by snapshot never drain and are not work. The
+//!   requesting worker reports, with every request, the bytes it has
+//!   taken from those inputs and the time it has spent taking them, so
+//!   `r = taken_bytes / (busy − startup)` is its own per-instance drain
+//!   rate, known on its first request.
+//! * `T_IO = startup + reconcile`. `startup` is the requester's time
+//!   from unit start to its first chunk: opening ports, loading snapshot
+//!   inputs, allocating tables — exactly what a clone repeats before it
+//!   shares any work. `reconcile` is zero for a task without a merge
+//!   (its clones write straight into the shared outputs); otherwise it
+//!   is what the master has seen this job's merges over more than one
+//!   partial take (`DoneRecord::elapsed_us`).
+//! * **Cold start.** Until the job has run one such merge, `reconcile`
+//!   is taken to be the requester's own `startup`: reconciling a partial
+//!   is at least one more pass over state-sized data — the paper's "two
+//!   times ... (for input and output)" applied to a measured time
+//!   instead of a modeled bandwidth. Its stated limit: a task that
+//!   aggregates and only then emits has written nothing when it asks, so
+//!   the size of its partial can be learned but not predicted; when its
+//!   start-up is cheap and its merge is not, the clones granted before
+//!   the job's first cloned merge completes are optimistic — one per job
+//!   when its stages run one after the other (PageRank's `init`) — and
+//!   every later request is held to the merges those clones caused.
+//!
+//! Anything unmeasured refuses: no bytes taken, no time spent taking
+//! them, or a non-finite side means "not yet", never "unbounded, so
+//! clone". This module is pure and shared by the threaded runtime and
+//! the discrete-event simulator, which derives both times from its own
+//! spec.
 
-/// The I/O bandwidth, in bytes/s, the threaded engine's master models
-/// when it estimates `T_IO` (reading remaining state + merging outputs).
-/// The simulator models its own per task.
-pub const MODELED_IO_BANDWIDTH: f64 = 4.0e9;
+use std::time::Duration;
 
 /// The master does not clone a task with fewer than this many chunks
-/// left in the inputs it consumes: its cheap proxy, checked before
-/// Eq. 2, for "too close to completion".
+/// left in the inputs it consumes: a clone claims whole chunks, and with
+/// a measured overhead of zero (a merge-less task that starts at once)
+/// Eq. 2 alone would grant a clone with nothing left for it to claim.
 pub const MIN_REMAINING_CHUNKS_TO_CLONE: u64 = 4;
 
-/// Inputs to one cloning decision.
+/// Inputs to one cloning decision: both sides of Eq. 2, in seconds.
 #[derive(Debug, Clone, Copy)]
 pub struct CloneDecision {
     /// Current number of instances processing the task (k ≥ 1).
     pub instances: u32,
-    /// Bytes remaining in the input bag(s) the task consumes — the work
-    /// clones share.
-    pub remaining_bytes: u64,
-    /// Bytes of task state a new clone loads whole before it does any
-    /// work: the inputs the task reads by snapshot (PageRank's rank
-    /// vector, a join's build side). They never drain, so they are no
-    /// part of `remaining_bytes`; they cost a clone one read.
-    pub state_bytes: u64,
-    /// Observed drain rate of the input bag(s), bytes/second.
-    pub drain_rate: f64,
-    /// Modeled I/O bandwidth available for clone state + merge, bytes/s.
-    pub io_bandwidth: f64,
+    /// `T`: expected remaining time with the current instances.
+    pub remaining_s: f64,
+    /// `T_IO`: what one more clone costs before and after it shares the
+    /// remaining work (start-up plus reconciling its partial output).
+    pub overhead_s: f64,
 }
 
 impl CloneDecision {
-    /// Expected remaining time without cloning, `T = remaining / rate`.
-    ///
-    /// An unobserved (zero) drain rate yields `f64::INFINITY`: with no
-    /// evidence of progress, remaining time is unbounded and cloning is
-    /// always worthwhile — the paper's heuristic only needs rough
-    /// estimates and errs toward parallelism early in a task.
-    pub fn expected_remaining(&self) -> f64 {
-        if self.drain_rate <= 0.0 {
-            if self.remaining_bytes == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.remaining_bytes as f64 / self.drain_rate
+    /// Builds the decision from one request's measurements: the
+    /// requester took `taken_bytes` in `busy − startup`, `k` instances
+    /// drain `remaining_bytes` at `k` times that rate, and a clone costs
+    /// `startup + reconcile_s`. Unmeasured inputs (nothing taken, no
+    /// time spent) leave `remaining_s` infinite or NaN, which
+    /// [`CloneDecision::should_clone`] refuses.
+    pub fn measured(
+        instances: u32,
+        remaining_bytes: u64,
+        taken_bytes: u64,
+        busy: Duration,
+        startup: Duration,
+        reconcile_s: f64,
+    ) -> Self {
+        let rate = taken_bytes as f64 / busy.saturating_sub(startup).as_secs_f64();
+        Self {
+            instances,
+            remaining_s: remaining_bytes as f64 / (instances as f64 * rate),
+            overhead_s: startup.as_secs_f64() + reconcile_s,
         }
     }
 
-    /// Estimated clone overhead `T_IO ≈ (2 · remaining + state) /
-    /// io_bandwidth` (paper §4.2: "loading task state, merging its
-    /// output ... we estimate it as two times the size of the remaining
-    /// portion of the input bag that the task will read (for input and
-    /// output)"; the state term is the snapshot inputs, read once).
-    pub fn io_time(&self) -> f64 {
-        if self.io_bandwidth <= 0.0 {
-            return f64::INFINITY;
-        }
-        (2.0 * self.remaining_bytes as f64 + self.state_bytes as f64) / self.io_bandwidth
-    }
-
-    /// Eq. 2: clone iff `T > (k + 1) · T_IO`.
+    /// Eq. 2: clone iff `T > (k + 1) · T_IO`, with both sides measured:
+    /// a NaN, infinite or negative side refuses.
     pub fn should_clone(&self) -> bool {
-        if self.remaining_bytes == 0 {
-            return false;
-        }
-        let t = self.expected_remaining();
-        let tio = self.io_time();
-        if t.is_infinite() && tio.is_infinite() {
-            // No information at all: decline, we cannot bound the cost.
-            return false;
-        }
-        t > (self.instances as f64 + 1.0) * tio
+        self.remaining_s.is_finite()
+            && self.overhead_s >= 0.0
+            && self.remaining_s > (self.instances as f64 + 1.0) * self.overhead_s
     }
 
     /// Expected completion time if the clone is added:
     /// `T_C = k/(k+1) · T + T_IO`.
     pub fn cloned_remaining(&self) -> f64 {
         let k = self.instances as f64;
-        k / (k + 1.0) * self.expected_remaining() + self.io_time()
-    }
-}
-
-/// A simple rate tracker: observes (bytes_removed, time) samples of a bag
-/// and reports the drain rate over the most recent interval.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RateTracker {
-    last_removed: u64,
-    last_time: f64,
-    rate: f64,
-    initialized: bool,
-}
-
-impl RateTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one observation: cumulative `removed_bytes` at time `now`
-    /// (seconds, any epoch). Returns the current rate estimate.
-    pub fn observe(&mut self, removed_bytes: u64, now: f64) -> f64 {
-        if !self.initialized {
-            self.initialized = true;
-            self.last_removed = removed_bytes;
-            self.last_time = now;
-            return 0.0;
-        }
-        let dt = now - self.last_time;
-        if dt > 1e-9 {
-            let delta = removed_bytes.saturating_sub(self.last_removed) as f64;
-            let instant = delta / dt;
-            // Light smoothing keeps one quiet poll from zeroing the rate.
-            self.rate = if self.rate == 0.0 {
-                instant
-            } else {
-                0.5 * self.rate + 0.5 * instant
-            };
-            self.last_removed = removed_bytes;
-            self.last_time = now;
-        }
-        self.rate
-    }
-
-    /// The current rate estimate (bytes/second).
-    pub fn rate(&self) -> f64 {
-        self.rate
+        k / (k + 1.0) * self.remaining_s + self.overhead_s
     }
 }
 
@@ -151,44 +108,56 @@ impl RateTracker {
 mod tests {
     use super::*;
 
-    fn decision(k: u32, remaining: u64, rate: f64, bw: f64) -> CloneDecision {
+    fn decision(k: u32, remaining_s: f64, overhead_s: f64) -> CloneDecision {
         CloneDecision {
             instances: k,
-            remaining_bytes: remaining,
-            state_bytes: 0,
-            drain_rate: rate,
-            io_bandwidth: bw,
+            remaining_s,
+            overhead_s,
         }
     }
+
+    const MS: Duration = Duration::from_millis(1);
 
     #[test]
     fn paper_worked_example() {
         // Paper §4.2: 4 clones, 10 seconds remaining; a fifth clone brings
         // completion to 8s + T_IO, so cloning helps iff T_IO < 2s.
-        // Construct T = 10s (remaining 100 bytes at 10 B/s).
-        // T_IO < 2s ⇔ 2·100/bw < 2 ⇔ bw > 100.
-        let cheap = decision(4, 100, 10.0, 101.0);
-        assert!(cheap.should_clone());
-        let expensive = decision(4, 100, 10.0, 99.0);
-        assert!(!expensive.should_clone());
+        assert!(decision(4, 10.0, 1.99).should_clone());
+        assert!(!decision(4, 10.0, 2.01).should_clone());
     }
 
     #[test]
     fn never_clone_empty_bag() {
-        assert!(!decision(1, 0, 10.0, 1e9).should_clone());
+        assert!(!decision(1, 0.0, 0.0).should_clone());
+        let drained = CloneDecision::measured(1, 0, 1000, 10 * MS, MS, 0.0);
+        assert!(!drained.should_clone());
     }
 
     #[test]
-    fn unknown_rate_clones_when_io_is_cheap() {
-        let d = decision(1, 1_000_000, 0.0, 1e9);
-        assert!(d.expected_remaining().is_infinite());
-        assert!(d.should_clone());
+    fn unknown_rate_refuses() {
+        // No bytes taken yet: the rate is zero, T is unbounded, and an
+        // unbounded T is not evidence — however cheap the clone.
+        let d = CloneDecision::measured(1, 1_000_000, 0, 10 * MS, MS, 0.0);
+        assert!(d.remaining_s.is_infinite());
+        assert_eq!(d.overhead_s, 0.001);
+        assert!(!d.should_clone());
+        // Bytes but no time to have taken them in (the request raced the
+        // first chunk): the rate is unbounded, T is zero.
+        let d = CloneDecision::measured(1, 1_000_000, 4096, MS, MS, 0.0);
+        assert_eq!(d.remaining_s, 0.0);
+        assert!(!d.should_clone());
     }
 
     #[test]
     fn no_information_declines() {
-        let d = decision(1, 1_000_000, 0.0, 0.0);
+        // Nothing taken in no time: 0/0.
+        let d = CloneDecision::measured(1, 1_000_000, 0, MS, MS, 0.0);
+        assert!(d.remaining_s.is_nan());
         assert!(!d.should_clone());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            assert!(!decision(1, bad, 0.0).should_clone(), "T = {bad}");
+            assert!(!decision(1, 10.0, bad).should_clone(), "T_IO = {bad}");
+        }
     }
 
     #[test]
@@ -196,84 +165,55 @@ mod tests {
         // Same task state; at some k the heuristic must start refusing.
         // T = 10s, T_IO = 1s: Eq. 2 accepts while k + 1 < 10.
         let accepts: Vec<bool> = (1..50)
-            .map(|k| decision(k, 1000, 100.0, 2000.0).should_clone())
+            .map(|k| decision(k, 10.0, 1.0).should_clone())
             .collect();
         assert!(accepts[0], "k=1 should clone (T=10s, T_IO=1s)");
         let first_reject = accepts.iter().position(|a| !a);
-        assert!(first_reject.is_some(), "heuristic must eventually refuse");
+        assert_eq!(first_reject, Some(8), "k = 9: 10 > 10 is false");
         // Monotone: once it refuses, it keeps refusing for larger k.
-        let idx = first_reject.unwrap();
-        assert!(accepts[idx..].iter().all(|a| !a));
+        assert!(accepts[8..].iter().all(|a| !a));
     }
 
     #[test]
     fn near_completion_rejects() {
-        // Tiny remaining input: T small, (k+1)·T_IO dominates.
-        // T = 10/1000 = 0.01s; T_IO = 2·10/2000 = 0.01s; 0.01 > 2·0.01 is
-        // false, so the clone is refused.
-        let d = decision(1, 10, 1000.0, 2000.0);
-        assert!(!d.should_clone());
+        // 10 ms left against a 10 ms clone: 0.01 > 2·0.01 is false.
+        assert!(!decision(1, 0.01, 0.01).should_clone());
     }
 
     #[test]
     fn state_is_charged_once_to_io_time_and_never_to_remaining() {
-        // T = 100 B / 10 B/s = 10 s. Without state T_IO = 2·100/200 = 1 s
-        // and k = 1 clones (10 > 2). 1 900 B of snapshot state add
-        // 1900/200 = 9.5 s to T_IO once — not twice, and not to T.
-        let lean = decision(1, 100, 10.0, 200.0);
-        let heavy = CloneDecision {
-            state_bytes: 1900,
-            ..lean
-        };
-        assert!((heavy.io_time() - (lean.io_time() + 9.5)).abs() < 1e-9);
-        assert_eq!(heavy.expected_remaining(), lean.expected_remaining());
-        assert!(lean.should_clone());
+        // 100 B taken in the 10 s after a 9.5 s start-up (loading the
+        // snapshot state): r = 10 B/s, and 100 B left are T = 10 s. The
+        // start-up is no part of the time the bytes were taken in ...
+        let heavy = CloneDecision::measured(
+            1,
+            100,
+            100,
+            Duration::from_millis(19_500),
+            Duration::from_millis(9_500),
+            0.0,
+        );
+        assert!((heavy.remaining_s - 10.0).abs() < 1e-9);
+        // ... and is charged to T_IO once, where it refuses the clone a
+        // stateless task with the same rate gets.
+        assert!((heavy.overhead_s - 9.5).abs() < 1e-9);
         assert!(!heavy.should_clone());
-        // State alone is not work: nothing left to share, nothing to clone.
-        let drained = CloneDecision {
-            remaining_bytes: 0,
-            ..heavy
-        };
-        assert!(!drained.should_clone());
+        let lean =
+            CloneDecision::measured(1, 100, 100, Duration::from_secs(10), Duration::ZERO, 1.0);
+        assert_eq!(lean.remaining_s, heavy.remaining_s);
+        assert!(lean.should_clone());
+        // k instances drain k times as fast.
+        let two =
+            CloneDecision::measured(2, 100, 100, Duration::from_secs(10), Duration::ZERO, 1.0);
+        assert!((two.remaining_s - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn cloned_remaining_matches_formula() {
-        let d = decision(4, 1000, 100.0, 1e6);
-        let t = d.expected_remaining();
+        let d = decision(4, 10.0, 0.5);
         let tc = d.cloned_remaining();
-        assert!((t - 10.0).abs() < 1e-9);
-        assert!((tc - (0.8 * 10.0 + d.io_time())).abs() < 1e-9);
-        assert!(tc < t);
-    }
-
-    #[test]
-    fn rate_tracker_converges() {
-        let mut rt = RateTracker::new();
-        rt.observe(0, 0.0);
-        for i in 1..=10 {
-            rt.observe(i * 100, i as f64);
-        }
-        assert!((rt.rate() - 100.0).abs() < 1.0, "rate {}", rt.rate());
-    }
-
-    #[test]
-    fn rate_tracker_ignores_zero_dt() {
-        let mut rt = RateTracker::new();
-        rt.observe(0, 0.0);
-        rt.observe(100, 1.0);
-        let r1 = rt.rate();
-        rt.observe(200, 1.0); // Same timestamp: must not divide by zero.
-        assert_eq!(rt.rate(), r1);
-    }
-
-    #[test]
-    fn rate_tracker_handles_rewind() {
-        // A rewound bag makes the cumulative counter go backwards; the
-        // tracker must not panic or produce negative rates.
-        let mut rt = RateTracker::new();
-        rt.observe(1000, 0.0);
-        rt.observe(100, 1.0);
-        assert!(rt.rate() >= 0.0);
+        assert!((tc - (0.8 * 10.0 + 0.5)).abs() < 1e-9);
+        assert!(d.should_clone());
+        assert!(tc < d.remaining_s);
     }
 }

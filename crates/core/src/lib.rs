@@ -40,4 +40,5 @@ pub use app::{AppReport, HurricaneApp, RunningApp};
 pub use config::HurricaneConfig;
 pub use error::EngineError;
 pub use graph::{AppGraph, GraphBag, GraphBuilder, GraphTask};
+pub use master::{CloneLogEntry, CloneVerdict};
 pub use task::{MergeLogic, TaskCtx, TaskLogic};

@@ -305,6 +305,7 @@ fn manager_loop(node_id: u32, deps: ManagerDeps, alive: Arc<AtomicBool>) {
 
 /// Executes one claimed unit (task instance or merge) to completion.
 fn run_unit(node_id: u32, desc: Descriptor, deps: ManagerDeps, node_alive: Arc<AtomicBool>) {
+    let started = Instant::now();
     let inst = desc.instance_id();
     let key = (inst.task.0, desc.generation, inst.clone.0, desc.kind);
     deps.registry.register(key.0, key.1, key.2, key.3, node_id);
@@ -319,7 +320,7 @@ fn run_unit(node_id: u32, desc: Descriptor, deps: ManagerDeps, node_alive: Arc<A
         node_alive: node_alive.clone(),
     };
     let outcome = match desc.kind {
-        KIND_TASK => run_task(node_id, &desc, &deps, &probe),
+        KIND_TASK => run_task(node_id, &desc, &deps, &probe, started),
         KIND_MERGE => run_merge(&desc, &deps, &probe),
         _ => Err(EngineError::InvalidGraph(format!(
             "unknown descriptor kind {}",
@@ -343,6 +344,7 @@ fn run_unit(node_id: u32, desc: Descriptor, deps: ManagerDeps, node_alive: Arc<A
                 generation: desc.generation,
                 node: node_id,
                 outputs: desc.outputs.clone(),
+                elapsed_us: started.elapsed().as_micros() as u64,
             }) {
                 let _ = deps.control_tx.send(ControlMsg::Fatal {
                     task: inst.task.0,
@@ -365,6 +367,7 @@ fn run_task(
     desc: &Descriptor,
     deps: &ManagerDeps,
     probe: &CancelProbe,
+    started: Instant,
 ) -> Result<(), EngineError> {
     let inst = desc.instance_id();
     let logic = deps.graph.task(inst.task).logic.clone();
@@ -401,6 +404,8 @@ fn run_task(
         clone_tx: deps.config.cloning_enabled.then(|| deps.control_tx.clone()),
         clone_interval: deps.config.clone_interval,
         last_ping: Instant::now(),
+        started,
+        startup: None,
         consumed: Arc::new([]),
         scratch: Vec::new(),
     };

@@ -17,11 +17,9 @@ use crate::config::HurricaneConfig;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};
 use crate::error::EngineError;
 use crate::graph::AppGraph;
-use crate::heuristic::{
-    CloneDecision, RateTracker, MIN_REMAINING_CHUNKS_TO_CLONE, MODELED_IO_BANDWIDTH,
-};
+use crate::heuristic::{CloneDecision, MIN_REMAINING_CHUNKS_TO_CLONE};
 use crate::manager::{RunningRegistry, SeedGen, WorkBagIds};
-use crate::task::{ControlMsg, KillSwitch};
+use crate::task::{CloneRequest, ControlMsg, KillSwitch};
 use crossbeam::channel::Receiver;
 use hurricane_common::{BagId, TaskId, TaskInstanceId};
 use hurricane_storage::{StorageCluster, StorageEndpoint, WorkBag};
@@ -29,6 +27,80 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The gate that decided one clone request, in the order the master
+/// checks them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloneVerdict {
+    /// A clone was scheduled.
+    Granted,
+    /// The task has nothing running a clone could join: cloning is off,
+    /// it is unknown, unscheduled or completed, the request comes from a
+    /// restarted generation, or every instance is already done.
+    NotRunning,
+    /// The task already has `HurricaneConfig::instance_cap` instances.
+    AtInstanceCap,
+    /// Less than `clone_interval` since the task's previous clone.
+    Interval,
+    /// Every worker slot in the cluster is executing a unit.
+    NoCapacity,
+    /// Fewer than `MIN_REMAINING_CHUNKS_TO_CLONE` chunks are left in the
+    /// inputs the requester consumes.
+    TooFewChunks,
+    /// Eq. 2 refused: `remaining_s ≤ (k + 1) · (startup_s + reconcile_s)`,
+    /// or a side of it is unmeasured.
+    Eq2,
+}
+
+/// One clone request and what the master made of it.
+///
+/// The sampled and derived fields (`remaining_*`, `reconcile_s`) are
+/// zero when a gate before the sample decided.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CloneLogEntry {
+    /// When the request was handled, since the master started.
+    pub at: Duration,
+    /// Task blueprint id.
+    pub task: u32,
+    /// Compute node that asked.
+    pub node: u32,
+    /// Instances of the task when it asked (`k`).
+    pub instances: u32,
+    /// Bytes left in the inputs the requester consumes.
+    pub remaining_bytes: u64,
+    /// Chunks left in those inputs.
+    pub remaining_chunks: u64,
+    /// Eq. 2's `T`, from the requester's drain rate.
+    pub remaining_s: f64,
+    /// The requester's measured start-up.
+    pub startup_s: f64,
+    /// The reconcile cost charged: zero without a merge, else the job's
+    /// observed mean, else (cold start) the start-up again.
+    pub reconcile_s: f64,
+    /// The gate that decided.
+    pub verdict: CloneVerdict,
+}
+
+impl std::fmt::Display for CloneLogEntry {
+    /// One line per request, times in milliseconds.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "+{:>8.1} ms  task {:>2} node {} k={}  left {:>9} B / {:>4} chunks  \
+             T {:>8.2} ms  startup {:>6.2} ms  reconcile {:>6.2} ms  {:?}",
+            self.at.as_secs_f64() * 1e3,
+            self.task,
+            self.node,
+            self.instances,
+            self.remaining_bytes,
+            self.remaining_chunks,
+            self.remaining_s * 1e3,
+            self.startup_s * 1e3,
+            self.reconcile_s * 1e3,
+            self.verdict,
+        )
+    }
+}
 
 /// Final statistics from a completed run.
 #[derive(Debug, Clone, Default)]
@@ -45,6 +117,9 @@ pub struct MasterReport {
     pub clone_requests: u64,
     /// Clone requests rejected (heuristic, caps, capacity, rate limit).
     pub clone_rejections: u64,
+    /// Every clone request in arrival order, with the gate that decided
+    /// it; `clone_rejections` counts the entries not `Granted`.
+    pub clone_log: Vec<CloneLogEntry>,
 }
 
 /// How a master run ended.
@@ -96,7 +171,6 @@ struct TaskState {
     merge_scheduled: bool,
     merge_done: bool,
     last_clone: Option<Instant>,
-    rate: RateTracker,
 }
 
 /// The application master.
@@ -109,6 +183,11 @@ pub struct Master {
     running_bag: WorkBag<RunningRecord>,
     report: MasterReport,
     start: Instant,
+    /// Total and count of the `elapsed_us` of this job's completed
+    /// merges over more than one partial: the measured reconcile cost.
+    /// A sum, so replaying the done bag in any order rebuilds it.
+    reconcile_us: u64,
+    reconciles: u32,
 }
 
 impl MasterDeps {
@@ -131,6 +210,8 @@ impl Master {
             state,
             report: MasterReport::default(),
             start: Instant::now(),
+            reconcile_us: 0,
+            reconciles: 0,
             deps,
             control_rx,
         }
@@ -187,12 +268,7 @@ impl Master {
         loop {
             while let Ok(msg) = self.control_rx.try_recv() {
                 match msg {
-                    ControlMsg::CloneRequest {
-                        task,
-                        generation,
-                        consumed,
-                        ..
-                    } => self.handle_clone_request(task, generation, &consumed)?,
+                    ControlMsg::CloneRequest(req) => self.handle_clone_request(&req)?,
                     ControlMsg::NodeFailed { node } => self.handle_node_failure(node)?,
                     ControlMsg::Fatal { task, message } => {
                         self.deps.kill.shutdown_all();
@@ -223,10 +299,6 @@ impl Master {
             }
             std::thread::sleep(self.deps.config.master_poll);
         }
-    }
-
-    fn now_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
     }
 
     fn physical(&self, graph_bag: usize) -> BagId {
@@ -401,6 +473,12 @@ impl Master {
             KIND_MERGE if st.merge_scheduled && !st.merge_done => {
                 st.merge_done = true;
                 self.report.merges_run += 1;
+                // A merge over one partial is the identity concat: it
+                // says nothing about what reconciling a clone costs.
+                if st.instances > 1 {
+                    self.reconcile_us += rec.elapsed_us;
+                    self.reconciles += 1;
+                }
             }
             KIND_TASK => {
                 let c = inst.clone.0;
@@ -418,80 +496,114 @@ impl Master {
         }
     }
 
-    /// Applies the cloning policy to one worker request (paper §4.2).
+    /// Mean duration of this job's merges over more than one partial, in
+    /// seconds; `None` until one has completed.
+    fn observed_reconcile(&self) -> Option<f64> {
+        (self.reconciles > 0).then(|| self.reconcile_us as f64 * 1e-6 / self.reconciles as f64)
+    }
+
+    /// Applies the cloning policy to one worker request (paper §4.2) and
+    /// logs the verdict.
     ///
-    /// `consumed` lists the task inputs the worker removes chunks from;
-    /// only those hold work a clone could share. Every other input is
-    /// read by snapshot — it never drains, so counting it as remaining
-    /// would keep the minimum-chunks gate open forever and grant clones
-    /// after the consumed inputs ran dry — and is charged to `T_IO` once,
-    /// as state the clone loads. An empty `consumed` (sender unknown)
-    /// counts every input as consumed.
-    fn handle_clone_request(
-        &mut self,
-        task: u32,
-        generation: u32,
-        consumed: &[u32],
-    ) -> Result<(), EngineError> {
+    /// Only the inputs the worker removes chunks from (`req.consumed`)
+    /// hold work a clone could share, so only they are sampled. Every
+    /// other input is read by snapshot — it never drains, so counting it
+    /// as remaining would keep the minimum-chunks gate open forever and
+    /// grant clones after the consumed inputs ran dry; loading it is
+    /// part of the start-up the worker measured.
+    fn handle_clone_request(&mut self, req: &CloneRequest) -> Result<(), EngineError> {
+        let entry = self.decide_clone(req)?;
         self.report.clone_requests += 1;
-        let t = TaskId(task);
-        let Some(st) = self.state.get(t.index()) else {
+        if entry.verdict == CloneVerdict::Granted {
+            let t = TaskId(req.task);
+            self.state[t.index()].last_clone = Some(Instant::now());
+            self.schedule_instance(t, entry.instances)?;
+            *self.report.clones_per_task.entry(req.task).or_insert(0) += 1;
+            self.report.total_clones += 1;
+        } else {
             self.report.clone_rejections += 1;
-            return Ok(());
-        };
-        let cap = self.deps.config.instance_cap() as u32;
-        let capacity = self.deps.config.compute_nodes * self.deps.config.worker_slots;
-        let gate_ok = self.deps.config.cloning_enabled
-            && st.scheduled
-            && !st.completed
-            && generation == st.generation
-            && (st.done.len() as u32) < st.instances
-            && st.instances < cap
-            && st
-                .last_clone
-                .is_none_or(|at| at.elapsed() >= self.deps.config.clone_interval)
-            && self.deps.registry.active() < capacity;
-        if !gate_ok {
-            self.report.clone_rejections += 1;
-            return Ok(());
         }
-        // Estimate T and T_IO from input-bag samples (paper: "T is
-        // estimated by sampling the input bag ... to estimate how much
-        // data is left and how fast it is emptying").
-        let mut remaining_bytes = 0u64;
-        let mut remaining_chunks = 0u64;
-        let mut removed_bytes = 0u64;
-        let mut state_bytes = 0u64;
-        for (i, &b) in self.deps.graph.task(t).inputs.iter().enumerate() {
-            let s = self.deps.cluster.sample_bag(self.physical(b))?;
-            if consumed.is_empty() || consumed.contains(&(i as u32)) {
-                remaining_bytes += s.remaining_bytes;
-                remaining_chunks += s.remaining_chunks;
-                removed_bytes += s.total_bytes - s.remaining_bytes;
-            } else {
-                state_bytes += s.total_bytes;
-            }
-        }
-        let now = self.now_secs();
-        let st = &mut self.state[t.index()];
-        let rate = st.rate.observe(removed_bytes, now);
-        let decision = CloneDecision {
-            instances: st.instances,
-            remaining_bytes,
-            state_bytes,
-            drain_rate: rate,
-            io_bandwidth: MODELED_IO_BANDWIDTH,
-        };
-        if remaining_chunks < MIN_REMAINING_CHUNKS_TO_CLONE || !decision.should_clone() {
-            self.report.clone_rejections += 1;
-            return Ok(());
-        }
-        let clone_id = st.instances;
-        st.last_clone = Some(Instant::now());
-        self.schedule_instance(t, clone_id)?;
-        *self.report.clones_per_task.entry(task).or_insert(0) += 1;
-        self.report.total_clones += 1;
+        self.report.clone_log.push(entry);
         Ok(())
+    }
+
+    /// Runs `req` through the gates in order; the entry is filled in as
+    /// far as they got.
+    fn decide_clone(&self, req: &CloneRequest) -> Result<CloneLogEntry, EngineError> {
+        use CloneVerdict::*;
+        let mut entry = CloneLogEntry {
+            at: self.start.elapsed(),
+            task: req.task,
+            node: req.node,
+            instances: 0,
+            remaining_bytes: 0,
+            remaining_chunks: 0,
+            remaining_s: 0.0,
+            startup_s: req.startup.as_secs_f64(),
+            reconcile_s: 0.0,
+            verdict: NotRunning,
+        };
+        let verdict = |verdict, entry| Ok(CloneLogEntry { verdict, ..entry });
+        let t = TaskId(req.task);
+        let Some(st) = self.state.get(t.index()) else {
+            return verdict(NotRunning, entry);
+        };
+        entry.instances = st.instances;
+        let config = &self.deps.config;
+        if !config.cloning_enabled
+            || !st.scheduled
+            || st.completed
+            || req.generation != st.generation
+            || st.done.len() as u32 >= st.instances
+        {
+            return verdict(NotRunning, entry);
+        }
+        if st.instances >= config.instance_cap() as u32 {
+            return verdict(AtInstanceCap, entry);
+        }
+        if st
+            .last_clone
+            .is_some_and(|at| at.elapsed() < config.clone_interval)
+        {
+            return verdict(Interval, entry);
+        }
+        if self.deps.registry.active() >= config.compute_nodes * config.worker_slots {
+            return verdict(NoCapacity, entry);
+        }
+        // Paper: "T is estimated by sampling the input bag ... to
+        // estimate how much data is left and how fast it is emptying".
+        // How much is left is the sample; how fast is the requester's.
+        let task = self.deps.graph.task(t);
+        for &b in req
+            .consumed
+            .iter()
+            .filter_map(|&i| task.inputs.get(i as usize))
+        {
+            let s = self.deps.cluster.sample_bag(self.physical(b))?;
+            entry.remaining_bytes += s.remaining_bytes;
+            entry.remaining_chunks += s.remaining_chunks;
+        }
+        entry.reconcile_s = match (&task.merge, self.observed_reconcile()) {
+            (None, _) => 0.0,
+            (Some(_), Some(observed)) => observed,
+            (Some(_), None) => entry.startup_s,
+        };
+        let decision = CloneDecision::measured(
+            st.instances,
+            entry.remaining_bytes,
+            req.taken_bytes,
+            req.busy,
+            req.startup,
+            entry.reconcile_s,
+        );
+        entry.remaining_s = decision.remaining_s;
+        if entry.remaining_chunks < MIN_REMAINING_CHUNKS_TO_CLONE {
+            return verdict(TooFewChunks, entry);
+        }
+        if !decision.should_clone() {
+            return verdict(Eq2, entry);
+        }
+        verdict(Granted, entry)
     }
 
     /// Restarts every task that had an unfinished unit on the failed node
@@ -601,7 +713,6 @@ impl Master {
             if let Some(bags) = keep {
                 st.partials.insert(0, bags);
             }
-            st.rate = RateTracker::new();
             st.last_clone = None;
             self.schedule_instance(t, 0)?;
         }
@@ -613,19 +724,27 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merges::ReduceMerge;
     use crate::task::{BagWriter, TaskCtx};
     use hurricane_storage::{BagClient, ClusterConfig};
 
     /// A master over the PageRank-iteration shape — one task reading
     /// input 0 (`state_chunks` chunks) by snapshot and consuming input 1
-    /// (`work_chunks` chunks) — scheduled, with `drained` work chunks
-    /// already removed. No manager runs; the master is driven by hand.
-    fn master_over(state_chunks: u64, work_chunks: u64, drained: u64) -> Master {
+    /// (`work_chunks` chunks), with a merge or without — scheduled, with
+    /// `drained` work chunks already removed. No manager runs; the
+    /// master is driven by hand.
+    fn master_over(state_chunks: u64, work_chunks: u64, drained: u64, merge: bool) -> Master {
         let mut g = AppGraph::builder();
         let state = g.source("state");
         let work = g.source("work");
         let out = g.bag("out");
-        g.task("iter", &[state, work], &[out], |_: &mut TaskCtx| Ok(()));
+        let body = |_: &mut TaskCtx| Ok(());
+        if merge {
+            let sum = ReduceMerge::new(|a: u64, b: u64| a + b);
+            g.task_with_merge("iter", &[state, work], &[out], body, sum);
+        } else {
+            g.task("iter", &[state, work], &[out], body);
+        }
         let graph = Arc::new(g.build().expect("two sources, one task"));
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let bag_map: Vec<BagId> = (0..graph.num_bags())
@@ -667,18 +786,49 @@ mod tests {
         master
     }
 
+    /// A worker of the task, `busy_ms` into its unit, that spent
+    /// `startup_ms` before its first chunk and has taken `taken_chunks`
+    /// of the work input (8 bytes each).
+    fn request(busy_ms: u64, startup_ms: u64, taken_chunks: u64) -> CloneRequest {
+        CloneRequest {
+            task: 0,
+            generation: 0,
+            node: 1,
+            consumed: Arc::new([1]),
+            busy: Duration::from_millis(busy_ms),
+            startup: Duration::from_millis(startup_ms),
+            taken_bytes: 8 * taken_chunks,
+        }
+    }
+
+    fn ask(master: &mut Master, req: CloneRequest) -> CloneLogEntry {
+        master.handle_clone_request(&req).unwrap();
+        *master
+            .report
+            .clone_log
+            .last()
+            .expect("one entry per request")
+    }
+
     #[test]
     fn snapshot_input_is_not_remaining_work() {
         // The consumed input is empty; 35 chunks of snapshot state never
-        // drain. A worker that says which input it consumes gets no clone
-        // ...
-        let mut master = master_over(35, 8, 8);
-        master.handle_clone_request(0, 0, &[1]).unwrap();
-        assert_eq!(master.report.total_clones, 0);
+        // drain. A worker draining fast, with a free start-up, gets no
+        // clone: there is nothing left to share ...
+        let mut master = master_over(35, 8, 8, false);
+        let e = ask(&mut master, request(10, 0, 8));
+        assert_eq!(e.verdict, CloneVerdict::TooFewChunks);
+        assert_eq!((e.remaining_chunks, e.node, e.instances), (0, 1, 1));
         assert_eq!(master.report.clone_rejections, 1);
-        // ... while a request that does not say (the fallback) counts
-        // every input as consumed and sees 35 chunks left.
-        master.handle_clone_request(0, 0, &[]).unwrap();
+        // ... and only naming the state input as consumed would make its
+        // 35 chunks count.
+        let wrong = CloneRequest {
+            consumed: Arc::new([0, 1]),
+            ..request(10, 0, 8)
+        };
+        let e = ask(&mut master, wrong);
+        assert_eq!(e.verdict, CloneVerdict::Granted);
+        assert_eq!(e.remaining_chunks, 35);
         assert_eq!(master.report.total_clones, 1);
     }
 
@@ -687,14 +837,141 @@ mod tests {
         let min = MIN_REMAINING_CHUNKS_TO_CLONE;
         // One chunk short of the gate on the consumed input: refused,
         // whatever the snapshot input holds.
-        let mut master = master_over(35, 8, 8 - (min - 1));
-        master.handle_clone_request(0, 0, &[1]).unwrap();
-        assert_eq!(master.report.total_clones, 0);
-        // At the gate: granted (first request, no drain rate yet, so T
-        // is unbounded and Eq. 2 accepts).
-        let mut master = master_over(35, 8, 8 - min);
-        master.handle_clone_request(0, 0, &[1]).unwrap();
+        let mut master = master_over(35, 8, 8 - (min - 1), false);
+        assert_eq!(
+            ask(&mut master, request(10, 0, 5)).verdict,
+            CloneVerdict::TooFewChunks
+        );
+        // At the gate: a merge-less task that started at once has no
+        // overhead to repay, so any measured T clears Eq. 2 — the gate
+        // is what keeps the last chunks from drawing a clone.
+        let mut master = master_over(35, 8, 8 - min, false);
+        let e = ask(&mut master, request(10, 0, 4));
+        assert_eq!(e.verdict, CloneVerdict::Granted);
+        assert_eq!((e.startup_s, e.reconcile_s), (0.0, 0.0));
         assert_eq!(master.report.total_clones, 1);
         assert_eq!(master.report.clone_rejections, 0);
+    }
+
+    #[test]
+    fn first_request_is_decided_from_its_own_measurements() {
+        // 10 of 160 chunks taken in the 19 ms after a 1 ms start-up:
+        // 150 chunks at that rate are T = 285 ms against a cold-start
+        // overhead of 1 + 1 ms. No earlier request, no master-side rate.
+        let mut master = master_over(35, 160, 10, true);
+        let e = ask(&mut master, request(20, 1, 10));
+        assert_eq!(e.verdict, CloneVerdict::Granted);
+        assert!((e.remaining_s - 0.285).abs() < 1e-9, "{e:?}");
+        assert_eq!((e.startup_s, e.reconcile_s), (0.001, 0.001));
+        // The same first request with nothing taken yet has no rate: T is
+        // unmeasured, and unmeasured refuses at the inequality.
+        let mut master = master_over(35, 160, 0, true);
+        let e = ask(&mut master, request(20, 1, 0));
+        assert_eq!(e.verdict, CloneVerdict::Eq2);
+        assert!(e.remaining_s.is_infinite());
+        assert_eq!(e.remaining_chunks, 160);
+    }
+
+    #[test]
+    fn late_clone_of_a_stateful_task_is_refused() {
+        // The PageRank iteration: a 28 ms task asks at +20 ms, 2 ms of
+        // which went into loading the rank snapshot; 30 of 160 chunks are
+        // left. T = 30/130 · 18 ms ≈ 4.2 ms cannot repay 2 · (2 + 2) ms.
+        let mut master = master_over(35, 160, 130, true);
+        let e = ask(&mut master, request(20, 2, 130));
+        assert_eq!(e.verdict, CloneVerdict::Eq2);
+        assert!((e.remaining_s - 0.018 * 30.0 / 130.0).abs() < 1e-9);
+        // Early in the same task the cold-start rule grants: 153 chunks
+        // at 7 per ms are 21.9 ms against the same 8 ms ...
+        let mut early = master_over(35, 160, 7, true);
+        assert_eq!(
+            ask(&mut early, request(3, 2, 7)).verdict,
+            CloneVerdict::Granted
+        );
+        // ... but not once the job has seen what reconciling a partial of
+        // this shape costs: 21.9 ms < 2 · (2 + 15) ms.
+        let mut taught = master_over(35, 160, 7, true);
+        taught.reconcile_us = 15_000;
+        taught.reconciles = 1;
+        let e = ask(&mut taught, request(3, 2, 7));
+        assert_eq!(e.verdict, CloneVerdict::Eq2);
+        assert_eq!(e.reconcile_s, 0.015);
+    }
+
+    #[test]
+    fn gates_before_the_sample_name_themselves() {
+        let mut master = master_over(35, 160, 10, false);
+        let stale = CloneRequest {
+            generation: 7,
+            ..request(20, 0, 10)
+        };
+        assert_eq!(ask(&mut master, stale).verdict, CloneVerdict::NotRunning);
+        assert_eq!(
+            ask(&mut master, request(20, 0, 10)).verdict,
+            CloneVerdict::Granted
+        );
+        // Straight after a grant the interval gate answers, and it left
+        // the bags unsampled.
+        let e = ask(&mut master, request(21, 0, 11));
+        assert_eq!(e.verdict, CloneVerdict::Interval);
+        assert_eq!((e.instances, e.remaining_chunks), (2, 0));
+        assert_eq!(master.report.clone_requests, 3);
+        assert_eq!(master.report.clone_rejections, 2);
+    }
+
+    /// A completion of the harness task's unit `clone` (or of its merge),
+    /// written to the done bag for [`Master::recover`] and handed to
+    /// `master` as its run loop would.
+    fn complete(master: &mut Master, kind: u8, clone: u32, elapsed_us: u64) {
+        let outputs = match kind {
+            KIND_MERGE => master.task_output_bags(TaskId(0)),
+            _ => master.state[0].partials[&clone].clone(),
+        };
+        let rec = DoneRecord {
+            kind,
+            instance: TaskInstanceId::clone_of(TaskId(0), clone).pack(),
+            generation: 0,
+            node: clone,
+            outputs,
+            elapsed_us,
+        };
+        master.done_bag.insert(&rec).unwrap();
+        master.handle_done(rec);
+    }
+
+    #[test]
+    fn merges_over_clones_teach_the_reconcile_cost_and_recovery_replays_it() {
+        let mut master = master_over(35, 160, 10, true);
+        assert_eq!(
+            ask(&mut master, request(20, 1, 10)).verdict,
+            CloneVerdict::Granted
+        );
+        complete(&mut master, KIND_TASK, 0, 28_000);
+        complete(&mut master, KIND_TASK, 1, 9_000);
+        assert_eq!(
+            master.observed_reconcile(),
+            None,
+            "task units are not merges"
+        );
+        master.progress().expect("schedules the merge");
+        assert!(master.state[0].merge_scheduled);
+        complete(&mut master, KIND_MERGE, 0, 15_000);
+        assert_eq!(master.observed_reconcile(), Some(0.015));
+        // A recovered master replays the ready and done bags and holds
+        // later requests to the same estimate.
+        let (_tx, rx) = crossbeam::channel::unbounded();
+        let recovered = Master::recover(master.deps.clone(), rx).unwrap();
+        assert_eq!(recovered.report.merges_run, 1);
+        assert_eq!(recovered.observed_reconcile(), Some(0.015));
+    }
+
+    #[test]
+    fn identity_merge_of_an_uncloned_task_teaches_nothing() {
+        let mut master = master_over(35, 160, 160, true);
+        complete(&mut master, KIND_TASK, 0, 28_000);
+        master.progress().expect("schedules the merge");
+        complete(&mut master, KIND_MERGE, 0, 1_400);
+        assert_eq!(master.report.merges_run, 1);
+        assert_eq!(master.observed_reconcile(), None);
     }
 }

@@ -27,26 +27,41 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// What a worker sends when it asks for its task to be cloned: who it
+/// is, and the three measurements of Eq. 2 only it can take (see
+/// [`crate::heuristic`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CloneRequest {
+    /// Task blueprint id.
+    pub task: u32,
+    /// Task generation the worker is executing.
+    pub generation: u32,
+    /// Compute node issuing the request.
+    pub node: u32,
+    /// Inputs (by index) the worker has removed chunks from: the
+    /// work a clone would share, and the only inputs the master samples
+    /// for what is left. Its other inputs it reads whole
+    /// (`snapshot_input*`) and never removes from, so they are state a
+    /// clone must load — paid for in `startup` — not work that is left.
+    /// Shared with the sender's context: a request costs a refcount,
+    /// not an allocation.
+    pub consumed: Arc<[u32]>,
+    /// Time since the worker's unit started.
+    pub busy: Duration,
+    /// Time from unit start to the worker's first `next_chunk` call:
+    /// opening ports, `snapshot_input`, allocating tables — what a
+    /// clone repeats before it shares any work. Never above `busy`.
+    pub startup: Duration,
+    /// Bytes of the chunks the worker has taken from its consumed
+    /// inputs; over `busy − startup` it is the worker's own drain rate.
+    pub taken_bytes: u64,
+}
+
 /// Control-plane messages from compute nodes to the application master.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlMsg {
     /// A worker reports sustained load and asks for its task to be cloned.
-    CloneRequest {
-        /// Task blueprint id.
-        task: u32,
-        /// Task generation the worker is executing.
-        generation: u32,
-        /// Compute node issuing the request.
-        node: u32,
-        /// Inputs (by index) the worker has removed chunks from: the
-        /// work a clone would share. Its other inputs it reads whole
-        /// (`snapshot_input*`) and never removes from, so they are state
-        /// a clone must load, not work that is left. Empty means
-        /// unknown — the master then counts every input as consumed.
-        /// Shared with the sender's context: a request costs a refcount,
-        /// not an allocation.
-        consumed: Arc<[u32]>,
-    },
+    CloneRequest(CloneRequest),
     /// A compute node failed (detected or injected).
     NodeFailed {
         /// The failed node.
@@ -384,6 +399,10 @@ pub struct TaskCtx {
     pub(crate) clone_tx: Option<Sender<ControlMsg>>,
     pub(crate) clone_interval: Duration,
     pub(crate) last_ping: Instant,
+    /// When the worker's unit started (before its ports were opened).
+    pub(crate) started: Instant,
+    /// `started` to the first `next_chunk` call, once it has been made.
+    pub(crate) startup: Option<Duration>,
     /// Inputs `next_chunk` has been called on, reported with each clone
     /// request; rebuilt only when a new input is first touched.
     pub(crate) consumed: Arc<[u32]>,
@@ -422,7 +441,8 @@ impl TaskCtx {
         if !self.consumed.contains(&(i as u32)) {
             self.consumed = self.consumed.iter().copied().chain([i as u32]).collect();
         }
-        self.maybe_ping();
+        let startup = *self.startup.get_or_insert_with(|| self.started.elapsed());
+        self.maybe_ping(startup);
         self.inputs[i].next_chunk()
     }
 
@@ -557,16 +577,21 @@ impl TaskCtx {
         Ok(())
     }
 
-    fn maybe_ping(&mut self) {
+    fn maybe_ping(&mut self, startup: Duration) {
         let Some(tx) = &self.clone_tx else { return };
         if self.last_ping.elapsed() >= self.clone_interval {
             self.last_ping = Instant::now();
-            let _ = tx.send(ControlMsg::CloneRequest {
+            let _ = tx.send(ControlMsg::CloneRequest(CloneRequest {
                 task: self.instance.task.0,
                 generation: self.generation,
                 node: self.node,
                 consumed: Arc::clone(&self.consumed),
-            });
+                busy: self.started.elapsed(),
+                startup,
+                // Only consumed inputs are read through their readers;
+                // snapshots go to the cluster directly.
+                taken_bytes: self.inputs.iter().map(BagReader::bytes_read).sum(),
+            }));
         }
     }
 }
@@ -897,6 +922,8 @@ mod tests {
             clone_tx: None,
             clone_interval: Duration::from_secs(3600),
             last_ping: Instant::now(),
+            started: Instant::now(),
+            startup: None,
             consumed: Arc::new([]),
             scratch: Vec::new(),
         }
@@ -1049,11 +1076,24 @@ mod tests {
         ctx.clone_tx = Some(tx);
         ctx.clone_interval = Duration::ZERO;
         let _: Vec<u64> = ctx.snapshot_input(0).unwrap();
-        ctx.next_chunk(1).unwrap();
-        match rx.try_recv().unwrap() {
-            ControlMsg::CloneRequest { consumed, .. } => assert_eq!(*consumed, [1]),
+        let first = ctx.next_chunk(1).unwrap().expect("work is not empty");
+        let request = |msg| match msg {
+            ControlMsg::CloneRequest(r) => r,
             other => panic!("unexpected message {other:?}"),
-        }
+        };
+        // The ping precedes the fetch: the first request has taken
+        // nothing yet, and its start-up covers the snapshot load.
+        let r = request(rx.try_recv().unwrap());
+        assert_eq!(*r.consumed, [1]);
+        assert_eq!(r.taken_bytes, 0);
+        assert!(r.startup <= r.busy);
+        // The second reports the first chunk's bytes against the same
+        // start-up.
+        ctx.next_chunk(1).unwrap();
+        let r2 = request(rx.try_recv().unwrap());
+        assert_eq!(r2.taken_bytes, first.len() as u64);
+        assert_eq!(r2.startup, r.startup);
+        assert!(r2.busy >= r.busy);
     }
 
     #[test]

@@ -498,12 +498,13 @@ pub fn simulate(app: &SimApp, cluster: &ClusterSpec, opts: &HurricaneOpts) -> Si
                         if k >= max_instances {
                             break;
                         }
+                        // T from the task's current aggregate rate;
+                        // T_IO as the paper models it: twice the
+                        // remaining input (once in, once out).
                         let decision = CloneDecision {
                             instances: k as u32,
-                            remaining_bytes: runs[i].remaining as u64,
-                            state_bytes: 0,
-                            drain_rate: rates[i].max(1.0),
-                            io_bandwidth: io_bw,
+                            remaining_s: runs[i].remaining / rates[i].max(1.0),
+                            overhead_s: 2.0 * runs[i].remaining / io_bw,
                         };
                         if !decision.should_clone() {
                             break;

@@ -26,13 +26,13 @@ fn main() {
         master_poll: Duration::from_millis(1),
         ..Default::default()
     };
-    println!("ClickLog: 200k records, 8 regions, 4 compute nodes x 2 slots");
+    println!("ClickLog: 4M records, 8 regions, 4 compute nodes x 2 slots");
     for skew in [0.0, 0.5, 1.0] {
         let records: Vec<u32> = ClickLogGen::new(ClickLogSpec {
             num_ips: job.num_ips,
             regions: job.regions,
             skew,
-            records: 200_000,
+            records: 4_000_000,
             seed: 0xCAFE,
         })
         .collect();
@@ -52,6 +52,9 @@ fn main() {
             report.elapsed, imbalance, report.total_clones, report.merges_run
         );
         println!("   per-region distinct counts: {counts:?}");
+        for entry in &report.clone_log {
+            println!("   {entry}");
+        }
     }
     println!("(results verified against the single-threaded reference at every skew)");
 }

@@ -1,9 +1,10 @@
 //! PageRank over an RMAT power-law graph on the Hurricane runtime.
 //!
-//! Five unrolled iterations over a 4096-vertex RMAT graph. The skewed
+//! Five unrolled iterations over a 65536-vertex RMAT graph. The skewed
 //! degree distribution concentrates edge traffic in a few vertex ranges,
-//! so iteration tasks clone; merge reconciliation is a keyed
-//! contribution sum.
+//! so busy tasks ask for clones; the printed clone log shows what Eq. 2
+//! made of each request (an iteration's clone would have to repay a
+//! rank-snapshot load and a keyed contribution-sum merge).
 //!
 //! Run with: `cargo run --release --example pagerank`
 
@@ -14,10 +15,10 @@ use hurricane_workloads::rmat::{RmatGen, RmatSpec};
 use std::time::Duration;
 
 fn main() {
-    let vertices = 1u32 << 12;
+    let vertices = 1u32 << 16;
     let spec = RmatSpec {
-        scale: 12,
-        edges: 8 * (1 << 12),
+        scale: 16,
+        edges: 16 * (1 << 16),
         seed: 0x9A9E,
     };
     let edges: Vec<(u32, u32)> = RmatGen::new(spec)
@@ -36,7 +37,7 @@ fn main() {
         ..Default::default()
     };
     println!(
-        "PageRank: RMAT-12 ({} vertices, {} edges), 5 iterations",
+        "PageRank: RMAT-16 ({} vertices, {} edges), 5 iterations",
         vertices,
         edges.len()
     );
@@ -54,6 +55,10 @@ fn main() {
         "elapsed {:?}  clones {}  merges {}  max error vs reference {max_err:.2e}",
         report.elapsed, report.total_clones, report.merges_run
     );
+    println!("clone requests ({} refused):", report.clone_rejections);
+    for entry in &report.clone_log {
+        println!("  {entry}");
+    }
     println!("top-5 vertices by rank:");
     for (v, r) in top.iter().take(5) {
         println!("  v{v:<6} {r:.6}");
