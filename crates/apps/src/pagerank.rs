@@ -249,13 +249,17 @@ mod tests {
     }
 
     fn check(edges: &[(u32, u32)], vertices: u32, iterations: usize) {
+        check_with(config(), edges, vertices, iterations);
+    }
+
+    fn check_with(config: HurricaneConfig, edges: &[(u32, u32)], vertices: u32, iterations: usize) {
         let job = PageRankJob {
             vertices,
             iterations,
         };
         let expected = job.reference(edges);
         let cluster = StorageCluster::new(4, ClusterConfig::default());
-        let (got, _report) = job.run(cluster, config(), edges).expect("pagerank run");
+        let (got, _report) = job.run(cluster, config, edges).expect("pagerank run");
         assert_eq!(got.len(), expected.len());
         for (v, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert!((g - e).abs() < 1e-9, "vertex {v}: got {g}, expected {e}");
@@ -280,17 +284,38 @@ mod tests {
         check(&edges, 16, 5);
     }
 
-    #[test]
-    fn rmat_graph_matches_reference() {
+    /// The 256-vertex R-MAT graph.
+    fn rmat_256() -> Vec<(u32, u32)> {
         let spec = RmatSpec {
             scale: 8,
             edges: 2048,
             seed: 11,
         };
-        let edges: Vec<(u32, u32)> = RmatGen::new(spec)
+        RmatGen::new(spec)
             .map(|(u, v)| (u as u32, v as u32))
-            .collect();
-        check(&edges, 256, 5);
+            .collect()
+    }
+
+    #[test]
+    fn rmat_graph_matches_reference() {
+        check(&rmat_256(), 256, 5);
+    }
+
+    #[test]
+    fn rmat_graph_matches_reference_at_tail_guard_chunk_sizes() {
+        // A chunk is a handful of records and an odd number of words, and
+        // much of it lies inside the varint decoder's eight-byte tail
+        // guard: the edge run decoder's word path, per-byte path and the
+        // hand-over between them run on every chunk, and a clone request
+        // on every chunk splits them among clones.
+        for chunk_size in [24, 64] {
+            let config = HurricaneConfig {
+                chunk_size,
+                clone_interval: Duration::ZERO,
+                ..config()
+            };
+            check_with(config, &rmat_256(), 256, 5);
+        }
     }
 
     #[test]

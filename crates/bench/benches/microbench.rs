@@ -395,7 +395,8 @@ fn bench_decode_swar(c: &mut Criterion) {
 /// word-at-a-time varint paths), on the benchmark's three length mixes:
 /// uniform and Zipf s = 1.0 `u32` keys below 2^18 (`clicklog_uniform`,
 /// 94% three-byte, 2.94 B/record; `clicklog_skew`, 1.80 B/record) and
-/// R-MAT-17 `(u32, u32)` edges (`pagerank_rmat`, 4.99 B/record).
+/// R-MAT-17 `(u32, u32)` edges (`pagerank_rmat`, 4.99 B/record; their
+/// `decode_word` row is the integer-tuple run decoder).
 fn bench_varint(c: &mut Criterion) {
     use hurricane_format::{for_each_view, Chunk, ChunkWriter};
 

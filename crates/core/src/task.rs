@@ -556,14 +556,27 @@ impl TaskCtx {
     /// e.g. the sorted build side of a hash join, or the rank vector in a
     /// PageRank iteration — while the *other* input is consumed chunk-by-
     /// chunk to partition the work among clones.
+    ///
+    /// The returned `Vec` is reserved once, after the first chunk is
+    /// decoded, for that chunk's records per byte times the bag's bytes,
+    /// plus 1/32 so that chunk-to-chunk noise does not end in a doubling
+    /// on the last push. That is the bag's own encoding density, which
+    /// `size_of::<T>()` is no guide to (a `(u32, (f64, u32))` is 24 bytes
+    /// in memory and about 12.5 on the wire). It is a hint, not a bound:
+    /// a bag whose later chunks encode denser than its first grows the
+    /// `Vec` as any push does.
     pub fn snapshot_input<T: RecordView>(&mut self, i: usize) -> Result<Vec<T>, EngineError> {
         let chunks = self.cluster.snapshot_bag(self.input_bags[i])?;
-        // A size hint, not a bound: a record's encoding is about as large
-        // as the record, so this is within a doubling or two of the count.
         let bytes: usize = chunks.iter().map(Chunk::len).sum();
-        let mut out = Vec::with_capacity(bytes / std::mem::size_of::<T>().max(1));
-        for c in &chunks {
+        let mut out = Vec::new();
+        for (n, c) in chunks.iter().enumerate() {
             hurricane_format::for_each_view::<T, _>(c, |view| out.push(T::view_to_owned(view)))?;
+            if n == 0 {
+                let expected = out.len().saturating_mul(bytes) / c.len().max(1);
+                // A record is at least a byte, which bounds the estimate.
+                let hint = (expected + expected / 32).min(bytes);
+                out.reserve_exact(hint.saturating_sub(out.len()));
+            }
         }
         Ok(out)
     }
@@ -930,8 +943,16 @@ mod tests {
     }
 
     fn filled_bag(cluster: &Arc<StorageCluster>, records: impl IntoIterator<Item = u64>) -> BagId {
+        filled_bag_of(cluster, records, 64)
+    }
+
+    fn filled_bag_of<T: Record>(
+        cluster: &Arc<StorageCluster>,
+        records: impl IntoIterator<Item = T>,
+        chunk_size: usize,
+    ) -> BagId {
         let bag = cluster.create_bag();
-        let mut w = BagWriter::open(cluster.clone(), bag, 1, 64);
+        let mut w = BagWriter::open(cluster.clone(), bag, 1, chunk_size);
         for r in records {
             w.write_record(&r).unwrap();
         }
@@ -1007,6 +1028,22 @@ mod tests {
     }
 
     #[test]
+    fn a_dangling_tuple_field_surfaces_as_a_codec_error() {
+        // Seven varints in one chunk, read as pairs: three tuples, then
+        // the typed error — not three tuples and `Ok`.
+        let cluster = StorageCluster::new(1, ClusterConfig::default());
+        let inputs = vec![filled_bag(&cluster, 0..7), filled_bag(&cluster, 0..7)];
+        let truncated = EngineError::Codec(hurricane_format::CodecError::Truncated);
+        let mut ctx = test_ctx(&cluster, inputs, vec![]);
+        let mut seen = Vec::new();
+        let end = ctx.for_each_record::<(u32, u32), _>(0, |pair| seen.push(pair));
+        assert_eq!(end, Err(truncated.clone()));
+        assert_eq!(seen, [(0, 1), (2, 3), (4, 5)]);
+        let end = ctx.fold_records::<(u32, u32), u32, _>(1, 0, |n, _| n + 1);
+        assert_eq!(end, Err(truncated));
+    }
+
+    #[test]
     fn write_record_multi_encodes_once_delivers_everywhere() {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let outs: Vec<BagId> = (0..3).map(|_| cluster.create_bag()).collect();
@@ -1062,6 +1099,41 @@ mod tests {
         assert_eq!(got, (0..500).collect::<Vec<_>>());
         // Non-destructive: a second snapshot sees the same records.
         assert_eq!(ctx.snapshot_input::<u64>(0).unwrap().len(), 500);
+    }
+
+    #[test]
+    fn snapshot_input_reserves_from_the_bags_own_density() {
+        // `pagerank_rmat`'s rank table (24 bytes in memory, about 12 on
+        // the wire, written in vertex order so the first chunk's ids are
+        // the short ones) and plain words of every width.
+        const N: u32 = 1 << 17;
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let ranks = filled_bag_of(
+            &cluster,
+            (0..N).map(|v| (v, (1.0 / N as f64, v % 9))),
+            64 * 1024,
+        );
+        let words = filled_bag_of(
+            &cluster,
+            (0..N as u64).map(|i| hurricane_common::SplitMix64::mix(i) >> (i % 57)),
+            64 * 1024,
+        );
+        let mut ctx = test_ctx(&cluster, vec![ranks, words], vec![]);
+        let table = ctx.snapshot_input::<(u32, (f64, u32))>(0).unwrap();
+        let plain = ctx.snapshot_input::<u64>(1).unwrap();
+        for (len, capacity) in [
+            (table.len(), table.capacity()),
+            (plain.len(), plain.capacity()),
+        ] {
+            assert_eq!(len, N as usize);
+            // Never below `len`; above it by the hint's error (8% for the
+            // table's short first ids, under 1% for the words) and its
+            // 3% of slack. A `Vec` that outgrew its hint has doubled.
+            assert!(
+                capacity * 8 <= len * 9,
+                "capacity {capacity} for {len} records"
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! Integers use LEB128 varints (zig-zag for signed) so the common case —
 //! small ids and counts — stays compact; floats are fixed-width
 //! little-endian IEEE-754.
+//!
+//! **No framing.** A tuple encodes as its fields back to back — no tag,
+//! no field count, no record length — and a chunk is records back to
+//! back the same way. The run decoders rely on it: a chunk of integers,
+//! or of all-integer tuples, *is* a flat varint stream
+//! ([`crate::RecordView::decode_run`]). A change that put anything
+//! between fields or records would have to revisit `decode_run`.
 
 use crate::varint;
 use core::fmt;

@@ -41,7 +41,8 @@
 //! load dependency per varint. `decode_run` serves every varint that
 //! terminates inside a loaded word from that one load, walking the
 //! terminator marks, so the dependency is paid once per word. A chunk of
-//! integer records is one such run ([`crate::RecordView::decode_run`]).
+//! integer records is one such run, and so is a chunk of all-integer
+//! tuples ([`crate::RecordView::decode_run`]).
 //!
 //! # Trusted decode
 //!

@@ -65,6 +65,35 @@
 //! at a known offset). The layout is flat little-endian bytes, which is
 //! the shape SIMD-friendly loops want.
 //!
+//! # Runs
+//!
+//! [`crate::ChunkReader`] and the `for_each_view` family do not call
+//! `decode_view` themselves; they hand the whole chunk to
+//! [`RecordView::decode_run`], so a record shape with a cheaper way to
+//! decode many records than one at a time can supply it. Two shapes do:
+//!
+//! * the **varint integers** (`u16`, `u32`, `u64`, `usize`, `i16`, `i32`,
+//!   `i64`): a chunk of them is one LEB128 run, and `varint::decode_run`
+//!   serves every varint that ends inside a loaded word from that one
+//!   load (see "Runs" in the [`varint`] module docs);
+//! * **tuples of them**, arity 1 to 6, widths and signs mixed freely —
+//!   an edge list of `(u32, u32)`, a `(u64, u16, i32)` fact row. A tuple
+//!   is its fields back to back and a chunk is its records back to back,
+//!   with no framing at either level (the [`crate::codec`] module docs
+//!   state this), so the bytes are the same flat varint stream a chunk of
+//!   bare integers is, and the same run decoder drives it: every ARITY
+//!   values are one tuple. Each value still gets its field's width check
+//!   as it arrives (`InvalidVarint`), and a stream that ends between two
+//!   fields of a tuple is `Truncated`, exactly as the per-record loop
+//!   reports them.
+//!
+//! Every other shape — a tuple with a string, float, `Option`, `Vec`,
+//! fixed-width or nested-tuple field, such as `(u32, (f64, u32))` — takes
+//! the **fallback**, the default `decode_run`: a loop of `decode_view`.
+//! It is the reference the overrides are tested against
+//! (`tests/props_format.rs`, and on exact-size allocations in this
+//! module's tests for Miri).
+//!
 //! # Lifetimes: borrowing from the chunk
 //!
 //! A [`crate::Chunk`] is refcounted and immutable, so a `T::View<'a>`
@@ -135,6 +164,21 @@ unsafe fn read_array_trusted<const N: usize>(input: &mut &[u8]) -> [u8; N] {
     bytes.try_into().unwrap_unchecked()
 }
 
+/// The per-record run loop: [`RecordView::decode_run`]'s default, and the
+/// fallback of every override that applies to some shapes only.
+#[inline]
+fn record_run<'a, T: RecordView, E: From<CodecError>>(
+    input: &mut &'a [u8],
+    mut f: impl FnMut(T::View<'a>) -> Result<(), E>,
+) -> Result<u64, E> {
+    let mut count = 0;
+    while !input.is_empty() {
+        f(T::decode_view(input)?)?;
+        count += 1;
+    }
+    Ok(count)
+}
+
 /// A record type with a borrowed decoded form.
 ///
 /// The supertrait bound keeps the two planes coherent: every viewable
@@ -176,18 +220,28 @@ pub trait RecordView: Record {
     /// and stops at the first error, the decoder's or `f`'s. This is the
     /// loop [`crate::ChunkReader`] drives, so a type with a cheaper way
     /// to decode a run than one record at a time overrides it — the
-    /// varint integers do (see the [`varint`] module docs).
+    /// varint integers do, and so do tuples of them (see "Runs" in the
+    /// [module docs](self)).
     #[inline]
     fn decode_run<'a, E: From<CodecError>>(
         input: &mut &'a [u8],
-        mut f: impl FnMut(Self::View<'a>) -> Result<(), E>,
+        f: impl FnMut(Self::View<'a>) -> Result<(), E>,
     ) -> Result<u64, E> {
-        let mut count = 0;
-        while !input.is_empty() {
-            f(Self::decode_view(input)?)?;
-            count += 1;
-        }
-        Ok(count)
+        record_run::<Self, E>(input, f)
+    }
+
+    /// Whether a record is exactly one varint on the wire; set, with
+    /// [`RecordView::from_varint`], by the varint integers only. It is
+    /// how a tuple learns that a chunk of it is a flat varint stream.
+    #[doc(hidden)]
+    const VARINT: bool = false;
+
+    /// The checked view of a decoded varint: the width check (and
+    /// un-zig-zag) `decode_view` applies after [`varint::decode`].
+    /// Called only where [`RecordView::VARINT`] is set.
+    #[doc(hidden)]
+    fn from_varint<'a>(_raw: u64) -> Result<Self::View<'a>, CodecError> {
+        unreachable!("from_varint is called only on types that set VARINT")
     }
 
     /// Rebuilds the owned record from a view. The bridge back to the
@@ -281,10 +335,14 @@ macro_rules! varint_view {
                 input: &mut &'a [u8],
                 mut f: impl FnMut(Self::View<'a>) -> Result<(), E>,
             ) -> Result<u64, E> {
-                varint::decode_run(input, |raw| {
-                    let value = <$ty>::try_from($wide(raw)).map_err(|_| CodecError::InvalidVarint)?;
-                    f(value)
-                })
+                varint::decode_run(input, |raw| f(Self::from_varint(raw)?))
+            }
+
+            const VARINT: bool = true;
+
+            #[inline]
+            fn from_varint<'a>(raw: u64) -> Result<Self::View<'a>, CodecError> {
+                <$ty>::try_from($wide(raw)).map_err(|_| CodecError::InvalidVarint)
             }
 
             fn view_to_owned(view: $ty) -> $ty {
@@ -690,6 +748,43 @@ macro_rules! tuple_view {
                 ($($name::decode_view_trusted(input),)+)
             }
 
+            /// A tuple whose fields are all single varints is, with no
+            /// framing between fields or records, one varint run: every
+            /// ARITY values are a tuple. Any other tuple takes the
+            /// per-record loop.
+            #[inline]
+            fn decode_run<'a, Er: From<CodecError>>(
+                input: &mut &'a [u8],
+                mut f: impl FnMut(Self::View<'a>) -> Result<(), Er>,
+            ) -> Result<u64, Er> {
+                const ARITY: usize = [$($idx),+].len();
+                if !($($name::VARINT)&&+) {
+                    return record_run::<Self, Er>(input, f);
+                }
+                // Each field is width-checked as its varint arrives, the
+                // order `decode_view` checks in. Zero is in range for
+                // every integer: a placeholder overwritten before use.
+                let mut fields = ($($name::from_varint(0)?,)+);
+                let mut slot = 0;
+                let values = varint::decode_run(input, |raw| {
+                    match slot {
+                        $($idx => fields.$idx = $name::from_varint(raw)?,)+
+                        _ => unreachable!("slot < ARITY"),
+                    }
+                    slot += 1;
+                    if slot < ARITY {
+                        return Ok(());
+                    }
+                    slot = 0;
+                    f(fields)
+                })?;
+                if slot != 0 {
+                    // The stream ended between two fields of a tuple.
+                    return Err(CodecError::Truncated.into());
+                }
+                Ok(values / ARITY as u64)
+            }
+
             fn view_to_owned(view: Self::View<'_>) -> Self {
                 ($($name::view_to_owned(view.$idx),)+)
             }
@@ -860,6 +955,7 @@ impl<T: FixedStride> ExactSizeIterator for StrideIter<'_, T> {}
 mod tests {
     use super::*;
     use core::fmt;
+    use proptest::prelude::*;
 
     /// Asserts the view law on one value: same bytes consumed, equal
     /// owned reconstruction — on both the validating and trusted paths.
@@ -1150,6 +1246,149 @@ mod tests {
             FixedU32::decode_view(&mut slice),
             Err(CodecError::Truncated)
         );
+    }
+
+    /// `decode_run` against a loop of `decode_view` on an exact-size
+    /// allocation (a read past the end is out of bounds for Miri, not
+    /// just for the slice): the same views in the same order, then the
+    /// same count or the same error.
+    fn check_run<T>(bytes: &[u8])
+    where
+        T: for<'a> RecordView<View<'a> = T> + PartialEq + fmt::Debug,
+    {
+        let exact: Box<[u8]> = bytes.into();
+        let mut want = Vec::new();
+        let mut at = &exact[..];
+        let want_end = loop {
+            if at.is_empty() {
+                break Ok(want.len() as u64);
+            }
+            match T::decode_view(&mut at) {
+                Ok(view) => want.push(view),
+                Err(e) => break Err(e),
+            }
+        };
+        let mut got = Vec::new();
+        let got_end = T::decode_run(&mut &exact[..], |view| {
+            got.push(view);
+            Ok::<(), CodecError>(())
+        });
+        assert_eq!(got, want, "{} on {bytes:02x?}", core::any::type_name::<T>());
+        assert_eq!(
+            got_end,
+            want_end,
+            "{} on {bytes:02x?}",
+            core::any::type_name::<T>()
+        );
+    }
+
+    /// Every arity the run decoder covers, over mixed widths and signs,
+    /// and one shape that takes the fallback.
+    fn check_tuple_runs(bytes: &[u8]) {
+        check_run::<(u32,)>(bytes);
+        check_run::<(u32, u32)>(bytes);
+        check_run::<(u64, u16, i32)>(bytes);
+        check_run::<(i64, u32, u32, u16)>(bytes);
+        check_run::<(u16, i16, usize, i32, u64)>(bytes);
+        check_run::<(i32, u64, u16, i64, u32, i16)>(bytes);
+        check_run::<(u32, (FixedU64, u32))>(bytes);
+    }
+
+    fn varints(values: impl IntoIterator<Item = u64>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for v in values {
+            varint::encode(v, &mut bytes);
+        }
+        bytes
+    }
+
+    #[test]
+    fn tuple_runs_match_the_record_loop_on_edge_streams() {
+        // One value on each side of every width a field can have (zig-zag
+        // maps a signed type onto the same raw range as the unsigned one),
+        // a nine- and a ten-byte encoding.
+        let edges = [
+            0,
+            1,
+            0x7f,
+            0x80,
+            u16::MAX as u64,
+            u16::MAX as u64 + 1,
+            u32::MAX as u64,
+            u32::MAX as u64 + 1,
+            1 << 56,
+            u64::MAX,
+        ];
+        // Small values between the edges, so most tuples pass their width
+        // checks and each edge lands on every field of every arity; the
+        // 13 and 14 value streams are a multiple of almost no arity.
+        // (Miri, ~100x slower, takes every fifth rotation.)
+        for len in [12, 13, 14] {
+            for rot in (0..edges.len()).step_by(if cfg!(miri) { 5 } else { 1 }) {
+                let stream = varints((0..len).map(|i| {
+                    if i % 5 == rot % 5 {
+                        edges[(rot + i) % edges.len()]
+                    } else {
+                        7 * i as u64
+                    }
+                }));
+                // Cut at every byte: inside a varint, between two fields,
+                // between two tuples.
+                for cut in 0..=stream.len() {
+                    check_tuple_runs(&stream[..cut]);
+                }
+            }
+        }
+        // Padded (non-canonical) encodings: 5 in two, nine and ten bytes.
+        let nine = [&[0x85][..], &[0x80; 7], &[0x00]].concat();
+        let ten = [&[0x85][..], &[0x80; 8], &[0x00]].concat();
+        let padded = [&[0x85, 0x00][..], &nine, &ten, &[0x03], &nine, &ten].concat();
+        for cut in 0..=padded.len() {
+            check_tuple_runs(&padded[..cut]);
+        }
+    }
+
+    #[test]
+    fn dangling_field_is_a_typed_error() {
+        // 2k + 1 varints read as pairs: k tuples, then `Truncated` —
+        // never k tuples and `Ok`, never a panic — from the run decoder,
+        // the record loop and every chunk driver alike.
+        for k in [0u32, 1, 2, 7, 100] {
+            let bytes = varints((0..2 * k as u64 + 1).map(|i| i * 1_000));
+            check_run::<(u32, u32)>(&bytes);
+            let mut seen = 0;
+            let end = <(u32, u32)>::decode_run(&mut &bytes[..], |_| {
+                seen += 1;
+                Ok::<(), CodecError>(())
+            });
+            assert_eq!((seen, end), (k, Err(CodecError::Truncated)));
+            let chunk = crate::Chunk::from_vec(bytes);
+            let reader = || crate::ChunkReader::<(u32, u32)>::new(&chunk);
+            assert_eq!(reader().fold(0, |n, _| n + 1), Err(CodecError::Truncated));
+            assert_eq!(reader().for_each(|_| ()), Err(CodecError::Truncated));
+        }
+    }
+
+    proptest! {
+        // Miri runs these too (the CI `miri` job); it is ~100x slower.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 16 } else { 512 }))]
+
+        /// The run decoder for integer tuples agrees with the record loop
+        /// on arbitrary (mostly malformed) bytes and on well-formed
+        /// varint streams of every length mix, cut anywhere — so with
+        /// widened fields, nine- and ten-byte encodings and value counts
+        /// that are no multiple of the arity.
+        #[test]
+        fn tuple_runs_decode_like_single_records(
+            junk in prop::collection::vec(any::<u8>(), 0..64),
+            values in prop::collection::vec((any::<u64>(), 0u32..64), 0..32),
+            cut in 0usize..8,
+        ) {
+            check_tuple_runs(&junk);
+            let mut stream = varints(values.iter().map(|&(v, shift)| v >> shift));
+            stream.truncate(stream.len().saturating_sub(cut));
+            check_tuple_runs(&stream);
+        }
     }
 
     #[test]

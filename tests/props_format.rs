@@ -2,10 +2,11 @@
 //! never-cross-a-chunk-boundary invariant, over arbitrary record streams.
 
 use hurricane_format::{
-    decode_all, encode_all, stride_records, ChunkReader, ChunkWriter, FixedU32, FixedU64, Record,
-    RecordView, StrideSlice,
+    decode_all, encode_all, stride_records, Chunk, ChunkReader, ChunkWriter, CodecError, FixedU32,
+    FixedU64, Record, RecordView, StrideSlice,
 };
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn record_strategy() -> impl Strategy<Value = (u64, i64, String, Vec<u32>)> {
     (
@@ -36,6 +37,116 @@ fn nested_raw_strategy() -> impl Strategy<Value = NestedRaw> {
 fn build_nested(raw: NestedRaw) -> NestedRec {
     let (a, s, (some, oi, os), v) = raw;
     (a, (s, some.then_some((oi, os))), v)
+}
+
+/// What a chunk's run drivers (`for_each`, `fold`, [`RecordView::
+/// decode_run`] itself) must reproduce: a loop of single-record decodes
+/// over the same bytes — the same views in the same order, then the same
+/// count or the same error kind. Checked against both single-record
+/// readings, `decode_view` and the owned `Iterator`.
+fn run_matches_single_records<T>(chunk: &Chunk) -> Result<(), TestCaseError>
+where
+    T: for<'a> RecordView<View<'a> = T> + PartialEq + std::fmt::Debug,
+{
+    let mut single = Vec::new();
+    let mut at = chunk.bytes();
+    let single_end = loop {
+        if at.is_empty() {
+            break Ok(single.len() as u64);
+        }
+        match T::decode_view(&mut at) {
+            Ok(v) => single.push(v),
+            Err(e) => break Err(e),
+        }
+    };
+    // The `Iterator` impl decodes one owned record per `next`.
+    let mut owned = Vec::new();
+    let mut owned_end = Ok(());
+    for record in ChunkReader::<T>::new(chunk) {
+        match record {
+            Ok(v) => owned.push(v),
+            Err(e) => owned_end = Err(e),
+        }
+    }
+    prop_assert_eq!(&owned, &single);
+    prop_assert_eq!(owned_end, single_end.map(|_| ()));
+
+    let mut run = Vec::new();
+    let run_end = T::decode_run(&mut chunk.bytes(), |v| {
+        run.push(v);
+        Ok::<(), CodecError>(())
+    });
+    prop_assert_eq!(&run, &single);
+    prop_assert_eq!(run_end, single_end);
+    let mut driven = Vec::new();
+    let driven_end = ChunkReader::<T>::new(chunk).for_each(|v| driven.push(v));
+    prop_assert_eq!(&driven, &single);
+    prop_assert_eq!(driven_end, single_end);
+    let folded = ChunkReader::<T>::new(chunk).fold(0u64, |n, _| n + 1);
+    prop_assert_eq!(folded, single_end);
+    Ok(())
+}
+
+/// Writes `values`, `arity` at a time through `build`, into chunks of
+/// `chunk_size` with a [`ChunkWriter`], and checks that every chunk's run
+/// decode is its single-record decode and that the chunks concatenate
+/// back to the records written.
+fn written_runs_match<T>(
+    values: &[u64],
+    arity: usize,
+    chunk_size: usize,
+    build: impl Fn(&[u64]) -> T,
+) -> Result<(), TestCaseError>
+where
+    T: for<'a> RecordView<View<'a> = T> + PartialEq + std::fmt::Debug,
+{
+    let records: Vec<T> = values.chunks_exact(arity).map(build).collect();
+    let mut writer = ChunkWriter::<T>::new(chunk_size);
+    let mut chunks = Vec::new();
+    for r in &records {
+        chunks.extend(writer.push(r).unwrap());
+    }
+    chunks.extend(writer.finish());
+    let mut back = Vec::new();
+    for c in &chunks {
+        run_matches_single_records::<T>(c)?;
+        ChunkReader::<T>::new(c).for_each(|v| back.push(v)).unwrap();
+    }
+    prop_assert_eq!(back, records);
+    Ok(())
+}
+
+/// The values as back-to-back varints: a chunk of bare integers, or of
+/// integer tuples of any arity.
+fn varints(values: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for v in values {
+        hurricane_format::varint::encode(v, &mut bytes);
+    }
+    bytes
+}
+
+/// Every tuple arity with a run decoder, over mixed widths and signs, and
+/// one shape that takes the per-record fallback.
+fn tuple_runs_match_single_records(chunk: &Chunk) -> Result<(), TestCaseError> {
+    run_matches_single_records::<(u32,)>(chunk)?;
+    run_matches_single_records::<(u32, u32)>(chunk)?;
+    run_matches_single_records::<(u64, u16, i32)>(chunk)?;
+    run_matches_single_records::<(i64, u32, u32, u16)>(chunk)?;
+    run_matches_single_records::<(u16, i16, usize, i32, u64)>(chunk)?;
+    run_matches_single_records::<(i32, u64, u16, i64, u32, i16)>(chunk)?;
+    run_matches_single_records::<(u32, (FixedU64, u32))>(chunk)
+}
+
+/// A signed reading of a raw test value that keeps small values small
+/// and uses the low bit as the sign, so encoded lengths stay mixed.
+fn signed(v: u64) -> i64 {
+    let magnitude = (v >> 1) as i64;
+    if v & 1 == 1 {
+        -magnitude
+    } else {
+        magnitude
+    }
 }
 
 proptest! {
@@ -205,7 +316,7 @@ proptest! {
     /// Decoding arbitrary bytes never panics (it may error).
     #[test]
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let chunk = hurricane_format::Chunk::from_vec(bytes);
+        let chunk = Chunk::from_vec(bytes);
         let _ = decode_all::<(u64, String)>(&chunk); // Must not panic.
         let _ = decode_all::<Vec<u64>>(&chunk);
         let _ = decode_all::<(bool, Option<i64>)>(&chunk);
@@ -244,40 +355,80 @@ proptest! {
         junk in prop::collection::vec(any::<u8>(), 0..64),
         values in prop::collection::vec((any::<u64>(), 0u32..64), 0..32),
     ) {
-        fn check<T>(chunk: &hurricane_format::Chunk) -> Result<(), proptest::TestCaseError>
-        where
-            T: for<'a> RecordView<View<'a> = T> + PartialEq + std::fmt::Debug,
-        {
-            // The `Iterator` impl decodes one record per `next`.
-            let mut single = Vec::new();
-            let mut single_end = Ok(());
-            for record in ChunkReader::<T>::new(chunk) {
-                match record {
-                    Ok(v) => single.push(v),
-                    Err(e) => single_end = Err(e),
-                }
-            }
-            let mut run = Vec::new();
-            let run_end = ChunkReader::<T>::new(chunk).for_each(|v| run.push(v));
-            prop_assert_eq!(&run, &single);
-            prop_assert_eq!(run_end.map(|_| ()), single_end);
-            let folded = ChunkReader::<T>::new(chunk).fold(0u64, |n, _| n + 1);
-            prop_assert_eq!(folded.ok(), run_end.ok());
-            Ok(())
-        }
-        let mut well_formed = Vec::new();
-        for &(v, shift) in &values {
-            hurricane_format::varint::encode(v >> shift, &mut well_formed);
-        }
+        let well_formed = varints(values.iter().map(|&(v, shift)| v >> shift));
         for bytes in [junk, well_formed] {
-            let chunk = hurricane_format::Chunk::from_vec(bytes);
-            check::<u16>(&chunk)?;
-            check::<u32>(&chunk)?;
-            check::<u64>(&chunk)?;
-            check::<usize>(&chunk)?;
-            check::<i16>(&chunk)?;
-            check::<i32>(&chunk)?;
-            check::<i64>(&chunk)?;
+            let chunk = Chunk::from_vec(bytes);
+            run_matches_single_records::<u16>(&chunk)?;
+            run_matches_single_records::<u32>(&chunk)?;
+            run_matches_single_records::<u64>(&chunk)?;
+            run_matches_single_records::<usize>(&chunk)?;
+            run_matches_single_records::<i16>(&chunk)?;
+            run_matches_single_records::<i32>(&chunk)?;
+            run_matches_single_records::<i64>(&chunk)?;
+        }
+    }
+
+    /// A chunk of all-integer tuples is one varint run too, ARITY values
+    /// to a tuple. (a) What a `ChunkWriter` wrote decodes through the run
+    /// path to the same views, in the same order, with the same count as
+    /// a loop of `decode_view` — at chunk sizes small enough that the
+    /// eight-byte tail guard's per-byte path is a real share of each chunk.
+    #[test]
+    fn written_tuple_runs_decode_like_single_records(
+        values in prop::collection::vec((any::<u64>(), 0u32..64), 0..240),
+        chunk_size in 64usize..512,
+    ) {
+        let v: Vec<u64> = values.iter().map(|&(v, shift)| v >> shift).collect();
+        written_runs_match(&v, 1, chunk_size, |v| (v[0] as u32,))?;
+        written_runs_match(&v, 2, chunk_size, |v| (v[0] as u32, v[1] as u32))?;
+        written_runs_match(&v, 3, chunk_size, |v| (v[0], v[1] as u16, signed(v[2]) as i32))?;
+        written_runs_match(&v, 4, chunk_size, |v| {
+            (signed(v[0]), v[1] as u32, v[2] as u32, v[3] as u16)
+        })?;
+        written_runs_match(&v, 5, chunk_size, |v| {
+            (v[0] as u16, signed(v[1]) as i16, v[2] as usize, signed(v[3]) as i32, v[4])
+        })?;
+        written_runs_match(&v, 6, chunk_size, |v| {
+            (
+                signed(v[0]) as i32,
+                v[1],
+                v[2] as u16,
+                signed(v[3]),
+                v[4] as u32,
+                signed(v[5]) as i16,
+            )
+        })?;
+        written_runs_match(&v, 2, chunk_size, |v| {
+            (v[0] as u32, (FixedU64(v[1]), v[0] as u32))
+        })?;
+    }
+
+    /// (b) On *arbitrary* bytes both readings return the same `Ok(count)`
+    /// or the same `CodecError` kind, having handed out the same prefix
+    /// of tuples: `decoder_is_total`'s junk; a valid stream cut at every
+    /// byte (inside a varint, between two fields, between two tuples —
+    /// so with value counts that are no multiple of the arity); the same
+    /// stream with one value widened past every field type; and nine-
+    /// and ten-byte encodings, which full-range values mostly are.
+    #[test]
+    fn tuple_runs_decode_like_single_records(
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+        values in prop::collection::vec((any::<u64>(), 0u32..64), 0..40),
+        narrow in prop::collection::vec(0u64..1 << 15, 12..40),
+        widen_at in 0usize..40,
+    ) {
+        tuple_runs_match_single_records(&Chunk::from_vec(junk))?;
+        let mixed = varints(values.iter().map(|&(v, shift)| v >> shift));
+        // Values every field type accepts, so a whole stream decodes...
+        let valid = varints(narrow.iter().copied());
+        // ...until one of them is too wide for anything but a `u64`.
+        let widened = varints(narrow.iter().enumerate().map(|(i, &v)| {
+            if i == widen_at % narrow.len() { v | 1 << 40 } else { v }
+        }));
+        for stream in [mixed, valid, widened] {
+            for cut in 0..=stream.len() {
+                tuple_runs_match_single_records(&Chunk::from_vec(stream[..cut].to_vec()))?;
+            }
         }
     }
 
