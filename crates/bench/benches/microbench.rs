@@ -8,7 +8,7 @@ use hurricane_format::{decode_all, encode_all};
 use hurricane_storage::bag::{BagClient, BatchRemoveResult, RemoveResult};
 use hurricane_storage::placement::CyclicPlacement;
 use hurricane_storage::prefetch::Prefetcher;
-use hurricane_storage::{ClusterConfig, StorageCluster, StorageEndpoint};
+use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageEndpoint};
 use hurricane_workloads::clicklog::{ClickLogGen, ClickLogSpec};
 use hurricane_workloads::rmat::{RmatGen, RmatSpec};
 use hurricane_workloads::ZipfSampler;
@@ -561,7 +561,7 @@ fn bench_merge_spill(c: &mut Criterion) {
         }
 
         fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
-            self.cluster.collect_bag(bag)?;
+            RpcPort::inline(self.cluster.clone()).collect_bag(bag)?;
             Ok(())
         }
     }
@@ -1052,8 +1052,9 @@ fn bench_flow_control(c: &mut Criterion) {
     g.finish();
 }
 
-/// `BagSample` polling: the master samples input bags every heuristic
-/// tick. Sampling is O(1) per node (running counters), whatever the
+/// `BagSample` polling: the master samples input bags through its
+/// control port ([`RpcPort::sample_bag`], inline plane) on every clone
+/// request. Sampling is O(1) per node (running counters), whatever the
 /// bag holds — here a half-consumed 10k-chunk bag.
 fn bench_sample(c: &mut Criterion) {
     const CHUNKS: u64 = 10_000;
@@ -1069,8 +1070,9 @@ fn bench_sample(c: &mut Criterion) {
             let _ = cl.try_remove().unwrap();
         }
     }
+    let mut port = RpcPort::inline(sharded);
     g.bench_function("sharded_o1", |b| {
-        b.iter(|| sharded.sample_bag(sharded_bag).unwrap())
+        b.iter(|| port.sample_bag(sharded_bag).unwrap())
     });
 
     // Polling while the data plane is hot: 4 writers keep inserting while
@@ -1088,7 +1090,8 @@ fn bench_sample(c: &mut Criterion) {
             let live = live.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
-                let mut cl = BagClient::new(live.clone(), live_bag, 40 + t);
+                let mut control = RpcPort::inline(live.clone());
+                let mut cl = BagClient::new(live, live_bag, 40 + t);
                 let chunks: Vec<_> = (0..64).map(|_| contended_chunk()).collect();
                 let mut rounds = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -1099,14 +1102,15 @@ fn bench_sample(c: &mut Criterion) {
                     let _ = cl.try_remove_batch(64);
                     rounds += 1;
                     if t == 0 && rounds.is_multiple_of(1_000) {
-                        let _ = live.discard_bag(live_bag);
+                        let _ = control.discard_bag(live_bag);
                     }
                 }
             })
         })
         .collect();
+    let mut port = RpcPort::inline(live);
     g.bench_function("sharded_o1_under_write_load", |b| {
-        b.iter(|| live.sample_bag(live_bag).unwrap())
+        b.iter(|| port.sample_bag(live_bag).unwrap())
     });
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for w in writers {

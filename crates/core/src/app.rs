@@ -38,12 +38,12 @@ use crate::graph::{AppGraph, BagKind, GraphBag};
 use crate::manager::{
     spawn_manager, ComputeNodeHandle, ManagerDeps, RunningRegistry, SeedGen, WorkBagIds,
 };
-use crate::master::{CloneLogEntry, CloneVerdict, Master, MasterDeps, MasterOutcome, MasterReport};
+use crate::master::{CloneLogEntry, CloneVerdict, Master, MasterDeps, MasterOutcome};
 use crate::task::{BagWriter, ControlMsg, KillSwitch};
 use crossbeam::channel::{unbounded, Sender};
 use hurricane_common::BagId;
 use hurricane_format::{decode_all, Chunk, Record};
-use hurricane_storage::{ClusterConfig, StorageCluster, StorageEndpoint};
+use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageEndpoint};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -71,31 +71,6 @@ pub struct AppReport {
     /// Every clone request the (last) master handled, in arrival order,
     /// with the Eq. 2 inputs it was decided on and the gate that decided.
     pub clone_log: Vec<CloneLogEntry>,
-}
-
-impl AppReport {
-    fn from_master(m: MasterReport, elapsed: Duration, recoveries: u32) -> Self {
-        let refused = m
-            .clone_log
-            .iter()
-            .filter(|e| e.verdict != CloneVerdict::Granted)
-            .count();
-        assert_eq!(
-            m.clone_rejections, refused as u64,
-            "one log entry per request"
-        );
-        Self {
-            elapsed,
-            clones_per_task: m.clones_per_task,
-            total_clones: m.total_clones,
-            merges_run: m.merges_run,
-            restarts: m.restarts,
-            clone_requests: m.clone_requests,
-            clone_rejections: m.clone_rejections,
-            master_recoveries: recoveries,
-            clone_log: m.clone_log,
-        }
-    }
 }
 
 /// A deployed Hurricane application.
@@ -209,25 +184,12 @@ impl HurricaneApp {
         Ok(w.bytes_written())
     }
 
-    /// Inserts pre-built chunks into a source bag (bulk loading).
-    pub fn fill_source_chunks(
-        &self,
-        bag: GraphBag,
-        chunks: impl IntoIterator<Item = Chunk>,
-    ) -> Result<(), EngineError> {
-        let mut w = self.source_writer(bag)?;
-        for c in chunks {
-            w.emit_chunk(c)?;
-        }
-        w.flush()?;
-        Ok(())
-    }
-
     /// Starts the application: seals sources, spawns task managers and the
     /// master. Returns a handle for waiting and fault injection.
     pub fn start(&self) -> Result<RunningApp, EngineError> {
+        let mut port = RpcPort::inline(self.cluster.clone());
         for bag in self.graph.sources() {
-            self.cluster.seal_bag(self.physical_bag(bag))?;
+            port.seal_bag(self.physical_bag(bag))?;
         }
         let kill = Arc::new(KillSwitch::new());
         let registry = Arc::new(RunningRegistry::new());
@@ -245,7 +207,6 @@ impl HurricaneApp {
         let endpoint = Arc::new(plane(self.cluster.clone()));
         let mdeps = ManagerDeps {
             graph: self.graph.clone(),
-            cluster: self.cluster.clone(),
             endpoint: endpoint.clone(),
             config: self.config.clone(),
             kill: kill.clone(),
@@ -260,8 +221,7 @@ impl HurricaneApp {
             .collect();
         let master_deps = MasterDeps {
             graph: self.graph.clone(),
-            cluster: self.cluster.clone(),
-            endpoint: endpoint.clone(),
+            endpoint,
             config: self.config.clone(),
             kill: kill.clone(),
             registry: registry.clone(),
@@ -279,7 +239,6 @@ impl HurricaneApp {
             managers,
             master: Some(master_thread),
             master_deps,
-            endpoint,
             control_tx,
             app_done,
             start: Instant::now(),
@@ -296,17 +255,18 @@ impl HurricaneApp {
     /// Reads every record of a bag non-destructively (typically a sink,
     /// after the run).
     pub fn read_records<T: Record>(&self, bag: GraphBag) -> Result<Vec<T>, EngineError> {
-        let chunks = self.cluster.snapshot_bag(self.physical_bag(bag))?;
         let mut out = Vec::new();
-        for c in &chunks {
+        for c in &self.read_chunks(bag)? {
             out.extend(decode_all::<T>(c)?);
         }
         Ok(out)
     }
 
-    /// Reads every chunk of a bag non-destructively.
+    /// Reads every chunk of a bag non-destructively, through an inline
+    /// port over the cluster.
     pub fn read_chunks(&self, bag: GraphBag) -> Result<Vec<Chunk>, EngineError> {
-        Ok(self.cluster.snapshot_bag(self.physical_bag(bag))?)
+        let bag = self.physical_bag(bag);
+        Ok(RpcPort::inline(self.cluster.clone()).snapshot_bag(bag)?)
     }
 }
 
@@ -314,24 +274,18 @@ impl HurricaneApp {
 pub struct RunningApp {
     managers: Vec<ComputeNodeHandle>,
     master: Option<JoinHandle<Result<MasterOutcome, EngineError>>>,
+    /// Also keeps the storage endpoint (and, on the channel plane, its
+    /// server loops) alive for the run's duration; it is shut down
+    /// (draining in-flight requests) once everything has joined.
     master_deps: MasterDeps,
-    /// Keeps the storage endpoint (and, on the channel plane, its
-    /// server loops) alive for the run's duration; shut down (draining
-    /// in-flight requests) once everything has joined.
-    endpoint: Arc<StorageEndpoint>,
     control_tx: Sender<ControlMsg>,
     app_done: Arc<AtomicBool>,
     start: Instant,
     recoveries: u32,
-    finished: Option<MasterReport>,
+    finished: Option<AppReport>,
 }
 
 impl RunningApp {
-    /// Number of compute nodes.
-    pub fn num_compute_nodes(&self) -> usize {
-        self.managers.len()
-    }
-
     /// Fails compute node `i`: it stops claiming work, its workers observe
     /// cancellation, and the master is notified (failure detection).
     pub fn kill_compute_node(&self, i: usize) {
@@ -393,13 +347,24 @@ impl RunningApp {
         for m in self.managers.drain(..) {
             m.join();
         }
-        self.endpoint.shutdown();
+        self.master_deps.endpoint.shutdown();
         match outcome? {
-            MasterOutcome::Completed(report) => Ok(AppReport::from_master(
-                report,
-                self.start.elapsed(),
-                self.recoveries,
-            )),
+            MasterOutcome::Completed(report) => {
+                let refused = report
+                    .clone_log
+                    .iter()
+                    .filter(|e| e.verdict != CloneVerdict::Granted)
+                    .count();
+                assert_eq!(
+                    report.clone_rejections, refused as u64,
+                    "one log entry per request"
+                );
+                Ok(AppReport {
+                    elapsed: self.start.elapsed(),
+                    master_recoveries: self.recoveries,
+                    ..report
+                })
+            }
             MasterOutcome::Crashed(_) => Err(EngineError::MasterGone),
         }
     }

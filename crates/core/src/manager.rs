@@ -19,7 +19,7 @@ use crate::task::{
 };
 use crossbeam::channel::Sender;
 use hurricane_common::BagId;
-use hurricane_storage::{BagClient, StorageCluster, StorageEndpoint, WorkBag};
+use hurricane_storage::{BagClient, RpcPort, StorageEndpoint, WorkBag};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -120,8 +120,6 @@ impl SeedGen {
 pub struct ManagerDeps {
     /// The application graph (blueprints live here).
     pub graph: Arc<AppGraph>,
-    /// The storage cluster.
-    pub cluster: Arc<StorageCluster>,
     /// The storage endpoint bag clients are minted from: the channel
     /// plane (per-node server threads) when
     /// `HurricaneConfig::storage_rpc` is set, the inline plane (the same
@@ -397,7 +395,7 @@ fn run_task(
         inputs,
         outputs,
         input_bags: desc.inputs.iter().map(|&b| BagId(b)).collect(),
-        cluster: deps.cluster.clone(),
+        control: deps.endpoint.port(),
         instance: inst,
         node: node_id,
         generation: desc.generation,
@@ -417,12 +415,14 @@ fn run_task(
 /// The manager's [`SpillSink`]: scratch runs are cluster bags pinned to
 /// one storage node each (bags are unordered *across* nodes but FIFO
 /// within one, so a pinned run reads back in key order), created and
-/// reclaimed through the normal bag lifecycle. Every live run is also
+/// reclaimed through the normal bag lifecycle, sealed and collected
+/// through the sink's own control port. Every live run is also
 /// recorded in a registry shared across the merge task's sinks, so
 /// [`run_merge`] can reclaim leftovers on *any* exit path — a failed
 /// spill write fails the merge cleanly and its scratch never leaks.
 struct ClusterSpillSink {
     deps: ManagerDeps,
+    control: RpcPort,
     probe: CancelProbe,
     /// All unreleased runs of the owning merge task (shared across the
     /// task's per-output sinks).
@@ -433,9 +433,10 @@ struct ClusterSpillSink {
 
 impl SpillSink for ClusterSpillSink {
     fn create_run(&mut self) -> Result<BagWriter, EngineError> {
-        let bag = self.deps.cluster.create_bag();
+        let cluster = self.deps.endpoint.cluster();
+        let bag = cluster.create_bag();
         self.scratch.lock().push(bag);
-        let pin = self.next_pin % self.deps.cluster.num_nodes();
+        let pin = self.next_pin % cluster.num_nodes();
         self.next_pin = self.next_pin.wrapping_add(1);
         let client = self.deps.bag_client(bag).with_pinned_node(pin);
         // Write batch factor 1: chunks insert (and thus read back) in
@@ -449,7 +450,7 @@ impl SpillSink for ClusterSpillSink {
     }
 
     fn open_run(&mut self, bag: BagId) -> Result<BagReader, EngineError> {
-        self.deps.cluster.seal_bag(bag)?;
+        self.control.seal_bag(bag)?;
         // Batch factor 1 keeps delivery strictly in insertion order.
         Ok(BagReader::open_client(
             self.deps.bag_client(bag),
@@ -459,7 +460,7 @@ impl SpillSink for ClusterSpillSink {
     }
 
     fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
-        self.deps.cluster.collect_bag(bag)?;
+        self.control.collect_bag(bag)?;
         self.scratch.lock().retain(|&b| b != bag);
         Ok(())
     }
@@ -521,6 +522,7 @@ fn run_merge(
     let make_sink = || -> Box<dyn SpillSink> {
         Box::new(ClusterSpillSink {
             deps: deps.clone(),
+            control: deps.endpoint.port(),
             probe: probe.clone(),
             scratch: scratch.clone(),
             next_pin: 0,
@@ -533,8 +535,9 @@ fn run_merge(
         budget,
         &make_sink,
     );
+    let mut control = deps.endpoint.port();
     for bag in scratch.lock().drain(..) {
-        let _ = deps.cluster.collect_bag(bag);
+        let _ = control.collect_bag(bag);
     }
     result.map(|_stats| ())
 }

@@ -13,6 +13,7 @@
 //! completion state from non-destructive snapshots, after which compute
 //! nodes (which kept working during the outage) never notice.
 
+use crate::app::AppReport;
 use crate::config::HurricaneConfig;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};
 use crate::error::EngineError;
@@ -22,8 +23,8 @@ use crate::manager::{RunningRegistry, SeedGen, WorkBagIds};
 use crate::task::{CloneRequest, ControlMsg, KillSwitch};
 use crossbeam::channel::Receiver;
 use hurricane_common::{BagId, TaskId, TaskInstanceId};
-use hurricane_storage::{StorageCluster, StorageEndpoint, WorkBag};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use hurricane_storage::{RpcPort, StorageEndpoint, WorkBag};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,30 +103,11 @@ impl std::fmt::Display for CloneLogEntry {
     }
 }
 
-/// Final statistics from a completed run.
-#[derive(Debug, Clone, Default)]
-pub struct MasterReport {
-    /// Clones created per task (blueprint id → clones beyond the original).
-    pub clones_per_task: HashMap<u32, u32>,
-    /// Total clones created.
-    pub total_clones: u32,
-    /// Merge tasks executed.
-    pub merges_run: u32,
-    /// Task restarts due to compute-node failures.
-    pub restarts: u32,
-    /// Clone requests received from workers.
-    pub clone_requests: u64,
-    /// Clone requests rejected (heuristic, caps, capacity, rate limit).
-    pub clone_rejections: u64,
-    /// Every clone request in arrival order, with the gate that decided
-    /// it; `clone_rejections` counts the entries not `Granted`.
-    pub clone_log: Vec<CloneLogEntry>,
-}
-
 /// How a master run ended.
 pub enum MasterOutcome {
-    /// All tasks completed; statistics attached.
-    Completed(MasterReport),
+    /// All tasks completed; the master's counters attached (the caller
+    /// fills in `elapsed` and `master_recoveries`).
+    Completed(AppReport),
     /// The master was crashed (test hook); its state is recoverable from
     /// the work bags via [`Master::recover`]. The control-channel receiver
     /// is handed back so the recovered master keeps hearing the workers'
@@ -138,10 +120,9 @@ pub enum MasterOutcome {
 pub struct MasterDeps {
     /// The application graph.
     pub graph: Arc<AppGraph>,
-    /// The storage cluster.
-    pub cluster: Arc<StorageCluster>,
-    /// The storage endpoint bag clients are minted from (the channel or
-    /// the inline plane, per `HurricaneConfig::storage_rpc`).
+    /// The storage endpoint bag clients and the master's control port
+    /// are minted from (the channel or the inline plane, per
+    /// `HurricaneConfig::storage_rpc`).
     pub endpoint: Arc<StorageEndpoint>,
     /// Runtime configuration.
     pub config: Arc<HurricaneConfig>,
@@ -181,7 +162,9 @@ pub struct Master {
     ready: WorkBag<Descriptor>,
     done_bag: WorkBag<DoneRecord>,
     running_bag: WorkBag<RunningRecord>,
-    report: MasterReport,
+    /// The port every whole-bag operation of the master goes through.
+    control: RpcPort,
+    report: AppReport,
     start: Instant,
     /// Total and count of the `elapsed_us` of this job's completed
     /// merges over more than one partial: the measured reconcile cost.
@@ -207,8 +190,9 @@ impl Master {
             ready: deps.workbag(deps.workbags.ready),
             done_bag: deps.workbag(deps.workbags.done),
             running_bag: deps.workbag(deps.workbags.running),
+            control: deps.endpoint.port(),
             state,
-            report: MasterReport::default(),
+            report: AppReport::default(),
             start: Instant::now(),
             reconcile_us: 0,
             reconciles: 0,
@@ -347,7 +331,7 @@ impl Master {
                     .task(t)
                     .inputs
                     .iter()
-                    .map(|&b| self.deps.cluster.is_sealed(self.physical(b)))
+                    .map(|&b| self.deps.endpoint.cluster().is_sealed(self.physical(b)))
                     .collect::<Result<Vec<bool>, _>>()?
                     .into_iter()
                     .all(|s| s);
@@ -382,7 +366,7 @@ impl Master {
 
     fn complete_task(&mut self, t: TaskId) -> Result<(), EngineError> {
         for &b in &self.deps.graph.task(t).outputs {
-            self.deps.cluster.seal_bag(self.physical(b))?;
+            self.control.seal_bag(self.physical(b))?;
         }
         self.state[t.index()].completed = true;
         Ok(())
@@ -405,7 +389,7 @@ impl Master {
                 existing.clone()
             } else {
                 let bags: Vec<u64> = (0..n_out)
-                    .map(|_| self.deps.cluster.create_bag().raw())
+                    .map(|_| self.deps.endpoint.cluster().create_bag().raw())
                     .collect();
                 st.partials.insert(clone_id, bags.clone());
                 bags
@@ -447,7 +431,7 @@ impl Master {
             }
         }
         for &b in &flattened {
-            self.deps.cluster.seal_bag(BagId(b))?;
+            self.control.seal_bag(BagId(b))?;
         }
         let desc = Descriptor {
             kind: KIND_MERGE,
@@ -529,7 +513,7 @@ impl Master {
 
     /// Runs `req` through the gates in order; the entry is filled in as
     /// far as they got.
-    fn decide_clone(&self, req: &CloneRequest) -> Result<CloneLogEntry, EngineError> {
+    fn decide_clone(&mut self, req: &CloneRequest) -> Result<CloneLogEntry, EngineError> {
         use CloneVerdict::*;
         let mut entry = CloneLogEntry {
             at: self.start.elapsed(),
@@ -579,7 +563,7 @@ impl Master {
             .iter()
             .filter_map(|&i| task.inputs.get(i as usize))
         {
-            let s = self.deps.cluster.sample_bag(self.physical(b))?;
+            let s = self.control.sample_bag(self.physical(b))?;
             entry.remaining_bytes += s.remaining_bytes;
             entry.remaining_chunks += s.remaining_chunks;
         }
@@ -663,7 +647,7 @@ impl Master {
             // merge: discard its (partial) writes to the real outputs and
             // rewind the sealed partial inputs.
             for &b in &self.deps.graph.task(t).outputs.clone() {
-                self.deps.cluster.discard_bag(self.physical(b))?;
+                self.control.discard_bag(self.physical(b))?;
             }
             let partials: Vec<u64> = self.state[t.index()]
                 .partials
@@ -672,8 +656,8 @@ impl Master {
                 .copied()
                 .collect();
             for b in partials {
-                self.deps.cluster.rewind_bag(BagId(b))?;
-                self.deps.cluster.seal_bag(BagId(b))?;
+                self.control.rewind_bag(BagId(b))?;
+                self.control.seal_bag(BagId(b))?;
             }
             let st = &mut self.state[t.index()];
             st.generation += 1;
@@ -691,15 +675,15 @@ impl Master {
                     .copied()
                     .collect();
                 for b in partials {
-                    self.deps.cluster.discard_bag(BagId(b))?;
+                    self.control.discard_bag(BagId(b))?;
                 }
             } else {
                 for &b in &self.deps.graph.task(t).outputs.clone() {
-                    self.deps.cluster.discard_bag(self.physical(b))?;
+                    self.control.discard_bag(self.physical(b))?;
                 }
             }
             for &b in &self.deps.graph.task(t).inputs.clone() {
-                self.deps.cluster.rewind_bag(self.physical(b))?;
+                self.control.rewind_bag(self.physical(b))?;
             }
             let st = &mut self.state[t.index()];
             st.generation += 1;
@@ -726,7 +710,7 @@ mod tests {
     use super::*;
     use crate::merges::ReduceMerge;
     use crate::task::{BagWriter, TaskCtx};
-    use hurricane_storage::{BagClient, ClusterConfig};
+    use hurricane_storage::{BagClient, ClusterConfig, StorageCluster};
 
     /// A master over the PageRank-iteration shape — one task reading
     /// input 0 (`state_chunks` chunks) by snapshot and consuming input 1
@@ -777,7 +761,6 @@ mod tests {
             bag_map: Arc::new(bag_map),
             seeds: Arc::new(SeedGen::new(7)),
             app_done: Arc::new(AtomicBool::new(false)),
-            cluster,
         };
         let (_tx, rx) = crossbeam::channel::unbounded();
         let mut master = Master::new(deps, rx);

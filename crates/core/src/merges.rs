@@ -948,7 +948,7 @@ fn drive_jobs<J: Send>(
 mod tests {
     use super::*;
     use hurricane_format::{decode_all, FixedU64, Record, SeqView};
-    use hurricane_storage::{ClusterConfig, StorageCluster};
+    use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster};
     use std::sync::Arc;
 
     /// Builds `n` partial bags, fills each with `fill(i)`, seals them, and
@@ -986,7 +986,7 @@ mod tests {
 
     fn read_bag<T: Record>(cluster: &Arc<StorageCluster>, bag: hurricane_common::BagId) -> Vec<T> {
         let mut out = Vec::new();
-        for c in cluster.snapshot_bag(bag).unwrap() {
+        for c in RpcPort::inline(cluster.clone()).snapshot_bag(bag).unwrap() {
             out.extend(decode_all::<T>(&c).unwrap());
         }
         out
@@ -1249,7 +1249,7 @@ mod tests {
             .into_iter()
             .map(|bag| {
                 cluster.seal_bag(bag).unwrap();
-                cluster
+                RpcPort::inline(cluster.clone())
                     .snapshot_bag(bag)
                     .unwrap()
                     .iter()
@@ -1361,7 +1361,7 @@ mod tests {
         }
 
         fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
-            self.cluster.collect_bag(bag)?;
+            RpcPort::inline(self.cluster.clone()).collect_bag(bag)?;
             self.live.lock().retain(|&b| b != bag);
             Ok(())
         }
@@ -1401,7 +1401,7 @@ mod tests {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let chunks_of = |bag| {
             cluster.seal_bag(bag).unwrap();
-            cluster
+            RpcPort::inline(cluster.clone())
                 .snapshot_bag(bag)
                 .unwrap()
                 .iter()
@@ -1581,7 +1581,7 @@ mod tests {
             bags.into_iter()
                 .map(|bag| {
                     cluster.seal_bag(bag).unwrap();
-                    cluster
+                    RpcPort::inline(cluster.clone())
                         .snapshot_bag(bag)
                         .unwrap()
                         .iter()

@@ -20,7 +20,7 @@ use crossbeam::channel::Sender;
 use hurricane_common::{BagId, TaskInstanceId};
 use hurricane_format::{Chunk, ChunkBuf, Record, RecordView};
 use hurricane_storage::prefetch::Prefetcher;
-use hurricane_storage::{BagClient, StorageCluster};
+use hurricane_storage::{BagClient, RpcPort, StorageCluster};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -392,7 +392,9 @@ pub struct TaskCtx {
     pub(crate) inputs: Vec<BagReader>,
     pub(crate) outputs: Vec<BagWriter>,
     pub(crate) input_bags: Vec<BagId>,
-    pub(crate) cluster: Arc<StorageCluster>,
+    /// The port [`TaskCtx::snapshot_input`] reads through, opened once
+    /// per unit.
+    pub(crate) control: RpcPort,
     pub(crate) instance: TaskInstanceId,
     pub(crate) node: u32,
     pub(crate) generation: u32,
@@ -566,7 +568,7 @@ impl TaskCtx {
     /// a bag whose later chunks encode denser than its first grows the
     /// `Vec` as any push does.
     pub fn snapshot_input<T: RecordView>(&mut self, i: usize) -> Result<Vec<T>, EngineError> {
-        let chunks = self.cluster.snapshot_bag(self.input_bags[i])?;
+        let chunks = self.control.snapshot_bag(self.input_bags[i])?;
         let bytes: usize = chunks.iter().map(Chunk::len).sum();
         let mut out = Vec::new();
         for (n, c) in chunks.iter().enumerate() {
@@ -602,7 +604,7 @@ impl TaskCtx {
                 busy: self.started.elapsed(),
                 startup,
                 // Only consumed inputs are read through their readers;
-                // snapshots go to the cluster directly.
+                // snapshots go through the control port.
                 taken_bytes: self.inputs.iter().map(BagReader::bytes_read).sum(),
             }));
         }
@@ -846,6 +848,12 @@ mod tests {
         assert_eq!(r.next_chunk(), Err(EngineError::Cancelled));
     }
 
+    /// Chunks `bag` holds across the cluster, staged ones not included.
+    fn chunks_in(cluster: &Arc<StorageCluster>, bag: BagId) -> u64 {
+        let s = RpcPort::inline(cluster.clone()).sample_bag(bag).unwrap();
+        s.total_chunks
+    }
+
     #[test]
     fn batched_writer_defers_then_delivers_all() {
         let cluster = StorageCluster::new(4, ClusterConfig::default());
@@ -857,7 +865,7 @@ mod tests {
         // 20 chunks sealed at window 8: two full windows went out, 4
         // are still staged on the port.
         assert_eq!(w.chunks_written(), 20);
-        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 16);
+        assert_eq!(chunks_in(&cluster, bag), 16);
         assert_eq!(w.client.port_stats().unwrap().flushes, 2);
         w.flush().unwrap();
         // N chunks at window W cost ⌈N / W⌉ flushes, every chunk went
@@ -865,7 +873,7 @@ mod tests {
         let stats = w.client.port_stats().unwrap();
         assert_eq!(stats.flushes, 20u64.div_ceil(8));
         assert_eq!(stats.staged_chunks, 20);
-        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 20);
+        assert_eq!(chunks_in(&cluster, bag), 20);
         // A flush with nothing staged costs nothing.
         w.flush().unwrap();
         assert_eq!(w.client.port_stats().unwrap().flushes, 3);
@@ -882,10 +890,10 @@ mod tests {
         for i in 0..20u8 {
             w.emit_chunk(Chunk::from_vec(vec![i])).unwrap();
         }
-        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 16);
+        assert_eq!(chunks_in(&cluster, bag), 16);
         w.flush().unwrap();
         assert_eq!(w.client.port_stats().unwrap().flushes, 3);
-        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 20);
+        assert_eq!(chunks_in(&cluster, bag), 20);
     }
 
     #[test]
@@ -928,7 +936,7 @@ mod tests {
                 .map(|&b| BagWriter::open(cluster.clone(), b, 500 + b.0, 64))
                 .collect(),
             input_bags: inputs,
-            cluster: cluster.clone(),
+            control: RpcPort::inline(cluster.clone()),
             instance: TaskInstanceId::original(hurricane_common::TaskId(0)),
             node: 0,
             generation: 0,
@@ -962,7 +970,7 @@ mod tests {
     }
 
     fn read_sorted(cluster: &Arc<StorageCluster>, bag: BagId) -> Vec<u64> {
-        let mut out: Vec<u64> = cluster
+        let mut out: Vec<u64> = RpcPort::inline(cluster.clone())
             .snapshot_bag(bag)
             .unwrap()
             .iter()
@@ -1068,7 +1076,7 @@ mod tests {
         ctx.splat_chunk(&[0, 1, 2], &chunk).unwrap();
         ctx.flush_outputs().unwrap();
         for &bag in &outs {
-            let chunks = cluster.snapshot_bag(bag).unwrap();
+            let chunks = RpcPort::inline(cluster.clone()).snapshot_bag(bag).unwrap();
             assert_eq!(chunks.len(), 1);
             assert_eq!(chunks[0].bytes(), chunk.bytes());
             // Same backing storage: the splat cloned the refcount, not
@@ -1085,7 +1093,7 @@ mod tests {
         ctx.write_record(0, &7u64).unwrap();
         ctx.splat_chunk(&[0], &Chunk::from_vec(vec![9])).unwrap();
         ctx.flush_outputs().unwrap();
-        let chunks = cluster.snapshot_bag(out).unwrap();
+        let chunks = RpcPort::inline(cluster.clone()).snapshot_bag(out).unwrap();
         assert_eq!(chunks.len(), 2, "buffered record sealed before splat");
     }
 

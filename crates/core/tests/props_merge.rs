@@ -8,7 +8,7 @@ use hurricane_common::BagId;
 use hurricane_core::merges::KeyedMerge;
 use hurricane_core::task::{BagReader, BagWriter, SpillSink};
 use hurricane_core::{EngineError, MergeLogic};
-use hurricane_storage::{BagClient, ClusterConfig, StorageCluster};
+use hurricane_storage::{BagClient, ClusterConfig, RpcPort, StorageCluster};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ impl SpillSink for PinnedSink {
     }
 
     fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
-        self.cluster.collect_bag(bag)?;
+        RpcPort::inline(self.cluster.clone()).collect_bag(bag)?;
         Ok(())
     }
 }
@@ -75,7 +75,7 @@ fn assert_spill_agrees<M: MergeLogic>(
     let cluster = StorageCluster::new(2, ClusterConfig::default());
     let chunks_of = |bag| -> Vec<Vec<u8>> {
         cluster.seal_bag(bag).unwrap();
-        cluster
+        RpcPort::inline(cluster.clone())
             .snapshot_bag(bag)
             .unwrap()
             .iter()
@@ -181,7 +181,7 @@ proptest! {
         merge.merge(0, &mut readers, &mut out).unwrap();
         out.flush().unwrap();
         cluster.seal_bag(out_bag).unwrap();
-        let got: Vec<(u32, u64)> = cluster
+        let got: Vec<(u32, u64)> = RpcPort::inline(cluster)
             .snapshot_bag(out_bag)
             .unwrap()
             .iter()

@@ -9,11 +9,11 @@
 //! A second test covers the graceful path: SIGTERM flushes the segment
 //! logs, exits 0, and a restart recovers every chunk.
 
-use hurricane_common::StorageNodeId;
+use hurricane_common::{BagId, StorageNodeId};
 use hurricane_format::Chunk;
 use hurricane_storage::bag::BatchRemoveResult;
 use hurricane_storage::rpc::{RequestEnvelope, RetryPolicy, StorageRequest, StorageResponse};
-use hurricane_storage::{ClusterConfig, StorageEndpoint, TcpTransport, Transport};
+use hurricane_storage::{ClusterConfig, RpcPort, StorageEndpoint, TcpTransport, Transport};
 use hurricane_workloads::clicklog::{region_of, ClickLogGen, ClickLogSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
@@ -81,7 +81,7 @@ fn temp_data_dir(name: &str) -> String {
 
 /// Asks a node directly over its own socket how many chunks of `bag` it
 /// holds — proof of placements landing (or having been recovered) there.
-fn probe_chunks(addr: &str, node: u32, bag: hurricane_common::BagId) -> u64 {
+fn probe_chunks(addr: &str, node: u32, bag: BagId) -> u64 {
     let mut probe = TcpTransport::dial(addr, Some(StorageNodeId(node))).expect("dial probe");
     probe
         .send(RequestEnvelope {
@@ -120,6 +120,12 @@ fn decode_chunk(c: &Chunk) -> (u64, Vec<u32>) {
         .map(|i| u32::from_le_bytes(b[12 + i * 4..16 + i * 4].try_into().unwrap()))
         .collect();
     (seq, ips)
+}
+
+/// The sequence numbers a wire snapshot of `bag` holds.
+fn snapshot_seqs(port: &mut RpcPort, bag: BagId) -> BTreeSet<u64> {
+    let chunks = port.snapshot_bag(bag).expect("snapshot");
+    chunks.iter().map(|c| decode_chunk(c).0).collect()
 }
 
 /// Counts distinct ips per region — the ClickLog answer (paper §5.1).
@@ -221,6 +227,15 @@ fn three_process_clicklog_survives_kill_restart_and_join() {
         "joined node never received a placement"
     );
 
+    // While node 1 is down, a wire snapshot reads its stream from the
+    // backup: every acked sequence, and only attempted ones.
+    let snapshot = snapshot_seqs(&mut endpoint.port(), bag);
+    assert!(acked.is_subset(&snapshot), "snapshot misses an acked chunk");
+    assert!(
+        snapshot.is_subset(&attempted),
+        "snapshot holds a chunk never inserted"
+    );
+
     // Phase 4: restart the killed node from its --data-dir at its
     // original (advertised) address. `StorageNode::durable` replays the
     // segment logs before serving, so every placement it acked before
@@ -243,7 +258,16 @@ fn three_process_clicklog_survives_kill_restart_and_join() {
     // through the restarted process too: its recovered chunks must
     // serve, and a replica whose log ran ahead during the outage must
     // not be masked by the restarted primary's shorter one.
-    endpoint.cluster().seal_bag(bag).expect("seal");
+    let mut control = endpoint.port();
+    control.seal_bag(bag).expect("seal");
+    // Only attempted sequences. Not every acked one: each origin is read
+    // from its first live replica, and the restarted node 1 is live again
+    // with a log that lacks the runs acked at its backup while it was
+    // down (the removes below reconcile them; the snapshot cannot).
+    assert!(
+        snapshot_seqs(&mut control, bag).is_subset(&attempted),
+        "snapshot holds a chunk never inserted"
+    );
     let mut reader = endpoint.client(bag, 2);
     let mut drained: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
     let mut pending_budget = 10_000u32;

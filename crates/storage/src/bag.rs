@@ -114,11 +114,6 @@ impl BagClient {
         self.bag
     }
 
-    /// The cluster this client talks to.
-    pub fn cluster(&self) -> &Arc<StorageCluster> {
-        self.port.cluster()
-    }
-
     /// Picks up storage nodes added since this client was created
     /// (paper §3.4: the master informs compute nodes about new nodes):
     /// syncs the port's connection set with its membership view, then
@@ -688,7 +683,8 @@ mod tests {
         }
         // Two full windows sent, one envelope per node each; 4 staged.
         assert_eq!(w.port.staged_chunks(), 4);
-        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 16);
+        let s = RpcPort::inline(cluster.clone()).sample_bag(bag).unwrap();
+        assert_eq!(s.total_chunks, 16);
         w.flush().unwrap();
         assert_eq!(w.port.staged_chunks(), 0);
         let stats = w.port_stats().unwrap();

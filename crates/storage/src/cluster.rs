@@ -1,23 +1,19 @@
-//! The storage cluster: node membership, bag metadata, whole-bag control.
+//! The storage cluster: node membership and bag metadata.
 //!
 //! The cluster object is what compute nodes are configured with (paper §3:
 //! "each compute node ... is configured so that it knows the list of
 //! storage nodes"). It is the **metadata authority** — the bag registry,
-//! the authoritative sealed flag, the replication factor, the per-(bag,
-//! origin) append-ordering locks — and it performs the **whole-bag
-//! control operations** that touch every node at once: create / seal /
-//! rewind / discard / collect, the aggregated sample, the non-destructive
-//! snapshot, and node addition / draining (paper §3.4).
+//! the sealed and collected flags, the replication factor, the
+//! per-(bag, origin) append-ordering locks — and owns the node list the
+//! in-process planes serve, with node addition and draining (paper §3.4).
 //!
-//! It does **not** move chunks. Inserting and removing — replica fan-out,
-//! backups-first ordering, fail-over, empty-probe reconciliation, pointer
-//! mirroring, end-of-bag detection — is one protocol with one
-//! implementation, [`crate::rpc::RpcPort`], spoken by every client over
-//! whichever transport its [`crate::StorageEndpoint`] chose. For
-//! in-process clients the cluster keeps a [`Membership`] of inline
-//! connectors, one per node, which [`StorageCluster::add_node`] joins:
-//! an inline port is an ordinary membership-backed port and follows
-//! cluster growth exactly like a channel or TCP one.
+//! Draining aside, it talks to no node. Moving chunks and every
+//! whole-bag operation (seal / rewind / discard / collect / sample /
+//! snapshot) are one protocol with one implementation,
+//! [`crate::rpc::RpcPort`], which flips the flags here. For in-process clients the cluster keeps a
+//! [`Membership`] of inline connectors, one per node, which
+//! [`StorageCluster::add_node`] joins: an inline port follows cluster
+//! growth exactly like a channel or TCP one.
 //!
 //! Primary–backup replication (paper §4.4): with a replication factor of
 //! `n + 1`, each chunk written to primary node `i` is also written to the
@@ -44,11 +40,10 @@
 
 use crate::error::StorageError;
 use crate::membership::Membership;
-use crate::node::{BagSample, StorageNode};
-use crate::rpc::InlineConnector;
+use crate::node::StorageNode;
+use crate::rpc::{InlineConnector, RpcPort};
 use crate::segment::SegmentStore;
 use hurricane_common::{BagId, StorageNodeId};
-use hurricane_format::Chunk;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,89 +254,38 @@ impl StorageCluster {
             .ok_or(StorageError::UnknownBag(bag))
     }
 
-    /// Seals `bag` cluster-wide: no more inserts anywhere. Down nodes are
-    /// skipped (they reject inserts anyway while down, and the cluster
-    /// flag governs end-of-bag detection).
-    pub fn seal_bag(&self, bag: BagId) -> Result<(), StorageError> {
-        self.check_bag(bag)?;
-        {
-            let mut bags = self.bags.write();
-            bags.get_mut(&bag)
-                .ok_or(StorageError::UnknownBag(bag))?
-                .sealed = true;
-        }
-        for node in self.nodes.read().iter() {
-            let _ = node.seal(bag);
-        }
-        Ok(())
-    }
-
-    /// Re-opens `bag` for another full read (paper §4.3 "reusing the
-    /// contents of a bag"): rewinds the read pointer at every node. The
-    /// sealed flag is retained, so readers still observe end-of-bag.
-    pub fn rewind_bag(&self, bag: BagId) -> Result<(), StorageError> {
-        self.check_bag(bag)?;
-        for node in self.nodes.read().iter() {
-            match node.rewind(bag) {
-                Ok(()) | Err(StorageError::NodeDown(_)) => {}
-                Err(e) => return Err(e),
+    /// Applies `f` to `bag`'s metadata, refusing unknown and collected
+    /// bags.
+    fn update_meta(&self, bag: BagId, f: impl FnOnce(&mut BagMeta)) -> Result<(), StorageError> {
+        match self.bags.write().get_mut(&bag) {
+            None => Err(StorageError::UnknownBag(bag)),
+            Some(m) if m.collected => Err(StorageError::BagCollected(bag)),
+            Some(m) => {
+                f(m);
+                Ok(())
             }
         }
-        Ok(())
     }
 
-    /// Discards all contents of `bag` and reopens it for inserts — used to
-    /// clear partial outputs when restarting failed tasks (paper §4.4).
-    pub fn discard_bag(&self, bag: BagId) -> Result<(), StorageError> {
-        self.check_bag(bag)?;
-        {
-            let mut bags = self.bags.write();
-            bags.get_mut(&bag)
-                .ok_or(StorageError::UnknownBag(bag))?
-                .sealed = false;
-        }
-        for node in self.nodes.read().iter() {
-            match node.discard(bag) {
-                Ok(()) | Err(StorageError::NodeDown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    /// Sets `bag`'s sealed flag: the metadata half of
+    /// [`RpcPort::seal_bag`] and [`RpcPort::discard_bag`].
+    pub(crate) fn set_sealed(&self, bag: BagId, sealed: bool) -> Result<(), StorageError> {
+        self.update_meta(bag, |m| m.sealed = sealed)
     }
 
-    /// Garbage-collects `bag` cluster-wide.
-    pub fn collect_bag(&self, bag: BagId) -> Result<(), StorageError> {
-        self.check_bag(bag)?;
-        {
-            let mut bags = self.bags.write();
-            bags.get_mut(&bag)
-                .ok_or(StorageError::UnknownBag(bag))?
-                .collected = true;
-        }
-        for node in self.nodes.read().iter() {
-            let _ = node.collect(bag);
-        }
+    /// Marks `bag` collected and drops its ordering locks: the metadata
+    /// half of [`RpcPort::collect_bag`].
+    pub(crate) fn set_collected(&self, bag: BagId) -> Result<(), StorageError> {
+        self.update_meta(bag, |m| m.collected = true)?;
         self.repl_order.write().retain(|(b, _), _| *b != bag);
         Ok(())
     }
 
-    /// Aggregated sample of `bag` across all reachable nodes — the master's
-    /// input for estimating remaining work (paper §4.2).
-    pub fn sample_bag(&self, bag: BagId) -> Result<BagSample, StorageError> {
-        self.check_bag(bag)?;
-        let mut agg = BagSample {
-            sealed: true,
-            ..BagSample::default()
-        };
-        for node in self.nodes.read().iter() {
-            match node.sample(bag) {
-                Ok(s) => agg.merge(&s),
-                Err(StorageError::NodeDown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        agg.sealed = self.is_sealed(bag)?;
-        Ok(agg)
+    /// [`RpcPort::seal_bag`] over this cluster's own nodes. On a `tcp`
+    /// endpoint those are shadows the remote nodes never hear from: seal
+    /// through a port there.
+    pub fn seal_bag(self: &Arc<Self>, bag: BagId) -> Result<(), StorageError> {
+        RpcPort::inline(self.clone()).seal_bag(bag)
     }
 
     /// Returns the append-ordering lock for `(bag, origin)`, creating it
@@ -358,53 +302,6 @@ impl StorageCluster {
             .or_default()
             .clone()
     }
-
-    /// Non-destructive full scan of `bag` (replay of work bags). With
-    /// replication, chunks are deduplicated by reading each primary's log
-    /// only (backups hold copies of the same chunks under the same bag, so
-    /// a naive scan would double-count; primaries-only is exact when all
-    /// primaries are up, and falls back to backups for down primaries).
-    pub fn snapshot_bag(&self, bag: BagId) -> Result<Vec<Chunk>, StorageError> {
-        self.check_bag(bag)?;
-        let nodes = self.nodes.read();
-        let m = nodes.len();
-        let mut out = Vec::new();
-        if self.config.replication == 1 {
-            // Unreplicated snapshots cannot route around a disk-sick
-            // node — no other node holds its chunks — so only NodeDown,
-            // whose data a restart may still recover, is skipped.
-            for node in nodes.iter() {
-                match node.snapshot(bag) {
-                    Ok(chunks) => out.extend(chunks),
-                    Err(StorageError::NodeDown(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            return Ok(out);
-        }
-        // Replicated: a chunk addressed to primary p also lives at
-        // p+1..p+r-1, tagged with origin p. Reconstruct one copy per chunk
-        // by reading each origin's log from the first live replica.
-        for p in 0..m {
-            let mut served = false;
-            for k in 0..self.config.replication {
-                let idx = (p + k) % m;
-                match nodes[idx].snapshot_from(bag, p as u32) {
-                    Ok(chunks) => {
-                        out.extend(chunks);
-                        served = true;
-                        break;
-                    }
-                    Err(e) if e.routes_around() => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            if !served {
-                return Err(StorageError::AllReplicasDown(bag));
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +315,7 @@ mod tests {
     use super::*;
     use crate::endpoint::{StorageEndpoint, IN_PROCESS_PLANES};
     use crate::node::{next_run_id, NodeRemove};
-    use crate::rpc::RpcPort;
+    use hurricane_format::Chunk;
 
     fn chunk(b: &[u8]) -> Chunk {
         Chunk::from_vec(b.to_vec())
@@ -457,7 +354,7 @@ mod tests {
             for i in 0..8u8 {
                 insert(&mut port, i as usize % 4, bag, chunk(&[i])).unwrap();
             }
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             assert!(cluster.is_sealed(bag).unwrap());
             assert_eq!(
                 insert(&mut port, 0, bag, chunk(b"late")),
@@ -497,12 +394,12 @@ mod tests {
             let bag = cluster.create_bag();
             insert(&mut port, 0, bag, chunk(b"aa")).unwrap();
             insert(&mut port, 1, bag, chunk(b"bbb")).unwrap();
-            let s = cluster.sample_bag(bag).unwrap();
+            let s = port.sample_bag(bag).unwrap();
             assert_eq!(s.total_chunks, 2);
             assert_eq!(s.remaining_bytes, 5);
             assert!(!s.sealed);
-            cluster.seal_bag(bag).unwrap();
-            assert!(cluster.sample_bag(bag).unwrap().sealed);
+            port.seal_bag(bag).unwrap();
+            assert!(port.sample_bag(bag).unwrap().sealed);
         }
     }
 
@@ -529,7 +426,7 @@ mod tests {
             let bag = cluster.create_bag();
             insert(&mut port, 0, bag, chunk(b"a")).unwrap();
             insert(&mut port, 0, bag, chunk(b"b")).unwrap();
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             // Remove one chunk normally: backup pointer mirrors.
             assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"a")));
             // Kill the primary; the backup serves the remainder from the
@@ -572,11 +469,11 @@ mod tests {
             let (cluster, mut port) = (ep.cluster(), ep.port());
             let bag = cluster.create_bag();
             insert(&mut port, 0, bag, chunk(b"x")).unwrap();
-            cluster.seal_bag(bag).unwrap();
-            cluster.discard_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
+            port.discard_bag(bag).unwrap();
             assert!(!cluster.is_sealed(bag).unwrap());
             insert(&mut port, 1, bag, chunk(b"y")).unwrap();
-            let s = cluster.sample_bag(bag).unwrap();
+            let s = port.sample_bag(bag).unwrap();
             assert_eq!(s.total_chunks, 1);
         }
     }
@@ -587,9 +484,9 @@ mod tests {
             let (cluster, mut port) = (ep.cluster(), ep.port());
             let bag = cluster.create_bag();
             insert(&mut port, 0, bag, chunk(b"x")).unwrap();
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             assert_eq!(drain_all(&mut port, bag).len(), 1);
-            cluster.rewind_bag(bag).unwrap();
+            port.rewind_bag(bag).unwrap();
             assert!(cluster.is_sealed(bag).unwrap(), "rewind keeps the seal");
             assert_eq!(drain_all(&mut port, bag).len(), 1);
         }
@@ -601,7 +498,7 @@ mod tests {
             let (cluster, mut port) = (ep.cluster(), ep.port());
             let bag = cluster.create_bag();
             insert(&mut port, 0, bag, chunk(b"x")).unwrap();
-            cluster.collect_bag(bag).unwrap();
+            port.collect_bag(bag).unwrap();
             assert_eq!(port.remove(0, bag), Err(StorageError::BagCollected(bag)));
         }
     }
@@ -615,7 +512,7 @@ mod tests {
                 insert(&mut port, i as usize % 4, bag, chunk(&[i])).unwrap();
             }
             drain_all(&mut port, bag);
-            assert_eq!(cluster.snapshot_bag(bag).unwrap().len(), 10);
+            assert_eq!(port.snapshot_bag(bag).unwrap().len(), 10);
         }
     }
 
@@ -627,7 +524,7 @@ mod tests {
             for i in 0..6u8 {
                 insert(&mut port, i as usize % 3, bag, chunk(&[i])).unwrap();
             }
-            assert_eq!(cluster.snapshot_bag(bag).unwrap().len(), 6);
+            assert_eq!(port.snapshot_bag(bag).unwrap().len(), 6);
         }
     }
 
@@ -665,7 +562,7 @@ mod tests {
             for i in 0..8u8 {
                 insert(&mut port, 0, bag, chunk(&[i])).unwrap();
             }
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             let got = port.remove_batch(0, bag, 5).unwrap();
             assert_eq!(got.chunks.len(), 5);
             assert!(!got.eof);
@@ -735,11 +632,11 @@ mod tests {
                 inserter.join().unwrap();
                 remover.join().unwrap()
             });
-            cluster.seal_bag(bag).unwrap();
+            let mut port = ep.port();
+            port.seal_bag(bag).unwrap();
             cluster.node(0).fail();
             let mut seen: std::collections::HashSet<Vec<u8>> =
                 removed.iter().map(|c| c.bytes().to_vec()).collect();
-            let mut port = ep.port();
             loop {
                 match port.remove(0, bag).unwrap() {
                     NodeRemove::Chunk(c) => {
@@ -769,7 +666,7 @@ mod tests {
             cluster.node(0).fail();
             insert(&mut port, 0, bag, chunk(b"marooned")).unwrap(); // backup 1 only
             cluster.node(0).recover();
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             let got = port.remove_batch(0, bag, 8).unwrap();
             assert_eq!(got.chunks, vec![chunk(b"marooned")]);
             let end = port.remove_batch(0, bag, 8).unwrap();
@@ -807,7 +704,7 @@ mod tests {
             let bag = cluster.create_bag();
             let got = port.remove_batch(0, bag, 4).unwrap();
             assert!(got.chunks.is_empty() && !got.eof, "unsealed: pending");
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             let got = port.remove_batch(0, bag, 4).unwrap();
             assert!(got.eof, "sealed and empty: end of bag");
         }
@@ -838,7 +735,7 @@ mod tests {
             );
             // The backup's pointer advanced with the claim-drop: the group
             // is drained for good.
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             let end = port.remove_batch(0, bag, 8).unwrap();
             assert!(end.chunks.is_empty() && end.eof);
         }
@@ -869,7 +766,7 @@ mod tests {
                 .node(0)
                 .insert_run(bag, &[chunk(b"marooned")], 0, run)
                 .unwrap();
-            cluster.seal_bag(bag).unwrap();
+            port.seal_bag(bag).unwrap();
             let end = port.remove_batch(0, bag, 8).unwrap();
             assert!(end.chunks.is_empty() && end.eof, "got {:?}", end.chunks);
         }

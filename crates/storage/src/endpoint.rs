@@ -121,10 +121,11 @@ impl StorageEndpoint {
     /// address per node, in node-id order).
     ///
     /// The local cluster holds *metadata authority* — bag registry, seal
-    /// state, placement and replication math — while every data-plane
-    /// operation goes over the sockets; node `i`'s local shadow never
-    /// stores chunks. Call [`StorageEndpoint::serve_joins`] to let more
-    /// nodes join mid-job.
+    /// state, placement and replication math — while every operation of
+    /// a port goes over the sockets. The cluster's local *shadow* nodes
+    /// store nothing; only [`StorageCluster::seal_bag`] still reaches
+    /// them. Call [`StorageEndpoint::serve_joins`] to let more nodes join
+    /// mid-job.
     pub fn tcp<I, S>(addrs: I, config: ClusterConfig) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -318,6 +319,7 @@ pub(crate) const IN_PROCESS_PLANES: [fn(Arc<StorageCluster>) -> StorageEndpoint;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use hurricane_format::Chunk;
 
     fn chunk(v: u64) -> Chunk {
@@ -330,7 +332,7 @@ mod tests {
         for v in 0..n {
             client.insert(chunk(v)).unwrap();
         }
-        endpoint.cluster().seal_bag(bag).unwrap();
+        endpoint.port().seal_bag(bag).unwrap();
         let mut got = 0;
         while client.remove_blocking().unwrap().is_some() {
             got += 1;
@@ -410,6 +412,82 @@ mod tests {
         for s in servers {
             s.shutdown();
         }
+    }
+
+    #[test]
+    fn tcp_control_operations_answer_from_the_remote_nodes() {
+        use crate::node::StorageNode;
+        use crate::tcp::TcpNodeServer;
+        use crate::workbag::WorkBag;
+
+        let serve = || -> Vec<TcpNodeServer> {
+            (0..2)
+                .map(|i| {
+                    let node = Arc::new(StorageNode::new(StorageNodeId(i)));
+                    TcpNodeServer::bind(node, "127.0.0.1:0").unwrap()
+                })
+                .collect()
+        };
+        let tcp = |servers: &[TcpNodeServer], replication| {
+            let addrs = servers.iter().map(|s| s.local_addr().to_string());
+            StorageEndpoint::tcp(addrs, ClusterConfig { replication })
+                .with_request_timeout(Duration::from_secs(5))
+        };
+        let values = |chunks: Vec<Chunk>| -> Vec<u64> {
+            let mut v: Vec<u64> = chunks
+                .iter()
+                .map(|c| u64::from_le_bytes(c.bytes().try_into().unwrap()))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+
+        let servers = serve();
+        let endpoint = tcp(&servers, 1);
+        let bag = endpoint.cluster().create_bag();
+        let mut client = endpoint.client(bag, 9);
+        for v in 0..10 {
+            client.insert(chunk(v)).unwrap();
+        }
+        let mut port = endpoint.port();
+        assert_eq!(
+            values(port.snapshot_bag(bag).unwrap()),
+            (0..10).collect::<Vec<_>>()
+        );
+        let s = port.sample_bag(bag).unwrap();
+        assert_eq!((s.total_chunks, s.remaining_chunks), (10, 10));
+        // A scan sees claimed items too.
+        let work = endpoint.cluster().create_bag();
+        let mut wb = WorkBag::<u64>::with_client(endpoint.client(work, 3));
+        wb.insert_batch(&[5, 6, 7, 8]).unwrap();
+        assert!(wb.try_take().unwrap().is_some());
+        let mut items = wb.scan_all().unwrap();
+        items.sort_unstable();
+        assert_eq!(items, vec![5, 6, 7, 8]);
+        // Seal reaches the remote nodes: a chunk staged before it is
+        // refused there when flushed after it.
+        let mut late = endpoint.client(bag, 11).with_coalescing(1_000);
+        late.stage(chunk(99)).unwrap();
+        port.seal_bag(bag).unwrap();
+        assert_eq!(late.flush(), Err(StorageError::BagSealed(bag)));
+        endpoint.shutdown();
+        drop(servers);
+
+        // Replicated, one server gone: each origin is read from its
+        // first live replica, so every chunk comes back exactly once.
+        let mut servers = serve();
+        let endpoint = tcp(&servers, 2);
+        let bag = endpoint.cluster().create_bag();
+        let mut client = endpoint.client(bag, 4);
+        for v in 0..12 {
+            client.insert(chunk(v)).unwrap();
+        }
+        servers.pop().unwrap().shutdown();
+        assert_eq!(
+            values(endpoint.port().snapshot_bag(bag).unwrap()),
+            (0..12).collect::<Vec<_>>()
+        );
+        endpoint.shutdown();
     }
 
     #[test]

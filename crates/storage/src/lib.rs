@@ -13,20 +13,21 @@
 //!   sequential read pointer (exactly-once removal), sampling, rewind,
 //!   sealing, and fault injection.
 //! * [`cluster`] — the set of storage nodes plus bag metadata (the
-//!   sealed-flag authority), whole-bag control operations (seal / rewind /
-//!   discard / collect / sample / snapshot), and dynamic node addition /
-//!   draining (paper §3.4). It moves no chunks.
+//!   sealed-flag authority) and dynamic node addition / draining (paper
+//!   §3.4). It moves no chunks and sends no requests.
 //! * [`placement`] — the pseudorandom cyclic permutation policy that
 //!   decides which node receives each insert / serves each remove. Pure,
 //!   shared with the simulator.
 //! * [`batch`] — batch-sampling math: the utilization lower bound of
 //!   paper Eq. 1 and a Monte-Carlo counterpart used to validate it.
-//! * [`rpc`] — the data plane, and the explicit message boundary between
-//!   compute and storage. [`RpcPort`] is the one implementation of
-//!   primary–backup replication, failover and pointer mirroring (paper
-//!   §4.4); under it sit request/response enums covering the node API,
-//!   a [`rpc::Transport`] trait (inline dispatch, in-process channels,
-//!   sockets), per-node server loops, the correlation layer that lets
+//! * [`rpc`] — the data and control planes, and the explicit message
+//!   boundary between compute and storage. [`RpcPort`] is the one
+//!   implementation of primary–backup replication, failover, pointer
+//!   mirroring (paper §4.4) and the whole-bag operations (seal / rewind /
+//!   discard / collect / sample / snapshot); under it sit
+//!   request/response enums covering the node API, a [`rpc::Transport`]
+//!   trait (inline dispatch, in-process channels, sockets), per-node
+//!   server loops, the correlation layer that lets
 //!   clients keep many requests in flight, and retry-safe request
 //!   semantics (bounded retransmission under a server-side dedup window,
 //!   so a duplicated or retried envelope can never double-insert or lose

@@ -365,7 +365,7 @@ mod tests {
             let mut held = 0;
             for _ in 0..200 {
                 std::thread::sleep(Duration::from_millis(5));
-                let now = ep.cluster().sample_bag(bag).unwrap().removed_chunks;
+                let now = ep.port().sample_bag(bag).unwrap().removed_chunks;
                 if now == held && now > 0 {
                     break;
                 }

@@ -46,8 +46,10 @@
 //! * [`RpcPort`] — a per-owner set of connections (one per node) plus the
 //!   cluster metadata handle; implements the cluster-level data plane
 //!   (replica fan-out with backups-first ordering, failover, pointer
-//!   mirroring) on top of submit/wait. Every [`crate::BagClient`] holds
-//!   one; the cluster object keeps only metadata and whole-bag control.
+//!   mirroring) and every whole-bag control operation (seal, rewind,
+//!   discard, collect, sample, snapshot: one fan-out to every node) on
+//!   top of submit/wait. Every [`crate::BagClient`] holds one; the
+//!   cluster object keeps only metadata, which the port reads and flips.
 //! * [`StorageRpc`] — serves every node of a cluster and mints ports.
 //!
 //! # Replication over RPC
@@ -965,11 +967,6 @@ impl NodeConnection {
         self.on_wire
     }
 
-    /// The writer-credit bound this connection enforces.
-    pub fn credit(&self) -> usize {
-        self.credit
-    }
-
     /// Re-bounds the writer credit.
     ///
     /// # Panics
@@ -1729,11 +1726,6 @@ impl RpcPort {
         grown
     }
 
-    /// The cluster whose metadata governs this port.
-    pub fn cluster(&self) -> &Arc<StorageCluster> {
-        &self.cluster
-    }
-
     /// Number of nodes this port can address.
     pub fn num_nodes(&self) -> usize {
         self.conns.len()
@@ -1778,11 +1770,6 @@ impl RpcPort {
     /// Data-plane statistics (envelope counts, staged chunks, flushes).
     pub fn stats(&self) -> PortStats {
         self.stats
-    }
-
-    /// Total request envelopes sent across this port's connections.
-    pub fn envelopes_sent(&self) -> u64 {
-        self.conns.iter().map(NodeConnection::requests_sent).sum()
     }
 
     /// Chunks currently staged and not yet flushed.
@@ -2378,38 +2365,159 @@ impl RpcPort {
         })
     }
 
-    /// [`StorageCluster::sample_bag`] as seen through this port: fans
-    /// the sample out to every node concurrently and merges the replies.
-    /// Staged coalesced inserts are flushed first so the sample sees them.
-    pub fn sample_bag(&mut self, bag: BagId) -> Result<BagSample, StorageError> {
+    /// The one body of every whole-bag control operation: flushes this
+    /// port's staged inserts (so the operation sees them), submits
+    /// `request(i)` on every connection `i`, then waits each token in
+    /// index order. Returns one outcome per node; the caller does the
+    /// bag-metadata half first and decides which node errors it skips.
+    /// The tolerance, stated once:
+    ///
+    /// | operation | a node error that is skipped | anything else |
+    /// |---|---|---|
+    /// | seal, collect | every error: the cluster flag governs | — |
+    /// | rewind, discard | down | propagates (a disk error) |
+    /// | sample | down | propagates |
+    /// | snapshot, replication 1 | down: a disk-sick node's chunks are nowhere else | propagates |
+    /// | snapshot, replicated | unreachable ([`RpcPort::replica_unreachable`]): origin `p` is read from its next replica, and none live is [`StorageError::AllReplicasDown`] | propagates |
+    ///
+    /// "Down" is [`StorageError::NodeDown`], or over the wire
+    /// [`StorageError::Disconnected`].
+    fn fan_out(
+        &mut self,
+        request: impl Fn(usize) -> StorageRequest,
+    ) -> Result<Vec<Result<StorageResponse, StorageError>>, StorageError> {
         self.flush()?;
-        self.cluster.check_bag(bag)?;
-        let request = StorageRequest::Sample { bag };
         #[allow(clippy::type_complexity)]
-        let tokens: Vec<(usize, Result<(CompletionToken, u64), StorageError>)> =
+        let tokens: Vec<(StorageRequest, Result<(CompletionToken, u64), StorageError>)> =
             (0..self.conns.len())
                 .map(|idx| {
-                    let t = self.conns[idx].submit_tracked(request.clone());
-                    (idx, t)
+                    let r = request(idx);
+                    let t = self.conns[idx].submit_tracked(r.clone());
+                    (r, t)
                 })
                 .collect();
-        let mut agg = BagSample {
-            sealed: true,
-            ..BagSample::default()
-        };
         let timeout = self.timeout;
-        for (idx, token) in tokens {
-            match token
-                .and_then(|(t, seq)| self.conns[idx].wait_retrying(t, seq, &request, timeout))
-            {
-                Ok(StorageResponse::Sampled(s)) => agg.merge(&s),
-                Ok(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
-                Err(StorageError::NodeDown(_)) => {}
-                Err(e) => return Err(e),
+        Ok(tokens
+            .into_iter()
+            .enumerate()
+            .map(|(idx, (r, token))| {
+                token.and_then(|(t, seq)| self.conns[idx].wait_retrying(t, seq, &r, timeout))
+            })
+            .collect())
+    }
+
+    /// A node's outcome with "down" (see [`RpcPort::fan_out`]) read as
+    /// `None`.
+    fn unless_down(
+        outcome: Result<StorageResponse, StorageError>,
+    ) -> Result<Option<StorageResponse>, StorageError> {
+        match outcome {
+            Err(StorageError::NodeDown(_) | StorageError::Disconnected(_)) => Ok(None),
+            other => other.map(Some),
+        }
+    }
+
+    /// Seals `bag`: the cluster flag (end-of-bag), then every node.
+    pub fn seal_bag(&mut self, bag: BagId) -> Result<(), StorageError> {
+        self.cluster.set_sealed(bag, true)?;
+        self.fan_out(|_| StorageRequest::Seal { bag })?;
+        Ok(())
+    }
+
+    /// Rewinds every node's read pointer for another full read (paper
+    /// §4.3); the seal is kept.
+    pub fn rewind_bag(&mut self, bag: BagId) -> Result<(), StorageError> {
+        self.cluster.check_bag(bag)?;
+        for outcome in self.fan_out(|_| StorageRequest::Rewind { bag })? {
+            Self::unless_down(outcome)?;
+        }
+        Ok(())
+    }
+
+    /// Empties and unseals `bag` — recovery's reset of a restarted
+    /// task's outputs (paper §4.4).
+    pub fn discard_bag(&mut self, bag: BagId) -> Result<(), StorageError> {
+        self.cluster.set_sealed(bag, false)?;
+        for outcome in self.fan_out(|_| StorageRequest::Discard { bag })? {
+            Self::unless_down(outcome)?;
+        }
+        Ok(())
+    }
+
+    /// Garbage-collects `bag` cluster-wide.
+    pub fn collect_bag(&mut self, bag: BagId) -> Result<(), StorageError> {
+        self.cluster.set_collected(bag)?;
+        self.fan_out(|_| StorageRequest::Collect { bag })?;
+        Ok(())
+    }
+
+    /// Aggregated sample of `bag` across every reachable node — the
+    /// master's input for estimating remaining work (paper §4.2).
+    pub fn sample_bag(&mut self, bag: BagId) -> Result<BagSample, StorageError> {
+        self.cluster.check_bag(bag)?;
+        let mut agg = BagSample::default();
+        for (idx, outcome) in self
+            .fan_out(|_| StorageRequest::Sample { bag })?
+            .into_iter()
+            .enumerate()
+        {
+            match Self::unless_down(outcome)? {
+                Some(StorageResponse::Sampled(s)) => agg.merge(&s),
+                Some(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
+                None => {}
             }
         }
         agg.sealed = self.cluster.is_sealed(bag)?;
         Ok(agg)
+    }
+
+    /// Non-destructive full read of `bag`, consumed chunks included. With
+    /// replication each origin's stream is read from its first live
+    /// replica, in remove-failover order. A replica whose log missed runs
+    /// while it was down hides them once it is back: `SnapshotFrom`
+    /// carries no identity tags to union replicas by (removes reconcile).
+    pub fn snapshot_bag(&mut self, bag: BagId) -> Result<Vec<Chunk>, StorageError> {
+        self.cluster.check_bag(bag)?;
+        let r = self.cluster.replication();
+        let mut out = Vec::new();
+        if r == 1 {
+            for (idx, outcome) in self
+                .fan_out(|_| StorageRequest::Snapshot { bag })?
+                .into_iter()
+                .enumerate()
+            {
+                match Self::unless_down(outcome)? {
+                    Some(StorageResponse::Chunks(chunks)) => out.extend(chunks),
+                    Some(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
+                    None => {}
+                }
+            }
+            return Ok(out);
+        }
+        let m = self.conns.len();
+        let from = |p: usize| StorageRequest::SnapshotFrom {
+            bag,
+            origin: p as u32,
+        };
+        // Every origin's primary at once; the backups only for origins
+        // whose primary cannot answer.
+        for (p, first) in self.fan_out(from)?.into_iter().enumerate() {
+            let mut answer = first;
+            for k in 1..=r {
+                let idx = (p + k - 1) % m;
+                match answer {
+                    Ok(StorageResponse::Chunks(chunks)) => {
+                        out.extend(chunks);
+                        break;
+                    }
+                    Ok(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
+                    Err(e) if !Self::replica_unreachable(&e) => return Err(e),
+                    Err(_) if k == r => return Err(StorageError::AllReplicasDown(bag)),
+                    Err(_) => answer = self.call((p + k) % m, from(p)),
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -2785,7 +2893,8 @@ mod tests {
             port.insert_buckets(bag, &mut [vec![chunk(7)], vec![chunk(8)]])
                 .unwrap();
         }
-        assert_eq!(cluster.sample_bag(bag).unwrap().total_chunks, 2);
+        let s = RpcPort::inline(cluster).sample_bag(bag).unwrap();
+        assert_eq!(s.total_chunks, 2);
     }
 
     #[test]
@@ -3012,5 +3121,185 @@ mod tests {
         assert!(StorageRequest::Drain.is_idempotent());
         assert!(StorageRequest::IsDrained.is_idempotent());
         assert!(StorageRequest::Ping.is_idempotent());
+    }
+
+    /// A memory disk that can be made to refuse every append, read and
+    /// truncate with `ENOSPC`: a node whose log can no longer journal.
+    struct SickLog {
+        inner: crate::segment::SegmentLog,
+        sick: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl SickLog {
+        fn check(&self) -> std::io::Result<()> {
+            match self.sick.load(std::sync::atomic::Ordering::Relaxed) {
+                true => Err(std::io::Error::from_raw_os_error(28)),
+                false => Ok(()),
+            }
+        }
+    }
+
+    impl crate::segment::LogBackend for SickLog {
+        fn append(&self, frame: &[u8]) -> std::io::Result<u64> {
+            self.check()?;
+            self.inner.append(frame)
+        }
+        fn read(&self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+            self.check()?;
+            self.inner.read(offset, len)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn read_all(&self) -> std::io::Result<Vec<u8>> {
+            self.check()?;
+            self.inner.read_all()
+        }
+        fn truncate(&self, len: u64) -> std::io::Result<()> {
+            self.check()?;
+            self.inner.truncate(len)
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// The cluster store: node 1 journals to a [`SickLog`], the rest to
+    /// healthy memory.
+    struct SickNodeOne {
+        mem: crate::segment::SegmentStore,
+        sick: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl crate::segment::StoreBackend for SickNodeOne {
+        fn open_log(&self, name: &str) -> std::io::Result<crate::segment::SegmentLog> {
+            Ok(crate::segment::SegmentLog::custom(Arc::new(SickLog {
+                inner: self.mem.open_log(name)?,
+                sick: self.sick.clone(),
+            })))
+        }
+        fn list_logs(&self) -> std::io::Result<Vec<String>> {
+            self.mem.list_logs()
+        }
+        fn subdir(&self, name: &str) -> std::io::Result<crate::segment::SegmentStore> {
+            let mem = self.mem.subdir(name)?;
+            Ok(match name {
+                "node-1" => crate::segment::SegmentStore::custom(Arc::new(SickNodeOne {
+                    mem,
+                    sick: self.sick.clone(),
+                })),
+                _ => mem,
+            })
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        Failed,
+        DiskSick,
+        DeadConnection,
+    }
+
+    /// A 3-node durable cluster holding two chunks at every node (one of
+    /// node 1's already consumed), then node 1 made unusable by `fault`,
+    /// and a port over it.
+    fn faulty_cluster(fault: Fault, replication: usize) -> (RpcPort, BagId) {
+        let sick = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let store = crate::segment::SegmentStore::custom(Arc::new(SickNodeOne {
+            mem: crate::segment::SegmentStore::mem(),
+            sick: sick.clone(),
+        }));
+        let cluster = StorageCluster::new_durable(
+            3,
+            ClusterConfig { replication },
+            crate::cluster::DurabilityConfig {
+                store,
+                // Nothing resident: a snapshot reads the log.
+                spill_threshold_bytes: 0,
+            },
+        );
+        let bag = cluster.create_bag();
+        let mut port = RpcPort::inline(cluster.clone());
+        for i in 0..3u8 {
+            port.insert_batch(i as usize, bag, &[chunk(2 * i), chunk(2 * i + 1)])
+                .unwrap();
+        }
+        assert_eq!(port.remove_batch(1, bag, 1).unwrap().chunks.len(), 1);
+        match fault {
+            Fault::Failed => cluster.node(1).fail(),
+            Fault::DiskSick => sick.store(true, std::sync::atomic::Ordering::Relaxed),
+            Fault::DeadConnection => {
+                let conns = (0..3)
+                    .map(|i| {
+                        let transport: Box<dyn Transport> = match i {
+                            1 => Box::new(DeadTransport {
+                                node: StorageNodeId(1),
+                            }),
+                            _ => Box::new(InlineTransport::new(cluster.node(i))),
+                        };
+                        NodeConnection::new(transport)
+                    })
+                    .collect();
+                port = RpcPort::from_connections(cluster, conns, DEFAULT_REQUEST_TIMEOUT);
+            }
+        }
+        (port, bag)
+    }
+
+    #[test]
+    fn control_fan_out_tolerates_what_its_table_says() {
+        type Op = fn(&mut RpcPort, BagId) -> Result<u64, StorageError>;
+        type Row = (&'static str, Op, [Result<u64, StorageError>; 3]);
+        let sick = Err(StorageError::DiskFull(StorageNodeId(1)));
+        // Per operation, the outcome with node 1 fail()ed, disk-sick, or
+        // behind a dead connection. Counts are chunks; a down node's two
+        // are missing, a disk-sick node still reports its counters.
+        let table: [Row; 6] = [
+            (
+                "seal",
+                |p, b| p.seal_bag(b).map(|()| 0),
+                [Ok(0), Ok(0), Ok(0)],
+            ),
+            (
+                "rewind",
+                |p, b| p.rewind_bag(b).map(|()| 0),
+                [Ok(0), sick.clone(), Ok(0)],
+            ),
+            (
+                "discard",
+                |p, b| p.discard_bag(b).map(|()| 0),
+                [Ok(0), sick.clone(), Ok(0)],
+            ),
+            (
+                "collect",
+                |p, b| p.collect_bag(b).map(|()| 0),
+                [Ok(0), Ok(0), Ok(0)],
+            ),
+            (
+                "sample",
+                |p, b| p.sample_bag(b).map(|s| s.total_chunks),
+                [Ok(4), Ok(6), Ok(4)],
+            ),
+            (
+                "snapshot",
+                |p, b| p.snapshot_bag(b).map(|c| c.len() as u64),
+                [Ok(4), sick.clone(), Ok(4)],
+            ),
+        ];
+        let faults = [Fault::Failed, Fault::DiskSick, Fault::DeadConnection];
+        for (name, op, want) in table {
+            for (fault, want) in faults.into_iter().zip(want) {
+                let (mut port, bag) = faulty_cluster(fault, 1);
+                assert_eq!(op(&mut port, bag), want, "{name} with node 1 {fault:?}");
+            }
+        }
+        // Replicated, every origin is read from a live replica.
+        for fault in faults {
+            let (mut port, bag) = faulty_cluster(fault, 2);
+            let got = port.snapshot_bag(bag).unwrap();
+            let mut values: Vec<u8> = got.iter().map(|c| c.bytes()[0]).collect();
+            values.sort_unstable();
+            assert_eq!(values, (0..6).collect::<Vec<u8>>(), "{fault:?}");
+        }
     }
 }

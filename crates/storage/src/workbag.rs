@@ -12,12 +12,10 @@
 //! task instance twice.
 
 use crate::bag::{BagClient, BatchRemoveResult, RemoveResult};
-use crate::cluster::StorageCluster;
 use crate::error::StorageError;
 use hurricane_common::BagId;
 use hurricane_format::{decode_all, Chunk, Record};
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 /// A typed bag of items, one record per chunk.
 pub struct WorkBag<T: Record> {
@@ -26,15 +24,9 @@ pub struct WorkBag<T: Record> {
 }
 
 impl<T: Record> WorkBag<T> {
-    /// Wraps bag `bag` on `cluster` as a typed work bag over an inline
-    /// client ([`BagClient::new`]).
-    pub fn new(cluster: Arc<StorageCluster>, bag: BagId, seed: u64) -> Self {
-        Self::with_client(BagClient::new(cluster, bag, seed))
-    }
-
-    /// Wraps an existing bag client (one minted by
-    /// [`crate::StorageEndpoint::client`], on any plane) as a typed work
-    /// bag.
+    /// Wraps a bag client (one minted by
+    /// [`crate::StorageEndpoint::client`], on any plane, or
+    /// [`BagClient::new`] for the inline one) as a typed work bag.
     pub fn with_client(client: BagClient) -> Self {
         Self {
             client,
@@ -102,9 +94,10 @@ impl<T: Record> WorkBag<T> {
     /// Non-destructively reads every item ever inserted — including items
     /// already claimed. This is the scan the master uses to replay the
     /// done bag after a crash and to find a failed node's running tasks
-    /// (paper §4.4).
-    pub fn scan_all(&self) -> Result<Vec<T>, StorageError> {
-        let chunks = self.client.cluster().snapshot_bag(self.bag_id())?;
+    /// (paper §4.4). Goes through the client's port, so it reads the
+    /// nodes the client writes to, on any plane.
+    pub fn scan_all(&mut self) -> Result<Vec<T>, StorageError> {
+        let chunks = self.client.port.snapshot_bag(self.client.bag)?;
         let mut items = Vec::with_capacity(chunks.len());
         for c in &chunks {
             items.extend(decode_all::<T>(c).map_err(StorageError::from)?);
@@ -116,8 +109,9 @@ impl<T: Record> WorkBag<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
+    use crate::cluster::{ClusterConfig, StorageCluster};
     use std::collections::HashSet;
+    use std::sync::Arc;
 
     type Descriptor = (u64, String);
 
@@ -130,7 +124,7 @@ mod tests {
     #[test]
     fn insert_take_roundtrip() {
         let (cluster, bag) = setup();
-        let mut wb = WorkBag::<Descriptor>::new(cluster, bag, 1);
+        let mut wb = WorkBag::<Descriptor>::with_client(BagClient::new(cluster, bag, 1));
         wb.insert(&(7, "phase1".into())).unwrap();
         let item = wb.try_take().unwrap().unwrap();
         assert_eq!(item, (7, "phase1".into()));
@@ -140,13 +134,14 @@ mod tests {
     #[test]
     fn claims_are_exactly_once_across_managers() {
         let (cluster, bag) = setup();
-        let mut producer = WorkBag::<(u64, u64)>::new(cluster.clone(), bag, 2);
+        let mut producer =
+            WorkBag::<(u64, u64)>::with_client(BagClient::new(cluster.clone(), bag, 2));
         for i in 0..64 {
             producer.insert(&(i, i * 10)).unwrap();
         }
         let mut claimed = HashSet::new();
-        let mut a = WorkBag::<(u64, u64)>::new(cluster.clone(), bag, 3);
-        let mut b = WorkBag::<(u64, u64)>::new(cluster.clone(), bag, 4);
+        let mut a = WorkBag::<(u64, u64)>::with_client(BagClient::new(cluster.clone(), bag, 3));
+        let mut b = WorkBag::<(u64, u64)>::with_client(BagClient::new(cluster.clone(), bag, 4));
         loop {
             let mut progressed = false;
             if let Some(t) = a.try_take().unwrap() {
@@ -167,7 +162,7 @@ mod tests {
     #[test]
     fn scan_sees_claimed_items() {
         let (cluster, bag) = setup();
-        let mut wb = WorkBag::<u64>::new(cluster, bag, 5);
+        let mut wb = WorkBag::<u64>::with_client(BagClient::new(cluster, bag, 5));
         for i in 0..10 {
             wb.insert(&i).unwrap();
         }
@@ -183,7 +178,7 @@ mod tests {
     #[test]
     fn batch_insert_and_take_roundtrip() {
         let (cluster, bag) = setup();
-        let mut wb = WorkBag::<u64>::new(cluster.clone(), bag, 7);
+        let mut wb = WorkBag::<u64>::with_client(BagClient::new(cluster.clone(), bag, 7));
         let items: Vec<u64> = (0..50).collect();
         wb.insert_batch(&items).unwrap();
         let mut got = Vec::new();
@@ -201,7 +196,7 @@ mod tests {
     #[test]
     fn items_survive_and_spread_across_nodes() {
         let (cluster, bag) = setup();
-        let mut wb = WorkBag::<u64>::new(cluster.clone(), bag, 6);
+        let mut wb = WorkBag::<u64>::with_client(BagClient::new(cluster.clone(), bag, 6));
         for i in 0..40 {
             wb.insert(&i).unwrap();
         }

@@ -8,7 +8,7 @@ use hurricane_core::merges::{
 use hurricane_core::task::{BagReader, BagWriter, MergeLogic};
 use hurricane_core::EngineError;
 use hurricane_format::{decode_all, Record, SeqView};
-use hurricane_storage::{ClusterConfig, StorageCluster};
+use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -71,7 +71,7 @@ where
     let mut out = BagWriter::open(cluster.clone(), out_bag, 999, 1 << 16);
     merge.merge(0, &mut readers, &mut out).unwrap();
     out.flush().unwrap();
-    let chunks = cluster.snapshot_bag(out_bag).unwrap();
+    let chunks = RpcPort::inline(cluster).snapshot_bag(out_bag).unwrap();
     chunks
         .iter()
         .flat_map(|c| decode_all::<T>(c).unwrap())

@@ -6,7 +6,7 @@ use hurricane_common::DetRng;
 use hurricane_format::Chunk;
 use hurricane_storage::bag::{BagClient, RemoveResult};
 use hurricane_storage::batch;
-use hurricane_storage::{ClusterConfig, StorageCluster, StorageEndpoint};
+use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageEndpoint};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -171,7 +171,7 @@ proptest! {
             cluster.node(fail_node).recover();
         }
         // Exactly once: every staged value landed somewhere, none twice.
-        let landed = cluster.snapshot_bag(bag).unwrap();
+        let landed = RpcPort::inline(cluster.clone()).snapshot_bag(bag).unwrap();
         let vals: Vec<u64> = landed.iter().map(chunk_val).collect();
         let set: HashSet<u64> = vals.iter().copied().collect();
         prop_assert_eq!(vals.len() as u64, next_val, "chunk lost or duplicated");

@@ -396,7 +396,7 @@ fn coalesced_flush_reroutes_around_mid_stream_failure() {
     client.insert_batch(&second).unwrap();
     client.flush().unwrap();
     // Exactly once across the three live nodes.
-    let landed = cluster.snapshot_bag(bag).unwrap();
+    let landed = RpcPort::inline(cluster.clone()).snapshot_bag(bag).unwrap();
     let mut vals: Vec<u64> = landed.iter().map(chunk_val).collect();
     vals.sort_unstable();
     assert_eq!(vals, (0..80u64).collect::<Vec<_>>());

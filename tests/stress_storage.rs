@@ -11,7 +11,7 @@
 
 use hurricane_format::Chunk;
 use hurricane_storage::bag::{BagClient, BatchRemoveResult};
-use hurricane_storage::{ClusterConfig, StorageCluster, StorageEndpoint};
+use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageEndpoint};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,12 +48,12 @@ fn stress_with(
     // while inserters and removers race (the master polls mid-flight).
     let sampling = Arc::new(AtomicBool::new(true));
     let sampler = {
-        let cluster = cluster.clone();
+        let mut port = RpcPort::inline(cluster.clone());
         let sampling = sampling.clone();
         std::thread::spawn(move || {
             let mut polls = 0u64;
             while sampling.load(Ordering::Relaxed) {
-                let s = cluster.sample_bag(bag).unwrap();
+                let s = port.sample_bag(bag).unwrap();
                 assert_eq!(
                     s.remaining_chunks,
                     s.total_chunks - s.removed_chunks,
@@ -125,7 +125,7 @@ fn stress_with(
     assert_eq!(seen.len() as u64, total);
 
     // Final sample: exact totals, fully drained, sealed.
-    let s = cluster.sample_bag(bag).unwrap();
+    let s = RpcPort::inline(cluster).sample_bag(bag).unwrap();
     assert_eq!(s.total_chunks, total);
     assert_eq!(s.removed_chunks, total);
     assert_eq!(s.remaining_chunks, 0);
