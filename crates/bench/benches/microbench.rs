@@ -982,7 +982,7 @@ fn bench_prefetch(c: &mut Criterion) {
                 (cluster, bag)
             },
             |(cluster, bag)| {
-                let mut pf = Prefetcher::spawn(BagClient::new(cluster, bag, 6), 10);
+                let mut pf = Prefetcher::new(BagClient::new(cluster, bag, 6), 10);
                 let mut n = 0u64;
                 while pf.recv().unwrap().is_some() {
                     n += 1;
@@ -1006,7 +1006,7 @@ fn bench_prefetch(c: &mut Criterion) {
                 (endpoint, bag)
             },
             |(endpoint, bag)| {
-                let mut pf = Prefetcher::spawn(endpoint.client(bag, 6), 10);
+                let mut pf = Prefetcher::new(endpoint.client(bag, 6), 10);
                 let mut n = 0u64;
                 while pf.recv().unwrap().is_some() {
                     n += 1;

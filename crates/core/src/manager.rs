@@ -1,13 +1,37 @@
 //! Task managers: the compute-node side of the runtime.
 //!
-//! Paper §3.1/§4.1: each compute node runs a task manager that claims task
-//! descriptors from the distributed *ready* work bag and executes them on
-//! local workers. Claiming is fully decentralized — the bag's exactly-once
-//! chunk delivery guarantees no double execution without any coordinator
-//! in the claim path. Before executing, the manager appends a
-//! [`RunningRecord`]; after finishing, the worker appends a
-//! [`DoneRecord`]. Between chunks workers poll the [`KillSwitch`] so that
-//! failure recovery can cancel them promptly.
+//! Paper §3.1/§4.1: each compute node claims task descriptors from the
+//! distributed *ready* work bag and executes them on its worker slots. A
+//! compute node is its slots: [`spawn_manager`] starts `worker_slots`
+//! persistent worker threads, and they are all the threads the node
+//! has. Each worker loops: claim a descriptor (fully decentralized — the
+//! bag's exactly-once chunk delivery guarantees no double execution
+//! without any coordinator in the claim path), append a
+//! [`RunningRecord`], run the unit on its own thread — its input readers
+//! prefetch on that thread too (`hurricane_storage::prefetch`) — and
+//! append a [`DoneRecord`]. A unit that errors or panics fails the job
+//! through [`ControlMsg::Fatal`]; the worker survives it. Between chunks
+//! workers poll the [`KillSwitch`] so that failure recovery can cancel
+//! them promptly.
+//!
+//! # Every wait in the compute plane
+//!
+//! What a clock seam must reach, and all of it is wall-clock:
+//!
+//! * a worker sleeps 500 µs while its node is failed (`manager.rs:266`)
+//!   or the ready bag is empty (`:315`), and 1 ms after a failed claim
+//!   (`:331`);
+//! * a reader whose buffer is empty blocks up to 200 µs on one in-flight
+//!   probe (`storage/src/prefetch.rs:235`), or backs off 10 µs–1 ms on
+//!   an unsealed empty bag or with nothing in flight (`:238`);
+//! * the master sleeps `master_poll` per round (`master.rs:284`) and
+//!   200 µs per check while cancelled workers quiesce (`:637`);
+//! * a merge waits for its scoped output workers (`merges.rs:928`);
+//! * `RunningApp` joins the master (`app.rs:342`, and `:313` on a
+//!   crash) and then every slot (`:348`, via `manager.rs:200`);
+//! * every synchronous storage call blocks for its reply
+//!   (`NodeConnection::wait`, `storage/src/rpc.rs:1191`), and a writer
+//!   out of credit pumps replies until one returns (`:997`).
 
 use crate::config::HurricaneConfig;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};
@@ -22,6 +46,7 @@ use hurricane_common::BagId;
 use hurricane_storage::{BagClient, RpcPort, StorageEndpoint, WorkBag};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -141,12 +166,12 @@ pub struct ManagerDeps {
     pub app_done: Arc<AtomicBool>,
 }
 
-/// Handle to one compute node's manager thread.
+/// Handle to one compute node: its worker slots.
 pub struct ComputeNodeHandle {
     /// The node's id.
     pub id: u32,
     alive: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    slots: Vec<JoinHandle<()>>,
 }
 
 impl ComputeNodeHandle {
@@ -168,10 +193,11 @@ impl ComputeNodeHandle {
         self.alive.load(Ordering::Relaxed)
     }
 
-    /// Joins the manager thread (call after the app-done flag is set).
-    pub fn join(mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+    /// Joins the node's worker slots (call after the app-done flag is
+    /// set).
+    pub fn join(self) {
+        for slot in self.slots {
+            let _ = slot.join();
         }
     }
 }
@@ -202,25 +228,32 @@ impl ManagerDeps {
     }
 }
 
-/// Spawns the task-manager thread for compute node `node_id`.
+/// Starts compute node `node_id`: one persistent worker thread per
+/// `worker_slots`.
 pub fn spawn_manager(node_id: u32, deps: ManagerDeps) -> ComputeNodeHandle {
     let alive = Arc::new(AtomicBool::new(true));
-    let alive2 = alive.clone();
-    let thread = std::thread::Builder::new()
-        .name(format!("manager-cn{node_id}"))
-        .spawn(move || manager_loop(node_id, deps, alive2))
-        .expect("spawning task manager");
+    let slots = (0..deps.config.worker_slots)
+        .map(|slot| {
+            let deps = deps.clone();
+            let alive = alive.clone();
+            std::thread::Builder::new()
+                .name(format!("worker-cn{node_id}-{slot}"))
+                .spawn(move || worker_loop(node_id, &deps, &alive))
+                .expect("spawning worker")
+        })
+        .collect();
     ComputeNodeHandle {
         id: node_id,
         alive,
-        thread: Some(thread),
+        slots,
     }
 }
 
-fn manager_loop(node_id: u32, deps: ManagerDeps, alive: Arc<AtomicBool>) {
+/// One worker slot: claims a descriptor from the ready bag, appends its
+/// claim record, and runs the unit on this thread, until the app is done.
+fn worker_loop(node_id: u32, deps: &ManagerDeps, alive: &Arc<AtomicBool>) {
     let mut ready: WorkBag<Descriptor> = deps.workbag(deps.workbags.ready);
     let mut running: WorkBag<RunningRecord> = deps.workbag(deps.workbags.running);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
     // Consecutive ready-bag claim failures. Transient storage errors
     // (a node mid-failover, a disk hiccup) deserve a retry; a *persistent*
     // failure — e.g. a poisoned work-bag log after a failed journal
@@ -228,12 +261,8 @@ fn manager_loop(node_id: u32, deps: ManagerDeps, alive: Arc<AtomicBool>) {
     // master waits for progress that can never come.
     let mut claim_errors: u32 = 0;
     const CLAIM_ERROR_LIMIT: u32 = 2_000; // ≈2 s of 1 ms retries
-    loop {
-        workers.retain(|w| !w.is_finished());
-        if deps.app_done.load(Ordering::Relaxed) {
-            break;
-        }
-        if !alive.load(Ordering::Relaxed) || workers.len() >= deps.config.worker_slots {
+    while !deps.app_done.load(Ordering::Relaxed) {
+        if !alive.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_micros(500));
             continue;
         }
@@ -266,13 +295,20 @@ fn manager_loop(node_id: u32, deps: ManagerDeps, alive: Arc<AtomicBool>) {
                     }
                     continue;
                 }
-                let deps2 = deps.clone();
-                let alive2 = alive.clone();
-                let w = std::thread::Builder::new()
-                    .name(format!("worker-cn{node_id}-{inst}"))
-                    .spawn(move || run_unit(node_id, desc, deps2, alive2))
-                    .expect("spawning worker");
-                workers.push(w);
+                // A panicking task fails the job like an erroring one; the
+                // slot survives to claim the next unit.
+                let unit = AssertUnwindSafe(|| run_unit(node_id, desc, deps, alive));
+                if let Err(panic) = std::panic::catch_unwind(unit) {
+                    let what = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("non-string payload");
+                    let _ = deps.control_tx.send(ControlMsg::Fatal {
+                        task: inst.task.0,
+                        message: format!("task panicked: {what}"),
+                    });
+                }
             }
             Ok(None) => {
                 claim_errors = 0;
@@ -296,13 +332,10 @@ fn manager_loop(node_id: u32, deps: ManagerDeps, alive: Arc<AtomicBool>) {
             }
         }
     }
-    for w in workers {
-        let _ = w.join();
-    }
 }
 
 /// Executes one claimed unit (task instance or merge) to completion.
-fn run_unit(node_id: u32, desc: Descriptor, deps: ManagerDeps, node_alive: Arc<AtomicBool>) {
+fn run_unit(node_id: u32, desc: Descriptor, deps: &ManagerDeps, node_alive: &Arc<AtomicBool>) {
     let started = Instant::now();
     let inst = desc.instance_id();
     let key = (inst.task.0, desc.generation, inst.clone.0, desc.kind);
@@ -318,8 +351,8 @@ fn run_unit(node_id: u32, desc: Descriptor, deps: ManagerDeps, node_alive: Arc<A
         node_alive: node_alive.clone(),
     };
     let outcome = match desc.kind {
-        KIND_TASK => run_task(node_id, &desc, &deps, &probe, started),
-        KIND_MERGE => run_merge(&desc, &deps, &probe),
+        KIND_TASK => run_task(node_id, &desc, deps, &probe, started),
+        KIND_MERGE => run_merge(&desc, deps, &probe),
         _ => Err(EngineError::InvalidGraph(format!(
             "unknown descriptor kind {}",
             desc.kind

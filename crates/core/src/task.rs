@@ -152,7 +152,10 @@ impl KillSwitch {
     }
 }
 
-/// A sequential reader over one (sealed) bag, with batch-sampling prefetch.
+/// A sequential reader over one (sealed) bag, with batch-sampling
+/// prefetch driven by its own [`BagReader::next_chunk`] calls: no thread,
+/// and no chunk claimed before the first call, so an input a task only
+/// snapshots is never removed from.
 pub struct BagReader {
     prefetcher: Prefetcher,
     bytes_read: u64,
@@ -198,14 +201,15 @@ impl BagReader {
     /// its `batch_factor`-chunk budget over probes to distinct storage
     /// nodes; with a client minted from a channel or TCP endpoint
     /// (`StorageEndpoint::client`) those probes are genuinely in flight
-    /// together.
+    /// together, and stay in flight while the caller works on the chunk
+    /// a `next_chunk` returned.
     pub fn open_client(
         client: BagClient,
         batch_factor: usize,
         cancel: Option<CancelProbe>,
     ) -> Self {
         Self {
-            prefetcher: Prefetcher::spawn(client, batch_factor),
+            prefetcher: Prefetcher::new(client, batch_factor),
             bytes_read: 0,
             chunks_read: 0,
             cancel,

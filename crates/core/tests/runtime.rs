@@ -606,6 +606,73 @@ fn task_error_aborts_run() {
 }
 
 #[test]
+fn a_panicking_task_fails_the_job_instead_of_hanging_it() {
+    let cluster = StorageCluster::new(2, ClusterConfig::default());
+    let mut g = GraphBuilder::new();
+    let input = g.source("in");
+    let out = g.bag("out");
+    g.task("explode", &[input], &[out], |ctx: &mut TaskCtx| {
+        let _ = ctx.next_chunk(0)?;
+        panic!("deliberate panic on the first chunk");
+    });
+    let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster, test_config()).unwrap();
+    app.fill_source(input, 0..10u64).unwrap();
+    // On a helper thread, so a hang fails this test instead of stalling
+    // the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(app.run()));
+    let result = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a panicking task hung the job");
+    match result {
+        Err(EngineError::TaskFailed { message, .. }) => assert!(
+            message.contains("deliberate panic on the first chunk"),
+            "{message}"
+        ),
+        other => panic!("expected TaskFailed, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_input_read_only_by_snapshot_is_never_removed_from() {
+    // PageRank's `iter` shape: input 0 is read whole, input 1 drained.
+    for config in [test_config(), test_config().with_storage_rpc()] {
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let mut g = GraphBuilder::new();
+        let state = g.source("state");
+        let work = g.source("work");
+        let out = g.bag("out");
+        g.task("iter", &[state, work], &[out], |ctx: &mut TaskCtx| {
+            let state: Vec<u64> = ctx.snapshot_input(0)?;
+            let mut n = 0u64;
+            while let Some(recs) = ctx.next_records::<u64>(1)? {
+                busy_work(50);
+                n += recs.len() as u64;
+            }
+            ctx.write_record(0, &(state.len() as u64, n))?;
+            Ok(())
+        });
+        let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster.clone(), config).unwrap();
+        app.fill_source(state, 0..5_000u64).unwrap();
+        app.fill_source(work, 0..5_000u64).unwrap();
+        app.run().unwrap();
+        let mut port = hurricane_storage::RpcPort::inline(cluster);
+        let sample = |port: &mut hurricane_storage::RpcPort, bag| {
+            port.sample_bag(app.physical_bag(bag)).unwrap()
+        };
+        assert_eq!(sample(&mut port, state).removed_chunks, 0);
+        let work = sample(&mut port, work);
+        assert_eq!(work.removed_chunks, work.total_chunks);
+        let outputs: Vec<(u64, u64)> = app.read_records(out).unwrap();
+        assert!(!outputs.is_empty());
+        for (state_len, _) in &outputs {
+            assert_eq!(*state_len, 5_000);
+        }
+        assert_eq!(outputs.iter().map(|o| o.1).sum::<u64>(), 5_000);
+    }
+}
+
+#[test]
 fn skewed_two_region_pipeline_clones_the_heavy_region() {
     // A miniature of the paper's central claim: two downstream tasks, one
     // with 50x the data. With cloning, the heavy task should attract

@@ -26,9 +26,10 @@
 //! schedule. A **single-threaded** scenario (one client thread driving
 //! ports) is fully deterministic: same seed, same config, same call
 //! sequence ⇒ byte-identical [`net::TraceEvent`] traces, which the
-//! replay test asserts. Scenarios that spawn threads (the prefetcher
-//! pipeline) remain seed-reproducible in their *fault schedule* but not
-//! in event interleaving; they assert invariants, not traces.
+//! replay test asserts. Scenarios that drive the prefetcher pipeline
+//! remain seed-reproducible in their *fault schedule* but not in event
+//! interleaving (a probe's retransmission timeout runs on the real
+//! clock); they assert invariants, not traces.
 //!
 //! # Reproducing a CI failure
 //!

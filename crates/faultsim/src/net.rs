@@ -827,7 +827,7 @@ impl Transport for SimTransport {
                     return None;
                 }
                 // Idle: advance one quantum, then release the lock so a
-                // concurrent endpoint (a prefetcher thread, say) can
+                // concurrent endpoint (another client thread, say) can
                 // inject events into the window.
                 let step = inner.cfg.quantum_us.max(1).min(deadline - inner.now_us);
                 let t = inner.now_us + step;

@@ -108,7 +108,7 @@ fn partition_heals_mid_prefetch() {
     // reachable nodes hold 120: consuming 100 keeps the heal genuinely
     // mid-prefetch.
     sim.net.apply(FaultAction::Partition(1));
-    let mut prefetcher = Prefetcher::spawn(sim.client(seed ^ 2, 1), 4);
+    let mut prefetcher = Prefetcher::new(sim.client(seed ^ 2, 1), 4);
     let mut drained = Vec::new();
     while drained.len() < 100 {
         match prefetcher.recv().expect("prefetch recv") {

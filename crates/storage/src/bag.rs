@@ -308,22 +308,6 @@ impl BagClient {
         })
     }
 
-    /// Removes one chunk, spinning (with exponential backoff capped at
-    /// 1 ms) while the bag is `Pending`. Returns `None` once drained.
-    pub fn remove_blocking(&mut self) -> Result<Option<Chunk>, StorageError> {
-        let mut backoff_us = 10u64;
-        loop {
-            match self.try_remove()? {
-                RemoveResult::Chunk(c) => return Ok(Some(c)),
-                RemoveResult::Drained => return Ok(None),
-                RemoveResult::Pending => {
-                    std::thread::sleep(std::time::Duration::from_micros(backoff_us));
-                    backoff_us = (backoff_us * 2).min(1000);
-                }
-            }
-        }
-    }
-
     /// Samples the bag's cluster-wide state (for progress estimation).
     pub fn sample(&mut self) -> Result<BagSample, StorageError> {
         self.port.sample_bag(self.bag)
@@ -700,26 +684,5 @@ mod tests {
             w.stage(chunk(99)),
             Err(StorageError::BagSealed(_))
         ));
-    }
-
-    #[test]
-    fn remove_blocking_sees_concurrent_producer() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        let cluster2 = cluster.clone();
-        let producer = std::thread::spawn(move || {
-            let mut p = BagClient::new(cluster2.clone(), bag, 11);
-            for i in 0..50 {
-                p.insert(chunk(i)).unwrap();
-            }
-            cluster2.seal_bag(bag).unwrap();
-        });
-        let mut consumer = BagClient::new(cluster.clone(), bag, 12);
-        let mut n = 0;
-        while let Some(_c) = consumer.remove_blocking().unwrap() {
-            n += 1;
-        }
-        producer.join().unwrap();
-        assert_eq!(n, 50);
     }
 }

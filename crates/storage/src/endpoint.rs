@@ -333,8 +333,9 @@ mod tests {
             client.insert(chunk(v)).unwrap();
         }
         endpoint.port().seal_bag(bag).unwrap();
+        let mut reader = crate::prefetch::Prefetcher::new(client, 4);
         let mut got = 0;
-        while client.remove_blocking().unwrap().is_some() {
+        while reader.recv().unwrap().is_some() {
             got += 1;
         }
         assert_eq!(got, n);

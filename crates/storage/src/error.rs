@@ -31,10 +31,6 @@ pub enum StorageError {
     /// request may still execute at the server; callers must treat the
     /// operation's outcome as unknown.
     Timeout(StorageNodeId),
-    /// The prefetcher's fetch loop terminated without reaching end-of-bag
-    /// (its thread died or its transport was lost mid-stream). Consumers
-    /// must not mistake this for a drained bag.
-    PrefetchAborted,
     /// A work-bag record failed to decode.
     Codec(CodecError),
     /// The node's data dir is out of space (`ENOSPC`): a segment-log
@@ -69,9 +65,6 @@ impl fmt::Display for StorageError {
             }
             StorageError::Timeout(n) => {
                 write!(f, "request to storage node {n} timed out")
-            }
-            StorageError::PrefetchAborted => {
-                write!(f, "prefetch stream ended before end-of-bag")
             }
             StorageError::Codec(e) => write!(f, "work bag record corrupt: {e}"),
             StorageError::DiskFull(n) => {

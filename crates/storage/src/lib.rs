@@ -33,7 +33,8 @@
 //!   so a duplicated or retried envelope can never double-insert or lose
 //!   a removed chunk).
 //! * [`bag`] — `BagClient`, the per-worker handle combining placement with
-//!   a port; [`prefetch`] adds the b-outstanding-requests pipeline.
+//!   a port; [`prefetch`] adds the b-outstanding-requests pipeline, a
+//!   plain struct its consumer drives (no thread of its own).
 //! * [`endpoint`] — picks the transport under the ports (inline, channel
 //!   servers, TCP, custom) and carries the shared client knobs.
 //! * [`segment`] — the durable storage plane (`SEGMENT.md`): append-only

@@ -1,345 +1,257 @@
 //! Chunk prefetching: the runtime analog of batch sampling.
 //!
-//! Paper §3.3 keeps `b` outstanding storage requests per compute node so
-//! that storage stays busy and workers are never starved — "essentially
+//! Paper §3.3 keeps `b` outstanding storage requests per consumer so that
+//! storage stays busy and workers are never starved — "essentially
 //! overlapping computation and communication through prefetching of
-//! chunks". The prefetcher runs one background fetcher thread per
-//! consuming worker and delivers chunks through a bounded queue.
-//!
-//! There is one fetch loop, whatever transport the client's port wraps.
-//! The fetcher keeps up to `min(b, m)` remove probes *concurrently
-//! outstanding* against distinct replica groups (walking the client's
-//! pseudorandom cyclic order; `RpcPort::submit_remove`) and collects
-//! completions as they arrive (`RpcPort::poll_remove`), so storage-side
-//! latency is overlapped across nodes exactly as the paper describes. On
+//! chunks". A [`Prefetcher`] is a plain struct its consumer drives, with
+//! no thread of its own. A [`Prefetcher::recv`] that finds its buffer empty
+//! tops up to `min(b, m)` remove probes against distinct replica groups
+//! (walking the client's pseudorandom cyclic order;
+//! `RpcPort::submit_remove`), collects whichever have answered
+//! (`RpcPort::poll_remove`) into the buffer, and tops the probes up
+//! again before it returns the first chunk. So on the channel and TCP
+//! planes the next probes are in flight while the worker computes, and
+//! storage-side latency overlaps across nodes as the paper describes. On
 //! the inline plane a probe is answered before `submit_remove` returns
-//! and the pipeline degenerates to eager execution; nothing else differs.
-//! Everything inside one replica group — fail-over, mirroring, the
-//! sealed-flag end-of-bag — is the port's; this module only schedules
-//! probes and adds their answers up.
+//! and the pipeline degenerates to eager execution; nothing else
+//! differs. Everything inside one replica group — fail-over, mirroring,
+//! the sealed-flag end-of-bag — is the port's; this module only
+//! schedules probes and adds their answers up.
 //!
-//! # The late-binding invariant: a reader holds at most `b` chunks in flight
+//! Nothing goes on the wire before the first `recv`: a reader that is
+//! opened and never read (an input its task only snapshots) claims no
+//! chunk.
+//!
+//! # The late-binding invariant: a reader holds at most two rounds of `b`
 //!
 //! A chunk a probe has claimed is bound to this reader and is invisible
 //! to every other one — to a clone the master is about to create, and to
 //! the master's sample that decides whether to create it. Late binding
 //! (paper §2.2) is only worth anything while the unread work is still in
-//! the bag, so the fetcher's claim is bounded by the paper's `b`, not by
-//! `b` per node: each probe asks for `⌈b / min(b, m)⌉` chunks, so the
-//! probes in flight never request more than `b + min(b, m) − 1` chunks
-//! together (exactly `b` when `min(b, m)` divides `b`), and no new probe
-//! goes out while the fetcher is parked on a full handoff queue (at most
-//! `HANDOFF_RUNS` = 2 answered probes waiting for the consumer).
+//! the bag, so the claim is bounded by the paper's `b`, not by `b` per
+//! node: each probe asks for `⌈b / min(b, m)⌉` chunks, so the probes in
+//! flight request at most `b + min(b, m) − 1` chunks together (exactly
+//! `b` when `min(b, m)` divides `b`). The buffer holds one collected
+//! round of them and is refilled only once it is empty, so an unread
+//! reader holds nothing and a reading one at most twice that: the
+//! buffer plus the probes in flight.
 //!
-//! Transport failures are *surfaced*: a fetcher that loses its connection
-//! mid-stream sends the error to the consumer rather than ending the
-//! stream, and a stream that ends without the fetcher's explicit
-//! end-of-bag mark is reported as [`StorageError::PrefetchAborted`] — a
-//! drained bag and a dead fetcher are never confused.
+//! # Where it waits
 //!
-//! The fetcher→consumer handoff is **batched**: each completed probe (a
-//! whole `RemoveBatch` reply) crosses the bounded queue as one run, not
-//! one channel operation per chunk. The consumer side buffers the current
-//! run and serves [`Prefetcher::recv`] from it, so per-chunk delivery
-//! cost is a `VecDeque` pop, and the channel's synchronization is paid
-//! once per batch.
+//! Only inside a `recv` whose buffer is empty: for up to 200 µs on one
+//! in-flight probe's connection when no probe has answered, and for an
+//! exponential back-off (10 µs doubling to 1 ms) after a full round of
+//! empty answers from a bag that is not sealed, or when nothing is in
+//! flight.
+//!
+//! # Failures
+//!
+//! A replica group that is gone (down, or its connection dead) is
+//! skipped and re-probed. A group that is up but disk-sick still holds
+//! its chunks, so its error ends the stream (see `BagClient::unreachable`),
+//! as does a cluster whose every group is gone. End-of-bag is reported
+//! only once every group has answered end-of-file — which the port
+//! reports only under the cluster's sealed flag — or is gone. Chunks
+//! collected before an error are served first; the error is then
+//! returned by every later `recv`.
 
 use crate::bag::BagClient;
 use crate::error::StorageError;
-use crate::rpc::{RemoveProbe, RpcPort};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::rpc::RemoveProbe;
 use hurricane_format::Chunk;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How many chunk runs the fetcher→consumer queue buffers. Two gives
-/// double buffering (the fetcher refills one run while the consumer
-/// drains another); the pipeline depth proper lives in the fetcher's
-/// outstanding-request budget, not in this queue.
-const HANDOFF_RUNS: usize = 2;
-
-/// A handle to a prefetching consumer of one bag.
-///
-/// Dropping the handle stops the fetcher promptly and race-free: drop
-/// raises a dedicated shutdown flag, then closes the receiving side of
-/// the data channel. A fetcher parked on a full queue observes the
-/// disconnect (its blocked `send` fails immediately), and a fetcher
-/// mid-probe observes the flag before its next send — there is no window
-/// in which it can keep running.
+/// A consumer of one bag that keeps up to `b` chunks of remove probes in
+/// flight (see the [module docs](self)).
 pub struct Prefetcher {
-    rx: Option<Receiver<Result<Vec<Chunk>, StorageError>>>,
-    /// The run currently being served to the consumer.
+    client: BagClient,
+    /// The paper's `b`: chunks requested across all probes in flight.
+    b: usize,
+    /// At most one probe per replica group (the paper spreads the `b`
+    /// requests over distinct nodes); `probes[i]` is the one whose
+    /// primary is node i.
+    probes: Vec<Option<RemoveProbe>>,
+    /// What each group's last answered probe reported.
+    last: Vec<NodeLast>,
+    /// Collected chunks not yet handed to the consumer.
     buffered: VecDeque<Chunk>,
-    shutdown: Arc<AtomicBool>,
-    /// Set by the fetcher before every intentional exit (drained bag or
-    /// explicitly delivered error). A disconnected channel without this
-    /// mark means the fetcher died: surfaced as `PrefetchAborted`.
-    ended: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Prefetcher {
-    /// Spawns a fetcher over `client` holding at most `batch_factor`
-    /// chunks in flight, spread over up to `batch_factor` concurrently
-    /// outstanding probes (see the [module docs](self)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_factor` is zero.
-    pub fn spawn(client: BagClient, batch_factor: usize) -> Self {
-        assert!(batch_factor > 0, "batch factor must be at least 1");
-        let (tx, rx) = bounded(HANDOFF_RUNS);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let ended = Arc::new(AtomicBool::new(false));
-        let shutdown2 = shutdown.clone();
-        let ended2 = ended.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("prefetch-{}", client.bag_id()))
-            .spawn(move || fetch(client, batch_factor, &tx, &shutdown2, &ended2))
-            .expect("spawning prefetch thread");
-        Self {
-            rx: Some(rx),
-            buffered: VecDeque::new(),
-            shutdown,
-            ended,
-            handle: Some(handle),
-        }
-    }
-
-    fn rx(&self) -> &Receiver<Result<Vec<Chunk>, StorageError>> {
-        self.rx.as_ref().expect("receiver lives until drop")
-    }
-
-    /// Receives the next chunk, blocking until one is available or the bag
-    /// drains (`Ok(None)`). Serves from the buffered run when one is in
-    /// hand; whole runs cross the fetcher boundary once.
-    pub fn recv(&mut self) -> Result<Option<Chunk>, StorageError> {
-        loop {
-            if let Some(c) = self.buffered.pop_front() {
-                return Ok(Some(c));
-            }
-            match self.rx().recv() {
-                Ok(Ok(run)) => self.buffered = run.into(),
-                Ok(Err(e)) => return Err(e),
-                // Fetcher exited. Only an intentional exit means "drained".
-                Err(_) if self.ended.load(Ordering::Acquire) => return Ok(None),
-                Err(_) => return Err(StorageError::PrefetchAborted),
-            }
-        }
-    }
-
-    /// Non-blocking receive; `Ok(None)` means nothing buffered *right now*
-    /// (the bag may or may not be drained — use [`Prefetcher::recv`] for
-    /// termination detection).
-    pub fn try_recv(&mut self) -> Result<Option<Chunk>, StorageError> {
-        loop {
-            if let Some(c) = self.buffered.pop_front() {
-                return Ok(Some(c));
-            }
-            match self.rx().try_recv() {
-                Ok(Ok(run)) => self.buffered = run.into(),
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Ok(None),
-            }
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        // Order matters: raise the flag first so a fetcher that is *about*
-        // to probe again stops, then drop the receiver so a fetcher parked
-        // on a full queue fails its blocked send and exits. Both paths
-        // converge without ever re-entering the send loop.
-        self.shutdown.store(true, Ordering::Release);
-        drop(self.rx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// How the stream ended, once it has: drained or failed. Served
+    /// after `buffered`.
+    end: Option<Result<(), StorageError>>,
+    /// Empty answers since the last chunk arrived or the last back-off.
+    empty_streak: usize,
+    backoff_us: u64,
 }
 
 /// What the last completed probe of a replica group reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeLast {
-    /// No completion yet.
-    Unknown,
-    /// Returned chunks.
-    Chunks,
-    /// Exhausted with nothing to give, bag not at end-of-file there.
-    Empty,
+    /// Nothing yet, chunks, or an empty answer before end-of-file: the
+    /// group may hold more.
+    Open,
     /// End-of-file: sealed and exhausted. The group is done for good.
     Eof,
     /// Unreachable (node down / all its replicas down).
     Down,
 }
 
-/// How long the collector blocks when no completion is ready anywhere —
-/// short, so top-up latency stays bounded.
+/// How long a `recv` blocks on one in-flight probe when none has
+/// answered — short, so top-up latency stays bounded.
 const PUMP_WAIT: Duration = Duration::from_micros(200);
 
-/// The fetch loop: keeps up to `min(b, m)` remove probes outstanding
-/// against distinct replica groups, `b` chunks requested between them,
-/// and collects completions out of order.
-fn fetch(
-    mut client: BagClient,
-    b: usize,
-    tx: &Sender<Result<Vec<Chunk>, StorageError>>,
-    shutdown: &AtomicBool,
-    ended: &AtomicBool,
-) {
-    let bag = client.bag;
-    let mut m = client.remove_cursor.len();
-    let mut target = b.min(m).max(1);
-    // At most one outstanding probe per group (the paper spreads the `b`
-    // requests over distinct nodes); `probes[i]` is the one whose primary
-    // is node i.
-    let mut probes: Vec<Option<RemoveProbe>> = (0..m).map(|_| None).collect();
-    let mut last: Vec<NodeLast> = vec![NodeLast::Unknown; m];
-    let mut outstanding = 0usize;
-    let mut empty_streak = 0usize;
-    let mut backoff_us = 10u64;
-
-    macro_rules! fail {
-        ($e:expr) => {{
-            let _ = tx.send(Err($e));
-            ended.store(true, Ordering::Release);
-            return;
-        }};
+impl Prefetcher {
+    /// A reader of `client`'s bag holding at most `batch_factor` chunks
+    /// in flight, spread over up to `batch_factor` concurrently
+    /// outstanding probes. Sends nothing until the first
+    /// [`Prefetcher::recv`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_factor` is zero.
+    pub fn new(client: BagClient, batch_factor: usize) -> Self {
+        assert!(batch_factor > 0, "batch factor must be at least 1");
+        Self {
+            client,
+            b: batch_factor,
+            probes: Vec::new(),
+            last: Vec::new(),
+            buffered: VecDeque::new(),
+            end: None,
+            empty_streak: 0,
+            backoff_us: 10,
+        }
     }
 
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Pick up nodes that joined mid-stream (epoch check: one atomic
-        // load when nothing changed). New nodes start Unknown, so the
-        // top-up probes them like any other node.
-        client.refresh_membership();
-        let grown = client.remove_cursor.len();
-        if grown > m {
-            probes.resize_with(grown, || None);
-            last.resize(grown, NodeLast::Unknown);
-            m = grown;
-            target = b.min(m).max(1);
-        }
-        let port: &mut RpcPort = &mut client.port;
-
-        // Top up: probe non-EOF groups without a probe in flight,
-        // following the cyclic placement order. The per-probe budget
-        // keeps the chunks requested across all probes at `b` (the
-        // late-binding invariant of the module docs).
-        let mut scanned = 0;
-        while outstanding < target && scanned < m {
-            let node = client.remove_cursor.next_node();
-            scanned += 1;
-            if probes[node].is_some() || last[node] == NodeLast::Eof {
-                continue;
+    /// Receives the next chunk, blocking until one is available or the
+    /// bag drains (`Ok(None)`).
+    pub fn recv(&mut self) -> Result<Option<Chunk>, StorageError> {
+        loop {
+            if let Some(c) = self.buffered.pop_front() {
+                return Ok(Some(c));
             }
-            match port.submit_remove(node, bag, b.div_ceil(target)) {
-                Ok(probe) => {
-                    probes[node] = Some(probe);
-                    outstanding += 1;
-                }
-                Err(e) => fail!(e),
-            }
-        }
-
-        if outstanding == 0 && last.iter().all(|&s| s == NodeLast::Eof) {
-            // Nothing in flight and every group is at end-of-file: the
-            // bag is drained. (Mixtures involving unreachable nodes fall
-            // through to the classification below.)
-            ended.store(true, Ordering::Release);
-            return;
-        }
-
-        // Collect completions (any order).
-        let mut completed = 0usize;
-        let mut delivered = false;
-        for node in 0..m {
-            let Some(probe) = probes[node].as_mut() else {
-                continue;
-            };
-            let Some(result) = port.poll_remove(probe) else {
-                continue;
-            };
-            probes[node] = None;
-            outstanding -= 1;
-            completed += 1;
-            match result {
-                Ok(batch) if !batch.chunks.is_empty() => {
-                    delivered = true;
-                    last[node] = NodeLast::Chunks;
-                    // The whole drained reply crosses the consumer
-                    // boundary once.
-                    if tx.send(Ok(batch.chunks)).is_err() {
-                        return;
+            match &self.end {
+                None => {
+                    if let Err(e) = self.fetch() {
+                        self.end = Some(Err(e));
                     }
                 }
-                Ok(batch) if batch.eof => last[node] = NodeLast::Eof,
-                Ok(_) => last[node] = NodeLast::Empty,
-                // A group that is gone is skipped like a down node; one
-                // that is up but disk-sick still holds its chunks, so its
-                // error ends the stream (see `BagClient::unreachable`).
-                Err(e) if BagClient::unreachable(&e) => last[node] = NodeLast::Down,
-                Err(e) => fail!(e),
+                Some(Ok(())) => return Ok(None),
+                Some(Err(e)) => return Err(e.clone()),
             }
         }
+    }
 
+    /// Keeps `min(b, m)` probes outstanding against distinct replica
+    /// groups, `b` chunks requested between them, following the cyclic
+    /// placement order. Groups at end-of-file are not probed again.
+    fn top_up(&mut self) -> Result<(), StorageError> {
+        // Pick up nodes that joined mid-stream (one atomic load when
+        // nothing changed). New nodes start Open, so they are probed
+        // like any other.
+        self.client.refresh_membership();
+        let m = self.client.remove_cursor.len();
+        self.probes.resize_with(m, || None);
+        self.last.resize(m, NodeLast::Open);
+        let target = self.b.min(m).max(1);
+        let mut outstanding = self.probes.iter().flatten().count();
+        let mut scanned = 0;
+        while outstanding < target && scanned < m {
+            let node = self.client.remove_cursor.next_node();
+            scanned += 1;
+            if self.probes[node].is_some() || self.last[node] == NodeLast::Eof {
+                continue;
+            }
+            let probe =
+                self.client
+                    .port
+                    .submit_remove(node, self.client.bag, self.b.div_ceil(target))?;
+            self.probes[node] = Some(probe);
+            outstanding += 1;
+        }
+        Ok(())
+    }
+
+    /// One round, run only while the buffer is empty: top up, collect
+    /// the answered probes (in any order), and classify. A round that
+    /// collected chunks tops up again before it returns; one that did
+    /// not waits (see the [module docs](self#where-it-waits)).
+    fn fetch(&mut self) -> Result<(), StorageError> {
+        self.top_up()?;
+        let mut completed = 0usize;
+        for (slot, last) in self.probes.iter_mut().zip(&mut self.last) {
+            let Some(probe) = slot.as_mut() else {
+                continue;
+            };
+            let Some(result) = self.client.port.poll_remove(probe) else {
+                continue;
+            };
+            *slot = None;
+            completed += 1;
+            *last = match result {
+                Ok(batch) if batch.chunks.is_empty() && batch.eof => NodeLast::Eof,
+                Ok(batch) => {
+                    self.buffered.extend(batch.chunks);
+                    NodeLast::Open
+                }
+                Err(e) if BagClient::unreachable(&e) => NodeLast::Down,
+                Err(e) => return Err(e),
+            };
+        }
         // A whole cluster of unreachable nodes is an error, not a drain —
         // parity with `BagClient::try_remove_batch`.
-        if last.iter().all(|&s| s == NodeLast::Down) {
-            fail!(StorageError::AllReplicasDown(bag));
+        if self.last.iter().all(|&s| s == NodeLast::Down) {
+            return Err(StorageError::AllReplicasDown(self.client.bag));
         }
-        // Every group at end-of-file (which the port only reports under
-        // the cluster's sealed flag) or unreachable: the reachable data
+        // Every group at end-of-file or unreachable: the reachable data
         // is exhausted. Chunks marooned on a down node without replicas
         // are unreachable until it recovers.
-        if last
+        if self
+            .last
             .iter()
             .all(|&s| matches!(s, NodeLast::Eof | NodeLast::Down))
         {
-            ended.store(true, Ordering::Release);
-            return;
+            self.end = Some(Ok(()));
+            return Ok(());
         }
-
-        if delivered {
-            empty_streak = 0;
-            backoff_us = 10;
-        } else if completed > 0 {
-            empty_streak += completed;
-            if empty_streak >= m {
-                // A full round of empty completions: the bag is (locally)
-                // empty but unsealed. Back off.
-                std::thread::sleep(Duration::from_micros(backoff_us));
-                backoff_us = (backoff_us * 2).min(1000);
-                empty_streak = 0;
+        if !self.buffered.is_empty() {
+            self.empty_streak = 0;
+            self.backoff_us = 10;
+            // Keep probes in flight while the consumer works through the
+            // buffer.
+            return self.top_up();
+        }
+        if completed > 0 {
+            self.empty_streak += completed;
+            if self.empty_streak < self.probes.len() {
+                return Ok(());
             }
-        } else if let Some(probe) = probes.iter().flatten().next() {
-            // Nothing completed this sweep: block briefly on one
-            // in-flight connection instead of spinning.
-            port.pump_remove(probe, PUMP_WAIT);
-        } else {
-            // Nothing in flight (unreachable nodes being re-probed).
-            std::thread::sleep(Duration::from_micros(backoff_us));
-            backoff_us = (backoff_us * 2).min(1000);
+            // A full round of empty answers: the bag is (locally) empty
+            // but unsealed.
+            self.empty_streak = 0;
+        } else if let Some(probe) = self.probes.iter().flatten().next() {
+            // Nothing answered: block briefly on one in-flight connection
+            // instead of spinning.
+            self.client.port.pump_remove(probe, PUMP_WAIT);
+            return Ok(());
         }
+        std::thread::sleep(Duration::from_micros(self.backoff_us));
+        self.backoff_us = (self.backoff_us * 2).min(1000);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! One fetch loop, two in-process transports: clients opened with
+    //! One pipeline, two in-process transports: clients opened with
     //! `BagClient::new` run it on the inline plane (probes answered on
-    //! the fetcher's own thread), clients minted from a `channel`
+    //! the consumer's own thread), clients minted from a `channel`
     //! endpoint on server threads (the `pipelined_*` legs).
 
     use super::*;
     use crate::cluster::{ClusterConfig, StorageCluster};
     use crate::endpoint::{StorageEndpoint, IN_PROCESS_PLANES};
+    use crate::rpc::RpcPort;
 
     fn chunk(v: u64) -> Chunk {
         Chunk::from_vec(v.to_le_bytes().to_vec())
@@ -347,10 +259,11 @@ mod tests {
 
     #[test]
     fn reader_claims_at_most_b_chunks_ahead_of_its_consumer() {
-        // The late-binding invariant: with nobody consuming, the fetcher
-        // parks holding `b` chunks in probes plus the handoff queue — not
-        // `b` per node — and everything else stays in the bag for other
-        // readers (and for the master's sample) to see.
+        // The late-binding invariant: an unread reader claims nothing,
+        // and one that has handed out a chunk holds its buffer plus its
+        // probes in flight — not `b` per node — while everything else
+        // stays in the bag for other readers (and for the master's
+        // sample) to see.
         const B: usize = 4;
         for make in IN_PROCESS_PLANES {
             let ep = make(StorageCluster::new(2, ClusterConfig::default()));
@@ -358,24 +271,26 @@ mod tests {
             let chunks: Vec<Chunk> = (0..100).map(chunk).collect();
             ep.client(bag, 1).insert_batch(&chunks).unwrap();
             ep.cluster().seal_bag(bag).unwrap();
-            let mut pf = Prefetcher::spawn(ep.client(bag, 2), B);
-            let per_probe = B.div_ceil(2);
-            let bound = (B + HANDOFF_RUNS * per_probe) as u64;
-            // Parked means the claim count stopped moving.
-            let mut held = 0;
+            let claimed = || ep.port().sample_bag(bag).unwrap().removed_chunks;
+            let mut pf = Prefetcher::new(ep.client(bag, 2), B);
+            assert_eq!(claimed(), 0, "an unread reader claims nothing");
+            assert!(pf.recv().unwrap().is_some());
+            // On the channel plane the top-up's probes may still be
+            // executing: held means the claim count stopped moving.
+            let mut held = claimed();
             for _ in 0..200 {
                 std::thread::sleep(Duration::from_millis(5));
-                let now = ep.port().sample_bag(bag).unwrap().removed_chunks;
-                if now == held && now > 0 {
+                let now = claimed();
+                if now == held {
                     break;
                 }
                 held = now;
             }
             assert!(
-                (1..=bound).contains(&held),
-                "an idle reader holds {held} chunks, bound {bound}"
+                (1..=8).contains(&held),
+                "a reader one chunk in holds {held} chunks, bound 8"
             );
-            let mut n = 0;
+            let mut n = 1;
             while pf.recv().unwrap().is_some() {
                 n += 1;
             }
@@ -393,7 +308,7 @@ mod tests {
             producer.insert(chunk(i)).unwrap();
         }
         cluster.seal_bag(bag).unwrap();
-        let mut pf = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 2), 10);
+        let mut pf = Prefetcher::new(BagClient::new(cluster.clone(), bag, 2), 10);
         let mut n = 0;
         while let Some(_c) = pf.recv().unwrap() {
             n += 1;
@@ -410,7 +325,7 @@ mod tests {
         let chunks: Vec<Chunk> = (0..100).map(chunk).collect();
         producer.insert_batch(&chunks).unwrap();
         cluster.seal_bag(bag).unwrap();
-        let mut pf = Prefetcher::spawn(ep.client(bag, 2), 8);
+        let mut pf = Prefetcher::new(ep.client(bag, 2), 8);
         let mut n = 0;
         while let Some(_c) = pf.recv().unwrap() {
             n += 1;
@@ -423,7 +338,7 @@ mod tests {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let ep = StorageEndpoint::channel(cluster.clone());
         let bag = cluster.create_bag();
-        let mut pf = Prefetcher::spawn(ep.client(bag, 3), 4);
+        let mut pf = Prefetcher::new(ep.client(bag, 3), 4);
         let cluster2 = cluster.clone();
         let producer = std::thread::spawn(move || {
             let mut p = BagClient::new(cluster2.clone(), bag, 4);
@@ -450,7 +365,7 @@ mod tests {
         producer.insert_batch(&chunks).unwrap();
         cluster.seal_bag(bag).unwrap();
         {
-            let mut pf = Prefetcher::spawn(ep.client(bag, 6), 4);
+            let mut pf = Prefetcher::new(ep.client(bag, 6), 4);
             let mut n = 0;
             while let Some(_c) = pf.recv().unwrap() {
                 n += 1;
@@ -469,7 +384,7 @@ mod tests {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let ep = StorageEndpoint::channel(cluster.clone());
         let bag = cluster.create_bag();
-        let mut pf = Prefetcher::spawn(ep.client(bag, 3), 4);
+        let mut pf = Prefetcher::new(ep.client(bag, 3), 4);
         // A node joins while the prefetcher is already streaming; the
         // producer (fresh client) spreads chunks over all three nodes.
         let idx = ep.add_node();
@@ -493,7 +408,7 @@ mod tests {
     fn prefetcher_pipelines_concurrent_producer() {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let bag = cluster.create_bag();
-        let mut pf = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 3), 4);
+        let mut pf = Prefetcher::new(BagClient::new(cluster.clone(), bag, 3), 4);
         let cluster2 = cluster.clone();
         let t = std::thread::spawn(move || {
             let mut p = BagClient::new(cluster2.clone(), bag, 4);
@@ -519,9 +434,9 @@ mod tests {
             producer.insert(chunk(i)).unwrap();
         }
         cluster.seal_bag(bag).unwrap();
-        let mut pf = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 6), 2);
+        let mut pf = Prefetcher::new(BagClient::new(cluster.clone(), bag, 6), 2);
         let _first = pf.recv().unwrap();
-        drop(pf); // Must join cleanly even with 998 chunks unread.
+        drop(pf); // 998 chunks unread.
     }
 
     #[test]
@@ -533,17 +448,16 @@ mod tests {
         let chunks: Vec<Chunk> = (0..1000).map(chunk).collect();
         producer.insert_batch(&chunks).unwrap();
         cluster.seal_bag(bag).unwrap();
-        let mut pf = Prefetcher::spawn(ep.client(bag, 6), 3);
+        let mut pf = Prefetcher::new(ep.client(bag, 6), 3);
         let _first = pf.recv().unwrap();
         drop(pf);
     }
 
     #[test]
     fn repeated_drop_mid_stream_is_race_free() {
-        // Regression scope for the old drain-then-swap shutdown race:
-        // spawn and drop many prefetchers at random consumption depths;
-        // every drop must join (the test would hang, not fail, if the
-        // fetcher missed the shutdown signal).
+        // Open and drop many readers at different consumption depths:
+        // a drop with probes in flight or chunks buffered leaves the
+        // bag usable for the next reader.
         let cluster = StorageCluster::new(4, ClusterConfig::default());
         let bag = cluster.create_bag();
         let mut producer = BagClient::new(cluster.clone(), bag, 7);
@@ -551,15 +465,27 @@ mod tests {
             producer.insert(chunk(i)).unwrap();
         }
         for round in 0..50 {
-            let mut pf = Prefetcher::spawn(
+            let mut pf = Prefetcher::new(
                 BagClient::new(cluster.clone(), bag, 100 + round),
                 1 + (round as usize % 4),
             );
             for _ in 0..(round % 3) {
-                let _ = pf.try_recv();
+                let _ = pf.recv().unwrap();
             }
             drop(pf);
         }
+        // The dropped readers lost exactly the chunks they had claimed.
+        cluster.seal_bag(bag).unwrap();
+        let claimed = RpcPort::inline(cluster.clone())
+            .sample_bag(bag)
+            .unwrap()
+            .removed_chunks;
+        let mut rest = Prefetcher::new(BagClient::new(cluster.clone(), bag, 99), 4);
+        let mut n = 0;
+        while rest.recv().unwrap().is_some() {
+            n += 1;
+        }
+        assert_eq!(n + claimed, 500);
     }
 
     #[test]
@@ -571,8 +497,8 @@ mod tests {
             producer.insert(chunk(i)).unwrap();
         }
         cluster.seal_bag(bag).unwrap();
-        let mut a = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 8), 5);
-        let mut b = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 9), 5);
+        let mut a = Prefetcher::new(BagClient::new(cluster.clone(), bag, 8), 5);
+        let mut b = Prefetcher::new(BagClient::new(cluster.clone(), bag, 9), 5);
         let ta = std::thread::spawn(move || {
             let mut n = 0;
             while let Some(_c) = a.recv().unwrap() {
@@ -598,7 +524,7 @@ mod tests {
         let mut producer = BagClient::new(cluster.clone(), bag, 10);
         producer.insert(chunk(1)).unwrap();
         cluster.node(0).fail();
-        let mut pf = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 11), 2);
+        let mut pf = Prefetcher::new(BagClient::new(cluster.clone(), bag, 11), 2);
         assert!(pf.recv().is_err());
     }
 
@@ -611,7 +537,7 @@ mod tests {
         producer.insert(chunk(1)).unwrap();
         cluster.node(0).fail();
         cluster.node(1).fail();
-        let mut pf = Prefetcher::spawn(ep.client(bag, 13), 4);
+        let mut pf = Prefetcher::new(ep.client(bag, 13), 4);
         assert!(matches!(
             pf.recv(),
             Err(StorageError::AllReplicasDown(_) | StorageError::NodeDown(_))

@@ -446,7 +446,8 @@ const ERR_BAG_COLLECTED: u8 = 4;
 const ERR_ALL_REPLICAS_DOWN: u8 = 5;
 const ERR_DISCONNECTED: u8 = 6;
 const ERR_TIMEOUT: u8 = 7;
-const ERR_PREFETCH_ABORTED: u8 = 8;
+// Tag 8 is retired: never sent and never reused (WIRE.md); decoding it
+// is an `InvalidTag` error like any unknown tag.
 const ERR_CODEC: u8 = 9;
 const ERR_DISK_FULL: u8 = 10;
 const ERR_DISK_IO: u8 = 11;
@@ -492,7 +493,6 @@ fn put_error(err: &StorageError, out: &mut Vec<u8>) {
             out.push(ERR_TIMEOUT);
             put_node(*n, out);
         }
-        StorageError::PrefetchAborted => out.push(ERR_PREFETCH_ABORTED),
         StorageError::Codec(c) => {
             out.push(ERR_CODEC);
             match c {
@@ -532,7 +532,6 @@ fn get_error(input: &mut &[u8]) -> Result<StorageError, CodecError> {
         ERR_ALL_REPLICAS_DOWN => StorageError::AllReplicasDown(get_bag(input)?),
         ERR_DISCONNECTED => StorageError::Disconnected(get_node(input)?),
         ERR_TIMEOUT => StorageError::Timeout(get_node(input)?),
-        ERR_PREFETCH_ABORTED => StorageError::PrefetchAborted,
         ERR_CODEC => StorageError::Codec(match get_tag(input)? {
             CODEC_TRUNCATED => CodecError::Truncated,
             CODEC_INVALID_VARINT => CodecError::InvalidVarint,
@@ -750,6 +749,19 @@ mod tests {
             assert!(slice.is_empty());
             assert_eq!(back, env);
         }
+    }
+
+    #[test]
+    fn retired_error_tag_8_is_a_typed_decode_error() {
+        // id 42, `Err`, error tag 8.
+        let mut buf = Vec::new();
+        put_u64(42, &mut buf);
+        put_bool(false, &mut buf);
+        buf.push(8);
+        assert_eq!(
+            decode_reply(&mut buf.as_slice()),
+            Err(CodecError::InvalidTag(8))
+        );
     }
 
     #[test]

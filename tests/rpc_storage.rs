@@ -119,8 +119,9 @@ fn server_shutdown_drains_in_flight_requests() {
 
 /// The paper's pipeline claim, made observable: against a stalled
 /// transport (the test plays a server that accepts but does not answer),
-/// the prefetcher builds up ≥ `b` concurrently outstanding requests
-/// spread over distinct nodes — not one request at a time.
+/// a consumer's first `recv` puts exactly `b` concurrently outstanding
+/// requests on the wire, spread over distinct nodes — not one request
+/// at a time.
 #[test]
 fn prefetcher_keeps_b_requests_in_flight() {
     const NODES: usize = 8;
@@ -141,7 +142,16 @@ fn prefetcher_keeps_b_requests_in_flight() {
     }
     let endpoint = StorageEndpoint::custom(cluster.clone(), membership)
         .with_request_timeout(Duration::from_secs(10));
-    let mut pf = Prefetcher::spawn(endpoint.client(bag, 2), B);
+    let mut pf = Prefetcher::new(endpoint.client(bag, 2), B);
+    // Nothing goes on the wire before the consumer asks.
+    assert_eq!(servers.iter().map(|s| s.queued()).sum::<usize>(), 0);
+    let consumer = std::thread::spawn(move || {
+        let mut got = Vec::new();
+        while let Some(c) = pf.recv().unwrap() {
+            got.push(chunk_val(&c));
+        }
+        got
+    });
 
     // With no server answering, the pipeline must stall at exactly its
     // outstanding budget: B requests queued across B distinct nodes.
@@ -163,13 +173,6 @@ fn prefetcher_keeps_b_requests_in_flight() {
 
     // Now play the server: dispatch every request against the real nodes
     // until the consumer has drained the bag.
-    let consumer = std::thread::spawn(move || {
-        let mut got = Vec::new();
-        while let Some(c) = pf.recv().unwrap() {
-            got.push(chunk_val(&c));
-        }
-        got
-    });
     while !consumer.is_finished() {
         for (i, server) in servers.iter_mut().enumerate() {
             while let Some(env) = server.recv(Duration::from_millis(2)) {
@@ -199,11 +202,11 @@ fn prefetcher_surfaces_disconnect_not_silent_eof() {
         producer.insert(chunk(i)).unwrap();
     }
     // NOT sealed: after consuming everything the prefetcher keeps polling.
-    let mut pf = Prefetcher::spawn(endpoint.client(bag, 2), 4);
+    let mut pf = Prefetcher::new(endpoint.client(bag, 2), 4);
     for _ in 0..10 {
         assert!(pf.recv().unwrap().is_some());
     }
-    // Kill the server loops while the fetch pipeline is mid-poll. A dead
+    // Kill the server loops while the reader has probes in flight. A dead
     // connection classifies like an unreachable node, so with every
     // server gone the pipeline surfaces all-replicas-down — an explicit
     // error either way, never a silent end-of-bag.
@@ -212,8 +215,7 @@ fn prefetcher_surfaces_disconnect_not_silent_eof() {
         Err(
             StorageError::Disconnected(_)
             | StorageError::AllReplicasDown(_)
-            | StorageError::Timeout(_)
-            | StorageError::PrefetchAborted,
+            | StorageError::Timeout(_),
         ) => {}
         other => panic!("disconnect must surface as an error, got {other:?}"),
     }
