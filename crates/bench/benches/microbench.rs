@@ -1141,6 +1141,19 @@ fn bench_workloads(c: &mut Criterion) {
             acc
         })
     });
+    // The benchmark's shape: 2^18 keys at s = 0, where draws land all
+    // over the CDF (the row above sits near the head of a smaller table).
+    g.bench_function("zipf_sample_100k_n18_s0", |b| {
+        let z = ZipfSampler::new(1 << 18, 0.0);
+        let mut rng = DetRng::new(3);
+        b.iter(|| {
+            let mut acc = 0usize;
+            for _ in 0..100_000 {
+                acc = acc.wrapping_add(z.sample(&mut rng));
+            }
+            acc
+        })
+    });
     g.bench_function("clicklog_gen_100k", |b| {
         b.iter(|| {
             ClickLogGen::new(ClickLogSpec {

@@ -90,7 +90,14 @@ impl Iterator for ClickLogGen {
         self.emitted += 1;
         Some(self.sampler.sample(&mut self.rng) as u32)
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.spec.records - self.emitted).ok();
+        (left.unwrap_or(usize::MAX), left)
+    }
 }
+
+impl ExactSizeIterator for ClickLogGen {}
 
 /// The simulated geolocation function as a free function.
 pub fn region_of(ip: u32, num_ips: usize, regions: usize) -> u32 {

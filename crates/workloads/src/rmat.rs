@@ -9,6 +9,16 @@
 //! Each edge is placed by recursively descending the adjacency matrix with
 //! quadrant probabilities `(a, b, c, d)`; the Graph500 defaults
 //! `(0.57, 0.19, 0.19, 0.05)` are used.
+//!
+//! One level of the descent is one uniform `u ∈ [0, 1)` cut at the
+//! cumulative thresholds `a`, `a + b` and `a + b + c`. The step computes
+//! both bits from comparisons instead of choosing a quadrant: the source
+//! bit is `u ≥ a + b` (quadrants c and d), the destination bit is
+//! `a ≤ u < a + b` or `u ≥ a + b + c` (quadrants b and d). The thresholds
+//! are the same left-associated `f64` sums a quadrant-by-quadrant `if`
+//! chain compares against, so every edge is the one that chain draws; the
+//! step has no branch for the random draw to mispredict, and an edge
+//! costs its `scale` random numbers.
 
 use hurricane_common::DetRng;
 
@@ -80,22 +90,19 @@ impl RmatGen {
         let mut src = 0u64;
         let mut dst = 0u64;
         for _ in 0..self.spec.scale {
-            src <<= 1;
-            dst <<= 1;
-            let u = self.rng.gen_f64();
-            if u < RMAT_A {
-                // Top-left: both bits 0.
-            } else if u < RMAT_A + RMAT_B {
-                dst |= 1;
-            } else if u < RMAT_A + RMAT_B + RMAT_C {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
+            let (s, d) = quadrant_bits(self.rng.gen_f64());
+            src = (src << 1) | s;
+            dst = (dst << 1) | d;
         }
         (src, dst)
     }
+}
+
+/// The `(src, dst)` bits of the quadrant `u ∈ [0, 1)` falls in.
+fn quadrant_bits(u: f64) -> (u64, u64) {
+    let src = u >= RMAT_A + RMAT_B;
+    let dst = (RMAT_A..RMAT_A + RMAT_B).contains(&u) | (u >= RMAT_A + RMAT_B + RMAT_C);
+    (src as u64, dst as u64)
 }
 
 impl Iterator for RmatGen {
@@ -108,7 +115,14 @@ impl Iterator for RmatGen {
         self.emitted += 1;
         Some(self.one_edge())
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.spec.edges - self.emitted).ok();
+        (left.unwrap_or(usize::MAX), left)
+    }
 }
+
+impl ExactSizeIterator for RmatGen {}
 
 /// Out-degree counts for a small graph (analysis/testing helper).
 pub fn out_degrees(edges: &[(u64, u64)], vertices: u64) -> Vec<u64> {
@@ -184,6 +198,32 @@ mod tests {
         // And a long tail of low-degree vertices exists.
         let zeros = deg.iter().filter(|&&d| d == 0).count();
         assert!(zeros > deg.len() / 10, "many vertices have no out-edges");
+    }
+
+    /// The quadrant-by-quadrant `if` chain the branch-free step replaces.
+    fn chain_bits(u: f64) -> (u64, u64) {
+        if u < RMAT_A {
+            (0, 0)
+        } else if u < RMAT_A + RMAT_B {
+            (0, 1)
+        } else if u < RMAT_A + RMAT_B + RMAT_C {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn branch_free_step_matches_the_if_chain() {
+        let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        for t in [RMAT_A, RMAT_A + RMAT_B, RMAT_A + RMAT_B + RMAT_C] {
+            us.extend([t.next_down(), t, t.next_up()]);
+        }
+        let mut rng = DetRng::new(11);
+        us.extend((0..100_000).map(|_| rng.gen_f64()));
+        for u in us {
+            assert_eq!(quadrant_bits(u), chain_bits(u), "u = {u:e}");
+        }
     }
 
     #[test]

@@ -7,6 +7,34 @@
 //! computes the expected fraction of records landing in each region, which
 //! the simulator uses directly instead of materializing terabytes of
 //! records.
+//!
+//! # The guide table
+//!
+//! A draw maps a uniform `u ∈ [0, 1)` to the first key whose CDF value is
+//! not below `u`. A binary search over the whole `8n`-byte CDF takes
+//! `log2 n` steps, each a cache miss once the table outgrows the cache
+//! (18 of them at the benchmark's 2^18 keys). [`ZipfSampler`] keeps a
+//! guide table beside it (Chen & Asau 1974, indexed search): `m + 1`
+//! `u32` entries, `m` the power of two `n.next_power_of_two() / 4` (at
+//! least 1), where entry `j` is the number of CDF values below `j / m`.
+//! A draw reads bucket `j = ⌊u·m⌋` and searches only
+//! `cdf[guide[j]..guide[j + 1]]`.
+//!
+//! The answer is the one the full search gives, for every `u`. Scaling
+//! by a power of two is exact in `f64`, so `j / m ≤ u < (j + 1) / m`
+//! holds exactly. The CDF is non-decreasing, so every value before
+//! `guide[j]` is below `j / m` and hence below `u`, and every value from
+//! `guide[j + 1]` on is at least `(j + 1) / m` and hence not below `u`.
+//! The full search's answer therefore lies in the bucket's range, where
+//! the narrow search finds it.
+//!
+//! The table costs `4(m + 1)` bytes beside the CDF's `8n`; as
+//! `m ≤ max(n / 2, 1)`, that is about a quarter of the CDF at most. Each
+//! bucket spans `1 / m` of probability, so at `s = 0` a bucket holds
+//! `n / m ≤ 4` keys, and a draw costs one guide load, one CDF cache line
+//! and a search of two or three steps, whatever `n` is. Under skew the
+//! dense head buckets hold fewer keys (many share one), and the light
+//! tail buckets hold more but are seldom drawn.
 
 use hurricane_common::DetRng;
 
@@ -18,6 +46,9 @@ use hurricane_common::DetRng;
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    /// `guide[j]` is the number of CDF values below `j / m`, for
+    /// `j ∈ 0..=m` (`m = guide.len() - 1`, a power of two).
+    guide: Vec<u32>,
 }
 
 impl ZipfSampler {
@@ -25,9 +56,11 @@ impl ZipfSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, or if `s` is negative or not finite.
+    /// Panics if `n == 0` or `n > u32::MAX`, or if `s` is negative or not
+    /// finite.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one key");
+        assert!(u32::try_from(n).is_ok(), "Zipf keys must fit a u32");
         assert!(
             s >= 0.0 && s.is_finite(),
             "exponent must be finite and >= 0"
@@ -44,7 +77,19 @@ impl ZipfSampler {
         }
         // Guard against floating point drift at the top end.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Self { cdf }
+        // One merge pass: bucket edges `j / m` rise with `j`, so the count
+        // of CDF values below each edge only moves forward.
+        let m = (n.next_power_of_two() / 4).max(1);
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut below = 0;
+        for j in 0..=m {
+            let edge = j as f64 / m as f64;
+            while below < n && cdf[below] < edge {
+                below += 1;
+            }
+            guide.push(below as u32);
+        }
+        Self { cdf, guide }
     }
 
     /// Number of keys.
@@ -54,8 +99,19 @@ impl ZipfSampler {
 
     /// Draws one key.
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.gen_f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.index_of(rng.gen_f64())
+    }
+
+    /// The key `u ∈ [0, 1)` maps to: the first whose CDF value is not
+    /// below `u`, searched for in `u`'s guide bucket only.
+    fn index_of(&self, u: f64) -> usize {
+        let m = self.guide.len() - 1;
+        let j = (u * m as f64) as usize;
+        // Every guide entry is below `n`: the last CDF value is 1.0, which
+        // is not below any edge, so the answer is always a key.
+        let lo = self.guide[j] as usize;
+        let hi = self.guide[j + 1] as usize;
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
 
     /// Probability of key `k`.
@@ -228,6 +284,69 @@ mod tests {
         assert!((speedup - 4.5).abs() < 0.05, "speedup {speedup}");
         let slowdown = amdahl_slowdown(0.196, 32);
         assert!((slowdown - 7.1).abs() < 0.1, "slowdown {slowdown}");
+    }
+
+    /// The whole-table search the guided one must agree with.
+    fn full_search(z: &ZipfSampler, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+    }
+
+    /// Every `u ∈ [0, 1)` a guide table could get wrong: both ends, each
+    /// bucket edge and the value just below it, and each CDF value with
+    /// its two neighbours.
+    fn adversarial_draws(z: &ZipfSampler) -> Vec<f64> {
+        let m = z.guide.len() - 1;
+        let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        for j in 0..=m {
+            let edge = j as f64 / m as f64;
+            us.extend([edge, edge.next_down()]);
+        }
+        for &c in &z.cdf {
+            us.extend([c.next_down(), c, c.next_up()]);
+        }
+        us.retain(|u| (0.0..1.0).contains(u));
+        us
+    }
+
+    #[test]
+    fn guided_search_equals_full_search() {
+        let mut rng = DetRng::new(0x61DE);
+        let mut cases = vec![
+            (1, 0.0),
+            (1, 3.0),
+            (3, 0.0),
+            (1000, 3.0),
+            (1 << 18, 0.0),
+            ((1 << 18) + 1, 1.0),
+            ((1 << 18) + 1, 3.0),
+        ];
+        for _ in 0..32 {
+            cases.push((1 + rng.gen_range(5000) as usize, 3.0 * rng.gen_f64()));
+        }
+        for (n, s) in cases {
+            let z = ZipfSampler::new(n, s);
+            assert!((z.guide.len() - 1).is_power_of_two());
+            let random = (0..10_000).map(|_| rng.gen_f64());
+            for u in adversarial_draws(&z).into_iter().chain(random) {
+                assert_eq!(
+                    z.index_of(u),
+                    full_search(&z, u),
+                    "n = {n}, s = {s}, u = {u:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn large_exponents_have_equal_cdf_neighbours() {
+        // Past some key the tail increments fall below half an ulp of the
+        // running sum, so the CDF ends in a run of equal values (all 1.0
+        // once normalised): the `((1 << 18) + 1, 3.0)` case above checks
+        // that draws just below 1 land on the first of the run.
+        let z = ZipfSampler::new((1 << 18) + 1, 3.0);
+        let first_one = z.cdf.partition_point(|&c| c < 1.0);
+        assert!(first_one + 1000 < z.cdf.len(), "run starts at {first_one}");
+        assert_eq!(z.index_of(1.0 - f64::EPSILON / 2.0), first_one);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! the skew experiments depend on.
 
 use hurricane_common::DetRng;
+use hurricane_workloads::clicklog::{ClickLogGen, ClickLogSpec};
 use hurricane_workloads::rmat::{RmatGen, RmatSpec};
 use hurricane_workloads::zipf::{imbalance, largest_fraction, region_masses};
 use hurricane_workloads::{RegionWeights, ZipfSampler};
@@ -81,6 +82,42 @@ proptest! {
         prop_assert!((w.imbalance() - target).abs() / target < 1e-6);
     }
 
+    /// Both generators report exactly how many items are left before,
+    /// during and after a run, and `collect` yields exactly that many.
+    #[test]
+    fn generators_report_exact_lengths(
+        total in 0u64..3000,
+        split in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let taken = (split % (total + 1)) as usize;
+        let left = total as usize - taken;
+        let clicks = || ClickLogGen::new(ClickLogSpec {
+            num_ips: 1000,
+            regions: 8,
+            skew: 1.0,
+            records: total,
+            seed,
+        });
+        let edges = || RmatGen::new(RmatSpec { scale: 10, edges: total, seed });
+
+        let mut c = clicks();
+        prop_assert_eq!(c.size_hint(), (total as usize, Some(total as usize)));
+        prop_assert_eq!(c.by_ref().take(taken).count(), taken);
+        prop_assert_eq!(c.size_hint(), (left, Some(left)));
+        prop_assert_eq!(c.by_ref().count(), left);
+        prop_assert_eq!(c.len(), 0);
+        prop_assert_eq!(clicks().collect::<Vec<_>>().len(), total as usize);
+
+        let mut e = edges();
+        prop_assert_eq!(e.len(), total as usize);
+        prop_assert_eq!(e.by_ref().take(taken).count(), taken);
+        prop_assert_eq!(e.size_hint(), (left, Some(left)));
+        prop_assert_eq!(e.by_ref().count(), left);
+        prop_assert_eq!(e.size_hint(), (0, Some(0)));
+        prop_assert_eq!(edges().collect::<Vec<_>>().len(), total as usize);
+    }
+
     /// R-MAT edges stay inside the vertex space and replay by seed.
     #[test]
     fn rmat_edges_in_range(scale in 1u32..16, seed in any::<u64>()) {
@@ -93,4 +130,63 @@ proptest! {
             prop_assert!(s < n && d < n);
         }
     }
+}
+
+/// An order-sensitive 64-bit fold of a stream (FNV-1a over whole values):
+/// one changed, dropped or reordered value changes the result.
+fn fold64(values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |acc, v| {
+        (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The first 1M ClickLog records at the benchmark's key range (2^18 IPs)
+/// replay bit for bit from uniform to past the paper's highest skew: a
+/// faster sampler must draw exactly the keys the inverse-CDF search
+/// draws, or every benchmark input, reference and checksum moves.
+#[test]
+fn clicklog_streams_are_pinned() {
+    let golden = [
+        (0.0, 0x25d1_9ede_df11_26a7u64),
+        (0.5, 0xded5_d9b9_e854_a7ab),
+        (1.0, 0x0913_55a6_3c8e_9df6),
+        (1.4, 0x05ce_a734_8238_9af0),
+    ];
+    for (skew, want) in golden {
+        let stream = ClickLogGen::new(ClickLogSpec {
+            num_ips: 1 << 18,
+            regions: 8,
+            skew,
+            records: 1_000_000,
+            seed: 5,
+        });
+        let got = fold64(stream.map(u64::from));
+        assert_eq!(got, want, "s = {skew}: fold {got:#018x}");
+    }
+}
+
+/// The first 200k R-MAT-17 edges replay bit for bit.
+#[test]
+fn rmat_stream_is_pinned() {
+    let edges = RmatGen::new(RmatSpec::with_edge_factor(17, 5)).take(200_000);
+    let got = fold64(edges.map(|(s, d)| (s << 32) | d));
+    assert_eq!(got, 0x389b_9abd_3241_8e35, "fold {got:#018x}");
+}
+
+/// Both join relations replay bit for bit at s = 1.0.
+#[test]
+fn join_relations_are_pinned() {
+    use hurricane_workloads::join::{large_relation, small_relation, JoinSpec};
+    let spec = JoinSpec {
+        skew: 1.0,
+        ..JoinSpec::default()
+    };
+    let fold = |rel: Vec<(u32, u64)>| fold64(rel.into_iter().flat_map(|(k, p)| [u64::from(k), p]));
+    let small = fold(small_relation(&spec));
+    let large = fold(large_relation(&spec));
+    assert_eq!(
+        (small, large),
+        (0x2b1b_6b3c_71e1_cbe9, 0xf440_3033_75bd_361c),
+        "folds {small:#018x} {large:#018x}"
+    );
 }
