@@ -1052,6 +1052,34 @@ fn bench_flow_control(c: &mut Criterion) {
     g.finish();
 }
 
+/// A replicated insert call in the shape `bag_pump_tcp` makes: 10 × 64 KB
+/// chunks per `BagClient::insert_batch` on the channel plane, 2 nodes,
+/// replication 2, so each call lands two runs, each on a backup and a
+/// primary. The bag is discarded (untimed) before every call so its
+/// streams stay short.
+fn bench_replicated_insert(c: &mut Criterion) {
+    const CALL: usize = 10;
+    let mut g = c.benchmark_group("replicated_insert_2n");
+    g.throughput(Throughput::Elements(CALL as u64));
+    let cluster = StorageCluster::new(2, ClusterConfig { replication: 2 });
+    let endpoint = StorageEndpoint::channel(cluster.clone());
+    let bag = cluster.create_bag();
+    let mut client = endpoint.client(bag, 5);
+    let mut control = endpoint.port();
+    let chunks: Vec<_> = (0..CALL as u8)
+        .map(|i| hurricane_format::Chunk::from_vec(vec![i; 64 * 1024]))
+        .collect();
+    g.bench_function("channel_r2_10x64k", |b| {
+        b.iter_batched(
+            || control.discard_bag(bag).unwrap(),
+            |()| client.insert_batch(&chunks).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+    endpoint.shutdown();
+}
+
 /// `BagSample` polling: the master samples input bags through its
 /// control port ([`RpcPort::sample_bag`], inline plane) on every clone
 /// request. Sampling is O(1) per node (running counters), whatever the
@@ -1203,6 +1231,7 @@ criterion_group!(
     bench_contended,
     bench_prefetch,
     bench_flow_control,
+    bench_replicated_insert,
     bench_sample,
     bench_placement,
     bench_workloads,

@@ -577,27 +577,78 @@ mod tests {
 
     #[test]
     fn concurrent_replicated_inserts_keep_replica_order_identical() {
-        // Hammer one primary from many threads, each on its own port,
-        // and compare the full streams: the per-(bag, origin) ordering
-        // lock must give every replica the runs in the same order.
-        for ep in planes(2, 2) {
-            let cluster = ep.cluster();
-            let bag = cluster.create_bag();
-            std::thread::scope(|s| {
-                for t in 0..4u8 {
-                    let mut port = ep.port();
-                    s.spawn(move || {
-                        for i in 0..500u16 {
-                            let payload = [t, i.to_le_bytes()[0], i.to_le_bytes()[1]];
-                            insert(&mut port, 0, bag, chunk(&payload)).unwrap();
-                        }
-                    });
-                }
+        // Two kinds of writers, each on its own port, r = 2 of 3 nodes.
+        // Synchronous writers hammer primary 0 of one bag; coalescing
+        // writers stage chunks for every primary of two bags, so each of
+        // their flushes lands six (bag, origin) runs under the sorted
+        // order locks while the others do the same, in opposite staging
+        // orders. The mix must finish (no lock-order deadlock), and every
+        // origin's stream must be identical at both of its replicas.
+        const ROUNDS: u16 = 50;
+        for ep in planes(3, 2) {
+            let cluster = ep.cluster().clone();
+            let bags = [cluster.create_bag(), cluster.create_bag()];
+            let sync_ports: Vec<RpcPort> = (0..4).map(|_| ep.port()).collect();
+            let staging_ports: Vec<RpcPort> = (0..4).map(|_| ep.port()).collect();
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                std::thread::scope(|s| {
+                    for (t, mut port) in (0u8..).zip(sync_ports) {
+                        s.spawn(move || {
+                            for i in 0..500u16 {
+                                let [lo, hi] = i.to_le_bytes();
+                                insert(&mut port, 0, bags[0], chunk(&[0, t, lo, hi])).unwrap();
+                            }
+                        });
+                    }
+                    for (t, mut port) in (0u8..).zip(staging_ports) {
+                        s.spawn(move || {
+                            port.set_coalescing(6);
+                            let mut streams: Vec<(BagId, usize)> = bags
+                                .iter()
+                                .flat_map(|&bag| (0..3).map(move |n| (bag, n)))
+                                .collect();
+                            if t % 2 == 1 {
+                                streams.reverse();
+                            }
+                            for i in 0..ROUNDS {
+                                let [lo, hi] = i.to_le_bytes();
+                                for &(bag, n) in &streams {
+                                    port.stage(n, bag, chunk(&[1, t, lo, hi])).unwrap();
+                                }
+                            }
+                            port.flush().unwrap();
+                        });
+                    }
+                });
+                let _ = done.send(());
             });
-            let primary = cluster.node(0).snapshot_from(bag, 0).unwrap();
-            let backup = cluster.node(1).snapshot_from(bag, 0).unwrap();
-            assert_eq!(primary.len(), 2000);
-            assert_eq!(primary, backup, "replica append order must be identical");
+            finished
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("replicated writers did not finish: order-lock deadlock?");
+            for (b, &bag) in bags.iter().enumerate() {
+                for origin in 0..3u32 {
+                    let primary = cluster
+                        .node(origin as usize)
+                        .snapshot_from(bag, origin)
+                        .unwrap();
+                    let backup = cluster
+                        .node((origin as usize + 1) % 3)
+                        .snapshot_from(bag, origin)
+                        .unwrap();
+                    let staged = 4 * usize::from(ROUNDS);
+                    let want = if (b, origin) == (0, 0) {
+                        2000 + staged
+                    } else {
+                        staged
+                    };
+                    assert_eq!(primary.len(), want, "bag {b} origin {origin}");
+                    assert_eq!(
+                        primary, backup,
+                        "replica append order must be identical (bag {b}, origin {origin})"
+                    );
+                }
+            }
         }
     }
 

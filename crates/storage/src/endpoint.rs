@@ -21,11 +21,14 @@
 //! [`StorageCluster::add_node`], `channel` once [`StorageEndpoint::sync`]
 //! has started the new node's server).
 //!
-//! Three knobs, each a consuming builder method to set before sharing
-//! the endpoint: [`StorageEndpoint::with_request_timeout`],
-//! [`StorageEndpoint::with_retry_policy`] and
-//! [`StorageEndpoint::with_coalescing`]. Writer credit and the channel
-//! servers' dispatch pool are constants of [`crate::rpc`].
+//! Two knobs, each a consuming builder method to set before sharing the
+//! endpoint: [`StorageEndpoint::with_request_timeout`] and
+//! [`StorageEndpoint::with_retry_policy`]. A client sets its own
+//! coalescing window ([`BagClient::with_coalescing`]). Writer credit
+//! defaults to [`crate::rpc::DEFAULT_WRITER_CREDIT`];
+//! [`RpcPort::set_writer_credit`] and [`BagClient::set_writer_credit`]
+//! override it per port, for the `rpc_credit` microbench. The channel
+//! servers' dispatch pool is a constant of [`crate::rpc`].
 //!
 //! ```
 //! use hurricane_storage::{ClusterConfig, RetryPolicy, StorageCluster, StorageEndpoint};
@@ -81,7 +84,6 @@ pub struct StorageEndpoint {
     plane: Plane,
     timeout: Duration,
     retry: RetryPolicy,
-    coalesce_chunks: usize,
 }
 
 impl StorageEndpoint {
@@ -90,7 +92,6 @@ impl StorageEndpoint {
             plane,
             timeout: DEFAULT_REQUEST_TIMEOUT,
             retry: RetryPolicy::default(),
-            coalesce_chunks: 0,
         }
     }
 
@@ -175,13 +176,6 @@ impl StorageEndpoint {
         self
     }
 
-    /// Insert-coalescing window in chunks for minted clients (0 = off):
-    /// staged inserts flush as batched envelopes.
-    pub fn with_coalescing(mut self, chunks: usize) -> Self {
-        self.coalesce_chunks = chunks;
-        self
-    }
-
     // -- accessors --------------------------------------------------------
 
     /// The cluster holding this endpoint's metadata authority.
@@ -218,12 +212,7 @@ impl StorageEndpoint {
     /// Opens a bag client for `bag`. Give each client a distinct `seed`
     /// so placement cycles decorrelate across workers.
     pub fn client(&self, bag: BagId, seed: u64) -> BagClient {
-        let client = BagClient::with_port(self.port(), bag, seed);
-        if self.coalesce_chunks > 0 {
-            client.with_coalescing(self.coalesce_chunks)
-        } else {
-            client
-        }
+        BagClient::with_port(self.port(), bag, seed)
     }
 
     // -- membership control ----------------------------------------------

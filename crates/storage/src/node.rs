@@ -15,13 +15,9 @@
 //! that bag's own mutex. Concurrent workers touching different bags never
 //! contend, and workers on the same bag contend only with each other,
 //! which is what lets task clones (paper §4.2) scale with worker count.
-//! Each stream keeps running `remaining_bytes` so [`StorageNode::sample`]
-//! is O(1) instead of scanning unread chunks — the master polls samples
-//! every heuristic tick, so sampling is control-plane-critical. The
-//! counters the sampler reads are additionally mirrored into
-//! cache-line-padded atomics outside the bag mutex (see `SampleCells`),
-//! so polling under write load neither waits on the writers' lock nor
-//! false-shares their cache lines.
+//! Each stream keeps running counters (`live`, `remaining_bytes`,
+//! `total_bytes`) so [`StorageNode::sample`] reads the node's own stream
+//! under the bag lock in O(1) instead of scanning unread chunks.
 //!
 //! Durability ([`StorageNode::durable`], `SEGMENT.md`): a node given a
 //! [`SegmentStore`] journals every append, consumed-pointer advance, and
@@ -51,7 +47,7 @@ use hurricane_format::Chunk;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A point-in-time estimate of a bag's contents at one node (or summed
@@ -237,8 +233,9 @@ impl Slot {
 
 /// One replicated chunk stream within a bag file: the chunks addressed
 /// to one *origin* (primary node), each carrying its `(run, k)` identity
-/// tag, with a consumption bitmap, a consumed-prefix pointer, and a
-/// running count of unread bytes (keeping [`StorageNode::sample`] O(1)).
+/// tag, with a consumption bitmap, a consumed-prefix pointer, and
+/// running counts of live entries and unread and total bytes — the
+/// own-origin stream's counters are what [`StorageNode::sample`] reads.
 ///
 /// Consumption is *hole-tolerant*: a mirror of a remove served by
 /// another replica marks the served chunks' tags consumed wherever they
@@ -321,11 +318,10 @@ const CLAIM_POSITIONS_CAP: u64 = 1 << 16;
 
 impl Stream {
     /// Appends a chunk already journaled at `at` (or memory-only when
-    /// `None`). Returns the chunk's length (the caller's resident-byte
-    /// delta) and whether the chunk landed already consumed (its
-    /// identity was claimed before the insert arrived — see
-    /// [`Stream::pre_consumed`]).
-    fn push(&mut self, chunk: Chunk, run: u64, k: u32, at: Option<FrameLoc>) -> (u64, bool) {
+    /// `None`), already consumed if its identity was claimed before the
+    /// insert arrived (see [`Stream::pre_consumed`]). Returns the chunk's
+    /// length, the caller's resident-byte delta.
+    fn push(&mut self, chunk: Chunk, run: u64, k: u32, at: Option<FrameLoc>) -> u64 {
         let len = chunk.len() as u64;
         self.total_bytes += len;
         self.slots.push(Slot::Resident { chunk, at });
@@ -336,7 +332,7 @@ impl Stream {
             self.live += 1;
             self.remaining_bytes += len;
         }
-        (len, claimed)
+        len
     }
 
     /// Rebuilds one entry from a recovery scan: the chunk stays in the
@@ -540,6 +536,9 @@ struct BagFileInner {
     streams: HashMap<u32, Stream>,
     sealed: bool,
     collected: bool,
+    /// Bytes of this bag held in memory at the node, every stream
+    /// (primary and mirrored): what sampling reports as spill pressure.
+    resident_bytes: u64,
     log: BagLog,
 }
 
@@ -558,107 +557,11 @@ struct BagLog {
     poisoned: bool,
 }
 
-/// Lock-free mirrors of the node's *own* (primary) stream counters for
-/// one bag, read by [`StorageNode::sample`] without touching the bag
-/// mutex.
-///
-/// The master polls samples every heuristic tick while writers hammer
-/// the same bag; routing that poll through the bag mutex made the O(1)
-/// counter read 4.5× slower under 4-writer load than idle — the sampler
-/// was paying lock handoffs and bouncing the mutex word's cache line.
-/// These cells live on their **own cache line** (`align(64)`), separate
-/// from the mutex word the writers hammer, so a poll is a handful of
-/// relaxed loads with no lock traffic and no false sharing with the
-/// lock.
-///
-/// Writers update the cells while holding the bag mutex, so writes never
-/// race each other. The sampler takes a **seqlock snapshot**
-/// ([`SampleCells::snapshot`]): each writer brackets its stores in a
-/// version bump ([`SampleCells::update`]) and the sampler retries while
-/// the version is odd or moved, so a sample never observes a
-/// mid-update combination (`removed` bumped before `total`, say —
-/// summed across nodes, such skew made cluster samples report
-/// `removed > total` transiently). Writers never wait; only the
-/// sampler spins, and only for the handful of stores a section holds.
-///
-/// `resident_bytes` is the exception on both counts: it counts **all**
-/// streams (the bag's physical footprint, which is what spill pressure
-/// is) and the spill sweep updates it outside the bag mutex, so its
-/// value in a snapshot is coherent but not transactional with the
-/// others — fine, since nothing relates it to the logical counters.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct SampleCells {
-    /// Seqlock word: odd while a write section is open.
-    version: AtomicU64,
-    total_chunks: AtomicU64,
-    removed_chunks: AtomicU64,
-    remaining_bytes: AtomicU64,
-    total_bytes: AtomicU64,
-    /// See the type docs: all-streams physical footprint, updated
-    /// outside write sections by the spill sweep.
-    resident_bytes: AtomicU64,
-    sealed: AtomicBool,
-    collected: AtomicBool,
-}
-
-/// One internally-consistent reading of a bag's [`SampleCells`].
-struct CellsSnapshot {
-    total_chunks: u64,
-    removed_chunks: u64,
-    remaining_bytes: u64,
-    total_bytes: u64,
-    resident_bytes: u64,
-    sealed: bool,
-    collected: bool,
-}
-
-impl SampleCells {
-    /// Runs `write` as one seqlock write section. Callers must hold the
-    /// bag mutex (sections are serialized by it) and keep the section
-    /// to plain counter stores — no I/O, no locks: the sampler spins
-    /// while the section is open.
-    fn update(&self, write: impl FnOnce()) {
-        self.version.fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        write();
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// Takes an internally-consistent snapshot of the cells, retrying
-    /// while a write section is open or completed mid-read. Writers are
-    /// never blocked; the retry loop is bounded in practice by write
-    /// sections being a few relaxed stores long.
-    fn snapshot(&self) -> CellsSnapshot {
-        loop {
-            let before = self.version.load(Ordering::Acquire);
-            if before & 1 == 0 {
-                let snap = CellsSnapshot {
-                    total_chunks: self.total_chunks.load(Ordering::Relaxed),
-                    removed_chunks: self.removed_chunks.load(Ordering::Relaxed),
-                    remaining_bytes: self.remaining_bytes.load(Ordering::Relaxed),
-                    total_bytes: self.total_bytes.load(Ordering::Relaxed),
-                    resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-                    sealed: self.sealed.load(Ordering::Relaxed),
-                    collected: self.collected.load(Ordering::Relaxed),
-                };
-                fence(Ordering::Acquire);
-                if self.version.load(Ordering::Relaxed) == before {
-                    return snap;
-                }
-            }
-            std::hint::spin_loop();
-        }
-    }
-}
-
 /// One bag's state behind its own lock: operations on different bags at
-/// the same node proceed fully in parallel. The sampler's counters are
-/// mirrored outside the lock (see [`SampleCells`]).
+/// the same node proceed fully in parallel.
 #[derive(Debug, Default)]
 struct BagFile {
     inner: Mutex<BagFileInner>,
-    cells: SampleCells,
     /// Last-touch stamp from the node's logical clock; the spill policy
     /// evicts coldest-bag-first so hot bags stay resident.
     touch: AtomicU64,
@@ -829,23 +732,8 @@ impl StorageNode {
                     segment::Record::Collect => inner.collected = true,
                 }
             }
-            let cells = SampleCells::default();
-            cells.sealed.store(inner.sealed, Ordering::Relaxed);
-            cells.collected.store(inner.collected, Ordering::Relaxed);
-            if let Some(own) = inner.streams.get(&self.id.0) {
-                let consumed = (own.slots.len() - own.live) as u64;
-                cells
-                    .total_chunks
-                    .store(own.slots.len() as u64, Ordering::Relaxed);
-                cells.removed_chunks.store(consumed, Ordering::Relaxed);
-                cells
-                    .remaining_bytes
-                    .store(own.remaining_bytes, Ordering::Relaxed);
-                cells.total_bytes.store(own.total_bytes, Ordering::Relaxed);
-            }
             let file = BagFile {
                 inner: Mutex::new(inner),
-                cells,
                 touch: AtomicU64::new(0),
             };
             bags.insert(bag, Arc::new(file));
@@ -998,11 +886,9 @@ impl StorageNode {
                     }
                     freed += stream.spill(&mut need);
                 }
+                inner.resident_bytes -= freed;
             }
             if freed > 0 {
-                file.cells
-                    .resident_bytes
-                    .fetch_sub(freed, Ordering::Relaxed);
                 self.resident.fetch_sub(freed, Ordering::Relaxed);
                 over = over.saturating_sub(freed);
             }
@@ -1080,14 +966,17 @@ impl StorageNode {
         // state: a refused or short append fails the insert cleanly with
         // nothing landed (all-or-nothing), and the caller re-routes the
         // batch to a healthy node.
-        let BagFileInner { streams, log, .. } = &mut *inner;
+        let BagFileInner {
+            streams,
+            log,
+            resident_bytes,
+            ..
+        } = &mut *inner;
         let mut offset = match &frames {
             Some((buf, _)) => self.journal(log, bag, buf)?,
             None => 0,
         };
         let mut bytes = 0u64;
-        let mut claimed = 0u64;
-        let mut claimed_bytes = 0u64;
         let stream = streams.entry(origin).or_default();
         for (k, chunk) in chunks.iter().enumerate() {
             let at = frames.as_ref().map(|(_, lens)| FrameLoc {
@@ -1095,29 +984,9 @@ impl StorageNode {
                 frame_len: lens[k],
             });
             offset += at.map_or(0, |at| u64::from(at.frame_len));
-            let (len, was_claimed) = stream.push(chunk.clone(), run, k as u32, at);
-            bytes += len;
-            if was_claimed {
-                claimed += 1;
-                claimed_bytes += len;
-            }
+            bytes += stream.push(chunk.clone(), run, k as u32, at);
         }
-        if origin == self.id.0 {
-            let cells = &file.cells;
-            cells.update(|| {
-                cells
-                    .total_chunks
-                    .fetch_add(chunks.len() as u64, Ordering::Relaxed);
-                cells.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-                cells
-                    .remaining_bytes
-                    .fetch_add(bytes - claimed_bytes, Ordering::Relaxed);
-                cells.removed_chunks.fetch_add(claimed, Ordering::Relaxed);
-            });
-        }
-        file.cells
-            .resident_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
+        *resident_bytes += bytes;
         drop(inner);
         self.resident.fetch_add(bytes, Ordering::Relaxed);
         self.stats.bytes_in.add(bytes);
@@ -1192,15 +1061,6 @@ impl StorageNode {
         }
         stream.commit_consumed(&picked);
         let exhausted = chunks.len() < max_n;
-        if origin == self.id.0 && !chunks.is_empty() {
-            let cells = &file.cells;
-            cells.update(|| {
-                cells
-                    .removed_chunks
-                    .fetch_add(chunks.len() as u64, Ordering::Relaxed);
-                cells.remaining_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            });
-        }
         drop(inner);
         if chunks.is_empty() {
             self.stats.empty_probes.incr();
@@ -1263,8 +1123,8 @@ impl StorageNode {
     }
 
     /// Shared body of [`StorageNode::mirror_consumed`] and
-    /// [`StorageNode::claim_consumed`]: consume under the bag lock,
-    /// journal when anything changed, maintain the own-stream counters.
+    /// [`StorageNode::claim_consumed`]: journal, then consume under the
+    /// bag lock.
     fn consume_impl(
         &self,
         bag: BagId,
@@ -1281,19 +1141,7 @@ impl StorageNode {
         if !tags.is_empty() && self.is_durable() {
             self.journal(&mut inner.log, bag, &segment::consume_frame(origin, tags))?;
         }
-        let outcome = inner.streams.entry(origin).or_default().consume_tags(tags);
-        if origin == self.id.0 {
-            let cells = &file.cells;
-            cells.update(|| {
-                cells
-                    .removed_chunks
-                    .fetch_add(outcome.newly, Ordering::Relaxed);
-                cells
-                    .remaining_bytes
-                    .fetch_sub(outcome.bytes, Ordering::Relaxed);
-            });
-        }
-        Ok(outcome)
+        Ok(inner.streams.entry(origin).or_default().consume_tags(tags))
     }
 
     /// Reads chunk `index` without consuming it. Supports the "multiple
@@ -1369,8 +1217,6 @@ impl StorageNode {
             self.journal(&mut inner.log, bag, &segment::seal_frame())?;
             inner.sealed = true;
         }
-        let cells = &file.cells;
-        cells.update(|| cells.sealed.store(true, Ordering::Relaxed));
         Ok(())
     }
 
@@ -1400,13 +1246,6 @@ impl StorageNode {
             }
         }
         streams.values_mut().for_each(Stream::rewind);
-        let cells = &file.cells;
-        cells.update(|| {
-            cells.removed_chunks.store(0, Ordering::Relaxed);
-            cells
-                .remaining_bytes
-                .store(cells.total_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-        });
         Ok(())
     }
 
@@ -1417,7 +1256,7 @@ impl StorageNode {
     /// removes whatever tear poisoned the log. A failed truncation
     /// refuses with the in-memory bag intact. Returns the resident
     /// bytes freed, for the caller to settle after unlocking.
-    fn clear(&self, file: &BagFile, inner: &mut BagFileInner) -> Result<u64, StorageError> {
+    fn clear(&self, inner: &mut BagFileInner) -> Result<u64, StorageError> {
         if let Some(log) = &inner.log.handle {
             log.truncate(0).map_err(|e| self.disk_err(&e))?;
         }
@@ -1425,18 +1264,7 @@ impl StorageNode {
         inner.streams = HashMap::new();
         inner.sealed = false;
         inner.collected = false;
-        let cells = &file.cells;
-        let mut freed = 0;
-        cells.update(|| {
-            cells.total_chunks.store(0, Ordering::Relaxed);
-            cells.removed_chunks.store(0, Ordering::Relaxed);
-            cells.remaining_bytes.store(0, Ordering::Relaxed);
-            cells.total_bytes.store(0, Ordering::Relaxed);
-            cells.sealed.store(false, Ordering::Relaxed);
-            cells.collected.store(false, Ordering::Relaxed);
-            freed = cells.resident_bytes.swap(0, Ordering::Relaxed);
-        });
-        Ok(freed)
+        Ok(std::mem::take(&mut inner.resident_bytes))
     }
 
     /// Discards all chunks of `bag` and reopens it for inserts. Used to
@@ -1446,7 +1274,7 @@ impl StorageNode {
     pub fn discard(&self, bag: BagId) -> Result<(), StorageError> {
         self.check_up()?;
         let file = self.bag_file(bag);
-        let freed = self.clear(&file, &mut file.inner.lock())?;
+        let freed = self.clear(&mut file.inner.lock())?;
         self.resident.fetch_sub(freed, Ordering::Relaxed);
         Ok(())
     }
@@ -1459,47 +1287,43 @@ impl StorageNode {
         self.check_up()?;
         let file = self.bag_file(bag);
         let mut inner = file.inner.lock();
-        let freed = self.clear(&file, &mut inner)?;
+        let freed = self.clear(&mut inner)?;
         self.resident.fetch_sub(freed, Ordering::Relaxed);
         self.journal(&mut inner.log, bag, &segment::collect_frame())?;
         inner.collected = true;
-        let cells = &file.cells;
-        cells.update(|| cells.collected.store(true, Ordering::Relaxed));
         Ok(())
     }
 
-    /// Samples `bag`'s state at this node. O(1) and **lock-free for the
-    /// writers**: the running counters are mirrored into
-    /// cache-line-padded atomic cells (`SampleCells`) outside the bag
-    /// mutex and read through a seqlock snapshot, so the master's
-    /// polling never contends with (or bounces cache lines against) the
-    /// writers' lock — only the bag-directory read lock is touched —
-    /// and the returned counters are internally consistent
+    /// Samples `bag`'s state at this node in O(1): one bag-lock
+    /// acquisition reads the own (primary) stream's running counters and
+    /// the bag's flags. The lock makes the reading consistent
     /// (`removed ≤ total`, exactly `remaining = total - removed`), so
     /// per-node samples sum to a consistent cluster sample.
     pub fn sample(&self, bag: BagId) -> Result<BagSample, StorageError> {
         self.check_up()?;
         let file = self.bag_file(bag);
+        let inner = file.inner.lock();
+        if inner.collected {
+            return Err(StorageError::BagCollected(bag));
+        }
+        let mut sample = BagSample {
+            resident_bytes: inner.resident_bytes,
+            sealed: inner.sealed,
+            ..BagSample::default()
+        };
         // Only the node's own (primary) stream is counted — chunks *and*
         // bytes: with replication, summing primaries across nodes yields
         // exact cluster-wide totals without double-counting backups.
         // `resident_bytes` is the exception (it reports this node's
         // physical footprint for the bag, mirrored streams included).
-        let snap = file.cells.snapshot();
-        if snap.collected {
-            return Err(StorageError::BagCollected(bag));
+        if let Some(own) = inner.streams.get(&self.id.0) {
+            sample.total_chunks = own.slots.len() as u64;
+            sample.removed_chunks = (own.slots.len() - own.live) as u64;
+            sample.remaining_chunks = own.live as u64;
+            sample.remaining_bytes = own.remaining_bytes;
+            sample.total_bytes = own.total_bytes;
         }
-        Ok(BagSample {
-            total_chunks: snap.total_chunks,
-            removed_chunks: snap.removed_chunks,
-            // Saturating only as a guard: a consistent snapshot never
-            // has removed ahead of total.
-            remaining_chunks: snap.total_chunks.saturating_sub(snap.removed_chunks),
-            remaining_bytes: snap.remaining_bytes,
-            total_bytes: snap.total_bytes,
-            resident_bytes: snap.resident_bytes,
-            sealed: snap.sealed,
-        })
+        Ok(sample)
     }
 
     /// Number of distinct bags with state at this node.
@@ -1523,8 +1347,8 @@ mod tests {
     /// Samples racing a writer must never observe a mid-update counter
     /// combination: `removed` ahead of `total` (summed across nodes that
     /// skew made cluster samples report more removed than inserted), or
-    /// `remaining` disagreeing with `total - removed`. Pins the seqlock
-    /// snapshot in [`SampleCells`].
+    /// `remaining` disagreeing with `total - removed`. Pins the one
+    /// locked reading in [`StorageNode::sample`].
     #[test]
     fn samples_stay_internally_consistent_under_concurrent_load() {
         let n = node();
@@ -2003,9 +1827,8 @@ mod tests {
 
     #[test]
     fn sample_stays_consistent_under_concurrent_writers() {
-        // The lock-free sample cells are updated under the bag mutex but
-        // read without it; hammer one bag from four writer threads while
-        // a sampler polls, then verify the quiesced sample is exact.
+        // Hammer one bag from four writer threads while a sampler polls,
+        // then verify the quiesced sample is exact.
         let n = Arc::new(node());
         let bag = BagId(42);
         let stop = Arc::new(AtomicBool::new(false));
@@ -2038,7 +1861,7 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         sampler.join().unwrap();
         // Racing removers can come up short mid-run; drain the remainder,
-        // then the quiesced cells must be exact.
+        // then the quiesced sample must be exact.
         while !n.remove_batch(bag, 1024).unwrap().chunks.is_empty() {}
         let s = n.sample(bag).unwrap();
         assert_eq!(s.total_chunks, 4 * 200 * 16);

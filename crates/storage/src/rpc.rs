@@ -54,17 +54,20 @@
 //!
 //! # Replication over RPC
 //!
-//! Replicated inserts preserve the backups-first invariant (see
-//! `RpcPort::insert_run`): backups are written —
-//! concurrently, overlapping their acks — and *acknowledged* before the
-//! primary write is issued, so anything a reader could have been served
-//! from the primary already exists on every backup. Every fan-out shares
-//! one writer-minted **run id** ([`crate::next_run_id`]), giving each
-//! chunk the same `(run, k)` identity at every replica; pointer mirrors
-//! then consume by identity ([`StorageRequest::MirrorConsumed`]), which
-//! stays exactly-once even when replica logs diverged after a partial
-//! insert. Replica sets of size `r` pay one round-trip of latency for
-//! the backups (not `r − 1`) plus one for the primary.
+//! Every insert run — a flush's, a synchronous `insert_batch`'s, a
+//! reroute's — lands through one fan-out, `RpcPort::land_runs`, which
+//! states the backups-first and append-order invariants once: backups
+//! are written — concurrently, overlapping their acks — and
+//! *acknowledged* before the primary write is issued, so anything a
+//! reader could have been served from the primary already exists on
+//! every backup. Every run's envelopes share one writer-minted **run
+//! id** ([`crate::next_run_id`]), giving each chunk the same `(run, k)`
+//! identity at every replica; pointer mirrors then consume by identity
+//! ([`StorageRequest::MirrorConsumed`]), which stays exactly-once even
+//! when replica logs diverged after a partial insert. The two phases
+//! overlap every run of the call, so a replicated flush pays one
+//! round-trip of latency for all its backups plus one for all its
+//! primaries, however many runs and replicas it carries.
 //!
 //! # The amortized data plane
 //!
@@ -1607,6 +1610,43 @@ impl RemoveProbe {
     }
 }
 
+/// One run's progress through `RpcPort::land_runs`.
+struct Landing {
+    primary: usize,
+    bag: BagId,
+    run_id: u64,
+    run: ChunkRun,
+    /// Whether any replica acknowledged the run.
+    landed: bool,
+    /// The last replica that could not take part
+    /// (`RpcPort::replica_unreachable`).
+    soft_err: Option<StorageError>,
+    /// Any other error, which fails the run.
+    hard_err: Option<StorageError>,
+}
+
+impl Landing {
+    /// The run's envelope body, the same at every replica and retry.
+    fn request(&self) -> StorageRequest {
+        StorageRequest::InsertBatch {
+            bag: self.bag,
+            origin: self.primary as u32,
+            run: self.run_id,
+            chunks: self.run.clone(),
+        }
+    }
+
+    fn outcome(self) -> Result<(), StorageError> {
+        match self.hard_err {
+            Some(e) => Err(e),
+            None if self.landed => Ok(()),
+            None => Err(self
+                .soft_err
+                .unwrap_or(StorageError::AllReplicasDown(self.bag))),
+        }
+    }
+}
+
 impl RpcPort {
     /// Builds a port whose every connection is an [`InlineTransport`]:
     /// the message protocol without server threads, for colocated
@@ -1813,7 +1853,7 @@ impl RpcPort {
     }
 
     /// Writes `chunks` as one run to the replica set of `primary_idx`
-    /// (see `RpcPort::insert_run` for the fan-out). Succeeds if the run
+    /// (see `RpcPort::land_runs` for the fan-out). Succeeds if the run
     /// lands on at least one replica; a replica set that cannot take it
     /// is an error the caller may reroute. Flushes any staged coalesced
     /// inserts first, so the port's writes stay ordered across the two
@@ -1829,129 +1869,121 @@ impl RpcPort {
         if chunks.is_empty() {
             return Ok(());
         }
-        self.insert_run(primary_idx, bag, ChunkRun::from_slice(chunks))
+        let run = ChunkRun::from_slice(chunks);
+        self.land_runs(&[(primary_idx, bag, run)]).remove(0)
     }
 
-    /// Sends one `InsertBatch` envelope (counted) without waiting,
-    /// returning the attempt's token and the request's sequence number
-    /// (for retry-safe retransmission under the dedup window).
-    fn submit_insert(
-        &mut self,
-        idx: usize,
-        bag: BagId,
-        origin: u32,
-        run_id: u64,
-        run: ChunkRun,
-    ) -> Result<(CompletionToken, u64), StorageError> {
-        self.stats.insert_envelopes += 1;
-        self.conns[idx].submit_tracked(StorageRequest::InsertBatch {
-            bag,
-            origin,
-            run: run_id,
-            chunks: run,
-        })
-    }
-
-    /// Waits for one insert attempt, retrying timeouts under the
-    /// connection's policy. The retransmit buffer is the run itself —
-    /// every retry clones one refcount.
-    #[allow(clippy::too_many_arguments)]
-    fn wait_insert(
-        &mut self,
-        idx: usize,
-        bag: BagId,
-        origin: u32,
-        run_id: u64,
-        run: &ChunkRun,
-        token: CompletionToken,
-        seq: u64,
-    ) -> Result<StorageResponse, StorageError> {
-        let request = StorageRequest::InsertBatch {
-            bag,
-            origin,
-            run: run_id,
-            chunks: run.clone(),
-        };
-        let timeout = self.timeout;
-        self.conns[idx].wait_retrying(token, seq, &request, timeout)
-    }
-
-    /// The replica fan-out of one run addressed to primary `primary_idx`:
-    /// backups overlapped and acknowledged first, then the primary. The
-    /// run is the shared retransmit buffer — every envelope clones one
+    /// The one insert fan-out: lands each of `runs` — `(primary, bag,
+    /// chunks)`, at most one run per (bag, origin) — on its replica
+    /// group and returns one outcome per run, in order. Every
+    /// `InsertBatch` envelope of the data plane is submitted here, in two
+    /// overlapped phases:
+    ///
+    /// 1. every backup envelope of every run, then every backup ack;
+    /// 2. the primary envelope of every run whose backups raised no hard
+    ///    error, then every primary ack.
+    ///
+    /// A run succeeds if it landed on at least one replica. A replica
+    /// that cannot take part (`RpcPort::replica_unreachable`) is skipped;
+    /// a run no replica took fails with that error (or
+    /// [`StorageError::AllReplicasDown`]) for the caller to reroute, and
+    /// any other error fails the run as is. Each run is the shared
+    /// retransmit buffer of its envelopes — every envelope clones one
     /// refcount — and every replica receives the same freshly minted run
     /// id, so the chunks carry identical `(run, k)` identity tags at
     /// every replica. Bag-state checks are the caller's job (entry points
     /// and the coalescer check at staging time).
     ///
-    /// Replicated writes take two precautions:
+    /// Replicated writes keep two invariants:
     ///
     /// * **Backups before primary.** A chunk only becomes removable once
     ///   it lands at the primary; writing backups first means any remove
     ///   that wins the race finds the chunk already present at every
     ///   backup, so a failover after the primary's death can always
     ///   serve what the primary served from its own log.
-    /// * **Per-(bag, origin) append ordering.** Concurrent writers to the
-    ///   same primary serialize their replica fan-out on
-    ///   [`StorageCluster::order_lock`] so every replica's origin stream
-    ///   holds the runs in the same order. Identity-tagged mirroring does
-    ///   not *require* this for correctness, but converged logs keep the
-    ///   mirror scan O(batch) and failover positions exact. With
-    ///   replication = 1 neither cost is paid.
-    fn insert_run(
-        &mut self,
-        primary_idx: usize,
-        bag: BagId,
-        run: ChunkRun,
-    ) -> Result<(), StorageError> {
+    /// * **Per-(bag, origin) append order.** The call holds
+    ///   [`StorageCluster::order_lock`] of every (bag, origin) it writes
+    ///   across both phases, so concurrent writers' runs reach every
+    ///   replica's origin stream in the same order. The locks are taken
+    ///   in sorted (bag, origin) order, so two calls that share streams
+    ///   cannot deadlock. Identity-tagged mirroring does not *require*
+    ///   the order for correctness, but converged logs keep the mirror
+    ///   scan O(batch) and failover positions exact.
+    ///
+    /// With replication = 1 there are no backups and no locks.
+    fn land_runs(&mut self, runs: &[(usize, BagId, ChunkRun)]) -> Vec<Result<(), StorageError>> {
         let m = self.conns.len();
-        let primary = primary_idx % m;
-        let origin = primary as u32;
         let r = self.cluster.replication();
-        let run_id = next_run_id();
-        let order_lock = (r > 1).then(|| self.cluster.order_lock(bag, origin));
-        let _held = order_lock.as_ref().map(|l| l.lock());
-
-        let mut landed = 0usize;
-        let mut soft_err = None;
-        let mut hard_err = None;
-        // Phase 1: all backups, overlapped — submit everything, then
-        // collect every ack.
-        #[allow(clippy::type_complexity)]
-        let backup_tokens: Vec<(usize, Result<(CompletionToken, u64), StorageError>)> = (1..r)
-            .map(|k| {
-                let idx = (primary + k) % m;
-                let token = self.submit_insert(idx, bag, origin, run_id, run.clone());
-                (idx, token)
+        let mut landings: Vec<Landing> = runs
+            .iter()
+            .map(|(primary, bag, run)| Landing {
+                primary: primary % m,
+                bag: *bag,
+                run_id: next_run_id(),
+                run: run.clone(),
+                landed: false,
+                soft_err: None,
+                hard_err: None,
             })
             .collect();
-        for (idx, token) in backup_tokens {
-            let outcome =
-                token.and_then(|(t, seq)| self.wait_insert(idx, bag, origin, run_id, &run, t, seq));
-            match outcome {
-                Ok(_) => landed += 1,
-                Err(e) if Self::replica_unreachable(&e) => soft_err = Some(e),
-                Err(e) => hard_err = Some(e),
-            }
-        }
-        // Phase 2: the primary, only after every backup ack is in.
-        if hard_err.is_none() {
-            match self
-                .submit_insert(primary, bag, origin, run_id, run.clone())
-                .and_then(|(t, seq)| self.wait_insert(primary, bag, origin, run_id, &run, t, seq))
+        let mut streams: Vec<(BagId, u32)> = landings
+            .iter()
+            .filter(|_| r > 1)
+            .map(|l| (l.bag, l.primary as u32))
+            .collect();
+        streams.sort_unstable();
+        streams.dedup();
+        debug_assert!(
+            r == 1 || streams.len() == landings.len(),
+            "one run per stream"
+        );
+        let locks: Vec<_> = streams
+            .into_iter()
+            .map(|(bag, origin)| self.cluster.order_lock(bag, origin))
+            .collect();
+        let _held: Vec<_> = locks.iter().map(|l| l.lock()).collect();
+
+        let backups = (0..landings.len())
+            .flat_map(|i| (1..r).map(move |k| (i, k)))
+            .map(|(i, k)| (i, (landings[i].primary + k) % m))
+            .collect();
+        self.land_phase(&mut landings, backups);
+        let primaries = landings
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.hard_err.is_none())
+            .map(|(i, l)| (i, l.primary))
+            .collect();
+        self.land_phase(&mut landings, primaries);
+        landings.into_iter().map(Landing::outcome).collect()
+    }
+
+    /// One phase of `RpcPort::land_runs`: submits (and counts) an
+    /// envelope of run `i` to node `idx` for every `(i, idx)` of
+    /// `targets`, then collects every ack into its run, retrying timeouts
+    /// under the connection's policy with the same sequence number.
+    fn land_phase(&mut self, landings: &mut [Landing], targets: Vec<(usize, usize)>) {
+        let tokens: Vec<_> = targets
+            .into_iter()
+            .map(|(i, idx)| {
+                self.stats.insert_envelopes += 1;
+                (
+                    i,
+                    idx,
+                    self.conns[idx].submit_tracked(landings[i].request()),
+                )
+            })
+            .collect();
+        let timeout = self.timeout;
+        for (i, idx, token) in tokens {
+            let landing = &mut landings[i];
+            let conn = &mut self.conns[idx];
+            match token.and_then(|(t, seq)| conn.wait_retrying(t, seq, &landing.request(), timeout))
             {
-                Ok(_) => landed += 1,
-                Err(e) if Self::replica_unreachable(&e) => soft_err = Some(e),
-                Err(e) => hard_err = Some(e),
+                Ok(_) => landing.landed = true,
+                Err(e) if Self::replica_unreachable(&e) => landing.soft_err = Some(e),
+                Err(e) => landing.hard_err = Some(e),
             }
-        }
-        if let Some(e) = hard_err {
-            return Err(e);
-        }
-        if landed > 0 {
-            Ok(())
-        } else {
-            Err(soft_err.unwrap_or(StorageError::AllReplicasDown(bag)))
         }
     }
 
@@ -2020,11 +2052,12 @@ impl RpcPort {
     }
 
     /// Flushes every staged run: one `InsertBatch` envelope per
-    /// (node, bag), all submitted before any ack is awaited, so the wire
-    /// carries the merged batches while the servers work in parallel.
-    /// Runs refused by an unreachable node are rerouted to the next nodes
-    /// in index order — sharing the same [`ChunkRun`] buffer, not a copy.
-    /// With replication, each run keeps the backups-first ordered fan-out.
+    /// (node, bag) and replica, all landed by one `RpcPort::land_runs`
+    /// call, so the wire carries the merged batches while the servers
+    /// work in parallel and a replicated flush waits out two round trips
+    /// in all, not two per run. Runs no replica group took are then
+    /// rerouted to the next nodes in index order — sharing the same
+    /// [`ChunkRun`] buffer, not a copy.
     ///
     /// Returns once every staged chunk is acknowledged (or an error is
     /// surfaced); a no-op when nothing is staged.
@@ -2040,72 +2073,44 @@ impl RpcPort {
                 runs.push((target, bag, ChunkRun::new(chunks)));
             }
         }
-        if self.cluster.replication() > 1 {
-            // Replicated writes must land backups-before-primary per
-            // (bag, origin) stream; keep the per-run ordered fan-out
-            // (which itself overlaps the backup acks).
-            for (target, bag, run) in runs {
-                self.insert_run_rerouting(target, bag, run)?;
-            }
-            return Ok(());
-        }
-        // Replication 1: full overlap. Submit everything, then collect.
-        #[allow(clippy::type_complexity)]
-        let tokens: Vec<(
-            usize,
-            BagId,
-            u64,
-            ChunkRun,
-            Result<(CompletionToken, u64), StorageError>,
-        )> = runs
-            .into_iter()
-            .map(|(target, bag, run)| {
-                let run_id = next_run_id();
-                let token = self.submit_insert(target, bag, target as u32, run_id, run.clone());
-                (target, bag, run_id, run, token)
-            })
-            .collect();
-        let mut refused: Vec<(usize, BagId, ChunkRun)> = Vec::new();
-        let mut hard_err = None;
-        for (target, bag, run_id, run, token) in tokens {
-            match token.and_then(|(t, seq)| {
-                self.wait_insert(target, bag, target as u32, run_id, &run, t, seq)
-            }) {
-                Ok(_) => {}
-                Err(e) if Self::replica_unreachable(&e) => refused.push((target, bag, run)),
-                Err(e) => hard_err = Some(e),
+        let outcomes = self.land_runs(&runs);
+        let mut refused = Vec::new();
+        for (run, outcome) in runs.into_iter().zip(outcomes) {
+            match outcome {
+                Ok(()) => {}
+                Err(e) if Self::reroutes(&e) => refused.push((run, e)),
+                Err(e) => return Err(e),
             }
         }
-        if let Some(e) = hard_err {
-            return Err(e);
-        }
-        for (target, bag, run) in refused {
-            self.insert_run_rerouting(target, bag, run)?;
+        for ((target, bag, run), e) in refused {
+            self.insert_run_rerouting(target, bag, run, e)?;
         }
         Ok(())
     }
 
-    /// Lands one run, walking nodes from `target` until a reachable one
-    /// accepts it (placement has no locality to preserve — any node is as
-    /// good as any other, paper §3.3). Every attempt reuses the run's
+    /// Lands a run the replica group of `refused` could not take (with
+    /// error `err`), walking the nodes after it until a reachable one
+    /// accepts it (placement has no locality to preserve — any node is
+    /// as good as any other, paper §3.3). Every attempt reuses the run's
     /// shared buffer.
     fn insert_run_rerouting(
         &mut self,
-        target: usize,
+        refused: usize,
         bag: BagId,
         run: ChunkRun,
+        err: StorageError,
     ) -> Result<(), StorageError> {
         let m = self.conns.len();
-        let mut last_err = None;
-        for offset in 0..m {
-            let idx = (target + offset) % m;
-            match self.insert_run(idx, bag, run.clone()) {
+        let mut last_err = err;
+        for offset in 1..m {
+            let idx = (refused + offset) % m;
+            match self.land_runs(&[(idx, bag, run.clone())]).remove(0) {
                 Ok(()) => return Ok(()),
-                Err(e) if Self::reroutes(&e) => last_err = Some(e),
+                Err(e) if Self::reroutes(&e) => last_err = e,
                 Err(e) => return Err(e),
             }
         }
-        Err(last_err.unwrap_or(StorageError::AllReplicasDown(bag)))
+        Err(last_err)
     }
 
     /// Removes up to `max_n` chunks whose primary is `primary_idx` with

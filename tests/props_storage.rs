@@ -126,23 +126,28 @@ proptest! {
     /// The insert coalescer preserves per-(bag, origin) chunk order and
     /// exactly-once delivery across arbitrary interleavings of batch
     /// sizes, flush thresholds, explicit flushes, reroutes, and a
-    /// mid-stream node failure.
+    /// mid-stream node failure, unreplicated and at replication 2.
     ///
-    /// Exactly-once holds unconditionally. The full per-stream order
-    /// check applies to failure-free schedules: a reroute re-origins the
-    /// whole refused run onto another node's stream (interleaving two
-    /// streams' values), so after a failure the invariant is per-run
-    /// contiguity, which the deterministic reroute tests pin down.
+    /// Exactly-once holds unconditionally. At replication 2 it is read
+    /// while the failed node is still down: a recovered primary's
+    /// snapshot hides the runs acked at its backup alone (snapshots carry
+    /// no identities to union replicas by). The full per-stream order
+    /// check, and at replication 2 the backup-equals-primary check,
+    /// apply to failure-free schedules: a reroute re-origins the whole
+    /// refused run onto another node's stream (interleaving two streams'
+    /// values), so after a failure the invariant is per-run contiguity,
+    /// which the deterministic reroute tests pin down.
     #[test]
     fn coalescer_preserves_order_and_exactly_once(
         nodes in 2usize..6,
+        replication in 1usize..3,
         window in 0usize..96,
         batch_sizes in prop::collection::vec(1usize..40, 1..12),
         fail_at in 0usize..24,
         fail_node in 0usize..6,
         seed in any::<u64>(),
     ) {
-        let cluster = StorageCluster::new(nodes, ClusterConfig::default());
+        let cluster = StorageCluster::new(nodes, ClusterConfig { replication });
         let bag = cluster.create_bag();
         let mut client = StorageEndpoint::inline(cluster.clone())
             .client(bag, seed)
@@ -167,7 +172,9 @@ proptest! {
             }
         }
         client.flush().unwrap();
-        if failed {
+        // Unreplicated, the failed node's chunks are nowhere else: bring
+        // it back before reading.
+        if failed && replication == 1 {
             cluster.node(fail_node).recover();
         }
         // Exactly once: every staged value landed somewhere, none twice.
@@ -186,6 +193,10 @@ proptest! {
                     v.windows(2).all(|w| w[0] < w[1]),
                     "stream order violated at node {}: {:?}", n, v
                 );
+                if replication == 2 {
+                    let backup = cluster.node((n + 1) % nodes).snapshot_from(bag, n as u32).unwrap();
+                    prop_assert_eq!(&backup, &stream, "backup of origin {} diverged", n);
+                }
             }
         }
     }

@@ -1,9 +1,10 @@
 //! Property tests for the storage RPC wire format: envelope round-trips
-//! through framing under arbitrary socket fragmentation, and rejection
+//! through framing under arbitrary socket fragmentation, rejection
 //! (never a panic, never a bogus decode) of truncated or oversized
-//! frames.
+//! frames, and totality of both envelope decoders over seeded mutations
+//! of valid encodings.
 
-use hurricane_common::{BagId, StorageNodeId};
+use hurricane_common::{BagId, DetRng, StorageNodeId};
 use hurricane_format::{Chunk, CodecError};
 use hurricane_storage::wire::{self, FrameBuffer, MAX_FRAME_LEN};
 use hurricane_storage::{
@@ -156,8 +157,83 @@ fn deliver(
     Ok(frames)
 }
 
+/// One seeded mutation of a valid encoding `bytes`: bit flips, a splice
+/// of a slice of `donor` (another valid encoding) or of random bytes, a
+/// truncation, or several of these in a row.
+fn mutate(rng: &mut DetRng, bytes: &[u8], donor: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..=rng.gen_range(3) {
+        let at = rng.gen_range(out.len() as u64 + 1) as usize;
+        match rng.gen_range(4) {
+            0 if !out.is_empty() => {
+                for _ in 0..=rng.gen_range(4) {
+                    let i = rng.gen_range(out.len() as u64) as usize;
+                    out[i] ^= 1 << rng.gen_range(8);
+                }
+            }
+            1 => {
+                let from = rng.gen_range(donor.len() as u64 + 1) as usize;
+                let to = from + rng.gen_range((donor.len() - from) as u64 + 1) as usize;
+                let cut = at + rng.gen_range((out.len() - at) as u64 + 1) as usize;
+                out.splice(at..cut, donor[from..to].iter().copied());
+            }
+            2 => {
+                let junk: Vec<u8> = (0..rng.gen_range(12))
+                    .map(|_| rng.next_u32() as u8)
+                    .collect();
+                out.splice(at..at, junk);
+            }
+            _ => out.truncate(at),
+        }
+    }
+    out
+}
+
+/// Decodes `bytes` as a request and as a reply. Each decoder must return
+/// `Ok` or a `CodecError` — a panic fails with the input to commit as a
+/// regression case — and whatever decodes must survive re-encoding.
+fn decoders_are_total(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
+    let request = std::panic::catch_unwind(|| wire::decode_request(&mut &bytes[..]));
+    prop_assert!(request.is_ok(), "decode_request panicked on {:?}", bytes);
+    if let Ok(Ok(env)) = request {
+        let mut again = Vec::new();
+        wire::encode_request(&env, &mut again);
+        prop_assert_eq!(wire::decode_request(&mut again.as_slice()), Ok(env));
+    }
+    let reply = std::panic::catch_unwind(|| wire::decode_reply(&mut &bytes[..]));
+    prop_assert!(reply.is_ok(), "decode_reply panicked on {:?}", bytes);
+    if let Ok(Ok(env)) = reply {
+        let mut again = Vec::new();
+        wire::encode_reply(&env, &mut again);
+        prop_assert_eq!(wire::decode_reply(&mut again.as_slice()), Ok(env));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Flipped, spliced and truncated request and reply envelopes decode
+    /// to `Ok` or a typed `CodecError`, never a panic (the wire codec's
+    /// fuzz leg, seed-replayable).
+    #[test]
+    fn mutated_envelopes_never_panic_the_decoders(
+        raw_req in raw_request(),
+        raw_rep in raw_reply(),
+        seed in any::<u64>(),
+    ) {
+        let mut request = Vec::new();
+        let req = RequestEnvelope { id: seed, client: 7, seq: 9, request: build_request(raw_req) };
+        wire::encode_request(&req, &mut request);
+        let mut reply = Vec::new();
+        let rep = ReplyEnvelope { id: seed, result: build_reply_result(raw_rep) };
+        wire::encode_reply(&rep, &mut reply);
+        let mut rng = DetRng::new(seed);
+        for _ in 0..16 {
+            decoders_are_total(&mutate(&mut rng, &request, &reply))?;
+            decoders_are_total(&mutate(&mut rng, &reply, &request))?;
+        }
+    }
 
     /// Any request envelope survives encode → frame → arbitrarily
     /// fragmented delivery → decode, byte-exact.
