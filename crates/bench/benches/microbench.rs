@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hurricane_common::DetRng;
 use hurricane_format::{decode_all, encode_all};
-use hurricane_storage::bag::{BagClient, BatchRemoveResult, RemoveResult};
+use hurricane_storage::bag::{BagClient, BatchRemoveResult};
 use hurricane_storage::placement::CyclicPlacement;
 use hurricane_storage::prefetch::Prefetcher;
 use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageEndpoint};
@@ -702,7 +702,7 @@ fn bench_journal(c: &mut Criterion) {
                     for bag in (0..BAGS_PER_ITER).map(BagId) {
                         node.sample(bag).unwrap();
                         node.seal(bag).unwrap();
-                        assert!(node.remove_batch(bag, 8).unwrap().eof);
+                        assert!(node.remove_from_batch(bag, 0, 8).unwrap().eof);
                         node.collect(bag).unwrap();
                     }
                 },
@@ -749,7 +749,7 @@ fn bench_bags(c: &mut Criterion) {
             },
             |mut client| {
                 let mut n = 0;
-                while let RemoveResult::Chunk(_) = client.try_remove().unwrap() {
+                while let BatchRemoveResult::Chunks(_) = client.try_remove_batch(1).unwrap() {
                     n += 1;
                 }
                 n
@@ -896,7 +896,7 @@ fn bench_contended(c: &mut Criterion) {
                     run_clients(clients, |t| {
                         let mut cl = BagClient::new(cluster.clone(), bag, 11 + t);
                         for _ in 0..OPS_PER_CLIENT {
-                            let _ = cl.try_remove().unwrap();
+                            let _ = cl.try_remove_batch(1).unwrap();
                         }
                     });
                 },
@@ -1095,7 +1095,7 @@ fn bench_sample(c: &mut Criterion) {
         let chunks: Vec<_> = (0..CHUNKS).map(|_| contended_chunk()).collect();
         cl.insert_batch(&chunks).unwrap();
         for _ in 0..CHUNKS / 2 {
-            let _ = cl.try_remove().unwrap();
+            let _ = cl.try_remove_batch(1).unwrap();
         }
     }
     let mut port = RpcPort::inline(sharded);

@@ -30,8 +30,8 @@
 //! * `RunningApp` joins the master (`app.rs:342`, and `:313` on a
 //!   crash) and then every slot (`:348`, via `manager.rs:200`);
 //! * every synchronous storage call blocks for its reply
-//!   (`NodeConnection::wait`, `storage/src/rpc.rs:1191`), and a writer
-//!   out of credit pumps replies until one returns (`:997`).
+//!   (`NodeConnection::wait`, `storage/src/rpc.rs:1151`), and a writer
+//!   out of credit pumps replies until one returns (`:962`).
 
 use crate::config::HurricaneConfig;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};
@@ -266,7 +266,7 @@ fn worker_loop(node_id: u32, deps: &ManagerDeps, alive: &Arc<AtomicBool>) {
             std::thread::sleep(Duration::from_micros(500));
             continue;
         }
-        match ready.try_take() {
+        match ready.try_take_batch(1).map(|mut claimed| claimed.pop()) {
             Ok(Some(desc)) => {
                 claim_errors = 0;
                 let inst = desc.instance_id();

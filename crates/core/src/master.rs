@@ -745,7 +745,7 @@ mod tests {
         }
         let mut worker = BagClient::new(cluster.clone(), bag_map[work.0], 2);
         for _ in 0..drained {
-            worker.try_remove().unwrap();
+            worker.try_remove_batch(1).unwrap();
         }
         let deps = MasterDeps {
             graph,

@@ -247,7 +247,7 @@ impl BagReader {
 /// A buffering writer into one bag: records accumulate into chunks of the
 /// configured size (never splitting a record), and each sealed chunk is
 /// staged on the client's port for the next storage node in pseudorandom
-/// cyclic order ([`BagClient::stage`]). The port's staging queues are
+/// cyclic order ([`BagClient::insert`]). The port's staging queues are
 /// the one buffer of sealed chunks: they go out as one envelope per
 /// node once the port's window fills — one storage call per node per
 /// window instead of one per chunk — or at [`BagWriter::flush`].
@@ -361,7 +361,7 @@ impl BagWriter {
     fn stage(&mut self, chunk: Chunk) -> Result<(), EngineError> {
         self.bytes_written += chunk.len() as u64;
         self.chunks_written += 1;
-        self.client.stage(chunk)?;
+        self.client.insert(chunk)?;
         Ok(())
     }
 

@@ -134,9 +134,16 @@ impl FaultSim {
     /// inserted value appears exactly `r` times.
     pub fn stored_values(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        for i in 0..self.cluster.num_nodes() {
-            let chunks = self.cluster.node(i).snapshot(self.bag).expect("snapshot");
-            out.extend(chunks.iter().map(value_of));
+        let m = self.cluster.num_nodes();
+        for i in 0..m {
+            for origin in 0..m as u32 {
+                let chunks = self
+                    .cluster
+                    .node(i)
+                    .snapshot_from(self.bag, origin)
+                    .expect("snapshot");
+                out.extend(chunks.iter().map(value_of));
+            }
         }
         out.sort_unstable();
         out

@@ -18,9 +18,8 @@ use hurricane_faultsim::scenario::{
 };
 use hurricane_faultsim::store::{DiskFaultConfig, DiskFaults, FaultyStore};
 use hurricane_storage::cluster::{ClusterConfig, DurabilityConfig, StorageCluster};
-use hurricane_storage::node::NodeRemove;
 use hurricane_storage::segment::SegmentStore;
-use hurricane_storage::{StorageEndpoint, StorageError, StorageNode};
+use hurricane_storage::{next_run_id, StorageEndpoint, StorageError, StorageNode};
 
 /// A full disk is not a dead node: with one storage node answering
 /// ENOSPC on every journal append, inserts must route around it (the
@@ -117,7 +116,8 @@ fn torn_seal_leaves_bag_unsealed_and_poisoned_until_truncated() {
     let node = open();
     let (discarded, collected, bystander) = (BagId(1), BagId(2), BagId(3));
     for bag in [discarded, collected] {
-        node.insert(bag, chunk_of(1)).unwrap();
+        node.insert_run(bag, &[chunk_of(1)], 0, next_run_id())
+            .unwrap();
         faults.arm(0);
         assert_eq!(node.seal(bag), Err(StorageError::DiskIo(id)));
         faults.disarm(0);
@@ -127,9 +127,12 @@ fn torn_seal_leaves_bag_unsealed_and_poisoned_until_truncated() {
         );
         // The disk is healthy again; the bag is not.
         assert_eq!(node.seal(bag), Err(StorageError::DiskIo(id)));
-        assert_eq!(node.insert(bag, chunk_of(2)), Err(StorageError::DiskIo(id)));
         assert_eq!(
-            node.remove(bag),
+            node.insert_run(bag, &[chunk_of(2)], 0, next_run_id()),
+            Err(StorageError::DiskIo(id))
+        );
+        assert_eq!(
+            node.remove_from_batch(bag, 0, 1),
             Err(StorageError::DiskIo(id)),
             "a serve that cannot journal its consume must be refused"
         );
@@ -137,7 +140,8 @@ fn torn_seal_leaves_bag_unsealed_and_poisoned_until_truncated() {
     }
     assert_eq!(faults.counts().short_writes, 2);
     // Poison is per bag: the same node journals other bags normally.
-    node.insert(bystander, chunk_of(7)).unwrap();
+    node.insert_run(bystander, &[chunk_of(7)], 0, next_run_id())
+        .unwrap();
     node.seal(bystander).unwrap();
 
     // The tear is a tail: a restart cuts it and recovers the chunk
@@ -152,11 +156,12 @@ fn torn_seal_leaves_bag_unsealed_and_poisoned_until_truncated() {
 
     // Truncation removes the tear with everything else.
     node.discard(discarded).unwrap();
-    node.insert(discarded, chunk_of(3)).unwrap();
+    node.insert_run(discarded, &[chunk_of(3)], 0, next_run_id())
+        .unwrap();
     node.seal(discarded).unwrap();
     assert_eq!(
-        node.remove(discarded).unwrap(),
-        NodeRemove::Chunk(chunk_of(3))
+        node.remove_from_batch(discarded, 0, 1).unwrap().chunks,
+        [chunk_of(3)]
     );
     node.collect(collected).unwrap();
     let restarted = open();

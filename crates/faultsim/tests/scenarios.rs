@@ -14,7 +14,7 @@ use hurricane_faultsim::scenario::{
 use hurricane_storage::bag::BatchRemoveResult;
 use hurricane_storage::prefetch::Prefetcher;
 use hurricane_storage::rpc::{NodeConnection, ServedKind, StorageRequest};
-use hurricane_storage::StorageResponse;
+use hurricane_storage::{next_run_id, StorageResponse};
 
 /// Crash a storage node mid-replicated-insert-burst — after backups have
 /// started acking but with primary writes still in flight — restart it a
@@ -204,35 +204,32 @@ fn late_reply_cannot_reach_a_reused_slot() {
     cfg.delay_max_us = 30_000;
     let sim = FaultSim::new(1, 1, cfg);
     let node = sim.cluster.node(0);
-    node.insert(sim.bag, chunk_of(111)).unwrap();
-    node.insert(sim.bag, chunk_of(222)).unwrap();
+    let run = [chunk_of(111), chunk_of(222)];
+    node.insert_run(sim.bag, &run, 0, next_run_id()).unwrap();
 
+    // Two one-chunk removes: the late reply carries 111, the reused
+    // slot's own reply 222.
+    let take_one = StorageRequest::RemoveBatch {
+        bag: sim.bag,
+        origin: 0,
+        max_n: 1,
+    };
     let net: &SimNet = &sim.net;
     let mut conn = NodeConnection::new(Box::new(net.transport(0)));
-    let t1 = conn
-        .submit(StorageRequest::ReadAt {
-            bag: sim.bag,
-            index: 0,
-        })
-        .unwrap();
+    let t1 = conn.submit(take_one.clone()).unwrap();
     let err = conn.wait(t1, Duration::from_millis(20)).unwrap_err();
     assert!(matches!(err, hurricane_storage::StorageError::Timeout(_)));
 
     // The second request reuses the abandoned slot (single-slot slab
     // reuse is LIFO); its wait spans the delivery of BOTH replies.
-    let t2 = conn
-        .submit(StorageRequest::ReadAt {
-            bag: sim.bag,
-            index: 1,
-        })
-        .unwrap();
+    let t2 = conn.submit(take_one).unwrap();
     let resp = conn.wait(t2, Duration::from_millis(200)).unwrap();
-    let StorageResponse::ChunkAt(Some(c)) = resp else {
+    let StorageResponse::Removed(batch) = resp else {
         panic!("expected chunk reply, got {resp:?}");
     };
     assert_eq!(
-        value_of(&c),
-        222,
+        batch.chunks.iter().map(value_of).collect::<Vec<_>>(),
+        [222],
         "late reply for the abandoned request leaked into the reused slot"
     );
 

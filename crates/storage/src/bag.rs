@@ -14,26 +14,12 @@
 
 use crate::cluster::StorageCluster;
 use crate::error::StorageError;
-use crate::node::{BagSample, NodeRemove};
+use crate::node::BagSample;
 use crate::placement::CyclicPlacement;
 use crate::rpc::{PortStats, RpcPort};
 use hurricane_common::{BagId, DetRng};
 use hurricane_format::Chunk;
 use std::sync::Arc;
-
-/// Outcome of a bag-level remove attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RemoveResult {
-    /// A chunk was removed; the caller now owns its processing.
-    Chunk(Chunk),
-    /// No chunk is available right now, but the bag is not sealed — more
-    /// data may still be inserted. Callers typically back off and retry.
-    Pending,
-    /// The bag is sealed and fully drained: the worker can terminate
-    /// (paper §2.2: "The remove operation fails when a bag is empty,
-    /// allowing a worker to terminate").
-    Drained,
-}
 
 /// Outcome of a bag-level batched remove attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,33 +115,6 @@ impl BagClient {
         }
     }
 
-    /// Inserts `chunk`, targeting the next storage node in this client's
-    /// pseudorandom cyclic order. If that node's replica group refuses
-    /// (down, draining, disk-sick, disconnected), the next nodes in the
-    /// cycle are tried — data placement has no locality to preserve, so
-    /// any node is as good as any other.
-    pub fn insert(&mut self, chunk: Chunk) -> Result<(), StorageError> {
-        if let Some(p) = self.pinned {
-            return self
-                .port
-                .insert_batch(p, self.bag, std::slice::from_ref(&chunk));
-        }
-        let m = self.insert_cursor.len();
-        let mut last_err = None;
-        for _ in 0..m {
-            let target = self.insert_cursor.next_node();
-            match self
-                .port
-                .insert_batch(target, self.bag, std::slice::from_ref(&chunk))
-            {
-                Ok(()) => return Ok(()),
-                Err(e) if RpcPort::reroutes(&e) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or(StorageError::AllReplicasDown(self.bag)))
-    }
-
     /// Whether a remove error means the probed replica group is gone
     /// (down or disconnected): the probe loop moves on, and whatever the
     /// group held is unreachable until it recovers. A group that is up
@@ -175,13 +134,15 @@ impl BagClient {
     /// Inserts every chunk of `chunks` with one request per target node
     /// instead of one per chunk, all submitted before any ack is awaited
     /// (and possibly coalesced with later batches, see
-    /// [`BagClient::set_coalescing`]). A bucket its target refuses (down,
-    /// draining, disk-sick) is re-routed to the next nodes, as
-    /// [`BagClient::insert`] does.
+    /// [`BagClient::set_coalescing`]). Each chunk targets the next storage
+    /// node in this client's pseudorandom cyclic order; a bucket whose
+    /// replica group refuses (down, draining, disk-sick, disconnected) is
+    /// re-routed to the next nodes by the port's flush — data placement
+    /// has no locality to preserve, so any node is as good as any other.
     ///
-    /// The placement cursor still advances chunk-by-chunk (a cheap local
-    /// operation), so per-cycle balance is identical to repeated
-    /// [`BagClient::insert`]; what is amortized is the expensive part —
+    /// The placement cursor advances chunk-by-chunk (a cheap local
+    /// operation), so per-cycle balance is identical to one-chunk
+    /// inserts; what is amortized is the expensive part —
     /// envelopes, storage-node lock acquisitions and replication fan-out,
     /// which happen at most once per node per batch.
     pub fn insert_batch(&mut self, chunks: &[Chunk]) -> Result<(), StorageError> {
@@ -202,62 +163,33 @@ impl BagClient {
         self.port.insert_buckets(self.bag, &mut self.insert_buckets)
     }
 
-    /// Hands one chunk to the port's staging queue for the next node in
-    /// the cyclic order, by value; the port sends it with the rest of
-    /// its window ([`BagClient::set_coalescing`]) or at
-    /// [`BagClient::flush`]. This is a writer's per-sealed-chunk call. A
-    /// pinned client inserts synchronously instead
-    /// ([`BagClient::insert`]) and never re-routes: its caller must
-    /// learn, at this chunk, that the node refused.
-    pub fn stage(&mut self, chunk: Chunk) -> Result<(), StorageError> {
-        if self.pinned.is_some() {
-            return self.insert(chunk);
-        }
-        let target = self.insert_cursor.next_node();
-        self.port.stage(target, self.bag, chunk)
-    }
-
-    /// Attempts to remove one chunk, probing storage nodes in cyclic order.
-    ///
-    /// Probes up to one full cycle. Near bag emptiness this needs more
-    /// probing (paper §3.3); the prefetcher amortizes that cost with its
-    /// `b` outstanding requests.
-    pub fn try_remove(&mut self) -> Result<RemoveResult, StorageError> {
-        let m = if self.pinned.is_some() {
-            1
-        } else {
-            self.remove_cursor.len()
-        };
-        let mut saw_pending = false;
-        let mut down = 0usize;
-        for _ in 0..m {
-            let target = self
-                .pinned
-                .unwrap_or_else(|| self.remove_cursor.next_node());
-            match self.port.remove(target, self.bag) {
-                Ok(NodeRemove::Chunk(c)) => return Ok(RemoveResult::Chunk(c)),
-                Ok(NodeRemove::Empty) => saw_pending = true,
-                Ok(NodeRemove::Eof) => {}
-                Err(e) if Self::unreachable(&e) => down += 1,
-                Err(e) => return Err(e),
+    /// Inserts one chunk: the one-chunk [`BagClient::insert_batch`],
+    /// taking the chunk by value. It goes to the port's staging queue for
+    /// the next node in the cyclic order, and the port sends it with the
+    /// rest of its window ([`BagClient::set_coalescing`]; at once when
+    /// coalescing is off) or at [`BagClient::flush`], rerouting a refused
+    /// run there. This is a writer's per-sealed-chunk call. A pinned
+    /// client inserts synchronously instead and never re-routes: its
+    /// caller must learn, at this chunk, that the node refused.
+    pub fn insert(&mut self, chunk: Chunk) -> Result<(), StorageError> {
+        match self.pinned {
+            Some(p) => self
+                .port
+                .insert_batch(p, self.bag, std::slice::from_ref(&chunk)),
+            None => {
+                let target = self.insert_cursor.next_node();
+                self.port.stage(target, self.bag, chunk)
             }
         }
-        if down == m {
-            return Err(StorageError::AllReplicasDown(self.bag));
-        }
-        // Every reachable group answered end-of-bag, which the port only
-        // reports under the cluster's sealed flag.
-        Ok(if saw_pending {
-            RemoveResult::Pending
-        } else {
-            RemoveResult::Drained
-        })
     }
 
     /// Attempts to remove up to `max_n` chunks, probing storage nodes in
     /// cyclic order and taking as many chunks from each probed node as
     /// the budget allows — one storage round-trip per node rather than
     /// per chunk (the data-plane analog of batch sampling, paper §3.3).
+    /// One chunk is `max_n = 1`. Probes up to one full cycle: near bag
+    /// emptiness that needs more probing (paper §3.3), which the
+    /// prefetcher amortizes with its `b` outstanding requests.
     ///
     /// The probe loop is sequential — a full-budget probe usually fills
     /// from the first non-empty node, so one message moves the whole
@@ -286,7 +218,11 @@ impl BagClient {
             match self.port.remove_batch(target, self.bag, budget) {
                 Ok(batch) => {
                     saw_pending |= !batch.eof;
-                    got.extend(batch.chunks);
+                    if got.is_empty() {
+                        got = batch.chunks;
+                    } else {
+                        got.extend(batch.chunks);
+                    }
                 }
                 Err(e) if Self::unreachable(&e) => down += 1,
                 // Chunks already removed this round are delivered first;
@@ -314,7 +250,7 @@ impl BagClient {
     }
 
     /// Enables cross-batch insert coalescing: successive
-    /// [`BagClient::insert_batch`] / [`BagClient::stage`] calls stage
+    /// [`BagClient::insert_batch`] / [`BagClient::insert`] calls stage
     /// their chunks and the port sends one merged envelope per (node,
     /// bag) once `window_chunks` chunks are staged. Staged chunks are
     /// durable only after the next flush — call [`BagClient::flush`] at
@@ -376,6 +312,14 @@ mod tests {
         u64::from_le_bytes(b)
     }
 
+    /// One chunk through the batch remove: `Some` when one was removed.
+    fn take_one(client: &mut BagClient) -> Option<Chunk> {
+        match client.try_remove_batch(1).unwrap() {
+            BatchRemoveResult::Chunks(mut c) => c.pop(),
+            BatchRemoveResult::Pending | BatchRemoveResult::Drained => None,
+        }
+    }
+
     #[test]
     fn insert_remove_roundtrip_single_client() {
         let cluster = StorageCluster::new(4, ClusterConfig::default());
@@ -386,11 +330,14 @@ mod tests {
         }
         cluster.seal_bag(bag).unwrap();
         let mut got = HashSet::new();
-        while let RemoveResult::Chunk(c) = client.try_remove().unwrap() {
+        while let Some(c) = take_one(&mut client) {
             got.insert(chunk_val(&c));
         }
         assert_eq!(got.len(), 100);
-        assert_eq!(client.try_remove().unwrap(), RemoveResult::Drained);
+        assert_eq!(
+            client.try_remove_batch(1).unwrap(),
+            BatchRemoveResult::Drained
+        );
     }
 
     #[test]
@@ -424,11 +371,11 @@ mod tests {
         let mut got = Vec::new();
         loop {
             let mut progressed = false;
-            if let RemoveResult::Chunk(c) = a.try_remove().unwrap() {
+            if let Some(c) = take_one(&mut a) {
                 got.push(chunk_val(&c));
                 progressed = true;
             }
-            if let RemoveResult::Chunk(c) = b.try_remove().unwrap() {
+            if let Some(c) = take_one(&mut b) {
                 got.push(chunk_val(&c));
                 progressed = true;
             }
@@ -519,9 +466,15 @@ mod tests {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let bag = cluster.create_bag();
         let mut client = BagClient::new(cluster.clone(), bag, 6);
-        assert_eq!(client.try_remove().unwrap(), RemoveResult::Pending);
+        assert_eq!(
+            client.try_remove_batch(1).unwrap(),
+            BatchRemoveResult::Pending
+        );
         cluster.seal_bag(bag).unwrap();
-        assert_eq!(client.try_remove().unwrap(), RemoveResult::Drained);
+        assert_eq!(
+            client.try_remove_batch(1).unwrap(),
+            BatchRemoveResult::Drained
+        );
     }
 
     #[test]
@@ -553,11 +506,8 @@ mod tests {
         // Chunks on live nodes are still retrievable; the client keeps
         // probing past the dead node.
         let mut count = 0;
-        for _ in 0..100 {
-            match client.try_remove().unwrap() {
-                RemoveResult::Chunk(_) => count += 1,
-                _ => break,
-            }
+        while take_one(&mut client).is_some() {
+            count += 1;
         }
         assert_eq!(count, 20, "two thirds of the chunks live on healthy nodes");
     }
@@ -571,7 +521,7 @@ mod tests {
         cluster.node(0).fail();
         cluster.node(1).fail();
         assert!(matches!(
-            client.try_remove(),
+            client.try_remove_batch(1),
             Err(StorageError::AllReplicasDown(_))
         ));
         assert!(matches!(
@@ -652,7 +602,10 @@ mod tests {
         // whatever window a writer gave the port.
         w.set_coalescing(8);
         assert!(matches!(w.insert(chunk(1)), Err(StorageError::NodeDown(_))));
-        assert!(matches!(w.stage(chunk(2)), Err(StorageError::NodeDown(_))));
+        assert!(matches!(
+            w.insert_batch(&[chunk(2)]),
+            Err(StorageError::NodeDown(_))
+        ));
         assert_eq!(w.port.staged_chunks(), 0);
         assert_eq!(cluster.node(1).sample(bag).unwrap().total_chunks, 0);
     }
@@ -663,7 +616,7 @@ mod tests {
         let bag = cluster.create_bag();
         let mut w = BagClient::new(cluster.clone(), bag, 16).with_coalescing(8);
         for i in 0..20 {
-            w.stage(chunk(i)).unwrap();
+            w.insert(chunk(i)).unwrap();
         }
         // Two full windows sent, one envelope per node each; 4 staged.
         assert_eq!(w.port.staged_chunks(), 4);
@@ -681,7 +634,7 @@ mod tests {
         // A sealed bag refuses at the stage call, not at some later flush.
         cluster.seal_bag(bag).unwrap();
         assert!(matches!(
-            w.stage(chunk(99)),
+            w.insert(chunk(99)),
             Err(StorageError::BagSealed(_))
         ));
     }

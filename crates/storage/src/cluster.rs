@@ -314,7 +314,7 @@ mod tests {
 
     use super::*;
     use crate::endpoint::{StorageEndpoint, IN_PROCESS_PLANES};
-    use crate::node::{next_run_id, NodeRemove};
+    use crate::node::{next_run_id, NodeRemoveBatch};
     use hurricane_format::Chunk;
 
     fn chunk(b: &[u8]) -> Chunk {
@@ -336,10 +336,19 @@ mod tests {
         port.insert_batch(primary, bag, std::slice::from_ref(&c))
     }
 
+    /// Removes at most one chunk of `primary`'s replica group.
+    fn take(
+        port: &mut RpcPort,
+        primary: usize,
+        bag: BagId,
+    ) -> Result<NodeRemoveBatch, StorageError> {
+        port.remove_batch(primary, bag, 1)
+    }
+
     fn drain_all(port: &mut RpcPort, bag: BagId) -> Vec<Chunk> {
         let mut out = Vec::new();
         for idx in 0..port.num_nodes() {
-            while let NodeRemove::Chunk(c) = port.remove(idx, bag).unwrap() {
+            while let Some(c) = take(port, idx, bag).unwrap().chunks.pop() {
                 out.push(c);
             }
         }
@@ -364,7 +373,7 @@ mod tests {
             assert_eq!(got.len(), 8);
             // Fully drained + sealed => every node reports Eof.
             for idx in 0..4 {
-                assert_eq!(port.remove(idx, bag).unwrap(), NodeRemove::Eof);
+                assert!(take(&mut port, idx, bag).unwrap().eof);
             }
         }
     }
@@ -373,7 +382,8 @@ mod tests {
     fn unsealed_empty_reports_empty_not_eof() {
         for ep in planes(2, 1) {
             let bag = ep.cluster().create_bag();
-            assert_eq!(ep.port().remove(0, bag).unwrap(), NodeRemove::Empty);
+            let got = take(&mut ep.port(), 0, bag).unwrap();
+            assert!(got.chunks.is_empty() && !got.eof);
         }
     }
 
@@ -428,12 +438,12 @@ mod tests {
             insert(&mut port, 0, bag, chunk(b"b")).unwrap();
             port.seal_bag(bag).unwrap();
             // Remove one chunk normally: backup pointer mirrors.
-            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"a")));
+            assert_eq!(take(&mut port, 0, bag).unwrap().chunks, [chunk(b"a")]);
             // Kill the primary; the backup serves the remainder from the
             // mirrored position.
             cluster.node(0).fail();
-            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"b")));
-            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Eof);
+            assert_eq!(take(&mut port, 0, bag).unwrap().chunks, [chunk(b"b")]);
+            assert!(take(&mut port, 0, bag).unwrap().eof);
         }
     }
 
@@ -446,7 +456,7 @@ mod tests {
             cluster.node(0).fail();
             cluster.node(1).fail();
             assert!(matches!(
-                port.remove(0, bag),
+                take(&mut port, 0, bag),
                 Err(StorageError::NodeDown(_) | StorageError::AllReplicasDown(_))
             ));
         }
@@ -499,7 +509,10 @@ mod tests {
             let bag = cluster.create_bag();
             insert(&mut port, 0, bag, chunk(b"x")).unwrap();
             port.collect_bag(bag).unwrap();
-            assert_eq!(port.remove(0, bag), Err(StorageError::BagCollected(bag)));
+            assert_eq!(
+                take(&mut port, 0, bag),
+                Err(StorageError::BagCollected(bag))
+            );
         }
     }
 
@@ -673,9 +686,9 @@ mod tests {
                 let remover = s.spawn(move || {
                     let mut got = Vec::new();
                     while got.len() < (total / 2) as usize {
-                        match port.remove(0, bag).unwrap() {
-                            NodeRemove::Chunk(c) => got.push(c),
-                            _ => std::thread::yield_now(),
+                        match take(&mut port, 0, bag).unwrap().chunks.pop() {
+                            Some(c) => got.push(c),
+                            None => std::thread::yield_now(),
                         }
                     }
                     got
@@ -689,16 +702,15 @@ mod tests {
             let mut seen: std::collections::HashSet<Vec<u8>> =
                 removed.iter().map(|c| c.bytes().to_vec()).collect();
             loop {
-                match port.remove(0, bag).unwrap() {
-                    NodeRemove::Chunk(c) => {
-                        assert!(
-                            seen.insert(c.bytes().to_vec()),
-                            "failover re-served an already-delivered chunk"
-                        );
-                    }
-                    NodeRemove::Eof => break,
-                    NodeRemove::Empty => unreachable!("sealed"),
+                let got = take(&mut port, 0, bag).unwrap();
+                if got.eof {
+                    break;
                 }
+                assert_eq!(got.chunks.len(), 1, "sealed: a chunk or eof");
+                assert!(
+                    seen.insert(got.chunks[0].bytes().to_vec()),
+                    "failover re-served an already-delivered chunk"
+                );
             }
             assert_eq!(seen.len() as u64, total, "chunks lost across failover");
         }
@@ -741,7 +753,7 @@ mod tests {
             insert(&mut port, 0, bag, chunk(b"x")).unwrap();
             cluster.node(0).crash_lose_memory();
             cluster.node(0).restart_recover().unwrap();
-            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+            assert_eq!(take(&mut port, 0, bag).unwrap().chunks, [chunk(b"x")]);
             // Nodes added later join the same store.
             let idx = cluster.add_node();
             assert!(cluster.node(idx).is_durable());
@@ -774,7 +786,7 @@ mod tests {
             insert(&mut port, 0, bag, chunk(b"x")).unwrap();
             insert(&mut port, 0, bag, chunk(b"y")).unwrap();
             // Reader A, mid-flight: consumed at the primary, mirror pending.
-            let served = cluster.node(0).remove_batch(bag, 8).unwrap();
+            let served = cluster.node(0).remove_from_batch(bag, 0, 8).unwrap();
             assert_eq!(served.chunks.len(), 2);
             // Reader B through a port: primary empty, backup serves,
             // claim reports both chunks already delivered.
@@ -834,7 +846,7 @@ mod tests {
                 insert(&mut port, 0, bag, chunk(b"y")),
                 Err(StorageError::NodeDraining(_))
             ));
-            assert_eq!(port.remove(0, bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+            assert_eq!(take(&mut port, 0, bag).unwrap().chunks, [chunk(b"x")]);
             assert!(cluster.node(0).is_drained().unwrap());
         }
     }

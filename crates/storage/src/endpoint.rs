@@ -450,14 +450,14 @@ mod tests {
         let work = endpoint.cluster().create_bag();
         let mut wb = WorkBag::<u64>::with_client(endpoint.client(work, 3));
         wb.insert_batch(&[5, 6, 7, 8]).unwrap();
-        assert!(wb.try_take().unwrap().is_some());
+        assert!(!wb.try_take_batch(1).unwrap().is_empty());
         let mut items = wb.scan_all().unwrap();
         items.sort_unstable();
         assert_eq!(items, vec![5, 6, 7, 8]);
         // Seal reaches the remote nodes: a chunk staged before it is
         // refused there when flushed after it.
         let mut late = endpoint.client(bag, 11).with_coalescing(1_000);
-        late.stage(chunk(99)).unwrap();
+        late.insert(chunk(99)).unwrap();
         port.seal_bag(bag).unwrap();
         assert_eq!(late.flush(), Err(StorageError::BagSealed(bag)));
         endpoint.shutdown();

@@ -34,15 +34,13 @@ pub enum StorageError {
     /// A work-bag record failed to decode.
     Codec(CodecError),
     /// The node's data dir is out of space (`ENOSPC`): a segment-log
-    /// append could not journal the operation. Non-retryable *at this
-    /// node* — the disk stays full — but replicated writers route the
-    /// data to the remaining replicas, like
+    /// append could not journal the operation. The disk stays full, so
+    /// replicated writers route the data to the remaining replicas, like
     /// [`StorageError::NodeDraining`].
     DiskFull(StorageNodeId),
     /// A segment-log I/O operation failed for a reason other than space
     /// (a failed write, a read-back whose CRC no longer matches, a torn
-    /// frame). Possibly transient, so retryable — and replicated callers
-    /// additionally route around the node, like
+    /// frame). Replicated callers route around the node, like
     /// [`StorageError::NodeDown`].
     DiskIo(StorageNodeId),
 }
@@ -78,17 +76,6 @@ impl fmt::Display for StorageError {
 }
 
 impl StorageError {
-    /// Whether retrying the same operation against the *same node* can
-    /// succeed. [`StorageError::DiskIo`] and timeouts are transient;
-    /// [`StorageError::DiskFull`] is not (the disk stays full until an
-    /// operator frees space), and neither are the bag-state errors.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            StorageError::Timeout(_) | StorageError::Disconnected(_) | StorageError::DiskIo(_)
-        )
-    }
-
     /// Whether a replicated caller should treat this node as unusable for
     /// the operation and route to the remaining replicas: the node is
     /// down, draining, or its disk can no longer journal
@@ -163,13 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn disk_errors_route_around_but_only_io_retries() {
+    fn disk_errors_route_around() {
         let n = StorageNodeId(0);
         assert!(StorageError::DiskFull(n).routes_around());
         assert!(StorageError::DiskIo(n).routes_around());
-        assert!(!StorageError::DiskFull(n).is_retryable());
-        assert!(StorageError::DiskIo(n).is_retryable());
-        assert!(StorageError::Timeout(n).is_retryable());
+        assert!(!StorageError::Timeout(n).routes_around());
         assert!(!StorageError::BagSealed(BagId(1)).routes_around());
     }
 }

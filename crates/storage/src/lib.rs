@@ -11,7 +11,13 @@
 //!
 //! * [`node`] — one storage node: append-only chunk logs per bag, a
 //!   sequential read pointer (exactly-once removal), sampling, rewind,
-//!   sealing, and fault injection.
+//!   sealing, and fault injection. Its data API is exactly what
+//!   [`rpc::dispatch`] calls, one form each: put a run
+//!   ([`StorageNode::insert_run`]), take up to `n` chunks of one origin
+//!   stream ([`StorageNode::remove_from_batch`]), claim identities
+//!   consumed ([`StorageNode::claim_consumed`]: the pointer mirror and
+//!   the fallback-serve reconciliation), and read one origin stream in
+//!   full ([`StorageNode::snapshot_from`]).
 //! * [`cluster`] — the set of storage nodes plus bag metadata (the
 //!   sealed-flag authority) and dynamic node addition / draining (paper
 //!   §3.4). It moves no chunks and sends no requests.
@@ -24,8 +30,11 @@
 //!   boundary between compute and storage. [`RpcPort`] is the one
 //!   implementation of primary–backup replication, failover, pointer
 //!   mirroring (paper §4.4) and the whole-bag operations (seal / rewind /
-//!   discard / collect / sample / snapshot); under it sit
-//!   request/response enums covering the node API, a [`rpc::Transport`]
+//!   discard / collect / sample / snapshot). A snapshot reads each origin
+//!   from its first live replica at every replication factor, and an
+//!   origin no replica can serve fails it instead of coming back short.
+//!   Under the port sit request/response enums mirroring the node API, a
+//!   [`rpc::Transport`]
 //!   trait (inline dispatch, in-process channels, sockets), per-node
 //!   server loops, the correlation layer that lets
 //!   clients keep many requests in flight, and retry-safe request
@@ -61,7 +70,7 @@ pub mod tcp;
 pub mod wire;
 pub mod workbag;
 
-pub use bag::{BagClient, BatchRemoveResult, RemoveResult};
+pub use bag::{BagClient, BatchRemoveResult};
 pub use cluster::{ClusterConfig, DurabilityConfig, StorageCluster};
 pub use endpoint::StorageEndpoint;
 pub use error::StorageError;

@@ -98,18 +98,6 @@ impl BagSample {
     }
 }
 
-/// Outcome of a remove request at one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeRemove {
-    /// A chunk was removed and is returned to the caller.
-    Chunk(Chunk),
-    /// This node currently has no unremoved chunk for the bag, but the bag
-    /// is not sealed, so more may still arrive.
-    Empty,
-    /// This node has no unremoved chunk and the bag is sealed: end-of-file.
-    Eof,
-}
-
 /// Outcome of a batched remove at one node (or, via the cluster, at one
 /// replica group): the removed chunks plus the stream state where the
 /// batch stopped.
@@ -895,38 +883,6 @@ impl StorageNode {
         }
     }
 
-    /// Appends `chunk` to `bag` (the atomic append of paper §4.3), with
-    /// this node as the origin.
-    pub fn insert(&self, bag: BagId, chunk: Chunk) -> Result<(), StorageError> {
-        self.insert_from(bag, chunk, self.id.0)
-    }
-
-    /// Appends `chunk` tagged with the primary index it was addressed to.
-    /// Backups use this so snapshots can reconstruct one copy per chunk.
-    pub fn insert_from(&self, bag: BagId, chunk: Chunk, origin: u32) -> Result<(), StorageError> {
-        self.insert_from_batch(bag, std::slice::from_ref(&chunk), origin)
-    }
-
-    /// Appends every chunk of `chunks` under one lock acquisition — the
-    /// batched insert of the storage hot path. Either all chunks land or
-    /// none do (the bag-state checks happen before the first append).
-    pub fn insert_batch(&self, bag: BagId, chunks: &[Chunk]) -> Result<(), StorageError> {
-        self.insert_from_batch(bag, chunks, self.id.0)
-    }
-
-    /// Batched [`StorageNode::insert_from`]. Mints a fresh run id for the
-    /// appended chunks; replicated writers use
-    /// [`StorageNode::insert_run`] instead so all replicas of one run
-    /// share its id.
-    pub fn insert_from_batch(
-        &self,
-        bag: BagId,
-        chunks: &[Chunk],
-        origin: u32,
-    ) -> Result<(), StorageError> {
-        self.insert_run(bag, chunks, origin, next_run_id())
-    }
-
     /// Appends one insert run under its writer-minted id (see
     /// [`next_run_id`]): chunk `k` of the run is stored with identity
     /// tag `(run, k)`, identical at every replica the run is fanned out
@@ -996,34 +952,10 @@ impl StorageNode {
         Ok(())
     }
 
-    /// Removes the next chunk of `bag`'s own (primary) stream here.
-    pub fn remove(&self, bag: BagId) -> Result<NodeRemove, StorageError> {
-        let own = self.id.0;
-        self.remove_from(bag, own)
-    }
-
-    /// Removes the next chunk of the stream addressed to primary
-    /// `origin` — the failover read path when `origin`'s node is down.
-    /// The `n = 1` case of [`StorageNode::remove_from_batch`].
-    pub fn remove_from(&self, bag: BagId, origin: u32) -> Result<NodeRemove, StorageError> {
-        let mut batch = self.remove_from_batch(bag, origin, 1)?;
-        Ok(match batch.chunks.pop() {
-            Some(chunk) => NodeRemove::Chunk(chunk),
-            None if batch.eof => NodeRemove::Eof,
-            None => NodeRemove::Empty,
-        })
-    }
-
-    /// Removes up to `max_n` chunks of `bag`'s own stream under one lock
-    /// acquisition.
-    pub fn remove_batch(&self, bag: BagId, max_n: usize) -> Result<NodeRemoveBatch, StorageError> {
-        let own = self.id.0;
-        self.remove_from_batch(bag, own, max_n)
-    }
-
-    /// Batched [`StorageNode::remove_from`]: removes up to `max_n` chunks
-    /// of origin-stream `origin`, advancing the pointer once per chunk but
-    /// paying the lock and directory lookup once per batch.
+    /// Removes up to `max_n` chunks of origin-stream `origin` — a node's
+    /// own stream, or a dead primary's on the failover read path —
+    /// advancing the pointer once per chunk but paying the lock and
+    /// directory lookup once per batch.
     pub fn remove_from_batch(
         &self,
         bag: BagId,
@@ -1078,108 +1010,52 @@ impl StorageNode {
     }
 
     /// Marks the chunks identified by `tags` consumed in origin-stream
-    /// `origin` without returning data. Used to mirror a serving
-    /// replica's remove onto the others so a failover resumes from the
-    /// right position (paper §4.4: "Each bag ... is replicated along with
-    /// bag state, such as the current file pointer").
+    /// `origin` without returning data, and reports back which of them
+    /// were **already** consumed here before the call. It has two uses:
     ///
-    /// Consuming by *identity* rather than count makes the mirror safe
-    /// against divergent replica logs: chunks this log holds that the
-    /// serving replica missed stay live, reapplying the same mirror (a
+    /// * **Pointer mirror.** After a replica serves a remove, the port
+    ///   sends the served identities to the group's other live replicas
+    ///   so a failover resumes from the right position (paper §4.4:
+    ///   "Each bag ... is replicated along with bag state, such as the
+    ///   current file pointer"); the echo is ignored there.
+    /// * **Fallback-serve reconciliation.** A reader that found this
+    ///   replica empty and then received chunks from another replica
+    ///   claims their identities here before delivering. Segments echoed
+    ///   back were concurrently served *by this node* — another reader
+    ///   already has those chunks, so the claimer must drop them.
+    ///
+    /// Consuming by *identity* rather than count makes this safe against
+    /// divergent replica logs: chunks this log holds that the serving
+    /// replica missed stay live, reapplying the same tags (a
     /// retransmission) is idempotent, and tags this log never recorded
-    /// are remembered as pre-consumed so a late-arriving replicated
-    /// insert of the same identity lands already consumed instead of
-    /// being double-served. The same properties make the journaled
-    /// mirror replay-safe: recovery re-applies the full requested tag
-    /// set against the same stream state and marks the same entries.
-    pub fn mirror_consumed(
-        &self,
-        bag: BagId,
-        origin: u32,
-        tags: &[TagSegment],
-    ) -> Result<(), StorageError> {
-        self.consume_impl(bag, origin, tags).map(|_| ())
-    }
-
-    /// Marks the chunks identified by `tags` consumed like
-    /// [`StorageNode::mirror_consumed`] and reports back which of them
-    /// were **already** consumed here before the call.
-    ///
-    /// This is the fallback-serve reconciliation step: a reader that
-    /// found this replica empty and then received chunks from another
-    /// replica claims their identities here before delivering. Segments
-    /// echoed back were concurrently served *by this node* — another
-    /// reader already has those chunks, so the claimer must drop them.
-    /// Identities this log has never recorded (a run that landed only
-    /// at the serving replica) claim nothing, pre-consume their slot,
-    /// and are not echoed — the claimer delivers those chunks.
+    /// claim nothing, are not echoed, and are remembered as pre-consumed,
+    /// so a late-arriving replicated insert of the same identity lands
+    /// already consumed instead of being double-served. The same
+    /// properties make the journaled claim replay-safe: recovery
+    /// re-applies the full requested tag set against the same stream
+    /// state and marks the same entries.
     pub fn claim_consumed(
         &self,
         bag: BagId,
         origin: u32,
         tags: &[TagSegment],
     ) -> Result<Vec<TagSegment>, StorageError> {
-        self.consume_impl(bag, origin, tags).map(|o| o.already)
-    }
-
-    /// Shared body of [`StorageNode::mirror_consumed`] and
-    /// [`StorageNode::claim_consumed`]: journal, then consume under the
-    /// bag lock.
-    fn consume_impl(
-        &self,
-        bag: BagId,
-        origin: u32,
-        tags: &[TagSegment],
-    ) -> Result<ConsumeOutcome, StorageError> {
         self.check_up()?;
         let file = self.bag_file(bag);
         let mut inner = file.inner.lock();
         // Journal before mutating: a refused journal refuses the whole
-        // mirror/claim. Replaying the full tag set is idempotent, so
-        // journaling even a no-change request is safe (and cheaper than
-        // pre-scanning to find out).
+        // claim. Replaying the full tag set is idempotent, so journaling
+        // even a no-change request is safe (and cheaper than pre-scanning
+        // to find out).
         if !tags.is_empty() && self.is_durable() {
             self.journal(&mut inner.log, bag, &segment::consume_frame(origin, tags))?;
         }
-        Ok(inner.streams.entry(origin).or_default().consume_tags(tags))
-    }
-
-    /// Reads chunk `index` without consuming it. Supports the "multiple
-    /// workers read an entire bag concurrently" access mode (paper §4.3),
-    /// e.g. broadcasting the small relation of a hash join.
-    pub fn read_at(&self, bag: BagId, index: usize) -> Result<Option<Chunk>, StorageError> {
-        self.check_up()?;
-        let file = self.bag_file(bag);
-        let inner = file.inner.lock();
-        if inner.collected {
-            return Err(StorageError::BagCollected(bag));
-        }
-        let own = self.id.0;
-        let log = inner.log.handle.as_ref();
-        inner
+        Ok(inner
             .streams
-            .get(&own)
-            .filter(|s| index < s.slots.len())
-            .map(|s| s.chunk_at(index, log).map_err(|e| self.disk_err(&e)))
-            .transpose()
-    }
-
-    /// Returns a copy of every chunk of `bag` stored here, regardless of the
-    /// read pointer. Used to replay the done work bag on master recovery.
-    pub fn snapshot(&self, bag: BagId) -> Result<Vec<Chunk>, StorageError> {
-        self.check_up()?;
-        let file = self.bag_file(bag);
-        let inner = file.inner.lock();
-        if inner.collected {
-            return Err(StorageError::BagCollected(bag));
-        }
-        let log = inner.log.handle.as_ref();
-        inner
-            .streams
-            .values()
-            .flat_map(|s| (0..s.slots.len()).map(move |i| s.chunk_at(i, log)))
-            .collect::<io::Result<Vec<Chunk>>>()
-            .map_err(|e| self.disk_err(&e))
+            .entry(origin)
+            .or_default()
+            .consume_tags(tags)
+            .already)
     }
 
     /// Returns every chunk of `bag` stored here whose origin is `origin`.
@@ -1344,6 +1220,16 @@ mod tests {
         StorageNode::new(StorageNodeId(0))
     }
 
+    /// Appends `chunks` to `n`'s own stream as one fresh run.
+    fn put(n: &StorageNode, bag: BagId, chunks: &[Chunk]) -> Result<(), StorageError> {
+        n.insert_run(bag, chunks, n.id().0, next_run_id())
+    }
+
+    /// Removes up to `max_n` chunks of `n`'s own stream.
+    fn take(n: &StorageNode, bag: BagId, max_n: usize) -> Result<NodeRemoveBatch, StorageError> {
+        n.remove_from_batch(bag, n.id().0, max_n)
+    }
+
     /// Samples racing a writer must never observe a mid-update counter
     /// combination: `removed` ahead of `total` (summed across nodes that
     /// skew made cluster samples report more removed than inserted), or
@@ -1357,10 +1243,9 @@ mod tests {
             let writer = s.spawn(|| {
                 for round in 0..300u64 {
                     for v in 0..16u64 {
-                        n.insert(bag, chunk(&(round * 16 + v).to_le_bytes()))
-                            .unwrap();
+                        put(&n, bag, &[chunk(&(round * 16 + v).to_le_bytes())]).unwrap();
                     }
-                    let _ = n.remove_batch(bag, 16).unwrap();
+                    let _ = take(&n, bag, 16).unwrap();
                 }
             });
             while !writer.is_finished() {
@@ -1384,13 +1269,17 @@ mod tests {
     fn insert_then_remove_fifo() {
         let n = node();
         let bag = BagId(1);
-        n.insert(bag, chunk(b"a")).unwrap();
-        n.insert(bag, chunk(b"b")).unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"a")));
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"b")));
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Empty);
+        put(&n, bag, &[chunk(b"a")]).unwrap();
+        put(&n, bag, &[chunk(b"b")]).unwrap();
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"a")]);
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"b")]);
+        let empty = take(&n, bag, 1).unwrap();
+        assert!(
+            empty.chunks.is_empty() && !empty.eof,
+            "unsealed: empty, not eof"
+        );
         n.seal(bag).unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Eof);
+        assert!(take(&n, bag, 1).unwrap().eof);
     }
 
     #[test]
@@ -1398,16 +1287,17 @@ mod tests {
         let n = node();
         let bag = BagId(1);
         for i in 0..100u8 {
-            n.insert(bag, chunk(&[i])).unwrap();
+            put(&n, bag, &[chunk(&[i])]).unwrap();
         }
         n.seal(bag).unwrap();
         let mut seen = Vec::new();
         loop {
-            match n.remove(bag).unwrap() {
-                NodeRemove::Chunk(c) => seen.push(c.bytes()[0]),
-                NodeRemove::Eof => break,
-                NodeRemove::Empty => unreachable!("sealed bag cannot be Empty"),
+            let got = take(&n, bag, 1).unwrap();
+            if got.eof {
+                break;
             }
+            assert_eq!(got.chunks.len(), 1, "sealed bag cannot be empty");
+            seen.push(got.chunks[0].bytes()[0]);
         }
         let expected: Vec<u8> = (0..100).collect();
         assert_eq!(seen, expected);
@@ -1417,10 +1307,10 @@ mod tests {
     fn sealed_bag_rejects_inserts() {
         let n = node();
         let bag = BagId(2);
-        n.insert(bag, chunk(b"x")).unwrap();
+        put(&n, bag, &[chunk(b"x")]).unwrap();
         n.seal(bag).unwrap();
         assert_eq!(
-            n.insert(bag, chunk(b"y")),
+            put(&n, bag, &[chunk(b"y")]),
             Err(StorageError::BagSealed(bag))
         );
     }
@@ -1429,30 +1319,30 @@ mod tests {
     fn down_node_rejects_everything() {
         let n = node();
         let bag = BagId(3);
-        n.insert(bag, chunk(b"x")).unwrap();
+        put(&n, bag, &[chunk(b"x")]).unwrap();
         n.fail();
         assert!(matches!(
-            n.insert(bag, chunk(b"y")),
+            put(&n, bag, &[chunk(b"y")]),
             Err(StorageError::NodeDown(_))
         ));
-        assert!(matches!(n.remove(bag), Err(StorageError::NodeDown(_))));
+        assert!(matches!(take(&n, bag, 1), Err(StorageError::NodeDown(_))));
         assert!(matches!(n.sample(bag), Err(StorageError::NodeDown(_))));
         n.recover();
         // Data survives the crash.
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"x")]);
     }
 
     #[test]
     fn draining_rejects_inserts_serves_removes() {
         let n = node();
         let bag = BagId(4);
-        n.insert(bag, chunk(b"x")).unwrap();
+        put(&n, bag, &[chunk(b"x")]).unwrap();
         n.start_draining();
         assert!(matches!(
-            n.insert(bag, chunk(b"y")),
+            put(&n, bag, &[chunk(b"y")]),
             Err(StorageError::NodeDraining(_))
         ));
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"x")]);
         assert!(n.is_drained().unwrap());
     }
 
@@ -1460,19 +1350,19 @@ mod tests {
     fn rewind_replays_contents() {
         let n = node();
         let bag = BagId(5);
-        n.insert(bag, chunk(b"x")).unwrap();
-        assert!(matches!(n.remove(bag).unwrap(), NodeRemove::Chunk(_)));
+        put(&n, bag, &[chunk(b"x")]).unwrap();
+        assert_eq!(take(&n, bag, 1).unwrap().chunks.len(), 1);
         n.rewind(bag).unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"x")]);
     }
 
     #[test]
     fn rewind_restores_remaining_bytes() {
         let n = node();
         let bag = BagId(5);
-        n.insert(bag, chunk(b"abc")).unwrap();
-        n.insert(bag, chunk(b"de")).unwrap();
-        n.remove(bag).unwrap();
+        put(&n, bag, &[chunk(b"abc")]).unwrap();
+        put(&n, bag, &[chunk(b"de")]).unwrap();
+        take(&n, bag, 1).unwrap();
         assert_eq!(n.sample(bag).unwrap().remaining_bytes, 2);
         n.rewind(bag).unwrap();
         assert_eq!(n.sample(bag).unwrap().remaining_bytes, 5);
@@ -1482,24 +1372,24 @@ mod tests {
     fn discard_clears_and_reopens() {
         let n = node();
         let bag = BagId(6);
-        n.insert(bag, chunk(b"x")).unwrap();
+        put(&n, bag, &[chunk(b"x")]).unwrap();
         n.seal(bag).unwrap();
         n.discard(bag).unwrap();
         let s = n.sample(bag).unwrap();
         assert_eq!(s.total_chunks, 0);
         assert!(!s.sealed);
-        n.insert(bag, chunk(b"z")).unwrap();
+        put(&n, bag, &[chunk(b"z")]).unwrap();
     }
 
     #[test]
     fn collect_frees_and_blocks() {
         let n = node();
         let bag = BagId(7);
-        n.insert(bag, chunk(b"x")).unwrap();
+        put(&n, bag, &[chunk(b"x")]).unwrap();
         n.collect(bag).unwrap();
-        assert_eq!(n.remove(bag), Err(StorageError::BagCollected(bag)));
+        assert_eq!(take(&n, bag, 1), Err(StorageError::BagCollected(bag)));
         assert_eq!(
-            n.insert(bag, chunk(b"y")),
+            put(&n, bag, &[chunk(b"y")]),
             Err(StorageError::BagCollected(bag))
         );
     }
@@ -1508,14 +1398,14 @@ mod tests {
     fn sample_tracks_pointer() {
         let n = node();
         let bag = BagId(8);
-        n.insert(bag, chunk(b"abc")).unwrap();
-        n.insert(bag, chunk(b"de")).unwrap();
+        put(&n, bag, &[chunk(b"abc")]).unwrap();
+        put(&n, bag, &[chunk(b"de")]).unwrap();
         let s = n.sample(bag).unwrap();
         assert_eq!(s.total_chunks, 2);
         assert_eq!(s.remaining_bytes, 5);
         assert_eq!(s.resident_bytes, 5);
         assert_eq!(s.progress(), 0.0);
-        n.remove(bag).unwrap();
+        take(&n, bag, 1).unwrap();
         let s = n.sample(bag).unwrap();
         assert_eq!(s.removed_chunks, 1);
         assert_eq!(s.remaining_bytes, 2);
@@ -1528,7 +1418,7 @@ mod tests {
         let bag = BagId(9);
         n.insert_run(bag, &[chunk(b"a"), chunk(b"b")], 0, 700)
             .unwrap();
-        n.mirror_consumed(
+        n.claim_consumed(
             bag,
             0,
             &[TagSegment {
@@ -1538,37 +1428,28 @@ mod tests {
             }],
         )
         .unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"b")));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"b")]);
     }
 
     #[test]
     fn snapshot_ignores_pointer() {
         let n = node();
         let bag = BagId(10);
-        n.insert(bag, chunk(b"a")).unwrap();
-        n.insert(bag, chunk(b"b")).unwrap();
-        n.remove(bag).unwrap();
-        let snap = n.snapshot(bag).unwrap();
-        assert_eq!(snap.len(), 2);
-    }
-
-    #[test]
-    fn read_at_is_nondestructive() {
-        let n = node();
-        let bag = BagId(11);
-        n.insert(bag, chunk(b"a")).unwrap();
-        assert_eq!(n.read_at(bag, 0).unwrap(), Some(chunk(b"a")));
-        assert_eq!(n.read_at(bag, 1).unwrap(), None);
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"a")));
+        put(&n, bag, &[chunk(b"a"), chunk(b"b")]).unwrap();
+        take(&n, bag, 1).unwrap();
+        let snap = n.snapshot_from(bag, 0).unwrap();
+        assert_eq!(snap, [chunk(b"a"), chunk(b"b")]);
+        // The snapshot consumed nothing: the next remove serves "b".
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"b")]);
     }
 
     #[test]
     fn stats_count_traffic() {
         let n = node();
         let bag = BagId(12);
-        n.insert(bag, chunk(b"abcd")).unwrap();
-        n.remove(bag).unwrap();
-        n.remove(bag).unwrap(); // Empty probe.
+        put(&n, bag, &[chunk(b"abcd")]).unwrap();
+        take(&n, bag, 1).unwrap();
+        take(&n, bag, 1).unwrap(); // Empty probe.
         assert_eq!(n.stats().inserts.get(), 1);
         assert_eq!(n.stats().removes.get(), 1);
         assert_eq!(n.stats().empty_probes.get(), 1);
@@ -1584,9 +1465,9 @@ mod tests {
         let n = node();
         let bag = BagId(13);
         let chunks: Vec<Chunk> = (0..10u8).map(|i| chunk(&[i])).collect();
-        n.insert_batch(bag, &chunks).unwrap();
+        put(&n, bag, &chunks).unwrap();
         n.seal(bag).unwrap();
-        let got = n.remove_batch(bag, 64).unwrap();
+        let got = take(&n, bag, 64).unwrap();
         assert_eq!(got.chunks, chunks);
         assert!(got.exhausted);
         assert!(got.eof);
@@ -1599,13 +1480,13 @@ mod tests {
         let n = node();
         let bag = BagId(14);
         for i in 0..10u8 {
-            n.insert(bag, chunk(&[i])).unwrap();
+            put(&n, bag, &[chunk(&[i])]).unwrap();
         }
-        let got = n.remove_batch(bag, 4).unwrap();
+        let got = take(&n, bag, 4).unwrap();
         assert_eq!(got.chunks.len(), 4);
         assert!(!got.exhausted);
         assert!(!got.eof);
-        let rest = n.remove_batch(bag, 100).unwrap();
+        let rest = take(&n, bag, 100).unwrap();
         assert_eq!(rest.chunks.len(), 6);
         assert!(rest.exhausted);
         assert!(!rest.eof, "unsealed bag never reports eof");
@@ -1615,11 +1496,11 @@ mod tests {
     fn remove_batch_on_empty_unsealed_is_empty_not_eof() {
         let n = node();
         let bag = BagId(15);
-        let got = n.remove_batch(bag, 8).unwrap();
+        let got = take(&n, bag, 8).unwrap();
         assert!(got.chunks.is_empty());
         assert!(got.exhausted && !got.eof);
         n.seal(bag).unwrap();
-        let got = n.remove_batch(bag, 8).unwrap();
+        let got = take(&n, bag, 8).unwrap();
         assert!(got.eof);
     }
 
@@ -1629,10 +1510,7 @@ mod tests {
         let bag = BagId(16);
         n.seal(bag).unwrap();
         let chunks = vec![chunk(b"a"), chunk(b"b")];
-        assert_eq!(
-            n.insert_batch(bag, &chunks),
-            Err(StorageError::BagSealed(bag))
-        );
+        assert_eq!(put(&n, bag, &chunks), Err(StorageError::BagSealed(bag)));
         assert_eq!(n.stats().inserts.get(), 0, "no partial batch landed");
     }
 
@@ -1642,7 +1520,7 @@ mod tests {
         let bag = BagId(17);
         let chunks: Vec<Chunk> = (0..5u8).map(|i| chunk(&[i])).collect();
         n.insert_run(bag, &chunks, 0, 900).unwrap();
-        n.mirror_consumed(
+        n.claim_consumed(
             bag,
             0,
             &[TagSegment {
@@ -1652,7 +1530,7 @@ mod tests {
             }],
         )
         .unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(&[3])));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(&[3])]);
         assert_eq!(n.sample(bag).unwrap().removed_chunks, 4);
     }
 
@@ -1667,10 +1545,10 @@ mod tests {
             start: 0,
             len: 2,
         };
-        n.mirror_consumed(bag, 0, &[seg]).unwrap();
-        n.mirror_consumed(bag, 0, &[seg]).unwrap(); // Retransmission.
+        n.claim_consumed(bag, 0, &[seg]).unwrap();
+        n.claim_consumed(bag, 0, &[seg]).unwrap(); // Retransmission.
         assert_eq!(n.sample(bag).unwrap().removed_chunks, 2);
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(&[2])));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(&[2])]);
     }
 
     #[test]
@@ -1684,7 +1562,7 @@ mod tests {
         n.insert_run(bag, &[chunk(b"X")], 0, 10).unwrap();
         n.insert_run(bag, &[chunk(b"y"), chunk(b"z")], 0, 11)
             .unwrap();
-        n.mirror_consumed(
+        n.claim_consumed(
             bag,
             0,
             &[TagSegment {
@@ -1695,9 +1573,9 @@ mod tests {
         )
         .unwrap();
         // Failover serves exactly the marooned chunk, once.
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"X")));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"X")]);
         n.seal(bag).unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Eof);
+        assert!(take(&n, bag, 1).unwrap().eof);
     }
 
     #[test]
@@ -1707,7 +1585,7 @@ mod tests {
         let n = node();
         let bag = BagId(20);
         n.insert_run(bag, &[chunk(b"a")], 0, 30).unwrap();
-        n.mirror_consumed(
+        n.claim_consumed(
             bag,
             0,
             &[TagSegment {
@@ -1717,7 +1595,7 @@ mod tests {
             }],
         )
         .unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"a")));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"a")]);
     }
 
     #[test]
@@ -1727,7 +1605,7 @@ mod tests {
         n.insert_run(bag, &[chunk(b"a"), chunk(b"b"), chunk(b"c")], 0, 50)
             .unwrap();
         // Two chunks served locally (by "another reader").
-        assert_eq!(n.remove_batch(bag, 2).unwrap().chunks.len(), 2);
+        assert_eq!(take(&n, bag, 2).unwrap().chunks.len(), 2);
         let already = n
             .claim_consumed(
                 bag,
@@ -1748,7 +1626,7 @@ mod tests {
         assert!(!hit(2), "the live chunk is newly claimed, not echoed");
         // The claim consumed the third chunk: nothing is left to serve.
         n.seal(bag).unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Eof);
+        assert!(take(&n, bag, 1).unwrap().eof);
     }
 
     #[test]
@@ -1769,7 +1647,7 @@ mod tests {
         assert_eq!((s.total_chunks, s.removed_chunks), (1, 1));
         assert_eq!(s.remaining_bytes, 0);
         n.seal(bag).unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Eof);
+        assert!(take(&n, bag, 1).unwrap().eof);
         // Re-claiming the now-landed identity reports it consumed.
         assert_eq!(n.claim_consumed(bag, 0, &[seg]).unwrap(), vec![seg]);
     }
@@ -1781,7 +1659,7 @@ mod tests {
         n.insert_run(bag, &[chunk(b"a"), chunk(b"b")], 0, 40)
             .unwrap();
         n.insert_run(bag, &[chunk(b"c")], 0, 41).unwrap();
-        let got = n.remove_batch(bag, 10).unwrap();
+        let got = take(&n, bag, 10).unwrap();
         assert_eq!(got.chunks.len(), 3);
         assert_eq!(
             got.tags,
@@ -1812,9 +1690,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let bag = BagId(100 + b);
                     for i in 0..200u8 {
-                        n.insert(bag, chunk(&[i])).unwrap();
+                        put(&n, bag, &[chunk(&[i])]).unwrap();
                     }
-                    let got = n.remove_batch(bag, 500).unwrap();
+                    let got = take(&n, bag, 500).unwrap();
                     assert_eq!(got.chunks.len(), 200);
                 })
             })
@@ -1838,8 +1716,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let chunks: Vec<Chunk> = (0..16u8).map(|i| chunk(&[i])).collect();
                     for _ in 0..200 {
-                        n.insert_batch(bag, &chunks).unwrap();
-                        let _ = n.remove_batch(bag, 16).unwrap();
+                        put(&n, bag, &chunks).unwrap();
+                        let _ = take(&n, bag, 16).unwrap();
                     }
                 })
             })
@@ -1862,7 +1740,7 @@ mod tests {
         sampler.join().unwrap();
         // Racing removers can come up short mid-run; drain the remainder,
         // then the quiesced sample must be exact.
-        while !n.remove_batch(bag, 1024).unwrap().chunks.is_empty() {}
+        while !take(&n, bag, 1024).unwrap().chunks.is_empty() {}
         let s = n.sample(bag).unwrap();
         assert_eq!(s.total_chunks, 4 * 200 * 16);
         assert_eq!(s.removed_chunks, 4 * 200 * 16);
@@ -1910,10 +1788,10 @@ mod tests {
         {
             let n = durable_node(&store);
             for i in 0..5u8 {
-                n.insert(bag, chunk(&[i])).unwrap();
+                put(&n, bag, &[chunk(&[i])]).unwrap();
             }
-            assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(&[0])));
-            assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(&[1])));
+            assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(&[0])]);
+            assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(&[1])]);
         }
         let n = durable_node(&store);
         let s = n.sample(bag).unwrap();
@@ -1922,7 +1800,7 @@ mod tests {
         assert_eq!(s.remaining_bytes, 3);
         assert_eq!(s.resident_bytes, 0, "recovered chunks start spilled");
         // The consumed pointer survived: the next serve is chunk 2.
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(&[2])));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(&[2])]);
     }
 
     #[test]
@@ -1933,7 +1811,7 @@ mod tests {
             let n = durable_node(&store);
             n.insert_run(bag, &[chunk(b"a"), chunk(b"b")], 3, 500)
                 .unwrap();
-            n.mirror_consumed(
+            n.claim_consumed(
                 bag,
                 3,
                 &[TagSegment {
@@ -1959,14 +1837,14 @@ mod tests {
         let bag = BagId(3);
         {
             let n = durable_node(&store);
-            n.insert(bag, chunk(b"x")).unwrap();
-            n.remove(bag).unwrap();
+            put(&n, bag, &[chunk(b"x")]).unwrap();
+            take(&n, bag, 1).unwrap();
             n.rewind(bag).unwrap();
         }
         {
             let n = durable_node(&store);
             // Rewind survived: the consumed chunk is live again.
-            assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"x")));
+            assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"x")]);
             n.discard(bag).unwrap();
             n.seal(bag).unwrap();
         }
@@ -1981,11 +1859,11 @@ mod tests {
         let store = SegmentStore::mem();
         let bag = BagId(4);
         let n = durable_node(&store);
-        n.insert(bag, chunk(b"hello")).unwrap();
+        put(&n, bag, &[chunk(b"hello")]).unwrap();
         n.crash_lose_memory();
         assert_eq!(n.bag_count(), 0);
         n.restart_recover().unwrap();
-        assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"hello")));
+        assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"hello")]);
     }
 
     #[test]
@@ -1995,7 +1873,7 @@ mod tests {
         let bag = BagId(5);
         let payload = [7u8; 64];
         for _ in 0..32 {
-            n.insert(bag, chunk(&payload)).unwrap();
+            put(&n, bag, &[chunk(&payload)]).unwrap();
         }
         // 2 KiB inserted under a 256-byte budget: residency is bounded by
         // the threshold plus at most one in-flight batch.
@@ -2009,7 +1887,7 @@ mod tests {
         assert!(s.resident_bytes <= 256 + 64);
         // Every chunk still serves, byte-exact, from the log.
         n.seal(bag).unwrap();
-        let got = n.remove_batch(bag, 64).unwrap();
+        let got = take(&n, bag, 64).unwrap();
         assert_eq!(got.chunks.len(), 32);
         assert!(got.chunks.iter().all(|c| c.bytes() == payload));
         assert!(got.eof);
@@ -2020,18 +1898,15 @@ mod tests {
     fn touch_without_journaling(n: &StorageNode) {
         for b in 0..4u64 {
             let bag = BagId(b);
-            assert_eq!(n.remove(bag).unwrap(), NodeRemove::Empty);
-            assert_eq!(n.remove_from(bag, 3).unwrap(), NodeRemove::Empty);
-            assert!(n.remove_batch(bag, 8).unwrap().chunks.is_empty());
+            assert!(take(n, bag, 8).unwrap().chunks.is_empty());
             assert!(n.remove_from_batch(bag, 3, 8).unwrap().chunks.is_empty());
             assert_eq!(n.sample(bag).unwrap().total_chunks, 0);
-            assert_eq!(n.read_at(bag, 0).unwrap(), None);
-            assert!(n.snapshot(bag).unwrap().is_empty());
+            assert!(n.snapshot_from(bag, 0).unwrap().is_empty());
             assert!(n.snapshot_from(bag, 3).unwrap().is_empty());
-            assert!(n.mirror_consumed(bag, 3, &[]).is_ok());
+            assert!(n.claim_consumed(bag, 3, &[]).unwrap().is_empty());
             n.rewind(bag).unwrap();
             n.discard(bag).unwrap();
-            n.insert_batch(bag, &[]).unwrap();
+            put(n, bag, &[]).unwrap();
         }
         n.is_drained().unwrap();
         n.sync_all().unwrap();
@@ -2045,12 +1920,11 @@ mod tests {
             start: 0,
             len: 1,
         };
-        n.insert(BagId(10), chunk(b"x")).unwrap();
+        put(n, BagId(10), &[chunk(b"x")]).unwrap();
         n.seal(BagId(11)).unwrap();
         n.collect(BagId(12)).unwrap();
-        n.mirror_consumed(BagId(13), 3, &[seg]).unwrap();
-        n.claim_consumed(BagId(14), 0, &[seg]).unwrap();
-        (10..15).map(BagId).collect()
+        n.claim_consumed(BagId(13), 3, &[seg]).unwrap();
+        (10..14).map(BagId).collect()
     }
 
     #[test]
@@ -2124,7 +1998,7 @@ mod tests {
             before,
             "nothing was consumed: nothing to journal"
         );
-        n.remove_from(bag, 3).unwrap();
+        n.remove_from_batch(bag, 3, 1).unwrap();
         n.rewind(bag).unwrap();
         let (frames, _) = segment::scan(&log.read_all().unwrap());
         assert_eq!(
@@ -2135,8 +2009,8 @@ mod tests {
         assert_eq!(frames.len(), 4, "DATA, DATA, CONSUME, REWIND");
         let n = durable_node(&store);
         assert_eq!(
-            n.remove_from(bag, 3).unwrap(),
-            NodeRemove::Chunk(chunk(b"b"))
+            n.remove_from_batch(bag, 3, 1).unwrap().chunks,
+            [chunk(b"b")]
         );
     }
 
@@ -2150,7 +2024,7 @@ mod tests {
                 .unwrap();
             n.insert_run(bag, &[chunk(b"mir0")], 2, 2).unwrap();
             n.insert_run(bag, &[chunk(b"own2")], 0, 3).unwrap();
-            assert_eq!(n.remove(bag).unwrap(), NodeRemove::Chunk(chunk(b"own0")));
+            assert_eq!(take(&n, bag, 1).unwrap().chunks, [chunk(b"own0")]);
             n.seal(bag).unwrap();
         }
         assert_eq!(store.list_logs().unwrap(), vec![segment::log_name(bag)]);
@@ -2162,7 +2036,7 @@ mod tests {
             "own stream only"
         );
         assert!(s.sealed);
-        let own = n.remove_batch(bag, 8).unwrap();
+        let own = take(&n, bag, 8).unwrap();
         assert_eq!(own.chunks, vec![chunk(b"own1"), chunk(b"own2")]);
         let mirrored = n.remove_from_batch(bag, 2, 8).unwrap();
         assert_eq!(mirrored.chunks, vec![chunk(b"mir0")]);
@@ -2175,7 +2049,7 @@ mod tests {
         let bag = BagId(9);
         {
             let n = durable_node(&store);
-            n.insert(bag, chunk(b"gone")).unwrap();
+            put(&n, bag, &[chunk(b"gone")]).unwrap();
             n.seal(bag).unwrap();
             n.collect(bag).unwrap();
             assert_eq!(n.resident_bytes(), 0);
@@ -2183,7 +2057,7 @@ mod tests {
         let log = store.open_log(&segment::log_name(bag)).unwrap();
         assert_eq!(log.read_all().unwrap(), segment::collect_frame());
         let n = durable_node(&store);
-        assert_eq!(n.remove(bag), Err(StorageError::BagCollected(bag)));
+        assert_eq!(take(&n, bag, 1), Err(StorageError::BagCollected(bag)));
         assert_eq!(n.sample(bag), Err(StorageError::BagCollected(bag)));
     }
 
@@ -2224,7 +2098,7 @@ mod tests {
     fn memory_only_node_never_spills() {
         let n = node();
         let bag = BagId(6);
-        n.insert(bag, chunk(&[1u8; 128])).unwrap();
+        put(&n, bag, &[chunk(&[1u8; 128])]).unwrap();
         assert!(!n.is_durable());
         assert_eq!(n.resident_bytes(), 128);
         assert_eq!(n.sample(bag).unwrap().resident_bytes, 128);

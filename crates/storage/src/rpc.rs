@@ -19,10 +19,11 @@
 //! on a small pool of server threads (and a future networked server makes
 //! no ordering promises at all).
 //!
-//! The request set covers the full node API: batched inserts and removes
-//! (the single-chunk operations of the original API are the `n = 1` case),
-//! pointer mirroring for replication, sampling, non-destructive reads, and
-//! the bag lifecycle (seal / rewind / discard / collect). Batch messages
+//! The request set is the node's whole data and control API: one insert
+//! (a run of chunks), one remove (up to `n` chunks; one chunk is `n = 1`),
+//! one claim by identity (the pointer mirror and the fallback-serve
+//! reconciliation), one non-destructive read (one origin stream), sampling,
+//! and the bag lifecycle (seal / rewind / discard / collect). Batch messages
 //! are deliberate: one envelope per *batch*, not per chunk, is what keeps
 //! the boundary cheap enough to put under the hot path.
 //!
@@ -63,7 +64,7 @@
 //! every backup. Every run's envelopes share one writer-minted **run
 //! id** ([`crate::next_run_id`]), giving each chunk the same `(run, k)`
 //! identity at every replica; pointer mirrors then consume by identity
-//! ([`StorageRequest::MirrorConsumed`]), which stays exactly-once even
+//! ([`StorageRequest::ClaimConsumed`]), which stays exactly-once even
 //! when replica logs diverged after a partial insert. The two phases
 //! overlap every run of the call, so a replicated flush pays one
 //! round-trip of latency for all its backups plus one for all its
@@ -78,7 +79,7 @@
 //!
 //! ```text
 //!  BagWriter (seals records into chunks; holds no sealed chunk)
-//!        │  BagClient::stage, one sealed chunk at a time
+//!        │  BagClient::insert, one sealed chunk at a time
 //!        │  (or BagClient::insert_batch, a slice at a time)
 //!        │  cyclic placement (origin = target node)
 //!        ▼
@@ -120,7 +121,7 @@
 
 use crate::cluster::StorageCluster;
 use crate::error::StorageError;
-use crate::node::{next_run_id, BagSample, NodeRemove, NodeRemoveBatch, StorageNode, TagSegment};
+use crate::node::{next_run_id, BagSample, NodeRemoveBatch, StorageNode, TagSegment};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hurricane_common::{BagId, StorageNodeId};
 use hurricane_format::Chunk;
@@ -191,10 +192,8 @@ impl std::ops::Deref for ChunkRun {
     }
 }
 
-/// One storage-node operation, as a message.
-///
-/// Single-chunk operations of the in-process API are expressed as `n = 1`
-/// batches; the wire protocol only carries the batched forms.
+/// One storage-node operation, as a message: exactly the node API that
+/// [`dispatch`] calls. A single chunk is an `n = 1` batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageRequest {
     /// Append `chunks` to `bag` under origin stream `origin`
@@ -221,33 +220,8 @@ pub enum StorageRequest {
         /// Maximum chunks to remove.
         max_n: usize,
     },
-    /// Mark the identified chunks of origin stream `origin` consumed
-    /// without returning data ([`StorageNode::mirror_consumed`]) — the
-    /// pointer mirror a serving replica's remove fans out to the rest of
-    /// the replica set.
-    MirrorConsumed {
-        /// Target bag.
-        bag: BagId,
-        /// Origin stream to advance.
-        origin: u32,
-        /// Identities of the served chunks, as reported by the serving
-        /// replica's [`NodeRemoveBatch::tags`].
-        tags: Vec<TagSegment>,
-    },
     /// Sample `bag`'s state at this node ([`StorageNode::sample`]).
     Sample {
-        /// Target bag.
-        bag: BagId,
-    },
-    /// Read chunk `index` non-destructively ([`StorageNode::read_at`]).
-    ReadAt {
-        /// Target bag.
-        bag: BagId,
-        /// Chunk index within the node's own stream.
-        index: usize,
-    },
-    /// Copy every chunk of `bag` at this node ([`StorageNode::snapshot`]).
-    Snapshot {
         /// Target bag.
         bag: BagId,
     },
@@ -289,10 +263,12 @@ pub enum StorageRequest {
     /// Liveness probe; answered with [`StorageResponse::Pong`].
     Ping,
     /// Mark identities consumed and learn which already were
-    /// ([`StorageNode::claim_consumed`]): the reconciliation step a
-    /// reader runs against replicas that answered empty before another
-    /// replica served it chunks, so a concurrent serve of the same
-    /// chunks elsewhere is detected instead of double-delivered.
+    /// ([`StorageNode::claim_consumed`]). Two senders: the pointer mirror
+    /// a serving replica's remove fans out to the rest of the replica
+    /// set (its echo is ignored), and the reconciliation step a reader
+    /// runs against replicas that answered empty before another replica
+    /// served it chunks, so a concurrent serve of the same chunks
+    /// elsewhere is detected instead of double-delivered.
     ClaimConsumed {
         /// Target bag.
         bag: BagId,
@@ -315,21 +291,18 @@ impl StorageRequest {
     /// but not commutative with interleaved removes (a delayed duplicate
     /// `Rewind` arriving after fresh removes would resurrect consumed
     /// chunks), so they are classified non-idempotent and deduplicated.
-    /// `MirrorConsumed` is likewise identity-idempotent with itself but a
+    /// `ClaimConsumed` is likewise identity-idempotent with itself but a
     /// delayed duplicate arriving after a `Rewind` would re-consume the
     /// resurrected chunks, so it stays deduplicated too.
     pub fn is_idempotent(&self) -> bool {
         match self {
             StorageRequest::InsertBatch { .. }
             | StorageRequest::RemoveBatch { .. }
-            | StorageRequest::MirrorConsumed { .. }
             | StorageRequest::ClaimConsumed { .. }
             | StorageRequest::Rewind { .. }
             | StorageRequest::Discard { .. }
             | StorageRequest::Collect { .. } => false,
             StorageRequest::Sample { .. }
-            | StorageRequest::ReadAt { .. }
-            | StorageRequest::Snapshot { .. }
             | StorageRequest::SnapshotFrom { .. }
             | StorageRequest::Seal { .. }
             | StorageRequest::Drain
@@ -346,13 +319,9 @@ pub enum StorageResponse {
     Inserted,
     /// Answers [`StorageRequest::RemoveBatch`].
     Removed(NodeRemoveBatch),
-    /// Acknowledges [`StorageRequest::MirrorConsumed`].
-    Mirrored,
     /// Answers [`StorageRequest::Sample`].
     Sampled(BagSample),
-    /// Answers [`StorageRequest::ReadAt`].
-    ChunkAt(Option<Chunk>),
-    /// Answers [`StorageRequest::Snapshot`] / [`StorageRequest::SnapshotFrom`].
+    /// Answers [`StorageRequest::SnapshotFrom`].
     Chunks(Vec<Chunk>),
     /// Acknowledges a lifecycle request (seal / rewind / discard / collect).
     Done,
@@ -411,14 +380,7 @@ pub fn dispatch(
         StorageRequest::RemoveBatch { bag, origin, max_n } => node
             .remove_from_batch(bag, origin, max_n)
             .map(StorageResponse::Removed),
-        StorageRequest::MirrorConsumed { bag, origin, tags } => node
-            .mirror_consumed(bag, origin, &tags)
-            .map(|()| StorageResponse::Mirrored),
         StorageRequest::Sample { bag } => node.sample(bag).map(StorageResponse::Sampled),
-        StorageRequest::ReadAt { bag, index } => {
-            node.read_at(bag, index).map(StorageResponse::ChunkAt)
-        }
-        StorageRequest::Snapshot { bag } => node.snapshot(bag).map(StorageResponse::Chunks),
         StorageRequest::SnapshotFrom { bag, origin } => {
             node.snapshot_from(bag, origin).map(StorageResponse::Chunks)
         }
@@ -1017,13 +979,8 @@ impl NodeConnection {
         Ok(())
     }
 
-    /// The retry policy applied by [`NodeConnection::call`] and
-    /// [`NodeConnection::wait_retrying`].
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Sets the timed-out request retry policy.
+    /// Sets the timed-out request retry policy applied by
+    /// [`NodeConnection::call`] and [`NodeConnection::wait_retrying`].
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
     }
@@ -1848,7 +1805,7 @@ impl RpcPort {
     /// (`RpcPort::replica_unreachable`) or is wholly unreachable.
     /// Anything else (sealed, collected, codec, timeout) is a caller
     /// error and propagates.
-    pub(crate) fn reroutes(e: &StorageError) -> bool {
+    fn reroutes(e: &StorageError) -> bool {
         Self::replica_unreachable(e) || matches!(e, StorageError::AllReplicasDown(_))
     }
 
@@ -2007,9 +1964,19 @@ impl RpcPort {
     /// Stages one chunk destined for node `target`: what a writer calls
     /// per sealed chunk, so the staging queues are the only buffer
     /// between a task and the wire. Same sealed-bag check, run merge and
-    /// window flush as [`RpcPort::insert_buckets`].
+    /// window flush as [`RpcPort::insert_buckets`]. With coalescing off
+    /// the chunk is its own flush, so it lands at once as a run of one,
+    /// rerouted like a flushed run: the trip through the staging queues
+    /// cost a one-chunk insert about a tenth more.
     pub fn stage(&mut self, target: usize, bag: BagId, chunk: Chunk) -> Result<(), StorageError> {
         self.ensure_unsealed(bag)?;
+        if self.coalesce_chunks == 0 {
+            let run = ChunkRun::new(vec![chunk]);
+            return match self.land_runs(&[(target, bag, run.clone())]).remove(0) {
+                Err(e) if Self::reroutes(&e) => self.insert_run_rerouting(target, bag, run, e),
+                outcome => outcome,
+            };
+        }
         self.stage_run(target, bag, std::iter::once(chunk));
         self.flush_at_window()
     }
@@ -2293,12 +2260,7 @@ impl RpcPort {
         }
         let Some((served_by, mut batch)) = serving else {
             let Some(mut batch) = first_empty else {
-                // A replica that is up but disk-sick still holds its
-                // chunks: report its error, not "down", or a reader
-                // would take the group for lost and the bag for drained.
-                return Err(disk_sick
-                    .or(soft_err)
-                    .unwrap_or(StorageError::AllReplicasDown(bag)));
+                return Err(Self::group_unserved(bag, disk_sick, soft_err));
             };
             batch.eof = batch.exhausted && sealed;
             return Ok(batch);
@@ -2328,13 +2290,13 @@ impl RpcPort {
         }
         if !batch.chunks.is_empty() && r > 1 {
             // Mirror the served chunks' identities onto the other
-            // replicas: all mirrors submitted first, acks collected
-            // afterwards (one overlapped round trip, not `r − 1`). Acks
-            // are awaited (cheap) so a subsequent failover cannot observe
-            // a lagging pointer; unreachable replicas are skipped.
-            // Replicas probed empty were just claimed — the claim is the
-            // mirror.
-            let request = StorageRequest::MirrorConsumed {
+            // replicas with the same claim, its echo ignored: all mirrors
+            // submitted first, acks collected afterwards (one overlapped
+            // round trip, not `r − 1`). Acks are awaited (cheap) so a
+            // subsequent failover cannot observe a lagging pointer;
+            // unreachable replicas are skipped. Replicas probed empty
+            // were just claimed above.
+            let request = StorageRequest::ClaimConsumed {
                 bag,
                 origin,
                 tags: batch.tags.clone(),
@@ -2359,17 +2321,6 @@ impl RpcPort {
         Ok(batch)
     }
 
-    /// Single-chunk [`RpcPort::remove_batch`]: the `n = 1` case, so the
-    /// mirror still carries the served chunk's identity tag.
-    pub fn remove(&mut self, primary_idx: usize, bag: BagId) -> Result<NodeRemove, StorageError> {
-        let batch = self.remove_batch(primary_idx, bag, 1)?;
-        Ok(match batch.chunks.into_iter().next() {
-            Some(c) => NodeRemove::Chunk(c),
-            None if batch.eof => NodeRemove::Eof,
-            None => NodeRemove::Empty,
-        })
-    }
-
     /// The one body of every whole-bag control operation: flushes this
     /// port's staged inserts (so the operation sees them), submits
     /// `request(i)` on every connection `i`, then waits each token in
@@ -2382,8 +2333,7 @@ impl RpcPort {
     /// | seal, collect | every error: the cluster flag governs | — |
     /// | rewind, discard | down | propagates (a disk error) |
     /// | sample | down | propagates |
-    /// | snapshot, replication 1 | down: a disk-sick node's chunks are nowhere else | propagates |
-    /// | snapshot, replicated | unreachable ([`RpcPort::replica_unreachable`]): origin `p` is read from its next replica, and none live is [`StorageError::AllReplicasDown`] | propagates |
+    /// | snapshot | unreachable ([`RpcPort::replica_unreachable`]): origin `p` is read from its next replica; an origin no replica serves fails the call ([`RpcPort::group_unserved`]) | propagates |
     ///
     /// "Down" is [`StorageError::NodeDown`], or over the wire
     /// [`StorageError::Disconnected`].
@@ -2476,53 +2426,63 @@ impl RpcPort {
         Ok(agg)
     }
 
-    /// Non-destructive full read of `bag`, consumed chunks included. With
-    /// replication each origin's stream is read from its first live
-    /// replica, in remove-failover order. A replica whose log missed runs
+    /// Non-destructive full read of `bag`, consumed chunks included, at
+    /// every replication factor: each origin's stream is read with
+    /// `SnapshotFrom` from its first live replica, in remove-failover
+    /// order (at replication 1 the origin's own node, which holds only
+    /// that stream). An origin no replica can serve fails the call
+    /// rather than come back short. A replica whose log missed runs
     /// while it was down hides them once it is back: `SnapshotFrom`
     /// carries no identity tags to union replicas by (removes reconcile).
     pub fn snapshot_bag(&mut self, bag: BagId) -> Result<Vec<Chunk>, StorageError> {
         self.cluster.check_bag(bag)?;
         let r = self.cluster.replication();
-        let mut out = Vec::new();
-        if r == 1 {
-            for (idx, outcome) in self
-                .fan_out(|_| StorageRequest::Snapshot { bag })?
-                .into_iter()
-                .enumerate()
-            {
-                match Self::unless_down(outcome)? {
-                    Some(StorageResponse::Chunks(chunks)) => out.extend(chunks),
-                    Some(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
-                    None => {}
-                }
-            }
-            return Ok(out);
-        }
         let m = self.conns.len();
         let from = |p: usize| StorageRequest::SnapshotFrom {
             bag,
             origin: p as u32,
         };
+        let mut out = Vec::new();
         // Every origin's primary at once; the backups only for origins
         // whose primary cannot answer.
         for (p, first) in self.fan_out(from)?.into_iter().enumerate() {
-            let mut answer = first;
-            for k in 1..=r {
-                let idx = (p + k - 1) % m;
-                match answer {
+            let (mut disk_sick, mut soft_err) = (None, None);
+            let mut answer = Some(first);
+            for k in 0..r {
+                let idx = (p + k) % m;
+                match answer.take().unwrap_or_else(|| self.call(idx, from(p))) {
                     Ok(StorageResponse::Chunks(chunks)) => {
                         out.extend(chunks);
                         break;
                     }
                     Ok(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
-                    Err(e) if !Self::replica_unreachable(&e) => return Err(e),
-                    Err(_) if k == r => return Err(StorageError::AllReplicasDown(bag)),
-                    Err(_) => answer = self.call((p + k) % m, from(p)),
+                    Err(e @ (StorageError::DiskFull(_) | StorageError::DiskIo(_))) => {
+                        disk_sick = Some(e);
+                    }
+                    Err(e) if Self::replica_unreachable(&e) => soft_err = Some(e),
+                    Err(e) => return Err(e),
+                }
+                if k + 1 == r {
+                    return Err(Self::group_unserved(bag, disk_sick, soft_err));
                 }
             }
         }
         Ok(out)
+    }
+
+    /// The error for a replica group of `bag` that no replica could
+    /// serve: a disk error first — a replica that is up but disk-sick
+    /// still holds its chunks, so reporting "down" would let a reader
+    /// take the group for lost and the bag for drained — else the
+    /// unreachable error, else [`StorageError::AllReplicasDown`].
+    fn group_unserved(
+        bag: BagId,
+        disk_sick: Option<StorageError>,
+        soft_err: Option<StorageError>,
+    ) -> StorageError {
+        disk_sick
+            .or(soft_err)
+            .unwrap_or(StorageError::AllReplicasDown(bag))
     }
 }
 
@@ -3105,7 +3065,7 @@ mod tests {
             max_n: 1
         }
         .is_idempotent());
-        assert!(!StorageRequest::MirrorConsumed {
+        assert!(!StorageRequest::ClaimConsumed {
             bag,
             origin: 0,
             tags: vec![TagSegment {
@@ -3119,8 +3079,6 @@ mod tests {
         assert!(!StorageRequest::Discard { bag }.is_idempotent());
         assert!(!StorageRequest::Collect { bag }.is_idempotent());
         assert!(StorageRequest::Sample { bag }.is_idempotent());
-        assert!(StorageRequest::ReadAt { bag, index: 0 }.is_idempotent());
-        assert!(StorageRequest::Snapshot { bag }.is_idempotent());
         assert!(StorageRequest::SnapshotFrom { bag, origin: 0 }.is_idempotent());
         assert!(StorageRequest::Seal { bag }.is_idempotent());
         assert!(StorageRequest::Drain.is_idempotent());
@@ -3258,7 +3216,8 @@ mod tests {
         let sick = Err(StorageError::DiskFull(StorageNodeId(1)));
         // Per operation, the outcome with node 1 fail()ed, disk-sick, or
         // behind a dead connection. Counts are chunks; a down node's two
-        // are missing, a disk-sick node still reports its counters.
+        // are missing from a sample, a disk-sick node still reports its
+        // counters, and a snapshot that cannot read origin 1 fails.
         let table: [Row; 6] = [
             (
                 "seal",
@@ -3288,7 +3247,11 @@ mod tests {
             (
                 "snapshot",
                 |p, b| p.snapshot_bag(b).map(|c| c.len() as u64),
-                [Ok(4), sick.clone(), Ok(4)],
+                [
+                    Err(StorageError::NodeDown(StorageNodeId(1))),
+                    sick.clone(),
+                    Err(StorageError::Disconnected(StorageNodeId(1))),
+                ],
             ),
         ];
         let faults = [Fault::Failed, Fault::DiskSick, Fault::DeadConnection];

@@ -47,8 +47,12 @@ pub const DATA_MAGIC: [u8; 4] = *b"HURW";
 pub const JOIN_MAGIC: [u8; 4] = *b"HURJ";
 /// Wire protocol version; bumped on any layout change (see `WIRE.md`).
 /// Version 2 added `resident_bytes` to the `Sampled` payload and the
-/// `ClaimConsumed` request / `Claimed` response pair.
-pub const WIRE_VERSION: u8 = 2;
+/// `ClaimConsumed` request / `Claimed` response pair. Version 3 retired
+/// request tags 2, 4 and 5 and response tags 2 and 4 (the mirror, the
+/// indexed read and the all-origin snapshot): the pointer mirror is a
+/// `ClaimConsumed`, and every snapshot reads one origin with
+/// `SnapshotFrom`.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Read-side buffer size for socket reads.
 const READ_BUF: usize = 64 * 1024;
@@ -634,6 +638,37 @@ mod tests {
         assert!(TcpTransport::dial(&addr, Some(StorageNodeId(0))).is_err());
         assert!(TcpTransport::dial(&addr, Some(StorageNodeId(7))).is_ok());
         server.shutdown();
+    }
+
+    /// A listener that answers one connection with a data hello
+    /// announcing wire version `version` and node 0.
+    fn hello_server(version: u8) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut hello = DATA_MAGIC.to_vec();
+            hello.extend([version, 0]);
+            stream.write_all(&hello).unwrap();
+            // Hold the socket open until the client hangs up.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn dial_refuses_a_server_speaking_wire_version_2() {
+        let (addr, server) = hello_server(2);
+        let Err(err) = TcpTransport::dial(&addr, None) else {
+            panic!("a version 2 hello was accepted");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("wire version"), "{err}");
+        server.join().unwrap();
+        // The same hello at the current version dials.
+        let (addr, server) = hello_server(WIRE_VERSION);
+        drop(TcpTransport::dial(&addr, Some(StorageNodeId(0))).unwrap());
+        server.join().unwrap();
     }
 
     #[test]

@@ -112,18 +112,10 @@ fn get_bytes<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
 // Composite fields.
 // ---------------------------------------------------------------------------
 
-fn put_chunk(chunk: &Chunk, out: &mut Vec<u8>) {
-    put_bytes(chunk.bytes(), out);
-}
-
-fn get_chunk(input: &mut &[u8]) -> Result<Chunk, CodecError> {
-    Ok(Chunk::from_vec(get_bytes(input)?.to_vec()))
-}
-
 fn put_chunks(chunks: &[Chunk], out: &mut Vec<u8>) {
     put_u64(chunks.len() as u64, out);
     for c in chunks {
-        put_chunk(c, out);
+        put_bytes(c.bytes(), out);
     }
 }
 
@@ -131,7 +123,7 @@ fn get_chunks(input: &mut &[u8]) -> Result<Vec<Chunk>, CodecError> {
     let count = get_count(input, 1)?;
     let mut chunks = Vec::with_capacity(count);
     for _ in 0..count {
-        chunks.push(get_chunk(input)?);
+        chunks.push(Chunk::from_vec(get_bytes(input)?.to_vec()));
     }
     Ok(chunks)
 }
@@ -216,12 +208,12 @@ fn get_remove_batch(input: &mut &[u8]) -> Result<NodeRemoveBatch, CodecError> {
 // StorageRequest.
 // ---------------------------------------------------------------------------
 
+// Tags 2, 4 and 5 were retired in wire version 3: never sent and never
+// reused (WIRE.md); decoding one is an `InvalidTag` error like any
+// unknown tag.
 const REQ_INSERT_BATCH: u8 = 0;
 const REQ_REMOVE_BATCH: u8 = 1;
-const REQ_MIRROR_CONSUMED: u8 = 2;
 const REQ_SAMPLE: u8 = 3;
-const REQ_READ_AT: u8 = 4;
-const REQ_SNAPSHOT: u8 = 5;
 const REQ_SNAPSHOT_FROM: u8 = 6;
 const REQ_SEAL: u8 = 7;
 const REQ_REWIND: u8 = 8;
@@ -252,23 +244,8 @@ fn put_request_body(req: &StorageRequest, out: &mut Vec<u8>) {
             put_u32(*origin, out);
             put_u64(*max_n as u64, out);
         }
-        StorageRequest::MirrorConsumed { bag, origin, tags } => {
-            out.push(REQ_MIRROR_CONSUMED);
-            put_bag(*bag, out);
-            put_u32(*origin, out);
-            put_tags(tags, out);
-        }
         StorageRequest::Sample { bag } => {
             out.push(REQ_SAMPLE);
-            put_bag(*bag, out);
-        }
-        StorageRequest::ReadAt { bag, index } => {
-            out.push(REQ_READ_AT);
-            put_bag(*bag, out);
-            put_u64(*index as u64, out);
-        }
-        StorageRequest::Snapshot { bag } => {
-            out.push(REQ_SNAPSHOT);
             put_bag(*bag, out);
         }
         StorageRequest::SnapshotFrom { bag, origin } => {
@@ -317,19 +294,7 @@ fn get_request_body(input: &mut &[u8]) -> Result<StorageRequest, CodecError> {
             origin: get_u32(input)?,
             max_n: get_usize(input)?,
         },
-        REQ_MIRROR_CONSUMED => StorageRequest::MirrorConsumed {
-            bag: get_bag(input)?,
-            origin: get_u32(input)?,
-            tags: get_tags(input)?,
-        },
         REQ_SAMPLE => StorageRequest::Sample {
-            bag: get_bag(input)?,
-        },
-        REQ_READ_AT => StorageRequest::ReadAt {
-            bag: get_bag(input)?,
-            index: get_usize(input)?,
-        },
-        REQ_SNAPSHOT => StorageRequest::Snapshot {
             bag: get_bag(input)?,
         },
         REQ_SNAPSHOT_FROM => StorageRequest::SnapshotFrom {
@@ -364,11 +329,11 @@ fn get_request_body(input: &mut &[u8]) -> Result<StorageRequest, CodecError> {
 // StorageResponse.
 // ---------------------------------------------------------------------------
 
+// Tags 2 and 4 were retired in wire version 3, like the requests they
+// answered.
 const RESP_INSERTED: u8 = 0;
 const RESP_REMOVED: u8 = 1;
-const RESP_MIRRORED: u8 = 2;
 const RESP_SAMPLED: u8 = 3;
-const RESP_CHUNK_AT: u8 = 4;
 const RESP_CHUNKS: u8 = 5;
 const RESP_DONE: u8 = 6;
 const RESP_DRAINED: u8 = 7;
@@ -382,20 +347,9 @@ fn put_response(resp: &StorageResponse, out: &mut Vec<u8>) {
             out.push(RESP_REMOVED);
             put_remove_batch(batch, out);
         }
-        StorageResponse::Mirrored => out.push(RESP_MIRRORED),
         StorageResponse::Sampled(sample) => {
             out.push(RESP_SAMPLED);
             put_sample(sample, out);
-        }
-        StorageResponse::ChunkAt(opt) => {
-            out.push(RESP_CHUNK_AT);
-            match opt {
-                None => put_bool(false, out),
-                Some(chunk) => {
-                    put_bool(true, out);
-                    put_chunk(chunk, out);
-                }
-            }
         }
         StorageResponse::Chunks(chunks) => {
             out.push(RESP_CHUNKS);
@@ -418,13 +372,7 @@ fn get_response(input: &mut &[u8]) -> Result<StorageResponse, CodecError> {
     Ok(match get_tag(input)? {
         RESP_INSERTED => StorageResponse::Inserted,
         RESP_REMOVED => StorageResponse::Removed(get_remove_batch(input)?),
-        RESP_MIRRORED => StorageResponse::Mirrored,
         RESP_SAMPLED => StorageResponse::Sampled(get_sample(input)?),
-        RESP_CHUNK_AT => StorageResponse::ChunkAt(if get_bool(input)? {
-            Some(get_chunk(input)?)
-        } else {
-            None
-        }),
         RESP_CHUNKS => StorageResponse::Chunks(get_chunks(input)?),
         RESP_DONE => StorageResponse::Done,
         RESP_DRAINED => StorageResponse::Drained(get_bool(input)?),
@@ -732,7 +680,7 @@ mod tests {
                 exhausted: true,
                 eof: false,
             })),
-            Ok(StorageResponse::ChunkAt(None)),
+            Ok(StorageResponse::Chunks(vec![Chunk::from_vec(vec![4, 2])])),
             Err(StorageError::NodeDraining(StorageNodeId(3))),
             Err(StorageError::Codec(CodecError::RecordTooLarge {
                 record: 10,

@@ -11,7 +11,7 @@
 //! two task managers pulling from the ready bag can never start the same
 //! task instance twice.
 
-use crate::bag::{BagClient, BatchRemoveResult, RemoveResult};
+use crate::bag::{BagClient, BatchRemoveResult};
 use crate::error::StorageError;
 use hurricane_common::BagId;
 use hurricane_format::{decode_all, Chunk, Record};
@@ -61,22 +61,11 @@ impl<T: Record> WorkBag<T> {
         self.client.insert_batch(&chunks)
     }
 
-    /// Attempts to claim one item. `Ok(None)` means nothing is available
+    /// Claims up to `max_n` items in one batched storage pass (one item is
+    /// `max_n = 1`). `Ok` with an empty vector means nothing is available
     /// *right now*; work bags are long-lived, so unlike data bags the
-    /// common idle case is "empty but more tasks will arrive".
-    pub fn try_take(&mut self) -> Result<Option<T>, StorageError> {
-        match self.client.try_remove()? {
-            RemoveResult::Chunk(c) => {
-                let mut bytes = c.bytes();
-                Ok(Some(T::decode(&mut bytes).map_err(StorageError::from)?))
-            }
-            RemoveResult::Pending | RemoveResult::Drained => Ok(None),
-        }
-    }
-
-    /// Claims up to `max_n` items in one batched storage pass. `Ok` with
-    /// an empty vector means nothing is available right now. Each claimed
-    /// item carries the same exactly-once guarantee as [`WorkBag::try_take`].
+    /// common idle case is "empty but more tasks will arrive". Each item
+    /// is claimed exactly once across every taker.
     pub fn try_take_batch(&mut self, max_n: usize) -> Result<Vec<T>, StorageError> {
         match self.client.try_remove_batch(max_n)? {
             BatchRemoveResult::Chunks(chunks) => {
@@ -126,9 +115,9 @@ mod tests {
         let (cluster, bag) = setup();
         let mut wb = WorkBag::<Descriptor>::with_client(BagClient::new(cluster, bag, 1));
         wb.insert(&(7, "phase1".into())).unwrap();
-        let item = wb.try_take().unwrap().unwrap();
+        let item = wb.try_take_batch(1).unwrap().pop().unwrap();
         assert_eq!(item, (7, "phase1".into()));
-        assert_eq!(wb.try_take().unwrap(), None);
+        assert_eq!(wb.try_take_batch(1).unwrap().pop(), None);
     }
 
     #[test]
@@ -144,11 +133,11 @@ mod tests {
         let mut b = WorkBag::<(u64, u64)>::with_client(BagClient::new(cluster.clone(), bag, 4));
         loop {
             let mut progressed = false;
-            if let Some(t) = a.try_take().unwrap() {
+            if let Some(t) = a.try_take_batch(1).unwrap().pop() {
                 assert!(claimed.insert(t.0), "double claim {t:?}");
                 progressed = true;
             }
-            if let Some(t) = b.try_take().unwrap() {
+            if let Some(t) = b.try_take_batch(1).unwrap().pop() {
                 assert!(claimed.insert(t.0), "double claim {t:?}");
                 progressed = true;
             }
@@ -167,7 +156,7 @@ mod tests {
             wb.insert(&i).unwrap();
         }
         for _ in 0..5 {
-            wb.try_take().unwrap().unwrap();
+            wb.try_take_batch(1).unwrap().pop().unwrap();
         }
         // The done-bag replay semantics: claimed or not, history is intact.
         let all = wb.scan_all().unwrap();

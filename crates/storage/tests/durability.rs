@@ -6,7 +6,7 @@
 
 use hurricane_common::{BagId, StorageNodeId};
 use hurricane_format::Chunk;
-use hurricane_storage::{SegmentStore, StorageNode, TagSegment};
+use hurricane_storage::{next_run_id, SegmentStore, StorageNode, TagSegment};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -48,7 +48,7 @@ fn open(dir: &TempDir) -> StorageNode {
 fn drain(node: &StorageNode, bag: BagId) -> Vec<u64> {
     let mut out = Vec::new();
     loop {
-        let batch = node.remove_batch(bag, 8).expect("remove batch");
+        let batch = node.remove_from_batch(bag, 0, 8).expect("remove batch");
         out.extend(batch.chunks.iter().map(value));
         if batch.eof {
             return out;
@@ -79,10 +79,10 @@ fn restart_from_disk_recovers_contents_counters_and_pointer() {
             // Own-origin stream: the one `remove_batch` serves and the
             // sample counters track (mirrored streams are covered by
             // the node's unit tests).
-            node.insert(bag, chunk(v)).unwrap();
+            node.insert_run(bag, &[chunk(v)], 0, next_run_id()).unwrap();
         }
         for _ in 0..CONSUMED {
-            let batch = node.remove_batch(bag, 1).expect("consume");
+            let batch = node.remove_from_batch(bag, 0, 1).expect("consume");
             assert_eq!(batch.chunks.len(), 1, "unsealed bag served short");
             before.push(value(&batch.chunks[0]));
         }
@@ -119,13 +119,15 @@ fn rewind_and_discard_survive_disk_restart() {
     {
         let node = open(&dir);
         for v in 0..10u64 {
-            node.insert(rewound, chunk(v)).unwrap();
-            node.insert(dropped, chunk(100 + v)).unwrap();
+            node.insert_run(rewound, &[chunk(v)], 0, next_run_id())
+                .unwrap();
+            node.insert_run(dropped, &[chunk(100 + v)], 0, next_run_id())
+                .unwrap();
         }
         // Consume over half, then rewind: the pointer reset must be the
         // durable fact, not the consumes that preceded it.
         for _ in 0..6 {
-            node.remove(rewound).unwrap();
+            node.remove_from_batch(rewound, 0, 1).unwrap();
         }
         node.rewind(rewound).unwrap();
         node.seal(rewound).unwrap();
@@ -178,7 +180,7 @@ fn claimed_identities_survive_restart_and_consume_late_inserts() {
     );
     assert_eq!(s.remaining_bytes, 0);
     node.seal(bag).unwrap();
-    let batch = node.remove_batch(bag, 8).expect("drain");
+    let batch = node.remove_from_batch(bag, 0, 8).expect("drain");
     assert!(
         batch.chunks.is_empty() && batch.eof,
         "claimed chunk re-served after restart"
@@ -202,7 +204,8 @@ fn spill_threshold_bounds_resident_memory_through_a_full_run() {
         body[..8].copy_from_slice(&(i as u64).to_le_bytes());
         body[8..16].copy_from_slice(&(!(i as u64)).to_le_bytes());
         payloads.insert(i as u64, body.clone());
-        node.insert(bag, Chunk::from_vec(body)).unwrap();
+        node.insert_run(bag, &[Chunk::from_vec(body)], 0, next_run_id())
+            .unwrap();
         assert!(
             node.resident_bytes() <= THRESHOLD + CHUNK as u64,
             "resident {} exceeds threshold {} after insert {}",
@@ -220,7 +223,7 @@ fn spill_threshold_bounds_resident_memory_through_a_full_run() {
     node.seal(bag).unwrap();
     let mut seen = 0;
     loop {
-        let batch = node.remove_batch(bag, 8).expect("remove");
+        let batch = node.remove_from_batch(bag, 0, 8).expect("remove");
         for c in &batch.chunks {
             let id = u64::from_le_bytes(c.bytes()[..8].try_into().unwrap());
             let expect = payloads

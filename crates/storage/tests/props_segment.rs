@@ -5,8 +5,10 @@
 //! the intact frame prefix (every preceding frame byte-for-byte, only
 //! the tail dropped, never a phantom record) and a node recovering from
 //! it holds exactly what replaying that prefix against a model gives.
+//! A seeded mutation driver (truncations, bit flips, splices) holds the
+//! scanner to the same contract on logs no writer produced.
 
-use hurricane_common::{BagId, StorageNodeId};
+use hurricane_common::{BagId, DetRng, StorageNodeId};
 use hurricane_format::Chunk;
 use hurricane_storage::node::TagSegment;
 use hurricane_storage::segment::{
@@ -377,6 +379,141 @@ proptest! {
     }
 }
 
+/// One seeded mutation of a valid log `bytes`: bit flips, a splice of a
+/// slice of `donor` (another valid log) or of random bytes, a
+/// truncation, or several of these in a row.
+fn mutate(rng: &mut DetRng, bytes: &[u8], donor: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..=rng.gen_range(3) {
+        let at = rng.gen_range(out.len() as u64 + 1) as usize;
+        match rng.gen_range(4) {
+            0 if !out.is_empty() => {
+                for _ in 0..=rng.gen_range(4) {
+                    let i = rng.gen_range(out.len() as u64) as usize;
+                    out[i] ^= 1 << rng.gen_range(8);
+                }
+            }
+            1 => {
+                let from = rng.gen_range(donor.len() as u64 + 1) as usize;
+                let to = from + rng.gen_range((donor.len() - from) as u64 + 1) as usize;
+                let cut = at + rng.gen_range((out.len() - at) as u64 + 1) as usize;
+                out.splice(at..cut, donor[from..to].iter().copied());
+            }
+            2 => {
+                let junk: Vec<u8> = (0..rng.gen_range(12))
+                    .map(|_| rng.next_u32() as u8)
+                    .collect();
+                out.splice(at..at, junk);
+            }
+            _ => out.truncate(at),
+        }
+    }
+    out
+}
+
+/// The scanner's contract on arbitrary bytes, given the clean log
+/// `clean` the bytes were mutated from and its frames `frames`: `scan`
+/// returns without panicking; its frames tile `[0, valid_len)` with
+/// `valid_len` inside the buffer; each frame decodes alone to the same
+/// record (a `DATA` frame also through the spill read path); the valid
+/// prefix rescans to itself; every clean frame that ends before the
+/// first changed byte survives unchanged; and a node recovering from
+/// the bytes truncates to `valid_len` and, when the recovered frames
+/// name each chunk identity once, holds what replaying them gives.
+fn scan_keeps_its_contract(
+    bytes: &[u8],
+    clean: &[u8],
+    frames: &[(Vec<u8>, Record)],
+) -> Result<(), proptest::TestCaseError> {
+    let scanned = std::panic::catch_unwind(|| scan(bytes));
+    prop_assert!(scanned.is_ok(), "scan panicked on {:?}", bytes);
+    let (scanned, valid_len) = scanned.unwrap();
+    prop_assert!(
+        valid_len <= bytes.len() as u64,
+        "valid length past the buffer"
+    );
+    let mut end = 0u64;
+    let mut recovered = Vec::with_capacity(scanned.len());
+    let mut ids = HashSet::new();
+    let mut unique = true;
+    for f in &scanned {
+        prop_assert_eq!(f.offset, end, "frames do not tile the prefix");
+        end += u64::from(f.frame_len);
+        let raw = &bytes[f.offset as usize..end as usize];
+        let (alone, alone_len) = scan(raw);
+        prop_assert_eq!(alone_len, raw.len() as u64);
+        prop_assert_eq!(
+            &alone[0].record,
+            &f.record,
+            "frame decodes differently alone"
+        );
+        let mut payload = &[][..];
+        if let Record::Data { origin, run, k, .. } = f.record {
+            let (o, r, kk, p) = decode_data_frame(raw).expect("scanned DATA frame re-decodes");
+            prop_assert_eq!((o, r, kk), (origin, run, k));
+            unique &= ids.insert((origin, run, k));
+            payload = p;
+        }
+        recovered.push(((raw.to_vec(), f.record.clone()), payload));
+    }
+    prop_assert_eq!(end, valid_len, "valid length is not the last frame's end");
+    prop_assert_eq!(
+        scan(&bytes[..valid_len as usize]),
+        (scanned.clone(), valid_len)
+    );
+
+    let changed = bytes
+        .iter()
+        .zip(clean)
+        .position(|(a, b)| a != b)
+        .unwrap_or(bytes.len().min(clean.len()));
+    let mut offset = 0;
+    for (i, (frame, record)) in frames.iter().enumerate() {
+        offset += frame.len();
+        if offset > changed {
+            break;
+        }
+        prop_assert!(i < scanned.len(), "untouched frame {} dropped", i);
+        prop_assert_eq!(&scanned[i].record, record, "untouched frame {} changed", i);
+    }
+
+    if unique {
+        let (frames, payloads): (Vec<_>, Vec<_>) = recovered.into_iter().unzip();
+        check_recovery(bytes, valid_len, &Model::replay(&frames, &payloads))?;
+    } else {
+        let store = SegmentStore::mem();
+        let log = store.open_log(&log_name(BagId(1))).expect("mem log");
+        log.append(bytes).expect("mem append");
+        StorageNode::durable(StorageNodeId(0), store, u64::MAX).expect("recover");
+        prop_assert_eq!(log.len(), valid_len, "torn tail not truncated");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Truncated, bit-flipped and spliced logs — including splices of
+    /// whole frames from another valid log, which pass every CRC — keep
+    /// the scanner's contract (`scan_keeps_its_contract`): a valid
+    /// prefix, never a panic or a read past the buffer (the segment
+    /// scanner's fuzz leg, seed-replayable).
+    #[test]
+    fn mutated_logs_scan_to_a_valid_prefix(
+        specs in prop::collection::vec(spec_strategy(24), 0..8),
+        donor_specs in prop::collection::vec(spec_strategy(24), 0..6),
+        seed in any::<u64>(),
+    ) {
+        let frames = build_frames(&specs);
+        let (log, _) = concat(&frames);
+        let (donor, _) = concat(&build_frames(&donor_specs));
+        let mut rng = DetRng::new(seed);
+        for _ in 0..16 {
+            scan_keeps_its_contract(&mutate(&mut rng, &log, &donor), &log, &frames)?;
+        }
+    }
+}
+
 /// The ordering the proptest reaches only by chance, pinned: a `CONSUME`
 /// journaled before the `DATA` it names (a claim that raced the
 /// replicated insert) recovers with the chunk already consumed, while
@@ -404,7 +541,7 @@ fn consume_before_its_data_in_one_log_lands_pre_consumed() {
     assert!(mirrored.eof);
     // The claim named origin 2 only: origin 0's chunk with the same
     // (run, k) is untouched.
-    let own = node.remove_batch(bag, 8).unwrap();
+    let own = node.remove_from_batch(bag, 0, 8).unwrap();
     assert_eq!(own.chunks.len(), 1);
     assert_eq!(
         node.claim_consumed(bag, 2, &[claim]).unwrap(),

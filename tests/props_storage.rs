@@ -4,7 +4,7 @@
 
 use hurricane_common::DetRng;
 use hurricane_format::Chunk;
-use hurricane_storage::bag::{BagClient, RemoveResult};
+use hurricane_storage::bag::{BagClient, BatchRemoveResult};
 use hurricane_storage::batch;
 use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageEndpoint};
 use proptest::prelude::*;
@@ -18,6 +18,14 @@ fn chunk_val(c: &Chunk) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(c.bytes());
     u64::from_le_bytes(b)
+}
+
+/// One chunk through the batch remove: `Some` when one was removed.
+fn take_one(client: &mut BagClient) -> Option<Chunk> {
+    match client.try_remove_batch(1).unwrap() {
+        BatchRemoveResult::Chunks(mut c) => c.pop(),
+        BatchRemoveResult::Pending | BatchRemoveResult::Drained => None,
+    }
 }
 
 proptest! {
@@ -47,13 +55,13 @@ proptest! {
         // Drive clients in the arbitrary order proptest chose...
         for &pick in &schedule {
             let client = &mut handles[pick % clients];
-            if let RemoveResult::Chunk(c) = client.try_remove().unwrap() {
+            if let Some(c) = take_one(client) {
                 prop_assert!(seen.insert(chunk_val(&c)), "duplicate delivery");
             }
         }
         // ...then drain whatever remains.
         for client in &mut handles {
-            while let RemoveResult::Chunk(c) = client.try_remove().unwrap() {
+            while let Some(c) = take_one(client) {
                 prop_assert!(seen.insert(chunk_val(&c)), "duplicate delivery");
             }
         }
@@ -78,15 +86,15 @@ proptest! {
         let mut consumer = BagClient::new(cluster.clone(), bag, seed ^ 1);
         let mut seen = HashSet::new();
         for _ in 0..consumed_before_crash.min(items) {
-            match consumer.try_remove().unwrap() {
-                RemoveResult::Chunk(c) => {
+            match take_one(&mut consumer) {
+                Some(c) => {
                     prop_assert!(seen.insert(chunk_val(&c)));
                 }
-                _ => break,
+                None => break,
             }
         }
         cluster.node(0).fail();
-        while let RemoveResult::Chunk(c) = consumer.try_remove().unwrap() {
+        while let Some(c) = take_one(&mut consumer) {
             prop_assert!(seen.insert(chunk_val(&c)), "failover duplicate");
         }
         prop_assert_eq!(seen.len() as u64, items, "failover lost chunks");
@@ -167,7 +175,7 @@ proptest! {
                 client.insert_batch(&chunks).unwrap();
             } else {
                 for c in chunks {
-                    client.stage(c).unwrap();
+                    client.insert(c).unwrap();
                 }
             }
         }
@@ -212,9 +220,9 @@ proptest! {
             client.insert(chunk(i)).unwrap();
         }
         cluster.seal_bag(bag).unwrap();
-        while let RemoveResult::Chunk(_) = client.try_remove().unwrap() {}
+        while take_one(&mut client).is_some() {}
         for _ in 0..probes {
-            prop_assert_eq!(client.try_remove().unwrap(), RemoveResult::Drained);
+            prop_assert_eq!(client.try_remove_batch(1).unwrap(), BatchRemoveResult::Drained);
         }
     }
 }

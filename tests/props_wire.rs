@@ -1,8 +1,9 @@
 //! Property tests for the storage RPC wire format: envelope round-trips
 //! through framing under arbitrary socket fragmentation, rejection
 //! (never a panic, never a bogus decode) of truncated or oversized
-//! frames, and totality of both envelope decoders over seeded mutations
-//! of valid encodings.
+//! frames, totality of both envelope decoders over seeded mutations
+//! of valid encodings, and the tags wire version 3 retired staying
+//! retired.
 
 use hurricane_common::{BagId, DetRng, StorageNodeId};
 use hurricane_format::{Chunk, CodecError};
@@ -21,7 +22,7 @@ type RawRequest = ((u8, u64, u32, u64, u64), Vec<Vec<u8>>, Vec<(u64, u32, u32)>)
 fn raw_request() -> impl Strategy<Value = RawRequest> {
     (
         (
-            0u8..15,
+            0u8..12,
             any::<u64>(),
             any::<u32>(),
             any::<u64>(),
@@ -52,21 +53,15 @@ fn build_request(raw: RawRequest) -> StorageRequest {
             origin,
             max_n: n as usize,
         },
-        2 => StorageRequest::MirrorConsumed { bag, origin, tags },
-        3 => StorageRequest::Sample { bag },
-        4 => StorageRequest::ReadAt {
-            bag,
-            index: n as usize,
-        },
-        5 => StorageRequest::Snapshot { bag },
-        6 => StorageRequest::SnapshotFrom { bag, origin },
-        7 => StorageRequest::Seal { bag },
-        8 => StorageRequest::Rewind { bag },
-        9 => StorageRequest::Discard { bag },
-        10 => StorageRequest::Collect { bag },
-        11 => StorageRequest::Drain,
-        12 => StorageRequest::IsDrained,
-        13 => StorageRequest::ClaimConsumed { bag, origin, tags },
+        2 => StorageRequest::Sample { bag },
+        3 => StorageRequest::SnapshotFrom { bag, origin },
+        4 => StorageRequest::Seal { bag },
+        5 => StorageRequest::Rewind { bag },
+        6 => StorageRequest::Discard { bag },
+        7 => StorageRequest::Collect { bag },
+        8 => StorageRequest::Drain,
+        9 => StorageRequest::IsDrained,
+        10 => StorageRequest::ClaimConsumed { bag, origin, tags },
         _ => StorageRequest::Ping,
     }
 }
@@ -83,7 +78,7 @@ type RawReply = (
 
 fn raw_reply() -> impl Strategy<Value = RawReply> {
     (
-        0u8..14,
+        0u8..12,
         any::<u64>(),
         any::<u32>(),
         prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 0..5),
@@ -107,8 +102,7 @@ fn build_reply_result(raw: RawReply) -> Result<StorageResponse, StorageError> {
             exhausted: flag_a,
             eof: flag_a && flag_b,
         })),
-        2 => Ok(StorageResponse::Mirrored),
-        3 => Ok(StorageResponse::Sampled(BagSample {
+        2 => Ok(StorageResponse::Sampled(BagSample {
             total_chunks: big,
             removed_chunks: big / 2,
             remaining_chunks: big - big / 2,
@@ -117,15 +111,14 @@ fn build_reply_result(raw: RawReply) -> Result<StorageResponse, StorageError> {
             resident_bytes: big.wrapping_mul(5),
             sealed: flag_a,
         })),
-        4 => Ok(StorageResponse::ChunkAt(chunks.into_iter().next())),
-        5 => Ok(StorageResponse::Chunks(chunks)),
-        6 => Ok(StorageResponse::Done),
-        7 => Ok(StorageResponse::Drained(flag_b)),
-        8 => Ok(StorageResponse::Pong),
-        9 => Ok(StorageResponse::Claimed(tags)),
-        10 => Err(StorageError::NodeDown(StorageNodeId(small))),
-        11 => Err(StorageError::BagSealed(BagId(big))),
-        12 => Err(StorageError::Timeout(StorageNodeId(small))),
+        3 => Ok(StorageResponse::Chunks(chunks)),
+        4 => Ok(StorageResponse::Done),
+        5 => Ok(StorageResponse::Drained(flag_b)),
+        6 => Ok(StorageResponse::Pong),
+        7 => Ok(StorageResponse::Claimed(tags)),
+        8 => Err(StorageError::NodeDown(StorageNodeId(small))),
+        9 => Err(StorageError::BagSealed(BagId(big))),
+        10 => Err(StorageError::Timeout(StorageNodeId(small))),
         _ => Err(StorageError::Codec(CodecError::InvalidTag(tag))),
     }
 }
@@ -208,6 +201,38 @@ fn decoders_are_total(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
         prop_assert_eq!(wire::decode_reply(&mut again.as_slice()), Ok(env));
     }
     Ok(())
+}
+
+/// Request tags 2, 4 and 5 (`MirrorConsumed`, `ReadAt`, `Snapshot`) and
+/// response tags 2 and 4 (`Mirrored`, `ChunkAt`) were retired in wire
+/// version 3 and are never reused: an envelope carrying one is a typed
+/// `InvalidTag` error whatever the bytes after it (here: the retired
+/// variant's old fields, nothing, and junk).
+#[test]
+fn retired_tags_decode_to_invalid_tag() {
+    let tails: [&[u8]; 3] = [&[4, 2, 0], &[], &[0xFF; 12]];
+    for tail in tails {
+        for tag in [2u8, 4, 5] {
+            // id, client, seq, then the body's tag.
+            let mut req = vec![1, 7, 9, tag];
+            req.extend_from_slice(tail);
+            assert_eq!(
+                wire::decode_request(&mut req.as_slice()),
+                Err(CodecError::InvalidTag(tag)),
+                "request tag {tag}"
+            );
+        }
+        for tag in [2u8, 4] {
+            // id, `Ok`, then the response's tag.
+            let mut rep = vec![1, 1, tag];
+            rep.extend_from_slice(tail);
+            assert_eq!(
+                wire::decode_reply(&mut rep.as_slice()),
+                Err(CodecError::InvalidTag(tag)),
+                "response tag {tag}"
+            );
+        }
+    }
 }
 
 proptest! {

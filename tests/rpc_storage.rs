@@ -12,7 +12,8 @@ use hurricane_storage::rpc::{
     StorageResponse,
 };
 use hurricane_storage::{
-    ClusterConfig, Membership, OnceConnect, StorageCluster, StorageEndpoint, StorageError,
+    next_run_id, ClusterConfig, Membership, OnceConnect, StorageCluster, StorageEndpoint,
+    StorageError,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,24 +36,27 @@ fn chunk_val(c: &Chunk) -> u64 {
 fn correlation_matches_under_concurrent_outstanding_requests() {
     let node = Arc::new(hurricane_storage::StorageNode::new(StorageNodeId(0)));
     let bag = BagId(1);
-    for i in 0..64u64 {
-        node.insert(bag, chunk(i)).unwrap();
+    // Origin stream `i` holds one chunk, `i`: each snapshot of one
+    // origin has a payload of its own.
+    for i in 0..64u32 {
+        node.insert_run(bag, &[chunk(i.into())], i, next_run_id())
+            .unwrap();
     }
     let server = NodeServerHandle::spawn(node, 4);
     let mut conn = NodeConnection::new(Box::new(server.connect()));
-    let tokens: Vec<_> = (0..64usize)
-        .map(|i| {
-            conn.submit(StorageRequest::ReadAt { bag, index: i })
+    let tokens: Vec<_> = (0..64u32)
+        .map(|origin| {
+            conn.submit(StorageRequest::SnapshotFrom { bag, origin })
                 .unwrap()
         })
         .collect();
     assert_eq!(conn.outstanding(), 64);
     for (i, token) in tokens.into_iter().enumerate().rev() {
         match conn.wait(token, Duration::from_secs(5)).unwrap() {
-            StorageResponse::ChunkAt(Some(c)) => {
+            StorageResponse::Chunks(chunks) => {
                 assert_eq!(
-                    chunk_val(&c),
-                    i as u64,
+                    chunks.iter().map(chunk_val).collect::<Vec<_>>(),
+                    [i as u64],
                     "token {i} got someone else's reply"
                 );
             }
@@ -397,12 +401,13 @@ fn coalesced_flush_reroutes_around_mid_stream_failure() {
     let second: Vec<Chunk> = (40..80u64).map(chunk).collect();
     client.insert_batch(&second).unwrap();
     client.flush().unwrap();
-    // Exactly once across the three live nodes.
+    // Exactly once across the three live nodes. A snapshot reads every
+    // origin, so node 2 is back (empty) before it runs.
+    cluster.node(2).recover();
     let landed = RpcPort::inline(cluster.clone()).snapshot_bag(bag).unwrap();
     let mut vals: Vec<u64> = landed.iter().map(chunk_val).collect();
     vals.sort_unstable();
     assert_eq!(vals, (0..80u64).collect::<Vec<_>>());
-    cluster.node(2).recover();
     assert_eq!(
         cluster.node(2).sample(bag).unwrap().total_chunks,
         0,

@@ -208,23 +208,16 @@ fn mixed_single_and_batched_clients_share_exactly_once() {
             let cluster = cluster.clone();
             std::thread::spawn(move || {
                 let mut client = BagClient::new(cluster, bag, 10 + t);
+                // One consumer takes eight chunks a call, the other one.
+                let max_n = if t == 0 { 8 } else { 1 };
                 let mut got = Vec::new();
                 loop {
-                    if t == 0 {
-                        match client.try_remove_batch(8).unwrap() {
-                            BatchRemoveResult::Chunks(chunks) => {
-                                got.extend(chunks.iter().map(chunk_val))
-                            }
-                            BatchRemoveResult::Pending => std::thread::yield_now(),
-                            BatchRemoveResult::Drained => return got,
+                    match client.try_remove_batch(max_n).unwrap() {
+                        BatchRemoveResult::Chunks(chunks) => {
+                            got.extend(chunks.iter().map(chunk_val))
                         }
-                    } else {
-                        use hurricane_storage::RemoveResult;
-                        match client.try_remove().unwrap() {
-                            RemoveResult::Chunk(c) => got.push(chunk_val(&c)),
-                            RemoveResult::Pending => std::thread::yield_now(),
-                            RemoveResult::Drained => return got,
-                        }
+                        BatchRemoveResult::Pending => std::thread::yield_now(),
+                        BatchRemoveResult::Drained => return got,
                     }
                 }
             })
