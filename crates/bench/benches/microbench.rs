@@ -1080,6 +1080,132 @@ fn bench_replicated_insert(c: &mut Criterion) {
     endpoint.shutdown();
 }
 
+/// Endless in-memory byte stream: each `read` copies as much of `bytes`
+/// as fits, wrapping around, the way a socket delivers a stream of
+/// identical frames.
+struct Replay<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl std::io::Read for Replay<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos = (self.pos + n) % self.bytes.len();
+        Ok(n)
+    }
+}
+
+/// One TCP hop of a 10 x 64 KB frame, per chunk, without a socket: a
+/// request (`InsertBatch`) and a reply (`Removed`) each encoded and
+/// written into an in-memory sink, and each read and decoded from an
+/// in-memory stream of such frames by one long-lived frame reader. The
+/// sink's and the stream's copies stand in for the kernel's. The
+/// `one_copy_floor` row copies each chunk once into a fresh exact-size
+/// buffer that is kept until the iteration ends: what a hop cannot go
+/// below while every received chunk owns its bytes.
+fn bench_tcp_frame(c: &mut Criterion) {
+    use hurricane_format::Chunk;
+    use hurricane_storage::wire::{self, FrameReader, FrameWriter};
+    use hurricane_storage::{
+        ChunkRun, NodeRemoveBatch, ReplyEnvelope, RequestEnvelope, StorageRequest, StorageResponse,
+        TagSegment,
+    };
+
+    const CHUNKS: usize = 10;
+    const CHUNK: usize = 64 * 1024;
+    let chunks: Vec<Chunk> = (0..CHUNKS as u64)
+        .map(|c| {
+            Chunk::from_vec(
+                (0..CHUNK as u64)
+                    .map(|i| hurricane_common::SplitMix64::mix(c << 32 | i) as u8)
+                    .collect(),
+            )
+        })
+        .collect();
+    let request = RequestEnvelope {
+        id: 1,
+        client: 2,
+        seq: 3,
+        request: StorageRequest::InsertBatch {
+            bag: hurricane_common::BagId(4),
+            origin: 0,
+            run: 5,
+            chunks: ChunkRun::new(chunks.clone()),
+        },
+    };
+    let reply = ReplyEnvelope {
+        id: 1,
+        result: Ok(StorageResponse::Removed(NodeRemoveBatch {
+            chunks: chunks.clone(),
+            tags: vec![TagSegment {
+                run: 5,
+                start: 0,
+                len: CHUNKS as u32,
+            }],
+            exhausted: false,
+            eof: false,
+        })),
+    };
+    let framed = |encode: &dyn Fn(&mut Vec<u8>)| {
+        let (mut payload, mut out) = (Vec::new(), Vec::new());
+        encode(&mut payload);
+        wire::frame(&payload, &mut out);
+        out
+    };
+    let request_frame = framed(&|out| wire::encode_request(&request, out));
+    let reply_frame = framed(&|out| wire::encode_reply(&reply, out));
+
+    let mut g = c.benchmark_group("tcp_frame/10x64k");
+    g.throughput(Throughput::Elements(CHUNKS as u64));
+    let mut frames = FrameWriter::new();
+    let mut sink = Vec::with_capacity(request_frame.len());
+    g.bench_function("request/write", |b| {
+        b.iter(|| {
+            sink.clear();
+            frames.write_request(&mut sink, &request).unwrap();
+            sink.len()
+        })
+    });
+    g.bench_function("reply/write", |b| {
+        b.iter(|| {
+            sink.clear();
+            frames.write_reply(&mut sink, &reply).unwrap();
+            sink.len()
+        })
+    });
+    let mut r = FrameReader::new(Replay {
+        bytes: &request_frame,
+        pos: 0,
+    });
+    g.bench_function("request/read", |b| {
+        b.iter(|| {
+            let mut payload = r.next_frame().unwrap().unwrap();
+            wire::decode_request(&mut payload).unwrap()
+        })
+    });
+    let mut r = FrameReader::new(Replay {
+        bytes: &reply_frame,
+        pos: 0,
+    });
+    g.bench_function("reply/read", |b| {
+        b.iter(|| {
+            let mut payload = r.next_frame().unwrap().unwrap();
+            wire::decode_reply(&mut payload).unwrap()
+        })
+    });
+    g.bench_function("one_copy_floor", |b| {
+        b.iter(|| {
+            chunks
+                .iter()
+                .map(|c| c.bytes().to_vec())
+                .collect::<Vec<_>>()
+        })
+    });
+    g.finish();
+}
+
 /// `BagSample` polling: the master samples input bags through its
 /// control port ([`RpcPort::sample_bag`], inline plane) on every clone
 /// request. Sampling is O(1) per node (running counters), whatever the
@@ -1232,6 +1358,7 @@ criterion_group!(
     bench_prefetch,
     bench_flow_control,
     bench_replicated_insert,
+    bench_tcp_frame,
     bench_sample,
     bench_placement,
     bench_workloads,

@@ -315,8 +315,8 @@ impl BagWriter {
     pub fn write_record<T: Record>(&mut self, record: &T) -> Result<(), EngineError> {
         let start = self.body.len();
         record.encode(self.body.encode_buf());
-        if let Some(data) = self.body.commit(start).map_err(EngineError::Codec)? {
-            self.seal_data(data)?;
+        if let Some(chunk) = self.body.commit(start).map_err(EngineError::Codec)? {
+            self.stage(chunk)?;
         }
         Ok(())
     }
@@ -326,12 +326,12 @@ impl BagWriter {
     /// exactly one record's encoding so the boundary invariant holds.
     #[inline]
     pub fn write_encoded(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        if let Some(data) = self
+        if let Some(chunk) = self
             .body
             .append_encoded(bytes)
             .map_err(EngineError::Codec)?
         {
-            self.seal_data(data)?;
+            self.stage(chunk)?;
         }
         Ok(())
     }
@@ -346,18 +346,15 @@ impl BagWriter {
     /// Seals buffered records into a chunk and stages it.
     fn seal_chunk(&mut self) -> Result<(), EngineError> {
         match self.body.take() {
-            Some(data) => self.seal_data(data),
+            Some(chunk) => self.stage(chunk),
             None => Ok(()),
         }
     }
 
-    /// Stages `data` (a complete chunk payload). Cold: runs once per
-    /// sealed chunk.
+    /// Counts and inserts one complete chunk. Cold: runs once per chunk,
+    /// which keeps it out of the record loops `write_record` inlines
+    /// into.
     #[cold]
-    fn seal_data(&mut self, data: Vec<u8>) -> Result<(), EngineError> {
-        self.stage(Chunk::from_vec(data))
-    }
-
     fn stage(&mut self, chunk: Chunk) -> Result<(), EngineError> {
         self.bytes_written += chunk.len() as u64;
         self.chunks_written += 1;

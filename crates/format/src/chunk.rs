@@ -28,9 +28,18 @@ impl Chunk {
         Self { data }
     }
 
-    /// Builds a chunk from a `Vec<u8>` without copying.
+    /// Builds a chunk from a `Vec<u8>` without copying: the chunk keeps
+    /// the vector's allocation, spare capacity included.
     pub fn from_vec(data: Vec<u8>) -> Self {
         Self { data: data.into() }
+    }
+
+    /// Copies `data` into a chunk of exactly its size, one allocation
+    /// holding the bytes and their reference count.
+    pub fn copy_from_slice(data: &[u8]) -> Self {
+        Self {
+            data: Bytes::copy_from_slice(data),
+        }
     }
 
     /// Returns the chunk payload.
@@ -76,6 +85,15 @@ mod tests {
         assert_eq!(c.bytes(), &[1, 2, 3]);
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v = vec![5u8; 64 * 1024];
+        let ptr = v.as_ptr();
+        let c = Chunk::from_vec(v);
+        assert_eq!(c.bytes().as_ptr(), ptr, "no copy on the way in");
+        assert_eq!(c.shared().as_ptr(), ptr);
     }
 
     #[test]

@@ -42,13 +42,17 @@ pub struct ChunkWriter<T: Record> {
 /// `BagWriter` build chunks the same way — serialize one record's bytes
 /// into the buffer, then enforce the boundary invariant — so the
 /// protocol lives here once: the encode-headroom capacity policy, the
-/// carry-the-overflowing-record-into-the-next-buffer seal, and the
+/// seal that keeps the overflowing record for the next chunk, and the
 /// truncate rollback (with capacity release) for oversized records.
 ///
 /// Usage per record: append exactly one record's encoding to
 /// [`ChunkBuf::encode_buf`], then call [`ChunkBuf::commit`] with the
-/// pre-append length. A returned `Ok(Some(payload))` is a completed
-/// chunk's bytes.
+/// pre-append length. A returned `Ok(Some(chunk))` is a completed chunk.
+///
+/// One build buffer lives as long as the `ChunkBuf`. A seal copies the
+/// chunk's bytes once, into an allocation of exactly their size
+/// ([`Chunk::copy_from_slice`]), and the build buffer is reused: a
+/// stored chunk never keeps the build buffer's headroom alive.
 #[derive(Debug)]
 pub struct ChunkBuf {
     chunk_size: usize,
@@ -73,10 +77,6 @@ impl ChunkBuf {
         chunk_size + Self::ENCODE_HEADROOM.min(chunk_size)
     }
 
-    fn fresh(chunk_size: usize) -> Vec<u8> {
-        Vec::with_capacity(Self::normal_capacity(chunk_size))
-    }
-
     /// Creates an empty buffer for chunks of at most `chunk_size` bytes.
     ///
     /// # Panics
@@ -86,7 +86,7 @@ impl ChunkBuf {
         assert!(chunk_size > 0, "chunk size must be positive");
         Self {
             chunk_size,
-            buf: Self::fresh(chunk_size),
+            buf: Vec::with_capacity(Self::normal_capacity(chunk_size)),
         }
     }
 
@@ -113,13 +113,13 @@ impl ChunkBuf {
     }
 
     /// Enforces the boundary invariant for the record appended since
-    /// `start` (the buffer length before the append). Returns the sealed
-    /// previous contents if the record overflowed the capacity and was
-    /// carried into a fresh buffer, or [`CodecError::RecordTooLarge`]
-    /// (rolled back; the buffer stays usable) if the record alone can
-    /// never fit a chunk.
+    /// `start` (the buffer length before the append). Returns the
+    /// previous contents sealed as a chunk if the record overflowed the
+    /// capacity (the record stays in the buffer, as the next chunk's
+    /// first), or [`CodecError::RecordTooLarge`] (rolled back; the buffer
+    /// stays usable) if the record alone can never fit a chunk.
     #[inline]
-    pub fn commit(&mut self, start: usize) -> Result<Option<Vec<u8>>, CodecError> {
+    pub fn commit(&mut self, start: usize) -> Result<Option<Chunk>, CodecError> {
         // One branch on the hot path: an in-capacity append needs no
         // other bookkeeping. Overflow (once per chunk) and the oversized-
         // record error share the cold path.
@@ -133,7 +133,7 @@ impl ChunkBuf {
     /// keeping `commit`'s hot body small enough to inline into record
     /// loops.
     #[cold]
-    fn overflow(&mut self, start: usize) -> Result<Option<Vec<u8>>, CodecError> {
+    fn overflow(&mut self, start: usize) -> Result<Option<Chunk>, CodecError> {
         let len = self.buf.len() - start;
         if len > self.chunk_size {
             self.buf.truncate(start);
@@ -146,17 +146,19 @@ impl ChunkBuf {
                 chunk: self.chunk_size,
             });
         }
-        let mut next = Self::fresh(self.chunk_size);
-        next.extend_from_slice(&self.buf[start..]);
-        self.buf.truncate(start);
-        debug_assert!(!self.buf.is_empty(), "overflow implies a non-empty prefix");
-        Ok(Some(std::mem::replace(&mut self.buf, next)))
+        debug_assert!(start > 0, "overflow implies a non-empty prefix");
+        let sealed = Chunk::copy_from_slice(&self.buf[..start]);
+        self.buf.drain(..start);
+        // An overflowing record larger than the headroom grew the buffer;
+        // give that back rather than keep it for the writer's lifetime.
+        self.buf.shrink_to(Self::normal_capacity(self.chunk_size));
+        Ok(Some(sealed))
     }
 
     /// Appends one pre-serialized record, sealing first if it would not
     /// fit — the fan-out primitive's byte layer.
     #[inline]
-    pub fn append_encoded(&mut self, bytes: &[u8]) -> Result<Option<Vec<u8>>, CodecError> {
+    pub fn append_encoded(&mut self, bytes: &[u8]) -> Result<Option<Chunk>, CodecError> {
         if bytes.len() > self.chunk_size {
             return Err(CodecError::RecordTooLarge {
                 record: bytes.len(),
@@ -171,16 +173,16 @@ impl ChunkBuf {
         Ok(completed)
     }
 
-    /// Takes the buffered payload as a completed (possibly short) chunk
-    /// body, leaving a fresh buffer; `None` when nothing is buffered.
-    pub fn take(&mut self) -> Option<Vec<u8>> {
+    /// Seals the buffered records as a completed (possibly short)
+    /// chunk, leaving the build buffer empty; `None` when nothing is
+    /// buffered.
+    pub fn take(&mut self) -> Option<Chunk> {
         if self.buf.is_empty() {
             return None;
         }
-        Some(std::mem::replace(
-            &mut self.buf,
-            Self::fresh(self.chunk_size),
-        ))
+        let sealed = Chunk::copy_from_slice(&self.buf);
+        self.buf.clear();
+        Some(sealed)
     }
 }
 
@@ -218,7 +220,7 @@ impl<T: Record> ChunkWriter<T> {
     pub fn push(&mut self, record: &T) -> Result<Option<Chunk>, CodecError> {
         let start = self.body.len();
         record.encode(self.body.encode_buf());
-        let completed = self.body.commit(start)?.map(|data| self.sealed(data));
+        let completed = self.body.commit(start)?.map(|chunk| self.sealed(chunk));
         self.records_in_buf += 1;
         self.records_total += 1;
         Ok(completed)
@@ -233,17 +235,17 @@ impl<T: Record> ChunkWriter<T> {
         let completed = self
             .body
             .append_encoded(bytes)?
-            .map(|data| self.sealed(data));
+            .map(|chunk| self.sealed(chunk));
         self.records_in_buf += 1;
         self.records_total += 1;
         Ok(completed)
     }
 
-    /// Counts a sealed payload and wraps it as a chunk.
-    fn sealed(&mut self, data: Vec<u8>) -> Chunk {
+    /// Counts a sealed chunk.
+    fn sealed(&mut self, chunk: Chunk) -> Chunk {
         self.records_in_buf = 0;
         self.chunks_emitted += 1;
-        Chunk::from_vec(data)
+        chunk
     }
 
     /// Flushes any buffered records into a final (possibly short) chunk.
@@ -257,8 +259,8 @@ impl<T: Record> ChunkWriter<T> {
     }
 
     fn seal(&mut self) -> Option<Chunk> {
-        let data = self.body.take()?;
-        Some(self.sealed(data))
+        let chunk = self.body.take()?;
+        Some(self.sealed(chunk))
     }
 
     /// Number of records accepted so far.
@@ -475,6 +477,39 @@ mod tests {
         let c = w.finish().unwrap();
         assert_eq!(c.len(), 7);
         assert_eq!(decode_all::<String>(&c).unwrap(), vec!["abcdef"]);
+    }
+
+    #[test]
+    fn sealed_chunks_hold_exactly_their_bytes() {
+        // Both seals, overflow and take, hand out a copy of exactly the
+        // records before the boundary and keep building in the same
+        // buffer.
+        let mut body = ChunkBuf::new(16);
+        let build = body.encode_buf().as_ptr();
+        let (mut sealed, mut want, mut pending) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..40u64 {
+            let start = body.len();
+            (i, i * 3).encode(body.encode_buf());
+            let record = body.encode_buf()[start..].to_vec();
+            if let Some(chunk) = body.commit(start).unwrap() {
+                want.push(std::mem::take(&mut pending));
+                sealed.push(chunk);
+            }
+            pending.extend_from_slice(&record);
+        }
+        sealed.extend(body.take());
+        want.push(pending);
+        assert!(sealed.len() > 2);
+        assert_eq!(sealed.len(), want.len());
+        for (chunk, want) in sealed.iter().zip(&want) {
+            assert_eq!(chunk.bytes(), &want[..]);
+            assert_ne!(chunk.bytes().as_ptr(), build);
+        }
+        assert_eq!(
+            body.encode_buf().as_ptr(),
+            build,
+            "the build buffer is reused"
+        );
     }
 
     #[test]

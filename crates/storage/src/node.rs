@@ -353,7 +353,7 @@ impl Stream {
                         "spilled frame failed CRC on read-back",
                     )
                 })?;
-                Ok(Chunk::from_vec(payload.to_vec()))
+                Ok(Chunk::copy_from_slice(payload))
             }
         }
     }

@@ -6,11 +6,13 @@
 //!
 //! * [`TcpTransport`] — a client connection: a writer thread owns the
 //!   socket's write half (so [`Transport::send`] enqueues and returns, as
-//!   the trait demands), a reader thread reassembles frames
-//!   ([`crate::wire::FrameBuffer`]) and buffers decoded replies. Any
-//!   socket failure latches the connection dead; subsequent operations
-//!   report [`StorageError::Disconnected`], which the replica failover
-//!   and retry layers already handle.
+//!   the trait demands) and writes each request with one vectored write
+//!   ([`crate::wire::FrameWriter`]); a reader thread reads each reply
+//!   frame into one reused buffer ([`crate::wire::FrameReader`]) and
+//!   buffers the decoded replies. Any socket failure latches the
+//!   connection dead; subsequent operations report
+//!   [`StorageError::Disconnected`], which the replica failover and
+//!   retry layers already handle.
 //! * [`TcpNodeServer`] — serves one [`StorageNode`] on a listener: accept
 //!   loop, per-connection service threads, one shared [`ServerDedup`] so
 //!   retransmissions are recognized across reconnects.
@@ -22,6 +24,9 @@
 //!   membership; the driver replies with the assigned node id.
 //!
 //! Wire layout is defined in [`crate::wire`] and documented in `WIRE.md`.
+//! A chunk's bytes are copied in user space once per hop: sent from the
+//! chunk's own buffer, read into the connection's frame buffer by the
+//! kernel, and copied from there into the decoded chunk.
 //! Each data connection opens with a server-first handshake — magic,
 //! version, serving node id — so a client immediately detects version
 //! skew or a connection to the wrong node.
@@ -31,7 +36,7 @@ use crate::error::StorageError;
 use crate::membership::{Connect, Membership};
 use crate::node::StorageNode;
 use crate::rpc::{serve_deduped, ReplyEnvelope, RequestEnvelope, ServerDedup, Transport};
-use crate::wire::{self, FrameBuffer};
+use crate::wire::{self, FrameReader, FrameWriter};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hurricane_common::StorageNodeId;
 use hurricane_format::varint;
@@ -54,8 +59,6 @@ pub const JOIN_MAGIC: [u8; 4] = *b"HURJ";
 /// `SnapshotFrom`.
 pub const WIRE_VERSION: u8 = 3;
 
-/// Read-side buffer size for socket reads.
-const READ_BUF: usize = 64 * 1024;
 /// Poll interval of non-blocking accept loops.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
@@ -150,14 +153,9 @@ impl TcpTransport {
 }
 
 fn writer_loop(mut stream: TcpStream, req_rx: Receiver<RequestEnvelope>, dead: Arc<AtomicBool>) {
-    let mut payload = Vec::new();
-    let mut out = Vec::new();
+    let mut frames = FrameWriter::new();
     while let Ok(env) = req_rx.recv() {
-        payload.clear();
-        out.clear();
-        wire::encode_request(&env, &mut payload);
-        wire::frame(&payload, &mut out);
-        if stream.write_all(&out).is_err() {
+        if frames.write_request(&mut stream, &env).is_err() {
             dead.store(true, Ordering::Release);
             return;
         }
@@ -167,43 +165,21 @@ fn writer_loop(mut stream: TcpStream, req_rx: Receiver<RequestEnvelope>, dead: A
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn reader_loop(mut stream: TcpStream, reply_tx: Sender<ReplyEnvelope>, dead: Arc<AtomicBool>) {
-    let mut fb = FrameBuffer::new();
-    let mut buf = vec![0u8; READ_BUF];
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
+fn reader_loop(stream: TcpStream, reply_tx: Sender<ReplyEnvelope>, dead: Arc<AtomicBool>) {
+    let mut frames = FrameReader::new(&stream);
+    // Until the stream ends or fails, or a frame is garbled: frame
+    // boundaries can no longer be trusted, so the connection dies.
+    while let Ok(Some(mut payload)) = frames.next_frame() {
+        let reply = match wire::decode_reply(&mut payload) {
+            Ok(r) if payload.is_empty() => r,
+            _ => break,
         };
-        fb.push(&buf[..n]);
-        loop {
-            match fb.next_frame() {
-                Ok(Some(frame)) => {
-                    let mut slice = frame.as_slice();
-                    let reply = match wire::decode_reply(&mut slice) {
-                        Ok(r) if slice.is_empty() => r,
-                        // Garbled reply: frame boundaries can no longer
-                        // be trusted; kill the connection.
-                        _ => {
-                            dead.store(true, Ordering::Release);
-                            let _ = stream.shutdown(Shutdown::Both);
-                            return;
-                        }
-                    };
-                    if reply_tx.send(reply).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    dead.store(true, Ordering::Release);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
+        if reply_tx.send(reply).is_err() {
+            return;
         }
     }
     dead.store(true, Ordering::Release);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 impl Transport for TcpTransport {
@@ -389,36 +365,18 @@ fn serve_connection(
     varint::encode(node.id().0 as u64, &mut hello);
     stream.write_all(&hello)?;
 
-    let mut fb = FrameBuffer::new();
-    let mut buf = vec![0u8; READ_BUF];
-    let mut payload = Vec::new();
-    let mut out = Vec::new();
-    loop {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Ok(());
-        }
-        fb.push(&buf[..n]);
-        loop {
-            let frame = match fb.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(_) => return Err(proto_err("bad frame")),
-            };
-            let mut slice = frame.as_slice();
-            let env = match wire::decode_request(&mut slice) {
-                Ok(env) if slice.is_empty() => env,
-                _ => return Err(proto_err("bad request payload")),
-            };
-            if let Some(reply) = serve_deduped(node, dedup, env) {
-                payload.clear();
-                out.clear();
-                wire::encode_reply(&reply, &mut payload);
-                wire::frame(&payload, &mut out);
-                stream.write_all(&out)?;
-            }
+    let mut frames = FrameReader::new(&stream);
+    let mut replies = FrameWriter::new();
+    while let Some(mut payload) = frames.next_frame()? {
+        let env = match wire::decode_request(&mut payload) {
+            Ok(env) if payload.is_empty() => env,
+            _ => return Err(proto_err("bad request payload")),
+        };
+        if let Some(reply) = serve_deduped(node, dedup, env) {
+            replies.write_reply(&mut &stream, &reply)?;
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -627,6 +585,37 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn frames_of_more_slices_than_one_write_takes_cross_the_socket() {
+        // 1,500 chunks of which every third is empty: the request and
+        // the snapshot reply each need more than IOV_MAX (1,024) slices.
+        let node = Arc::new(StorageNode::new(StorageNodeId(0)));
+        let server = TcpNodeServer::bind(node, "127.0.0.1:0").unwrap();
+        let mut t = TcpTransport::dial(&server.local_addr().to_string(), None).unwrap();
+        let chunks: Vec<Chunk> = (0..1500u32)
+            .map(|i| Chunk::from_vec(vec![i as u8; (i % 3) as usize * 700]))
+            .collect();
+        let bag = BagId(1);
+        let insert = StorageRequest::InsertBatch {
+            bag,
+            origin: 0,
+            run: crate::node::next_run_id(),
+            chunks: crate::rpc::ChunkRun::new(chunks.clone()),
+        };
+        assert_eq!(
+            call(&mut t, 1, 1, insert).result,
+            Ok(StorageResponse::Inserted)
+        );
+        let reply = call(
+            &mut t,
+            2,
+            2,
+            StorageRequest::SnapshotFrom { bag, origin: 0 },
+        );
+        assert_eq!(reply.result, Ok(StorageResponse::Chunks(chunks)));
         server.shutdown();
     }
 

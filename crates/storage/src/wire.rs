@@ -21,6 +21,15 @@
 //!   [`MAX_FRAME_LEN`] are rejected on both ends, which bounds the
 //!   memory a malformed or hostile peer can make a node allocate.
 //!
+//! One encoder serves two sinks. Into a `Vec<u8>`
+//! ([`encode_request`], [`encode_reply`]) it writes the reference
+//! encoding. Into a [`FrameWriter`] it writes every field except chunk
+//! payloads into a small reused head buffer, and the frame goes out as
+//! one vectored write that sends each payload from its chunk's own
+//! buffer. [`FrameReader`] reads each frame into one reused buffer, and
+//! the decoder copies each chunk out of it into an allocation of exactly
+//! the chunk's size, the only user-space copy of a chunk byte on a hop.
+//!
 //! Decoding is *total*: arbitrary bytes either decode or return a
 //! [`CodecError`]; nothing panics. Decoders run on exactly one frame's
 //! payload, so "declared length exceeds remaining input" is always
@@ -32,6 +41,7 @@ use crate::rpc::{ChunkRun, ReplyEnvelope, RequestEnvelope, StorageRequest, Stora
 use hurricane_common::{BagId, StorageNodeId};
 use hurricane_format::varint;
 use hurricane_format::{Chunk, CodecError};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard ceiling on one frame's payload size (64 MiB + slack).
 ///
@@ -55,11 +65,6 @@ fn put_u32(value: u32, out: &mut Vec<u8>) {
 
 fn put_bool(value: bool, out: &mut Vec<u8>) {
     out.push(value as u8);
-}
-
-fn put_bytes(bytes: &[u8], out: &mut Vec<u8>) {
-    varint::encode(bytes.len() as u64, out);
-    out.extend_from_slice(bytes);
 }
 
 fn get_u64(input: &mut &[u8]) -> Result<u64, CodecError> {
@@ -109,13 +114,57 @@ fn get_bytes<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
 }
 
 // ---------------------------------------------------------------------------
+// Sinks.
+// ---------------------------------------------------------------------------
+
+/// Where the envelope encoder puts its bytes: every field except a
+/// chunk's payload goes to [`Sink::head`], and each chunk payload goes
+/// through [`Sink::chunk`], in wire order.
+trait Sink<'a> {
+    fn head(&mut self) -> &mut Vec<u8>;
+    fn chunk(&mut self, payload: &'a [u8]);
+}
+
+/// The reference encoding: payloads are appended in place.
+impl<'a> Sink<'a> for Vec<u8> {
+    fn head(&mut self) -> &mut Vec<u8> {
+        self
+    }
+
+    fn chunk(&mut self, payload: &'a [u8]) {
+        self.extend_from_slice(payload);
+    }
+}
+
+/// A frame being built for a vectored write: the head holds everything
+/// but the chunk payloads, and each payload is recorded with the head
+/// offset it follows.
+struct Spliced<'a> {
+    head: Vec<u8>,
+    chunks: Vec<(usize, &'a [u8])>,
+}
+
+impl<'a> Sink<'a> for Spliced<'a> {
+    fn head(&mut self) -> &mut Vec<u8> {
+        &mut self.head
+    }
+
+    fn chunk(&mut self, payload: &'a [u8]) {
+        if !payload.is_empty() {
+            self.chunks.push((self.head.len(), payload));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Composite fields.
 // ---------------------------------------------------------------------------
 
-fn put_chunks(chunks: &[Chunk], out: &mut Vec<u8>) {
-    put_u64(chunks.len() as u64, out);
+fn put_chunks<'a>(chunks: &'a [Chunk], sink: &mut impl Sink<'a>) {
+    put_u64(chunks.len() as u64, sink.head());
     for c in chunks {
-        put_bytes(c.bytes(), out);
+        put_u64(c.len() as u64, sink.head());
+        sink.chunk(c.bytes());
     }
 }
 
@@ -123,7 +172,7 @@ fn get_chunks(input: &mut &[u8]) -> Result<Vec<Chunk>, CodecError> {
     let count = get_count(input, 1)?;
     let mut chunks = Vec::with_capacity(count);
     for _ in 0..count {
-        chunks.push(Chunk::from_vec(get_bytes(input)?.to_vec()));
+        chunks.push(Chunk::copy_from_slice(get_bytes(input)?));
     }
     Ok(chunks)
 }
@@ -188,8 +237,9 @@ fn get_sample(input: &mut &[u8]) -> Result<BagSample, CodecError> {
     })
 }
 
-fn put_remove_batch(b: &NodeRemoveBatch, out: &mut Vec<u8>) {
-    put_chunks(&b.chunks, out);
+fn put_remove_batch<'a>(b: &'a NodeRemoveBatch, sink: &mut impl Sink<'a>) {
+    put_chunks(&b.chunks, sink);
+    let out = sink.head();
     put_tags(&b.tags, out);
     put_bool(b.exhausted, out);
     put_bool(b.eof, out);
@@ -224,7 +274,8 @@ const REQ_IS_DRAINED: u8 = 12;
 const REQ_PING: u8 = 13;
 const REQ_CLAIM_CONSUMED: u8 = 14;
 
-fn put_request_body(req: &StorageRequest, out: &mut Vec<u8>) {
+fn put_request_body<'a>(req: &'a StorageRequest, sink: &mut impl Sink<'a>) {
+    let out = sink.head();
     match req {
         StorageRequest::InsertBatch {
             bag,
@@ -236,7 +287,7 @@ fn put_request_body(req: &StorageRequest, out: &mut Vec<u8>) {
             put_bag(*bag, out);
             put_u32(*origin, out);
             put_u64(*run, out);
-            put_chunks(chunks, out);
+            put_chunks(chunks, sink);
         }
         StorageRequest::RemoveBatch { bag, origin, max_n } => {
             out.push(REQ_REMOVE_BATCH);
@@ -340,12 +391,13 @@ const RESP_DRAINED: u8 = 7;
 const RESP_PONG: u8 = 8;
 const RESP_CLAIMED: u8 = 9;
 
-fn put_response(resp: &StorageResponse, out: &mut Vec<u8>) {
+fn put_response<'a>(resp: &'a StorageResponse, sink: &mut impl Sink<'a>) {
+    let out = sink.head();
     match resp {
         StorageResponse::Inserted => out.push(RESP_INSERTED),
         StorageResponse::Removed(batch) => {
             out.push(RESP_REMOVED);
-            put_remove_batch(batch, out);
+            put_remove_batch(batch, sink);
         }
         StorageResponse::Sampled(sample) => {
             out.push(RESP_SAMPLED);
@@ -353,7 +405,7 @@ fn put_response(resp: &StorageResponse, out: &mut Vec<u8>) {
         }
         StorageResponse::Chunks(chunks) => {
             out.push(RESP_CHUNKS);
-            put_chunks(chunks, out);
+            put_chunks(chunks, sink);
         }
         StorageResponse::Done => out.push(RESP_DONE),
         StorageResponse::Drained(flag) => {
@@ -502,13 +554,18 @@ fn get_error(input: &mut &[u8]) -> Result<StorageError, CodecError> {
 // Envelopes.
 // ---------------------------------------------------------------------------
 
-/// Appends the wire encoding of a request envelope (payload only, no
-/// frame header) to `out`.
-pub fn encode_request(env: &RequestEnvelope, out: &mut Vec<u8>) {
+fn put_request<'a>(env: &'a RequestEnvelope, sink: &mut impl Sink<'a>) {
+    let out = sink.head();
     put_u64(env.id, out);
     put_u64(env.client, out);
     put_u64(env.seq, out);
-    put_request_body(&env.request, out);
+    put_request_body(&env.request, sink);
+}
+
+/// Appends the wire encoding of a request envelope (payload only, no
+/// frame header) to `out`.
+pub fn encode_request(env: &RequestEnvelope, out: &mut Vec<u8>) {
+    put_request(env, out);
 }
 
 /// Decodes a request envelope from the front of `input`, advancing it.
@@ -522,20 +579,25 @@ pub fn decode_request(input: &mut &[u8]) -> Result<RequestEnvelope, CodecError> 
     })
 }
 
-/// Appends the wire encoding of a reply envelope (payload only, no frame
-/// header) to `out`.
-pub fn encode_reply(env: &ReplyEnvelope, out: &mut Vec<u8>) {
+fn put_reply<'a>(env: &'a ReplyEnvelope, sink: &mut impl Sink<'a>) {
+    let out = sink.head();
     put_u64(env.id, out);
     match &env.result {
         Ok(resp) => {
             put_bool(true, out);
-            put_response(resp, out);
+            put_response(resp, sink);
         }
         Err(err) => {
             put_bool(false, out);
             put_error(err, out);
         }
     }
+}
+
+/// Appends the wire encoding of a reply envelope (payload only, no frame
+/// header) to `out`.
+pub fn encode_reply(env: &ReplyEnvelope, out: &mut Vec<u8>) {
+    put_reply(env, out);
 }
 
 /// Decodes a reply envelope from the front of `input`, advancing it.
@@ -568,71 +630,216 @@ pub fn frame(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// Incremental frame reassembly for a byte stream.
+/// Room kept at the front of a [`FrameWriter`]'s head for the frame's
+/// length prefix, which is known only once the envelope is encoded.
+const PREFIX_ROOM: usize = varint::MAX_VARINT_LEN;
+
+/// Writes framed envelopes to a byte stream, each chunk payload straight
+/// from its chunk's own buffer.
 ///
-/// Feed arbitrary slices (however the socket delivered them) with
-/// [`FrameBuffer::push`]; pull complete frame payloads with
-/// [`FrameBuffer::next_frame`]. Frames split across pushes, or several
-/// frames coalesced into one push, reassemble identically. A malformed
-/// length prefix or one above [`MAX_FRAME_LEN`] is a fatal protocol
-/// error — the connection carrying it must be dropped, since frame
-/// boundaries can no longer be trusted.
+/// The encoder writes the frame prefix and every other field into one
+/// head buffer, reused across frames, and the frame goes out as one
+/// vectored write of `[prefix + head, chunk, head, chunk, …]`. The bytes
+/// on the wire are exactly `frame(encode_*(env))`.
 #[derive(Debug, Default)]
-pub struct FrameBuffer {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted lazily so each byte is moved
-    /// at most a constant number of times.
-    start: usize,
+pub struct FrameWriter {
+    head: Vec<u8>,
 }
 
-impl FrameBuffer {
-    /// Creates an empty buffer.
+impl FrameWriter {
+    /// Creates a writer with an empty head buffer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends raw received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet returned as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// Extracts the next complete frame payload, if one is buffered.
+    /// Writes one request frame to `w`.
     ///
-    /// `Ok(None)` means "need more bytes". An error means the stream is
-    /// unrecoverable: an invalid or oversized length prefix.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
-        let avail = &self.buf[self.start..];
-        let mut cursor = avail;
-        let len = match varint::decode(&mut cursor) {
-            Ok(len) => len,
-            // Fewer than MAX_VARINT_LEN bytes buffered and no terminator
-            // yet: the prefix may still complete. (A full-length prefix
-            // with no terminator already decodes to InvalidVarint.)
-            Err(CodecError::Truncated) => return Ok(None),
+    /// Panics if the payload exceeds [`MAX_FRAME_LEN`], as [`frame`]
+    /// does.
+    pub fn write_request(&mut self, w: &mut impl Write, env: &RequestEnvelope) -> io::Result<()> {
+        let mut sink = self.sink();
+        put_request(env, &mut sink);
+        self.send(w, sink)
+    }
+
+    /// Writes one reply frame to `w`.
+    ///
+    /// Panics if the payload exceeds [`MAX_FRAME_LEN`], as [`frame`]
+    /// does.
+    pub fn write_reply(&mut self, w: &mut impl Write, env: &ReplyEnvelope) -> io::Result<()> {
+        let mut sink = self.sink();
+        put_reply(env, &mut sink);
+        self.send(w, sink)
+    }
+
+    fn sink<'a>(&mut self) -> Spliced<'a> {
+        let mut head = std::mem::take(&mut self.head);
+        head.clear();
+        head.resize(PREFIX_ROOM, 0);
+        Spliced {
+            head,
+            chunks: Vec::new(),
+        }
+    }
+
+    fn send(&mut self, w: &mut impl Write, sink: Spliced<'_>) -> io::Result<()> {
+        let Spliced { mut head, chunks } = sink;
+        let len = head.len() - PREFIX_ROOM + chunks.iter().map(|(_, c)| c.len()).sum::<usize>();
+        assert!(
+            len <= MAX_FRAME_LEN,
+            "frame payload {len} exceeds MAX_FRAME_LEN"
+        );
+        // Encode the prefix after the head, then move it into the room
+        // left for it, so that prefix and head go out as one slice.
+        let end = head.len();
+        varint::encode(len as u64, &mut head);
+        let start = PREFIX_ROOM - (head.len() - end);
+        head.copy_within(end.., start);
+        head.truncate(end);
+
+        let mut slices = Vec::with_capacity(2 * chunks.len() + 1);
+        let mut from = start;
+        for &(at, payload) in &chunks {
+            slices.push(IoSlice::new(&head[from..at]));
+            slices.push(IoSlice::new(payload));
+            from = at;
+        }
+        if from < head.len() {
+            slices.push(IoSlice::new(&head[from..]));
+        }
+        let sent = write_all_vectored(w, &mut slices);
+        drop(slices);
+        self.head = head;
+        sent
+    }
+}
+
+/// `write_all` over a slice list: writes every byte of `slices`, looping
+/// over short writes (a socket takes at most `IOV_MAX` slices per call)
+/// and `Interrupted`.
+fn write_all_vectored(w: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// A [`FrameReader`]'s first buffer size and smallest growth step, so
+/// that small frames arriving together are read together.
+pub const READ_WINDOW: usize = 64 * 1024;
+
+/// Reads frames from a byte stream into one buffer reused across frames.
+///
+/// Bytes land in that buffer straight from `read`, and each payload is
+/// handed out where it landed. Between frames a read asks for all the
+/// buffer's free room (at least [`READ_WINDOW`] bytes); inside a frame
+/// it asks for no more than the frame's remaining bytes, so a frame
+/// never straddles a compaction and the only bytes ever moved are an
+/// incomplete length prefix.
+///
+/// A length prefix is checked against [`MAX_FRAME_LEN`] before any of
+/// its payload is read, and the buffer grows only as bytes arrive: by at
+/// most the bytes it holds, and at least one window. Its size stays
+/// under twice the bytes received plus one window, whatever a prefix
+/// announced.
+///
+/// Errors are fatal to the stream, since frame boundaries can no longer
+/// be trusted: an invalid or oversized prefix is `InvalidData` carrying
+/// the [`CodecError`], and an end of stream inside a frame is
+/// `UnexpectedEof`. An `Interrupted` read is retried.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    /// `buf[pos..end]` is received and not yet handed out; `buf[end..]`
+    /// is room the next read fills. Zeroed once when it grows.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner`; no buffer is allocated until the first read.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            buf: Vec::new(),
+            pos: 0,
+            end: 0,
+        }
+    }
+
+    /// The buffer's size in bytes.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Reads the next frame and returns its payload, or `Ok(None)` when
+    /// the stream ends cleanly between frames.
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        if self.pos == self.end {
+            (self.pos, self.end) = (0, 0);
+        }
+        let (len, prefix) = loop {
+            let mut rest = &self.buf[self.pos..self.end];
+            match varint::decode(&mut rest) {
+                Ok(len) => break (len, self.end - self.pos - rest.len()),
+                // Fewer than MAX_VARINT_LEN bytes and no terminator yet:
+                // the prefix may still complete.
+                Err(CodecError::Truncated) => {}
+                Err(e) => return Err(invalid(e)),
+            }
+            self.buf.copy_within(self.pos..self.end, 0);
+            (self.pos, self.end) = (0, self.end - self.pos);
+            if self.fill(usize::MAX)? == 0 {
+                return match self.end {
+                    0 => Ok(None),
+                    _ => Err(io::ErrorKind::UnexpectedEof.into()),
+                };
+            }
         };
         if len > MAX_FRAME_LEN as u64 {
-            return Err(CodecError::LengthOverflow);
+            return Err(invalid(CodecError::LengthOverflow));
         }
-        let len = len as usize;
-        if cursor.len() < len {
-            return Ok(None);
+        let start = self.pos + prefix;
+        let stop = start + len as usize;
+        while self.end < stop {
+            if self.fill(stop - self.end)? == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
         }
-        let header = avail.len() - cursor.len();
-        let frame = avail[header..header + len].to_vec();
-        self.start += header + len;
-        // Compact once the dead prefix dominates the buffer.
-        if self.start >= 64 * 1024 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        Ok(Some(frame))
+        self.pos = stop;
+        Ok(Some(&self.buf[start..stop]))
     }
+
+    /// One read of at most `limit` bytes into the buffer's room, growing
+    /// it first if it is full. Returns the bytes read; 0 is end of stream.
+    fn fill(&mut self, limit: usize) -> io::Result<usize> {
+        if self.end == self.buf.len() {
+            let grow = limit.min(self.end).max(READ_WINDOW);
+            self.buf.reserve_exact(grow);
+            self.buf.resize(self.end + grow, 0);
+        }
+        let stop = self.buf.len().min(self.end.saturating_add(limit));
+        loop {
+            match self.inner.read(&mut self.buf[self.end..stop]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+fn invalid(e: CodecError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 #[cfg(test)]
@@ -761,6 +968,47 @@ mod tests {
         assert!(decode_request(&mut slice).is_err());
     }
 
+    /// A `Read` over `bytes` handing out at most `step` bytes per call;
+    /// its first call fails with `Interrupted` when `interrupt` is set.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        interrupt: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if std::mem::take(&mut self.interrupt) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn reader(bytes: &[u8], step: usize) -> FrameReader<Trickle<'_>> {
+        FrameReader::new(Trickle {
+            bytes,
+            step,
+            interrupt: false,
+        })
+    }
+
+    /// Every frame until a clean end of stream.
+    fn frames<R: Read>(r: &mut FrameReader<R>) -> io::Result<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        while let Some(payload) = r.next_frame()? {
+            out.push(payload.to_vec());
+        }
+        Ok(out)
+    }
+
+    fn codec_error(err: &io::Error) -> Option<&CodecError> {
+        err.get_ref()?.downcast_ref()
+    }
+
     #[test]
     fn frames_reassemble_across_splits() {
         let mut payload_a = Vec::new();
@@ -769,49 +1017,118 @@ mod tests {
         let mut stream = Vec::new();
         frame(&payload_a, &mut stream);
         frame(&payload_b, &mut stream);
-        // Byte-at-a-time delivery.
-        let mut fb = FrameBuffer::new();
-        let mut got = Vec::new();
-        for b in &stream {
-            fb.push(std::slice::from_ref(b));
-            while let Some(f) = fb.next_frame().unwrap() {
-                got.push(f);
-            }
+        // Byte-at-a-time and whole-stream delivery.
+        for step in [1, stream.len()] {
+            let got = frames(&mut reader(&stream, step)).unwrap();
+            assert_eq!(got, vec![payload_a.clone(), payload_b.clone()]);
         }
-        assert_eq!(got, vec![payload_a.clone(), payload_b.clone()]);
-        assert_eq!(fb.pending(), 0);
-        // Whole-stream delivery.
-        let mut fb = FrameBuffer::new();
-        fb.push(&stream);
-        assert_eq!(fb.next_frame().unwrap().unwrap(), payload_a);
-        assert_eq!(fb.next_frame().unwrap().unwrap(), payload_b);
-        assert_eq!(fb.next_frame().unwrap(), None);
     }
 
     #[test]
     fn oversized_frame_is_fatal() {
-        let mut fb = FrameBuffer::new();
-        let mut header = Vec::new();
-        varint::encode(MAX_FRAME_LEN as u64 + 1, &mut header);
-        fb.push(&header);
-        assert_eq!(fb.next_frame(), Err(CodecError::LengthOverflow));
+        let mut stream = Vec::new();
+        varint::encode(MAX_FRAME_LEN as u64 + 1, &mut stream);
+        stream.extend_from_slice(&[7; 100]);
+        let mut r = reader(&stream, stream.len());
+        let err = r.next_frame().unwrap_err();
+        assert_eq!(codec_error(&err), Some(&CodecError::LengthOverflow));
+        assert!(r.capacity() <= READ_WINDOW, "nothing sized by the prefix");
     }
 
     #[test]
     fn malformed_length_prefix_is_fatal() {
-        let mut fb = FrameBuffer::new();
-        fb.push(&[0x80; 11]);
-        assert_eq!(fb.next_frame(), Err(CodecError::InvalidVarint));
+        let err = reader(&[0x80; 11], 11).next_frame().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(codec_error(&err), Some(&CodecError::InvalidVarint));
     }
 
     #[test]
     fn incomplete_frame_waits_for_more() {
-        let mut fb = FrameBuffer::new();
         let mut stream = Vec::new();
         frame(&[1, 2, 3, 4], &mut stream);
-        fb.push(&stream[..3]);
-        assert_eq!(fb.next_frame().unwrap(), None);
-        fb.push(&stream[3..]);
-        assert_eq!(fb.next_frame().unwrap().unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(
+            frames(&mut reader(&stream, 3)).unwrap(),
+            vec![vec![1, 2, 3, 4]]
+        );
+        // The stream ends instead: a partial frame is an error, not a
+        // clean end.
+        let err = frames(&mut reader(&stream[..3], 3)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn an_interrupted_read_still_delivers_the_frame() {
+        let mut stream = Vec::new();
+        frame(&[9; 40], &mut stream);
+        let mut r = FrameReader::new(Trickle {
+            bytes: &stream,
+            step: 16,
+            interrupt: true,
+        });
+        assert_eq!(frames(&mut r).unwrap(), vec![vec![9; 40]]);
+    }
+
+    /// A `Write` that takes at most `step` bytes and, as a socket does,
+    /// at most 1,024 slices per call, and fails its first call with
+    /// `Interrupted`.
+    struct Choppy {
+        out: Vec<u8>,
+        step: usize,
+        interrupt: bool,
+    }
+
+    impl Write for Choppy {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if std::mem::take(&mut self.interrupt) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut left = self.step;
+            for b in bufs.iter().take(1024) {
+                let n = left.min(b.len());
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.step - left)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_frames_match_the_reference_bytes() {
+        // Zero-length chunks, and a reply of more slices than one
+        // vectored write takes.
+        let many: Vec<Chunk> = (0..1500u32)
+            .map(|i| Chunk::from_vec(vec![i as u8; (i % 3) as usize]))
+            .collect();
+        let reply = ReplyEnvelope {
+            id: 5,
+            result: Ok(StorageResponse::Chunks(many)),
+        };
+        let mut want = Vec::new();
+        let (mut payload, mut framed) = (Vec::new(), Vec::new());
+        encode_request(&sample_request(), &mut payload);
+        frame(&payload, &mut want);
+        payload.clear();
+        encode_reply(&reply, &mut payload);
+        frame(&payload, &mut framed);
+        want.extend_from_slice(&framed);
+        for step in [1, 7, 4096, usize::MAX] {
+            let mut sink = Choppy {
+                out: Vec::new(),
+                step,
+                interrupt: true,
+            };
+            let mut w = FrameWriter::new();
+            w.write_request(&mut sink, &sample_request()).unwrap();
+            w.write_reply(&mut sink, &reply).unwrap();
+            assert_eq!(sink.out, want, "step {step}");
+        }
     }
 }

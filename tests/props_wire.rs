@@ -1,18 +1,20 @@
 //! Property tests for the storage RPC wire format: envelope round-trips
-//! through framing under arbitrary socket fragmentation, rejection
-//! (never a panic, never a bogus decode) of truncated or oversized
-//! frames, totality of both envelope decoders over seeded mutations
-//! of valid encodings, and the tags wire version 3 retired staying
-//! retired.
+//! through framing under arbitrary socket fragmentation, vectored frame
+//! writes that put exactly the reference bytes on the wire under short
+//! writes, rejection (never a panic, never a bogus decode, never an
+//! allocation sized by an announced length) of truncated or oversized
+//! frames, totality of both envelope decoders over seeded mutations of
+//! valid encodings, and the tags wire version 3 retired staying retired.
 
 use hurricane_common::{BagId, DetRng, StorageNodeId};
 use hurricane_format::{Chunk, CodecError};
-use hurricane_storage::wire::{self, FrameBuffer, MAX_FRAME_LEN};
+use hurricane_storage::wire::{self, FrameReader, FrameWriter, MAX_FRAME_LEN, READ_WINDOW};
 use hurricane_storage::{
     BagSample, ChunkRun, NodeRemoveBatch, ReplyEnvelope, RequestEnvelope, StorageError,
     StorageRequest, StorageResponse, TagSegment,
 };
 use proptest::prelude::*;
+use std::io::{self, IoSlice, Read, Write};
 
 /// Raw material for one arbitrary request: a discriminant plus every
 /// field any variant might need (the shim has no `prop_oneof`, so
@@ -123,31 +125,86 @@ fn build_reply_result(raw: RawReply) -> Result<StorageResponse, StorageError> {
     }
 }
 
-/// Delivers `stream` to `fb` in fragments whose sizes cycle through
-/// `cuts`, collecting every completed frame. Errors fail the test.
-fn deliver(
-    fb: &mut FrameBuffer,
-    stream: &[u8],
-    cuts: &[usize],
-) -> Result<Vec<Vec<u8>>, CodecError> {
-    let mut frames = Vec::new();
-    let mut pos = 0;
-    let mut i = 0;
-    while pos < stream.len() {
-        let step = if cuts.is_empty() {
-            stream.len()
-        } else {
-            (cuts[i % cuts.len()] % 97) + 1
-        };
-        i += 1;
-        let end = (pos + step).min(stream.len());
-        fb.push(&stream[pos..end]);
-        pos = end;
-        while let Some(frame) = fb.next_frame()? {
-            frames.push(frame);
+/// A `Read` over `bytes` that hands out between 1 and `max` bytes per
+/// call, sizes drawn from a seeded generator, and fails its first call
+/// with `Interrupted`.
+struct SeededRead<'a> {
+    bytes: &'a [u8],
+    rng: DetRng,
+    max: u64,
+    interrupt: bool,
+}
+
+impl Read for SeededRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if std::mem::take(&mut self.interrupt) {
+            return Err(io::ErrorKind::Interrupted.into());
         }
+        let step = 1 + self.rng.gen_range(self.max) as usize;
+        let n = step.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+fn seeded_reader(bytes: &[u8], seed: u64, max: u64) -> FrameReader<SeededRead<'_>> {
+    FrameReader::new(SeededRead {
+        bytes,
+        rng: DetRng::new(seed),
+        max,
+        interrupt: true,
+    })
+}
+
+/// Every frame of `stream`, read with seeded read sizes, until a clean
+/// end of stream.
+fn read_frames(stream: &[u8], seed: u64, max: u64) -> io::Result<Vec<Vec<u8>>> {
+    let mut r = seeded_reader(stream, seed, max);
+    let mut frames = Vec::new();
+    while let Some(payload) = r.next_frame()? {
+        frames.push(payload.to_vec());
     }
     Ok(frames)
+}
+
+/// The `CodecError` an `InvalidData` frame error carries.
+fn codec_error(err: &io::Error) -> Option<CodecError> {
+    err.get_ref()?.downcast_ref().cloned()
+}
+
+/// A `Write` that takes between 1 and `max` bytes per call, sizes drawn
+/// from a seeded generator, from at most 1,024 slices (a socket's
+/// `IOV_MAX`), and fails its first call with `Interrupted`.
+struct SeededWrite {
+    out: Vec<u8>,
+    rng: DetRng,
+    max: u64,
+    interrupt: bool,
+}
+
+impl Write for SeededWrite {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        if std::mem::take(&mut self.interrupt) {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let step = 1 + self.rng.gen_range(self.max) as usize;
+        let mut left = step;
+        for b in bufs.iter().take(1024) {
+            let n = left.min(b.len());
+            self.out.extend_from_slice(&b[..n]);
+            left -= n;
+        }
+        Ok(step - left)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// One seeded mutation of a valid encoding `bytes`: bit flips, a splice
@@ -268,7 +325,8 @@ proptest! {
         id in any::<u64>(),
         client in any::<u64>(),
         seq in any::<u64>(),
-        cuts in prop::collection::vec(0usize..10_000, 0..8),
+        seed in any::<u64>(),
+        max in 1u64..200,
     ) {
         let env = RequestEnvelope { id, client, seq, request: build_request(raw) };
         let mut payload = Vec::new();
@@ -276,8 +334,7 @@ proptest! {
         let mut stream = Vec::new();
         wire::frame(&payload, &mut stream);
 
-        let mut fb = FrameBuffer::new();
-        let frames = deliver(&mut fb, &stream, &cuts).unwrap();
+        let frames = read_frames(&stream, seed, max).unwrap();
         prop_assert_eq!(frames.len(), 1);
         let mut slice = frames[0].as_slice();
         let back = wire::decode_request(&mut slice).unwrap();
@@ -291,7 +348,8 @@ proptest! {
     #[test]
     fn coalesced_streams_preserve_frame_order(
         raws in prop::collection::vec(raw_reply(), 1..6),
-        cuts in prop::collection::vec(0usize..10_000, 0..6),
+        seed in any::<u64>(),
+        max in 1u64..2_000,
     ) {
         let envs: Vec<ReplyEnvelope> = raws
             .into_iter()
@@ -306,8 +364,8 @@ proptest! {
             wire::frame(&payload, &mut stream);
         }
 
-        let mut fb = FrameBuffer::new();
-        let frames = deliver(&mut fb, &stream, &cuts).unwrap();
+        // A clean end of stream after the last frame: no stray bytes.
+        let frames = read_frames(&stream, seed, max).unwrap();
         prop_assert_eq!(frames.len(), envs.len());
         for (frame, want) in frames.iter().zip(&envs) {
             let mut slice = frame.as_slice();
@@ -315,7 +373,43 @@ proptest! {
             prop_assert!(slice.is_empty());
             prop_assert_eq!(&back, want);
         }
-        prop_assert_eq!(fb.pending(), 0, "no stray bytes after the last frame");
+    }
+
+    /// Requests and replies written by a `FrameWriter` through seeded
+    /// short writes (and one `Interrupted`) put exactly
+    /// `frame(encode_*(env))` on the wire, and read back through a
+    /// `FrameReader` as the same envelopes.
+    #[test]
+    fn vectored_frames_are_byte_identical(
+        raw_req in raw_request(),
+        raw_rep in raw_reply(),
+        id in any::<u64>(),
+        seed in any::<u64>(),
+        max in 1u64..300,
+    ) {
+        let req = RequestEnvelope { id, client: 3, seq: 5, request: build_request(raw_req) };
+        let rep = ReplyEnvelope { id, result: build_reply_result(raw_rep) };
+        let (mut want, mut payload) = (Vec::new(), Vec::new());
+        wire::encode_request(&req, &mut payload);
+        wire::frame(&payload, &mut want);
+        payload.clear();
+        wire::encode_reply(&rep, &mut payload);
+        wire::frame(&payload, &mut want);
+
+        let mut sink = SeededWrite { out: Vec::new(), rng: DetRng::new(seed), max, interrupt: true };
+        let mut w = FrameWriter::new();
+        w.write_request(&mut sink, &req).unwrap();
+        w.write_reply(&mut sink, &rep).unwrap();
+        prop_assert_eq!(&sink.out, &want);
+
+        let mut r = seeded_reader(&sink.out, seed ^ 1, max);
+        let mut first = r.next_frame().unwrap().unwrap();
+        prop_assert_eq!(wire::decode_request(&mut first), Ok(req));
+        prop_assert!(first.is_empty());
+        let mut second = r.next_frame().unwrap().unwrap();
+        prop_assert_eq!(wire::decode_reply(&mut second), Ok(rep));
+        prop_assert!(second.is_empty());
+        prop_assert!(r.next_frame().unwrap().is_none());
     }
 
     /// Every strict prefix of an encoded envelope fails to decode — and
@@ -333,22 +427,67 @@ proptest! {
         prop_assert!(wire::decode_request(&mut slice).is_err());
     }
 
-    /// Arbitrary junk fed to the frame buffer either yields frames or a
-    /// codec error; it never panics, and a declared length above
-    /// `MAX_FRAME_LEN` is always fatal.
+    /// Arbitrary junk fed to the frame reader yields frames or a typed
+    /// error, an `InvalidData` carrying its `CodecError` or an
+    /// `UnexpectedEof`; it never panics. An invalid prefix, or a
+    /// declared length above `MAX_FRAME_LEN`, is always fatal before
+    /// the buffer grows past its first read window.
     #[test]
-    fn frame_buffer_is_total_over_junk(
+    fn frame_reader_is_total_over_junk(
         junk in prop::collection::vec(any::<u8>(), 0..512),
-        cuts in prop::collection::vec(0usize..10_000, 0..6),
+        seed in any::<u64>(),
+        max in 1u64..600,
     ) {
-        let mut fb = FrameBuffer::new();
-        let _ = deliver(&mut fb, &junk, &cuts); // Must not panic.
+        if let Err(err) = read_frames(&junk, seed, max) {
+            let typed = match err.kind() {
+                io::ErrorKind::UnexpectedEof => true,
+                io::ErrorKind::InvalidData => codec_error(&err).is_some(),
+                _ => false,
+            };
+            prop_assert!(typed, "untyped frame error {:?}", err);
+        }
 
-        let mut fb = FrameBuffer::new();
         let mut oversized = Vec::new();
         hurricane_format::varint::encode(MAX_FRAME_LEN as u64 + 1, &mut oversized);
-        oversized.extend_from_slice(&junk);
-        fb.push(&oversized);
-        prop_assert_eq!(fb.next_frame(), Err(CodecError::LengthOverflow));
+        let invalid = vec![0x80; hurricane_format::varint::MAX_VARINT_LEN];
+        for (prefix, want) in [
+            (oversized, CodecError::LengthOverflow),
+            (invalid, CodecError::InvalidVarint),
+        ] {
+            let stream = [prefix, junk.clone()].concat();
+            let mut r = seeded_reader(&stream, seed, max);
+            let err = r.next_frame().unwrap_err();
+            prop_assert_eq!(codec_error(&err), Some(want));
+            prop_assert!(r.capacity() <= READ_WINDOW);
+        }
+    }
+}
+
+/// A prefix announcing `MAX_FRAME_LEN` followed by fewer bytes and the
+/// end of the stream fails with `UnexpectedEof`, having grown the buffer
+/// only with the bytes that arrived: within one read window of them
+/// while they fit a window, within twice them plus a window after.
+#[test]
+fn an_announced_max_frame_reserves_only_what_arrives() {
+    for sent in [0, 1, 4_000, READ_WINDOW - 4, 300_000, 2_000_000] {
+        for seed in 0..4 {
+            let mut stream = Vec::new();
+            hurricane_format::varint::encode(MAX_FRAME_LEN as u64, &mut stream);
+            stream.resize(stream.len() + sent, 0x5A);
+            let mut r = seeded_reader(&stream, seed, 1 + (seed + 1) * 100_000);
+            let err = r.next_frame().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            let (received, capacity) = (stream.len(), r.capacity());
+            assert!(
+                capacity <= 2 * received + READ_WINDOW,
+                "{received} B in, {capacity} B held"
+            );
+            if received <= READ_WINDOW {
+                assert!(
+                    capacity <= received + READ_WINDOW,
+                    "{received} B in, {capacity} B held"
+                );
+            }
+        }
     }
 }
