@@ -3,7 +3,9 @@
 //! storage-node benchmarks of the sharded hot path on each plane.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use hurricane_common::DetRng;
+use hurricane_common::{BagId, DetRng};
+use hurricane_core::task::{BagReader, BagWriter, SpillSink};
+use hurricane_core::EngineError;
 use hurricane_format::{decode_all, encode_all};
 use hurricane_storage::bag::{BagClient, BatchRemoveResult};
 use hurricane_storage::placement::CyclicPlacement;
@@ -162,7 +164,7 @@ fn bench_compute_path(c: &mut Criterion) {
 fn bench_merge_path(c: &mut Criterion) {
     use hurricane_common::SplitMix64;
     use hurricane_core::merges::KeyedMerge;
-    use hurricane_core::task::{BagReader, BagWriter, MergeLogic};
+    use hurricane_core::task::MergeLogic;
     use hurricane_format::{FixedU64, Record, RecordView, SeqView};
 
     const RECS: u64 = 40_000;
@@ -460,6 +462,58 @@ fn bench_varint(c: &mut Criterion) {
     mix(c, "rmat17_pairs", &rmat);
 }
 
+/// The manager's scratch-run protocol in miniature: runs are bags
+/// pinned to one node, written and read at batch factor 1 so they hold
+/// their sorted order, collected once folded.
+struct BenchSink {
+    cluster: Arc<StorageCluster>,
+    chunk_size: usize,
+    seed: u64,
+}
+
+impl BenchSink {
+    /// A factory minting one sink per merge output over `cluster`, as
+    /// `merges::merge_outputs` takes it.
+    fn factory(
+        cluster: &Arc<StorageCluster>,
+        chunk_size: usize,
+    ) -> impl Fn() -> Box<dyn SpillSink> + Sync + '_ {
+        move || {
+            Box::new(BenchSink {
+                cluster: cluster.clone(),
+                chunk_size,
+                seed: 9000,
+            })
+        }
+    }
+}
+
+impl SpillSink for BenchSink {
+    fn create_run(&mut self) -> Result<BagWriter, EngineError> {
+        let bag = self.cluster.create_bag();
+        self.seed += 1;
+        let client = BagClient::new(self.cluster.clone(), bag, self.seed).with_pinned_node(0);
+        Ok(BagWriter::open_batched_client(client, self.chunk_size, 1))
+    }
+
+    fn open_run(&mut self, bag: BagId) -> Result<BagReader, EngineError> {
+        self.cluster.seal_bag(bag)?;
+        self.seed += 1;
+        Ok(BagReader::open(
+            self.cluster.clone(),
+            bag,
+            self.seed,
+            1,
+            None,
+        ))
+    }
+
+    fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
+        RpcPort::inline(self.cluster.clone()).collect_bag(bag)?;
+        Ok(())
+    }
+}
+
 /// One merge phase's independent output indices dispatched through
 /// `merges::merge_outputs` at parallelism 1 (the sequential baseline)
 /// vs the worker pool — keyed merges over skewed partials, the
@@ -467,7 +521,6 @@ fn bench_varint(c: &mut Criterion) {
 fn bench_merge_parallel(c: &mut Criterion) {
     use hurricane_common::SplitMix64;
     use hurricane_core::merges::{merge_outputs, KeyedMerge};
-    use hurricane_core::task::{BagReader, BagWriter};
 
     const OUTPUTS: usize = 8;
     const INSTANCES: usize = 2;
@@ -476,11 +529,12 @@ fn bench_merge_parallel(c: &mut Criterion) {
     const MERGE_CHUNK: usize = 64 * 1024;
 
     /// An `INSTANCES x OUTPUTS` grid of sealed keyed partials plus one
-    /// writer per output — everything `run_merge` hands the dispatcher.
+    /// writer per output — everything `run_merge` hands the dispatcher —
+    /// and the cluster they live on.
     #[allow(clippy::type_complexity)]
-    fn grid_setup() -> Vec<(usize, Vec<BagReader>, BagWriter)> {
+    fn grid_setup() -> (Arc<StorageCluster>, Vec<(usize, Vec<BagReader>, BagWriter)>) {
         let cluster = StorageCluster::new(1, ClusterConfig::default());
-        (0..OUTPUTS)
+        let jobs = (0..OUTPUTS)
             .map(|out_idx| {
                 let readers: Vec<BagReader> = (0..INSTANCES)
                     .map(|inst| {
@@ -500,7 +554,8 @@ fn bench_merge_parallel(c: &mut Criterion) {
                 let out = BagWriter::open(cluster.clone(), out_bag, 999, MERGE_CHUNK);
                 (out_idx, readers, out)
             })
-            .collect()
+            .collect();
+        (cluster, jobs)
     }
 
     let mut g = c.benchmark_group("merge_parallel");
@@ -513,7 +568,10 @@ fn bench_merge_parallel(c: &mut Criterion) {
         g.bench_function(format!("keyed_8_outputs/par{par}"), |b| {
             b.iter_batched(
                 grid_setup,
-                |jobs| merge_outputs(&merge, par, jobs).unwrap(),
+                |(cluster, jobs)| {
+                    let make_sink = BenchSink::factory(&cluster, MERGE_CHUNK);
+                    merge_outputs(&merge, par, jobs, u64::MAX, &make_sink).unwrap()
+                },
                 BatchSize::SmallInput,
             )
         });
@@ -522,49 +580,13 @@ fn bench_merge_parallel(c: &mut Criterion) {
 }
 
 fn bench_merge_spill(c: &mut Criterion) {
-    use hurricane_common::{BagId, SplitMix64};
-    use hurricane_core::merges::{merge_outputs, merge_outputs_bounded, KeyedMerge};
-    use hurricane_core::task::{BagReader, BagWriter, SpillSink};
-    use hurricane_core::EngineError;
+    use hurricane_common::SplitMix64;
+    use hurricane_core::merges::{merge_outputs, KeyedMerge};
 
     const INSTANCES: usize = 2;
     const RECS_PER_PARTIAL: u64 = 8_000;
     const KEYS: u64 = 2_048;
     const MERGE_CHUNK: usize = 16 * 1024;
-
-    /// The manager's scratch-run protocol in miniature: runs are bags
-    /// pinned to one node, written and read at batch factor 1 so they
-    /// hold their sorted order, collected once folded.
-    struct BenchSink {
-        cluster: Arc<StorageCluster>,
-        seed: u64,
-    }
-
-    impl SpillSink for BenchSink {
-        fn create_run(&mut self) -> Result<BagWriter, EngineError> {
-            let bag = self.cluster.create_bag();
-            self.seed += 1;
-            let client = BagClient::new(self.cluster.clone(), bag, self.seed).with_pinned_node(0);
-            Ok(BagWriter::open_batched_client(client, MERGE_CHUNK, 1))
-        }
-
-        fn open_run(&mut self, bag: BagId) -> Result<BagReader, EngineError> {
-            self.cluster.seal_bag(bag)?;
-            self.seed += 1;
-            Ok(BagReader::open(
-                self.cluster.clone(),
-                bag,
-                self.seed,
-                1,
-                None,
-            ))
-        }
-
-        fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
-            RpcPort::inline(self.cluster.clone()).collect_bag(bag)?;
-            Ok(())
-        }
-    }
 
     /// One keyed-merge job (2 sealed partials, 2 048 distinct keys) plus
     /// the cluster its scratch runs spill into.
@@ -594,9 +616,10 @@ fn bench_merge_spill(c: &mut Criterion) {
     }
 
     // The spill-vs-resident overhead, honestly: identical inputs and
-    // outputs, only the accumulator budget varies. `resident` never
-    // spills (the unbounded entry point); the budgets force one or more
-    // drain/re-fold rounds through scratch bags on the storage tier.
+    // outputs through the one driver, only the accumulator budget
+    // varies. `resident` runs at `u64::MAX` and never spills; the
+    // budgets force one or more drain/re-fold rounds through scratch
+    // bags on the storage tier.
     let mut g = c.benchmark_group("merge_spill");
     g.sample_size(10);
     g.throughput(Throughput::Elements(INSTANCES as u64 * RECS_PER_PARTIAL));
@@ -604,7 +627,10 @@ fn bench_merge_spill(c: &mut Criterion) {
     g.bench_function("keyed_2k_keys/resident", |b| {
         b.iter_batched(
             job_setup,
-            |(_cluster, jobs)| merge_outputs(&merge, 1, jobs).unwrap(),
+            |(cluster, jobs)| {
+                let make_sink = BenchSink::factory(&cluster, MERGE_CHUNK);
+                merge_outputs(&merge, 1, jobs, u64::MAX, &make_sink).unwrap()
+            },
             BatchSize::SmallInput,
         )
     });
@@ -613,13 +639,8 @@ fn bench_merge_spill(c: &mut Criterion) {
             b.iter_batched(
                 job_setup,
                 |(cluster, jobs)| {
-                    let make_sink = || -> Box<dyn SpillSink> {
-                        Box::new(BenchSink {
-                            cluster: cluster.clone(),
-                            seed: 9000,
-                        })
-                    };
-                    merge_outputs_bounded(&merge, 1, jobs, budget, &make_sink).unwrap()
+                    let make_sink = BenchSink::factory(&cluster, MERGE_CHUNK);
+                    merge_outputs(&merge, 1, jobs, budget, &make_sink).unwrap()
                 },
                 BatchSize::SmallInput,
             )
@@ -637,7 +658,7 @@ fn bench_merge_spill(c: &mut Criterion) {
 /// chunk (first touch, seal, probe, collect; bags/s), which on `disk` is
 /// the cost of creating whatever files the layout gives a bag.
 fn bench_journal(c: &mut Criterion) {
-    use hurricane_common::{BagId, StorageNodeId};
+    use hurricane_common::StorageNodeId;
     use hurricane_format::Chunk;
     use hurricane_storage::{segment, SegmentStore, StorageNode};
 

@@ -26,7 +26,7 @@
 //!   an unsealed empty bag or with nothing in flight (`:238`);
 //! * the master sleeps `master_poll` per round (`master.rs:284`) and
 //!   200 µs per check while cancelled workers quiesce (`:637`);
-//! * a merge waits for its scoped output workers (`merges.rs:928`);
+//! * a merge waits for its scoped output workers (`merges.rs:653`);
 //! * `RunningApp` joins the master (`app.rs:342`, and `:313` on a
 //!   crash) and then every slot (`:348`, via `manager.rs:200`);
 //! * every synchronous storage call blocks for its reply
@@ -449,19 +449,28 @@ fn run_task(
 /// one storage node each (bags are unordered *across* nodes but FIFO
 /// within one, so a pinned run reads back in key order), created and
 /// reclaimed through the normal bag lifecycle, sealed and collected
-/// through the sink's own control port. Every live run is also
-/// recorded in a registry shared across the merge task's sinks, so
-/// [`run_merge`] can reclaim leftovers on *any* exit path — a failed
-/// spill write fails the merge cleanly and its scratch never leaks.
+/// through the sink's own control port — opened on the first
+/// [`SpillSink::open_run`] or [`SpillSink::release_run`], so a merge that
+/// never spills opens none. Every live run is also recorded in a
+/// registry shared across the merge task's sinks, so [`run_merge`] can
+/// reclaim leftovers on *any* exit path — a failed spill write fails the
+/// merge cleanly and its scratch never leaks.
 struct ClusterSpillSink {
     deps: ManagerDeps,
-    control: RpcPort,
+    control: Option<RpcPort>,
     probe: CancelProbe,
     /// All unreleased runs of the owning merge task (shared across the
     /// task's per-output sinks).
     scratch: Arc<Mutex<Vec<BagId>>>,
     /// Next storage node to pin a run to (cycled for spread).
     next_pin: usize,
+}
+
+impl ClusterSpillSink {
+    fn control(&mut self) -> &mut RpcPort {
+        self.control
+            .get_or_insert_with(|| self.deps.endpoint.port())
+    }
 }
 
 impl SpillSink for ClusterSpillSink {
@@ -483,7 +492,7 @@ impl SpillSink for ClusterSpillSink {
     }
 
     fn open_run(&mut self, bag: BagId) -> Result<BagReader, EngineError> {
-        self.control.seal_bag(bag)?;
+        self.control().seal_bag(bag)?;
         // Batch factor 1 keeps delivery strictly in insertion order.
         Ok(BagReader::open_client(
             self.deps.bag_client(bag),
@@ -493,7 +502,7 @@ impl SpillSink for ClusterSpillSink {
     }
 
     fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
-        self.control.collect_bag(bag)?;
+        self.control().collect_bag(bag)?;
         self.scratch.lock().retain(|&b| b != bag);
         Ok(())
     }
@@ -544,35 +553,34 @@ fn run_merge(
             (out_idx, partials, out)
         })
         .collect();
-    let budget = deps.config.merge_memory_budget;
-    if budget == u64::MAX {
-        return merges::merge_outputs(&*merge, deps.config.merge_parallelism, jobs);
-    }
-    // Bounded path: every output gets its own sink; the shared scratch
-    // registry lets us reclaim any runs the merge left behind (error or
-    // cancellation unwind) so scratch storage never outlives the task.
-    let scratch: Arc<Mutex<Vec<BagId>>> = Arc::new(Mutex::new(Vec::new()));
+    // Every output gets its own sink; the shared scratch registry lets us
+    // reclaim any runs the merge left behind (error or cancellation
+    // unwind) so scratch storage never outlives the task.
+    let scratch: Arc<Mutex<Vec<BagId>>> = Arc::default();
     let make_sink = || -> Box<dyn SpillSink> {
         Box::new(ClusterSpillSink {
             deps: deps.clone(),
-            control: deps.endpoint.port(),
+            control: None,
             probe: probe.clone(),
             scratch: scratch.clone(),
             next_pin: 0,
         })
     };
-    let result = merges::merge_outputs_bounded(
+    let result = merges::merge_outputs(
         &*merge,
         deps.config.merge_parallelism,
         jobs,
-        budget,
+        deps.config.merge_memory_budget,
         &make_sink,
     );
-    let mut control = deps.endpoint.port();
-    for bag in scratch.lock().drain(..) {
-        let _ = control.collect_bag(bag);
+    let leftovers = std::mem::take(&mut *scratch.lock());
+    if !leftovers.is_empty() {
+        let mut control = deps.endpoint.port();
+        for bag in leftovers {
+            let _ = control.collect_bag(bag);
+        }
     }
-    result.map(|_stats| ())
+    result
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 //!
 //! All merges in this module uphold the contract that merging the partial
 //! outputs of `n` clones produces output equal (as a multiset of records,
-//! or exactly where ordering is the point, as in [`SortedMerge`]) to what
-//! a single uncloned task would have produced.
+//! or exactly where ordering is the point, as in [`KeyedMerge`]'s
+//! ascending keys) to what a single uncloned task would have produced.
 //!
-//! # The three merge cost classes
+//! # The two merge cost classes
 //!
 //! The merge plane is the convergence point of the paper's skew story:
 //! every record a cloned task emits flows through here, so merges are
@@ -35,12 +35,11 @@
 //!   them — so a new key costs three appends and no allocation. The
 //!   records themselves — including string payloads and nested
 //!   sequences — are never copied out of the chunk.
-//! * **Own the records** — [`SortedMerge`], [`SetUnionMerge`],
-//!   [`TopKMerge`] and [`MedianMerge`] must compare records that outlive
-//!   their chunks, so they convert each view to an owned record into a
-//!   scratch buffer that is *reused across merge calls* (per logic
-//!   instance; concurrent merges fall back to a fresh buffer), keeping
-//!   steady-state allocation amortized to zero.
+//!
+//! A merge that must compare whole records — a sort, distinct values,
+//! top-k, a median — is a closure: [`MergeLogic`] is implemented for
+//! every `Fn(usize, &mut [BagReader], &mut BagWriter)`, which collects
+//! the partials' records and writes what it computes from all of them.
 //!
 //! Results re-encode through the single-pass writer path
 //! (`BagWriter::write_record` serializes straight into the chunk
@@ -62,18 +61,19 @@
 //! other output touches. The runtime exploits this via [`merge_outputs`]
 //! — a scoped worker pool (bounded by the `merge_parallelism` config
 //! knob) through which the manager dispatches output indices. Merge
-//! implementations therefore must tolerate concurrent `merge` calls on
-//! one logic instance — which the `Send + Sync` bound on [`MergeLogic`]
-//! already demands, and the sort-family scratch reuse honors with its
-//! try-lock-or-fresh-buffer fallback.
+//! implementations therefore must tolerate concurrent merge calls on
+//! one logic instance, which the `Send + Sync` bound on [`MergeLogic`]
+//! already demands.
 //!
 //! # Bounded merges: the spill contract
 //!
-//! [`KeyedMerge`]'s accumulator table grows with key cardinality, so a
-//! skewed-enough group-by could exceed any fixed memory. Its
-//! [`MergeLogic::merge_bounded`] override survives *any* cardinality
-//! under a configured budget (`merge_memory_budget`) by external
-//! aggregation:
+//! Every merge output runs [`MergeLogic::merge_bounded`] under the
+//! configured budget (`merge_memory_budget`); at the default `u64::MAX`
+//! nothing spills and the sink is never touched. [`KeyedMerge`]'s
+//! accumulator table grows with key cardinality, so a skewed-enough
+//! group-by could exceed any fixed memory. Its `merge_bounded` survives
+//! *any* cardinality under the budget by external aggregation — and its
+//! `merge` is the same code at an unbounded budget:
 //!
 //! * **Budget arithmetic.** The table's residency is counted exactly:
 //!   key arena bytes + entries x `size_of::<(usize, Option<V>)>()` +
@@ -103,20 +103,19 @@
 //!   oldest-run first — so for an *associative* fold (which the merge
 //!   contract already requires for clone reconciliation to be
 //!   order-insensitive) every key's final accumulator equals the
-//!   unbounded table's. Both paths then emit the same `(key, value)`
-//!   records in the same ascending key order through the same
+//!   unbounded table's. Spilling or not, the merge then emits the same
+//!   `(key, value)` records in the same ascending key order through the same
 //!   [`BagWriter`] chunking, so the output chunk stream is byte-identical
 //!   at any budget — pinned by the `spilled_merge_agrees_with_in_memory`
 //!   property test.
 
 use crate::error::EngineError;
 use crate::keyed_table::KeyTable;
-use crate::task::{BagReader, BagWriter, MergeLogic, SpillSink, SpillStats};
+use crate::task::{BagReader, BagWriter, MergeLogic, SpillSink};
 use hurricane_common::BagId;
 use hurricane_format::{Chunk, ChunkReader, RecordView};
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 /// Fan-in of one spill-merge round: how many scratch runs a bounded
@@ -468,16 +467,12 @@ where
 
     /// Drains the table into a fresh sorted scratch run; returns its bag.
     fn spill_table(
-        &self,
         table: &mut KeyTable<V>,
         sink: &mut dyn SpillSink,
-        stats: &mut SpillStats,
     ) -> Result<BagId, EngineError> {
         let mut w = sink.create_run()?;
         Self::write_sorted(table, &mut w)?;
         w.flush()?;
-        stats.spilled_records += table.len() as u64;
-        stats.runs += 1;
         table.clear();
         Ok(w.bag_id())
     }
@@ -534,20 +529,15 @@ where
     V: RecordView + Send + Sync + 'static,
     F: ViewFold<V>,
 {
+    /// The no-spill case of [`KeyedMerge::merge_bounded`]: one fold loop
+    /// and one emit serve both.
     fn merge(
         &self,
-        _output_index: usize,
+        output_index: usize,
         partials: &mut [BagReader],
         out: &mut BagWriter,
     ) -> Result<(), EngineError> {
-        let mut table = KeyTable::new();
-        for p in partials {
-            while let Some(chunk) = p.next_chunk()? {
-                self.fold_chunk(&chunk, &mut table)?;
-            }
-        }
-        Self::write_sorted(&table, out)?;
-        out.flush()
+        self.merge_bounded(output_index, partials, out, u64::MAX, &mut Unspilled)
     }
 
     /// External aggregation under a memory budget — see the module doc's
@@ -560,8 +550,7 @@ where
         out: &mut BagWriter,
         budget: u64,
         sink: &mut dyn SpillSink,
-    ) -> Result<SpillStats, EngineError> {
-        let mut stats = SpillStats::default();
+    ) -> Result<(), EngineError> {
         let mut table = KeyTable::new();
         let mut runs: VecDeque<BagId> = VecDeque::new();
         for p in partials.iter_mut() {
@@ -571,18 +560,17 @@ where
                 // by at most the entries one chunk introduced. (An empty
                 // table counts 0 bytes, so it never spills.)
                 if table.bytes() > budget {
-                    runs.push_back(self.spill_table(&mut table, sink, &mut stats)?);
+                    runs.push_back(Self::spill_table(&mut table, sink)?);
                 }
             }
         }
         if runs.is_empty() {
-            // Nothing spilled: exactly the unbounded emit.
+            // Nothing spilled: the table is the whole result.
             Self::write_sorted(&table, out)?;
-            out.flush()?;
-            return Ok(stats);
+            return out.flush();
         }
         if !table.is_empty() {
-            runs.push_back(self.spill_table(&mut table, sink, &mut stats)?);
+            runs.push_back(Self::spill_table(&mut table, sink)?);
         }
         // The re-fold rounds hold cursors, not the table.
         drop(table);
@@ -601,271 +589,46 @@ where
                 sink.release_run(bag)?;
             }
             runs.push_front(merged);
-            stats.runs += 1;
-            stats.rounds += 1;
         }
         let batch: Vec<BagId> = runs.into();
         self.merge_runs(&batch, sink, out)?;
         for bag in batch {
             sink.release_run(bag)?;
         }
-        stats.rounds += 1;
-        out.flush()?;
-        Ok(stats)
+        out.flush()
     }
 }
 
-/// A reusable owned-record buffer shared across `merge` calls.
-///
-/// `MergeLogic::merge` takes `&self`, and the same logic instance may
-/// merge several outputs (possibly concurrently). The scratch hands out
-/// its buffer under a `try_lock`: the steady-state sequential case reuses
-/// one allocation forever; a concurrent merge simply takes a fresh
-/// buffer instead of blocking.
-struct Scratch<T>(Mutex<Vec<T>>);
+/// The sink of a merge at an unbounded budget, which never spills.
+struct Unspilled;
 
-impl<T> Scratch<T> {
-    fn new() -> Self {
-        Self(Mutex::new(Vec::new()))
+impl SpillSink for Unspilled {
+    fn create_run(&mut self) -> Result<BagWriter, EngineError> {
+        unreachable!("a merge at an unbounded budget never spills")
     }
 
-    fn with<R>(&self, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        match self.0.try_lock() {
-            Some(mut buf) => {
-                buf.clear();
-                let r = f(&mut buf);
-                // Drop the owned records now; keep the capacity.
-                buf.clear();
-                r
-            }
-            None => f(&mut Vec::new()),
-        }
+    fn open_run(&mut self, _bag: BagId) -> Result<BagReader, EngineError> {
+        unreachable!("a merge at an unbounded budget never spills")
     }
-}
 
-/// Merge-sorts partials into a single key-ordered record stream — the
-/// paper's example of a *non-aggregation* merge ("for instance through a
-/// merge sort").
-///
-/// Note on ordering and bags: records are *written* to the output in
-/// sorted order, and each chunk is internally sorted, but bags spread
-/// chunks across storage nodes and are unordered collections (paper
-/// §4.1). A consumer that needs the global order either reads the bag
-/// from a single storage node (FIFO per node) or k-way-merges the sorted
-/// chunks it removes — both cheap because every chunk is already sorted.
-pub struct SortedMerge<T> {
-    scratch: Scratch<T>,
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> SortedMerge<T> {
-    /// Creates a sorted merge.
-    pub fn new() -> Self {
-        Self {
-            scratch: Scratch::new(),
-        }
-    }
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> Default for SortedMerge<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> MergeLogic for SortedMerge<T> {
-    fn merge(
-        &self,
-        _output_index: usize,
-        partials: &mut [BagReader],
-        out: &mut BagWriter,
-    ) -> Result<(), EngineError> {
-        // Sorting needs records that outlive their chunks, so this is an
-        // owning merge: views convert into the reused scratch buffer and
-        // one unstable sort replaces the per-partial sort + k-way merge
-        // (same output, no per-output-record O(partials) scan).
-        self.scratch.with(|all| {
-            for p in partials.iter_mut() {
-                while let Some(chunk) = p.next_chunk()? {
-                    ChunkReader::<T>::new(&chunk).for_each(|v| all.push(T::view_to_owned(v)))?;
-                }
-            }
-            all.sort_unstable();
-            for rec in all.iter() {
-                out.write_record(rec)?;
-            }
-            out.flush()?;
-            Ok(())
-        })
-    }
-}
-
-/// Set-union merge: deduplicates records across partials (distinct
-/// values / duplicate removal, one of the paper's non commutative-
-/// associative examples). Output is emitted in ascending order.
-pub struct SetUnionMerge<T> {
-    scratch: Scratch<T>,
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> SetUnionMerge<T> {
-    /// Creates a set-union merge.
-    pub fn new() -> Self {
-        Self {
-            scratch: Scratch::new(),
-        }
-    }
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> Default for SetUnionMerge<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> MergeLogic for SetUnionMerge<T> {
-    fn merge(
-        &self,
-        _output_index: usize,
-        partials: &mut [BagReader],
-        out: &mut BagWriter,
-    ) -> Result<(), EngineError> {
-        // sort + dedup over the reused scratch replaces the old BTreeSet
-        // (a node allocation per distinct record) while producing the
-        // same ascending output.
-        self.scratch.with(|all| {
-            for p in partials.iter_mut() {
-                while let Some(chunk) = p.next_chunk()? {
-                    ChunkReader::<T>::new(&chunk).for_each(|v| all.push(T::view_to_owned(v)))?;
-                }
-            }
-            all.sort_unstable();
-            all.dedup();
-            for rec in all.iter() {
-                out.write_record(rec)?;
-            }
-            out.flush()?;
-            Ok(())
-        })
-    }
-}
-
-/// Top-K merge: keeps the `k` largest records across all partials, emitted
-/// in descending order.
-pub struct TopKMerge<T> {
-    k: usize,
-    scratch: Scratch<Reverse<T>>,
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> TopKMerge<T> {
-    /// Creates a top-`k` merge.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            scratch: Scratch::new(),
-        }
-    }
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> MergeLogic for TopKMerge<T> {
-    fn merge(
-        &self,
-        _output_index: usize,
-        partials: &mut [BagReader],
-        out: &mut BagWriter,
-    ) -> Result<(), EngineError> {
-        // A min-heap of at most k owned records (via Reverse); records
-        // that cannot displace the current minimum are dropped without
-        // entering the heap. The heap's backing vec is the reused
-        // scratch.
-        self.scratch.with(|vec| {
-            let mut heap = BinaryHeap::from(std::mem::take(vec));
-            for p in partials.iter_mut() {
-                while let Some(chunk) = p.next_chunk()? {
-                    ChunkReader::<T>::new(&chunk).for_each(|v| {
-                        let rec = T::view_to_owned(v);
-                        if heap.len() < self.k {
-                            heap.push(Reverse(rec));
-                        } else if let Some(min) = heap.peek() {
-                            if rec > min.0 {
-                                heap.pop();
-                                heap.push(Reverse(rec));
-                            }
-                        }
-                    })?;
-                }
-            }
-            let mut top = heap.into_vec();
-            // Ascending Reverse<T> is descending T.
-            top.sort_unstable();
-            for rec in top.iter() {
-                out.write_record(&rec.0)?;
-            }
-            out.flush()?;
-            *vec = top;
-            Ok(())
-        })
-    }
-}
-
-/// Median merge: collects all records and emits the median — the paper's
-/// canonical example of an operation that shuffle-based combining cannot
-/// express but whole-partial merging can.
-pub struct MedianMerge<T> {
-    scratch: Scratch<T>,
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> MedianMerge<T> {
-    /// Creates a median merge.
-    pub fn new() -> Self {
-        Self {
-            scratch: Scratch::new(),
-        }
-    }
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> Default for MedianMerge<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: RecordView + Ord + Send + Sync + 'static> MergeLogic for MedianMerge<T> {
-    fn merge(
-        &self,
-        _output_index: usize,
-        partials: &mut [BagReader],
-        out: &mut BagWriter,
-    ) -> Result<(), EngineError> {
-        self.scratch.with(|all| {
-            for p in partials.iter_mut() {
-                while let Some(chunk) = p.next_chunk()? {
-                    ChunkReader::<T>::new(&chunk).for_each(|v| all.push(T::view_to_owned(v)))?;
-                }
-            }
-            if all.is_empty() {
-                return Ok(());
-            }
-            let mid = (all.len() - 1) / 2;
-            // Selection, not a full sort: O(n) expected.
-            let (_, median, _) = all.select_nth_unstable(mid);
-            out.write_record(&*median)?;
-            out.flush()?;
-            Ok(())
-        })
+    fn release_run(&mut self, _bag: BagId) -> Result<(), EngineError> {
+        unreachable!("a merge at an unbounded budget never spills")
     }
 }
 
 /// Runs one merge phase's output jobs, dispatching independent output
 /// indices across up to `parallelism` scoped worker threads.
 ///
-/// Each job is `(output_index, partial readers, output writer)`; outputs
-/// of one merge never share a reader or writer, so they are embarrassingly
-/// parallel — the only shared state is the [`MergeLogic`] instance itself
-/// (`Send + Sync` by trait bound; the sort-family scratch buffers
-/// try-lock and fall back to a fresh buffer under contention). Workers
-/// claim jobs from a shared queue, so a skewed output (one hot key range)
-/// does not stall the rest. With `parallelism <= 1` or a single job the
-/// jobs run inline on the calling thread — byte-for-byte today's
-/// sequential behavior.
+/// Each job is `(output_index, partial readers, output writer)` and runs
+/// [`MergeLogic::merge_bounded`] under `budget` with its own
+/// [`SpillSink`], minted by `make_sink`, so concurrent outputs never
+/// share run state. At `u64::MAX` nothing spills and no sink is touched.
+/// Outputs of one merge never share a reader or writer, so they are
+/// embarrassingly parallel — the only shared state is the
+/// [`MergeLogic`] instance itself (`Send + Sync` by trait bound).
+/// Workers claim jobs from a shared queue, so a skewed output (one hot
+/// key range) does not stall the rest. With `parallelism <= 1` or a
+/// single job the jobs run inline on the calling thread.
 ///
 /// On failure the first error wins: remaining queued jobs are abandoned,
 /// in-flight ones run to completion, and that error is returned.
@@ -873,52 +636,14 @@ pub fn merge_outputs(
     merge: &dyn MergeLogic,
     parallelism: usize,
     jobs: Vec<(usize, Vec<BagReader>, BagWriter)>,
-) -> Result<(), EngineError> {
-    drive_jobs(
-        parallelism,
-        jobs,
-        |(out_idx, mut partials, mut out): (usize, Vec<BagReader>, BagWriter)| {
-            merge.merge(out_idx, &mut partials, &mut out)?;
-            out.flush()
-        },
-    )
-}
-
-/// [`merge_outputs`] under a memory budget: each output runs
-/// [`MergeLogic::merge_bounded`] with its own [`SpillSink`] (minted by
-/// `make_sink`, so concurrent outputs never share run state). Returns the
-/// merged spill counters across all outputs.
-pub fn merge_outputs_bounded(
-    merge: &dyn MergeLogic,
-    parallelism: usize,
-    jobs: Vec<(usize, Vec<BagReader>, BagWriter)>,
     budget: u64,
     make_sink: &(dyn Fn() -> Box<dyn SpillSink> + Sync),
-) -> Result<SpillStats, EngineError> {
-    let stats = Mutex::new(SpillStats::default());
-    drive_jobs(
-        parallelism,
-        jobs,
-        |(out_idx, mut partials, mut out): (usize, Vec<BagReader>, BagWriter)| {
-            let mut sink = make_sink();
-            let s = merge.merge_bounded(out_idx, &mut partials, &mut out, budget, sink.as_mut())?;
-            out.flush()?;
-            stats.lock().absorb(s);
-            Ok(())
-        },
-    )?;
-    Ok(stats.into_inner())
-}
-
-/// The shared job driver behind [`merge_outputs`] and
-/// [`merge_outputs_bounded`]: dispatches jobs across up to `parallelism`
-/// scoped workers (inline when `parallelism <= 1` or there is a single
-/// job), with first-error-wins abandonment of the queue.
-fn drive_jobs<J: Send>(
-    parallelism: usize,
-    jobs: Vec<J>,
-    run: impl Fn(J) -> Result<(), EngineError> + Sync,
 ) -> Result<(), EngineError> {
+    let run = |(out_idx, mut partials, mut out): (usize, Vec<BagReader>, BagWriter)| {
+        let mut sink = make_sink();
+        merge.merge_bounded(out_idx, &mut partials, &mut out, budget, sink.as_mut())?;
+        out.flush()
+    };
     if parallelism <= 1 || jobs.len() <= 1 {
         return jobs.into_iter().try_for_each(run);
     }
@@ -1125,92 +850,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sorted_merge_orders_globally() {
-        let got: Vec<u64> = run_merge(
-            3,
-            |i| (0..10).map(|j| (j * 3 + i) as u64).collect(),
-            SortedMerge::<u64>::new(),
-        );
-        assert_eq!(got.len(), 30);
-        assert!(
-            got.windows(2).all(|w| w[0] <= w[1]),
-            "output must be sorted"
-        );
-    }
-
-    #[test]
-    fn sorted_merge_handles_unsorted_partials() {
-        let got: Vec<u64> = run_merge(2, |i| vec![9 - i as u64, 3, 7], SortedMerge::<u64>::new());
-        assert!(got.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(got.len(), 6);
-    }
-
-    #[test]
-    fn sorted_merge_scratch_survives_reuse() {
-        // The same logic instance runs several merges: the scratch must
-        // fully reset between calls (no leakage across outputs).
-        let merge = SortedMerge::<u64>::new();
-        let cluster = StorageCluster::new(1, ClusterConfig::default());
-        for round in 0..3u64 {
-            let bag = cluster.create_bag();
-            let mut w = BagWriter::open(cluster.clone(), bag, round, 64);
-            for v in [3 + round, 1 + round, 2 + round] {
-                w.write_record(&v).unwrap();
-            }
-            w.flush().unwrap();
-            cluster.seal_bag(bag).unwrap();
-            let mut readers = vec![BagReader::open(cluster.clone(), bag, 50 + round, 2, None)];
-            let out_bag = cluster.create_bag();
-            let mut out = BagWriter::open(cluster.clone(), out_bag, 99, 64);
-            merge.merge(0, &mut readers, &mut out).unwrap();
-            out.flush().unwrap();
-            cluster.seal_bag(out_bag).unwrap();
-            let got = read_bag::<u64>(&cluster, out_bag);
-            assert_eq!(got, vec![1 + round, 2 + round, 3 + round]);
-        }
-    }
-
-    #[test]
-    fn set_union_dedups() {
-        let got: Vec<u64> = run_merge(3, |i| vec![1, 2, 2 + i as u64], SetUnionMerge::<u64>::new());
-        assert_eq!(got, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn topk_keeps_largest() {
-        let got: Vec<u64> = run_merge(
-            2,
-            |i| (0..20).map(|j| j + i as u64 * 100).collect(),
-            TopKMerge::<u64>::new(3),
-        );
-        assert_eq!(got, vec![119, 118, 117]);
-    }
-
-    #[test]
-    fn topk_with_duplicates_and_small_input() {
-        // Two partials of [5, 5, 1] make the multiset {5,5,5,5,1,1}.
-        let got: Vec<u64> = run_merge(2, |_| vec![5, 5, 1], TopKMerge::<u64>::new(5));
-        assert_eq!(got, vec![5, 5, 5, 5, 1]);
-        // k = 0 emits nothing.
-        let got: Vec<u64> = run_merge(2, |_| vec![7], TopKMerge::<u64>::new(0));
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn median_of_all_partials() {
-        let got: Vec<u64> = run_merge(
-            2,
-            |i| if i == 0 { vec![1, 9, 5] } else { vec![3, 7] },
-            MedianMerge::<u64>::new(),
-        );
-        assert_eq!(got, vec![5]);
-    }
-
-    #[test]
-    fn median_of_empty_is_empty() {
-        let got: Vec<u64> = run_merge(2, |_| vec![], MedianMerge::<u64>::new());
-        assert!(got.is_empty());
+    /// The sink factory of every unbounded [`merge_outputs`] call here:
+    /// its sink panics on any method, so the unbounded driver can never
+    /// reach a sink unseen.
+    fn unspilled() -> Box<dyn SpillSink> {
+        Box::new(Unspilled)
     }
 
     /// Builds an `instances x outputs` grid of partial bags (each filled
@@ -1244,7 +888,7 @@ mod tests {
             jobs.push((out_idx, partials, out));
         }
         let merge = KeyedMerge::<String, u64, _>::new(|a, b| a + b);
-        merge_outputs(&merge, parallelism, jobs).unwrap();
+        merge_outputs(&merge, parallelism, jobs, u64::MAX, &unspilled).unwrap();
         out_bags
             .into_iter()
             .map(|bag| {
@@ -1300,7 +944,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let err = merge_outputs(&failing, par, jobs).unwrap_err();
+            let err = merge_outputs(&failing, par, jobs, u64::MAX, &unspilled).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1316,13 +960,19 @@ mod tests {
 
     /// A [`SpillSink`] over an in-process cluster: every run pinned to
     /// node 0 (insertion-order read-back) with shared lifecycle tracking
-    /// so tests can assert no scratch outlives the merge.
+    /// so tests can assert no scratch outlives the merge. It counts what
+    /// the merge spilled: every run it creates, and apart the runs created
+    /// after a release — only a re-fold round writes a run once folding
+    /// has begun, so a nonzero count means the runs took more than one
+    /// intermediate round.
     struct TestSink {
         cluster: Arc<StorageCluster>,
         chunk_size: usize,
         seed: u64,
         live: Arc<Mutex<Vec<BagId>>>,
         created: Arc<Mutex<usize>>,
+        released: bool,
+        created_after_release: usize,
     }
 
     impl TestSink {
@@ -1333,6 +983,8 @@ mod tests {
                 seed: 9000,
                 live: Arc::new(Mutex::new(Vec::new())),
                 created: Arc::new(Mutex::new(0)),
+                released: false,
+                created_after_release: 0,
             }
         }
     }
@@ -1342,6 +994,7 @@ mod tests {
             let bag = self.cluster.create_bag();
             self.live.lock().push(bag);
             *self.created.lock() += 1;
+            self.created_after_release += usize::from(self.released);
             self.seed += 1;
             let client = hurricane_storage::BagClient::new(self.cluster.clone(), bag, self.seed)
                 .with_pinned_node(0);
@@ -1363,6 +1016,7 @@ mod tests {
         fn release_run(&mut self, bag: BagId) -> Result<(), EngineError> {
             RpcPort::inline(self.cluster.clone()).collect_bag(bag)?;
             self.live.lock().retain(|&b| b != bag);
+            self.released = true;
             Ok(())
         }
     }
@@ -1389,15 +1043,15 @@ mod tests {
     }
 
     /// Runs `merge` over identical inputs once unbounded and once bounded
-    /// at `budget`; returns (unbounded chunks, bounded chunks, stats,
-    /// sink) for comparison.
+    /// at `budget`; returns (unbounded chunks, bounded chunks, sink) for
+    /// comparison.
     fn bounded_vs_unbounded<M: MergeLogic>(
         merge: &M,
         budget: u64,
         chunk_size: usize,
         n: usize,
         fill: &dyn Fn(usize) -> Vec<(String, u64)>,
-    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, SpillStats, TestSink) {
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, TestSink) {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let chunks_of = |bag| {
             cluster.seal_bag(bag).unwrap();
@@ -1418,11 +1072,11 @@ mod tests {
         let bounded_bag = cluster.create_bag();
         let mut bounded_out = BagWriter::open(cluster.clone(), bounded_bag, 77, chunk_size);
         let mut sink = TestSink::new(&cluster, chunk_size);
-        let stats = merge
+        merge
             .merge_bounded(0, &mut readers, &mut bounded_out, budget, &mut sink)
             .unwrap();
         bounded_out.flush().unwrap();
-        (chunks_of(plain_bag), chunks_of(bounded_bag), stats, sink)
+        (chunks_of(plain_bag), chunks_of(bounded_bag), sink)
     }
 
     fn skewed_fill(i: usize) -> Vec<(String, u64)> {
@@ -1436,12 +1090,10 @@ mod tests {
     fn bounded_keyed_merge_is_byte_identical_across_budgets() {
         let merge = KeyedMerge::<String, u64, _>::new(|a, b| a + b);
         for budget in [0, 1, 300, 4 * 1024, u64::MAX] {
-            let (plain, bounded, stats, sink) =
-                bounded_vs_unbounded(&merge, budget, 128, 3, &skewed_fill);
+            let (plain, bounded, sink) = bounded_vs_unbounded(&merge, budget, 128, 3, &skewed_fill);
             assert_eq!(plain, bounded, "budget {budget} changed output bytes");
             if budget < 300 {
-                assert!(stats.runs > 0, "tiny budget {budget} must spill");
-                assert!(stats.spilled_records > 0);
+                assert!(*sink.created.lock() > 0, "tiny budget {budget} must spill");
             }
             assert!(
                 sink.live.lock().is_empty(),
@@ -1478,9 +1130,9 @@ mod tests {
     #[test]
     fn bounded_keyed_merge_folding_is_byte_identical() {
         let merge = KeyedMerge::<String, u64, _>::folding(|acc, v: u64| *acc += v);
-        let (plain, bounded, stats, sink) = bounded_vs_unbounded(&merge, 0, 96, 2, &skewed_fill);
+        let (plain, bounded, sink) = bounded_vs_unbounded(&merge, 0, 96, 2, &skewed_fill);
         assert_eq!(plain, bounded);
-        assert!(stats.runs > 0);
+        assert!(*sink.created.lock() > 0);
         assert!(sink.live.lock().is_empty());
     }
 
@@ -1494,51 +1146,50 @@ mod tests {
                 .map(|r| (format!("key{:04}", (r * 13 + i) % 250), r as u64))
                 .collect::<Vec<_>>()
         };
-        let (plain, bounded, stats, sink) = bounded_vs_unbounded(&merge, 0, 64, 2, &fill);
+        let (plain, bounded, sink) = bounded_vs_unbounded(&merge, 0, 64, 2, &fill);
         assert_eq!(plain, bounded);
+        let created = *sink.created.lock();
         assert!(
-            stats.runs as usize > RUN_FANIN,
-            "need > RUN_FANIN runs to exercise re-folding, got {}",
-            stats.runs
+            created > RUN_FANIN,
+            "need > RUN_FANIN runs to exercise re-folding, got {created}"
         );
-        assert!(stats.rounds > 1, "expected intermediate rounds");
+        assert!(
+            sink.created_after_release > 0,
+            "expected intermediate rounds"
+        );
         assert!(sink.live.lock().is_empty());
     }
 
     #[test]
     fn unbounded_budget_never_touches_the_sink() {
         let merge = KeyedMerge::<String, u64, _>::new(|a, b| a + b);
-        let (plain, bounded, stats, sink) =
-            bounded_vs_unbounded(&merge, u64::MAX, 128, 3, &skewed_fill);
+        let (plain, bounded, sink) = bounded_vs_unbounded(&merge, u64::MAX, 128, 3, &skewed_fill);
         assert_eq!(plain, bounded);
-        assert_eq!(stats, SpillStats::default());
         assert_eq!(*sink.created.lock(), 0, "no scratch bag may be created");
     }
 
     #[test]
     fn bounded_merge_of_empty_partials_is_empty() {
         let merge = KeyedMerge::<String, u64, _>::new(|a, b| a + b);
-        let (plain, bounded, stats, _sink) =
-            bounded_vs_unbounded(&merge, 0, 128, 3, &|_| Vec::new());
+        let (plain, bounded, sink) = bounded_vs_unbounded(&merge, 0, 128, 3, &|_| Vec::new());
         assert_eq!(plain, bounded);
         assert!(plain.is_empty());
-        assert_eq!(stats, SpillStats::default());
+        assert_eq!(*sink.created.lock(), 0);
     }
 
     #[test]
     fn default_merge_bounded_falls_back_to_unbounded() {
         // Merges without per-key state (here: concat) use the default
-        // method — unbounded behavior, no sink traffic, empty stats.
+        // method — unbounded behavior, no sink traffic.
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let mut readers = string_partials(&cluster, 2, &skewed_fill);
         let out_bag = cluster.create_bag();
         let mut out = BagWriter::open(cluster.clone(), out_bag, 77, 128);
         let mut sink = TestSink::new(&cluster, 128);
-        let stats = ConcatMerge
+        ConcatMerge
             .merge_bounded(0, &mut readers, &mut out, 0, &mut sink)
             .unwrap();
         out.flush().unwrap();
-        assert_eq!(stats, SpillStats::default());
         assert_eq!(*sink.created.lock(), 0);
         cluster.seal_bag(out_bag).unwrap();
         assert_eq!(
@@ -1548,10 +1199,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_outputs_bounded_matches_merge_outputs() {
+    fn spilling_outputs_match_unbounded_outputs() {
         // The driver-level check: a multi-output keyed merge spilling
         // under a tiny budget produces the same bytes per output as the
-        // unbounded driver, and releases every scratch run.
+        // same driver unbounded, and releases every scratch run.
         let build_jobs = |cluster: &Arc<StorageCluster>| -> (Vec<_>, Vec<BagId>) {
             let mut jobs = Vec::new();
             let mut out_bags = Vec::new();
@@ -1594,19 +1245,21 @@ mod tests {
 
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let (jobs, out_bags) = build_jobs(&cluster);
-        merge_outputs(&merge, 2, jobs).unwrap();
+        merge_outputs(&merge, 2, jobs, u64::MAX, &unspilled).unwrap();
         let plain = collect(&cluster, out_bags);
 
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let (jobs, out_bags) = build_jobs(&cluster);
         let live: Arc<Mutex<Vec<BagId>>> = Arc::new(Mutex::new(Vec::new()));
+        let created = Arc::new(Mutex::new(0));
         let make_sink = || -> Box<dyn SpillSink> {
             let mut sink = TestSink::new(&cluster, 128);
             sink.live = live.clone();
+            sink.created = created.clone();
             Box::new(sink)
         };
-        let stats = merge_outputs_bounded(&merge, 2, jobs, 64, &make_sink).unwrap();
-        assert!(stats.runs > 0, "tiny budget must spill");
+        merge_outputs(&merge, 2, jobs, 64, &make_sink).unwrap();
+        assert!(*created.lock() > 0, "tiny budget must spill");
         assert!(live.lock().is_empty(), "scratch runs leaked");
         assert_eq!(collect(&cluster, out_bags), plain);
     }

@@ -630,26 +630,6 @@ where
     }
 }
 
-/// Counters describing how much a bounded merge had to spill.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpillStats {
-    /// Records drained from the accumulator table into scratch runs.
-    pub spilled_records: u64,
-    /// Scratch runs written (drains plus intermediate re-merges).
-    pub runs: u64,
-    /// Merge rounds over scratch runs (0 when everything fit in memory).
-    pub rounds: u64,
-}
-
-impl SpillStats {
-    /// Accumulates another output's counters into this one.
-    pub fn absorb(&mut self, other: SpillStats) {
-        self.spilled_records += other.spilled_records;
-        self.runs += other.runs;
-        self.rounds += other.rounds;
-    }
-}
-
 /// Where a bounded merge parks accumulator state that no longer fits in
 /// its memory budget.
 ///
@@ -662,6 +642,8 @@ impl SpillStats {
 /// [`SpillSink::release_run`] reclaims a run's storage once it has been
 /// folded into a later round. Runs not released by the merge (error
 /// unwind) are discarded by the sink's owner when the merge task ends.
+/// The sink sees every run a merge creates, so it is where spills are
+/// counted.
 pub trait SpillSink {
     /// Creates a fresh scratch run and returns a writer over it.
     fn create_run(&mut self) -> Result<BagWriter, EngineError>;
@@ -692,7 +674,7 @@ pub trait MergeLogic: Send + Sync + 'static {
     /// The contract is unchanged — the output must be byte-identical to
     /// the unbounded [`MergeLogic::merge`] at any budget. The default
     /// simply runs the unbounded merge (correct for merges whose state
-    /// does not grow with key cardinality, e.g. concat/reduce/top-k);
+    /// does not grow with key cardinality: concat and reduce);
     /// `KeyedMerge` overrides it with a real external aggregation.
     fn merge_bounded(
         &self,
@@ -701,9 +683,8 @@ pub trait MergeLogic: Send + Sync + 'static {
         out: &mut BagWriter,
         _budget: u64,
         _sink: &mut dyn SpillSink,
-    ) -> Result<SpillStats, EngineError> {
-        self.merge(output_index, partials, out)?;
-        Ok(SpillStats::default())
+    ) -> Result<(), EngineError> {
+        self.merge(output_index, partials, out)
     }
 }
 
