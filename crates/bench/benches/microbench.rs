@@ -462,6 +462,75 @@ fn bench_varint(c: &mut Criterion) {
     mix(c, "rmat17_pairs", &rmat);
 }
 
+/// Writing a chunk stream of 1M uniform `u32` keys over 2^18 (the
+/// `clicklog_uniform` source's shape) into 64 KB chunks: one `encode` +
+/// `commit` per record against `ChunkBuf::push_run`'s word-store loop,
+/// then `HurricaneApp::fill_source` on one lane and on two (the
+/// benchmark's 2 × 1 worker slots; one lane on a one-core host).
+fn bench_record_write(c: &mut Criterion) {
+    use hurricane_core::{AppGraph, HurricaneApp, HurricaneConfig, TaskCtx};
+    use hurricane_format::{ChunkBuf, Record};
+
+    const VALUES: usize = 1_000_000;
+    const CHUNK: usize = 64 * 1024;
+    let mut rng = DetRng::new(0x5eed);
+    let keys: Vec<u32> = (0..VALUES).map(|_| rng.gen_range(1 << 18) as u32).collect();
+
+    let mut g = c.benchmark_group("record_write/u32_1m");
+    g.throughput(Throughput::Elements(VALUES as u64));
+    g.bench_function("per_record", |b| {
+        b.iter(|| {
+            let (mut body, mut sealed) = (ChunkBuf::new(CHUNK), 0usize);
+            for k in &keys {
+                let start = body.len();
+                k.encode(body.encode_buf());
+                sealed += body.commit(start).unwrap().is_some() as usize;
+            }
+            sealed + body.take().is_some() as usize
+        })
+    });
+    g.bench_function("run", |b| {
+        b.iter(|| {
+            let (mut body, mut sealed, mut rest) = (ChunkBuf::new(CHUNK), 0usize, &keys[..]);
+            while !rest.is_empty() {
+                let (taken, chunk) = body.push_run(rest).unwrap();
+                sealed += chunk.is_some() as usize;
+                rest = &rest[taken..];
+            }
+            sealed + body.take().is_some() as usize
+        })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("fill_source/u32_1m");
+    g.throughput(Throughput::Elements(VALUES as u64));
+    for (name, compute_nodes) in [("1_lane", 1), ("2_lanes", 2)] {
+        let deploy = || {
+            let mut graph = AppGraph::builder();
+            let source = graph.source("keys");
+            let out = graph.bag("out");
+            graph.task("drop", &[source], &[out], |_: &mut TaskCtx| Ok(()));
+            let config = HurricaneConfig {
+                compute_nodes,
+                worker_slots: 1,
+                chunk_size: CHUNK,
+                ..Default::default()
+            };
+            let cluster = StorageCluster::new(2, ClusterConfig::default());
+            let app = HurricaneApp::deploy(graph.build().unwrap(), cluster, config).unwrap();
+            (app, source)
+        };
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                deploy,
+                |(app, source)| app.fill_source(source, keys.iter().copied()).unwrap(),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+}
+
 /// The manager's scratch-run protocol in miniature: runs are bags
 /// pinned to one node, written and read at batch factor 1 so they hold
 /// their sorted order, collected once folded.
@@ -1371,6 +1440,7 @@ criterion_group!(
     bench_merge_path,
     bench_decode_swar,
     bench_varint,
+    bench_record_write,
     bench_merge_parallel,
     bench_merge_spill,
     bench_journal,

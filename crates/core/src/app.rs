@@ -45,9 +45,17 @@ use hurricane_common::BagId;
 use hurricane_format::{decode_all, Chunk, Record};
 use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageEndpoint};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Records a fill lane encodes per hand-off: large enough that a hand-off
+/// costs little beside the encoding, small enough that input under one
+/// run starts no thread.
+const FILL_RUN: usize = 8192;
+
+/// Runs queued per fill helper before the caller waits for it.
+const FILL_QUEUE: usize = 2;
 
 /// Statistics returned by a completed run.
 #[derive(Debug, Clone, Default)]
@@ -154,6 +162,11 @@ impl HurricaneApp {
     /// Opens a writer for filling a source bag before the run. Bulk
     /// loading batches inserts at the configured batch factor, so a
     /// source fill issues one storage call per node per `b` chunks.
+    ///
+    /// Each writer seals its own chunks, so a source filled through
+    /// several writers (as [`HurricaneApp::fill_source`] does, one per
+    /// lane) has chunk boundaries that depend on how many there were:
+    /// what the bag holds is guaranteed only as a multiset of records.
     pub fn source_writer(&self, bag: GraphBag) -> Result<BagWriter, EngineError> {
         if self.graph.bag(bag).kind != BagKind::Source {
             return Err(EngineError::InvalidGraph(format!(
@@ -170,18 +183,120 @@ impl HurricaneApp {
         ))
     }
 
-    /// Fills a source bag from a record iterator.
-    pub fn fill_source<T: Record>(
+    /// Fills a source bag from a record iterator and returns the bytes
+    /// written.
+    ///
+    /// No worker runs before [`HurricaneApp::start`], so the fill encodes
+    /// on up to `min(compute_nodes × worker_slots, available_parallelism)`
+    /// lanes: the caller pulls the iterator into runs of a fixed record
+    /// count and hands them round-robin to itself and to scoped helper
+    /// threads, each lane writing through its own
+    /// [`HurricaneApp::source_writer`]. Input shorter than one run, or a
+    /// single lane, starts no thread.
+    ///
+    /// The bag holds the same multiset of records, in the same number of
+    /// bytes, as a [`BagWriter::write_record`] loop would write; its chunk
+    /// boundaries depend on the lane count (see `source_writer`). Every
+    /// lane flushes before this returns. On failure the first lane error
+    /// is returned: a helper that fails drops its run queue, so the
+    /// caller's next hand-off fails and it stops, and every helper is
+    /// joined before the call returns.
+    pub fn fill_source<T: Record + Send>(
         &self,
         bag: GraphBag,
         records: impl IntoIterator<Item = T>,
     ) -> Result<u64, EngineError> {
-        let mut w = self.source_writer(bag)?;
-        for r in records {
-            w.write_record(&r)?;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let slots = self.config.compute_nodes * self.config.worker_slots;
+        self.fill_on_lanes(bag, records, slots.min(cores))
+    }
+
+    /// [`HurricaneApp::fill_source`] on at most `lanes` lanes.
+    fn fill_on_lanes<T: Record + Send>(
+        &self,
+        bag: GraphBag,
+        records: impl IntoIterator<Item = T>,
+        lanes: usize,
+    ) -> Result<u64, EngineError> {
+        let mut records = records.into_iter();
+        let mut run: Vec<T> = records.by_ref().take(FILL_RUN).collect();
+        let helpers = if run.len() < FILL_RUN {
+            0
+        } else {
+            lanes.saturating_sub(1)
+        };
+        let mut caller = self.source_writer(bag)?;
+        let writers = (0..helpers)
+            .map(|_| self.source_writer(bag))
+            .collect::<Result<Vec<_>, _>>()?;
+        // The first error any lane meets; later ones are dropped.
+        let failed = Mutex::new(None);
+        let fail = |e: EngineError| {
+            failed
+                .lock()
+                .expect("no lane panics holding the error slot")
+                .get_or_insert(e);
+        };
+        let bytes = std::thread::scope(|s| {
+            let mut queues = Vec::with_capacity(helpers);
+            let mut lanes = Vec::with_capacity(helpers);
+            for (i, mut w) in writers.into_iter().enumerate() {
+                let (tx, rx) = mpsc::sync_channel::<Vec<T>>(FILL_QUEUE);
+                let lane = move || {
+                    // Returning drops `rx`, so the caller's next send fails.
+                    for run in rx {
+                        w.write_run(&run)?;
+                    }
+                    w.flush()?;
+                    Ok::<_, EngineError>(w.bytes_written())
+                };
+                let lane = std::thread::Builder::new()
+                    .name(format!("fill-lane-{}", i + 1))
+                    .spawn_scoped(s, move || lane().map_err(fail))
+                    .expect("spawning a fill lane");
+                queues.push(tx);
+                lanes.push(lane);
+            }
+            // Round-robin over the helpers' queues, then the caller's turn.
+            let mut turn = 0;
+            while !run.is_empty() {
+                if turn < queues.len() {
+                    let next = records.by_ref().take(FILL_RUN).collect();
+                    if queues[turn]
+                        .send(std::mem::replace(&mut run, next))
+                        .is_err()
+                    {
+                        break; // That helper failed and recorded why.
+                    }
+                    turn += 1;
+                } else {
+                    if let Err(e) = caller.write_run(&run) {
+                        fail(e);
+                        break;
+                    }
+                    run.clear();
+                    run.extend(records.by_ref().take(FILL_RUN));
+                    turn = 0;
+                }
+            }
+            drop(queues);
+            let mut bytes = 0;
+            for lane in lanes {
+                match lane.join() {
+                    Ok(written) => bytes += written.unwrap_or(0),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            bytes
+        });
+        if let Some(e) = failed
+            .into_inner()
+            .expect("no lane panics holding the error slot")
+        {
+            return Err(e);
         }
-        w.flush()?;
-        Ok(w.bytes_written())
+        caller.flush()?;
+        Ok(bytes + caller.bytes_written())
     }
 
     /// Starts the application: seals sources, spawns task managers and the
@@ -366,6 +481,133 @@ impl RunningApp {
                 })
             }
             MasterOutcome::Crashed(_) => Err(EngineError::MasterGone),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hurricane_format::CodecError;
+
+    /// An app whose graph is `n` unconsumed sources, over two in-memory
+    /// storage nodes, with small chunks so a fill seals many.
+    fn sources(n: usize, config: HurricaneConfig) -> (HurricaneApp, Vec<GraphBag>) {
+        let mut g = AppGraph::builder();
+        let bags = (0..n).map(|i| g.source(format!("s{i}"))).collect();
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let config = HurricaneConfig {
+            chunk_size: 1024,
+            ..config
+        };
+        (
+            HurricaneApp::deploy(g.build().unwrap(), cluster, config).unwrap(),
+            bags,
+        )
+    }
+
+    /// Today's fill: one writer, one `write_record` per record.
+    fn sequential_fill<T: Record>(app: &HurricaneApp, bag: GraphBag, records: &[T]) -> u64 {
+        let mut w = app.source_writer(bag).unwrap();
+        for r in records {
+            w.write_record(r).unwrap();
+        }
+        w.flush().unwrap();
+        w.bytes_written()
+    }
+
+    fn sorted_chunks(app: &HurricaneApp, bag: GraphBag) -> Vec<Vec<u8>> {
+        let mut chunks: Vec<Vec<u8>> = app
+            .read_chunks(bag)
+            .unwrap()
+            .iter()
+            .map(|c| c.bytes().to_vec())
+            .collect();
+        chunks.sort();
+        chunks
+    }
+
+    /// Keys of mixed encoded lengths, enough for several runs and a
+    /// short last one.
+    fn keys() -> Vec<u64> {
+        (0..(3 * FILL_RUN + 123) as u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 64))
+            .collect()
+    }
+
+    #[test]
+    fn a_multi_lane_fill_holds_the_sequential_fills_records_and_bytes() {
+        let (app, bags) = sources(2, HurricaneConfig::default());
+        let keys = keys();
+        let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k as u32, (k >> 32) as u32)).collect();
+        for lanes in [2, 3] {
+            let (app, bags) = sources(4, HurricaneConfig::default());
+            let bytes = app
+                .fill_on_lanes(bags[0], keys.iter().copied(), lanes)
+                .unwrap();
+            assert_eq!(bytes, sequential_fill(&app, bags[1], &keys));
+            let mut got: Vec<u64> = app.read_records(bags[0]).unwrap();
+            got.sort_unstable();
+            let mut want = keys.clone();
+            want.sort_unstable();
+            assert_eq!(got, want, "{lanes} lanes");
+            // Each lane seals its own last chunk: the lanes really ran.
+            let chunks = app.read_chunks(bags[0]).unwrap().len();
+            assert!(chunks > app.read_chunks(bags[1]).unwrap().len());
+
+            let bytes = app
+                .fill_on_lanes(bags[2], pairs.iter().copied(), lanes)
+                .unwrap();
+            assert_eq!(bytes, sequential_fill(&app, bags[3], &pairs));
+            let mut got: Vec<(u32, u32)> = app.read_records(bags[2]).unwrap();
+            got.sort_unstable();
+            let mut want = pairs.clone();
+            want.sort_unstable();
+            assert_eq!(got, want, "{lanes} lanes");
+        }
+        // Input under one run starts no lane: the same chunks as today.
+        let short = &keys[..FILL_RUN - 1];
+        app.fill_on_lanes(bags[0], short.iter().copied(), 3)
+            .unwrap();
+        sequential_fill(&app, bags[1], short);
+        assert_eq!(sorted_chunks(&app, bags[0]), sorted_chunks(&app, bags[1]));
+    }
+
+    #[test]
+    fn a_one_lane_config_fills_todays_chunks() {
+        let config = HurricaneConfig {
+            compute_nodes: 1,
+            worker_slots: 1,
+            ..Default::default()
+        };
+        let (app, bags) = sources(2, config);
+        let keys = keys();
+        let bytes = app.fill_source(bags[0], keys.iter().copied()).unwrap();
+        assert_eq!(bytes, sequential_fill(&app, bags[1], &keys));
+        assert_eq!(sorted_chunks(&app, bags[0]), sorted_chunks(&app, bags[1]));
+    }
+
+    #[test]
+    fn an_oversized_record_fails_the_fill_on_any_lane() {
+        // With three lanes, run 1 goes to the second helper and run 2 to
+        // the caller: a helper's failure and the caller's both surface.
+        for lanes in [1, 3] {
+            for run in [1, 2] {
+                let (app, bags) = sources(1, HurricaneConfig::default());
+                let mut records = vec!["short".to_string(); 5 * FILL_RUN];
+                records[run * FILL_RUN + 5] = "x".repeat(2000);
+                let err = app.fill_on_lanes(bags[0], records, lanes).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        EngineError::Codec(CodecError::RecordTooLarge {
+                            record: 2002,
+                            chunk: 1024
+                        })
+                    ),
+                    "{lanes} lanes, run {run}: {err}"
+                );
+            }
         }
     }
 }

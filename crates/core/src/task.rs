@@ -321,6 +321,24 @@ impl BagWriter {
         Ok(())
     }
 
+    /// Appends a run of records: the same chunks, bytes and boundaries
+    /// as a [`BagWriter::write_record`] loop over `records`, built by
+    /// [`ChunkBuf::push_run`], which writes integer records and
+    /// all-integer tuples with one word-store loop. An oversized record
+    /// fails the call as it would fail the loop: the records before it
+    /// are written and the writer stays usable.
+    pub fn write_run<T: Record>(&mut self, records: &[T]) -> Result<(), EngineError> {
+        let mut rest = records;
+        while !rest.is_empty() {
+            let (taken, sealed) = self.body.push_run(rest).map_err(EngineError::Codec)?;
+            rest = &rest[taken..];
+            if let Some(chunk) = sealed {
+                self.stage(chunk)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Appends one pre-serialized record — the fan-out primitive: encode
     /// once, hand the same bytes to every output writer. `bytes` must be
     /// exactly one record's encoding so the boundary invariant holds.

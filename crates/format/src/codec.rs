@@ -79,6 +79,23 @@ pub trait Record: Sized {
 
     /// Returns the exact number of bytes `encode` will append.
     fn encoded_len(&self) -> usize;
+
+    /// How many varints a record's encoding is when it is nothing else:
+    /// one for the varint integers, the sum of the fields for a tuple of
+    /// such types, and zero (the default) for every other type.
+    /// [`crate::ChunkBuf::push_run`] writes runs of such records with one
+    /// word-store loop instead of one `encode` per record. Types outside
+    /// this crate keep the default.
+    #[doc(hidden)]
+    const VARINTS: usize = 0;
+
+    /// The record's varints in wire order, [`Record::VARINTS`] of them:
+    /// their LEB128 encodings, back to back, are what `encode` appends.
+    /// Read only where `VARINTS` is nonzero.
+    #[doc(hidden)]
+    fn varints(&self) -> impl Iterator<Item = u64> {
+        core::iter::empty()
+    }
 }
 
 /// Maps a signed value onto an unsigned one with small absolute values
@@ -133,6 +150,13 @@ macro_rules! varint_record {
             fn encoded_len(&self) -> usize {
                 varint::encoded_len(*self as u64)
             }
+
+            const VARINTS: usize = 1;
+
+            #[inline]
+            fn varints(&self) -> impl Iterator<Item = u64> {
+                core::iter::once(*self as u64)
+            }
         }
     };
 }
@@ -158,6 +182,13 @@ macro_rules! zigzag_record {
 
             fn encoded_len(&self) -> usize {
                 varint::encoded_len(zigzag(*self as i64))
+            }
+
+            const VARINTS: usize = 1;
+
+            #[inline]
+            fn varints(&self) -> impl Iterator<Item = u64> {
+                core::iter::once(zigzag(*self as i64))
             }
         }
     };
@@ -388,6 +419,19 @@ macro_rules! tuple_record {
 
             fn encoded_len(&self) -> usize {
                 0 $(+ self.$idx.encoded_len())+
+            }
+
+            // Fields concatenate with no framing, so a tuple of varint
+            // types is a varint sequence too.
+            const VARINTS: usize = if true $(&& $name::VARINTS > 0)+ {
+                0 $(+ $name::VARINTS)+
+            } else {
+                0
+            };
+
+            #[inline]
+            fn varints(&self) -> impl Iterator<Item = u64> {
+                core::iter::empty() $(.chain(self.$idx.varints()))+
             }
         }
     };

@@ -155,6 +155,50 @@ impl ChunkBuf {
         Ok(Some(sealed))
     }
 
+    /// Appends records from the front of `records` until one seals a
+    /// chunk or the slice ends, and returns how many it took with the
+    /// sealed chunk, if any: the run form of an `encode` +
+    /// [`ChunkBuf::commit`] loop, with the same chunk bytes and the same
+    /// boundaries.
+    ///
+    /// A record that is nothing but varints ([`Record::VARINTS`] of them)
+    /// is at most `VARINTS × MAX_VARINT_LEN` bytes, so while at least
+    /// one such bound fits before the chunk size, the records that surely
+    /// fit go through one word-store loop ([`crate::varint`]'s run
+    /// encoder) and need no boundary check. Records near the boundary,
+    /// and every other type, take the per-record commit.
+    ///
+    /// `Err(RecordTooLarge)` means `records[0]` alone cannot fit a chunk:
+    /// nothing was taken and the buffer stays usable. A later record that
+    /// cannot ends the call just before it, so the next call reports it.
+    pub fn push_run<T: Record>(
+        &mut self,
+        records: &[T],
+    ) -> Result<(usize, Option<Chunk>), CodecError> {
+        let bound = T::VARINTS * crate::varint::MAX_VARINT_LEN;
+        let mut taken = 0;
+        while let Some(record) = records.get(taken) {
+            // Zero for a type with no bound: the per-record path.
+            let room = self.chunk_size.saturating_sub(self.buf.len());
+            let fit = room.checked_div(bound).unwrap_or(0);
+            let fit = fit.min(records.len() - taken);
+            if fit > 0 {
+                crate::varint::encode_run(&records[taken..taken + fit], &mut self.buf);
+                taken += fit;
+                continue;
+            }
+            let start = self.buf.len();
+            record.encode(&mut self.buf);
+            match self.commit(start) {
+                Ok(None) => taken += 1,
+                Ok(Some(chunk)) => return Ok((taken + 1, Some(chunk))),
+                Err(e) if taken == 0 => return Err(e),
+                Err(_) => break,
+            }
+        }
+        Ok((taken, None))
+    }
+
     /// Appends one pre-serialized record, sealing first if it would not
     /// fit — the fan-out primitive's byte layer.
     #[inline]
@@ -510,6 +554,54 @@ mod tests {
             build,
             "the build buffer is reused"
         );
+    }
+
+    #[test]
+    fn push_run_seals_where_commit_does() {
+        // Every encoded length, at chunk sizes around the run bound (one
+        // or two ten-byte varints): the run loop writes into the buffer's
+        // headroom, small enough for Miri.
+        let values: Vec<(u64, u32)> = (0..96u64)
+            .map(|i| {
+                let v = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 64);
+                (v, v as u32)
+            })
+            .collect();
+        for chunk_size in 1..=40 {
+            let (mut by_commit, mut by_run) =
+                (ChunkBuf::new(chunk_size), ChunkBuf::new(chunk_size));
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for r in &values {
+                let start = by_commit.len();
+                r.encode(by_commit.encode_buf());
+                match by_commit.commit(start) {
+                    Ok(chunk) => want.extend(chunk),
+                    Err(e) => want.push(Chunk::from_vec(format!("{e}").into_bytes())),
+                }
+            }
+            want.extend(by_commit.take());
+            let mut rest = &values[..];
+            while !rest.is_empty() {
+                match by_run.push_run(rest) {
+                    Ok((taken, chunk)) => {
+                        got.extend(chunk);
+                        rest = &rest[taken..];
+                    }
+                    Err(e) => {
+                        got.push(Chunk::from_vec(format!("{e}").into_bytes()));
+                        rest = &rest[1..];
+                    }
+                }
+            }
+            got.extend(by_run.take());
+            let bytes = |chunks: &[Chunk]| {
+                chunks
+                    .iter()
+                    .map(|c| c.bytes().to_vec())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bytes(&got), bytes(&want), "chunk size {chunk_size}");
+        }
     }
 
     #[test]

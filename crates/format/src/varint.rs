@@ -65,6 +65,13 @@
 //! the spread steps that would move them. The emitted bytes are
 //! unchanged.
 //!
+//! The run encoder (`encode_run`) writes a run of integer records, or of
+//! all-integer tuples, under one capacity check: it reserves
+//! [`MAX_VARINT_LEN`] bytes per value plus one store's reach, stores one
+//! word per value (two for nine and ten bytes, so it has no per-byte
+//! path) and sets the length once. [`crate::ChunkBuf::push_run`] calls
+//! it for the records that surely fit the chunk.
+//!
 //! # What the constant cost costs
 //!
 //! The word paths take the same few nanoseconds whatever the length, and
@@ -75,7 +82,7 @@
 //! prefixes do not — `encode_len` and `decode_len` keep a one-byte
 //! shortcut, since lengths really are short and regular.
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, Record};
 use core::mem::MaybeUninit;
 
 /// All continuation bits of an 8-byte word (bit 7 of every byte).
@@ -95,10 +102,8 @@ const WORD_LEN: usize = 8;
 pub fn encode(value: u64, out: &mut Vec<u8>) {
     if value >> (7 * WORD_LEN) == 0 {
         if let Some(dst) = out.spare_capacity_mut().first_chunk_mut::<WORD_LEN>() {
-            let n = encoded_len(value);
-            // A continuation bit on every byte before the last.
-            let cont = CONT_BITS & !(u64::MAX << (8 * (n - 1)));
-            *dst = (expand7(value) | cont).to_le_bytes().map(MaybeUninit::new);
+            let (word, n) = join_word(value);
+            *dst = word.to_le_bytes().map(MaybeUninit::new);
             let len = out.len();
             debug_assert!(len + n <= out.capacity());
             // SAFETY: the eight bytes after `len` were just initialised
@@ -108,6 +113,84 @@ pub fn encode(value: u64, out: &mut Vec<u8>) {
         }
     }
     encode_bytes(value, out)
+}
+
+/// The word step of the encoders, [`split_word`]'s inverse: the
+/// encoding of `value < 2^56` as the low bytes of a little-endian word,
+/// and how many of them it is.
+#[inline(always)]
+fn join_word(value: u64) -> (u64, usize) {
+    debug_assert!(value >> (7 * WORD_LEN) == 0);
+    let n = encoded_len(value);
+    // A continuation bit on every byte before the last.
+    let cont = CONT_BITS & !(u64::MAX << (8 * (n - 1)));
+    (expand7(value) | cont, n)
+}
+
+/// How far past the start of its encoding a value's stores reach in
+/// [`encode_run`]: two words for nine and ten bytes.
+const RUN_REACH: usize = 2 * WORD_LEN;
+
+/// The spare capacity [`encode_run`] takes for `count` values: the last
+/// one starts at most `count - 1` maximal encodings in, and its stores
+/// reach [`RUN_REACH`] bytes past that.
+const fn run_room(count: usize) -> usize {
+    count * MAX_VARINT_LEN + (RUN_REACH - MAX_VARINT_LEN)
+}
+
+/// Appends the encodings of `records`, each [`Record::VARINTS`] varints
+/// long: the run form of a loop of [`Record::encode`] calls, with the
+/// same bytes.
+///
+/// One capacity check covers the run ([`run_room`] for every varint of
+/// it, so a buffer that already has that room never reallocates), every
+/// value is one eight-byte store (two for nine and ten bytes) and the
+/// length is set once at the end. Nothing about the records is trusted:
+/// each value advances the cursor by its own length, at most
+/// [`MAX_VARINT_LEN`], and no record gives more than `VARINTS` values.
+#[inline]
+pub(crate) fn encode_run<R: Record>(records: &[R], out: &mut Vec<u8>) {
+    let room = run_room(records.len() * R::VARINTS);
+    out.reserve(room);
+    let len = out.len();
+    // Every store goes through this pointer, whose provenance is the
+    // `room` spare bytes (the slice panics if there are fewer).
+    let dst = out.spare_capacity_mut()[..room].as_mut_ptr().cast::<u8>();
+    let mut at = 0;
+    for record in records {
+        for value in record.varints().take(R::VARINTS) {
+            debug_assert!(at + RUN_REACH <= room);
+            let low = value & ((1 << (7 * WORD_LEN)) - 1);
+            if low == value {
+                let (word, n) = join_word(value);
+                // SAFETY: fewer than `records.len() * VARINTS` values came
+                // before this one, each advancing `at` by at most
+                // MAX_VARINT_LEN, so `at + RUN_REACH <= room`: the store
+                // stays inside the spare bytes `dst` points into.
+                unsafe { dst.add(at).cast::<u64>().write_unaligned(word.to_le()) };
+                at += n;
+            } else {
+                // Nine or ten bytes: the low 56 bits as eight continued
+                // bytes, then what is left (one or two bytes) as a varint.
+                let (tail, n) = join_word(value >> (7 * WORD_LEN));
+                // SAFETY: as above; the two stores cover `at..at + RUN_REACH`.
+                unsafe {
+                    dst.add(at)
+                        .cast::<u64>()
+                        .write_unaligned((expand7(low) | CONT_BITS).to_le());
+                    dst.add(at + WORD_LEN)
+                        .cast::<u64>()
+                        .write_unaligned(tail.to_le());
+                }
+                at += WORD_LEN + n;
+            }
+        }
+    }
+    // SAFETY: `at <= records.len() * VARINTS * MAX_VARINT_LEN <= room`
+    // bytes past `len` are in the spare capacity, and each value's stores
+    // initialised the bytes from its start to at least its end, so
+    // `len..len + at` is initialised.
+    unsafe { out.set_len(len + at) };
 }
 
 /// The per-byte encoder: nine- and ten-byte encodings, and buffers with
@@ -535,6 +618,62 @@ mod tests {
         let run = crate::for_each_view::<u32, _>(&chunk, |_| ());
         assert_eq!(run, Err(CodecError::InvalidVarint));
         assert_eq!(crate::for_each_view::<u64, _>(&chunk, |_| ()), Ok(12));
+    }
+
+    /// The run encoder into an exact-capacity `Vec`, at every run length
+    /// up to 24 and with values of every encoded length, the ten-byte
+    /// ones last where their second store reaches furthest: a store past
+    /// the reserved room is an out-of-bounds write under Miri, not only a
+    /// wrong byte. Small enough for the CI `miri` job.
+    #[test]
+    fn encode_run_stays_inside_its_room() {
+        let mut values = edge_values();
+        values.sort_unstable();
+        for count in 0..=24 {
+            for (shift, prefix) in [(0, 0), (7, 3), (57, 1)] {
+                let take: Vec<u64> = values[values.len() - count..]
+                    .iter()
+                    .map(|v| v >> shift)
+                    .collect();
+                let mut want = vec![0xa5; prefix];
+                take.iter().for_each(|&v| encode_bytes(v, &mut want));
+                let mut out = Vec::with_capacity(prefix + run_room(count));
+                out.resize(prefix, 0xa5);
+                let cap = out.capacity();
+                encode_run(&take, &mut out);
+                assert_eq!(out, want, "{count} values >> {shift}");
+                assert_eq!(out.capacity(), cap, "the run must not reallocate");
+                let pairs: Vec<(u64, u64)> = take.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+                let mut out = Vec::with_capacity(run_room(2 * pairs.len()));
+                encode_run(&pairs, &mut out);
+                assert_eq!(&out[..], &want[prefix..prefix + out.len()], "pairs");
+            }
+        }
+    }
+
+    /// A record that claims one varint and yields three: the run takes
+    /// only the one, so the reserved room still bounds every store.
+    #[test]
+    fn encode_run_takes_no_more_varints_than_declared() {
+        struct Liar;
+        impl Record for Liar {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(1);
+            }
+            fn decode(_: &mut &[u8]) -> Result<Self, CodecError> {
+                Ok(Liar)
+            }
+            fn encoded_len(&self) -> usize {
+                1
+            }
+            const VARINTS: usize = 1;
+            fn varints(&self) -> impl Iterator<Item = u64> {
+                [1, u64::MAX, u64::MAX].into_iter()
+            }
+        }
+        let mut out = Vec::with_capacity(run_room(4));
+        encode_run(&[Liar, Liar, Liar, Liar], &mut out);
+        assert_eq!(out, [1, 1, 1, 1]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! never-cross-a-chunk-boundary invariant, over arbitrary record streams.
 
 use hurricane_format::{
-    decode_all, encode_all, stride_records, Chunk, ChunkReader, ChunkWriter, CodecError, FixedU32,
-    FixedU64, Record, RecordView, StrideSlice,
+    decode_all, encode_all, stride_records, Chunk, ChunkBuf, ChunkReader, ChunkWriter, CodecError,
+    FixedU32, FixedU64, Record, RecordView, StrideSlice,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -149,8 +149,156 @@ fn signed(v: u64) -> i64 {
     }
 }
 
+/// Writes `records` into chunks of `chunk_size` twice, with one
+/// `encode` + `commit` per record and with `ChunkBuf::push_run` over
+/// pieces of `piece` records, and checks that both give the same chunks
+/// byte for byte (so the same boundaries) and fail with the same
+/// `RecordTooLarge` at the same records. Each failing record is skipped
+/// and writing goes on, so the buffer is reused after every failure.
+fn push_run_matches_commit<T: Record>(
+    records: &[T],
+    chunk_size: usize,
+    piece: usize,
+) -> Result<(), TestCaseError> {
+    let mut body = ChunkBuf::new(chunk_size);
+    let (mut want, mut want_errors) = (Vec::new(), Vec::new());
+    for (i, r) in records.iter().enumerate() {
+        let start = body.len();
+        r.encode(body.encode_buf());
+        match body.commit(start) {
+            Ok(chunk) => want.extend(chunk),
+            Err(e) => want_errors.push((i, e)),
+        }
+    }
+    want.extend(body.take());
+
+    let mut body = ChunkBuf::new(chunk_size);
+    let (mut got, mut got_errors) = (Vec::new(), Vec::new());
+    for (base, piece) in (0..).step_by(piece).zip(records.chunks(piece)) {
+        let mut at = 0;
+        while at < piece.len() {
+            match body.push_run(&piece[at..]) {
+                Ok((taken, chunk)) => {
+                    prop_assert!(taken > 0, "a call on records must take one");
+                    at += taken;
+                    got.extend(chunk);
+                }
+                Err(e) => {
+                    got_errors.push((base + at, e));
+                    at += 1;
+                }
+            }
+        }
+    }
+    got.extend(body.take());
+
+    prop_assert_eq!(got_errors, want_errors, "chunk size {}", chunk_size);
+    prop_assert_eq!(got.len(), want.len(), "chunk size {}", chunk_size);
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        prop_assert_eq!(g.bytes(), w.bytes(), "chunk {} of size {}", i, chunk_size);
+    }
+    Ok(())
+}
+
+/// Every shape `push_run_matches_commit` is held to, built from raw
+/// values: bare `u32`, `u64` (full-range values are nine or ten bytes),
+/// zig-zag `i32`, two- and three-field all-varint tuples, and `String`,
+/// which takes the per-record path. A string's length is its value's
+/// low byte, so chunk sizes under 256 meet oversized ones.
+fn push_run_matches_commit_for_every_shape(
+    values: &[u64],
+    chunk_size: usize,
+    piece: usize,
+) -> Result<(), TestCaseError> {
+    let pairs = values.chunks_exact(2);
+    let triples = values.chunks_exact(3);
+    push_run_matches_commit(
+        &values.iter().map(|&v| v as u32).collect::<Vec<_>>(),
+        chunk_size,
+        piece,
+    )?;
+    push_run_matches_commit(values, chunk_size, piece)?;
+    push_run_matches_commit(
+        &values.iter().map(|&v| signed(v) as i32).collect::<Vec<_>>(),
+        chunk_size,
+        piece,
+    )?;
+    push_run_matches_commit(
+        &pairs
+            .map(|v| (v[0] as u32, v[1] as u32))
+            .collect::<Vec<_>>(),
+        chunk_size,
+        piece,
+    )?;
+    push_run_matches_commit(
+        &triples
+            .map(|v| (v[0], v[1] as u32, signed(v[2]) as i32))
+            .collect::<Vec<_>>(),
+        chunk_size,
+        piece,
+    )?;
+    push_run_matches_commit(
+        &values
+            .iter()
+            .map(|&v| "s".repeat(v as u8 as usize))
+            .collect::<Vec<_>>(),
+        chunk_size,
+        piece,
+    )
+}
+
+/// Raw values of every encoded length, in a fixed order: `2^(7k) ± 1`
+/// for every length boundary and `i` shifted right by a varying amount.
+fn mixed_lengths(n: usize) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| {
+            let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            match i % 4 {
+                0 => x >> (x % 64),
+                1 => (1 << (7 * (x % 10))) - (x & 1),
+                2 => x,
+                _ => x >> 40,
+            }
+        })
+        .collect()
+}
+
+/// `push_run` against the `commit` loop at every chunk size from 1 to
+/// 256 (the eight-byte tail guard's sizes 24 and 64 among them), in pieces of one
+/// record, of a few and of the whole input; and at 4096 and 65536, over
+/// enough records to seal several 64 KB chunks.
+#[test]
+fn push_run_matches_commit_at_every_chunk_size() {
+    let values = mixed_lengths(1_200);
+    for chunk_size in 1..=256 {
+        for piece in [1, 7, values.len()] {
+            push_run_matches_commit_for_every_shape(&values, chunk_size, piece).unwrap();
+        }
+    }
+    let values = mixed_lengths(60_000);
+    for chunk_size in [4096, 65536] {
+        for piece in [8192, values.len()] {
+            push_run_matches_commit_for_every_shape(&values, chunk_size, piece).unwrap();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `push_run` against the `commit` loop on arbitrary values, chunk
+    /// sizes (the tail-guard sizes 24 and 64 twice as likely) and piece
+    /// lengths.
+    #[test]
+    fn push_run_matches_commit_on_any_values(
+        values in prop::collection::vec((any::<u64>(), 0u32..64), 0..300),
+        size in 0usize..11,
+        piece in 1usize..64,
+    ) {
+        let chunk_size = [1, 9, 10, 11, 20, 24, 24, 64, 64, 100, 256][size];
+        let v: Vec<u64> = values.iter().map(|&(v, shift)| v >> shift).collect();
+        push_run_matches_commit_for_every_shape(&v, chunk_size, piece)?;
+    }
 
     /// Encoding then decoding any record stream through chunking restores
     /// it exactly, and every chunk respects the capacity.
