@@ -398,7 +398,10 @@ fn bench_decode_swar(c: &mut Criterion) {
 /// uniform and Zipf s = 1.0 `u32` keys below 2^18 (`clicklog_uniform`,
 /// 94% three-byte, 2.94 B/record; `clicklog_skew`, 1.80 B/record) and
 /// R-MAT-17 `(u32, u32)` edges (`pagerank_rmat`, 4.99 B/record; their
-/// `decode_word` row is the integer-tuple run decoder).
+/// `decode_word` row is the integer-tuple run decoder). The edges also
+/// get a `scan` row: PageRank's iteration body (`acc[v] += rank[u] /
+/// deg[u]`) over the same chunks, which is what a job pays — the
+/// accumulate's random loads overlap the next record's decode.
 fn bench_varint(c: &mut Criterion) {
     use hurricane_format::{for_each_view, Chunk, ChunkWriter};
 
@@ -421,8 +424,12 @@ fn bench_varint(c: &mut Criterion) {
     .map(|(u, v)| (u as u32, v as u32))
     .collect();
 
-    /// Benches one mix of records.
-    fn mix<T: hurricane_format::RecordView>(c: &mut Criterion, name: &str, records: &[T]) {
+    /// Benches one mix of records; returns its chunks.
+    fn mix<T: hurricane_format::RecordView>(
+        c: &mut Criterion,
+        name: &str,
+        records: &[T],
+    ) -> Vec<Chunk> {
         let mut writer = ChunkWriter::<T>::new(CHUNK);
         let mut chunks: Vec<Chunk> = Vec::new();
         for r in records {
@@ -455,11 +462,37 @@ fn bench_varint(c: &mut Criterion) {
             })
         });
         g.finish();
+        chunks
     }
 
     mix(c, "uniform_keys", &uniform);
     mix(c, "zipf_keys", &zipf);
-    mix(c, "rmat17_pairs", &rmat);
+    let chunks = mix(c, "rmat17_pairs", &rmat);
+
+    let n = 1usize << 17;
+    let mut deg = vec![0u32; n];
+    for &(u, _) in &rmat {
+        deg[u as usize] += 1;
+    }
+    let rank: Vec<f64> = (0..n).map(|v| 1.0 / (v + 1) as f64).collect();
+    let mut g = c.benchmark_group("varint/rmat17_pairs");
+    g.throughput(Throughput::Elements(rmat.len() as u64));
+    g.bench_function("scan", |b| {
+        let mut acc = vec![0.0f64; n];
+        b.iter(|| {
+            for chunk in &chunks {
+                for_each_view::<(u32, u32), _>(chunk, |(u, v)| {
+                    let d = deg[u as usize];
+                    if d > 0 {
+                        acc[v as usize] += rank[u as usize] / d as f64;
+                    }
+                })
+                .unwrap();
+            }
+            acc[0]
+        })
+    });
+    g.finish();
 }
 
 /// Writing a chunk stream of 1M uniform `u32` keys over 2^18 (the

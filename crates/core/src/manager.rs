@@ -18,20 +18,23 @@
 //!
 //! What a clock seam must reach, and all of it is wall-clock:
 //!
-//! * a worker sleeps 500 µs while its node is failed (`manager.rs:266`)
-//!   or the ready bag is empty (`:315`), and 1 ms after a failed claim
-//!   (`:331`);
+//! * a worker sleeps 500 µs while its node is failed or the ready bag is
+//!   empty, and 1 ms after a failed claim (`worker_loop`);
 //! * a reader whose buffer is empty blocks up to 200 µs on one in-flight
-//!   probe (`storage/src/prefetch.rs:235`), or backs off 10 µs–1 ms on
-//!   an unsealed empty bag or with nothing in flight (`:238`);
-//! * the master sleeps `master_poll` per round (`master.rs:284`) and
-//!   200 µs per check while cancelled workers quiesce (`:637`);
-//! * a merge waits for its scoped output workers (`merges.rs:653`);
-//! * `RunningApp` joins the master (`app.rs:342`, and `:313` on a
-//!   crash) and then every slot (`:348`, via `manager.rs:200`);
+//!   probe, or backs off 10 µs–1 ms on an unsealed empty bag or with
+//!   nothing in flight (`Prefetcher::fetch`, `storage/src/prefetch.rs`);
+//! * the master sleeps `master_poll` per round (`Master::run`) and
+//!   200 µs per check while cancelled workers quiesce
+//!   (`Master::restart_task`);
+//! * a merge waits for its scoped output workers
+//!   (`merges::merge_outputs`);
+//! * `RunningApp` joins the master (`RunningApp::wait`, and
+//!   `RunningApp::crash_and_recover_master` on a crash) and then every
+//!   slot (in `wait`, via `ComputeNodeHandle::join`);
 //! * every synchronous storage call blocks for its reply
-//!   (`NodeConnection::wait`, `storage/src/rpc.rs:1151`), and a writer
-//!   out of credit pumps replies until one returns (`:962`).
+//!   (`NodeConnection::wait`, `storage/src/rpc.rs`), and a writer out of
+//!   credit pumps replies until one returns
+//!   (`NodeConnection::acquire_credit`).
 
 use crate::config::HurricaneConfig;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};

@@ -14,8 +14,9 @@
 //!
 //! **No framing.** A tuple encodes as its fields back to back — no tag,
 //! no field count, no record length — and a chunk is records back to
-//! back the same way. The run decoders rely on it: a chunk of integers,
-//! or of all-integer tuples, *is* a flat varint stream
+//! back the same way. The run decoders rely on it: a chunk of integers
+//! *is* a flat varint stream, decoded a word at a time, and a chunk of
+//! all-integer tuples is one too, decoded a record per load
 //! ([`crate::RecordView::decode_run`]). A change that put anything
 //! between fields or records would have to revisit `decode_run`.
 

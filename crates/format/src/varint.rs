@@ -38,11 +38,25 @@
 //! # Runs
 //!
 //! One varint per load still leaves a load → length → next address →
-//! load dependency per varint. `decode_run` serves every varint that
-//! terminates inside a loaded word from that one load, walking the
-//! terminator marks, so the dependency is paid once per word. A chunk of
-//! integer records is one such run, and so is a chunk of all-integer
-//! tuples ([`crate::RecordView::decode_run`]).
+//! load dependency per varint. A chunk of records pays it once per load
+//! instead, in one of two shapes:
+//!
+//! * **Bare integers** — `decode_run` serves every varint that
+//!   terminates inside a loaded word from that one load, walking the
+//!   terminator marks. Several keys share a word, and on the keys the
+//!   workloads store (uniform three-byte keys, or mostly short skewed
+//!   ones) the number per word is regular enough to predict.
+//! * **All-integer tuples** — `split_record::<ARITY>` serves one whole
+//!   record from one load: it clears the lowest `ARITY - 1` marks to
+//!   learn whether the record ends inside the word, then extracts each
+//!   field with the same own-mask and `compact7` step, a fixed number of
+//!   times. A word walk over tuples would run its inner loop as many
+//!   times as varints happen to end in the word — two to four for
+//!   R-MAT edges, with no pattern — and mispredict its exit about once
+//!   per word; the record step has no data-dependent loop. A record
+//!   that does not end inside the word (the tail, a record over eight
+//!   bytes, a nine- or ten-byte field, malformed bytes) is decoded field
+//!   by field with [`decode`] ([`crate::RecordView::decode_run`]).
 //!
 //! # Trusted decode
 //!
@@ -339,6 +353,35 @@ pub(crate) fn decode_run<E: From<CodecError>>(
         *input = &input[used..];
     }
     Ok(count)
+}
+
+/// The values and byte length of the `ARITY` back-to-back varints at
+/// the front of `input`, from one eight-byte load, or `None` unless all
+/// of them terminate inside that word: within eight bytes of the end
+/// (the tail-guard rule), a record longer than eight bytes, a nine- or
+/// ten-byte field, and malformed bytes. Accepts nothing [`decode`]
+/// rejects: each value is one of its word-path hits.
+#[inline(always)]
+pub(crate) fn split_record<const ARITY: usize>(input: &[u8]) -> Option<([u64; ARITY], usize)> {
+    let word = load_word(input)?;
+    let mut term = !word & CONT_BITS;
+    // Clearing the lowest ARITY - 1 marks leaves the last field's.
+    let mut last = term;
+    for _ in 1..ARITY {
+        last &= last.wrapping_sub(1);
+    }
+    if last == 0 {
+        return None;
+    }
+    let mut start = 0;
+    let values = core::array::from_fn(|_| {
+        let own = term ^ (term - 1);
+        let value = compact7(((word & own) >> start) & PAYLOAD_BITS);
+        start = term.trailing_zeros() + 1;
+        term &= term - 1;
+        value
+    });
+    Some((values, (last.trailing_zeros() as usize >> 3) + 1))
 }
 
 /// Decodes a LEB128 value whose bytes were already validated by

@@ -80,12 +80,16 @@
 //!   an edge list of `(u32, u32)`, a `(u64, u16, i32)` fact row. A tuple
 //!   is its fields back to back and a chunk is its records back to back,
 //!   with no framing at either level (the [`crate::codec`] module docs
-//!   state this), so the bytes are the same flat varint stream a chunk of
-//!   bare integers is, and the same run decoder drives it: every ARITY
-//!   values are one tuple. Each value still gets its field's width check
-//!   as it arrives (`InvalidVarint`), and a stream that ends between two
-//!   fields of a tuple is `Truncated`, exactly as the per-record loop
-//!   reports them.
+//!   state this), so one eight-byte load usually holds a whole record:
+//!   `varint::split_record` decodes it from that load, one record per
+//!   load, with no loop whose trip count depends on the data (the word
+//!   walk bare integers use would mispredict about once per word on
+//!   edges). A record that does not end inside the word — near the
+//!   chunk's end, over eight bytes, with a nine- or ten-byte field, or
+//!   malformed — is decoded field by field with `varint::decode`. Each
+//!   field gets its width check before the next one is read
+//!   (`InvalidVarint`), and a stream that ends between two fields of a
+//!   tuple is `Truncated`, exactly as the per-record loop reports them.
 //!
 //! Every other shape — a tuple with a string, float, `Option`, `Vec`,
 //! fixed-width or nested-tuple field, such as `(u32, (f64, u32))` — takes
@@ -748,10 +752,10 @@ macro_rules! tuple_view {
                 ($($name::decode_view_trusted(input),)+)
             }
 
-            /// A tuple whose fields are all single varints is, with no
-            /// framing between fields or records, one varint run: every
-            /// ARITY values are a tuple. Any other tuple takes the
-            /// per-record loop.
+            /// A tuple whose fields are all single varints decodes one
+            /// record per load ([`varint::split_record`]); a record that
+            /// does not end inside the loaded word is decoded field by
+            /// field. Any other tuple takes the per-record loop.
             #[inline]
             fn decode_run<'a, Er: From<CodecError>>(
                 input: &mut &'a [u8],
@@ -761,28 +765,21 @@ macro_rules! tuple_view {
                 if !($($name::VARINT)&&+) {
                     return record_run::<Self, Er>(input, f);
                 }
-                // Each field is width-checked as its varint arrives, the
-                // order `decode_view` checks in. Zero is in range for
-                // every integer: a placeholder overwritten before use.
-                let mut fields = ($($name::from_varint(0)?,)+);
-                let mut slot = 0;
-                let values = varint::decode_run(input, |raw| {
-                    match slot {
-                        $($idx => fields.$idx = $name::from_varint(raw)?,)+
-                        _ => unreachable!("slot < ARITY"),
-                    }
-                    slot += 1;
-                    if slot < ARITY {
-                        return Ok(());
-                    }
-                    slot = 0;
-                    f(fields)
-                })?;
-                if slot != 0 {
-                    // The stream ended between two fields of a tuple.
-                    return Err(CodecError::Truncated.into());
+                let mut count = 0;
+                while !input.is_empty() {
+                    // Each field is width-checked before the next one is
+                    // read, the order `decode_view` checks in.
+                    let record = match varint::split_record::<ARITY>(input) {
+                        Some((raw, len)) => {
+                            *input = &input[len..];
+                            ($($name::from_varint(raw[$idx])?,)+)
+                        }
+                        None => ($($name::from_varint(varint::decode(input)?)?,)+),
+                    };
+                    f(record)?;
+                    count += 1;
                 }
-                Ok(values / ARITY as u64)
+                Ok(count)
             }
 
             fn view_to_owned(view: Self::View<'_>) -> Self {
@@ -1345,6 +1342,44 @@ mod tests {
         let padded = [&[0x85, 0x00][..], &nine, &ten, &[0x03], &nine, &ten].concat();
         for cut in 0..=padded.len() {
             check_tuple_runs(&padded[..cut]);
+        }
+        // Records of exactly eight bytes (one load), nine, and with a
+        // nine-byte first field (field by field), each at every start
+        // offset mod 8 between records of one- and two-byte fields, so
+        // both paths and the hand-over between them run away from the
+        // tail as well as near it.
+        let records: [(&[u64], usize); 4] = [
+            (&[1 << 21, (1 << 28) - 1], 8),
+            (&[1 << 21, u32::MAX as u64], 9),
+            (&[0x80, 0x3fff, 0x80, 0x3fff], 8),
+            (&[1 << 56, 7, 0x7f], 11),
+        ];
+        for (record, len) in records {
+            assert_eq!(varints(record.iter().copied()).len(), len);
+            // `n` bytes of records of this arity, fields one or two bytes.
+            let filler = |n: usize| {
+                let arity = record.len();
+                let count = n.div_ceil(2 * arity);
+                let mut wide = n - count * arity;
+                (0..count * arity).map(move |i| {
+                    let two = wide > 0;
+                    wide -= two as usize;
+                    if two {
+                        0x80
+                    } else {
+                        i as u64 % 0x80
+                    }
+                })
+            };
+            for offset in 8..16 {
+                assert_eq!(varints(filler(offset)).len(), offset);
+                let stream = varints(
+                    filler(offset)
+                        .chain(record.iter().copied())
+                        .chain(filler(16)),
+                );
+                check_tuple_runs(&stream);
+            }
         }
     }
 
