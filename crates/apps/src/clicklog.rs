@@ -15,10 +15,10 @@
 //! pattern that costs 9–10 varint bytes and a data-dependent decode
 //! loop). Phase 3's bit count and Phase 2's OR-merge
 //! ([`hurricane_core::merges::ReduceMerge::folding`]) both run over
-//! *borrowed* word views read straight out of the chunk with trusted
-//! constant-stride loads — the partial bitsets are never materialized as
-//! owned vectors on the merge path; only the single surviving
-//! accumulator is.
+//! *borrowed* word views read straight out of the chunk by the batch
+//! kernels (popcount, word OR) — the partial bitsets are never
+//! materialized as owned vectors on the merge path; only the single
+//! surviving accumulator is.
 
 use crate::bitset::BitSet;
 use hurricane_core::graph::{AppGraph, GraphBag, GraphBuilder};

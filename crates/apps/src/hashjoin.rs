@@ -18,9 +18,10 @@
 //! Hot-path mechanics: the partitioned relations travel as
 //! [`FixedTuple`] — `(FixedU32, FixedU64)`, a constant 12-byte stride —
 //! so every partition-bag chunk is a flat array of tuples. The probe
-//! loop types each chunk with [`hurricane_format::stride_records`] and
-//! iterates it with trusted constant-stride loads: no per-record varint
-//! loop, no validation pass, no `Vec`.
+//! loop types each chunk with [`hurricane_format::stride_records`],
+//! gathers its key column with one strided kernel, and reads a tuple by
+//! slicing its 12 bytes out of the chunk only on a match: no per-record
+//! varint loop, no validation pass, no `Vec`.
 
 use hurricane_core::graph::{AppGraph, GraphBag, GraphBuilder};
 use hurricane_core::task::TaskCtx;
@@ -124,7 +125,8 @@ impl HashJoinJob {
                     // into a dense vector first (the strided-gather
                     // kernel; the buffer is reused across chunks), so the
                     // table-probe loop scans contiguous keys and decodes
-                    // a tuple's payload only on a match.
+                    // a tuple's payload only on a match (`get` slices out
+                    // tuple `i`'s 12 bytes and decodes them, checked).
                     let mut keys: Vec<u32> = Vec::new();
                     while let Some(chunk) = ctx.next_chunk(1)? {
                         let tuples = stride_records::<FixedTuple>(&chunk)?;

@@ -158,9 +158,9 @@ fn bench_compute_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The merge plane (PR 5): the borrowed keyed fold, trusted `SeqView`
-/// iteration vs a validating second pass over the same bytes, and
-/// fixed-stride random access vs sequential checked decoding.
+/// The merge plane: the borrowed keyed fold, the checked second
+/// pass over a validated sequence, and fixed-stride random access vs
+/// sequential checked decoding.
 fn bench_merge_path(c: &mut Criterion) {
     use hurricane_common::SplitMix64;
     use hurricane_core::merges::KeyedMerge;
@@ -246,11 +246,12 @@ fn bench_merge_path(c: &mut Criterion) {
     });
 
     // Sequence iteration: records holding (id, name) element lists —
-    // the shape where the validating second pass genuinely re-pays
-    // (UTF-8 revalidation, length checks, Result plumbing per element).
-    // The views are validated once outside the measurement, mirroring a
-    // merge fold that constructs the record view and then walks the
-    // sequence — the measured pass is only the per-element re-read.
+    // the shape where the second pass re-pays the most (UTF-8
+    // revalidation, length checks, Result plumbing per element), the
+    // same loop `SeqView::iter` runs. The views are validated once
+    // outside the measurement, mirroring a merge fold that constructs
+    // the record view and then walks the sequence — the measured pass is
+    // only the per-element re-read.
     const SEQ_RECORDS: usize = 256;
     const ELEMS_PER: usize = 16;
     let seq_recs: Vec<Vec<(u32, String)>> = (0..SEQ_RECORDS)
@@ -278,17 +279,6 @@ fn bench_merge_path(c: &mut Criterion) {
                 let mut rest = v.payload();
                 for _ in 0..v.len() {
                     let (id, name) = <(u32, String)>::decode_view(&mut rest).unwrap();
-                    bytes += id as usize + name.len();
-                }
-            }
-            bytes
-        })
-    });
-    g.bench_function("seq_iter/trusted", |b| {
-        b.iter(|| {
-            let mut bytes = 0usize;
-            for v in &views {
-                for (id, name) in v.iter() {
                     bytes += id as usize + name.len();
                 }
             }
@@ -353,8 +343,12 @@ fn bench_merge_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The SWAR trusted varint decoder over dense `Vec<u64>` word sequences
-/// — the shape every `SeqView::iter` trusted re-read walks.
+/// The checked varint decoder (`varint::decode`, the word path with its
+/// per-byte fallback) over a dense `Vec<u64>`-style word run, lengths
+/// 1..=10 bytes in no learnable pattern. The row keeps the id it had
+/// when it timed a separate unchecked decoder for re-reads, which the
+/// checked one replaced, so the committed bench-gate baseline still
+/// gates it.
 fn bench_decode_swar(c: &mut Criterion) {
     use hurricane_common::SplitMix64;
     use hurricane_format::varint;
@@ -382,9 +376,7 @@ fn bench_decode_swar(c: &mut Criterion) {
             let mut at = buf.as_slice();
             let mut sum = 0u64;
             for _ in 0..WORDS {
-                // SAFETY: `at` is positioned at a varint this process
-                // encoded.
-                sum = sum.wrapping_add(unsafe { varint::decode_trusted(&mut at) });
+                sum = sum.wrapping_add(varint::decode(&mut at).expect("encoded above"));
             }
             assert_eq!(sum, expect);
             sum

@@ -105,8 +105,8 @@ const fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-/// Inverse of [`zigzag`]. `pub(crate)` so the trusted view decoders can
-/// share the mapping.
+/// Inverse of [`zigzag`]. `pub(crate)` so the view plane's run decoders
+/// can share the mapping.
 pub(crate) const fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
@@ -125,6 +125,7 @@ impl Record for u8 {
         out.push(*self);
     }
 
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(take(input, 1)?[0])
     }
@@ -204,6 +205,7 @@ impl Record for f32 {
         out.extend_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let b = take(input, 4)?;
         Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -219,6 +221,7 @@ impl Record for f64 {
         out.extend_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let b = take(input, 8)?;
         let mut arr = [0u8; 8];
@@ -325,6 +328,10 @@ macro_rules! fixed_le_record {
                 out.extend_from_slice(&self.0.to_le_bytes());
             }
 
+            // Inline, as the varint decoders are: random access
+            // (`StrideSlice::get`, `SeqView::get`) decodes one record per
+            // call, from the caller's crate.
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
                 let b = take(input, $bytes)?;
                 let mut arr = [0u8; $bytes];

@@ -6,10 +6,13 @@
 //! or a [`crate::StrideSlice`] byte run) and folds them whole.
 //!
 //! There are three because three have callers: word-wise OR and popcount
-//! (ClickLog's region-bitset merge and count) and the strided column
-//! gather (the hash join's probe keys). Each is one safe, bounds-checked
-//! loop over `chunks_exact`, the same code on every platform and in
-//! every build.
+//! (ClickLog's region-bitset merge and count, through
+//! [`crate::SeqView::or_into`] and [`crate::SeqView::popcount`]) and the
+//! strided column gather (the hash join's probe keys, through
+//! [`crate::StrideSlice::gather_prefix_u32_into`]). Each is one safe,
+//! bounds-checked loop over `chunks_exact`, the same code on every
+//! platform and in every build. The OR folds into the [`FixedU64`] words
+//! the bitset merge accumulates, in place.
 //!
 //! Hand-written SSE2/AVX2 versions of these loops were measured against
 //! them end to end and removed: four alternating 4 s pairs per workload
@@ -20,17 +23,19 @@
 //! per merge beside ten million record decodes, so the fold instruction
 //! does not set its time.
 
+use crate::codec::FixedU64;
+
 /// ORs the little-endian `u64` words of `src` into `acc[..src.len()/8]`.
 ///
 /// # Panics
 ///
 /// Panics when `src.len()` is not a multiple of 8 or decodes to more
 /// words than `acc` holds.
-pub fn or_le64(acc: &mut [u64], src: &[u8]) {
+pub fn or_le64(acc: &mut [FixedU64], src: &[u8]) {
     let n = checked_words(src, 8);
     assert!(n <= acc.len(), "OR source ({n} words) exceeds accumulator");
     for (slot, w) in acc.iter_mut().zip(src.chunks_exact(8)) {
-        *slot |= u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes"));
+        slot.0 |= u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes"));
     }
 }
 
@@ -107,8 +112,14 @@ mod tests {
         // blocked loop would split at.
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 100] {
             let src = words(n);
-            let mut acc: Vec<u64> = (0..n as u64).map(|i| hurricane_mix(i ^ 0xA5A5)).collect();
-            let want: Vec<u64> = acc.iter().zip(le_words(&src)).map(|(a, w)| a | w).collect();
+            let mut acc: Vec<FixedU64> = (0..n as u64)
+                .map(|i| FixedU64(hurricane_mix(i ^ 0xA5A5)))
+                .collect();
+            let want: Vec<FixedU64> = acc
+                .iter()
+                .zip(le_words(&src))
+                .map(|(a, w)| FixedU64(a.0 | w))
+                .collect();
             or_le64(&mut acc, &src);
             assert_eq!(acc, want, "n = {n}");
         }
@@ -117,9 +128,13 @@ mod tests {
     #[test]
     fn or_accepts_shorter_source() {
         let src = words(3);
-        let mut acc = vec![!0u64; 5];
+        let mut acc = vec![FixedU64(!0); 5];
         or_le64(&mut acc, &src);
-        assert_eq!(&acc[3..], &[!0, !0], "words past the source untouched");
+        assert_eq!(
+            &acc[3..],
+            &[FixedU64(!0), FixedU64(!0)],
+            "words past the source untouched"
+        );
     }
 
     #[test]
@@ -157,6 +172,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds accumulator")]
     fn oversized_or_source_panics() {
-        or_le64(&mut [0u64; 1], &[0u8; 16]);
+        or_le64(&mut [FixedU64(0); 1], &[0u8; 16]);
     }
 }

@@ -16,12 +16,13 @@
 //!   tuples (nested composition gives "nested tuples" as in the paper).
 //! * [`view::RecordView`] — the borrowed half of the codec: decode a
 //!   record as a view whose `&str`/`&[u8]` fields point straight into the
-//!   chunk, for allocation-free hot loops. Spans validated once re-read
-//!   through the trusted decoder (no second round of checks), and
-//!   [`view::FixedStride`] types ([`codec::FixedU32`]/[`codec::FixedU64`],
-//!   floats, tuples of them) get O(1) random access into sequences and
-//!   whole chunks ([`view::StrideSlice`]). See the [`view`] module docs
-//!   for when to use `Record` vs `RecordView`.
+//!   chunk, for allocation-free hot loops. Every read, a re-read of a
+//!   span validated once included, goes through the one checked
+//!   decoder, and [`view::FixedStride`] types ([`codec::FixedU32`]/
+//!   [`codec::FixedU64`], floats, tuples of them) get O(1) random access
+//!   into sequences and whole chunks ([`view::StrideSlice`]) by slicing
+//!   out `STRIDE` bytes. See the [`view`] module docs for when to use
+//!   `Record` vs `RecordView`.
 //! * [`kernels`] — the three batch kernels with callers (word OR,
 //!   popcount, strided column gather) over the flat byte runs
 //!   fixed-stride sequences expose: safe loops, one build. Surfaced as
@@ -32,6 +33,10 @@
 //!   for pre-serialized fan-out) and back. The reader's
 //!   [`stream::ChunkReader::for_each`] / [`stream::ChunkReader::fold`]
 //!   drivers stream borrowed views without materializing a `Vec`.
+//!
+//! Only [`varint`] may hold `unsafe` code: its two encoders store whole
+//! words into a `Vec`'s spare capacity and then `set_len`. Every other
+//! module forbids it, so the compiler keeps it there.
 //!
 //! # Examples
 //!
@@ -54,11 +59,16 @@
 //! assert_eq!(records[7], (7, "record-7".to_string()));
 //! ```
 
+#[forbid(unsafe_code)]
 pub mod chunk;
+#[forbid(unsafe_code)]
 pub mod codec;
+#[forbid(unsafe_code)]
 pub mod kernels;
+#[forbid(unsafe_code)]
 pub mod stream;
 pub mod varint;
+#[forbid(unsafe_code)]
 pub mod view;
 
 pub use chunk::{Chunk, DEFAULT_CHUNK_SIZE};
@@ -67,4 +77,4 @@ pub use stream::{
     decode_all, encode_all, fold_views, for_each_view, stride_records, try_for_each_view, ChunkBuf,
     ChunkReader, ChunkWriter,
 };
-pub use view::{FixedStride, RecordView, SeqChunks, SeqIter, SeqView, StrideIter, StrideSlice};
+pub use view::{FixedStride, RecordView, SeqIter, SeqView, StrideSlice};

@@ -58,16 +58,6 @@
 //!   bytes, a nine- or ten-byte field, malformed bytes) is decoded field
 //!   by field with [`decode`] ([`crate::RecordView::decode_run`]).
 //!
-//! # Trusted decode
-//!
-//! [`decode_trusted`] is the same word step (`split_word`) with the
-//! validation dropped from what surrounds it. Its contract: the input
-//! begins with a varint [`decode`] already accepted at this position, so
-//! a terminator exists in bounds. Its per-byte loop, for the tail and for
-//! the last bytes of a nine- or ten-byte encoding, carries no checks. It
-//! keeps a one-byte shortcut in front of the word step: what sequences
-//! re-read is mostly small fields and length prefixes.
-//!
 //! # Encode
 //!
 //! [`encode`] is the inverse: length from `leading_zeros`, `expand7`
@@ -240,9 +230,9 @@ fn load_word(input: &[u8]) -> Option<u64> {
         .map(|bytes| u64::from_le_bytes(*bytes))
 }
 
-/// The word step both decoders share: the value and encoded length of
-/// the varint at the low end of `word`, or `None` when all eight bytes
-/// carry continuation bits (a nine- or ten-byte encoding, or garbage).
+/// The word step of [`decode`]: the value and encoded length of the
+/// varint at the low end of `word`, or `None` when all eight bytes carry
+/// continuation bits (a nine- or ten-byte encoding, or garbage).
 #[inline(always)]
 fn split_word(word: u64) -> Option<(u64, usize)> {
     let term = !word & CONT_BITS;
@@ -384,67 +374,6 @@ pub(crate) fn split_record<const ARITY: usize>(input: &[u8]) -> Option<([u64; AR
     Some((values, (last.trailing_zeros() as usize >> 3) + 1))
 }
 
-/// Decodes a LEB128 value whose bytes were already validated by
-/// [`decode`] — no truncation, length, or overflow checks.
-///
-/// This is the trusted-bytes half of the varint codec: sequence views
-/// ([`crate::SeqView`]) validate a whole span once at construction and
-/// then re-read it on iteration, where every check [`decode`] performs is
-/// a branch the first pass already took.
-///
-/// # Safety
-///
-/// `input` must start with a complete varint that a previous call to
-/// [`decode`] accepted (same bytes, same position). In particular the
-/// terminating byte (MSB clear) must occur within the slice and within
-/// [`MAX_VARINT_LEN`] bytes.
-#[inline]
-pub unsafe fn decode_trusted(input: &mut &[u8]) -> u64 {
-    // SAFETY: a validated varint starts here, so byte 0 exists.
-    let first = *input.get_unchecked(0);
-    if first < 0x80 {
-        // Re-read sequences are mostly small element fields and length
-        // prefixes: one byte, predictably, and cheaper than the word step.
-        *input = input.get_unchecked(1..);
-        return first as u64;
-    }
-    let Some(word) = load_word(input) else {
-        return decode_trusted_bytes(input, 0, 0);
-    };
-    match split_word(word) {
-        Some((value, len)) => {
-            // SAFETY: `len <= 8 <= input.len()`, or no word was loaded.
-            *input = input.get_unchecked(len..);
-            value
-        }
-        // Nine or ten bytes: the word supplies the low 56 payload bits,
-        // the last one or two bytes finish per byte.
-        None => decode_trusted_bytes(input, compact7(word & PAYLOAD_BITS), WORD_LEN),
-    }
-}
-
-/// The per-byte trusted loop, resuming at byte `i` with the payload of
-/// bytes `0..i` already in `value`.
-///
-/// # Safety
-///
-/// Same contract as [`decode_trusted`]; bytes `0..i` must all carry
-/// continuation bits.
-#[inline]
-unsafe fn decode_trusted_bytes(input: &mut &[u8], mut value: u64, mut i: usize) -> u64 {
-    loop {
-        // SAFETY: the validated varint's terminator lies at or after `i`.
-        let byte = *input.get_unchecked(i);
-        value |= ((byte & 0x7f) as u64) << (7 * i);
-        i += 1;
-        if byte & 0x80 == 0 {
-            break;
-        }
-    }
-    *input = input.get_unchecked(i..);
-    value
-}
-
 /// Appends a length prefix (`String`, `Blob`, `Vec`).
 ///
 /// Lengths differ from record integers in two ways: nearly all are
@@ -516,10 +445,6 @@ mod tests {
             assert_eq!(at, &exact[consumed..], "remainder of {bytes:02x?}");
         }
         if let Ok((value, len)) = want {
-            let mut at = &exact[..];
-            // SAFETY: the reference decoder just accepted these bytes.
-            assert_eq!(unsafe { decode_trusted(&mut at) }, value);
-            assert_eq!(at, &exact[len..], "trusted remainder");
             assert!(encoded_len(value) <= len, "never shorter than canonical");
         }
     }

@@ -39,31 +39,25 @@
 //! equals the owned decode. `tests/props_format.rs` pins this down by
 //! property test across arbitrary chunk boundaries.
 //!
-//! # Trusted bytes: decoding a span twice without validating it twice
+//! There is one decoder per shape, and it is the checked one: every read
+//! of chunk bytes goes through `decode_view`, including the second read
+//! of a span that was already validated. A [`SeqView`] walks its
+//! elements once at construction (to validate them and find the
+//! sequence's end) and [`SeqView::iter`] decodes each again; the second
+//! pass cannot fail, so it `expect`s.
 //!
-//! `decode_view` validates as it goes, because chunk bytes arrive from
-//! storage and may be corrupt. But some spans are decoded *twice*: a
-//! [`SeqView`] walks its elements once at construction (to validate them
-//! and find the sequence's end) and again on [`SeqView::iter`]. The
-//! second pass re-ran every truncation/overflow/UTF-8 check the first
-//! pass already passed. [`RecordView::decode_view_trusted`] is the
-//! second reading: an `unsafe` decoder whose contract is that the input
-//! starts with bytes a previous `decode_view` accepted, letting it use
-//! unchecked varint reads, unchecked slicing, and
-//! `str::from_utf8_unchecked`. [`SeqIter`] uses it, which is what makes
-//! `Vec`-heavy records (bitset words, adjacency lists) cheap to re-read.
-//!
-//! # Fixed stride: random access without decoding
+//! # Fixed stride: random access by slicing
 //!
 //! Varint encodings are value-dependent, so element `i` of a sequence is
 //! only reachable by decoding elements `0..i`. Types whose encoding is a
 //! compile-time constant size — floats, [`FixedU32`]/[`FixedU64`], and
 //! tuples of such — implement [`FixedStride`], and their sequences gain
-//! O(1) random access ([`SeqView::get`]), [`SeqView::split_at`] /
-//! [`SeqView::chunks_exact`] for batch loops, and whole-chunk access via
+//! O(1) random access ([`SeqView::get`]) and whole-chunk access via
 //! [`StrideSlice`] (every record in a chunk of fixed-stride records sits
-//! at a known offset). The layout is flat little-endian bytes, which is
-//! the shape SIMD-friendly loops want.
+//! at a known offset). Record `i` is the bounds-checked slice of `STRIDE`
+//! bytes at `i * STRIDE`, read with `decode_view`; any `STRIDE` bytes of
+//! these types decode, so that read cannot fail either. The layout is
+//! flat little-endian bytes, which the batch [`kernels`] fold whole.
 //!
 //! # Runs
 //!
@@ -136,36 +130,13 @@ use crate::codec::{take, unzigzag, Blob, CodecError, FixedU32, FixedU64, Record}
 use crate::{kernels, varint};
 use core::marker::PhantomData;
 
-/// Views a `FixedU64` run as plain words for the in-place kernels.
-fn fixed_words_mut(acc: &mut [FixedU64]) -> &mut [u64] {
-    // SAFETY: `FixedU64` is `#[repr(transparent)]` over `u64`, so the
-    // slices have identical layout.
-    unsafe { core::slice::from_raw_parts_mut(acc.as_mut_ptr().cast::<u64>(), acc.len()) }
-}
-
-/// Advances `input` past its first `n` bytes without a bounds check.
-///
-/// # Safety
-///
-/// `input` must hold at least `n` bytes.
+/// Record `i` of a run of back-to-back `T` records: the `STRIDE` bytes at
+/// `i * STRIDE`, decoded. Panics when they are out of bounds or fail to
+/// decode, both of which a correct [`FixedStride`] impl rules out.
 #[inline]
-unsafe fn take_trusted<'a>(input: &mut &'a [u8], n: usize) -> &'a [u8] {
-    debug_assert!(input.len() >= n);
-    let head = input.get_unchecked(..n);
-    *input = input.get_unchecked(n..);
-    head
-}
-
-/// Reads `N` little-endian bytes without a bounds check.
-///
-/// # Safety
-///
-/// `input` must hold at least `N` bytes.
-#[inline]
-unsafe fn read_array_trusted<const N: usize>(input: &mut &[u8]) -> [u8; N] {
-    let bytes = take_trusted(input, N);
-    // SAFETY: `bytes` has exactly N elements.
-    bytes.try_into().unwrap_unchecked()
+fn stride_at<T: FixedStride>(bytes: &[u8], i: usize) -> T::View<'_> {
+    let mut at = &bytes[i * T::STRIDE..][..T::STRIDE];
+    T::decode_view(&mut at).expect("a FixedStride type decodes any STRIDE bytes")
 }
 
 /// The per-record run loop: [`RecordView::decode_run`]'s default, and the
@@ -198,25 +169,6 @@ pub trait RecordView: Record {
     /// Decodes one record from the front of `input` as a borrowed view,
     /// advancing the input exactly as [`Record::decode`] would.
     fn decode_view<'a>(input: &mut &'a [u8]) -> Result<Self::View<'a>, CodecError>;
-
-    /// Decodes one record from bytes that a previous
-    /// [`RecordView::decode_view`] call already accepted, skipping the
-    /// validation that pass performed (bounds, varint canonicality,
-    /// UTF-8). Must consume exactly the bytes `decode_view` consumed and
-    /// produce an equal view.
-    ///
-    /// The default implementation simply re-validates; the in-crate
-    /// types override it with genuinely unchecked reads. This is what
-    /// [`SeqIter`] drives, so a sequence validated once at view
-    /// construction pays no second round of checks on iteration.
-    ///
-    /// # Safety
-    ///
-    /// `input` must start with a byte span (same bytes, same position)
-    /// that `decode_view` previously returned `Ok` for.
-    unsafe fn decode_view_trusted<'a>(input: &mut &'a [u8]) -> Self::View<'a> {
-        Self::decode_view(input).expect("trusted bytes were previously validated")
-    }
 
     /// Decodes back-to-back records until `input` is empty, handing each
     /// view to `f`; returns the record count. Equivalent to a loop of
@@ -257,10 +209,8 @@ pub trait RecordView: Record {
 /// number of bytes — the precondition for random access into sequences
 /// and chunks of them.
 ///
-/// # Safety
-///
-/// Implementations assert two properties that unsafe code (notably
-/// [`StrideSlice`] and [`SeqView::get`]) relies on:
+/// An implementation promises two properties, which this crate's tests
+/// check for every impl it has:
 ///
 /// * **Constant size**: every value encodes to exactly `STRIDE` bytes
 ///   (`STRIDE > 0`), and both decoders consume exactly `STRIDE` bytes.
@@ -270,26 +220,22 @@ pub trait RecordView: Record {
 ///   implement `FixedStride` even though its encoding is one byte.)
 ///
 /// Together they make offset arithmetic a substitute for sequential
-/// validation: any `k * STRIDE`-byte span can be read as `k` records
-/// with the trusted decoder, no per-element checks.
-pub unsafe trait FixedStride: RecordView {
+/// validation: [`StrideSlice::get`] and [`SeqView::get`] read record `i`
+/// from the `STRIDE` bytes at `i * STRIDE` and treat a decode error as a
+/// bug. An impl that breaks either property makes those reads panic.
+pub trait FixedStride: RecordView {
     /// Exact encoded size of every value, in bytes. Always positive.
     const STRIDE: usize;
 }
 
 macro_rules! self_view {
-    ($($ty:ty => |$input:ident| $trusted:expr),+ $(,)?) => {$(
+    ($($ty:ty),+ $(,)?) => {$(
         impl RecordView for $ty {
             type View<'a> = $ty;
 
             #[inline]
             fn decode_view(input: &mut &[u8]) -> Result<$ty, CodecError> {
                 <$ty as Record>::decode(input)
-            }
-
-            #[inline]
-            unsafe fn decode_view_trusted($input: &mut &[u8]) -> $ty {
-                $trusted
             }
 
             fn view_to_owned(view: $ty) -> $ty {
@@ -299,19 +245,7 @@ macro_rules! self_view {
     )+};
 }
 
-// SAFETY of the trusted bodies: per the decode_view_trusted contract the
-// input starts with bytes the validating decoder accepted, so every
-// unchecked read stays in bounds and every value-range check (varint
-// canonicality, integer width, bool tag) already passed.
-self_view! {
-    u8 => |input| take_trusted(input, 1)[0],
-    f32 => |input| f32::from_le_bytes(read_array_trusted(input)),
-    f64 => |input| f64::from_le_bytes(read_array_trusted(input)),
-    bool => |input| take_trusted(input, 1)[0] == 1,
-    () => |_input| (),
-    FixedU32 => |input| FixedU32(u32::from_le_bytes(read_array_trusted(input))),
-    FixedU64 => |input| FixedU64(u64::from_le_bytes(read_array_trusted(input))),
-}
+self_view!(u8, f32, f64, bool, (), FixedU32, FixedU64);
 
 /// The integers whose wire form is one varint (`$wide` undoes zig-zag for
 /// the signed ones). Self views like the types above, plus the run
@@ -325,13 +259,6 @@ macro_rules! varint_view {
             #[inline]
             fn decode_view(input: &mut &[u8]) -> Result<$ty, CodecError> {
                 <$ty as Record>::decode(input)
-            }
-
-            #[inline]
-            unsafe fn decode_view_trusted(input: &mut &[u8]) -> $ty {
-                // SAFETY: the caller's contract is `decode_trusted`'s; the
-                // width check passed when these bytes were validated.
-                $wide(varint::decode_trusted(input)) as $ty
             }
 
             #[inline]
@@ -366,29 +293,29 @@ varint_view! {
     i64 => unzigzag,
 }
 
-// SAFETY: one byte always, and `u8::decode` accepts any byte (total).
-unsafe impl FixedStride for u8 {
+// One byte always, and `u8::decode` accepts any byte (total).
+impl FixedStride for u8 {
     const STRIDE: usize = 1;
 }
 
-// SAFETY: fixed-width little-endian floats; every bit pattern is a valid
+// Fixed-width little-endian floats; every bit pattern is a valid
 // IEEE-754 value (including NaNs), so the decoders are total.
-unsafe impl FixedStride for f32 {
+impl FixedStride for f32 {
     const STRIDE: usize = 4;
 }
 
-// SAFETY: as for `f32`.
-unsafe impl FixedStride for f64 {
+// As for `f32`.
+impl FixedStride for f64 {
     const STRIDE: usize = 8;
 }
 
-// SAFETY: fixed four-byte little-endian; any bit pattern is a valid u32.
-unsafe impl FixedStride for FixedU32 {
+// Fixed four-byte little-endian; any bit pattern is a valid u32.
+impl FixedStride for FixedU32 {
     const STRIDE: usize = 4;
 }
 
-// SAFETY: fixed eight-byte little-endian; any bit pattern is a valid u64.
-unsafe impl FixedStride for FixedU64 {
+// Fixed eight-byte little-endian; any bit pattern is a valid u64.
+impl FixedStride for FixedU64 {
     const STRIDE: usize = 8;
 }
 
@@ -402,14 +329,6 @@ impl RecordView for String {
         }
         let bytes = take(input, len as usize)?;
         core::str::from_utf8(bytes).map_err(|_| CodecError::InvalidUtf8)
-    }
-
-    #[inline]
-    unsafe fn decode_view_trusted<'a>(input: &mut &'a [u8]) -> &'a str {
-        // SAFETY (both ops): the validating pass accepted this span, so
-        // the declared length is in bounds and the payload is UTF-8.
-        let len = varint::decode_trusted(input) as usize;
-        core::str::from_utf8_unchecked(take_trusted(input, len))
     }
 
     fn view_to_owned(view: &str) -> String {
@@ -428,13 +347,6 @@ impl RecordView for Blob {
         take(input, len as usize)
     }
 
-    #[inline]
-    unsafe fn decode_view_trusted<'a>(input: &mut &'a [u8]) -> &'a [u8] {
-        // SAFETY: length validated in bounds by the accepting pass.
-        let len = varint::decode_trusted(input) as usize;
-        take_trusted(input, len)
-    }
-
     fn view_to_owned(view: &[u8]) -> Blob {
         Blob(view.to_vec())
     }
@@ -451,16 +363,6 @@ impl<T: RecordView> RecordView for Option<T> {
         }
     }
 
-    #[inline]
-    unsafe fn decode_view_trusted<'a>(input: &mut &'a [u8]) -> Self::View<'a> {
-        // SAFETY: tag byte exists and is 0 or 1 (validated), and a Some
-        // payload was validated right after it.
-        match take_trusted(input, 1)[0] {
-            0 => None,
-            _ => Some(T::decode_view_trusted(input)),
-        }
-    }
-
     fn view_to_owned(view: Self::View<'_>) -> Self {
         view.map(T::view_to_owned)
     }
@@ -469,16 +371,14 @@ impl<T: RecordView> RecordView for Option<T> {
 /// A lazily decoded sequence view — the borrowed form of `Vec<T>`.
 ///
 /// `decode_view` walks the elements once to validate them and find the
-/// sequence's end (no allocation); [`SeqView::iter`] then re-reads each
-/// element on demand **with the trusted decoder** — unchecked varint and
-/// fixed-width reads, no re-validation — so the second pass costs raw
-/// byte decoding only. Iteration is infallible because the bytes were
-/// validated at view-construction time.
+/// sequence's end (no allocation); [`SeqView::iter`] then decodes each
+/// element again on demand, with the same checked `decode_view`.
+/// Iteration is infallible because the bytes were validated at
+/// view-construction time.
 ///
 /// For element types with a [`FixedStride`] encoding the view is also
-/// randomly accessible: [`SeqView::get`], [`SeqView::split_at`] and
-/// [`SeqView::chunks_exact`] index by offset arithmetic instead of
-/// sequential decoding.
+/// randomly accessible: [`SeqView::get`] indexes by offset arithmetic
+/// instead of sequential decoding.
 pub struct SeqView<'a, T: RecordView> {
     /// The validated payload: exactly `len` back-to-back encoded records.
     bytes: &'a [u8],
@@ -516,9 +416,9 @@ impl<'a, T: RecordView> SeqView<'a, T> {
         self.bytes
     }
 
-    /// Iterates the element views. Infallible and unchecked: the span
-    /// was validated when this view was constructed, so each element is
-    /// re-read with [`RecordView::decode_view_trusted`].
+    /// Iterates the element views. Infallible: the span was validated
+    /// when this view was constructed, so the checked re-read of each
+    /// element cannot fail.
     pub fn iter(&self) -> SeqIter<'a, T> {
         SeqIter {
             rest: self.bytes,
@@ -543,59 +443,7 @@ impl<'a, T: FixedStride> SeqView<'a, T> {
     #[inline]
     pub fn get(&self, i: usize) -> T::View<'a> {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        debug_assert_eq!(self.bytes.len(), self.len * T::STRIDE);
-        let mut at = &self.bytes[i * T::STRIDE..];
-        // SAFETY: the span was validated at construction and fixed
-        // stride places element i at exactly i * STRIDE.
-        unsafe { T::decode_view_trusted(&mut at) }
-    }
-
-    /// Splits into the first `mid` elements and the rest, both still
-    /// zero-copy views over the same chunk bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mid > self.len()`.
-    pub fn split_at(&self, mid: usize) -> (Self, Self) {
-        assert!(
-            mid <= self.len,
-            "mid {mid} out of bounds (len {})",
-            self.len
-        );
-        let at = mid * T::STRIDE;
-        (
-            SeqView {
-                bytes: &self.bytes[..at],
-                len: mid,
-                _marker: PhantomData,
-            },
-            SeqView {
-                bytes: &self.bytes[at..],
-                len: self.len - mid,
-                _marker: PhantomData,
-            },
-        )
-    }
-
-    /// Iterates `chunk_len`-element sub-views (the `chunks_exact` shape):
-    /// every yielded view has exactly `chunk_len` elements; the tail that
-    /// doesn't fill a whole sub-view is available from
-    /// [`SeqChunks::remainder`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len` is zero.
-    pub fn chunks_exact(&self, chunk_len: usize) -> SeqChunks<'a, T> {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        // The tail is fixed at construction (std `ChunksExact`
-        // semantics): `remainder` answers the same view whether the
-        // iterator has been driven or not.
-        let (full, tail) = self.split_at(self.len - self.len % chunk_len);
-        SeqChunks {
-            rest: full,
-            chunk_len,
-            tail,
-        }
+        stride_at::<T>(self.bytes, i)
     }
 }
 
@@ -607,7 +455,7 @@ impl SeqView<'_, FixedU64> {
         if self.len > acc.len() {
             acc.resize(self.len, FixedU64(0));
         }
-        kernels::or_le64(fixed_words_mut(acc), self.bytes);
+        kernels::or_le64(acc, self.bytes);
     }
 
     /// Counts the set bits across all words
@@ -642,9 +490,7 @@ impl<'a, T: RecordView> Iterator for SeqIter<'a, T> {
             return None;
         }
         self.remaining -= 1;
-        // SAFETY: the bytes were fully decoded once when the SeqView was
-        // built, so the trusted re-read stays within the validated span.
-        Some(unsafe { T::decode_view_trusted(&mut self.rest) })
+        Some(T::decode_view(&mut self.rest).expect("validated when the view was built"))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -653,42 +499,6 @@ impl<'a, T: RecordView> Iterator for SeqIter<'a, T> {
 }
 
 impl<T: RecordView> ExactSizeIterator for SeqIter<'_, T> {}
-
-/// Iterator of fixed-length [`SeqView`] windows — see
-/// [`SeqView::chunks_exact`].
-pub struct SeqChunks<'a, T: FixedStride> {
-    rest: SeqView<'a, T>,
-    chunk_len: usize,
-    tail: SeqView<'a, T>,
-}
-
-impl<'a, T: FixedStride> SeqChunks<'a, T> {
-    /// The trailing elements (fewer than `chunk_len`) that do not fill a
-    /// whole window. Fixed at construction, like
-    /// `slice::ChunksExact::remainder`: the answer is the same whether
-    /// or not the iterator has been driven.
-    pub fn remainder(&self) -> SeqView<'a, T> {
-        self.tail
-    }
-}
-
-impl<'a, T: FixedStride> Iterator for SeqChunks<'a, T> {
-    type Item = SeqView<'a, T>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.rest.len() < self.chunk_len {
-            return None;
-        }
-        let (head, tail) = self.rest.split_at(self.chunk_len);
-        self.rest = tail;
-        Some(head)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.rest.len() / self.chunk_len;
-        (n, Some(n))
-    }
-}
 
 impl<T: RecordView> RecordView for Vec<T> {
     type View<'a> = SeqView<'a, T>;
@@ -712,25 +522,6 @@ impl<T: RecordView> RecordView for Vec<T> {
         })
     }
 
-    #[inline]
-    unsafe fn decode_view_trusted<'a>(input: &mut &'a [u8]) -> Self::View<'a> {
-        // The walk to find the sequence's end is unavoidable for
-        // variable-size elements, but it runs entirely on trusted reads.
-        // SAFETY: the accepting pass validated the length prefix and all
-        // `len` elements in place.
-        let len = varint::decode_trusted(input) as usize;
-        let start = *input;
-        for _ in 0..len {
-            T::decode_view_trusted(input);
-        }
-        let consumed = start.len() - input.len();
-        SeqView {
-            bytes: start.get_unchecked(..consumed),
-            len,
-            _marker: PhantomData,
-        }
-    }
-
     fn view_to_owned(view: Self::View<'_>) -> Self {
         view.to_vec()
     }
@@ -746,14 +537,8 @@ macro_rules! tuple_view {
                 Ok(($($name::decode_view(input)?,)+))
             }
 
-            #[inline]
-            unsafe fn decode_view_trusted<'a>(input: &mut &'a [u8]) -> Self::View<'a> {
-                // SAFETY: fields were validated in this exact order.
-                ($($name::decode_view_trusted(input),)+)
-            }
-
             /// A tuple whose fields are all single varints decodes one
-            /// record per load ([`varint::split_record`]); a record that
+            /// record per load (`varint::split_record`); a record that
             /// does not end inside the loaded word is decoded field by
             /// field. Any other tuple takes the per-record loop.
             #[inline]
@@ -787,10 +572,10 @@ macro_rules! tuple_view {
             }
         }
 
-        // SAFETY: a tuple of constant-size total encodings is itself a
+        // A tuple of constant-size total encodings is itself a
         // constant-size total encoding (fields concatenate; each field
         // accepts any bytes of its width).
-        unsafe impl<$($name: FixedStride),+> FixedStride for ($($name,)+) {
+        impl<$($name: FixedStride),+> FixedStride for ($($name,)+) {
             const STRIDE: usize = 0 $(+ $name::STRIDE)+;
         }
     };
@@ -811,10 +596,10 @@ tuple_view!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 /// prefix on the wire, validated at view construction), a `StrideSlice`
 /// types a *bare* byte run — most usefully a whole chunk whose records
 /// are all fixed-stride, where the only well-formedness condition is
-/// that the length divides evenly (the `FixedStride` contract makes
-/// every such slice valid). This is the random-access path for int-tuple
-/// chunks: `get(i)` is offset arithmetic, `iter` is branch-free trusted
-/// reads.
+/// that the length divides evenly (every `STRIDE` bytes of a
+/// `FixedStride` type decode). This is the random-access path for
+/// int-tuple chunks: `get(i)` slices out record `i`'s `STRIDE` bytes and
+/// decodes them.
 pub struct StrideSlice<'a, T: FixedStride> {
     bytes: &'a [u8],
     len: usize,
@@ -840,7 +625,7 @@ impl<'a, T: FixedStride> StrideSlice<'a, T> {
     /// [`CodecError::Truncated`] when the length is not a multiple of
     /// the stride (a partial trailing record).
     pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        debug_assert!(T::STRIDE > 0, "FixedStride::STRIDE must be positive");
+        const { assert!(T::STRIDE > 0, "FixedStride::STRIDE must be positive") };
         if !bytes.len().is_multiple_of(T::STRIDE) {
             return Err(CodecError::Truncated);
         }
@@ -874,19 +659,7 @@ impl<'a, T: FixedStride> StrideSlice<'a, T> {
     #[inline]
     pub fn get(&self, i: usize) -> T::View<'a> {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        let mut at = &self.bytes[i * T::STRIDE..];
-        // SAFETY: `FixedStride` totality — any STRIDE bytes decode, and
-        // construction guaranteed i * STRIDE + STRIDE <= bytes.len().
-        unsafe { T::decode_view_trusted(&mut at) }
-    }
-
-    /// Iterates the record views with trusted (branch-free) reads.
-    pub fn iter(&self) -> StrideIter<'a, T> {
-        StrideIter {
-            rest: self.bytes,
-            remaining: self.len,
-            _marker: PhantomData,
-        }
+        stride_at::<T>(self.bytes, i)
     }
 
     /// Gathers the leading little-endian `u32` of every record into
@@ -903,51 +676,6 @@ impl<'a, T: FixedStride> StrideSlice<'a, T> {
     }
 }
 
-impl StrideSlice<'_, FixedU64> {
-    /// Counts the set bits across all records
-    /// ([`crate::kernels::popcount_le64`]).
-    pub fn popcount(&self) -> u64 {
-        kernels::popcount_le64(self.bytes)
-    }
-}
-
-impl<'a, T: FixedStride> IntoIterator for StrideSlice<'a, T> {
-    type Item = T::View<'a>;
-    type IntoIter = StrideIter<'a, T>;
-
-    fn into_iter(self) -> StrideIter<'a, T> {
-        self.iter()
-    }
-}
-
-/// Iterator over a [`StrideSlice`]'s record views.
-pub struct StrideIter<'a, T: FixedStride> {
-    rest: &'a [u8],
-    remaining: usize,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<'a, T: FixedStride> Iterator for StrideIter<'a, T> {
-    type Item = T::View<'a>;
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // SAFETY: construction sized `rest` to remaining * STRIDE bytes
-        // and FixedStride totality makes every stride decodable.
-        Some(unsafe { T::decode_view_trusted(&mut self.rest) })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl<T: FixedStride> ExactSizeIterator for StrideIter<'_, T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,7 +683,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// Asserts the view law on one value: same bytes consumed, equal
-    /// owned reconstruction — on both the validating and trusted paths.
+    /// owned reconstruction.
     fn view_law<T: RecordView + PartialEq + fmt::Debug>(v: T) {
         let mut buf = Vec::new();
         v.encode(&mut buf);
@@ -970,15 +698,6 @@ mod tests {
         );
         assert_eq!(T::view_to_owned(view), owned);
         assert_eq!(owned, v);
-        // SAFETY: decode_view just accepted these exact bytes.
-        let mut trusted_slice = buf.as_slice();
-        let trusted = unsafe { T::decode_view_trusted(&mut trusted_slice) };
-        assert_eq!(
-            trusted_slice.len(),
-            view_slice.len(),
-            "trusted decode must consume exactly decode_view's bytes for {v:?}"
-        );
-        assert_eq!(T::view_to_owned(trusted), v);
     }
 
     #[test]
@@ -1049,10 +768,10 @@ mod tests {
     }
 
     #[test]
-    fn trusted_iteration_matches_validating_decode() {
-        // The double-decode elimination target: iterating a SeqView must
-        // yield exactly what owned decoding yields, for varint, string,
-        // and fixed-width element types.
+    fn seq_iteration_matches_owned_decode() {
+        // Iterating a SeqView re-reads a span validated at construction:
+        // it must yield exactly what owned decoding yields, for varint
+        // and string element types.
         let words: Vec<u64> = (0..200u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
@@ -1083,6 +802,46 @@ mod tests {
         assert_eq!(<(f64, f64, u8)>::STRIDE, 17);
     }
 
+    /// The two [`FixedStride`] properties on `bytes`, the first `STRIDE`
+    /// of them repeated as often as needed: both decoders accept them and
+    /// consume exactly `STRIDE`, and the value encodes back to them.
+    fn check_stride<T: FixedStride + fmt::Debug>(bytes: &[u8]) {
+        let exact: Vec<u8> = bytes.iter().copied().cycle().take(T::STRIDE).collect();
+        let name = core::any::type_name::<T>();
+        let mut at = &exact[..];
+        let view =
+            T::decode_view(&mut at).unwrap_or_else(|e| panic!("{name} on {exact:02x?}: {e:?}"));
+        assert!(at.is_empty(), "{name} decode_view consumes STRIDE bytes");
+        let mut at = &exact[..];
+        T::decode(&mut at).unwrap_or_else(|e| panic!("{name} on {exact:02x?}: {e:?}"));
+        assert!(at.is_empty(), "{name} decode consumes STRIDE bytes");
+        let mut again = Vec::new();
+        T::view_to_owned(view).encode(&mut again);
+        assert_eq!(again, exact, "{name} re-encodes to the same STRIDE bytes");
+    }
+
+    /// Every `FixedStride` impl in the crate: the five scalars and one
+    /// tuple of each arity.
+    fn check_every_stride(bytes: &[u8]) {
+        check_stride::<u8>(bytes);
+        check_stride::<f32>(bytes);
+        check_stride::<f64>(bytes);
+        check_stride::<FixedU32>(bytes);
+        check_stride::<FixedU64>(bytes);
+        check_stride::<(u8,)>(bytes);
+        check_stride::<(FixedU32, FixedU64)>(bytes);
+        check_stride::<(f64, f64, u8)>(bytes);
+        check_stride::<(u8, f32, FixedU32, FixedU64)>(bytes);
+        check_stride::<(f32, u8, f64, FixedU32, u8)>(bytes);
+        check_stride::<(u8, u8, u8, u8, u8, (FixedU64,))>(bytes);
+    }
+
+    #[test]
+    fn fixed_stride_decodes_all_zero_and_all_one_bytes() {
+        check_every_stride(&[0x00]);
+        check_every_stride(&[0xff]);
+    }
+
     #[test]
     fn seq_view_random_access_matches_iteration() {
         let words: Vec<FixedU64> = (0..100u64).map(|i| FixedU64(i * 3)).collect();
@@ -1108,41 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_view_split_and_chunks() {
-        let words: Vec<FixedU32> = (0..10u32).map(FixedU32).collect();
-        let mut buf = Vec::new();
-        words.encode(&mut buf);
-        let mut slice = buf.as_slice();
-        let seq = Vec::<FixedU32>::decode_view(&mut slice).unwrap();
-        let (a, b) = seq.split_at(3);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 7);
-        assert_eq!(
-            a.iter().collect::<Vec<_>>(),
-            vec![FixedU32(0), FixedU32(1), FixedU32(2)]
-        );
-        assert_eq!(b.get(0), FixedU32(3));
-        // chunks_exact: 3 full windows of 3, remainder of 1 — and the
-        // remainder is the same before, during, and after iteration
-        // (std `ChunksExact` semantics).
-        let mut chunks = seq.chunks_exact(3);
-        assert_eq!(chunks.remainder().len(), 1);
-        assert_eq!(chunks.remainder().get(0), FixedU32(9));
-        let mut seen = Vec::new();
-        for w in chunks.by_ref() {
-            assert_eq!(w.len(), 3);
-            seen.extend(w.iter());
-        }
-        assert_eq!(seen.len(), 9);
-        assert_eq!(chunks.remainder().len(), 1);
-        assert_eq!(chunks.remainder().get(0), FixedU32(9));
-        // Degenerate splits.
-        let (empty, all) = seq.split_at(0);
-        assert!(empty.is_empty());
-        assert_eq!(all.len(), 10);
-    }
-
-    #[test]
     fn stride_slice_types_raw_bytes() {
         type Rec = (FixedU32, FixedU64);
         let mut buf = Vec::new();
@@ -1153,11 +877,8 @@ mod tests {
         assert_eq!(s.len(), 20);
         assert!(!s.is_empty());
         assert_eq!(s.get(5), (FixedU32(5), FixedU64(35)));
-        let all: Vec<(FixedU32, FixedU64)> = s.iter().collect();
-        assert_eq!(all.len(), 20);
-        assert_eq!(all[19], (FixedU32(19), FixedU64(133)));
+        assert_eq!(s.get(19), (FixedU32(19), FixedU64(133)));
         assert_eq!(s.bytes(), &buf[..]);
-        assert_eq!(s.iter().size_hint(), (20, Some(20)));
         // A partial trailing record is rejected.
         assert!(StrideSlice::<Rec>::new(&buf[..buf.len() - 1]).is_err());
         // Empty is fine.
@@ -1197,13 +918,6 @@ mod tests {
         let mut keys = Vec::new();
         s.gather_prefix_u32_into(&mut keys);
         assert_eq!(keys, (0..21u32).map(|i| i * 3).collect::<Vec<_>>());
-
-        let words: Vec<u8> = (0..16u64).flat_map(|i| i.to_le_bytes()).collect();
-        let w = StrideSlice::<FixedU64>::new(&words).unwrap();
-        assert_eq!(
-            w.popcount(),
-            (0..16u64).map(|i| i.count_ones() as u64).sum::<u64>()
-        );
     }
 
     #[test]
@@ -1423,6 +1137,15 @@ mod tests {
             let mut stream = varints(values.iter().map(|&(v, shift)| v >> shift));
             stream.truncate(stream.len().saturating_sub(cut));
             check_tuple_runs(&stream);
+        }
+
+        /// Totality, the property `StrideSlice::get` and `SeqView::get`
+        /// rest on: any `STRIDE` bytes decode, whatever they are.
+        #[test]
+        fn fixed_stride_decodes_any_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 1..64),
+        ) {
+            check_every_stride(&bytes);
         }
     }
 
