@@ -17,13 +17,17 @@
 //! Hot-path mechanics: the init task fans the edge list into one private
 //! copy per iteration by **chunk splatting** — each input chunk forwards
 //! to all `iters` outputs as refcount bumps (`TaskCtx::splat_chunk`),
-//! never re-encoding an edge — and both the degree count and the
-//! per-iteration edge traversal stream **borrowed views**
-//! (`TaskCtx::for_each_record`), so the steady-state loop does no
-//! per-record allocation. Clone partials reconcile through *borrowed*
-//! keyed merges ([`KeyedMerge::folding`]): the merge streams `(vertex,
-//! (contrib, deg))` views out of the chunk bytes and owns only the
-//! surviving per-vertex accumulators.
+//! never re-encoding an edge — and the degree count, the rank snapshot
+//! (`TaskCtx::for_each_snapshot_record`, folded straight into the rank
+//! and degree vectors) and the per-iteration edge traversal
+//! (`TaskCtx::for_each_record`) all stream **borrowed views**, so no
+//! iteration owns a copy of the rank table or allocates per record.
+//! Every task writes its rank records `for v in 0..n`, so every clone
+//! partial ascends, and clone partials reconcile through the *streaming*
+//! keyed merge ([`KeyedMerge::folding`]): the partials' chunks, put back
+//! in key order, are merged in one pass that folds `(vertex, (contrib,
+//! deg))` views out of the chunk bytes and owns one accumulator at a
+//! time.
 
 use hurricane_core::graph::{AppGraph, GraphBag, GraphBuilder};
 use hurricane_core::merges::{ConcatMerge, KeyedMerge};
@@ -134,13 +138,17 @@ impl PageRankJob {
                 &[prev_ranks, edges_i],
                 &[next_ranks],
                 move |ctx: &mut TaskCtx| {
-                    // Full rank/degree table: every clone needs all of it.
+                    // Full rank/degree table: every clone needs all of
+                    // it, folded straight from the snapshot's views.
                     let mut rank = vec![0.0f64; n as usize];
                     let mut deg = vec![0u32; n as usize];
-                    for (v, (contrib, d)) in ctx.snapshot_input::<(u32, (f64, u32))>(0)? {
-                        rank[v as usize] = 0.15 / n as f64 + DAMPING * contrib;
-                        deg[v as usize] = d;
-                    }
+                    ctx.for_each_snapshot_record::<(u32, (f64, u32)), _>(
+                        0,
+                        |(v, (contrib, d))| {
+                            rank[v as usize] = 0.15 / n as f64 + DAMPING * contrib;
+                            deg[v as usize] = d;
+                        },
+                    )?;
                     // Edge chunks: exactly-once across clones — this is
                     // where skewed work splits. Borrowed views keep the
                     // traversal allocation-free.

@@ -172,10 +172,14 @@ fn bench_merge_path(c: &mut Criterion) {
     const PARTIALS: u64 = 2;
     const MERGE_CHUNK: usize = 64 * 1024;
 
-    /// Two sealed partial bags, each written by `fill(partial, writer)`,
-    /// plus an output writer — the unit a keyed merge consumes per call.
-    fn merge_setup(fill: impl Fn(u64, &mut BagWriter)) -> (Vec<BagReader>, BagWriter) {
-        let cluster = StorageCluster::new(1, ClusterConfig::default());
+    /// Two sealed partial bags on `nodes` storage nodes, each written by
+    /// `fill(partial, writer)`, plus an output writer — the unit a keyed
+    /// merge consumes per call.
+    fn merge_setup(
+        nodes: usize,
+        fill: impl Fn(u64, &mut BagWriter),
+    ) -> (Vec<BagReader>, BagWriter) {
+        let cluster = StorageCluster::new(nodes, ClusterConfig::default());
         let mut readers = Vec::new();
         for part in 0..PARTIALS {
             let bag = cluster.create_bag();
@@ -192,7 +196,7 @@ fn bench_merge_path(c: &mut Criterion) {
 
     /// (key, count) records over 1,024 distinct keys.
     fn keyed_setup() -> (Vec<BagReader>, BagWriter) {
-        merge_setup(|part, w| {
+        merge_setup(1, |part, w| {
             for i in 0..RECS / PARTIALS {
                 let key = SplitMix64::mix(part * 1_000_003 + i) % KEYS;
                 w.write_record(&(key, 1u64)).unwrap();
@@ -214,15 +218,17 @@ fn bench_merge_path(c: &mut Criterion) {
         )
     });
 
-    // The regime a cloned job's merge is in (`benchmark`'s PageRank merge
-    // replay, exactly): every key distinct within a partial, each
-    // partial written `for v in 0..n` from ordered task state, so the
-    // table takes one insert per record of the first partial and one
-    // hit per record of the second. The 1,024-key case above never
-    // grows its table and hides the per-key cost.
+    // The regime a cloned job's merge is in: every key distinct within a
+    // partial, each partial written `for v in 0..n` from ordered task
+    // state, over the whole key range. The 1,024-key case above never
+    // grows its table and hides the per-key cost. On one storage node a
+    // bag reads back in write order, so the partials arrive ascending;
+    // on two (the benchmark's PageRank merge replay and its engine) their
+    // chunks arrive in storage order, and the merge must first put them
+    // back in key order.
     const HC_KEYS: u32 = 131_072;
-    fn distinct_setup() -> (Vec<BagReader>, BagWriter) {
-        merge_setup(|part, w| {
+    fn distinct_setup(nodes: usize) -> (Vec<BagReader>, BagWriter) {
+        merge_setup(nodes, |part, w| {
             for v in 0..HC_KEYS {
                 let contrib = 1.0 / f64::from(v + 1);
                 w.write_record(&(v, (contrib, part as u32))).unwrap();
@@ -230,20 +236,25 @@ fn bench_merge_path(c: &mut Criterion) {
         })
     }
     g.throughput(Throughput::Elements(PARTIALS * u64::from(HC_KEYS)));
-    g.bench_function("keyed_fold_128k_keys/borrowed", |b| {
-        let live =
-            KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), v: (f64, u32)| {
-                acc.0 += v.0;
-                acc.1 = acc.1.max(v.1);
-            });
-        b.iter_batched(
-            distinct_setup,
-            |(mut readers, mut out)| {
-                live.merge(0, &mut readers, &mut out).unwrap();
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    for (id, nodes) in [
+        ("keyed_fold_128k_keys/borrowed", 1),
+        ("keyed_fold_128k_keys_2_nodes/borrowed", 2),
+    ] {
+        g.bench_function(id, |b| {
+            let live =
+                KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), v: (f64, u32)| {
+                    acc.0 += v.0;
+                    acc.1 = acc.1.max(v.1);
+                });
+            b.iter_batched(
+                || distinct_setup(nodes),
+                |(mut readers, mut out)| {
+                    live.merge(0, &mut readers, &mut out).unwrap();
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
 
     // Sequence iteration: records holding (id, name) element lists —
     // the shape where the second pass re-pays the most (UTF-8
@@ -509,7 +520,15 @@ fn bench_record_write(c: &mut Criterion) {
             for k in &keys {
                 let start = body.len();
                 k.encode(body.encode_buf());
-                sealed += body.commit(start).unwrap().is_some() as usize;
+                // Branch on the sealed chunk, as `BagWriter::write_record`
+                // does. Folding `commit(..).unwrap().is_some()` into the
+                // count instead makes the loop store the result on the
+                // stack and read it back with a wider load that straddles
+                // the store, which stalls store forwarding on every record
+                // and made this row about 2.7 times the writer's loop.
+                if let Some(_chunk) = body.commit(start).unwrap() {
+                    sealed += 1;
+                }
             }
             sealed + body.take().is_some() as usize
         })

@@ -36,7 +36,8 @@
 //!   the size of its partial can be learned but not predicted; when its
 //!   start-up is cheap and its merge is not, the clones granted before
 //!   the job's first cloned merge completes are optimistic — one per job
-//!   when its stages run one after the other (PageRank's `init`) — and
+//!   when its stages run one after the other (on PageRank usually
+//!   `iter.0`'s, sometimes `init`'s with a few milliseconds left) — and
 //!   every later request is held to the merges those clones caused.
 //!
 //! Anything unmeasured refuses: no bytes taken, no time spent taking

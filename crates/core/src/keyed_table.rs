@@ -9,8 +9,11 @@
 //!   arrival order. No per-key allocation; a key is a byte range.
 //! * **Entries** — one `(key end offset, accumulator)` per distinct key,
 //!   in *arrival order*. Entry `i`'s key starts where entry `i - 1`'s
-//!   ends, so the drain is a sequential walk of two vectors and a partial
-//!   written in key order is read back in key order.
+//!   ends, so the drain is a sequential walk of two vectors, and a table
+//!   whose keys arrived ascending drains in key order with no sort. (A
+//!   partial written in key order arrives that way only from one storage
+//!   node: over several, its chunks come back in storage order, and a
+//!   merge of such partials streams instead of filling a table.)
 //! * **Index** — a power-of-two open-addressing array of 8-byte slots,
 //!   each a 32-bit hash tag plus a 32-bit entry number (0 = empty),
 //!   linearly probed and kept at most half full. A probe compares tags

@@ -339,6 +339,22 @@ impl BagWriter {
         Ok(())
     }
 
+    /// Appends one `(key, value)` record whose key is already encoded:
+    /// `key`'s bytes verbatim, then `value` serialized straight after
+    /// them in the chunk buffer. The same bytes, chunks and errors as
+    /// [`BagWriter::write_record`] of the pair, with no owned key.
+    #[inline]
+    pub fn write_keyed<V: Record>(&mut self, key: &[u8], value: &V) -> Result<(), EngineError> {
+        let start = self.body.len();
+        let buf = self.body.encode_buf();
+        buf.extend_from_slice(key);
+        value.encode(buf);
+        if let Some(chunk) = self.body.commit(start).map_err(EngineError::Codec)? {
+            self.stage(chunk)?;
+        }
+        Ok(())
+    }
+
     /// Appends one pre-serialized record — the fan-out primitive: encode
     /// once, hand the same bytes to every output writer. `bytes` must be
     /// exactly one record's encoding so the boundary invariant holds.
@@ -569,37 +585,77 @@ impl TaskCtx {
     }
 
     /// Reads *all* of input `i` non-destructively, without advancing the
-    /// shared read pointer.
+    /// shared read pointer, and streams every record through `f` as a
+    /// borrowed view ([`RecordView`]). Returns the record count.
     ///
     /// This is the bag API's concurrent-full-scan mode (paper §4.3:
     /// "allowing multiple workers to read an entire bag concurrently").
     /// Use it for broadcast-style inputs that every clone needs in full —
     /// e.g. the sorted build side of a hash join, or the rank vector in a
     /// PageRank iteration — while the *other* input is consumed chunk-by-
-    /// chunk to partition the work among clones.
+    /// chunk to partition the work among clones. Like
+    /// [`TaskCtx::for_each_record`], it owns nothing per record: a task
+    /// that folds the snapshot into its own tables never holds a copy of
+    /// it.
+    pub fn for_each_snapshot_record<T, F>(&mut self, i: usize, mut f: F) -> Result<u64, EngineError>
+    where
+        T: RecordView,
+        F: for<'a> FnMut(T::View<'a>),
+    {
+        self.fold_snapshot::<T, F>(i, &mut f, |f, view| f(view), |_, _| {})
+    }
+
+    /// Reads *all* of input `i` as owned records: the
+    /// [`TaskCtx::for_each_snapshot_record`] fold collecting into a `Vec`.
     ///
-    /// The returned `Vec` is reserved once, after the first chunk is
-    /// decoded, for that chunk's records per byte times the bag's bytes,
-    /// plus 1/32 so that chunk-to-chunk noise does not end in a doubling
-    /// on the last push. That is the bag's own encoding density, which
+    /// The `Vec` is reserved once, after the first chunk is decoded, for
+    /// that chunk's records per byte times the bag's bytes, plus 1/32 so
+    /// that chunk-to-chunk noise does not end in a doubling on the last
+    /// push. That is the bag's own encoding density, which
     /// `size_of::<T>()` is no guide to (a `(u32, (f64, u32))` is 24 bytes
     /// in memory and about 12.5 on the wire). It is a hint, not a bound:
     /// a bag whose later chunks encode denser than its first grows the
     /// `Vec` as any push does.
     pub fn snapshot_input<T: RecordView>(&mut self, i: usize) -> Result<Vec<T>, EngineError> {
+        let mut out = Vec::new();
+        self.fold_snapshot::<T, _>(
+            i,
+            &mut out,
+            |out, view| out.push(T::view_to_owned(view)),
+            |out, hint| out.reserve_exact(hint.saturating_sub(out.len())),
+        )?;
+        Ok(out)
+    }
+
+    /// The one snapshot path: reads every chunk of input `i` through the
+    /// control port and folds each record's view into `state` with
+    /// `record`. After the first chunk, `first_chunk` is handed the
+    /// record count the bag would hold at that chunk's density (see
+    /// [`TaskCtx::snapshot_input`]).
+    fn fold_snapshot<T, S>(
+        &mut self,
+        i: usize,
+        state: &mut S,
+        mut record: impl for<'a> FnMut(&mut S, T::View<'a>),
+        first_chunk: impl FnOnce(&mut S, usize),
+    ) -> Result<u64, EngineError>
+    where
+        T: RecordView,
+    {
         let chunks = self.control.snapshot_bag(self.input_bags[i])?;
         let bytes: usize = chunks.iter().map(Chunk::len).sum();
-        let mut out = Vec::new();
-        for (n, c) in chunks.iter().enumerate() {
-            hurricane_format::for_each_view::<T, _>(c, |view| out.push(T::view_to_owned(view)))?;
-            if n == 0 {
-                let expected = out.len().saturating_mul(bytes) / c.len().max(1);
+        let mut first_chunk = Some(first_chunk);
+        let mut n = 0;
+        for c in &chunks {
+            let records = hurricane_format::for_each_view::<T, _>(c, |view| record(state, view))?;
+            n += records;
+            if let Some(hint) = first_chunk.take() {
+                let expected = (records as usize).saturating_mul(bytes) / c.len().max(1);
                 // A record is at least a byte, which bounds the estimate.
-                let hint = (expected + expected / 32).min(bytes);
-                out.reserve_exact(hint.saturating_sub(out.len()));
+                hint(state, (expected + expected / 32).min(bytes));
             }
         }
-        Ok(out)
+        Ok(n)
     }
 
     /// Flushes all output writers. Called by the worker after the logic
@@ -1107,6 +1163,36 @@ mod tests {
         assert_eq!(got, (0..500).collect::<Vec<_>>());
         // Non-destructive: a second snapshot sees the same records.
         assert_eq!(ctx.snapshot_input::<u64>(0).unwrap().len(), 500);
+    }
+
+    #[test]
+    fn snapshot_view_fold_sees_what_snapshot_input_sees() {
+        // Heap payloads (a string per record) and a bag over three nodes:
+        // the fold sees every record, in the order snapshot_input lists
+        // them, and leaves the bag for the next reader.
+        let cluster = StorageCluster::new(3, ClusterConfig::default());
+        let records = (0..700u32).map(|i| (i * 7 % 701, format!("v{i}")));
+        let input = filled_bag_of(&cluster, records, 96);
+        let mut ctx = test_ctx(&cluster, vec![input], vec![]);
+        let mut folded: Vec<(u32, String)> = Vec::new();
+        let n = ctx
+            .for_each_snapshot_record::<(u32, String), _>(0, |(k, s)| folded.push((k, s.into())))
+            .unwrap();
+        assert_eq!(n, 700);
+        assert_eq!(folded, ctx.snapshot_input::<(u32, String)>(0).unwrap());
+        let mut keys: Vec<u32> = folded.iter().map(|&(k, _)| k).collect();
+        let mut want: Vec<u32> = (0..700u32).map(|i| i * 7 % 701).collect();
+        keys.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(keys, want);
+        // Nothing was removed: the consuming reader still gets it all.
+        let mut consumed = 0;
+        while let Some(chunk) = ctx.next_chunk(0).unwrap() {
+            consumed += hurricane_format::decode_all::<(u32, String)>(&chunk)
+                .unwrap()
+                .len();
+        }
+        assert_eq!(consumed, 700);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! degree distribution concentrates edge traffic in a few vertex ranges,
 //! so busy tasks ask for clones; the printed clone log shows what Eq. 2
 //! made of each request (an iteration's clone would have to repay a
-//! rank-snapshot load and a keyed contribution-sum merge).
+//! rank-snapshot fold and a keyed contribution-sum merge, which streams
+//! the clones' ascending partials in one pass).
 //!
 //! Run with: `cargo run --release --example pagerank`
 

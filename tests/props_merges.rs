@@ -33,11 +33,29 @@ where
     T: Record + Clone,
     M: MergeLogic,
 {
-    // One storage node: bags are unordered *across* nodes (chunks spread
-    // cyclically), so record order in a multi-node bag is not observable.
-    // A single node preserves FIFO order, letting the sorted-output
-    // property be asserted exactly.
-    let cluster = StorageCluster::new(1, ClusterConfig::default());
+    run_merge_on(1, records, assignment, parts, chunk_size, merge)
+}
+
+/// [`run_merge_chunked`] with the partials spread over `nodes` storage
+/// nodes. The output bag is on a one-node cluster of its own: bags are
+/// unordered *across* nodes (chunks spread cyclically), so record order
+/// in a multi-node bag is not observable, and a single node preserves
+/// FIFO order, letting the sorted-output property be asserted exactly.
+/// On more than one node a partial's chunks reach the merge in storage
+/// order, not in the order they were written.
+fn run_merge_on<T, M>(
+    nodes: usize,
+    records: &[T],
+    assignment: &[usize],
+    parts: usize,
+    chunk_size: usize,
+    merge: M,
+) -> Vec<T>
+where
+    T: Record + Clone,
+    M: MergeLogic,
+{
+    let cluster = StorageCluster::new(nodes, ClusterConfig::default());
     let mut writers: Vec<BagWriter> = (0..parts)
         .map(|i| {
             let bag = cluster.create_bag();
@@ -61,14 +79,15 @@ where
         .enumerate()
         .map(|(i, &b)| BagReader::open(cluster.clone(), b, 100 + i as u64, 4, None))
         .collect();
-    let out_bag = cluster.create_bag();
+    let out_cluster = StorageCluster::new(1, ClusterConfig::default());
+    let out_bag = out_cluster.create_bag();
     // The output capacity is generous: a merged record (e.g. a keyed
     // accumulator that concatenated many values) can be larger than any
     // input record, and output chunk boundaries are not under test.
-    let mut out = BagWriter::open(cluster.clone(), out_bag, 999, 1 << 16);
+    let mut out = BagWriter::open(out_cluster.clone(), out_bag, 999, 1 << 16);
     merge.merge(0, &mut readers, &mut out).unwrap();
     out.flush().unwrap();
-    let chunks = RpcPort::inline(cluster).snapshot_bag(out_bag).unwrap();
+    let chunks = RpcPort::inline(out_cluster).snapshot_bag(out_bag).unwrap();
     chunks
         .iter()
         .flat_map(|c| decode_all::<T>(c).unwrap())
@@ -316,21 +335,27 @@ proptest! {
             acc.0 += v.0;
             acc.1.extend(v.1.iter());
         }
-        let live = KeyedMerge::<Key, Val, _>::folding(keyed_fold);
-        let got: Vec<(Key, Val)> =
-            run_merge_chunked(&keyed_records, &assignment, parts, chunk_size, live);
-        let want: Vec<(Key, Val)> = run_merge_chunked(
-            &keyed_records,
-            &assignment,
-            parts,
-            chunk_size,
-            owned_keyed_reference::<Key, Val>(|mut a, b| {
-                a.0 += b.0;
-                a.1.extend(b.1);
-                a
-            }),
-        );
-        prop_assert_eq!(got, want, "KeyedMerge borrowed vs owned");
+        // On one node and on two: on two, each partial's chunks arrive
+        // in storage order, and both merges must fold them in the order
+        // they arrive — the concatenation shows any other order.
+        for nodes in [1, 2] {
+            let live = KeyedMerge::<Key, Val, _>::folding(keyed_fold);
+            let got: Vec<(Key, Val)> =
+                run_merge_on(nodes, &keyed_records, &assignment, parts, chunk_size, live);
+            let want: Vec<(Key, Val)> = run_merge_on(
+                nodes,
+                &keyed_records,
+                &assignment,
+                parts,
+                chunk_size,
+                owned_keyed_reference::<Key, Val>(|mut a, b| {
+                    a.0 += b.0;
+                    a.1.extend(b.1);
+                    a
+                }),
+            );
+            prop_assert_eq!(got, want, "KeyedMerge borrowed vs owned on {} nodes", nodes);
+        }
 
         // ReduceMerge over bitset words: the SeqView fold ORs borrowed
         // word views into the accumulator in place.
