@@ -79,7 +79,7 @@ fn bench_compute_path(c: &mut Criterion) {
     });
 
     // Encode: the live single-pass push, on flat records and on nested
-    // records (whose `encoded_len` would walk the whole vector).
+    // records (whose sizing pass would walk the whole vector).
     g.bench_function("encode/single_pass", |b| {
         b.iter(|| {
             let mut w = ChunkWriter::<(u64, String)>::new(CHUNK);

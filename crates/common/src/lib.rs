@@ -8,10 +8,11 @@
 //!   randomized decision in the system (chunk placement permutations, batch
 //!   sampling, workload synthesis, simulation) flows through these
 //!   generators so that runs are reproducible bit-for-bit.
-//! * [`units`] — byte/time unit constants and human-readable formatting.
-//! * [`metrics`] — counters, histograms, and time series used by the
-//!   runtime, the simulator, and the benchmark harness (e.g. the throughput
-//!   timelines of Figures 9 and 11 in the paper).
+//! * [`units`] — decimal byte-unit constants and the paper's runtime
+//!   formatting.
+//! * [`metrics`] — counters and time series used by the runtime, the
+//!   simulator, and the benchmark harness (e.g. the throughput timelines of
+//!   Figures 9 and 11 in the paper).
 //!
 //! The crate deliberately has no knowledge of chunks, bags, or tasks beyond
 //! their identifiers; those concepts live in `hurricane-format`,

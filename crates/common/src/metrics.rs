@@ -1,11 +1,10 @@
-//! Counters, histograms, and throughput time series.
+//! Counters and throughput time series.
 //!
 //! The runtime uses [`Counter`]s for hot-path statistics (chunks moved,
-//! probes issued, clone requests), [`Histogram`]s for latency-ish
-//! distributions, and [`TimeSeries`] to reconstruct the paper's
-//! throughput-over-time plots (Figures 9 and 11): raw `(time, bytes)`
-//! events are recorded during execution and bucketized into one-second
-//! aggregate-throughput samples afterwards.
+//! probes issued, clone requests) and [`TimeSeries`] to reconstruct the
+//! paper's throughput-over-time plots (Figures 9 and 11): raw `(time,
+//! bytes)` events are recorded during execution and bucketized into
+//! one-second aggregate-throughput samples afterwards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,102 +35,6 @@ impl Counter {
     /// Returns the current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A log₂-bucketed histogram of `u64` samples.
-///
-/// Bucket `i` holds samples whose value has `i` significant bits, i.e.
-/// values in `[2^(i-1), 2^i)` (bucket 0 holds the value 0). This is coarse
-/// but allocation-free and cheap enough for per-chunk recording.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = (64 - value.leading_zeros()) as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Returns the number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Returns the mean of recorded samples, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Returns the smallest recorded sample, or `None` if empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Returns the largest recorded sample, or `None` if empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Returns an upper bound on the `q`-quantile (0 ≤ q ≤ 1) from the
-    /// bucket boundaries. Coarse by design: the answer is exact only up to
-    /// the enclosing power-of-two bucket.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return Some(if i == 0 { 0 } else { (1u64 << i) - 1 });
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -211,51 +114,6 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 4, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(100));
-        assert!((h.mean() - 22.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles_bound() {
-        let mut h = Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        let p50 = h.quantile_upper_bound(0.5).unwrap();
-        assert!((500..=1023).contains(&p50), "p50 bound {p50}");
-        assert!(h.quantile_upper_bound(1.0).unwrap() >= 999);
-    }
-
-    #[test]
-    fn histogram_merge_adds() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(5);
-        b.record(7);
-        b.record(9);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), Some(9));
-    }
-
-    #[test]
-    fn empty_histogram_is_sane() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]

@@ -14,27 +14,6 @@ pub const GB: u64 = 1_000_000_000;
 /// One terabyte (10^12 bytes).
 pub const TB: u64 = 1_000_000_000_000;
 
-/// Formats a byte count the way the paper prints sizes ("320MB", "3.2TB").
-pub fn fmt_bytes(bytes: u64) -> String {
-    let b = bytes as f64;
-    let (value, suffix) = if bytes >= TB {
-        (b / TB as f64, "TB")
-    } else if bytes >= GB {
-        (b / GB as f64, "GB")
-    } else if bytes >= MB {
-        (b / MB as f64, "MB")
-    } else if bytes >= KB {
-        (b / KB as f64, "KB")
-    } else {
-        (b, "B")
-    };
-    if (value - value.round()).abs() < 1e-9 {
-        format!("{}{}", value.round() as u64, suffix)
-    } else {
-        format!("{value:.1}{suffix}")
-    }
-}
-
 /// Formats seconds the way the paper prints runtimes ("5.7s", "959s", ">12h").
 pub fn fmt_secs(secs: f64) -> String {
     if secs >= 3600.0 {
@@ -46,65 +25,14 @@ pub fn fmt_secs(secs: f64) -> String {
     }
 }
 
-/// Parses sizes like "320MB", "3.2TB", "10GB" (decimal units).
-///
-/// Returns `None` on malformed input rather than panicking so that CLI
-/// argument handling in the bench binaries can report a friendly error.
-pub fn parse_bytes(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let split = s.find(|c: char| c.is_ascii_alphabetic())?;
-    let (num, suffix) = s.split_at(split);
-    let value: f64 = num.trim().parse().ok()?;
-    if !value.is_finite() || value < 0.0 {
-        return None;
-    }
-    let mult = match suffix.trim().to_ascii_uppercase().as_str() {
-        "B" => 1,
-        "KB" => KB,
-        "MB" => MB,
-        "GB" => GB,
-        "TB" => TB,
-        _ => return None,
-    };
-    Some((value * mult as f64).round() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn formats_match_paper_style() {
-        assert_eq!(fmt_bytes(320 * MB), "320MB");
-        assert_eq!(fmt_bytes(3_200 * GB), "3.2TB");
-        assert_eq!(fmt_bytes(32 * GB), "32GB");
-        assert_eq!(fmt_bytes(10 * MB), "10MB");
-        assert_eq!(fmt_bytes(512), "512B");
-    }
 
     #[test]
     fn secs_formatting() {
         assert_eq!(fmt_secs(5.7), "5.7s");
         assert_eq!(fmt_secs(959.4), "959s");
         assert_eq!(fmt_secs(43_200.0), "12.0h");
-    }
-
-    #[test]
-    fn parse_roundtrip() {
-        for s in ["320MB", "3.2TB", "32GB", "100KB", "7B"] {
-            let b = parse_bytes(s).unwrap();
-            assert_eq!(fmt_bytes(b), s);
-        }
-        assert_eq!(parse_bytes("10 GB"), Some(10 * GB));
-        assert_eq!(parse_bytes("1.5mb"), Some(1_500_000));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(parse_bytes(""), None);
-        assert_eq!(parse_bytes("MB"), None);
-        assert_eq!(parse_bytes("12XB"), None);
-        assert_eq!(parse_bytes("-3GB"), None);
-        assert_eq!(parse_bytes("nanGB"), None);
     }
 }

@@ -1,6 +1,6 @@
 //! Wire records for the scheduling plane.
 //!
-//! Four record kinds flow through the work bags (paper §4.1):
+//! Three record kinds flow through the work bags (paper §4.1):
 //!
 //! * [`Descriptor`] — an executable unit placed in the *ready* bag: either
 //!   a task instance (original or clone) or a merge. The descriptor is the
@@ -12,11 +12,10 @@
 //! * [`DoneRecord`] — appended to the *done* bag when a worker finishes;
 //!   consumed by the master to drive the execution graph and replayed
 //!   wholesale on master recovery.
-//! * [`LogRecord`] — the master's schedule log (an append-only work bag):
-//!   every scheduling decision (instance created, task restarted at a new
-//!   generation) is written *before* it takes effect, so a recovered
-//!   master can reconstruct clone counts and partial-bag allocations that
-//!   the paper's master keeps in memory.
+//!
+//! There is no schedule log: `Master::recover` rebuilds clone counts,
+//! partial-bag allocations and generations from the ready bag's full
+//! history (every descriptor ever scheduled) and the done bag.
 
 use hurricane_common::TaskInstanceId;
 use hurricane_format::{CodecError, Record};
@@ -73,17 +72,6 @@ impl Record for Descriptor {
             outputs,
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        (
-            self.kind,
-            self.instance,
-            self.generation,
-            self.inputs.clone(),
-            self.outputs.clone(),
-        )
-            .encoded_len()
-    }
 }
 
 /// A claim notice in the running bag.
@@ -127,18 +115,6 @@ impl Record for RunningRecord {
             inputs,
             outputs,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        (
-            self.kind,
-            self.instance,
-            self.generation,
-            self.node,
-            self.inputs.clone(),
-            self.outputs.clone(),
-        )
-            .encoded_len()
     }
 }
 
@@ -187,128 +163,6 @@ impl Record for DoneRecord {
             elapsed_us,
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        (
-            self.kind,
-            self.instance,
-            self.generation,
-            self.node,
-            self.outputs.clone(),
-            self.elapsed_us,
-        )
-            .encoded_len()
-    }
-}
-
-/// Schedule-log entries (write-ahead of master actions).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
-    /// An instance (task or merge) was created at `generation` with the
-    /// given concrete bags.
-    Scheduled {
-        /// [`KIND_TASK`] or [`KIND_MERGE`].
-        kind: u8,
-        /// Packed instance id.
-        instance: u64,
-        /// Generation the instance belongs to.
-        generation: u32,
-        /// Concrete input bag ids.
-        inputs: Vec<u64>,
-        /// Concrete output bag ids.
-        outputs: Vec<u64>,
-    },
-    /// A task was restarted: all state at generations `< new_generation`
-    /// is void.
-    Restarted {
-        /// The restarted task blueprint.
-        task: u32,
-        /// The new current generation.
-        new_generation: u32,
-    },
-}
-
-const LOG_SCHEDULED: u8 = 0;
-const LOG_RESTARTED: u8 = 1;
-
-impl Record for LogRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LogRecord::Scheduled {
-                kind,
-                instance,
-                generation,
-                inputs,
-                outputs,
-            } => {
-                LOG_SCHEDULED.encode(out);
-                (
-                    *kind,
-                    *instance,
-                    *generation,
-                    inputs.clone(),
-                    outputs.clone(),
-                )
-                    .encode(out);
-            }
-            LogRecord::Restarted {
-                task,
-                new_generation,
-            } => {
-                LOG_RESTARTED.encode(out);
-                (*task, *new_generation).encode(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(input)? {
-            LOG_SCHEDULED => {
-                let (kind, instance, generation, inputs, outputs) =
-                    <(u8, u64, u32, Vec<u64>, Vec<u64>)>::decode(input)?;
-                Ok(LogRecord::Scheduled {
-                    kind,
-                    instance,
-                    generation,
-                    inputs,
-                    outputs,
-                })
-            }
-            LOG_RESTARTED => {
-                let (task, new_generation) = <(u32, u32)>::decode(input)?;
-                Ok(LogRecord::Restarted {
-                    task,
-                    new_generation,
-                })
-            }
-            t => Err(CodecError::InvalidTag(t)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            LogRecord::Scheduled {
-                kind,
-                instance,
-                generation,
-                inputs,
-                outputs,
-            } => {
-                1 + (
-                    *kind,
-                    *instance,
-                    *generation,
-                    inputs.clone(),
-                    outputs.clone(),
-                )
-                    .encoded_len()
-            }
-            LogRecord::Restarted {
-                task,
-                new_generation,
-            } => 1 + (*task, *new_generation).encoded_len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +173,6 @@ mod tests {
     fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(v: T) {
         let mut buf = Vec::new();
         v.encode(&mut buf);
-        assert_eq!(buf.len(), v.encoded_len());
         let mut s = buf.as_slice();
         assert_eq!(T::decode(&mut s).unwrap(), v);
         assert!(s.is_empty());
@@ -358,27 +211,6 @@ mod tests {
             outputs: vec![9],
             elapsed_us: 14_250,
         });
-    }
-
-    #[test]
-    fn log_roundtrips() {
-        roundtrip(LogRecord::Scheduled {
-            kind: KIND_TASK,
-            instance: 1,
-            generation: 0,
-            inputs: vec![5],
-            outputs: vec![6, 7],
-        });
-        roundtrip(LogRecord::Restarted {
-            task: 4,
-            new_generation: 3,
-        });
-    }
-
-    #[test]
-    fn log_rejects_unknown_tag() {
-        let mut s: &[u8] = &[9, 0, 0];
-        assert_eq!(LogRecord::decode(&mut s), Err(CodecError::InvalidTag(9)));
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //! * `RunningApp` joins the master (`RunningApp::wait`, and
 //!   `RunningApp::crash_and_recover_master` on a crash) and then every
 //!   slot (in `wait`, via `ComputeNodeHandle::join`);
-//! * every synchronous storage call blocks for its reply
-//!   (`NodeConnection::wait`, `storage/src/rpc.rs`), and a writer out of
-//!   credit pumps replies until one returns
+//! * every storage request's token is redeemed in one place of
+//!   `storage/src/rpc.rs`: `NodeConnection::wait` blocks for the reply
+//!   and `NodeConnection::try_poll` checks for it (a reader's probes),
+//!   and both send the same envelope again after each request timeout,
+//!   up to 8 attempts, reading the send time kept in the token's slot;
+//!   a writer out of credit pumps replies until one returns
 //!   (`NodeConnection::acquire_credit`).
 
 use crate::config::HurricaneConfig;

@@ -306,7 +306,7 @@ impl BagWriter {
     /// port's window, inserting the staged chunks) when full.
     ///
     /// Encoding is single-pass: the record serializes straight into the
-    /// chunk buffer (no `encoded_len` pre-traversal). On capacity
+    /// chunk buffer (no sizing pass first). On capacity
     /// overflow the freshly written bytes are carried into the next
     /// chunk's buffer; an oversized record is rolled back and reported as
     /// [`hurricane_format::CodecError::RecordTooLarge`], leaving the

@@ -1,8 +1,10 @@
 //! Deterministic fault injection for the storage RPC protocol.
 //!
 //! This crate runs the *real* protocol stack — [`RpcPort`]'s coalescer
-//! and replica fan-out, `NodeConnection`'s correlation slab and retry
-//! loop, the prefetcher pipeline, and the server-side dedup window —
+//! and replica fan-out, `NodeConnection`'s correlation slab and its one
+//! retransmission rule (a request whose reply is later than the request
+//! timeout is sent again, same envelope, up to 8 attempts), the
+//! prefetcher pipeline, and the server-side dedup window —
 //! over a simulated wire that drops, duplicates, delays, reorders, and
 //! partitions messages on a virtual clock, all reproducible from one
 //! `u64` seed.
@@ -28,8 +30,13 @@
 //! sequence ⇒ byte-identical [`net::TraceEvent`] traces, which the
 //! replay test asserts. Scenarios that drive the prefetcher pipeline
 //! remain seed-reproducible in their *fault schedule* but not in event
-//! interleaving (a probe's retransmission timeout runs on the real
-//! clock); they assert invariants, not traces.
+//! interleaving (a polled probe's attempt timeout,
+//! `NodeConnection::try_poll`, runs on the real clock); they assert
+//! invariants, not traces.
+//!
+//! Scenario clients set nothing but the net's request timeout
+//! ([`FaultSim::client`]), exactly like the engine's: every scenario
+//! exercises the retransmission rule every deployment runs.
 //!
 //! # Reproducing a CI failure
 //!

@@ -842,7 +842,7 @@ impl Transport for SimTransport {
 mod tests {
     use super::*;
     use hurricane_storage::cluster::ClusterConfig;
-    use hurricane_storage::rpc::{NodeConnection, StorageRequest};
+    use hurricane_storage::rpc::{NodeConnection, StorageRequest, REQUEST_ATTEMPTS};
     use hurricane_storage::StorageResponse;
 
     fn net(seed: u64) -> (Arc<StorageCluster>, SimNet) {
@@ -855,10 +855,9 @@ mod tests {
     fn ping_round_trips_on_virtual_time() {
         let (_cluster, net) = net(7);
         let mut conn = NodeConnection::new(Box::new(net.transport(0)));
+        conn.set_timeout(Duration::from_millis(50));
         let t0 = net.now_us();
-        let resp = conn
-            .call(StorageRequest::Ping, Duration::from_millis(50))
-            .unwrap();
+        let resp = conn.call(StorageRequest::Ping).unwrap();
         assert_eq!(resp, StorageResponse::Pong);
         let dt = net.now_us() - t0;
         // One round trip costs two link delays of 20..=200 µs each; the
@@ -870,17 +869,14 @@ mod tests {
     fn partitioned_node_times_out_then_heals() {
         let (_cluster, net) = net(8);
         let mut conn = NodeConnection::new(Box::new(net.transport(0)));
+        conn.set_timeout(Duration::from_millis(20));
         net.apply(FaultAction::Partition(0));
-        let err = conn
-            .call(StorageRequest::Ping, Duration::from_millis(20))
-            .unwrap_err();
+        let err = conn.call(StorageRequest::Ping).unwrap_err();
         assert!(matches!(err, StorageError::Timeout(_)), "{err:?}");
-        // The wait advanced the virtual clock by the quantized budget.
-        assert!(net.now_us() >= 20_000);
+        // The wait advanced the virtual clock by every attempt's budget.
+        assert!(net.now_us() >= u64::from(REQUEST_ATTEMPTS) * 20_000);
         net.apply(FaultAction::Heal(0));
-        let resp = conn
-            .call(StorageRequest::Ping, Duration::from_millis(20))
-            .unwrap();
+        let resp = conn.call(StorageRequest::Ping).unwrap();
         assert_eq!(resp, StorageResponse::Pong);
         assert!(net
             .trace()
@@ -893,9 +889,7 @@ mod tests {
         let (_cluster, net) = net(9);
         let mut conn = NodeConnection::new(Box::new(net.transport(1)));
         net.apply(FaultAction::Fail(1));
-        let err = conn
-            .call(StorageRequest::IsDrained, Duration::from_millis(20))
-            .unwrap_err();
+        let err = conn.call(StorageRequest::IsDrained).unwrap_err();
         assert!(matches!(err, StorageError::NodeDown(_)), "{err:?}");
     }
 

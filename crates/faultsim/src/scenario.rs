@@ -3,7 +3,6 @@
 //! scenarios, the proptest schedules, and the CI seed sweep.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use hurricane_common::BagId;
 use hurricane_format::Chunk;
@@ -11,7 +10,6 @@ use hurricane_storage::bag::{BagClient, BatchRemoveResult};
 use hurricane_storage::cluster::{ClusterConfig, DurabilityConfig, StorageCluster};
 use hurricane_storage::endpoint::StorageEndpoint;
 use hurricane_storage::error::StorageError;
-use hurricane_storage::rpc::{RetryPolicy, RpcPort};
 use hurricane_storage::segment::SegmentStore;
 
 use crate::net::{SimConfig, SimNet};
@@ -91,35 +89,18 @@ impl FaultSim {
         }
     }
 
-    /// Mints a port with `attempts` total tries per request (1 = fail
-    /// fast, the protocol default) and a fast retry backoff so timed-out
-    /// virtual waits don't stack real sleeps.
-    pub fn port_with_retry(&self, attempts: u32) -> RpcPort {
-        let mut port = self.net.port();
-        port.set_retry_policy(RetryPolicy {
-            attempts: attempts.max(1),
-            backoff: Duration::from_micros(100),
-        });
-        port
-    }
-
     /// A bag client over a fresh simulated port, minted through a
     /// [`StorageEndpoint`] on the custom plane — the same endpoint API
     /// real deployments use, with the simulated membership plugged in.
-    pub fn client(&self, seed: u64, retry_attempts: u32) -> BagClient {
-        self.endpoint(retry_attempts).client(self.bag, seed)
+    pub fn client(&self, seed: u64) -> BagClient {
+        self.endpoint().client(self.bag, seed)
     }
 
     /// A [`StorageEndpoint`] over the simulated network: custom plane,
-    /// the net's membership and timeout, and a fast retry backoff so
-    /// timed-out virtual waits don't stack real sleeps.
-    pub fn endpoint(&self, retry_attempts: u32) -> StorageEndpoint {
+    /// the net's membership and its timeout.
+    pub fn endpoint(&self) -> StorageEndpoint {
         StorageEndpoint::custom(self.cluster.clone(), self.net.membership())
             .with_request_timeout(self.net.timeout())
-            .with_retry_policy(RetryPolicy {
-                attempts: retry_attempts.max(1),
-                backoff: Duration::from_micros(100),
-            })
     }
 
     /// Seals the bag through the cluster authority (control plane — not

@@ -43,7 +43,7 @@ fn failover_routes_around_full_disk() {
     );
     sim.net.apply(FaultAction::DiskFault(1));
 
-    let mut writer = sim.client(seed, 1);
+    let mut writer = sim.client(seed);
     for v in 0..N {
         writer
             .insert(chunk_of(v))
@@ -67,7 +67,7 @@ fn failover_routes_around_full_disk() {
     // share again with no client surgery.
     sim.net.apply(FaultAction::DiskHeal(1));
     let bag2 = sim.cluster.create_bag();
-    let mut writer2 = sim.endpoint(1).client(bag2, seed ^ 9);
+    let mut writer2 = sim.endpoint().client(bag2, seed ^ 9);
     for v in N..N + 30 {
         writer2.insert(chunk_of(v)).expect("insert after disk heal");
     }
@@ -77,14 +77,14 @@ fn failover_routes_around_full_disk() {
     );
 
     sim.seal();
-    let mut reader = sim.client(seed ^ 1, 1);
+    let mut reader = sim.client(seed ^ 1);
     let drained = drain_all(&mut reader).expect("drain");
     let attempted: Vec<u64> = (0..N).collect();
     assert_exactly_once(&attempted, &attempted, &drained);
     assert_eq!(drained.len() as u64, N);
 
     sim.cluster.seal_bag(bag2).expect("seal bag2");
-    let mut reader2 = sim.endpoint(1).client(bag2, seed ^ 2);
+    let mut reader2 = sim.endpoint().client(bag2, seed ^ 2);
     let drained2 = drain_all(&mut reader2).expect("drain bag2");
     let attempted2: Vec<u64> = (N..N + 30).collect();
     assert_exactly_once(&attempted2, &attempted2, &drained2);
@@ -199,7 +199,7 @@ fn poisoned_node_fails_the_drain_instead_of_shortening_it() {
             if inline {
                 StorageEndpoint::inline(sim.cluster.clone()).client(sim.bag, seed)
             } else {
-                sim.client(seed, 1)
+                sim.client(seed)
             }
         };
         let mut writer = client(seed);

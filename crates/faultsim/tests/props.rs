@@ -51,7 +51,7 @@ proptest! {
         let sim = FaultSim::new(3, 1, cfg);
         apply_schedule(&sim, &schedule);
 
-        let mut writer = sim.client(seed, 3);
+        let mut writer = sim.client(seed);
         let mut attempted = Vec::new();
         let mut acked = Vec::new();
         for v in 0..N {
@@ -71,7 +71,7 @@ proptest! {
         }
 
         sim.seal();
-        let mut reader = sim.client(seed ^ 7, 3);
+        let mut reader = sim.client(seed ^ 7);
         let drained = drain_all(&mut reader).unwrap();
         assert_exactly_once(&attempted, &acked, &drained);
     }
@@ -89,7 +89,7 @@ proptest! {
         cfg.dup_per_mille = dup_pm;
         let sim = FaultSim::new(3, 2, cfg);
 
-        let mut writer = sim.client(seed, 1);
+        let mut writer = sim.client(seed);
         for v in 0..N {
             writer.insert(chunk_of(v)).unwrap();
         }
@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(stored, expect, "replicas diverged under duplication");
 
         sim.seal();
-        let mut reader = sim.client(seed ^ 9, 1);
+        let mut reader = sim.client(seed ^ 9);
         let drained = drain_all(&mut reader).unwrap();
         let attempted: Vec<u64> = (0..N).collect();
         assert_exactly_once(&attempted, &attempted, &drained);
@@ -128,13 +128,13 @@ proptest! {
             cfg.dup_per_mille = dup_pm;
             let sim = FaultSim::new(3, 1, cfg);
             apply_schedule(&sim, &schedule);
-            let mut writer = sim.client(seed, 2);
+            let mut writer = sim.client(seed);
             for v in 0..N {
                 let _ = writer.insert(chunk_of(v));
             }
             sim.net.heal_all();
             sim.seal();
-            let mut reader = sim.client(seed ^ 11, 2);
+            let mut reader = sim.client(seed ^ 11);
             let _ = drain_all(&mut reader).unwrap();
             sim.net.trace()
         };
@@ -153,7 +153,7 @@ fn trace_records_wire_faults() {
     cfg.dup_per_mille = 500;
     cfg.timeout = Duration::from_millis(5);
     let sim = FaultSim::new(2, 1, cfg);
-    let mut writer = sim.client(1, 2);
+    let mut writer = sim.client(1);
     for v in 0..30 {
         let _ = writer.insert(chunk_of(v));
     }

@@ -13,12 +13,12 @@ use hurricane_faultsim::scenario::{
 };
 use hurricane_storage::bag::BatchRemoveResult;
 use hurricane_storage::prefetch::Prefetcher;
-use hurricane_storage::rpc::{NodeConnection, ServedKind, StorageRequest};
+use hurricane_storage::rpc::{NodeConnection, ServedKind, StorageRequest, REQUEST_ATTEMPTS};
 use hurricane_storage::{next_run_id, StorageResponse};
 
 /// Crash a storage node mid-replicated-insert-burst — after backups have
 /// started acking but with primary writes still in flight — restart it a
-/// few virtual ms later, and require that client retries carry every
+/// few virtual ms later, and require that retransmissions carry every
 /// insert across the outage with no loss and no double-apply on either
 /// replica.
 #[test]
@@ -38,18 +38,18 @@ fn run_crash_scenario(seed: u64) -> Vec<TraceEvent> {
     let sim = FaultSim::new(3, 2, cfg);
     // The crash window opens mid-burst (the first few dozen inserts have
     // completed their replicated fan-out; more are in flight) and closes
-    // well inside the retry budget of 8 × 10 ms.
+    // well inside a request's 8 attempts × 10 ms.
     sim.net.schedule(2_000, FaultAction::Crash(1));
     sim.net.schedule(30_000, FaultAction::Restart(1));
 
-    let mut writer = sim.client(seed, 8);
+    let mut writer = sim.client(seed);
     let mut attempted = Vec::new();
     let mut acked = Vec::new();
     for v in 0..N {
         attempted.push(v);
         writer
             .insert(chunk_of(v))
-            .unwrap_or_else(|e| panic!("insert {v} failed despite retries: {e:?}"));
+            .unwrap_or_else(|e| panic!("insert {v} failed despite retransmission: {e:?}"));
         acked.push(v);
     }
 
@@ -69,17 +69,20 @@ fn run_crash_scenario(seed: u64) -> Vec<TraceEvent> {
     assert!(dropped > 0, "crash window missed the insert burst");
 
     // Replica convergence: with replication 2 and every insert acked,
-    // both copies of every value exist — a retried envelope that
+    // both copies of every value exist — a retransmitted envelope that
     // double-applied would show up as a third copy here.
     sim.net.heal_all();
     let stored = sim.stored_values();
     let mut expect: Vec<u64> = (0..N).flat_map(|v| [v, v]).collect();
     expect.sort_unstable();
-    assert_eq!(stored, expect, "replicas diverged after crash + retries");
+    assert_eq!(
+        stored, expect,
+        "replicas diverged after crash + retransmission"
+    );
 
     // Exactly-once drain through the protocol as well.
     sim.seal();
-    let mut reader = sim.client(seed ^ 1, 8);
+    let mut reader = sim.client(seed ^ 1);
     let drained = drain_all(&mut reader).expect("drain");
     assert_exactly_once(&attempted, &acked, &drained);
     assert_eq!(drained.len() as u64, N);
@@ -89,7 +92,7 @@ fn run_crash_scenario(seed: u64) -> Vec<TraceEvent> {
 /// Seal a populated bag, partition a node, and let the prefetcher
 /// pipeline run dry on the reachable nodes; heal mid-prefetch and
 /// require the pipeline to recover the partitioned node's chunks via
-/// same-seq resubmission — every chunk delivered exactly once.
+/// same-envelope retransmission — every chunk delivered exactly once.
 #[test]
 fn partition_heals_mid_prefetch() {
     let seed = scenario_seed(0x9A47);
@@ -98,7 +101,7 @@ fn partition_heals_mid_prefetch() {
     cfg.timeout = Duration::from_millis(20);
     let sim = FaultSim::new(3, 1, cfg);
 
-    let mut writer = sim.client(seed, 1);
+    let mut writer = sim.client(seed);
     for v in 0..N {
         writer.insert(chunk_of(v)).expect("populate");
     }
@@ -108,7 +111,7 @@ fn partition_heals_mid_prefetch() {
     // reachable nodes hold 120: consuming 100 keeps the heal genuinely
     // mid-prefetch.
     sim.net.apply(FaultAction::Partition(1));
-    let mut prefetcher = Prefetcher::new(sim.client(seed ^ 2, 1), 4);
+    let mut prefetcher = Prefetcher::new(sim.client(seed ^ 2), 4);
     let mut drained = Vec::new();
     while drained.len() < 100 {
         match prefetcher.recv().expect("prefetch recv") {
@@ -154,7 +157,7 @@ fn duplicated_envelopes_are_suppressed() {
     cfg.dup_per_mille = 1000;
     let sim = FaultSim::new(2, 1, cfg);
 
-    let mut writer = sim.client(seed, 1);
+    let mut writer = sim.client(seed);
     for v in 0..N {
         writer.insert(chunk_of(v)).expect("insert");
     }
@@ -184,24 +187,25 @@ fn duplicated_envelopes_are_suppressed() {
     );
 
     sim.seal();
-    let mut reader = sim.client(seed ^ 3, 1);
+    let mut reader = sim.client(seed ^ 3);
     let drained = drain_all(&mut reader).expect("drain");
     assert_exactly_once(&expect, &expect, &drained);
     assert_eq!(drained.len() as u64, N);
 }
 
-/// Satellite regression: a timed-out request's slot must be unusable by
-/// its late reply. Long link delays force the first request to time out
-/// and its slot to be reused by a second request with a distinguishable
-/// answer; the late first reply must be discarded, not delivered to the
-/// reused slot.
+/// A timed-out request's slot must be unusable by its late replies. Long
+/// link delays make every attempt of the first request time out, so it is
+/// abandoned and its slot reused by a second request with a
+/// distinguishable answer; the late replies to the first must be
+/// discarded, not delivered to the reused slot.
 #[test]
 fn late_reply_cannot_reach_a_reused_slot() {
     let seed = scenario_seed(0x1A7E);
     let mut cfg = SimConfig::reliable(seed);
-    // One-way delay 30 ms against a 20 ms wait: every reply is late.
-    cfg.delay_min_us = 30_000;
-    cfg.delay_max_us = 30_000;
+    // One-way delay 100 ms: a 200 ms round trip against 8 attempts of
+    // 20 ms, so every reply arrives after the last attempt gave up.
+    cfg.delay_min_us = 100_000;
+    cfg.delay_max_us = 100_000;
     let sim = FaultSim::new(1, 1, cfg);
     let node = sim.cluster.node(0);
     let run = [chunk_of(111), chunk_of(222)];
@@ -216,14 +220,18 @@ fn late_reply_cannot_reach_a_reused_slot() {
     };
     let net: &SimNet = &sim.net;
     let mut conn = NodeConnection::new(Box::new(net.transport(0)));
+    conn.set_timeout(Duration::from_millis(20));
     let t1 = conn.submit(take_one.clone()).unwrap();
-    let err = conn.wait(t1, Duration::from_millis(20)).unwrap_err();
+    let err = conn.wait(t1).unwrap_err();
     assert!(matches!(err, hurricane_storage::StorageError::Timeout(_)));
+    let given_up_at = net.now_us();
 
     // The second request reuses the abandoned slot (single-slot slab
-    // reuse is LIFO); its wait spans the delivery of BOTH replies.
+    // reuse is LIFO); one attempt of it spans the delivery of every
+    // reply.
+    conn.set_timeout(Duration::from_millis(300));
     let t2 = conn.submit(take_one).unwrap();
-    let resp = conn.wait(t2, Duration::from_millis(200)).unwrap();
+    let resp = conn.wait(t2).unwrap();
     let StorageResponse::Removed(batch) = resp else {
         panic!("expected chunk reply, got {resp:?}");
     };
@@ -233,15 +241,144 @@ fn late_reply_cannot_reach_a_reused_slot() {
         "late reply for the abandoned request leaked into the reused slot"
     );
 
-    // Both replies really were delivered to the endpoint — the stale one
-    // was discarded by the generation check, not lost by the wire.
-    let delivered = sim
+    // Every reply really was delivered to the endpoint, the first of
+    // them after the abandon — the stale ones were discarded by the
+    // generation check, not lost by the wire.
+    let replies: Vec<u64> = sim
         .net
         .trace()
         .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ReplyDelivered { at_us, .. } => Some(*at_us),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        replies.len(),
+        REQUEST_ATTEMPTS as usize + 1,
+        "test setup no longer delivers every late reply"
+    );
+    assert!(replies[0] > given_up_at, "a reply beat the abandon");
+}
+
+/// The reply to attempt 1 arrives during attempt 2 and completes the
+/// token: a retransmission is the same envelope (same `id`, same `seq`),
+/// so whichever copy's reply lands first answers the request, and the
+/// dedup window replays the copy that reaches the server second.
+#[test]
+fn a_reply_to_an_earlier_attempt_completes_the_token() {
+    let seed = scenario_seed(0xA77E);
+    let mut cfg = SimConfig::reliable(seed);
+    // One-way delay 15 ms against a 20 ms attempt: attempt 1's reply
+    // lands at 30 ms, inside attempt 2 (20–40 ms), whose own reply
+    // cannot land before 50 ms.
+    cfg.delay_min_us = 15_000;
+    cfg.delay_max_us = 15_000;
+    let sim = FaultSim::new(1, 1, cfg);
+    let mut conn = NodeConnection::new(Box::new(sim.net.transport(0)));
+    conn.set_timeout(Duration::from_millis(20));
+    let t0 = sim.net.now_us();
+    let resp = conn
+        .call(StorageRequest::InsertBatch {
+            bag: sim.bag,
+            origin: 0,
+            run: next_run_id(),
+            chunks: vec![chunk_of(7)].into(),
+        })
+        .unwrap();
+    assert_eq!(resp, StorageResponse::Inserted);
+    let done = sim.net.now_us() - t0;
+    assert!(
+        (30_000..40_000).contains(&done),
+        "completed at {done} µs, not inside attempt 2"
+    );
+    assert_eq!(conn.requests_sent(), 2);
+
+    let trace = sim.net.trace();
+    let sends: Vec<u64> = trace
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Send { seq, .. } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sends.len(), 2);
+    assert_eq!(sends[0], sends[1], "a retransmission keeps its seq");
+    let served: Vec<ServedKind> = trace
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Delivered { served, .. } => Some(*served),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(served, [ServedKind::Executed]);
+    let replies = trace
+        .iter()
         .filter(|e| matches!(e, TraceEvent::ReplyDelivered { .. }))
         .count();
-    assert_eq!(delivered, 2, "test setup no longer delivers a late reply");
+    assert_eq!(replies, 1, "only attempt 1's reply can have landed");
+
+    // Attempt 2 still reaches the server: replayed, not re-executed.
+    sim.net.advance(40_000);
+    assert!(sim.net.trace().iter().any(|e| matches!(
+        e,
+        TraceEvent::Delivered {
+            served: ServedKind::Replayed,
+            ..
+        }
+    )));
+    assert_eq!(sim.stored_values(), [7]);
+}
+
+/// Lost `InsertBatch` replies on a lossy link, and a client that sets
+/// nothing but the request timeout: the connection sends each timed-out
+/// insert again under its `(client, seq)`, so every insert is acked and
+/// stored exactly once, and the server's dedup window resolves the
+/// copies whose first execution's reply was lost.
+#[test]
+fn lost_insert_replies_are_resent_without_a_retry_setting() {
+    let seed = scenario_seed(0x10_5E);
+    const N: u64 = 100;
+    let mut cfg = SimConfig::reliable(seed);
+    cfg.timeout = Duration::from_millis(10);
+    cfg.drop_per_mille = 100;
+    let sim = FaultSim::new(2, 1, cfg);
+
+    let mut writer = sim.client(seed);
+    for v in 0..N {
+        writer
+            .insert(chunk_of(v))
+            .unwrap_or_else(|e| panic!("insert {v} failed: {e:?}"));
+    }
+    let trace = sim.net.trace();
+    assert!(
+        trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::ReplyDropped { .. })),
+        "the wire lost no insert reply"
+    );
+    assert!(
+        trace.iter().any(|e| matches!(
+            e,
+            TraceEvent::Delivered {
+                served: ServedKind::Replayed | ServedKind::Suppressed,
+                ..
+            }
+        )),
+        "no retransmission was resolved by the dedup window"
+    );
+
+    sim.net.heal_all();
+    let expect: Vec<u64> = (0..N).collect();
+    assert_eq!(
+        sim.stored_values(),
+        expect,
+        "an insert landed twice or not at all"
+    );
+    sim.seal();
+    let drained = drain_all(&mut sim.client(seed ^ 1)).expect("drain");
+    assert_exactly_once(&expect, &expect, &drained);
+    assert_eq!(drained.len() as u64, N);
 }
 
 /// Elasticity under the endpoint API (paper §3.4): a node joins
@@ -258,7 +395,7 @@ fn membership_churn_add_and_drain_preserve_exactly_once() {
     let cfg = SimConfig::reliable(seed);
     let sim = FaultSim::new(2, 1, cfg);
 
-    let mut writer = sim.client(seed, 2);
+    let mut writer = sim.client(seed);
     for v in 0..BEFORE {
         writer.insert(chunk_of(v)).expect("insert before join");
     }
@@ -297,7 +434,7 @@ fn membership_churn_add_and_drain_preserve_exactly_once() {
     // ...while its stored chunks still serve, so a full drain sees
     // everything exactly once and empties the leaving node.
     sim.seal();
-    let mut reader = sim.client(seed ^ 1, 5);
+    let mut reader = sim.client(seed ^ 1);
     let drained = drain_all(&mut reader).expect("drain");
     let attempted: Vec<u64> = (0..TOTAL).collect();
     assert_exactly_once(&attempted, &attempted, &drained);
@@ -328,7 +465,7 @@ fn mirror_identity_survives_divergent_replica_logs() {
     // ack while the primary write is lost — the insert times out
     // (unacked) but one replica keeps the value: divergent logs.
     sim.net.schedule(1_000, FaultAction::Partition(1));
-    let mut writer = sim.client(seed, 2);
+    let mut writer = sim.client(seed);
     let mut attempted = Vec::new();
     let mut acked = Vec::new();
     for v in 0..N / 2 {
@@ -363,7 +500,7 @@ fn mirror_identity_survives_divergent_replica_logs() {
     // Phase 3: consume half the bag. Every remove mirrors the consumed
     // identities to the surviving replicas.
     sim.seal();
-    let mut reader = sim.client(seed ^ 1, 3);
+    let mut reader = sim.client(seed ^ 1);
     let mut drained = Vec::new();
     while drained.len() < (N as usize) / 2 {
         match reader.try_remove_batch(4).expect("remove") {
@@ -385,7 +522,7 @@ fn mirror_identity_survives_divergent_replica_logs() {
 /// — the insert times out unacked while the only live copy sits in the
 /// crashed node's segment logs — must never lose an acknowledged value
 /// nor duplicate any value across restart recovery. The crash instant
-/// and victim vary per seed; the window outlasts the retry budget, so
+/// and victim vary per seed; the window outlasts a request's attempts, so
 /// some inserts genuinely fail with their surviving copy marooned on a
 /// node that has to recover it from its logs (and a replica whose
 /// recovered log is shorter than its peer's must not mask that copy at
@@ -404,16 +541,16 @@ fn run_restart_recovery_run(seed: u64) {
     cfg.timeout = Duration::from_millis(5);
     let sim = FaultSim::new(3, 2, cfg);
 
-    // The crash opens mid-burst and the restart lands beyond the retry
-    // budget (2 × 5 ms), so inserts racing the window can ack on the
+    // The crash opens mid-burst and the restart lands beyond a request's
+    // attempts (8 × 5 ms), so inserts racing the window can ack on the
     // backup yet time out overall.
     let mut rng = DetRng::new(seed).fork(0x57);
     let victim = rng.gen_range(3) as usize;
     let at = rng.gen_range_in(500, 5_000);
     sim.net.schedule(at, FaultAction::Crash(victim));
-    sim.net.schedule(at + 30_000, FaultAction::Restart(victim));
+    sim.net.schedule(at + 60_000, FaultAction::Restart(victim));
 
-    let mut writer = sim.client(seed, 2);
+    let mut writer = sim.client(seed);
     let mut attempted = Vec::new();
     let mut acked = Vec::new();
     for v in 0..N {
@@ -427,7 +564,7 @@ fn run_restart_recovery_run(seed: u64) {
     sim.net.heal_all();
 
     // Recovery must not manufacture copies: nothing may be stored more
-    // than `replication` times, however the retries interleaved with the
+    // than `replication` times, however the retransmissions interleaved with the
     // crash.
     let stored = sim.stored_values();
     stored.windows(3).for_each(|w| {
@@ -441,7 +578,7 @@ fn run_restart_recovery_run(seed: u64) {
     // And the drain sees every acknowledged value exactly once — even
     // ones whose only pre-restart copy lived on the crashed node.
     sim.seal();
-    let mut reader = sim.client(seed ^ 7, 3);
+    let mut reader = sim.client(seed ^ 7);
     let drained = drain_all(&mut reader).expect("drain after restart");
     assert_exactly_once(&attempted, &acked, &drained);
 }
@@ -483,7 +620,7 @@ fn run_random_fault_run(seed: u64) {
         sim.net.schedule(at, action);
     }
 
-    let mut writer = sim.client(seed, 3);
+    let mut writer = sim.client(seed);
     let mut attempted = Vec::new();
     let mut acked = Vec::new();
     for v in 0..N {
@@ -503,7 +640,7 @@ fn run_random_fault_run(seed: u64) {
     });
 
     sim.seal();
-    let mut reader = sim.client(seed ^ 5, 3);
+    let mut reader = sim.client(seed ^ 5);
     let drained = drain_all(&mut reader).expect("drain");
     assert_exactly_once(&attempted, &acked, &drained);
 }

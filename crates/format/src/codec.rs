@@ -68,18 +68,15 @@ impl std::error::Error for CodecError {}
 ///
 /// Implementations must satisfy the roundtrip law: for every value `v`,
 /// decoding the bytes produced by `encode` yields a value equal to `v` and
-/// consumes exactly `encoded_len()` bytes. The chunk writer relies on
-/// `encoded_len` to enforce the never-cross-a-chunk-boundary invariant
-/// without double-encoding.
+/// consumes exactly those bytes. The chunk writer encodes a record
+/// straight into its chunk buffer and measures what was appended, so no
+/// record is sized before it is written.
 pub trait Record: Sized {
     /// Appends this record's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
     /// Decodes one record from the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError>;
-
-    /// Returns the exact number of bytes `encode` will append.
-    fn encoded_len(&self) -> usize;
 
     /// How many varints a record's encoding is when it is nothing else:
     /// one for the varint integers, the sum of the fields for a tuple of
@@ -129,10 +126,6 @@ impl Record for u8 {
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(take(input, 1)?[0])
     }
-
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 macro_rules! varint_record {
@@ -147,10 +140,6 @@ macro_rules! varint_record {
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
                 let v = varint::decode(input)?;
                 <$ty>::try_from(v).map_err(|_| CodecError::InvalidVarint)
-            }
-
-            fn encoded_len(&self) -> usize {
-                varint::encoded_len(*self as u64)
             }
 
             const VARINTS: usize = 1;
@@ -182,10 +171,6 @@ macro_rules! zigzag_record {
                 <$ty>::try_from(v).map_err(|_| CodecError::InvalidVarint)
             }
 
-            fn encoded_len(&self) -> usize {
-                varint::encoded_len(zigzag(*self as i64))
-            }
-
             const VARINTS: usize = 1;
 
             #[inline]
@@ -210,10 +195,6 @@ impl Record for f32 {
         let b = take(input, 4)?;
         Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
-
-    fn encoded_len(&self) -> usize {
-        4
-    }
 }
 
 impl Record for f64 {
@@ -228,10 +209,6 @@ impl Record for f64 {
         arr.copy_from_slice(b);
         Ok(f64::from_le_bytes(arr))
     }
-
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
 impl Record for bool {
@@ -245,10 +222,6 @@ impl Record for bool {
             1 => Ok(true),
             t => Err(CodecError::InvalidTag(t)),
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -265,10 +238,6 @@ impl Record for String {
         }
         let bytes = take(input, len as usize)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint::encoded_len(self.len() as u64) + self.len()
     }
 }
 
@@ -295,10 +264,6 @@ impl Record for Blob {
             return Err(CodecError::Truncated);
         }
         Ok(Blob(take(input, len as usize)?.to_vec()))
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint::encoded_len(self.0.len() as u64) + self.0.len()
     }
 }
 
@@ -338,10 +303,6 @@ macro_rules! fixed_le_record {
                 arr.copy_from_slice(b);
                 Ok(Self(<$inner>::from_le_bytes(arr)))
             }
-
-            fn encoded_len(&self) -> usize {
-                $bytes
-            }
         }
     };
 }
@@ -379,10 +340,6 @@ impl<T: Record> Record for Option<T> {
             t => Err(CodecError::InvalidTag(t)),
         }
     }
-
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Record::encoded_len)
-    }
 }
 
 impl<T: Record> Record for Vec<T> {
@@ -406,10 +363,6 @@ impl<T: Record> Record for Vec<T> {
         }
         Ok(items)
     }
-
-    fn encoded_len(&self) -> usize {
-        varint::encoded_len(self.len() as u64) + self.iter().map(Record::encoded_len).sum::<usize>()
-    }
 }
 
 macro_rules! tuple_record {
@@ -423,10 +376,6 @@ macro_rules! tuple_record {
             #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
                 Ok(($($name::decode(input)?,)+))
-            }
-
-            fn encoded_len(&self) -> usize {
-                0 $(+ self.$idx.encoded_len())+
             }
 
             // Fields concatenate with no framing, so a tuple of varint
@@ -458,20 +407,21 @@ impl Record for () {
     fn decode(_input: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(())
     }
-
-    fn encoded_len(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn encoded<T: Record>(v: T) -> Vec<u8> {
+        let mut buf = Vec::new();
+        v.encode(&mut buf);
+        buf
+    }
+
     fn roundtrip<T: Record + PartialEq + fmt::Debug>(v: T) {
         let mut buf = Vec::new();
         v.encode(&mut buf);
-        assert_eq!(buf.len(), v.encoded_len(), "encoded_len law for {v:?}");
         let mut slice = buf.as_slice();
         let back = T::decode(&mut slice).unwrap();
         assert_eq!(back, v);
@@ -545,10 +495,10 @@ mod tests {
         roundtrip(FixedU64(0));
         roundtrip(FixedU64(u64::MAX));
         // Unlike varints, width never depends on the value.
-        assert_eq!(FixedU32(0).encoded_len(), 4);
-        assert_eq!(FixedU32(u32::MAX).encoded_len(), 4);
-        assert_eq!(FixedU64(1).encoded_len(), 8);
-        assert_eq!(FixedU64(u64::MAX).encoded_len(), 8);
+        assert_eq!(encoded(FixedU32(0)).len(), 4);
+        assert_eq!(encoded(FixedU32(u32::MAX)).len(), 4);
+        assert_eq!(encoded(FixedU64(1)).len(), 8);
+        assert_eq!(encoded(FixedU64(u64::MAX)).len(), 8);
         roundtrip((FixedU32(7), FixedU64(1 << 60)));
         roundtrip(vec![FixedU64(3), FixedU64(u64::MAX), FixedU64(0)]);
         assert_eq!(FixedU64::from(9u64), FixedU64(9));
@@ -569,9 +519,9 @@ mod tests {
 
     #[test]
     fn small_ints_encode_small() {
-        assert_eq!(7u64.encoded_len(), 1);
-        assert_eq!((-3i64).encoded_len(), 1);
-        assert_eq!(300u64.encoded_len(), 2);
+        assert_eq!(encoded(7u64).len(), 1);
+        assert_eq!(encoded(-3i64).len(), 1);
+        assert_eq!(encoded(300u64).len(), 2);
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl<T: Record> ChunkWriter<T> {
     /// one.
     ///
     /// Encoding is single-pass: the record is serialized directly into the
-    /// chunk buffer (no `encoded_len` pre-measurement traversal). If that
+    /// chunk buffer (no pre-measurement traversal). If that
     /// overflows the capacity, the freshly written bytes are moved into
     /// the next chunk's buffer and the previous contents are sealed.
     ///

@@ -631,9 +631,6 @@ mod tests {
             fn decode(_: &mut &[u8]) -> Result<Self, CodecError> {
                 Ok(Liar)
             }
-            fn encoded_len(&self) -> usize {
-                1
-            }
             const VARINTS: usize = 1;
             fn varints(&self) -> impl Iterator<Item = u64> {
                 [1, u64::MAX, u64::MAX].into_iter()

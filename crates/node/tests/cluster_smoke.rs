@@ -12,7 +12,7 @@
 use hurricane_common::{BagId, StorageNodeId};
 use hurricane_format::Chunk;
 use hurricane_storage::bag::BatchRemoveResult;
-use hurricane_storage::rpc::{RequestEnvelope, RetryPolicy, StorageRequest, StorageResponse};
+use hurricane_storage::rpc::{RequestEnvelope, StorageRequest, StorageResponse};
 use hurricane_storage::{ClusterConfig, RpcPort, StorageEndpoint, TcpTransport, Transport};
 use hurricane_workloads::clicklog::{region_of, ClickLogGen, ClickLogSpec};
 use std::collections::{BTreeMap, BTreeSet};
@@ -164,11 +164,7 @@ fn three_process_clicklog_survives_kill_restart_and_join() {
     }
 
     let endpoint = StorageEndpoint::tcp(addrs.clone(), ClusterConfig { replication: 2 })
-        .with_request_timeout(Duration::from_secs(2))
-        .with_retry_policy(RetryPolicy {
-            attempts: 3,
-            backoff: Duration::from_millis(10),
-        });
+        .with_request_timeout(Duration::from_secs(2));
     let bag = endpoint.cluster().create_bag();
     let mut writer = endpoint.client(bag, 1);
 

@@ -21,9 +21,11 @@
 //! [`StorageCluster::add_node`], `channel` once [`StorageEndpoint::sync`]
 //! has started the new node's server).
 //!
-//! Two knobs, each a consuming builder method to set before sharing the
-//! endpoint: [`StorageEndpoint::with_request_timeout`] and
-//! [`StorageEndpoint::with_retry_policy`]. A client sets its own
+//! One knob, the request timeout, set with the consuming builder method
+//! [`StorageEndpoint::with_request_timeout`] before sharing the endpoint:
+//! every connection of a minted port retransmits a request whose reply
+//! is later than that, up to [`crate::rpc::REQUEST_ATTEMPTS`] attempts
+//! (see [`crate::rpc::NodeConnection`]). A client sets its own
 //! coalescing window ([`BagClient::with_coalescing`]). Writer credit
 //! defaults to [`crate::rpc::DEFAULT_WRITER_CREDIT`];
 //! [`RpcPort::set_writer_credit`] and [`BagClient::set_writer_credit`]
@@ -31,14 +33,13 @@
 //! servers' dispatch pool is a constant of [`crate::rpc`].
 //!
 //! ```
-//! use hurricane_storage::{ClusterConfig, RetryPolicy, StorageCluster, StorageEndpoint};
+//! use hurricane_storage::{ClusterConfig, StorageCluster, StorageEndpoint};
 //! use std::time::Duration;
 //!
 //! let cluster = StorageCluster::new(4, ClusterConfig::default());
 //! let bag = cluster.create_bag();
 //! let endpoint = StorageEndpoint::channel(cluster)
-//!     .with_request_timeout(Duration::from_secs(5))
-//!     .with_retry_policy(RetryPolicy::with_attempts(3));
+//!     .with_request_timeout(Duration::from_secs(5));
 //! let mut client = endpoint.client(bag, 7);
 //! client.insert(hurricane_format::Chunk::from_vec(vec![1, 2, 3])).unwrap();
 //! endpoint.shutdown();
@@ -47,9 +48,7 @@
 use crate::bag::BagClient;
 use crate::cluster::{ClusterConfig, StorageCluster};
 use crate::membership::Membership;
-use crate::rpc::{
-    RetryPolicy, RpcPort, StorageRpc, DEFAULT_DISPATCH_THREADS, DEFAULT_REQUEST_TIMEOUT,
-};
+use crate::rpc::{RpcPort, StorageRpc, DEFAULT_DISPATCH_THREADS, DEFAULT_REQUEST_TIMEOUT};
 use crate::tcp::{JoinServer, TcpConnector};
 use hurricane_common::{BagId, StorageNodeId};
 use parking_lot::Mutex;
@@ -78,12 +77,11 @@ enum Plane {
     },
 }
 
-/// The one way to reach bag storage: a plane plus shared client knobs.
+/// The one way to reach bag storage: a plane plus the request timeout.
 /// See the [module docs](self) for the plane table.
 pub struct StorageEndpoint {
     plane: Plane,
     timeout: Duration,
-    retry: RetryPolicy,
 }
 
 impl StorageEndpoint {
@@ -91,7 +89,6 @@ impl StorageEndpoint {
         Self {
             plane,
             timeout: DEFAULT_REQUEST_TIMEOUT,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -163,16 +160,12 @@ impl StorageEndpoint {
 
     // -- knobs ------------------------------------------------------------
 
-    /// Per-request reply timeout (default 10 s). Never reached on the
-    /// inline plane, where a request is answered before `send` returns.
+    /// Per-attempt reply timeout (default 10 s): a request whose reply is
+    /// later is sent again, and one whose every attempt timed out fails
+    /// with `Timeout`. Never reached on the inline plane, where a request
+    /// is answered before `send` returns.
     pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Full retry policy for timed-out requests (default: fail fast).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -201,12 +194,9 @@ impl StorageEndpoint {
     }
 
     /// Opens a fresh data-plane port: one private connection to every
-    /// current member, with the shared knobs applied.
+    /// current member, at the endpoint's request timeout.
     pub fn port(&self) -> RpcPort {
-        let mut port =
-            RpcPort::from_membership(self.cluster().clone(), self.membership(), self.timeout);
-        port.set_retry_policy(self.retry);
-        port
+        RpcPort::from_membership(self.cluster().clone(), self.membership(), self.timeout)
     }
 
     /// Opens a bag client for `bag`. Give each client a distinct `seed`
@@ -334,7 +324,7 @@ mod tests {
     fn every_in_process_plane_roundtrips() {
         for make in IN_PROCESS_PLANES {
             let cluster = StorageCluster::new(3, ClusterConfig::default());
-            let endpoint = make(cluster).with_retry_policy(RetryPolicy::with_attempts(2));
+            let endpoint = make(cluster);
             roundtrip(&endpoint, 40);
             endpoint.shutdown();
         }

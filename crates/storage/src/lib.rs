@@ -77,8 +77,8 @@ pub use error::StorageError;
 pub use membership::{Connect, Member, Membership, OnceConnect};
 pub use node::{next_run_id, BagSample, NodeRemoveBatch, StorageNode, TagSegment};
 pub use rpc::{
-    ChunkRun, PortStats, ReplyEnvelope, RequestEnvelope, RetryPolicy, RpcPort, ServedKind,
-    ServerDedup, StorageRequest, StorageResponse, StorageRpc, Transport,
+    ChunkRun, PortStats, ReplyEnvelope, RequestEnvelope, RpcPort, ServedKind, ServerDedup,
+    StorageRequest, StorageResponse, StorageRpc, Transport,
 };
 pub use segment::{SegmentLog, SegmentStore};
 pub use tcp::{join_cluster, JoinServer, TcpConnector, TcpNodeServer, TcpTransport};

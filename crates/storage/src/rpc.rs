@@ -44,6 +44,10 @@
 //! * [`NodeConnection`] — the client-side correlation layer: assigns ids,
 //!   parks out-of-order replies, and exposes completion *tokens*
 //!   ([`CompletionToken`]) so callers can submit now and collect later.
+//!   It owns retransmission, with one knob, the request timeout: a token
+//!   whose attempt sees no reply in time sends the same envelope again,
+//!   up to [`REQUEST_ATTEMPTS`], and then fails with
+//!   [`StorageError::Timeout`].
 //! * [`RpcPort`] — a per-owner set of connections (one per node) plus the
 //!   cluster metadata handle; implements the cluster-level data plane
 //!   (replica fan-out with backups-first ordering, failover, pointer
@@ -102,6 +106,8 @@
 //!  │ WRITER CREDIT: submit blocks (pumping replies) once            │
 //!  │ `credit` requests are on the wire unanswered — a stalled node  │
 //!  │ bounds the lane instead of accumulating unbounded queue.       │
+//!  │ RETRANSMISSION: each pending slot keeps its request; a late    │
+//!  │ reply re-sends the same envelope (same id, same seq).          │
 //!  └────────┬───────────────────────────────────────────────────────┘
 //!           ▼
 //!       Transport (channel / inline / socket)
@@ -337,9 +343,10 @@ pub enum StorageResponse {
 /// A request tagged with its client-assigned correlation id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestEnvelope {
-    /// Correlation id, unique per connection *attempt*: a retransmission
-    /// of the same logical request carries a fresh id (the reply routes to
-    /// the retry's completion slot, not the abandoned one).
+    /// Correlation id: one per logical request on its connection (a
+    /// slab slot and that slot's generation). A retransmission sends the
+    /// same envelope again, this id included, so the reply to any copy
+    /// completes the request.
     pub id: u64,
     /// Process-unique client identity, assigned per [`NodeConnection`] —
     /// the namespace of the server's dedup window.
@@ -401,9 +408,9 @@ pub fn dispatch(
 }
 
 /// Completed dedup entries retained per client. Retransmissions arrive
-/// within `attempts × timeout` of the original, during which a healthy
-/// client completes far fewer than this many later requests (writer
-/// credit bounds it at [`DEFAULT_WRITER_CREDIT`] in flight).
+/// within [`REQUEST_ATTEMPTS`] × timeout of the original, during which a
+/// healthy client completes far fewer than this many later requests
+/// (writer credit bounds it at [`DEFAULT_WRITER_CREDIT`] in flight).
 const DEDUP_WINDOW: usize = 256;
 
 /// Client windows retained per node server before the least recently
@@ -421,7 +428,7 @@ pub enum Served {
     Replayed(Result<StorageResponse, StorageError>),
     /// A duplicate racing the original's in-progress execution (another
     /// dispatch thread holds it): drop the envelope without replying — the
-    /// client's retry machinery will ask again and hit the replay path.
+    /// client retransmits after its timeout and hits the replay path.
     Suppressed,
 }
 
@@ -449,14 +456,14 @@ struct ClientWindow {
 /// bounded per-client window of `(seq → outcome)` entries.
 ///
 /// The client reuses one sequence number across every retransmission of a
-/// logical request (see [`NodeConnection::resubmit`]), so whichever copy
+/// logical request (see [`NodeConnection`]), so whichever copy
 /// arrives first executes and every later copy is answered from the
 /// window ([`Served::Replayed`]) or dropped while the first is still
 /// running ([`Served::Suppressed`]). This is what makes a timed-out
-/// `InsertBatch` safe to retry — a duplicated or retried envelope can
-/// never double-insert — and what lets the prefetcher resubmit a lost
-/// `RemoveBatch` without losing the chunks the original may have consumed
-/// (the recorded reply carries them).
+/// `InsertBatch` safe to send again — a duplicated or retransmitted
+/// envelope can never double-insert — and what lets a lost `RemoveBatch`
+/// be sent again without losing the chunks the original may have
+/// consumed (the recorded reply carries them).
 ///
 /// The window is part of the node's durable state in the same sense as
 /// its chunk logs: a simulated crash/restart ([`StorageNode::fail`] /
@@ -801,10 +808,27 @@ enum SlotState {
     /// Free for reuse.
     Vacant,
     /// Request on the wire, no reply yet.
-    Pending,
+    Pending(Sent),
     /// Reply parked, waiting for its token to claim it.
     Ready(Result<StorageResponse, StorageError>),
 }
+
+/// What a pending slot put on the wire: everything a retransmission
+/// sends again.
+#[derive(Debug)]
+struct Sent {
+    request: StorageRequest,
+    seq: u64,
+    /// When the current attempt went on the wire.
+    at: Instant,
+    /// Attempts made so far, `1..=REQUEST_ATTEMPTS`.
+    attempt: u32,
+}
+
+/// How many times a request goes on the wire before its token gives up
+/// with [`StorageError::Timeout`]: the first send and seven
+/// retransmissions, each after one request timeout without a reply.
+pub const REQUEST_ATTEMPTS: u32 = 8;
 
 /// How long one pump slice lasts while a submit waits for writer credit.
 const CREDIT_PUMP_SLICE: Duration = Duration::from_micros(200);
@@ -812,45 +836,6 @@ const CREDIT_PUMP_SLICE: Duration = Duration::from_micros(200);
 /// Mints process-unique client identities for [`NodeConnection`]s — the
 /// namespace of server-side dedup windows.
 static NEXT_CLIENT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-/// Bounded-retry policy for timed-out requests.
-///
-/// A timed-out request's outcome is unknown; blind resubmission as a *new*
-/// request could double-insert or lose removed chunks. The retry machinery
-/// instead retransmits the **same sequence number** ([`NodeConnection::resubmit`]),
-/// which the server's dedup window ([`ServerDedup`]) resolves to at most
-/// one execution — the retransmission either executes (original was lost)
-/// or replays the recorded outcome (reply was lost). The default policy is
-/// one attempt, i.e. retries off, preserving fail-fast semantics for
-/// callers that handle timeouts themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per request, including the first; `1` disables
-    /// retries.
-    pub attempts: u32,
-    /// Backoff slept before the first retransmission, doubling per retry.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            attempts: 1,
-            backoff: Duration::from_millis(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy making `attempts` total attempts with the default backoff.
-    /// `attempts` is clamped to at least 1.
-    pub fn with_attempts(attempts: u32) -> Self {
-        Self {
-            attempts: attempts.max(1),
-            ..Self::default()
-        }
-    }
-}
 
 /// The correlation layer over one [`Transport`], built on a **slab** of
 /// reusable token slots instead of per-request map entries: a steady
@@ -860,30 +845,42 @@ impl RetryPolicy {
 /// wire unanswered, [`NodeConnection::submit`] becomes a blocking acquire
 /// (pumping replies while it waits) instead of growing the lane — the
 /// flow-control bound a stalled node is held to.
+///
+/// The connection owns retransmission. A pending slot keeps the request
+/// it sent, and redeeming its token ([`NodeConnection::wait`] or
+/// [`NodeConnection::try_poll`]) applies one rule: an attempt that sees
+/// no reply within the connection's timeout sends the **same envelope**
+/// again — same `id`, same `seq` — up to [`REQUEST_ATTEMPTS`] in all,
+/// after which the slot is abandoned and the call returns
+/// [`StorageError::Timeout`]. The server's dedup window ([`ServerDedup`])
+/// resolves the copies to at most one execution, and whichever copy's
+/// reply arrives first completes the token, because a reply is parked
+/// only in a pending slot of the same generation. Retransmissions go to
+/// the same node by construction — rerouting a timed-out non-idempotent
+/// request elsewhere would escape its dedup window.
 pub struct NodeConnection {
     transport: Box<dyn Transport>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Tokens minted but not yet redeemed or abandoned.
     unredeemed: usize,
-    /// Requests sent whose replies have not been received (what the
-    /// server-side lane can be holding); the quantity credit bounds.
+    /// Pending slots: requests sent whose replies have not been
+    /// received (what the server-side lane can be holding); the quantity
+    /// credit bounds. A retransmission does not add to it.
     on_wire: usize,
     credit: usize,
-    /// How long a credit acquire may block before surfacing `Timeout`.
-    /// Ports align this with their request timeout.
-    credit_timeout: Duration,
-    /// Total requests ever sent — the envelope counter the coalescing
-    /// benchmarks and tests read.
+    /// How long one attempt waits for its reply, and how long a credit
+    /// acquire may block before surfacing `Timeout`.
+    timeout: Duration,
+    /// Total envelopes ever sent, retransmissions included — the counter
+    /// the coalescing benchmarks and tests read.
     requests_sent: u64,
     /// Process-unique identity carried in every envelope: the namespace
     /// of the server's dedup window.
     client_id: u64,
     /// Next request sequence number. Allocated once per logical request
-    /// and reused by every retransmission of it.
+    /// and carried by every retransmission of it.
     next_seq: u64,
-    /// Timed-out request retry policy (off by default).
-    retry: RetryPolicy,
 }
 
 impl NodeConnection {
@@ -909,11 +906,10 @@ impl NodeConnection {
             unredeemed: 0,
             on_wire: 0,
             credit,
-            credit_timeout: DEFAULT_REQUEST_TIMEOUT,
+            timeout: DEFAULT_REQUEST_TIMEOUT,
             requests_sent: 0,
             client_id: NEXT_CLIENT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             next_seq: 0,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -942,28 +938,30 @@ impl NodeConnection {
         self.credit = credit;
     }
 
-    /// Bounds how long a credit acquire may block before surfacing
-    /// [`StorageError::Timeout`]. Ports align this with their request
-    /// timeout so flow control never fails faster than a wait would.
-    pub fn set_credit_timeout(&mut self, timeout: Duration) {
-        self.credit_timeout = timeout;
+    /// Sets the request timeout (default [`DEFAULT_REQUEST_TIMEOUT`]):
+    /// how long each attempt of a request waits for its reply before the
+    /// envelope is sent again, and how long a credit acquire may block
+    /// before surfacing [`StorageError::Timeout`].
+    pub fn set_timeout(&mut self, timeout: Duration) {
+        self.timeout = timeout;
     }
 
-    /// Total requests ever sent on this connection.
+    /// Total envelopes ever sent on this connection, retransmissions
+    /// included.
     pub fn requests_sent(&self) -> u64 {
         self.requests_sent
     }
 
     /// Blocks until the on-wire count drops below the credit, pumping
     /// replies while waiting. A node that answers nothing within the
-    /// credit timeout surfaces as [`StorageError::Timeout`] — the
-    /// backpressure contract: a stalled node blocks (then fails) the
-    /// writer instead of accumulating unbounded lane queue.
+    /// timeout surfaces as [`StorageError::Timeout`] — the backpressure
+    /// contract: a stalled node blocks (then fails) the writer instead
+    /// of accumulating unbounded lane queue.
     fn acquire_credit(&mut self) -> Result<(), StorageError> {
         if self.on_wire < self.credit {
             return Ok(());
         }
-        let deadline = Instant::now() + self.credit_timeout;
+        let deadline = Instant::now() + self.timeout;
         while self.on_wire >= self.credit {
             let now = Instant::now();
             if now >= deadline {
@@ -979,64 +977,14 @@ impl NodeConnection {
         Ok(())
     }
 
-    /// Sets the timed-out request retry policy applied by
-    /// [`NodeConnection::call`] and [`NodeConnection::wait_retrying`].
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
     /// Sends `request` without waiting, returning its completion token.
     /// Blocks first if the writer credit is exhausted (see
-    /// [`NodeConnection::with_credit`]).
+    /// [`NodeConnection::with_credit`]). The slot keeps the request, so
+    /// the token's redemption can send it again.
     pub fn submit(&mut self, request: StorageRequest) -> Result<CompletionToken, StorageError> {
-        self.submit_tracked(request).map(|(t, _)| t)
-    }
-
-    /// [`NodeConnection::submit`] also returning the request's sequence
-    /// number — what a caller needs to later [`NodeConnection::resubmit`]
-    /// the same logical request after a timeout.
-    pub fn submit_tracked(
-        &mut self,
-        request: StorageRequest,
-    ) -> Result<(CompletionToken, u64), StorageError> {
+        self.acquire_credit()?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.send_attempt(request, seq).map(|t| (t, seq))
-    }
-
-    /// Retransmits a logical request under its original sequence number,
-    /// minting a fresh completion token (and correlation id). The server's
-    /// dedup window guarantees at most one execution across the original
-    /// and every retransmission of a non-idempotent request — which is the
-    /// only thing that makes retrying a timed-out insert or remove safe.
-    ///
-    /// The original token must be abandoned (by a timed-out
-    /// [`NodeConnection::wait`] or an explicit [`NodeConnection::cancel`])
-    /// before resubmitting, or the slot accounting double-counts the
-    /// request.
-    pub fn resubmit(
-        &mut self,
-        request: StorageRequest,
-        seq: u64,
-    ) -> Result<CompletionToken, StorageError> {
-        self.send_attempt(request, seq)
-    }
-
-    /// Gives up on an in-flight request: frees its slot (bumping the
-    /// generation so a late reply dies on the mismatch) and returns its
-    /// writer credit. The request's outcome at the server stays unknown.
-    pub fn cancel(&mut self, token: CompletionToken) {
-        self.abandon(token.id);
-    }
-
-    /// One wire attempt of a logical request: allocates a slot, stamps the
-    /// envelope with `(client, seq)`, and sends.
-    fn send_attempt(
-        &mut self,
-        request: StorageRequest,
-        seq: u64,
-    ) -> Result<CompletionToken, StorageError> {
-        self.acquire_credit()?;
         let idx = match self.free.pop() {
             Some(i) => i,
             None => {
@@ -1050,18 +998,16 @@ impl NodeConnection {
         let slot = &mut self.slots[idx as usize];
         slot.generation = slot.generation.wrapping_add(1);
         let id = u64::from(idx) | (u64::from(slot.generation) << 32);
-        slot.state = SlotState::Pending;
-        let env = RequestEnvelope {
-            id,
-            client: self.client_id,
-            seq,
+        slot.state = SlotState::Pending(Sent {
             request,
-        };
-        match self.transport.send(env) {
+            seq,
+            at: Instant::now(),
+            attempt: 1,
+        });
+        match self.send(id) {
             Ok(()) => {
                 self.unredeemed += 1;
                 self.on_wire += 1;
-                self.requests_sent += 1;
                 Ok(CompletionToken { id })
             }
             Err(e) => {
@@ -1072,33 +1018,61 @@ impl NodeConnection {
         }
     }
 
+    /// Puts pending slot `id`'s envelope on the wire: its `id`, the
+    /// connection's client identity, its `seq` and a copy of its request.
+    fn send(&mut self, id: u64) -> Result<(), StorageError> {
+        let Some(Slot {
+            state: SlotState::Pending(sent),
+            ..
+        }) = self.slots.get((id & u64::from(u32::MAX)) as usize)
+        else {
+            unreachable!("only a pending slot is sent");
+        };
+        self.transport.send(RequestEnvelope {
+            id,
+            client: self.client_id,
+            seq: sent.seq,
+            request: sent.request.clone(),
+        })?;
+        self.requests_sent += 1;
+        Ok(())
+    }
+
+    /// The slot `id` names, if its generation still matches.
+    fn slot_mut(&mut self, id: u64) -> Option<&mut Slot> {
+        let generation = (id >> 32) as u32;
+        self.slots
+            .get_mut((id & u64::from(u32::MAX)) as usize)
+            .filter(|slot| slot.generation == generation)
+    }
+
+    /// Parks `reply` in its slot if that slot is still pending under the
+    /// reply's generation. Anything else — the reply to an abandoned or
+    /// reused slot, or a second copy's reply after the first completed
+    /// the request — is dropped.
     fn park(&mut self, reply: ReplyEnvelope) {
-        let idx = (reply.id & u64::from(u32::MAX)) as usize;
-        let generation = (reply.id >> 32) as u32;
-        match self.slots.get_mut(idx) {
-            Some(slot)
-                if slot.generation == generation && matches!(slot.state, SlotState::Pending) =>
-            {
+        if let Some(slot) = self.slot_mut(reply.id) {
+            if matches!(slot.state, SlotState::Pending(_)) {
                 slot.state = SlotState::Ready(reply.result);
                 self.on_wire -= 1;
             }
-            // Stale reply to an abandoned (or never-issued) request: the
-            // generation no longer matches; drop it.
-            _ => {}
         }
     }
 
+    /// Parks every reply already received, then claims `id`'s if it is
+    /// there.
     fn claim(&mut self, id: u64) -> Option<Result<StorageResponse, StorageError>> {
-        let idx = (id & u64::from(u32::MAX)) as usize;
-        let generation = (id >> 32) as u32;
-        let slot = self.slots.get_mut(idx)?;
-        if slot.generation != generation || !matches!(slot.state, SlotState::Ready(_)) {
+        while let Some(reply) = self.transport.try_recv() {
+            self.park(reply);
+        }
+        let slot = self.slot_mut(id)?;
+        if !matches!(slot.state, SlotState::Ready(_)) {
             return None;
         }
         let SlotState::Ready(result) = std::mem::replace(&mut slot.state, SlotState::Vacant) else {
             unreachable!("checked Ready above");
         };
-        self.free.push(idx as u32);
+        self.free.push((id & u64::from(u32::MAX)) as u32);
         self.unredeemed -= 1;
         Some(result)
     }
@@ -1106,80 +1080,94 @@ impl NodeConnection {
     /// Gives up on `id`: frees its slot (bumping the generation so a late
     /// reply dies on the mismatch) and returns its credit.
     fn abandon(&mut self, id: u64) {
-        let idx = (id & u64::from(u32::MAX)) as usize;
-        let generation = (id >> 32) as u32;
-        let Some(slot) = self.slots.get_mut(idx) else {
+        let Some(slot) = self.slot_mut(id) else {
             return;
         };
-        if slot.generation != generation {
-            return;
-        }
-        match std::mem::replace(&mut slot.state, SlotState::Vacant) {
-            SlotState::Pending => {
-                slot.generation = slot.generation.wrapping_add(1);
-                self.unredeemed -= 1;
-                self.on_wire -= 1;
-                self.free.push(idx as u32);
-            }
-            SlotState::Ready(_) => {
-                self.unredeemed -= 1;
-                self.free.push(idx as u32);
-            }
-            SlotState::Vacant => {}
+        if matches!(slot.state, SlotState::Pending(_)) {
+            slot.state = SlotState::Vacant;
+            slot.generation = slot.generation.wrapping_add(1);
+            self.unredeemed -= 1;
+            self.on_wire -= 1;
+            self.free.push((id & u64::from(u32::MAX)) as u32);
         }
     }
 
+    /// What is left of the current attempt of pending `id`; zero for a
+    /// token that names no pending slot.
+    fn remaining(&mut self, id: u64) -> Duration {
+        let timeout = self.timeout;
+        match self.slot_mut(id) {
+            Some(Slot {
+                state: SlotState::Pending(sent),
+                ..
+            }) => timeout.saturating_sub(sent.at.elapsed()),
+            _ => Duration::ZERO,
+        }
+    }
+
+    /// The current attempt of `id` saw no reply in time: sends the same
+    /// envelope again, or — after the last attempt, or when the send
+    /// fails — abandons the request and returns the error that ends its
+    /// redemption.
+    fn expire(&mut self, id: u64) -> Result<(), StorageError> {
+        match self.slot_mut(id) {
+            Some(Slot {
+                state: SlotState::Pending(sent),
+                ..
+            }) if sent.attempt < REQUEST_ATTEMPTS => {
+                sent.attempt += 1;
+                sent.at = Instant::now();
+            }
+            _ => {
+                self.abandon(id);
+                return Err(StorageError::Timeout(self.node()));
+            }
+        }
+        self.send(id).inspect_err(|_| self.abandon(id))
+    }
+
     /// Non-blocking completion check. `Ok(None)` means the reply has not
-    /// arrived yet; `Err` carries either the server's error reply or a
-    /// transport failure.
+    /// arrived yet; `Err` carries the server's error reply, a transport
+    /// failure, or [`StorageError::Timeout`] once every attempt timed
+    /// out. A check past the current attempt's timeout retransmits (see
+    /// [`NodeConnection`]).
     pub fn try_poll(
         &mut self,
         token: CompletionToken,
     ) -> Result<Option<StorageResponse>, StorageError> {
-        while let Some(reply) = self.transport.try_recv() {
-            self.park(reply);
+        if let Some(result) = self.claim(token.id) {
+            return result.map(Some);
         }
-        match self.claim(token.id) {
-            Some(result) => result.map(Some),
-            None => Ok(None),
+        if self.remaining(token.id).is_zero() {
+            self.expire(token.id)?;
         }
+        Ok(None)
     }
 
-    /// Blocks until `token`'s reply arrives or `timeout` elapses. On
-    /// timeout the request is *abandoned*: its outcome is unknown and a
-    /// late reply will be discarded.
-    pub fn wait(
-        &mut self,
-        token: CompletionToken,
-        timeout: Duration,
-    ) -> Result<StorageResponse, StorageError> {
-        let deadline = Instant::now() + timeout;
+    /// Blocks until `token`'s reply arrives, retransmitting after each
+    /// attempt that times out (see [`NodeConnection`]). After the last
+    /// attempt the request is *abandoned* — its outcome is unknown and a
+    /// late reply is discarded — and the call returns
+    /// [`StorageError::Timeout`].
+    pub fn wait(&mut self, token: CompletionToken) -> Result<StorageResponse, StorageError> {
         loop {
-            while let Some(reply) = self.transport.try_recv() {
-                self.park(reply);
-            }
             if let Some(result) = self.claim(token.id) {
                 return result;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                self.abandon(token.id);
-                return Err(StorageError::Timeout(self.node()));
-            }
-            match self.transport.recv_timeout(deadline - now) {
-                Some(reply) => self.park(reply),
-                None => {
-                    self.abandon(token.id);
-                    return Err(StorageError::Timeout(self.node()));
-                }
+            let left = self.remaining(token.id);
+            // A transport that returns empty-handed before the budget
+            // ends (inline, or a closed socket) has nothing coming: that
+            // attempt is over too.
+            if left.is_zero() || !self.pump(left) {
+                self.expire(token.id)?;
             }
         }
     }
 
     /// Waits up to `timeout` for *any* reply to arrive and parks it for
     /// its token to claim. Returns whether one arrived. Unlike
-    /// [`NodeConnection::wait`], nothing is abandoned on timeout — this is
-    /// the blocking primitive for pipelines polling many tokens.
+    /// [`NodeConnection::wait`], nothing is retransmitted or abandoned —
+    /// this is the blocking primitive for pipelines polling many tokens.
     pub fn pump(&mut self, timeout: Duration) -> bool {
         match self.transport.recv_timeout(timeout) {
             Some(reply) => {
@@ -1190,50 +1178,11 @@ impl NodeConnection {
         }
     }
 
-    /// [`NodeConnection::wait`] with bounded retry: a timed-out attempt is
-    /// retransmitted under its original `seq` (up to the connection's
-    /// [`RetryPolicy`], backing off between attempts), so the server-side
-    /// dedup window resolves the retries to at most one execution. `token`
-    /// must be the in-flight attempt of `(request, seq)` as returned by
-    /// [`NodeConnection::submit_tracked`] or [`NodeConnection::resubmit`].
-    ///
-    /// Retries go to the **same node** by construction — rerouting a
-    /// timed-out non-idempotent request to a different node would escape
-    /// its dedup window and risk double execution.
-    pub fn wait_retrying(
-        &mut self,
-        token: CompletionToken,
-        seq: u64,
-        request: &StorageRequest,
-        timeout: Duration,
-    ) -> Result<StorageResponse, StorageError> {
-        let mut token = token;
-        let mut attempt = 1u32;
-        let mut backoff = self.retry.backoff;
-        loop {
-            match self.wait(token, timeout) {
-                Err(StorageError::Timeout(_)) if attempt < self.retry.attempts => {
-                    attempt += 1;
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff = backoff.saturating_mul(2);
-                    }
-                    token = self.resubmit(request.clone(), seq)?;
-                }
-                outcome => return outcome,
-            }
-        }
-    }
-
-    /// Synchronous convenience: submit + wait, with the connection's
-    /// retry policy applied to timeouts.
-    pub fn call(
-        &mut self,
-        request: StorageRequest,
-        timeout: Duration,
-    ) -> Result<StorageResponse, StorageError> {
-        let (token, seq) = self.submit_tracked(request.clone())?;
-        self.wait_retrying(token, seq, &request, timeout)
+    /// Synchronous convenience: [`NodeConnection::submit`] then
+    /// [`NodeConnection::wait`].
+    pub fn call(&mut self, request: StorageRequest) -> Result<StorageResponse, StorageError> {
+        let token = self.submit(request)?;
+        self.wait(token)
     }
 }
 
@@ -1510,8 +1459,6 @@ pub struct RpcPort {
     /// Writer credit applied to connections opened by a refresh (set_*
     /// calls keep it in sync with the live connections).
     credit: usize,
-    /// Retry policy applied to connections opened by a refresh.
-    retry: RetryPolicy,
     /// Coalesce window in chunks; `0` flushes every `insert_buckets` call
     /// (call-synchronous semantics, the default).
     coalesce_chunks: usize,
@@ -1524,22 +1471,6 @@ pub struct RpcPort {
     stats: PortStats,
 }
 
-/// Resubmission budget for one logical remove probe: how many times a
-/// request whose reply never arrives is retransmitted (under its original
-/// sequence number, so the server dedup window replays rather than
-/// re-executes) before its node is written off as disconnected.
-const REMOVE_PROBE_ATTEMPTS: u32 = 8;
-
-/// One wire attempt of a [`RemoveProbe`].
-#[derive(Debug, Clone, Copy)]
-struct ProbeAttempt {
-    token: CompletionToken,
-    /// The probe's sequence number, reused by every retransmission.
-    seq: u64,
-    /// When this attempt went on the wire.
-    issued: Instant,
-}
-
 /// An in-flight remove against one replica group: what
 /// [`RpcPort::submit_remove`] hands back and [`RpcPort::poll_remove`]
 /// finishes.
@@ -1548,13 +1479,11 @@ pub(crate) struct RemoveProbe {
     primary: usize,
     bag: BagId,
     max_n: usize,
-    /// Cluster sealed flag read before the ORIGINAL submit (retries keep
-    /// it: a retransmission is the same logical request).
+    /// Cluster sealed flag read before the submit (a retransmission is
+    /// the same logical request, so it keeps the flag).
     sealed: bool,
-    /// The current attempt at the primary, or why it could not be sent.
-    attempt: Result<ProbeAttempt, StorageError>,
-    /// Attempts made so far (≥ 1).
-    attempts: u32,
+    /// The request's token at the primary, or why it could not be sent.
+    token: Result<CompletionToken, StorageError>,
 }
 
 impl RemoveProbe {
@@ -1583,7 +1512,7 @@ struct Landing {
 }
 
 impl Landing {
-    /// The run's envelope body, the same at every replica and retry.
+    /// The run's envelope body, the same at every replica.
     fn request(&self) -> StorageRequest {
         StorageRequest::InsertBatch {
             bag: self.bag,
@@ -1624,11 +1553,8 @@ impl RpcPort {
         mut conns: Vec<NodeConnection>,
         timeout: Duration,
     ) -> Self {
-        // Flow control must not fail faster than a wait on the same port
-        // would: align each connection's credit-acquire bound with the
-        // port's request timeout.
         for conn in &mut conns {
-            conn.set_credit_timeout(timeout);
+            conn.set_timeout(timeout);
         }
         let staged = conns.iter().map(|_| Vec::new()).collect();
         Self {
@@ -1639,7 +1565,6 @@ impl RpcPort {
             epoch_seen: 0,
             unreachable: Vec::new(),
             credit: DEFAULT_WRITER_CREDIT,
-            retry: RetryPolicy::default(),
             coalesce_chunks: 0,
             staged,
             staged_len: 0,
@@ -1667,11 +1592,10 @@ impl RpcPort {
     }
 
     /// Syncs the connection set with the attached membership: dials every
-    /// member joined since the last sync, applying the port's credit,
-    /// timeout, and retry settings to the new connections. Returns whether
-    /// the port grew. A no-op (one atomic load) when the epoch has not
-    /// moved, so callers poll it freely; fixed-connection ports always
-    /// return false.
+    /// member joined since the last sync, applying the port's credit and
+    /// timeout to the new connections. Returns whether the port grew. A
+    /// no-op (one atomic load) when the epoch has not moved, so callers
+    /// poll it freely; fixed-connection ports always return false.
     pub fn refresh_membership(&mut self) -> bool {
         let Some(membership) = self.membership.clone() else {
             return false;
@@ -1686,15 +1610,13 @@ impl RpcPort {
         // the same membership slot).
         let credit = self.credit;
         let timeout = self.timeout;
-        let retry = self.retry;
         let conns = &mut self.conns;
         self.unreachable.retain(|&idx| {
             let Ok(transport) = members[idx].connector.connect() else {
                 return true;
             };
             let mut conn = NodeConnection::with_credit(transport, credit);
-            conn.set_credit_timeout(timeout);
-            conn.set_retry_policy(retry);
+            conn.set_timeout(timeout);
             conns[idx] = conn;
             false
         });
@@ -1713,8 +1635,7 @@ impl RpcPort {
                     )
                 }
             };
-            conn.set_credit_timeout(self.timeout);
-            conn.set_retry_policy(self.retry);
+            conn.set_timeout(self.timeout);
             self.conns.push(conn);
             self.staged.push(Vec::new());
             grown = true;
@@ -1754,16 +1675,6 @@ impl RpcPort {
         }
     }
 
-    /// Sets the timed-out request retry policy of every connection of
-    /// this port, current and future (see [`RetryPolicy`]; default:
-    /// retries off).
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-        for conn in &mut self.conns {
-            conn.set_retry_policy(retry);
-        }
-    }
-
     /// Data-plane statistics (envelope counts, staged chunks, flushes).
     pub fn stats(&self) -> PortStats {
         self.stats
@@ -1774,28 +1685,18 @@ impl RpcPort {
         self.staged_len
     }
 
-    /// Synchronous request to node index `idx` over this port's
-    /// connection: submit + wait at the port timeout.
-    fn call(
-        &mut self,
-        idx: usize,
-        request: StorageRequest,
-    ) -> Result<StorageResponse, StorageError> {
-        self.conns[idx].call(request, self.timeout)
-    }
-
     /// Whether `e` marks a replica as unable to take part (fail over /
     /// reroute) rather than a hard protocol error: it is down, draining,
     /// disk-sick ([`StorageError::routes_around`]) or disconnected.
     ///
     /// `Disconnected` qualifies: server shutdown *drains* (every accepted
     /// request is answered before the loops exit), so a disconnect means
-    /// the request was never executed and retrying elsewhere cannot
-    /// duplicate it. `Timeout` deliberately does NOT: a timed-out
-    /// request's outcome is unknown — retrying an insert could duplicate
-    /// chunks and retrying a remove could lose them — so timeouts
-    /// propagate as hard errors for the caller's recovery machinery
-    /// (task restart) to handle.
+    /// the request was never executed and sending it elsewhere cannot
+    /// duplicate it. `Timeout` deliberately does NOT: a request whose
+    /// every attempt timed out has an unknown outcome — sending an insert
+    /// elsewhere could duplicate chunks and a remove could lose them — so
+    /// timeouts propagate as hard errors for the caller's recovery
+    /// machinery (task restart) to handle.
     fn replica_unreachable(e: &StorageError) -> bool {
         e.routes_around() || matches!(e, StorageError::Disconnected(_))
     }
@@ -1917,26 +1818,18 @@ impl RpcPort {
 
     /// One phase of `RpcPort::land_runs`: submits (and counts) an
     /// envelope of run `i` to node `idx` for every `(i, idx)` of
-    /// `targets`, then collects every ack into its run, retrying timeouts
-    /// under the connection's policy with the same sequence number.
+    /// `targets`, then collects every ack into its run.
     fn land_phase(&mut self, landings: &mut [Landing], targets: Vec<(usize, usize)>) {
         let tokens: Vec<_> = targets
             .into_iter()
             .map(|(i, idx)| {
                 self.stats.insert_envelopes += 1;
-                (
-                    i,
-                    idx,
-                    self.conns[idx].submit_tracked(landings[i].request()),
-                )
+                (i, idx, self.conns[idx].submit(landings[i].request()))
             })
             .collect();
-        let timeout = self.timeout;
         for (i, idx, token) in tokens {
             let landing = &mut landings[i];
-            let conn = &mut self.conns[idx];
-            match token.and_then(|(t, seq)| conn.wait_retrying(t, seq, &landing.request(), timeout))
-            {
+            match token.and_then(|t| self.conns[idx].wait(t)) {
                 Ok(_) => landing.landed = true,
                 Err(e) if Self::replica_unreachable(&e) => landing.soft_err = Some(e),
                 Err(e) => landing.hard_err = Some(e),
@@ -2091,13 +1984,10 @@ impl RpcPort {
         max_n: usize,
     ) -> Result<NodeRemoveBatch, StorageError> {
         let probe = self.submit_remove(primary_idx, bag, max_n)?;
-        let first = match &probe.attempt {
-            Ok(a) => {
-                let timeout = self.timeout;
-                self.conns[probe.primary].wait_retrying(a.token, a.seq, &probe.request(), timeout)
-            }
-            Err(e) => Err(e.clone()),
-        };
+        let first = probe
+            .token
+            .clone()
+            .and_then(|t| self.conns[probe.primary].wait(t));
         self.finish_remove(&probe, first)
     }
 
@@ -2127,20 +2017,12 @@ impl RpcPort {
             origin: primary as u32,
             max_n,
         };
-        let attempt = self.conns[primary]
-            .submit_tracked(request)
-            .map(|(token, seq)| ProbeAttempt {
-                token,
-                seq,
-                issued: Instant::now(),
-            });
         Ok(RemoveProbe {
             primary,
             bag,
             max_n,
             sealed,
-            attempt,
-            attempts: 1,
+            token: self.conns[primary].submit(request),
         })
     }
 
@@ -2148,46 +2030,24 @@ impl RpcPort {
     /// while the primary's answer is outstanding, otherwise the finished
     /// remove.
     ///
-    /// A probe outstanding past the port's request timeout is presumed
-    /// lost (lossy transport or wedged server): the attempt is cancelled
-    /// and retransmitted under the SAME sequence number — the server's
-    /// dedup window either executes it (original lost) or replays the
-    /// recorded reply, chunks included (reply lost), so nothing is ever
-    /// consumed twice or dropped. After [`REMOVE_PROBE_ATTEMPTS`] the
-    /// primary is written off as disconnected and the group fails over.
+    /// The primary's connection retransmits a probe whose reply is late
+    /// (see [`NodeConnection`]); the server's dedup window either executes
+    /// the copy (original lost) or replays the recorded reply, chunks
+    /// included (reply lost), so nothing is ever consumed twice or
+    /// dropped. A primary whose every attempt timed out is written off as
+    /// disconnected, and the group fails over.
     pub(crate) fn poll_remove(
         &mut self,
-        probe: &mut RemoveProbe,
+        probe: &RemoveProbe,
     ) -> Option<Result<NodeRemoveBatch, StorageError>> {
-        let first = match probe.attempt {
-            Err(ref e) => Err(e.clone()),
-            Ok(a) => {
-                let conn = &mut self.conns[probe.primary];
-                match conn.try_poll(a.token) {
-                    Ok(Some(response)) => Ok(response),
-                    Err(e) => Err(e),
-                    Ok(None) if a.issued.elapsed() < self.timeout => return None,
-                    Ok(None) => {
-                        conn.cancel(a.token);
-                        if probe.attempts >= REMOVE_PROBE_ATTEMPTS {
-                            Err(StorageError::Disconnected(conn.node()))
-                        } else {
-                            match conn.resubmit(probe.request(), a.seq) {
-                                Ok(token) => {
-                                    probe.attempts += 1;
-                                    probe.attempt = Ok(ProbeAttempt {
-                                        token,
-                                        issued: Instant::now(),
-                                        ..a
-                                    });
-                                    return None;
-                                }
-                                Err(e) => Err(e),
-                            }
-                        }
-                    }
-                }
-            }
+        let first = match &probe.token {
+            Err(e) => Err(e.clone()),
+            Ok(token) => match self.conns[probe.primary].try_poll(*token) {
+                Ok(None) => return None,
+                Ok(Some(response)) => Ok(response),
+                Err(StorageError::Timeout(node)) => Err(StorageError::Disconnected(node)),
+                Err(e) => Err(e),
+            },
         };
         Some(self.finish_remove(probe, first))
     }
@@ -2228,7 +2088,7 @@ impl RpcPort {
             let idx = (primary + k) % m;
             let answer = match first.take() {
                 Some(answer) => answer,
-                None => self.call(idx, probe.request()),
+                None => self.conns[idx].call(probe.request()),
             };
             match answer {
                 // An empty serve is not authoritative: replica logs can
@@ -2281,7 +2141,7 @@ impl RpcPort {
                 origin,
                 tags: batch.tags.clone(),
             };
-            match self.call(idx, request) {
+            match self.conns[idx].call(request) {
                 Ok(StorageResponse::Claimed(already)) => batch.drop_already_consumed(&already),
                 Ok(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
                 Err(e) if Self::replica_unreachable(&e) => {}
@@ -2301,20 +2161,13 @@ impl RpcPort {
                 origin,
                 tags: batch.tags.clone(),
             };
-            #[allow(clippy::type_complexity)]
-            let tokens: Vec<(usize, Result<(CompletionToken, u64), StorageError>)> = (0..r)
-                .filter_map(|k| {
-                    let idx = (primary + k) % m;
-                    (idx != served_by && !probed_empty.contains(&idx)).then(|| {
-                        let t = self.conns[idx].submit_tracked(request.clone());
-                        (idx, t)
-                    })
-                })
+            let tokens: Vec<_> = (0..r)
+                .map(|k| (primary + k) % m)
+                .filter(|idx| *idx != served_by && !probed_empty.contains(idx))
+                .map(|idx| (idx, self.conns[idx].submit(request.clone())))
                 .collect();
-            let timeout = self.timeout;
             for (idx, token) in tokens {
-                let _ = token
-                    .and_then(|(t, seq)| self.conns[idx].wait_retrying(t, seq, &request, timeout));
+                let _ = token.and_then(|t| self.conns[idx].wait(t));
             }
         }
         batch.eof = batch.exhausted && sealed;
@@ -2342,22 +2195,13 @@ impl RpcPort {
         request: impl Fn(usize) -> StorageRequest,
     ) -> Result<Vec<Result<StorageResponse, StorageError>>, StorageError> {
         self.flush()?;
-        #[allow(clippy::type_complexity)]
-        let tokens: Vec<(StorageRequest, Result<(CompletionToken, u64), StorageError>)> =
-            (0..self.conns.len())
-                .map(|idx| {
-                    let r = request(idx);
-                    let t = self.conns[idx].submit_tracked(r.clone());
-                    (r, t)
-                })
-                .collect();
-        let timeout = self.timeout;
+        let tokens: Vec<_> = (0..self.conns.len())
+            .map(|idx| self.conns[idx].submit(request(idx)))
+            .collect();
         Ok(tokens
             .into_iter()
             .enumerate()
-            .map(|(idx, (r, token))| {
-                token.and_then(|(t, seq)| self.conns[idx].wait_retrying(t, seq, &r, timeout))
-            })
+            .map(|(idx, token)| token.and_then(|t| self.conns[idx].wait(t)))
             .collect())
     }
 
@@ -2450,7 +2294,10 @@ impl RpcPort {
             let mut answer = Some(first);
             for k in 0..r {
                 let idx = (p + k) % m;
-                match answer.take().unwrap_or_else(|| self.call(idx, from(p))) {
+                match answer
+                    .take()
+                    .unwrap_or_else(|| self.conns[idx].call(from(p)))
+                {
                     Ok(StorageResponse::Chunks(chunks)) => {
                         out.extend(chunks);
                         break;
@@ -2577,19 +2424,13 @@ mod tests {
                 chunks: vec![chunk(7)].into(),
             })
             .unwrap();
-        assert_eq!(
-            conn.wait(t, Duration::from_secs(1)).unwrap(),
-            StorageResponse::Inserted
-        );
+        assert_eq!(conn.wait(t).unwrap(), StorageResponse::Inserted);
         match conn
-            .call(
-                StorageRequest::RemoveBatch {
-                    bag,
-                    origin: 0,
-                    max_n: 4,
-                },
-                Duration::from_secs(1),
-            )
+            .call(StorageRequest::RemoveBatch {
+                bag,
+                origin: 0,
+                max_n: 4,
+            })
             .unwrap()
         {
             StorageResponse::Removed(b) => assert_eq!(b.chunks, vec![chunk(7)]),
@@ -2613,14 +2454,8 @@ mod tests {
         // Reply to b first, then a — tokens must still match.
         assert!(server.reply(eb.id, Ok(StorageResponse::Drained(true))));
         assert!(server.reply(ea.id, Ok(StorageResponse::Pong)));
-        assert_eq!(
-            conn.wait(a, Duration::from_secs(1)).unwrap(),
-            StorageResponse::Pong
-        );
-        assert_eq!(
-            conn.wait(b, Duration::from_secs(1)).unwrap(),
-            StorageResponse::Drained(true)
-        );
+        assert_eq!(conn.wait(a).unwrap(), StorageResponse::Pong);
+        assert_eq!(conn.wait(b).unwrap(), StorageResponse::Drained(true));
         assert_eq!(conn.outstanding(), 0);
     }
 
@@ -2628,22 +2463,25 @@ mod tests {
     fn wait_times_out_and_discards_late_reply() {
         let (transport, mut server) = loopback(StorageNodeId(1));
         let mut conn = NodeConnection::new(Box::new(transport));
+        conn.set_timeout(Duration::from_millis(5));
         let t = conn.submit(StorageRequest::Ping).unwrap();
-        assert_eq!(
-            conn.wait(t, Duration::from_millis(20)),
-            Err(StorageError::Timeout(StorageNodeId(1)))
-        );
+        assert_eq!(conn.wait(t), Err(StorageError::Timeout(StorageNodeId(1))));
+        assert_eq!((conn.outstanding(), conn.on_wire()), (0, 0));
+        // Every attempt sent the same envelope.
+        let env = server.recv(Duration::from_millis(100)).unwrap();
+        for _ in 1..REQUEST_ATTEMPTS {
+            assert_eq!(server.recv(Duration::from_millis(100)).unwrap(), env);
+        }
+        assert_eq!(server.queued(), 0);
         // A late reply to the abandoned request must not leak into the
         // next token's completion.
-        let env = server.recv(Duration::from_millis(100)).unwrap();
         assert!(server.reply(env.id, Ok(StorageResponse::Pong)));
+        conn.set_timeout(Duration::from_secs(1));
         let t2 = conn.submit(StorageRequest::IsDrained).unwrap();
         let env2 = server.recv(Duration::from_millis(100)).unwrap();
+        assert_ne!(env2.id, env.id, "the abandoned slot's generation moved on");
         assert!(server.reply(env2.id, Ok(StorageResponse::Drained(false))));
-        assert_eq!(
-            conn.wait(t2, Duration::from_secs(1)).unwrap(),
-            StorageResponse::Drained(false)
-        );
+        assert_eq!(conn.wait(t2).unwrap(), StorageResponse::Drained(false));
     }
 
     #[test]
@@ -2783,10 +2621,7 @@ mod tests {
                 0,
                 "sequential submit/wait must reuse slot 0 (round {round})"
             );
-            assert_eq!(
-                conn.wait(t, Duration::from_secs(1)).unwrap(),
-                StorageResponse::Pong
-            );
+            assert_eq!(conn.wait(t).unwrap(), StorageResponse::Pong);
         }
         assert_eq!(conn.requests_sent(), 100);
         assert_eq!(conn.outstanding(), 0);
@@ -2897,7 +2732,8 @@ mod tests {
         // re-executes: the node still holds exactly two chunks.
         let r2 = serve_deduped(&node, &dedup, env.clone()).unwrap();
         assert_eq!(r2.result, Ok(StorageResponse::Inserted));
-        // A retransmission (same seq, fresh correlation id) likewise.
+        // So does any envelope under the same `(client, seq)`, whatever
+        // its correlation id: the window keys on the sequence number.
         let retry = RequestEnvelope { id: 99, ..env };
         let r3 = serve_deduped(&node, &dedup, retry).unwrap();
         assert_eq!(r3.id, 99);
@@ -2924,13 +2760,12 @@ mod tests {
             chunks: vec![chunk(7)].into(),
         };
         let conn = &mut client.port.conns[0];
-        let (token, seq) = conn.submit_tracked(request.clone()).unwrap();
-        let wait = Duration::from_secs(1);
-        assert_eq!(conn.wait(token, wait).unwrap(), StorageResponse::Inserted);
+        let token = conn.submit(request).unwrap();
         // The same envelope again, as a duplicating network or a
-        // retransmission would deliver it: acknowledged, not re-executed.
-        let dup = conn.resubmit(request, seq).unwrap();
-        assert_eq!(conn.wait(dup, wait).unwrap(), StorageResponse::Inserted);
+        // retransmission delivers it: acknowledged, not re-executed.
+        conn.expire(token.id()).unwrap();
+        assert_eq!(conn.requests_sent(), 2);
+        assert_eq!(conn.wait(token).unwrap(), StorageResponse::Inserted);
         assert_eq!(cluster.node(0).sample(bag).unwrap().total_chunks, 1);
     }
 
@@ -3015,37 +2850,43 @@ mod tests {
     }
 
     #[test]
-    fn retry_resubmits_same_seq_with_fresh_correlation_id() {
+    fn a_late_reply_resends_the_same_envelope() {
         let (transport, mut server) = loopback(StorageNodeId(2));
         let mut conn = NodeConnection::new(Box::new(transport));
-        conn.set_retry_policy(RetryPolicy {
-            attempts: 2,
-            backoff: Duration::ZERO,
-        });
+        conn.set_timeout(Duration::from_millis(50));
         let server_thread = std::thread::spawn(move || {
             // Swallow the first attempt, answer the second.
             let first = server.recv(Duration::from_secs(2)).unwrap();
             let second = server.recv(Duration::from_secs(2)).unwrap();
-            assert_eq!(first.seq, second.seq, "retry reuses the sequence number");
-            assert_eq!(first.client, second.client);
-            assert_ne!(first.id, second.id, "each attempt gets a fresh id");
+            assert_eq!(first, second, "same id, same client, same seq");
             assert!(server.reply(second.id, Ok(StorageResponse::Pong)));
         });
-        let got = conn.call(StorageRequest::Ping, Duration::from_millis(50));
+        let got = conn.call(StorageRequest::Ping);
         assert_eq!(got, Ok(StorageResponse::Pong));
+        assert_eq!(conn.requests_sent(), 2);
         server_thread.join().unwrap();
     }
 
     #[test]
-    fn retry_disabled_by_default_preserves_fail_fast_timeouts() {
-        let (transport, _server) = loopback(StorageNodeId(6));
+    fn a_poll_past_the_timeout_resends_then_gives_up() {
+        let (transport, server) = loopback(StorageNodeId(6));
         let mut conn = NodeConnection::new(Box::new(transport));
-        let start = Instant::now();
-        let got = conn.call(StorageRequest::Ping, Duration::from_millis(20));
-        assert_eq!(got, Err(StorageError::Timeout(StorageNodeId(6))));
-        assert!(
-            start.elapsed() < Duration::from_millis(500),
-            "no hidden retries by default"
+        conn.set_timeout(Duration::ZERO);
+        let t = conn.submit(StorageRequest::Ping).unwrap();
+        for attempt in 2..=REQUEST_ATTEMPTS {
+            assert_eq!(conn.try_poll(t), Ok(None));
+            assert_eq!(conn.requests_sent(), u64::from(attempt));
+        }
+        assert_eq!(
+            conn.try_poll(t),
+            Err(StorageError::Timeout(StorageNodeId(6)))
+        );
+        assert_eq!((conn.outstanding(), conn.on_wire()), (0, 0));
+        assert_eq!(server.queued(), REQUEST_ATTEMPTS as usize);
+        // A redeemed token stays redeemed.
+        assert_eq!(
+            conn.try_poll(t),
+            Err(StorageError::Timeout(StorageNodeId(6)))
         );
     }
 

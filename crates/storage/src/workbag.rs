@@ -41,7 +41,7 @@ impl<T: Record> WorkBag<T> {
 
     /// Inserts one item.
     pub fn insert(&mut self, item: &T) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(item.encoded_len());
+        let mut buf = Vec::new();
         item.encode(&mut buf);
         self.client.insert(Chunk::from_vec(buf))
     }
@@ -53,7 +53,7 @@ impl<T: Record> WorkBag<T> {
         let chunks: Vec<Chunk> = items
             .iter()
             .map(|item| {
-                let mut buf = Vec::with_capacity(item.encoded_len());
+                let mut buf = Vec::new();
                 item.encode(&mut buf);
                 Chunk::from_vec(buf)
             })

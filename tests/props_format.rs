@@ -447,14 +447,6 @@ proptest! {
         prop_assert_eq!(strided, fixed);
     }
 
-    /// `encoded_len` is exact for every record the stream writer accepts.
-    #[test]
-    fn encoded_len_is_exact(rec in record_strategy()) {
-        let mut buf = Vec::new();
-        rec.encode(&mut buf);
-        prop_assert_eq!(buf.len(), rec.encoded_len());
-    }
-
     /// Decoding arbitrary bytes never panics (it may error).
     #[test]
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
