@@ -162,8 +162,10 @@ impl StorageEndpoint {
 
     /// Per-attempt reply timeout (default 10 s): a request whose reply is
     /// later is sent again, and one whose every attempt timed out fails
-    /// with `Timeout`. Never reached on the inline plane, where a request
-    /// is answered before `send` returns.
+    /// with `Timeout` — after [`crate::rpc::REQUEST_ATTEMPTS`] timeouts,
+    /// so 80 s at the default for a node that stays silent. Never reached
+    /// on the inline plane, where a request is answered before `send`
+    /// returns.
     pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self

@@ -827,7 +827,11 @@ struct Sent {
 
 /// How many times a request goes on the wire before its token gives up
 /// with [`StorageError::Timeout`]: the first send and seven
-/// retransmissions, each after one request timeout without a reply.
+/// retransmissions, each after one request timeout without a reply. A
+/// node that stays silent therefore holds a synchronous call for
+/// `REQUEST_ATTEMPTS` timeouts — 80 s at [`DEFAULT_REQUEST_TIMEOUT`] —
+/// before the caller sees `Timeout`. A submit blocked on writer credit
+/// is not retransmitted and gives up after one timeout.
 pub const REQUEST_ATTEMPTS: u32 = 8;
 
 /// How long one pump slice lasts while a submit waits for writer credit.
@@ -941,7 +945,8 @@ impl NodeConnection {
     /// Sets the request timeout (default [`DEFAULT_REQUEST_TIMEOUT`]):
     /// how long each attempt of a request waits for its reply before the
     /// envelope is sent again, and how long a credit acquire may block
-    /// before surfacing [`StorageError::Timeout`].
+    /// before surfacing [`StorageError::Timeout`]. A request to a silent
+    /// node fails after [`REQUEST_ATTEMPTS`] times this.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
     }
@@ -1107,9 +1112,17 @@ impl NodeConnection {
 
     /// The current attempt of `id` saw no reply in time: sends the same
     /// envelope again, or — after the last attempt, or when the send
-    /// fails — abandons the request and returns the error that ends its
-    /// redemption.
+    /// fails — abandons the request and returns
+    /// [`StorageError::Timeout`].
+    ///
+    /// A failed retransmission is a `Timeout` too, never the transport's
+    /// `Disconnected`: the first copy left, so the node may have executed
+    /// it before the connection died, and the port re-routes a
+    /// `Disconnected` insert to another replica group — which would land
+    /// the run twice once the dead node recovers its log. Only a first
+    /// send that fails ([`NodeConnection::submit`]) means "never sent".
     fn expire(&mut self, id: u64) -> Result<(), StorageError> {
+        let node = self.node();
         match self.slot_mut(id) {
             Some(Slot {
                 state: SlotState::Pending(sent),
@@ -1120,17 +1133,20 @@ impl NodeConnection {
             }
             _ => {
                 self.abandon(id);
-                return Err(StorageError::Timeout(self.node()));
+                return Err(StorageError::Timeout(node));
             }
         }
-        self.send(id).inspect_err(|_| self.abandon(id))
+        self.send(id).map_err(|_| {
+            self.abandon(id);
+            StorageError::Timeout(node)
+        })
     }
 
     /// Non-blocking completion check. `Ok(None)` means the reply has not
-    /// arrived yet; `Err` carries the server's error reply, a transport
-    /// failure, or [`StorageError::Timeout`] once every attempt timed
-    /// out. A check past the current attempt's timeout retransmits (see
-    /// [`NodeConnection`]).
+    /// arrived yet; `Err` carries the server's error reply, or
+    /// [`StorageError::Timeout`] once every attempt timed out or a
+    /// retransmission could not be sent. A check past the current
+    /// attempt's timeout retransmits (see [`NodeConnection`]).
     pub fn try_poll(
         &mut self,
         token: CompletionToken,
@@ -1156,8 +1172,10 @@ impl NodeConnection {
             }
             let left = self.remaining(token.id);
             // A transport that returns empty-handed before the budget
-            // ends (inline, or a closed socket) has nothing coming: that
-            // attempt is over too.
+            // ends has nothing coming for this attempt: a simulated
+            // network whose virtual clock ran the budget out, or a closed
+            // connection, whose retransmission then fails and ends the
+            // wait with `Timeout` (see `expire`).
             if left.is_zero() || !self.pump(left) {
                 self.expire(token.id)?;
             }
@@ -1689,11 +1707,13 @@ impl RpcPort {
     /// reroute) rather than a hard protocol error: it is down, draining,
     /// disk-sick ([`StorageError::routes_around`]) or disconnected.
     ///
-    /// `Disconnected` qualifies: server shutdown *drains* (every accepted
+    /// `Disconnected` qualifies: a connection reports it only for a first
+    /// send that never left, and server shutdown *drains* (every accepted
     /// request is answered before the loops exit), so a disconnect means
     /// the request was never executed and sending it elsewhere cannot
     /// duplicate it. `Timeout` deliberately does NOT: a request whose
-    /// every attempt timed out has an unknown outcome — sending an insert
+    /// every attempt timed out, or whose connection died after the first
+    /// copy left, has an unknown outcome — sending an insert
     /// elsewhere could duplicate chunks and a remove could lose them — so
     /// timeouts propagate as hard errors for the caller's recovery
     /// machinery (task restart) to handle.
@@ -2888,6 +2908,81 @@ mod tests {
             conn.try_poll(t),
             Err(StorageError::Timeout(StorageNodeId(6)))
         );
+    }
+
+    /// A connection to a node that crashes mid-request, as a TCP
+    /// transport sees it: the node executes the first envelope, the
+    /// socket dies before the reply leaves, the reply side closes, and
+    /// every later send fails with `Disconnected`.
+    struct DiesAfterExecuting {
+        node: Arc<StorageNode>,
+        dead: bool,
+    }
+
+    impl Transport for DiesAfterExecuting {
+        fn node(&self) -> StorageNodeId {
+            self.node.id()
+        }
+        fn send(&mut self, env: RequestEnvelope) -> Result<(), StorageError> {
+            if self.dead {
+                return Err(StorageError::Disconnected(self.node.id()));
+            }
+            self.dead = true;
+            let _ = dispatch(&self.node, env.request);
+            Ok(())
+        }
+        fn try_recv(&mut self) -> Option<ReplyEnvelope> {
+            None
+        }
+        fn recv_timeout(&mut self, _timeout: Duration) -> Option<ReplyEnvelope> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_connection_dying_mid_request_times_out_and_is_not_rerouted() {
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let bag = cluster.create_bag();
+        let dying = |cluster: &Arc<StorageCluster>| {
+            NodeConnection::new(Box::new(DiesAfterExecuting {
+                node: cluster.node(0),
+                dead: false,
+            }))
+        };
+        let timeout = StorageError::Timeout(StorageNodeId(0));
+
+        // The request left, so its outcome is unknown: `Timeout`, not the
+        // failed retransmission's `Disconnected`.
+        let mut conn = dying(&cluster);
+        let request = StorageRequest::InsertBatch {
+            bag,
+            origin: 0,
+            run: next_run_id(),
+            chunks: vec![chunk(1)].into(),
+        };
+        assert_eq!(conn.call(request), Err(timeout.clone()));
+        assert_eq!((conn.outstanding(), conn.on_wire()), (0, 0));
+
+        // A port surfaces it and re-routes nothing to node 1, through a
+        // synchronous insert, an uncoalesced stage and a window flush.
+        let port = |cluster: &Arc<StorageCluster>| {
+            let conns = vec![
+                dying(cluster),
+                NodeConnection::new(Box::new(InlineTransport::new(cluster.node(1)))),
+            ];
+            RpcPort::from_connections(cluster.clone(), conns, DEFAULT_REQUEST_TIMEOUT)
+        };
+        assert_eq!(
+            port(&cluster).insert_batch(0, bag, &[chunk(2)]),
+            Err(timeout.clone())
+        );
+        assert_eq!(port(&cluster).stage(0, bag, chunk(3)), Err(timeout.clone()));
+        let mut coalescing = port(&cluster);
+        coalescing.set_coalescing(1);
+        assert_eq!(coalescing.stage(0, bag, chunk(4)), Err(timeout));
+        // Every run executed once, at node 0 only.
+        assert_eq!(cluster.node(0).sample(bag).unwrap().total_chunks, 4);
+        assert_eq!(cluster.node(1).sample(bag).unwrap().total_chunks, 0);
     }
 
     #[test]
