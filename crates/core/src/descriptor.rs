@@ -8,7 +8,8 @@
 //!   input/output bag ids for this instance (clones of merge-bearing tasks
 //!   write to per-instance partial bags).
 //! * [`RunningRecord`] — appended to the *running* bag when a compute node
-//!   claims a descriptor; scanned during compute-node failure recovery.
+//!   claims a descriptor; scanned during compute-node failure recovery,
+//!   which needs only which unit runs where.
 //! * [`DoneRecord`] — appended to the *done* bag when a worker finishes;
 //!   consumed by the master to drive the execution graph and replayed
 //!   wholesale on master recovery.
@@ -16,6 +17,10 @@
 //! There is no schedule log: `Master::recover` rebuilds clone counts,
 //! partial-bag allocations and generations from the ready bag's full
 //! history (every descriptor ever scheduled) and the done bag.
+//!
+//! Each record encodes as the tuple of its fields, in declaration order
+//! (a tuple's encoding is its fields' encodings concatenated), and
+//! decodes as that tuple.
 
 use hurricane_common::TaskInstanceId;
 use hurricane_format::{CodecError, Record};
@@ -51,14 +56,11 @@ impl Descriptor {
 
 impl Record for Descriptor {
     fn encode(&self, out: &mut Vec<u8>) {
-        (
-            self.kind,
-            self.instance,
-            self.generation,
-            self.inputs.clone(),
-            self.outputs.clone(),
-        )
-            .encode(out);
+        self.kind.encode(out);
+        self.instance.encode(out);
+        self.generation.encode(out);
+        self.inputs.encode(out);
+        self.outputs.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
@@ -85,35 +87,20 @@ pub struct RunningRecord {
     pub generation: u32,
     /// Compute node executing the unit.
     pub node: u32,
-    /// Input bag ids (for merge: flattened partials).
-    pub inputs: Vec<u64>,
-    /// Output bag ids.
-    pub outputs: Vec<u64>,
 }
 
 impl Record for RunningRecord {
     fn encode(&self, out: &mut Vec<u8>) {
-        (
-            self.kind,
-            self.instance,
-            self.generation,
-            self.node,
-            self.inputs.clone(),
-            self.outputs.clone(),
-        )
-            .encode(out);
+        (self.kind, self.instance, self.generation, self.node).encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let (kind, instance, generation, node, inputs, outputs) =
-            <(u8, u64, u32, u32, Vec<u64>, Vec<u64>)>::decode(input)?;
+        let (kind, instance, generation, node) = <(u8, u64, u32, u32)>::decode(input)?;
         Ok(Self {
             kind,
             instance,
             generation,
             node,
-            inputs,
-            outputs,
         })
     }
 }
@@ -140,15 +127,12 @@ pub struct DoneRecord {
 
 impl Record for DoneRecord {
     fn encode(&self, out: &mut Vec<u8>) {
-        (
-            self.kind,
-            self.instance,
-            self.generation,
-            self.node,
-            self.outputs.clone(),
-            self.elapsed_us,
-        )
-            .encode(out);
+        self.kind.encode(out);
+        self.instance.encode(out);
+        self.generation.encode(out);
+        self.node.encode(out);
+        self.outputs.encode(out);
+        self.elapsed_us.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
@@ -170,9 +154,14 @@ mod tests {
     use super::*;
     use hurricane_common::TaskId;
 
-    fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(v: T) {
+    /// `v` encodes as `fields`, the tuple of its fields, and decodes
+    /// back to itself.
+    fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(v: T, fields: impl Record) {
         let mut buf = Vec::new();
         v.encode(&mut buf);
+        let mut tuple = Vec::new();
+        fields.encode(&mut tuple);
+        assert_eq!(buf, tuple);
         let mut s = buf.as_slice();
         assert_eq!(T::decode(&mut s).unwrap(), v);
         assert!(s.is_empty());
@@ -180,37 +169,45 @@ mod tests {
 
     #[test]
     fn descriptor_roundtrip() {
-        roundtrip(Descriptor {
-            kind: KIND_MERGE,
-            instance: TaskInstanceId::clone_of(TaskId(3), 2).pack(),
-            generation: 1,
-            inputs: vec![10, 11, 12],
-            outputs: vec![4],
-        });
+        let instance = TaskInstanceId::clone_of(TaskId(3), 2).pack();
+        roundtrip(
+            Descriptor {
+                kind: KIND_MERGE,
+                instance,
+                generation: 1,
+                inputs: vec![10, 11, 12],
+                outputs: vec![4],
+            },
+            (KIND_MERGE, instance, 1u32, vec![10u64, 11, 12], vec![4u64]),
+        );
     }
 
     #[test]
     fn running_roundtrip() {
-        roundtrip(RunningRecord {
-            kind: KIND_TASK,
-            instance: 77,
-            generation: 0,
-            node: 3,
-            inputs: vec![1],
-            outputs: vec![2, 3],
-        });
+        roundtrip(
+            RunningRecord {
+                kind: KIND_TASK,
+                instance: 77,
+                generation: 0,
+                node: 3,
+            },
+            (KIND_TASK, 77u64, 0u32, 3u32),
+        );
     }
 
     #[test]
     fn done_roundtrip() {
-        roundtrip(DoneRecord {
-            kind: KIND_TASK,
-            instance: 5,
-            generation: 2,
-            node: 0,
-            outputs: vec![9],
-            elapsed_us: 14_250,
-        });
+        roundtrip(
+            DoneRecord {
+                kind: KIND_TASK,
+                instance: 5,
+                generation: 2,
+                node: 0,
+                outputs: vec![9],
+                elapsed_us: 14_250,
+            },
+            (KIND_TASK, 5u64, 2u32, 0u32, vec![9u64], 14_250u64),
+        );
     }
 
     #[test]

@@ -111,16 +111,6 @@ impl AppGraph {
         &self.tasks[t.index()]
     }
 
-    /// Iterates all task ids in declaration order.
-    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        (0..self.tasks.len()).map(|i| TaskId(i as u32))
-    }
-
-    /// Iterates all bag handles in declaration order.
-    pub fn bag_handles(&self) -> impl Iterator<Item = GraphBag> + '_ {
-        (0..self.bags.len()).map(GraphBag)
-    }
-
     /// Source bags (must be filled and are sealed at run start).
     pub fn sources(&self) -> Vec<GraphBag> {
         self.bags

@@ -12,14 +12,16 @@
 //! append a [`DoneRecord`]. A unit that errors or panics fails the job
 //! through [`ControlMsg::Fatal`]; the worker survives it. Between chunks
 //! workers poll the [`KillSwitch`] so that failure recovery can cancel
-//! them promptly.
+//! them promptly, and each worker loop ends once the kill switch is shut
+//! down. Workers and the master share one [`Runtime`].
 //!
 //! # Every wait in the compute plane
 //!
 //! What a clock seam must reach, and all of it is wall-clock:
 //!
 //! * a worker sleeps 500 µs while its node is failed or the ready bag is
-//!   empty, and 1 ms after a failed claim (`worker_loop`);
+//!   empty, and 1 ms after a failed claim, until the kill switch is shut
+//!   down (`worker_loop`);
 //! * a reader whose buffer is empty blocks up to 200 µs on one in-flight
 //!   probe, or backs off 10 µs–1 ms on an unsealed empty bag or with
 //!   nothing in flight (`Prefetcher::fetch`, `storage/src/prefetch.rs`);
@@ -29,8 +31,9 @@
 //! * a merge waits for its scoped output workers
 //!   (`merges::merge_outputs`);
 //! * `RunningApp` joins the master (`RunningApp::wait`, and
-//!   `RunningApp::crash_and_recover_master` on a crash) and then every
-//!   slot (in `wait`, via `ComputeNodeHandle::join`);
+//!   `RunningApp::crash_and_recover_master` on a crash) and then, after
+//!   `KillSwitch::shutdown_all`, every slot (in `wait`, via
+//!   `ComputeNodeHandle::join`);
 //! * every storage request's token is redeemed in one place of
 //!   `storage/src/rpc.rs`: `NodeConnection::wait` blocks for the reply
 //!   and `NodeConnection::try_poll` checks for it (a reader's probes),
@@ -146,30 +149,60 @@ impl SeedGen {
     }
 }
 
-/// Everything a task manager needs, shared across nodes.
-#[derive(Clone)]
-pub struct ManagerDeps {
+/// The control plane of one running application, built once by
+/// [`HurricaneApp::start`](crate::HurricaneApp::start) and held as an
+/// `Arc<Runtime>` by the master, every worker slot and the
+/// [`RunningApp`](crate::RunningApp) handle. Its one stop signal is the
+/// kill switch: [`KillSwitch::shutdown_all`] cancels every unit and ends
+/// every worker loop.
+pub struct Runtime {
     /// The application graph (blueprints live here).
     pub graph: Arc<AppGraph>,
-    /// The storage endpoint bag clients are minted from: the channel
-    /// plane (per-node server threads) when
+    /// The storage endpoint every bag client and control port is minted
+    /// from: the channel plane (per-node server threads) when
     /// `HurricaneConfig::storage_rpc` is set, the inline plane (the same
     /// protocol served on the caller's thread) otherwise.
-    pub endpoint: Arc<StorageEndpoint>,
+    pub endpoint: StorageEndpoint,
     /// Runtime configuration.
     pub config: Arc<HurricaneConfig>,
-    /// Shared cancellation state.
+    /// Shared cancellation state, and the stop signal.
     pub kill: Arc<KillSwitch>,
-    /// Running-unit soft state.
-    pub registry: Arc<RunningRegistry>,
+    /// Running-unit soft state (quiesce detection during recovery).
+    pub registry: RunningRegistry,
     /// Channel to the application master.
     pub control_tx: Sender<ControlMsg>,
     /// The scheduling bags.
     pub workbags: WorkBagIds,
+    /// Mapping from graph bag index to physical bag id.
+    pub bag_map: Arc<Vec<BagId>>,
     /// Seed source.
     pub seeds: Arc<SeedGen>,
-    /// Set when the application has completed and managers should exit.
-    pub app_done: Arc<AtomicBool>,
+}
+
+impl Runtime {
+    /// Opens a bag client for `bag` over the deployment's storage
+    /// endpoint.
+    pub(crate) fn bag_client(&self, bag: BagId) -> BagClient {
+        self.endpoint.client(bag, self.seeds.next())
+    }
+
+    /// A bag client for a task-output writer: like
+    /// [`Runtime::bag_client`], plus an insert-coalescing window of
+    /// two write batches, so a port sends one envelope per node per `2b`
+    /// sealed chunks. Only task-output writers coalesce — work-bag
+    /// scheduling traffic stays call-synchronous so claims are
+    /// immediately visible. Writers flush at task boundaries
+    /// ([`BagWriter::flush`] drains the port), so deferred completion
+    /// never leaks past a task.
+    pub(crate) fn writer_client(&self, bag: BagId) -> BagClient {
+        self.bag_client(bag)
+            .with_coalescing(2 * self.config.batch_factor)
+    }
+
+    /// Opens a typed work bag over the deployment's storage endpoint.
+    pub(crate) fn workbag<T: hurricane_format::Record>(&self, bag: BagId) -> WorkBag<T> {
+        WorkBag::with_client(self.bag_client(bag))
+    }
 }
 
 /// Handle to one compute node: its worker slots.
@@ -194,13 +227,8 @@ impl ComputeNodeHandle {
         self.alive.store(true, Ordering::Relaxed);
     }
 
-    /// Returns whether the node is currently alive.
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Relaxed)
-    }
-
-    /// Joins the node's worker slots (call after the app-done flag is
-    /// set).
+    /// Joins the node's worker slots (call after
+    /// [`KillSwitch::shutdown_all`]).
     pub fn join(self) {
         for slot in self.slots {
             let _ = slot.join();
@@ -208,43 +236,17 @@ impl ComputeNodeHandle {
     }
 }
 
-impl ManagerDeps {
-    /// Opens a bag client for `bag` over the deployment's storage
-    /// endpoint.
-    pub(crate) fn bag_client(&self, bag: BagId) -> BagClient {
-        self.endpoint.client(bag, self.seeds.next())
-    }
-
-    /// A bag client for a task-output writer: like
-    /// [`ManagerDeps::bag_client`], plus an insert-coalescing window of
-    /// two write batches, so a port sends one envelope per node per `2b`
-    /// sealed chunks. Only task-output writers coalesce — work-bag
-    /// scheduling traffic stays call-synchronous so claims are
-    /// immediately visible. Writers flush at task boundaries
-    /// ([`BagWriter::flush`] drains the port), so deferred completion
-    /// never leaks past a task.
-    pub(crate) fn writer_client(&self, bag: BagId) -> BagClient {
-        self.bag_client(bag)
-            .with_coalescing(2 * self.config.batch_factor)
-    }
-
-    /// Opens a typed work bag over the deployment's storage path.
-    fn workbag<T: hurricane_format::Record>(&self, bag: BagId) -> WorkBag<T> {
-        WorkBag::with_client(self.bag_client(bag))
-    }
-}
-
 /// Starts compute node `node_id`: one persistent worker thread per
 /// `worker_slots`.
-pub fn spawn_manager(node_id: u32, deps: ManagerDeps) -> ComputeNodeHandle {
+pub fn spawn_manager(node_id: u32, rt: &Arc<Runtime>) -> ComputeNodeHandle {
     let alive = Arc::new(AtomicBool::new(true));
-    let slots = (0..deps.config.worker_slots)
+    let slots = (0..rt.config.worker_slots)
         .map(|slot| {
-            let deps = deps.clone();
+            let rt = rt.clone();
             let alive = alive.clone();
             std::thread::Builder::new()
                 .name(format!("worker-cn{node_id}-{slot}"))
-                .spawn(move || worker_loop(node_id, &deps, &alive))
+                .spawn(move || worker_loop(node_id, &rt, &alive))
                 .expect("spawning worker")
         })
         .collect();
@@ -255,11 +257,11 @@ pub fn spawn_manager(node_id: u32, deps: ManagerDeps) -> ComputeNodeHandle {
     }
 }
 
-/// One worker slot: claims a descriptor from the ready bag, appends its
-/// claim record, and runs the unit on this thread, until the app is done.
-fn worker_loop(node_id: u32, deps: &ManagerDeps, alive: &Arc<AtomicBool>) {
-    let mut ready: WorkBag<Descriptor> = deps.workbag(deps.workbags.ready);
-    let mut running: WorkBag<RunningRecord> = deps.workbag(deps.workbags.running);
+/// One worker slot: claims a descriptor from the ready bag and hands it
+/// to [`run_claimed`], until the kill switch shuts the application down.
+fn worker_loop(node_id: u32, rt: &Arc<Runtime>, alive: &Arc<AtomicBool>) {
+    let mut ready: WorkBag<Descriptor> = rt.workbag(rt.workbags.ready);
+    let mut running: WorkBag<RunningRecord> = rt.workbag(rt.workbags.running);
     // Consecutive ready-bag claim failures. Transient storage errors
     // (a node mid-failover, a disk hiccup) deserve a retry; a *persistent*
     // failure — e.g. a poisoned work-bag log after a failed journal
@@ -267,7 +269,7 @@ fn worker_loop(node_id: u32, deps: &ManagerDeps, alive: &Arc<AtomicBool>) {
     // master waits for progress that can never come.
     let mut claim_errors: u32 = 0;
     const CLAIM_ERROR_LIMIT: u32 = 2_000; // ≈2 s of 1 ms retries
-    while !deps.app_done.load(Ordering::Relaxed) {
+    while !rt.kill.is_shutdown() {
         if !alive.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_micros(500));
             continue;
@@ -275,46 +277,7 @@ fn worker_loop(node_id: u32, deps: &ManagerDeps, alive: &Arc<AtomicBool>) {
         match ready.try_take_batch(1).map(|mut claimed| claimed.pop()) {
             Ok(Some(desc)) => {
                 claim_errors = 0;
-                let inst = desc.instance_id();
-                if deps.kill.is_killed(inst.task.0, desc.generation) {
-                    continue; // Stale descriptor from a restarted task.
-                }
-                let rec = RunningRecord {
-                    kind: desc.kind,
-                    instance: desc.instance,
-                    generation: desc.generation,
-                    node: node_id,
-                    inputs: desc.inputs.clone(),
-                    outputs: desc.outputs.clone(),
-                };
-                if running.insert(&rec).is_err() {
-                    // Storage refused the claim record; put the unit back
-                    // rather than running it untracked. If the ready bag
-                    // refuses too the descriptor is gone — fail the job
-                    // loudly instead of letting the master poll forever
-                    // for a unit nobody holds.
-                    if let Err(e) = ready.insert(&desc) {
-                        let _ = deps.control_tx.send(ControlMsg::Fatal {
-                            task: inst.task.0,
-                            message: format!("work descriptor lost on requeue: {e}"),
-                        });
-                    }
-                    continue;
-                }
-                // A panicking task fails the job like an erroring one; the
-                // slot survives to claim the next unit.
-                let unit = AssertUnwindSafe(|| run_unit(node_id, desc, deps, alive));
-                if let Err(panic) = std::panic::catch_unwind(unit) {
-                    let what = panic
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-                        .unwrap_or("non-string payload");
-                    let _ = deps.control_tx.send(ControlMsg::Fatal {
-                        task: inst.task.0,
-                        message: format!("task panicked: {what}"),
-                    });
-                }
+                run_claimed(node_id, desc, rt, alive, &mut ready, &mut running);
             }
             Ok(None) => {
                 claim_errors = 0;
@@ -326,7 +289,7 @@ fn worker_loop(node_id: u32, deps: &ManagerDeps, alive: &Arc<AtomicBool>) {
                     // No task to pin the failure on — the claim itself
                     // is what fails. The sentinel id still aborts the
                     // run with the storage error in hand.
-                    let _ = deps.control_tx.send(ControlMsg::Fatal {
+                    let _ = rt.control_tx.send(ControlMsg::Fatal {
                         task: u32::MAX,
                         message: format!(
                             "compute node {node_id} cannot claim work \
@@ -340,25 +303,80 @@ fn worker_loop(node_id: u32, deps: &ManagerDeps, alive: &Arc<AtomicBool>) {
     }
 }
 
+/// Skips a claimed descriptor whose generation was killed, else appends
+/// its claim record and runs the unit on this thread. The node's flag is
+/// read again once the record is in: a restart that scanned the running
+/// bag before the record existed missed this unit, so a failed node puts
+/// the descriptor back rather than run it, cancel and leave the master
+/// waiting forever. (A restart that saw the record bumped the generation,
+/// so the requeued copy is skipped as stale.)
+fn run_claimed(
+    node_id: u32,
+    desc: Descriptor,
+    rt: &Arc<Runtime>,
+    alive: &Arc<AtomicBool>,
+    ready: &mut WorkBag<Descriptor>,
+    running: &mut WorkBag<RunningRecord>,
+) {
+    let task = desc.instance_id().task.0;
+    if rt.kill.is_killed(task, desc.generation) {
+        return; // Stale descriptor from a restarted task.
+    }
+    let rec = RunningRecord {
+        kind: desc.kind,
+        instance: desc.instance,
+        generation: desc.generation,
+        node: node_id,
+    };
+    // Storage refusing the claim record is the other reason to put the
+    // unit back rather than run it untracked.
+    if running.insert(&rec).is_err() || !alive.load(Ordering::Relaxed) {
+        // If the ready bag refuses too the descriptor is gone — fail the
+        // job loudly instead of letting the master poll forever for a
+        // unit nobody holds.
+        if let Err(e) = ready.insert(&desc) {
+            let _ = rt.control_tx.send(ControlMsg::Fatal {
+                task,
+                message: format!("work descriptor lost on requeue: {e}"),
+            });
+        }
+        return;
+    }
+    // A panicking task fails the job like an erroring one; the slot
+    // survives to claim the next unit.
+    let unit = AssertUnwindSafe(|| run_unit(node_id, desc, rt, alive));
+    if let Err(panic) = std::panic::catch_unwind(unit) {
+        let what = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        let _ = rt.control_tx.send(ControlMsg::Fatal {
+            task,
+            message: format!("task panicked: {what}"),
+        });
+    }
+}
+
 /// Executes one claimed unit (task instance or merge) to completion.
-fn run_unit(node_id: u32, desc: Descriptor, deps: &ManagerDeps, node_alive: &Arc<AtomicBool>) {
+fn run_unit(node_id: u32, desc: Descriptor, rt: &Arc<Runtime>, node_alive: &Arc<AtomicBool>) {
     let started = Instant::now();
     let inst = desc.instance_id();
     let key = (inst.task.0, desc.generation, inst.clone.0, desc.kind);
-    deps.registry.register(key.0, key.1, key.2, key.3, node_id);
+    rt.registry.register(key.0, key.1, key.2, key.3, node_id);
     let _guard = RegistryGuard {
-        registry: &deps.registry,
+        registry: &rt.registry,
         key,
     };
     let probe = CancelProbe {
-        kill: deps.kill.clone(),
+        kill: rt.kill.clone(),
         task: inst.task.0,
         generation: desc.generation,
         node_alive: node_alive.clone(),
     };
     let outcome = match desc.kind {
-        KIND_TASK => run_task(node_id, &desc, deps, &probe, started),
-        KIND_MERGE => run_merge(&desc, deps, &probe),
+        KIND_TASK => run_task(node_id, &desc, rt, &probe, started),
+        KIND_MERGE => run_merge(&desc, rt, &probe),
         _ => Err(EngineError::InvalidGraph(format!(
             "unknown descriptor kind {}",
             desc.kind
@@ -369,7 +387,7 @@ fn run_unit(node_id: u32, desc: Descriptor, deps: &ManagerDeps, node_alive: &Arc
             if probe.cancelled() {
                 return; // Cancelled at the finish line: no done record.
             }
-            let mut done: WorkBag<DoneRecord> = deps.workbag(deps.workbags.done);
+            let mut done: WorkBag<DoneRecord> = rt.workbag(rt.workbags.done);
             // A completion that can't be recorded is indistinguishable
             // from a unit that never finished: the master would wait
             // forever. Surface the storage failure instead of hanging
@@ -383,7 +401,7 @@ fn run_unit(node_id: u32, desc: Descriptor, deps: &ManagerDeps, node_alive: &Arc
                 outputs: desc.outputs.clone(),
                 elapsed_us: started.elapsed().as_micros() as u64,
             }) {
-                let _ = deps.control_tx.send(ControlMsg::Fatal {
+                let _ = rt.control_tx.send(ControlMsg::Fatal {
                     task: inst.task.0,
                     message: format!("completion record lost: {e}"),
                 });
@@ -391,7 +409,7 @@ fn run_unit(node_id: u32, desc: Descriptor, deps: &ManagerDeps, node_alive: &Arc
         }
         Err(EngineError::Cancelled) => {}
         Err(e) => {
-            let _ = deps.control_tx.send(ControlMsg::Fatal {
+            let _ = rt.control_tx.send(ControlMsg::Fatal {
                 task: inst.task.0,
                 message: e.to_string(),
             });
@@ -402,19 +420,19 @@ fn run_unit(node_id: u32, desc: Descriptor, deps: &ManagerDeps, node_alive: &Arc
 fn run_task(
     node_id: u32,
     desc: &Descriptor,
-    deps: &ManagerDeps,
+    rt: &Runtime,
     probe: &CancelProbe,
     started: Instant,
 ) -> Result<(), EngineError> {
     let inst = desc.instance_id();
-    let logic = deps.graph.task(inst.task).logic.clone();
+    let logic = rt.graph.task(inst.task).logic.clone();
     let inputs = desc
         .inputs
         .iter()
         .map(|&b| {
             BagReader::open_client(
-                deps.bag_client(BagId(b)),
-                deps.config.batch_factor,
+                rt.bag_client(BagId(b)),
+                rt.config.batch_factor,
                 Some(probe.clone()),
             )
         })
@@ -424,9 +442,9 @@ fn run_task(
         .iter()
         .map(|&b| {
             BagWriter::open_batched_client(
-                deps.writer_client(BagId(b)),
-                deps.config.chunk_size,
-                deps.config.batch_factor,
+                rt.writer_client(BagId(b)),
+                rt.config.chunk_size,
+                rt.config.batch_factor,
             )
         })
         .collect();
@@ -434,17 +452,16 @@ fn run_task(
         inputs,
         outputs,
         input_bags: desc.inputs.iter().map(|&b| BagId(b)).collect(),
-        control: deps.endpoint.port(),
+        control: rt.endpoint.port(),
         instance: inst,
         node: node_id,
         generation: desc.generation,
-        clone_tx: deps.config.cloning_enabled.then(|| deps.control_tx.clone()),
-        clone_interval: deps.config.clone_interval,
+        clone_tx: rt.config.cloning_enabled.then(|| rt.control_tx.clone()),
+        clone_interval: rt.config.clone_interval,
         last_ping: Instant::now(),
         started,
         startup: None,
         consumed: Arc::new([]),
-        scratch: Vec::new(),
     };
     logic.run(&mut ctx)?;
     ctx.flush_outputs()?;
@@ -462,7 +479,7 @@ fn run_task(
 /// reclaim leftovers on *any* exit path — a failed spill write fails the
 /// merge cleanly and its scratch never leaks.
 struct ClusterSpillSink {
-    deps: ManagerDeps,
+    rt: Arc<Runtime>,
     control: Option<RpcPort>,
     probe: CancelProbe,
     /// All unreleased runs of the owning merge task (shared across the
@@ -474,25 +491,24 @@ struct ClusterSpillSink {
 
 impl ClusterSpillSink {
     fn control(&mut self) -> &mut RpcPort {
-        self.control
-            .get_or_insert_with(|| self.deps.endpoint.port())
+        self.control.get_or_insert_with(|| self.rt.endpoint.port())
     }
 }
 
 impl SpillSink for ClusterSpillSink {
     fn create_run(&mut self) -> Result<BagWriter, EngineError> {
-        let cluster = self.deps.endpoint.cluster();
+        let cluster = self.rt.endpoint.cluster();
         let bag = cluster.create_bag();
         self.scratch.lock().push(bag);
         let pin = self.next_pin % cluster.num_nodes();
         self.next_pin = self.next_pin.wrapping_add(1);
-        let client = self.deps.bag_client(bag).with_pinned_node(pin);
+        let client = self.rt.bag_client(bag).with_pinned_node(pin);
         // Write batch factor 1: chunks insert (and thus read back) in
         // emission order. No coalescing — a spill failure must surface
         // inside the merge, not at some later flush.
         Ok(BagWriter::open_batched_client(
             client,
-            self.deps.config.chunk_size,
+            self.rt.config.chunk_size,
             1,
         ))
     }
@@ -501,7 +517,7 @@ impl SpillSink for ClusterSpillSink {
         self.control().seal_bag(bag)?;
         // Batch factor 1 keeps delivery strictly in insertion order.
         Ok(BagReader::open_client(
-            self.deps.bag_client(bag),
+            self.rt.bag_client(bag),
             1,
             Some(self.probe.clone()),
         ))
@@ -514,11 +530,7 @@ impl SpillSink for ClusterSpillSink {
     }
 }
 
-fn run_merge(
-    desc: &Descriptor,
-    deps: &ManagerDeps,
-    probe: &CancelProbe,
-) -> Result<(), EngineError> {
+fn run_merge(desc: &Descriptor, rt: &Arc<Runtime>, probe: &CancelProbe) -> Result<(), EngineError> {
     let inst = desc.instance_id();
     let stride = desc.outputs.len();
     debug_assert!(stride > 0 && desc.inputs.len().is_multiple_of(stride));
@@ -527,7 +539,7 @@ fn run_merge(
         // A single partial is definitionally the final output: identity.
         Arc::new(ConcatMerge)
     } else {
-        deps.graph
+        rt.graph
             .task(inst.task)
             .merge
             .clone()
@@ -545,16 +557,16 @@ fn run_merge(
             let partials: Vec<BagReader> = (0..instances)
                 .map(|i| {
                     BagReader::open_client(
-                        deps.bag_client(BagId(desc.inputs[i * stride + out_idx])),
-                        deps.config.batch_factor,
+                        rt.bag_client(BagId(desc.inputs[i * stride + out_idx])),
+                        rt.config.batch_factor,
                         Some(probe.clone()),
                     )
                 })
                 .collect();
             let out = BagWriter::open_batched_client(
-                deps.writer_client(BagId(out_bag)),
-                deps.config.chunk_size,
-                deps.config.batch_factor,
+                rt.writer_client(BagId(out_bag)),
+                rt.config.chunk_size,
+                rt.config.batch_factor,
             );
             (out_idx, partials, out)
         })
@@ -565,7 +577,7 @@ fn run_merge(
     let scratch: Arc<Mutex<Vec<BagId>>> = Arc::default();
     let make_sink = || -> Box<dyn SpillSink> {
         Box::new(ClusterSpillSink {
-            deps: deps.clone(),
+            rt: rt.clone(),
             control: None,
             probe: probe.clone(),
             scratch: scratch.clone(),
@@ -574,14 +586,14 @@ fn run_merge(
     };
     let result = merges::merge_outputs(
         &*merge,
-        deps.config.merge_parallelism,
+        rt.config.merge_parallelism,
         jobs,
-        deps.config.merge_memory_budget,
+        rt.config.merge_memory_budget,
         &make_sink,
     );
     let leftovers = std::mem::take(&mut *scratch.lock());
     if !leftovers.is_empty() {
-        let mut control = deps.endpoint.port();
+        let mut control = rt.endpoint.port();
         for bag in leftovers {
             let _ = control.collect_bag(bag);
         }
@@ -592,6 +604,68 @@ fn run_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hurricane_common::{TaskId, TaskInstanceId};
+    use hurricane_storage::{ClusterConfig, StorageCluster};
+
+    #[test]
+    fn a_node_failed_before_its_claim_record_landed_requeues_the_unit() {
+        let ran = Arc::new(AtomicBool::new(false));
+        let mut g = AppGraph::builder();
+        let input = g.source("in");
+        let out = g.bag("out");
+        let flag = ran.clone();
+        g.task("t", &[input], &[out], move |_: &mut TaskCtx| {
+            flag.store(true, Ordering::Relaxed);
+            Ok(())
+        });
+        let graph = g.build().unwrap();
+        let cluster = StorageCluster::new(1, ClusterConfig::default());
+        let bag_map: Vec<BagId> = (0..graph.num_bags())
+            .map(|_| cluster.create_bag())
+            .collect();
+        cluster.seal_bag(bag_map[input.0]).unwrap();
+        let workbags = WorkBagIds {
+            ready: cluster.create_bag(),
+            running: cluster.create_bag(),
+            done: cluster.create_bag(),
+        };
+        let desc = Descriptor {
+            kind: KIND_TASK,
+            instance: TaskInstanceId::original(TaskId(0)).pack(),
+            generation: 0,
+            inputs: vec![bag_map[input.0].raw()],
+            outputs: vec![bag_map[out.0].raw()],
+        };
+        let rt = Arc::new(Runtime {
+            graph: Arc::new(graph),
+            endpoint: StorageEndpoint::inline(cluster),
+            config: Arc::new(HurricaneConfig::default()),
+            kill: Arc::new(KillSwitch::new()),
+            registry: RunningRegistry::new(),
+            control_tx: crossbeam::channel::unbounded().0,
+            workbags,
+            bag_map: Arc::new(bag_map),
+            seeds: Arc::new(SeedGen::new(1)),
+        });
+        let mut ready = rt.workbag(workbags.ready);
+        let mut running = rt.workbag(workbags.running);
+        let mut done: WorkBag<DoneRecord> = rt.workbag(workbags.done);
+        // The node failed between the claim and the claim record.
+        let alive = Arc::new(AtomicBool::new(false));
+        run_claimed(0, desc.clone(), &rt, &alive, &mut ready, &mut running);
+        assert_eq!(
+            ready.try_take_batch(8).unwrap(),
+            std::slice::from_ref(&desc)
+        );
+        assert!(!ran.load(Ordering::Relaxed), "no unit ran");
+        assert!(done.scan_all().unwrap().is_empty());
+        // On a live node the same claim runs the unit to its done record.
+        alive.store(true, Ordering::Relaxed);
+        run_claimed(0, desc, &rt, &alive, &mut ready, &mut running);
+        assert!(ran.load(Ordering::Relaxed));
+        assert!(ready.try_take_batch(8).unwrap().is_empty());
+        assert_eq!(done.scan_all().unwrap().len(), 1);
+    }
 
     #[test]
     fn registry_tracks_and_clears() {

@@ -12,20 +12,22 @@
 //! [`Master::recover`] rebuilds clone counts, partial-bag allocations, and
 //! completion state from non-destructive snapshots, after which compute
 //! nodes (which kept working during the outage) never notice.
+//!
+//! The master reaches the workers only through the [`Runtime`] it shares
+//! with them: the work bags, the kill switch and the control channel.
+//! When the job completes or a unit fails it, the master shuts the kill
+//! switch down, which cancels every unit and ends every worker loop.
 
 use crate::app::AppReport;
-use crate::config::HurricaneConfig;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};
 use crate::error::EngineError;
-use crate::graph::AppGraph;
 use crate::heuristic::{CloneDecision, MIN_REMAINING_CHUNKS_TO_CLONE};
-use crate::manager::{RunningRegistry, SeedGen, WorkBagIds};
-use crate::task::{CloneRequest, ControlMsg, KillSwitch};
+use crate::manager::Runtime;
+use crate::task::{CloneRequest, ControlMsg};
 use crossbeam::channel::Receiver;
 use hurricane_common::{BagId, TaskId, TaskInstanceId};
-use hurricane_storage::{RpcPort, StorageEndpoint, WorkBag};
+use hurricane_storage::{RpcPort, WorkBag};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,31 +117,6 @@ pub enum MasterOutcome {
     Crashed(Receiver<ControlMsg>),
 }
 
-/// Everything the master needs, shared with the rest of the runtime.
-#[derive(Clone)]
-pub struct MasterDeps {
-    /// The application graph.
-    pub graph: Arc<AppGraph>,
-    /// The storage endpoint bag clients and the master's control port
-    /// are minted from (the channel or the inline plane, per
-    /// `HurricaneConfig::storage_rpc`).
-    pub endpoint: Arc<StorageEndpoint>,
-    /// Runtime configuration.
-    pub config: Arc<HurricaneConfig>,
-    /// Shared cancellation state.
-    pub kill: Arc<KillSwitch>,
-    /// Running-unit soft state (quiesce detection during recovery).
-    pub registry: Arc<RunningRegistry>,
-    /// The scheduling bags.
-    pub workbags: WorkBagIds,
-    /// Mapping from graph bag index to physical bag id.
-    pub bag_map: Arc<Vec<BagId>>,
-    /// Seed source.
-    pub seeds: Arc<SeedGen>,
-    /// Set by the master when the application finishes (managers exit).
-    pub app_done: Arc<AtomicBool>,
-}
-
 #[derive(Debug, Default)]
 struct TaskState {
     scheduled: bool,
@@ -156,7 +133,7 @@ struct TaskState {
 
 /// The application master.
 pub struct Master {
-    deps: MasterDeps,
+    rt: Arc<Runtime>,
     control_rx: Receiver<ControlMsg>,
     state: Vec<TaskState>,
     ready: WorkBag<Descriptor>,
@@ -173,30 +150,23 @@ pub struct Master {
     reconciles: u32,
 }
 
-impl MasterDeps {
-    /// Opens a typed work bag over the deployment's storage endpoint.
-    fn workbag<T: hurricane_format::Record>(&self, bag: BagId) -> WorkBag<T> {
-        WorkBag::with_client(self.endpoint.client(bag, self.seeds.next()))
-    }
-}
-
 impl Master {
     /// Creates a fresh master for a newly deployed application.
-    pub fn new(deps: MasterDeps, control_rx: Receiver<ControlMsg>) -> Self {
-        let state = (0..deps.graph.num_tasks())
+    pub fn new(rt: Arc<Runtime>, control_rx: Receiver<ControlMsg>) -> Self {
+        let state = (0..rt.graph.num_tasks())
             .map(|_| TaskState::default())
             .collect();
         Self {
-            ready: deps.workbag(deps.workbags.ready),
-            done_bag: deps.workbag(deps.workbags.done),
-            running_bag: deps.workbag(deps.workbags.running),
-            control: deps.endpoint.port(),
+            ready: rt.workbag(rt.workbags.ready),
+            done_bag: rt.workbag(rt.workbags.done),
+            running_bag: rt.workbag(rt.workbags.running),
+            control: rt.endpoint.port(),
             state,
             report: AppReport::default(),
             start: Instant::now(),
             reconcile_us: 0,
             reconciles: 0,
-            deps,
+            rt,
             control_rx,
         }
     }
@@ -210,10 +180,10 @@ impl Master {
     /// of every task. The done bag yields completions. Compute nodes and
     /// storage nodes are untouched.
     pub fn recover(
-        deps: MasterDeps,
+        rt: Arc<Runtime>,
         control_rx: Receiver<ControlMsg>,
     ) -> Result<Self, EngineError> {
-        let mut master = Master::new(deps, control_rx);
+        let mut master = Master::new(rt, control_rx);
         let descriptors = master.ready.scan_all()?;
         // Pass 1: current generation per task = max generation scheduled.
         for d in &descriptors {
@@ -232,7 +202,7 @@ impl Master {
             match d.kind {
                 KIND_TASK => {
                     st.instances = st.instances.max(inst.clone.0 + 1);
-                    if master.deps.graph.task(inst.task).merge.is_some() {
+                    if master.rt.graph.task(inst.task).merge.is_some() {
                         st.partials.insert(inst.clone.0, d.outputs.clone());
                     }
                 }
@@ -255,8 +225,7 @@ impl Master {
                     ControlMsg::CloneRequest(req) => self.handle_clone_request(&req)?,
                     ControlMsg::NodeFailed { node } => self.handle_node_failure(node)?,
                     ControlMsg::Fatal { task, message } => {
-                        self.deps.kill.shutdown_all();
-                        self.deps.app_done.store(true, Ordering::Relaxed);
+                        self.rt.kill.shutdown_all();
                         return Err(EngineError::TaskFailed {
                             task: TaskId(task),
                             message,
@@ -278,19 +247,20 @@ impl Master {
             }
             self.progress()?;
             if self.state.iter().all(|s| s.completed) {
-                self.deps.app_done.store(true, Ordering::Relaxed);
+                self.rt.kill.shutdown_all();
+                self.report.count_clones();
                 return Ok(MasterOutcome::Completed(self.report));
             }
-            std::thread::sleep(self.deps.config.master_poll);
+            std::thread::sleep(self.rt.config.master_poll);
         }
     }
 
     fn physical(&self, graph_bag: usize) -> BagId {
-        self.deps.bag_map[graph_bag]
+        self.rt.bag_map[graph_bag]
     }
 
     fn task_input_bags(&self, t: TaskId) -> Vec<u64> {
-        self.deps
+        self.rt
             .graph
             .task(t)
             .inputs
@@ -300,7 +270,7 @@ impl Master {
     }
 
     fn task_output_bags(&self, t: TaskId) -> Vec<u64> {
-        self.deps
+        self.rt
             .graph
             .task(t)
             .outputs
@@ -326,12 +296,12 @@ impl Master {
             }
             if !self.state[idx].scheduled {
                 let ready = self
-                    .deps
+                    .rt
                     .graph
                     .task(t)
                     .inputs
                     .iter()
-                    .map(|&b| self.deps.endpoint.cluster().is_sealed(self.physical(b)))
+                    .map(|&b| self.rt.endpoint.cluster().is_sealed(self.physical(b)))
                     .collect::<Result<Vec<bool>, _>>()?
                     .into_iter()
                     .all(|s| s);
@@ -345,7 +315,7 @@ impl Master {
             if !all_done {
                 continue;
             }
-            let has_merge = self.deps.graph.task(t).merge.is_some();
+            let has_merge = self.rt.graph.task(t).merge.is_some();
             if has_merge {
                 if !st.merge_scheduled {
                     // Partials from every instance must be known before the
@@ -365,7 +335,7 @@ impl Master {
     }
 
     fn complete_task(&mut self, t: TaskId) -> Result<(), EngineError> {
-        for &b in &self.deps.graph.task(t).outputs {
+        for &b in &self.rt.graph.task(t).outputs {
             self.control.seal_bag(self.physical(b))?;
         }
         self.state[t.index()].completed = true;
@@ -379,17 +349,17 @@ impl Master {
     /// from the bags on crash recovery, so a crash between this call and
     /// the insert simply leaves the task unscheduled.
     fn make_instance_descriptor(&mut self, t: TaskId, clone_id: u32) -> Descriptor {
-        let has_merge = self.deps.graph.task(t).merge.is_some();
+        let has_merge = self.rt.graph.task(t).merge.is_some();
         let outputs: Vec<u64> = if has_merge {
             // Allocate (or reuse, after a restart) this instance's partial
             // output bags — one per declared output.
-            let n_out = self.deps.graph.task(t).outputs.len();
+            let n_out = self.rt.graph.task(t).outputs.len();
             let st = &mut self.state[t.index()];
             if let Some(existing) = st.partials.get(&clone_id) {
                 existing.clone()
             } else {
                 let bags: Vec<u64> = (0..n_out)
-                    .map(|_| self.deps.endpoint.cluster().create_bag().raw())
+                    .map(|_| self.rt.endpoint.cluster().create_bag().raw())
                     .collect();
                 st.partials.insert(clone_id, bags.clone());
                 bags
@@ -422,22 +392,15 @@ impl Master {
     /// (paper §3.2: "Once all the clones complete, we execute the merge
     /// task to produce the reconciled output").
     fn schedule_merge(&mut self, t: TaskId) -> Result<(), EngineError> {
-        let st = &self.state[t.index()];
-        let stride = self.deps.graph.task(t).outputs.len();
-        let mut flattened = Vec::with_capacity(st.instances as usize * stride);
-        for (_, bags) in st.partials.iter() {
-            for &b in bags {
-                flattened.push(b);
-            }
-        }
-        for &b in &flattened {
+        let partials = self.partial_bags(t);
+        for &b in &partials {
             self.control.seal_bag(BagId(b))?;
         }
         let desc = Descriptor {
             kind: KIND_MERGE,
             instance: TaskInstanceId::original(t).pack(),
-            generation: st.generation,
-            inputs: flattened,
+            generation: self.state[t.index()].generation,
+            inputs: partials,
             outputs: self.task_output_bags(t),
         };
         self.ready.insert(&desc)?;
@@ -471,7 +434,7 @@ impl Master {
                     // the narrow insert-before-crash window: adopt it.
                     st.instances = c + 1;
                 }
-                if self.deps.graph.task(inst.task).merge.is_some() {
+                if self.rt.graph.task(inst.task).merge.is_some() {
                     st.partials.entry(c).or_insert_with(|| rec.outputs.clone());
                 }
                 st.done.insert(c);
@@ -497,15 +460,10 @@ impl Master {
     /// part of the start-up the worker measured.
     fn handle_clone_request(&mut self, req: &CloneRequest) -> Result<(), EngineError> {
         let entry = self.decide_clone(req)?;
-        self.report.clone_requests += 1;
         if entry.verdict == CloneVerdict::Granted {
             let t = TaskId(req.task);
             self.state[t.index()].last_clone = Some(Instant::now());
             self.schedule_instance(t, entry.instances)?;
-            *self.report.clones_per_task.entry(req.task).or_insert(0) += 1;
-            self.report.total_clones += 1;
-        } else {
-            self.report.clone_rejections += 1;
         }
         self.report.clone_log.push(entry);
         Ok(())
@@ -533,7 +491,7 @@ impl Master {
             return verdict(NotRunning, entry);
         };
         entry.instances = st.instances;
-        let config = &self.deps.config;
+        let config = &self.rt.config;
         if !config.cloning_enabled
             || !st.scheduled
             || st.completed
@@ -551,13 +509,13 @@ impl Master {
         {
             return verdict(Interval, entry);
         }
-        if self.deps.registry.active() >= config.compute_nodes * config.worker_slots {
+        if self.rt.registry.active() >= config.compute_nodes * config.worker_slots {
             return verdict(NoCapacity, entry);
         }
         // Paper: "T is estimated by sampling the input bag ... to
         // estimate how much data is left and how fast it is emptying".
         // How much is left is the sample; how fast is the requester's.
-        let task = self.deps.graph.task(t);
+        let task = self.rt.graph.task(t);
         for &b in req
             .consumed
             .iter()
@@ -620,14 +578,25 @@ impl Master {
         Ok(())
     }
 
+    /// Every partial output bag of task `t`, laid out `[instance][output]`
+    /// as a merge descriptor lists them.
+    fn partial_bags(&self, t: TaskId) -> Vec<u64> {
+        self.state[t.index()]
+            .partials
+            .values()
+            .flatten()
+            .copied()
+            .collect()
+    }
+
     fn restart_task(&mut self, t: TaskId) -> Result<(), EngineError> {
         let old_gen = self.state[t.index()].generation;
         // Cancel every worker of the old generation, then wait for them to
         // unwind before touching their bags: a zombie writer inserting
         // into a discarded output bag would corrupt the retry.
-        self.deps.kill.kill(t.0, old_gen);
+        self.rt.kill.kill(t.0, old_gen);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while self.deps.registry.task_active_upto(t.0, old_gen) {
+        while self.rt.registry.task_active_upto(t.0, old_gen) {
             if Instant::now() > deadline {
                 return Err(EngineError::TaskFailed {
                     task: t,
@@ -636,9 +605,12 @@ impl Master {
             }
             std::thread::sleep(Duration::from_micros(200));
         }
-        let has_merge = self.deps.graph.task(t).merge.is_some();
+        let rt = Arc::clone(&self.rt);
+        let task = rt.graph.task(t);
+        let outputs = task.outputs.iter().map(|&b| rt.bag_map[b]);
+        let partials = self.partial_bags(t).into_iter().map(BagId);
         let st = &self.state[t.index()];
-        let merge_phase_restart = has_merge
+        let merge_phase_restart = task.merge.is_some()
             && st.merge_scheduled
             && !st.merge_done
             && st.done.len() as u32 == st.instances;
@@ -646,18 +618,12 @@ impl Master {
             // The clones finished; only the merge died. Rerun just the
             // merge: discard its (partial) writes to the real outputs and
             // rewind the sealed partial inputs.
-            for &b in &self.deps.graph.task(t).outputs.clone() {
-                self.control.discard_bag(self.physical(b))?;
+            for b in outputs {
+                self.control.discard_bag(b)?;
             }
-            let partials: Vec<u64> = self.state[t.index()]
-                .partials
-                .values()
-                .flatten()
-                .copied()
-                .collect();
             for b in partials {
-                self.control.rewind_bag(BagId(b))?;
-                self.control.seal_bag(BagId(b))?;
+                self.control.rewind_bag(b)?;
+                self.control.seal_bag(b)?;
             }
             let st = &mut self.state[t.index()];
             st.generation += 1;
@@ -667,23 +633,17 @@ impl Master {
         } else {
             // Task-phase restart: discard all outputs (real or partial),
             // rewind inputs, and rerun from a single original instance.
-            if has_merge {
-                let partials: Vec<u64> = self.state[t.index()]
-                    .partials
-                    .values()
-                    .flatten()
-                    .copied()
-                    .collect();
+            if task.merge.is_some() {
                 for b in partials {
-                    self.control.discard_bag(BagId(b))?;
+                    self.control.discard_bag(b)?;
                 }
             } else {
-                for &b in &self.deps.graph.task(t).outputs.clone() {
-                    self.control.discard_bag(self.physical(b))?;
+                for b in outputs {
+                    self.control.discard_bag(b)?;
                 }
             }
-            for &b in &self.deps.graph.task(t).inputs.clone() {
-                self.control.rewind_bag(self.physical(b))?;
+            for &b in &task.inputs {
+                self.control.rewind_bag(rt.bag_map[b])?;
             }
             let st = &mut self.state[t.index()];
             st.generation += 1;
@@ -692,11 +652,7 @@ impl Master {
             st.merge_scheduled = false;
             st.merge_done = false;
             // Keep only instance 0's (now discarded, reusable) partials.
-            let keep = st.partials.get(&0).cloned();
-            st.partials.clear();
-            if let Some(bags) = keep {
-                st.partials.insert(0, bags);
-            }
+            st.partials.retain(|&clone, _| clone == 0);
             st.last_clone = None;
             self.schedule_instance(t, 0)?;
         }
@@ -708,9 +664,29 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HurricaneConfig;
+    use crate::graph::AppGraph;
+    use crate::manager::{RunningRegistry, SeedGen, WorkBagIds};
     use crate::merges::ReduceMerge;
-    use crate::task::{BagWriter, TaskCtx};
-    use hurricane_storage::{BagClient, ClusterConfig, StorageCluster};
+    use crate::task::{BagWriter, KillSwitch, TaskCtx};
+    use hurricane_storage::{BagClient, ClusterConfig, StorageCluster, StorageEndpoint};
+
+    /// Inserts `chunks` chunks of one 8-byte record each into `bag`.
+    fn fill(cluster: &Arc<StorageCluster>, bag: BagId, chunks: u64) {
+        let mut w = BagWriter::open(cluster.clone(), bag, 1, 8);
+        for i in 0..chunks {
+            w.write_record(&hurricane_format::FixedU64(i)).unwrap();
+        }
+        w.flush().unwrap();
+    }
+
+    /// Removes `chunks` chunks from `bag`, as a worker reading it would.
+    fn take(cluster: &Arc<StorageCluster>, bag: BagId, chunks: u64) {
+        let mut worker = BagClient::new(cluster.clone(), bag, 2);
+        for _ in 0..chunks {
+            worker.try_remove_batch(1).unwrap();
+        }
+    }
 
     /// A master over the PageRank-iteration shape — one task reading
     /// input 0 (`state_chunks` chunks) by snapshot and consuming input 1
@@ -735,35 +711,28 @@ mod tests {
             .map(|_| cluster.create_bag())
             .collect();
         for (bag, chunks) in [(state, state_chunks), (work, work_chunks)] {
-            // One 8-byte record per 8-byte chunk.
-            let mut w = BagWriter::open(cluster.clone(), bag_map[bag.0], 1, 8);
-            for i in 0..chunks {
-                w.write_record(&hurricane_format::FixedU64(i)).unwrap();
-            }
-            w.flush().unwrap();
+            fill(&cluster, bag_map[bag.0], chunks);
             cluster.seal_bag(bag_map[bag.0]).unwrap();
         }
-        let mut worker = BagClient::new(cluster.clone(), bag_map[work.0], 2);
-        for _ in 0..drained {
-            worker.try_remove_batch(1).unwrap();
-        }
-        let deps = MasterDeps {
+        take(&cluster, bag_map[work.0], drained);
+        let workbags = WorkBagIds {
+            ready: cluster.create_bag(),
+            running: cluster.create_bag(),
+            done: cluster.create_bag(),
+        };
+        let (control_tx, rx) = crossbeam::channel::unbounded();
+        let rt = Runtime {
             graph,
-            endpoint: Arc::new(StorageEndpoint::inline(cluster.clone())),
+            endpoint: StorageEndpoint::inline(cluster),
             config: Arc::new(HurricaneConfig::default()),
             kill: Arc::new(KillSwitch::new()),
-            registry: Arc::new(RunningRegistry::new()),
-            workbags: WorkBagIds {
-                ready: cluster.create_bag(),
-                running: cluster.create_bag(),
-                done: cluster.create_bag(),
-            },
+            registry: RunningRegistry::new(),
+            control_tx,
+            workbags,
             bag_map: Arc::new(bag_map),
             seeds: Arc::new(SeedGen::new(7)),
-            app_done: Arc::new(AtomicBool::new(false)),
         };
-        let (_tx, rx) = crossbeam::channel::unbounded();
-        let mut master = Master::new(deps, rx);
+        let mut master = Master::new(Arc::new(rt), rx);
         master.progress().expect("schedules the task");
         assert!(master.state[0].scheduled);
         master
@@ -786,6 +755,7 @@ mod tests {
 
     fn ask(master: &mut Master, req: CloneRequest) -> CloneLogEntry {
         master.handle_clone_request(&req).unwrap();
+        master.report.count_clones();
         *master
             .report
             .clone_log
@@ -906,9 +876,9 @@ mod tests {
     /// written to the done bag for [`Master::recover`] and handed to
     /// `master` as its run loop would.
     fn complete(master: &mut Master, kind: u8, clone: u32, elapsed_us: u64) {
-        let outputs = match kind {
-            KIND_MERGE => master.task_output_bags(TaskId(0)),
-            _ => master.state[0].partials[&clone].clone(),
+        let outputs = match master.state[0].partials.get(&clone) {
+            Some(partials) if kind == KIND_TASK => partials.clone(),
+            _ => master.task_output_bags(TaskId(0)),
         };
         let rec = DoneRecord {
             kind,
@@ -943,7 +913,7 @@ mod tests {
         // A recovered master replays the ready and done bags and holds
         // later requests to the same estimate.
         let (_tx, rx) = crossbeam::channel::unbounded();
-        let recovered = Master::recover(master.deps.clone(), rx).unwrap();
+        let recovered = Master::recover(master.rt.clone(), rx).unwrap();
         assert_eq!(recovered.report.merges_run, 1);
         assert_eq!(recovered.observed_reconcile(), Some(0.015));
     }
@@ -956,5 +926,121 @@ mod tests {
         complete(&mut master, KIND_MERGE, 0, 1_400);
         assert_eq!(master.report.merges_run, 1);
         assert_eq!(master.observed_reconcile(), None);
+    }
+
+    /// Chunks left to remove from `bag`, chunks it holds, and whether it
+    /// is sealed.
+    fn bag_state(master: &mut Master, bag: BagId) -> (u64, u64, bool) {
+        let s = master.control.sample_bag(bag).unwrap();
+        let sealed = master.rt.endpoint.cluster().is_sealed(bag).unwrap();
+        (s.remaining_chunks, s.total_chunks, sealed)
+    }
+
+    #[test]
+    fn a_merge_phase_restart_reruns_only_the_merge() {
+        let mut master = master_over(35, 160, 10, true);
+        let cluster = master.rt.endpoint.cluster().clone();
+        let granted = ask(&mut master, request(20, 0, 10)).verdict;
+        assert_eq!(granted, CloneVerdict::Granted);
+        let partials: Vec<BagId> = master
+            .partial_bags(TaskId(0))
+            .into_iter()
+            .map(BagId)
+            .collect();
+        assert_eq!(partials.len(), 2, "one output per instance");
+        for &b in &partials {
+            fill(&cluster, b, 3);
+        }
+        complete(&mut master, KIND_TASK, 0, 28_000);
+        complete(&mut master, KIND_TASK, 1, 9_000);
+        master.progress().expect("schedules the merge");
+        assert!(master.state[0].merge_scheduled);
+        // The merge took a chunk of each partial and wrote one to the real
+        // output before its node failed.
+        let out = BagId(master.task_output_bags(TaskId(0))[0]);
+        for &b in &partials {
+            take(&cluster, b, 1);
+        }
+        fill(&cluster, out, 1);
+
+        master.restart_task(TaskId(0)).unwrap();
+        assert_eq!(bag_state(&mut master, out), (0, 0, false), "discarded");
+        for &b in &partials {
+            assert_eq!(bag_state(&mut master, b), (3, 3, true), "rewound, sealed");
+        }
+        let st = &master.state[0];
+        assert_eq!((st.generation, st.merge_scheduled), (1, false));
+        assert_eq!(
+            (st.instances, st.done.len()),
+            (2, 2),
+            "the clones stay done"
+        );
+        assert!(master.rt.kill.is_killed(0, 0));
+        assert_eq!(master.report.restarts, 1);
+        // The next round schedules the merge again, at the new generation.
+        master.progress().unwrap();
+        let mut merges: Vec<u32> = master
+            .ready
+            .scan_all()
+            .unwrap()
+            .iter()
+            .filter(|d| d.kind == KIND_MERGE)
+            .map(|d| d.generation)
+            .collect();
+        merges.sort_unstable();
+        assert_eq!(merges, [0, 1]);
+    }
+
+    #[test]
+    fn a_task_phase_restart_reruns_the_task_from_instance_0() {
+        for merge in [true, false] {
+            let mut master = master_over(35, 160, 10, merge);
+            let cluster = master.rt.endpoint.cluster().clone();
+            let granted = ask(&mut master, request(20, 0, 10)).verdict;
+            assert_eq!(granted, CloneVerdict::Granted);
+            let kept = master.state[0].partials.get(&0).cloned();
+            // Each instance wrote two chunks; the clone finished.
+            let outputs: Vec<BagId> = if merge {
+                master.partial_bags(TaskId(0))
+            } else {
+                master.task_output_bags(TaskId(0))
+            }
+            .into_iter()
+            .map(BagId)
+            .collect();
+            for &b in &outputs {
+                fill(&cluster, b, 2);
+            }
+            complete(&mut master, KIND_TASK, 1, 9_000);
+
+            master.restart_task(TaskId(0)).unwrap();
+            for &b in &outputs {
+                assert_eq!(bag_state(&mut master, b), (0, 0, false), "merge {merge}");
+            }
+            for (b, chunks) in master.task_input_bags(TaskId(0)).into_iter().zip([35, 160]) {
+                let rewound = bag_state(&mut master, BagId(b));
+                assert_eq!(rewound, (chunks, chunks, true), "merge {merge}");
+            }
+            let st = &master.state[0];
+            assert_eq!((st.generation, st.instances), (1, 1), "merge {merge}");
+            assert!(st.done.is_empty() && !st.merge_scheduled && st.last_clone.is_none());
+            assert_eq!(
+                st.partials.get(&0),
+                kept.as_ref(),
+                "instance 0's partials kept"
+            );
+            assert_eq!(st.partials.len(), kept.iter().len());
+            let fresh: Vec<Descriptor> = master
+                .ready
+                .scan_all()
+                .unwrap()
+                .into_iter()
+                .filter(|d| d.generation == 1)
+                .collect();
+            assert_eq!(fresh.len(), 1, "merge {merge}");
+            assert_eq!(fresh[0].instance_id(), TaskInstanceId::original(TaskId(0)));
+            let outputs = kept.unwrap_or_else(|| master.task_output_bags(TaskId(0)));
+            assert_eq!(fresh[0].outputs, outputs);
+        }
     }
 }

@@ -140,7 +140,8 @@ impl KillSwitch {
             .is_some_and(|&g| generation <= g)
     }
 
-    /// Cancels everything — application shutdown.
+    /// Cancels everything — application shutdown, the runtime's one stop
+    /// signal: it also ends every worker loop.
     pub fn shutdown_all(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         self.epoch.fetch_add(1, Ordering::Release);
@@ -355,21 +356,6 @@ impl BagWriter {
         Ok(())
     }
 
-    /// Appends one pre-serialized record — the fan-out primitive: encode
-    /// once, hand the same bytes to every output writer. `bytes` must be
-    /// exactly one record's encoding so the boundary invariant holds.
-    #[inline]
-    pub fn write_encoded(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        if let Some(chunk) = self
-            .body
-            .append_encoded(bytes)
-            .map_err(EngineError::Codec)?
-        {
-            self.stage(chunk)?;
-        }
-        Ok(())
-    }
-
     /// Inserts a pre-built chunk directly (bypassing the record buffer).
     /// Buffered records are sealed first so framing is preserved.
     pub fn emit_chunk(&mut self, chunk: Chunk) -> Result<(), EngineError> {
@@ -443,22 +429,9 @@ pub struct TaskCtx {
     /// Inputs `next_chunk` has been called on, reported with each clone
     /// request; rebuilt only when a new input is first touched.
     pub(crate) consumed: Arc<[u32]>,
-    /// Reusable encode buffer for [`TaskCtx::write_record_multi`]:
-    /// cleared, never shrunk, so steady-state fan-out allocates nothing.
-    pub(crate) scratch: Vec<u8>,
 }
 
 impl TaskCtx {
-    /// Number of input bags.
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Number of output bags.
-    pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// The executing task instance (task + clone index).
     pub fn instance(&self) -> TaskInstanceId {
         self.instance
@@ -486,27 +459,6 @@ impl TaskCtx {
     /// Appends `record` to output `o`.
     pub fn write_record<T: Record>(&mut self, o: usize, record: &T) -> Result<(), EngineError> {
         self.outputs[o].write_record(record)
-    }
-
-    /// Appends `record` to every output in `outs`, encoding it **once**.
-    ///
-    /// The fan-out write for tasks that route one record to k outputs:
-    /// the record serializes into a reusable scratch buffer and the same
-    /// bytes append to each listed writer, so the encode cost is
-    /// independent of k. For copying *whole chunks* verbatim, prefer
-    /// [`TaskCtx::splat_chunk`], which is k refcount bumps.
-    pub fn write_record_multi<T: Record>(
-        &mut self,
-        outs: &[usize],
-        record: &T,
-    ) -> Result<(), EngineError> {
-        self.scratch.clear();
-        record.encode(&mut self.scratch);
-        let scratch = &self.scratch;
-        for &o in outs {
-            self.outputs[o].write_encoded(scratch)?;
-        }
-        Ok(())
     }
 
     /// Inserts a pre-built chunk into output `o`.
@@ -1002,7 +954,6 @@ mod tests {
             started: Instant::now(),
             startup: None,
             consumed: Arc::new([]),
-            scratch: Vec::new(),
         }
     }
 
@@ -1023,54 +974,6 @@ mod tests {
         w.flush().unwrap();
         cluster.seal_bag(bag).unwrap();
         bag
-    }
-
-    fn read_sorted(cluster: &Arc<StorageCluster>, bag: BagId) -> Vec<u64> {
-        let mut out: Vec<u64> = RpcPort::inline(cluster.clone())
-            .snapshot_bag(bag)
-            .unwrap()
-            .iter()
-            .flat_map(|c| hurricane_format::decode_all::<u64>(c).unwrap())
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    #[test]
-    fn write_encoded_matches_write_record() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let by_rec = cluster.create_bag();
-        let by_bytes = cluster.create_bag();
-        let mut a = BagWriter::open(cluster.clone(), by_rec, 1, 32);
-        let mut b = BagWriter::open(cluster.clone(), by_bytes, 1, 32);
-        let mut scratch = Vec::new();
-        for i in 0..200u64 {
-            a.write_record(&i).unwrap();
-            scratch.clear();
-            i.encode(&mut scratch);
-            b.write_encoded(&scratch).unwrap();
-        }
-        a.flush().unwrap();
-        b.flush().unwrap();
-        cluster.seal_bag(by_rec).unwrap();
-        cluster.seal_bag(by_bytes).unwrap();
-        assert_eq!(a.chunks_written(), b.chunks_written());
-        assert_eq!(a.bytes_written(), b.bytes_written());
-        assert_eq!(
-            read_sorted(&cluster, by_rec),
-            read_sorted(&cluster, by_bytes)
-        );
-    }
-
-    #[test]
-    fn write_encoded_rejects_oversized() {
-        let cluster = StorageCluster::new(1, ClusterConfig::default());
-        let bag = cluster.create_bag();
-        let mut w = BagWriter::open(cluster, bag, 1, 8);
-        let err = w.write_encoded(&[0u8; 9]);
-        assert!(matches!(err, Err(EngineError::Codec(_))));
-        // Still usable.
-        w.write_encoded(&[1, 2, 3]).unwrap();
     }
 
     #[test]
@@ -1105,22 +1008,6 @@ mod tests {
         assert_eq!(seen, [(0, 1), (2, 3), (4, 5)]);
         let end = ctx.fold_records::<(u32, u32), u32, _>(1, 0, |n, _| n + 1);
         assert_eq!(end, Err(truncated));
-    }
-
-    #[test]
-    fn write_record_multi_encodes_once_delivers_everywhere() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        let outs: Vec<BagId> = (0..3).map(|_| cluster.create_bag()).collect();
-        let mut ctx = test_ctx(&cluster, vec![], outs.clone());
-        for i in 0..50u64 {
-            ctx.write_record_multi(&[0, 1, 2], &i).unwrap();
-        }
-        ctx.flush_outputs().unwrap();
-        let expect: Vec<u64> = (0..50).collect();
-        for &bag in &outs {
-            cluster.seal_bag(bag).unwrap();
-            assert_eq!(read_sorted(&cluster, bag), expect);
-        }
     }
 
     #[test]

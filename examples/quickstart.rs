@@ -74,7 +74,13 @@ fn main() {
         "word counts ({} clones, {:?}):",
         report.total_clones, report.elapsed
     );
-    for (word, n) in result {
+    for (word, n) in &result {
         println!("  {word:<8} {n}");
     }
+    let mut expected = std::collections::BTreeMap::<String, u64>::new();
+    for word in corpus.iter().flat_map(|line| line.split_whitespace()) {
+        *expected.entry(word.to_lowercase()).or_insert(0) += 1;
+    }
+    assert_eq!(result, expected.into_iter().collect::<Vec<_>>());
+    println!("OK: every count equals a sequential count of the corpus");
 }
