@@ -7,9 +7,7 @@
 //! bytes (and a data-dependent decode loop) on, while the fixed form is
 //! eight flat little-endian bytes per word — constant-stride, so the
 //! Phase 3 bit count and the Phase 2 OR-merge run branch-free loops over
-//! the word views ([`hurricane_format::FixedStride`]). The legacy
-//! `Vec<u64>` varint form is still available via
-//! [`BitSet::into_words`]/[`BitSet::from_words`].
+//! the word views ([`hurricane_format::FixedStride`]).
 
 use hurricane_format::{FixedU64, SeqView};
 
@@ -63,26 +61,6 @@ impl BitSet {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-    }
-
-    /// Consumes into the wire form.
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
-
-    /// Builds from the wire form.
-    pub fn from_words(words: Vec<u64>) -> Self {
-        Self { words }
-    }
-
-    /// Merges two wire-form bitsets (the owned-combiner shape usable
-    /// with `hurricane_core::merges::ReduceMerge::new`).
-    pub fn or_words(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
-        let (mut long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-        for (i, w) in short.into_iter().enumerate() {
-            long[i] |= w;
-        }
-        long
     }
 
     /// Consumes into the fixed-stride wire form (see the module docs).
@@ -155,13 +133,16 @@ mod tests {
 
     #[test]
     fn or_words_handles_length_mismatch() {
-        let a = vec![0b1u64];
-        let b = vec![0b10u64, 0b100];
-        let merged = BitSet::or_words(a, b);
-        assert_eq!(merged, vec![0b11, 0b100]);
-        // Symmetric.
-        let merged2 = BitSet::or_words(vec![0b10u64, 0b100], vec![0b1u64]);
-        assert_eq!(merged2, vec![0b11, 0b100]);
+        // The shorter side is padded with zero words, either way round.
+        let short = BitSet::from_fixed_words(vec![FixedU64(0b1)]);
+        let long = BitSet::from_fixed_words(vec![FixedU64(0b10), FixedU64(0b100)]);
+        let want = vec![FixedU64(0b11), FixedU64(0b100)];
+        let mut a = short.clone();
+        a.or_with(&long);
+        assert_eq!(a.into_fixed_words(), want);
+        let mut b = long;
+        b.or_with(&short);
+        assert_eq!(b.into_fixed_words(), want);
     }
 
     #[test]
@@ -169,8 +150,6 @@ mod tests {
         let mut bs = BitSet::with_capacity(256);
         bs.set(7);
         bs.set(200);
-        let words = bs.clone().into_words();
-        assert_eq!(BitSet::from_words(words), bs);
         let fixed = bs.clone().into_fixed_words();
         assert_eq!(BitSet::from_fixed_words(fixed), bs);
     }

@@ -161,22 +161,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns a uniform `f64` in `(0, 1]`, useful where `ln(u)` is taken.
-    pub fn gen_f64_open(&mut self) -> f64 {
-        ((self.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p
-    }
-
-    /// Samples an `Exp(1/mean)` value; used for jittered delays in the
-    /// simulator's machine-skew model.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        -mean * self.gen_f64_open().ln()
-    }
-
     /// Fisher–Yates shuffles `slice` in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -279,8 +263,6 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.gen_f64();
             assert!((0.0..1.0).contains(&v));
-            let o = rng.gen_f64_open();
-            assert!(o > 0.0 && o <= 1.0);
         }
     }
 
@@ -305,16 +287,6 @@ mod tests {
             assert_eq!(set.len(), 10);
             assert!(s.iter().all(|&x| x < 32));
         }
-    }
-
-    #[test]
-    fn exp_mean_close() {
-        let mut rng = DetRng::new(17);
-        let mean = 4.0;
-        let n = 50_000;
-        let sum: f64 = (0..n).map(|_| rng.gen_exp(mean)).sum();
-        let m = sum / n as f64;
-        assert!((m - mean).abs() / mean < 0.05, "sample mean {m}");
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl AppGraph {
             .collect()
     }
 
-    /// Looks a bag up by name.
-    pub fn bag_by_name(&self, name: &str) -> Option<GraphBag> {
-        self.bags.iter().position(|b| b.name == name).map(GraphBag)
-    }
-
     /// Looks a task up by name.
     pub fn task_by_name(&self, name: &str) -> Option<TaskId> {
         self.tasks
@@ -365,7 +360,6 @@ mod tests {
         assert!(graph.task(TaskId(1)).merge.is_some());
         assert!(graph.task(TaskId(0)).merge.is_none());
         assert_eq!(graph.task_by_name("phase1"), Some(TaskId(0)));
-        assert_eq!(graph.bag_by_name("clicklog.txt"), Some(GraphBag(0)));
     }
 
     #[test]

@@ -497,12 +497,12 @@ impl ClusterSpillSink {
 
 impl SpillSink for ClusterSpillSink {
     fn create_run(&mut self) -> Result<BagWriter, EngineError> {
-        let cluster = self.rt.endpoint.cluster();
-        let bag = cluster.create_bag();
+        let bag = self.rt.endpoint.cluster().create_bag();
         self.scratch.lock().push(bag);
-        let pin = self.next_pin % cluster.num_nodes();
+        let client = self.rt.bag_client(bag);
+        let pin = self.next_pin % client.num_nodes();
         self.next_pin = self.next_pin.wrapping_add(1);
-        let client = self.rt.bag_client(bag).with_pinned_node(pin);
+        let client = client.with_pinned_node(pin);
         // Write batch factor 1: chunks insert (and thus read back) in
         // emission order. No coalescing — a spill failure must surface
         // inside the merge, not at some later flush.

@@ -841,6 +841,7 @@ impl Transport for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hurricane_common::BagId;
     use hurricane_storage::cluster::ClusterConfig;
     use hurricane_storage::rpc::{NodeConnection, StorageRequest, REQUEST_ATTEMPTS};
     use hurricane_storage::StorageResponse;
@@ -889,7 +890,9 @@ mod tests {
         let (_cluster, net) = net(9);
         let mut conn = NodeConnection::new(Box::new(net.transport(1)));
         net.apply(FaultAction::Fail(1));
-        let err = conn.call(StorageRequest::IsDrained).unwrap_err();
+        let err = conn
+            .call(StorageRequest::Sample { bag: BagId(0) })
+            .unwrap_err();
         assert!(matches!(err, StorageError::NodeDown(_)), "{err:?}");
     }
 

@@ -23,11 +23,6 @@ pub struct Chunk {
 }
 
 impl Chunk {
-    /// Wraps raw bytes as a chunk.
-    pub fn from_bytes(data: Bytes) -> Self {
-        Self { data }
-    }
-
     /// Builds a chunk from a `Vec<u8>` without copying: the chunk keeps
     /// the vector's allocation, spare capacity included.
     pub fn from_vec(data: Vec<u8>) -> Self {

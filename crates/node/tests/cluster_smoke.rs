@@ -212,7 +212,7 @@ fn three_process_clicklog_survives_kill_restart_and_join() {
         spawn_node(&["--listen", "127.0.0.1:0", "--join", &join_addr.to_string()]);
     children.0.push(Some(child3));
     assert_eq!(id3, 3, "driver assigned the next node id");
-    assert_eq!(endpoint.cluster().num_nodes(), 4, "join grew the cluster");
+    assert_eq!(endpoint.membership().len(), 4, "join grew the membership");
     writer.refresh_membership();
     insert(&mut writer, &batches[2 * third..]);
 

@@ -100,6 +100,11 @@ impl BagClient {
         self.bag
     }
 
+    /// Number of storage nodes this client's port addresses.
+    pub fn num_nodes(&self) -> usize {
+        self.port.num_nodes()
+    }
+
     /// Picks up storage nodes added since this client was created
     /// (paper §3.4: the master informs compute nodes about new nodes):
     /// syncs the port's connection set with its membership view, then

@@ -6,6 +6,8 @@
 //! the sealed and collected flags, the replication factor, the
 //! per-(bag, origin) append-ordering locks — and owns the node list the
 //! in-process planes serve, with node addition and draining (paper §3.4).
+//! The `tcp` plane's cluster owns no node: its nodes are remote, and its
+//! node list is the endpoint's [`Membership`] alone.
 //!
 //! Draining aside, it talks to no node. Moving chunks and every
 //! whole-bag operation (seal / rewind / discard / collect / sample /
@@ -145,20 +147,28 @@ impl StorageCluster {
             config.replication >= 1 && config.replication <= m,
             "replication factor must be in 1..=m"
         );
-        let cluster = Arc::new(Self {
-            nodes: RwLock::new(Vec::with_capacity(m)),
+        let cluster = Self::empty(config, durability);
+        // Founding members join the way later ones do.
+        for _ in 0..m {
+            cluster.add_node();
+        }
+        cluster
+    }
+
+    /// Bag metadata and no node yet. [`StorageCluster::new`] then adds
+    /// the founding nodes; the `tcp` plane's cluster stays empty, its
+    /// nodes being remote members of the endpoint's membership. The
+    /// caller checks `config.replication` against its node count.
+    pub(crate) fn empty(config: ClusterConfig, durability: Option<DurabilityConfig>) -> Arc<Self> {
+        Arc::new(Self {
+            nodes: RwLock::new(Vec::new()),
             inline: Membership::new(),
             config,
             durability,
             bags: RwLock::new(HashMap::new()),
             next_bag: AtomicU64::new(0),
             repl_order: RwLock::new(HashMap::new()),
-        });
-        // Founding members join the way later ones do.
-        for _ in 0..m {
-            cluster.add_node();
-        }
-        cluster
+        })
     }
 
     fn build_node(id: u32, durability: Option<&DurabilityConfig>) -> Arc<StorageNode> {
@@ -177,7 +187,8 @@ impl StorageCluster {
         }
     }
 
-    /// Number of storage nodes (including down / draining ones).
+    /// Number of local storage nodes (including down / draining ones);
+    /// 0 on a `tcp` endpoint, whose nodes are remote.
     pub fn num_nodes(&self) -> usize {
         self.nodes.read().len()
     }
@@ -281,9 +292,9 @@ impl StorageCluster {
         Ok(())
     }
 
-    /// [`RpcPort::seal_bag`] over this cluster's own nodes. On a `tcp`
-    /// endpoint those are shadows the remote nodes never hear from: seal
-    /// through a port there.
+    /// [`RpcPort::seal_bag`] over this cluster's own nodes. A `tcp`
+    /// endpoint's cluster has none, so there this only sets the flag and
+    /// the remote nodes do not hear of it: seal through a port there.
     pub fn seal_bag(self: &Arc<Self>, bag: BagId) -> Result<(), StorageError> {
         RpcPort::inline(self.clone()).seal_bag(bag)
     }

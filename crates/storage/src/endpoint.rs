@@ -15,11 +15,13 @@
 //! [`StorageEndpoint::direct`] is an alias of `inline`, kept because
 //! `benchmark/` still calls it by that name.
 //!
-//! Every plane is membership-backed: clients and prefetchers observe
-//! [`Membership`] epoch bumps and extend themselves to nodes that join
-//! mid-job (`tcp` via [`JoinServer`], `inline` straight from
-//! [`StorageCluster::add_node`], `channel` once [`StorageEndpoint::sync`]
-//! has started the new node's server).
+//! Every plane is membership-backed, and the membership is the one node
+//! list its ports, joins and placement read: clients and prefetchers
+//! observe [`Membership`] epoch bumps and extend themselves to nodes that
+//! join mid-job (`tcp` via [`JoinServer`], `inline` straight from
+//! [`StorageCluster::add_node`], `channel` once
+//! [`StorageEndpoint::add_node`] has started the new node's server). The
+//! `tcp` plane's cluster holds bag metadata and no node.
 //!
 //! One knob, the request timeout, set with the consuming builder method
 //! [`StorageEndpoint::with_request_timeout`] before sharing the endpoint:
@@ -50,7 +52,7 @@ use crate::cluster::{ClusterConfig, StorageCluster};
 use crate::membership::Membership;
 use crate::rpc::{RpcPort, StorageRpc, DEFAULT_DISPATCH_THREADS, DEFAULT_REQUEST_TIMEOUT};
 use crate::tcp::{JoinServer, TcpConnector};
-use hurricane_common::{BagId, StorageNodeId};
+use hurricane_common::BagId;
 use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
@@ -118,27 +120,30 @@ impl StorageEndpoint {
     /// RPC over TCP to `hurricane-node` processes at `addrs` (one data
     /// address per node, in node-id order).
     ///
-    /// The local cluster holds *metadata authority* — bag registry, seal
-    /// state, placement and replication math — while every operation of
-    /// a port goes over the sockets. The cluster's local *shadow* nodes
-    /// store nothing; only [`StorageCluster::seal_bag`] still reaches
-    /// them. Call [`StorageEndpoint::serve_joins`] to let more nodes join
-    /// mid-job.
+    /// The local cluster holds bag metadata only — the registry, the
+    /// sealed and collected flags, the replication factor and the order
+    /// locks — and no node: the nodes are the membership's TCP members,
+    /// and every operation of a port goes over the sockets. Call
+    /// [`StorageEndpoint::serve_joins`] to let more nodes join mid-job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replication factor is not in `1..=addrs.len()`.
     pub fn tcp<I, S>(addrs: I, config: ClusterConfig) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let membership = Membership::new();
-        let mut n = 0;
-        for (i, addr) in addrs.into_iter().enumerate() {
-            membership.join(Arc::new(TcpConnector {
-                node: StorageNodeId(i as u32),
-                addr: addr.into(),
-            }));
-            n = i + 1;
+        for addr in addrs {
+            let addr = addr.into();
+            membership.join_with(|node| Arc::new(TcpConnector { node, addr }));
         }
-        let cluster = StorageCluster::new(n, config);
+        assert!(
+            config.replication >= 1 && config.replication <= membership.len(),
+            "replication factor must be in 1..=m"
+        );
+        let cluster = StorageCluster::empty(config, None);
         Self::with_plane(Plane::Mesh {
             cluster,
             membership,
@@ -209,26 +214,19 @@ impl StorageEndpoint {
 
     // -- membership control ----------------------------------------------
 
-    /// Starts a channel server for every cluster node added since the
-    /// last sync and publishes it in the membership. Required on the
-    /// `channel` plane after [`StorageCluster::add_node`]; a no-op
-    /// elsewhere (`tcp` joins arrive through the join server, and
-    /// `add_node` itself joins the inline membership).
-    pub fn sync(&self) {
-        if let Plane::Channel { rpc, .. } = &self.plane {
-            if let Some(rpc) = rpc.lock().as_ref() {
-                rpc.sync();
-            }
-        }
-    }
-
     /// Adds a storage node and publishes it to the RPC plane. Returns
     /// the new node's index. Existing clients pick it up on their next
     /// membership refresh. Not for the `tcp` plane, where nodes join
     /// themselves via [`StorageEndpoint::serve_joins`].
     pub fn add_node(&self) -> usize {
+        // The cluster joins the node to the inline membership; the
+        // channel plane must also start its server.
         let idx = self.cluster().add_node();
-        self.sync();
+        if let Plane::Channel { rpc, .. } = &self.plane {
+            if let Some(rpc) = rpc.lock().as_ref() {
+                rpc.sync();
+            }
+        }
         idx
     }
 
@@ -241,9 +239,7 @@ impl StorageEndpoint {
     /// On non-`tcp`/`custom` planes, or when the listener cannot bind.
     pub fn serve_joins(&self, listen: &str) -> io::Result<SocketAddr> {
         let Plane::Mesh {
-            cluster,
-            membership,
-            join,
+            membership, join, ..
         } = &self.plane
         else {
             return Err(io::Error::new(
@@ -251,7 +247,7 @@ impl StorageEndpoint {
                 "join server requires a tcp/custom endpoint",
             ));
         };
-        let server = JoinServer::bind(cluster.clone(), membership.clone(), listen)?;
+        let server = JoinServer::bind(membership.clone(), listen)?;
         let addr = server.local_addr();
         *join.lock() = Some(server);
         Ok(addr)
@@ -286,7 +282,6 @@ impl std::fmt::Debug for StorageEndpoint {
         };
         f.debug_struct("StorageEndpoint")
             .field("mode", &mode)
-            .field("nodes", &self.cluster().num_nodes())
             .field("timeout", &self.timeout)
             .finish()
     }
@@ -301,6 +296,7 @@ pub(crate) const IN_PROCESS_PLANES: [fn(Arc<StorageCluster>) -> StorageEndpoint;
 mod tests {
     use super::*;
     use crate::error::StorageError;
+    use hurricane_common::StorageNodeId;
     use hurricane_format::Chunk;
 
     fn chunk(v: u64) -> Chunk {
@@ -369,27 +365,31 @@ mod tests {
         use crate::node::StorageNode;
         use crate::tcp::TcpNodeServer;
 
-        let servers: Vec<TcpNodeServer> = (0..2)
-            .map(|i| {
-                TcpNodeServer::bind(Arc::new(StorageNode::new(StorageNodeId(i))), "127.0.0.1:0")
-                    .unwrap()
-            })
+        let nodes: Vec<Arc<StorageNode>> = (0..2)
+            .map(|i| Arc::new(StorageNode::new(StorageNodeId(i))))
+            .collect();
+        let servers: Vec<TcpNodeServer> = nodes
+            .iter()
+            .map(|n| TcpNodeServer::bind(n.clone(), "127.0.0.1:0").unwrap())
             .collect();
         let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
         let endpoint = StorageEndpoint::tcp(addrs, ClusterConfig::default())
             .with_request_timeout(Duration::from_secs(5));
         roundtrip(&endpoint, 24);
-        // The local shadow nodes never stored a byte: the data went over
-        // the wire.
+        // No local node exists: the node list is the membership, and the
+        // data sits at the remote nodes.
         let bag = endpoint.cluster().create_bag();
         let mut client = endpoint.client(bag, 9);
-        client.insert(chunk(99)).unwrap();
-        for i in 0..2 {
-            assert_eq!(
-                endpoint.cluster().node(i).sample(bag).unwrap().total_chunks,
-                0
-            );
+        for v in 0..4 {
+            client.insert(chunk(v)).unwrap();
         }
+        assert_eq!(endpoint.cluster().num_nodes(), 0);
+        assert_eq!(endpoint.membership().len(), 2);
+        let remote: u64 = nodes
+            .iter()
+            .map(|n| n.sample(bag).unwrap().total_chunks)
+            .sum();
+        assert_eq!(remote, 4);
         endpoint.shutdown();
         for s in servers {
             s.shutdown();
@@ -470,6 +470,13 @@ mod tests {
             (0..12).collect::<Vec<_>>()
         );
         endpoint.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "replication factor must be in 1..=m")]
+    fn tcp_refuses_more_replicas_than_addresses() {
+        // Nothing is dialed before a port is minted.
+        StorageEndpoint::tcp(["127.0.0.1:1"], ClusterConfig { replication: 2 });
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   consumed ([`StorageNode::claim_consumed`]: the pointer mirror and
 //!   the fallback-serve reconciliation), and read one origin stream in
 //!   full ([`StorageNode::snapshot_from`]).
-//! * [`cluster`] — the set of storage nodes plus bag metadata (the
-//!   sealed-flag authority) and dynamic node addition / draining (paper
-//!   §3.4). It moves no chunks and sends no requests.
+//! * [`cluster`] — bag metadata (the sealed-flag authority) plus the
+//!   in-process planes' storage nodes, with dynamic node addition /
+//!   draining (paper §3.4); a `tcp` endpoint's cluster has no node. It
+//!   moves no chunks and sends no requests.
 //! * [`placement`] — the pseudorandom cyclic permutation policy that
 //!   decides which node receives each insert / serves each remove. Pure,
 //!   shared with the simulator.
@@ -45,7 +46,9 @@
 //!   a port; [`prefetch`] adds the b-outstanding-requests pipeline, a
 //!   plain struct its consumer drives (no thread of its own).
 //! * [`endpoint`] — picks the transport under the ports (inline, channel
-//!   servers, TCP, custom) and carries the shared client knobs.
+//!   servers, TCP, custom) and carries the shared client knobs. Every
+//!   port is built over a [`Membership`], the one node list a port, a
+//!   join or a placement reads.
 //! * [`segment`] — the durable storage plane (`SEGMENT.md`): append-only
 //!   CRC-framed segment logs, one per bag, on disk or on the fault
 //!   simulator's in-memory virtual disk. Durable nodes
@@ -78,7 +81,7 @@ pub use membership::{Connect, Member, Membership, OnceConnect};
 pub use node::{next_run_id, BagSample, NodeRemoveBatch, StorageNode, TagSegment};
 pub use rpc::{
     ChunkRun, PortStats, ReplyEnvelope, RequestEnvelope, RpcPort, ServedKind, ServerDedup,
-    StorageRequest, StorageResponse, StorageRpc, Transport,
+    StorageRequest, StorageResponse, Transport,
 };
 pub use segment::{SegmentLog, SegmentStore};
 pub use tcp::{join_cluster, JoinServer, TcpConnector, TcpNodeServer, TcpTransport};

@@ -105,9 +105,22 @@ impl Membership {
     /// Appends a member, assigning it the next index as its node id, and
     /// bumps the epoch. Returns the assigned id.
     pub fn join(&self, connector: Arc<dyn Connect>) -> StorageNodeId {
+        self.join_with(|_| connector)
+    }
+
+    /// [`Membership::join`] for a connector that names its own node:
+    /// `make` gets the id being assigned, under the view's write lock, so
+    /// no concurrent join can take it first.
+    pub(crate) fn join_with(
+        &self,
+        make: impl FnOnce(StorageNodeId) -> Arc<dyn Connect>,
+    ) -> StorageNodeId {
         let mut view = self.inner.view.write();
         let node = StorageNodeId(view.len() as u32);
-        view.push(Member { node, connector });
+        view.push(Member {
+            node,
+            connector: make(node),
+        });
         // Publish the new length only after the entry is in place; the
         // write lock orders the push, the Release pairs with `epoch`'s
         // Acquire.

@@ -55,7 +55,9 @@
 //!   discard, collect, sample, snapshot: one fan-out to every node) on
 //!   top of submit/wait. Every [`crate::BagClient`] holds one; the
 //!   cluster object keeps only metadata, which the port reads and flips.
-//! * [`StorageRpc`] — serves every node of a cluster and mints ports.
+//! * [`StorageRpc`] — the `channel` plane's servers, one per cluster
+//!   node, and the membership of channel connectors over them; held by
+//!   [`crate::StorageEndpoint::channel`], which mints the ports.
 //!
 //! # Replication over RPC
 //!
@@ -259,13 +261,6 @@ pub enum StorageRequest {
         /// Target bag.
         bag: BagId,
     },
-    /// Start draining this node ([`StorageNode::start_draining`]): it
-    /// refuses further inserts but keeps serving removes until empty —
-    /// the membership protocol's "leave" message (paper §3.4).
-    Drain,
-    /// Ask whether every bag here is fully drained
-    /// ([`StorageNode::is_drained`]).
-    IsDrained,
     /// Liveness probe; answered with [`StorageResponse::Pong`].
     Ping,
     /// Mark identities consumed and learn which already were
@@ -311,8 +306,6 @@ impl StorageRequest {
             StorageRequest::Sample { .. }
             | StorageRequest::SnapshotFrom { .. }
             | StorageRequest::Seal { .. }
-            | StorageRequest::Drain
-            | StorageRequest::IsDrained
             | StorageRequest::Ping => true,
         }
     }
@@ -331,8 +324,6 @@ pub enum StorageResponse {
     Chunks(Vec<Chunk>),
     /// Acknowledges a lifecycle request (seal / rewind / discard / collect).
     Done,
-    /// Answers [`StorageRequest::IsDrained`].
-    Drained(bool),
     /// Answers [`StorageRequest::Ping`].
     Pong,
     /// Answers [`StorageRequest::ClaimConsumed`]: the sub-segments of
@@ -395,11 +386,6 @@ pub fn dispatch(
         StorageRequest::Rewind { bag } => node.rewind(bag).map(|()| StorageResponse::Done),
         StorageRequest::Discard { bag } => node.discard(bag).map(|()| StorageResponse::Done),
         StorageRequest::Collect { bag } => node.collect(bag).map(|()| StorageResponse::Done),
-        StorageRequest::Drain => {
-            node.start_draining();
-            Ok(StorageResponse::Done)
-        }
-        StorageRequest::IsDrained => node.is_drained().map(StorageResponse::Drained),
         StorageRequest::Ping => Ok(StorageResponse::Pong),
         StorageRequest::ClaimConsumed { bag, origin, tags } => node
             .claim_consumed(bag, origin, &tags)
@@ -1464,9 +1450,8 @@ pub struct RpcPort {
     cluster: Arc<StorageCluster>,
     conns: Vec<NodeConnection>,
     timeout: Duration,
-    /// The live node view this port refreshes against, when elastic
-    /// (built over a membership); `None` for fixed-connection ports.
-    membership: Option<crate::membership::Membership>,
+    /// The live node view this port refreshes against.
+    membership: crate::membership::Membership,
     /// The membership epoch the connection set was last synced to.
     epoch_seen: u64,
     /// Indices whose member could not be dialed at the last sync; they
@@ -1563,33 +1548,6 @@ impl RpcPort {
         Self::from_membership(cluster, membership, DEFAULT_REQUEST_TIMEOUT)
     }
 
-    /// Builds a port from explicit connections — the seam where custom
-    /// transports (tests, future network sockets) plug in. `conns[i]` must
-    /// address the node serving cluster index `i`.
-    pub fn from_connections(
-        cluster: Arc<StorageCluster>,
-        mut conns: Vec<NodeConnection>,
-        timeout: Duration,
-    ) -> Self {
-        for conn in &mut conns {
-            conn.set_timeout(timeout);
-        }
-        let staged = conns.iter().map(|_| Vec::new()).collect();
-        Self {
-            cluster,
-            conns,
-            timeout,
-            membership: None,
-            epoch_seen: 0,
-            unreachable: Vec::new(),
-            credit: DEFAULT_WRITER_CREDIT,
-            coalesce_chunks: 0,
-            staged,
-            staged_len: 0,
-            stats: PortStats::default(),
-        }
-    }
-
     /// Builds a port over a live [`crate::Membership`]: one connection is
     /// dialed per current member, and [`RpcPort::refresh_membership`]
     /// extends the set when the membership grows. A member whose dial
@@ -1603,8 +1561,19 @@ impl RpcPort {
         membership: crate::membership::Membership,
         timeout: Duration,
     ) -> Self {
-        let mut port = Self::from_connections(cluster, Vec::new(), timeout);
-        port.membership = Some(membership);
+        let mut port = Self {
+            cluster,
+            conns: Vec::new(),
+            timeout,
+            membership,
+            epoch_seen: 0,
+            unreachable: Vec::new(),
+            credit: DEFAULT_WRITER_CREDIT,
+            coalesce_chunks: 0,
+            staged: Vec::new(),
+            staged_len: 0,
+            stats: PortStats::default(),
+        };
         port.refresh_membership();
         port
     }
@@ -1613,16 +1582,13 @@ impl RpcPort {
     /// member joined since the last sync, applying the port's credit and
     /// timeout to the new connections. Returns whether the port grew. A
     /// no-op (one atomic load) when the epoch has not moved, so callers
-    /// poll it freely; fixed-connection ports always return false.
+    /// poll it freely.
     pub fn refresh_membership(&mut self) -> bool {
-        let Some(membership) = self.membership.clone() else {
-            return false;
-        };
-        let epoch = membership.epoch();
+        let epoch = self.membership.epoch();
         if epoch == self.epoch_seen {
             return false;
         }
-        let members = membership.members();
+        let members = self.membership.members();
         // The epoch moved, so the view changed: re-dial members that were
         // unreachable at an earlier sync (e.g. a process restarted behind
         // the same membership slot).
@@ -2384,6 +2350,15 @@ mod tests {
         Chunk::from_vec(vec![v])
     }
 
+    /// A port over hand-built transports, one per node in index order.
+    fn port_over(cluster: Arc<StorageCluster>, transports: Vec<Box<dyn Transport>>) -> RpcPort {
+        let membership = crate::membership::Membership::new();
+        for transport in transports {
+            membership.join(crate::membership::OnceConnect::new(transport));
+        }
+        RpcPort::from_membership(cluster, membership, DEFAULT_REQUEST_TIMEOUT)
+    }
+
     #[test]
     fn dispatch_covers_roundtrip() {
         let node = StorageNode::new(StorageNodeId(0));
@@ -2468,14 +2443,17 @@ mod tests {
         let (transport, mut server) = loopback(StorageNodeId(5));
         let mut conn = NodeConnection::new(Box::new(transport));
         let a = conn.submit(StorageRequest::Ping).unwrap();
-        let b = conn.submit(StorageRequest::IsDrained).unwrap();
+        let b = conn
+            .submit(StorageRequest::Sample { bag: BagId(0) })
+            .unwrap();
         let ea = server.recv(Duration::from_millis(100)).unwrap();
         let eb = server.recv(Duration::from_millis(100)).unwrap();
         // Reply to b first, then a — tokens must still match.
-        assert!(server.reply(eb.id, Ok(StorageResponse::Drained(true))));
+        let sampled = StorageResponse::Sampled(BagSample::default());
+        assert!(server.reply(eb.id, Ok(sampled.clone())));
         assert!(server.reply(ea.id, Ok(StorageResponse::Pong)));
         assert_eq!(conn.wait(a).unwrap(), StorageResponse::Pong);
-        assert_eq!(conn.wait(b).unwrap(), StorageResponse::Drained(true));
+        assert_eq!(conn.wait(b).unwrap(), sampled);
         assert_eq!(conn.outstanding(), 0);
     }
 
@@ -2497,11 +2475,14 @@ mod tests {
         // next token's completion.
         assert!(server.reply(env.id, Ok(StorageResponse::Pong)));
         conn.set_timeout(Duration::from_secs(1));
-        let t2 = conn.submit(StorageRequest::IsDrained).unwrap();
+        let t2 = conn
+            .submit(StorageRequest::Sample { bag: BagId(0) })
+            .unwrap();
         let env2 = server.recv(Duration::from_millis(100)).unwrap();
         assert_ne!(env2.id, env.id, "the abandoned slot's generation moved on");
-        assert!(server.reply(env2.id, Ok(StorageResponse::Drained(false))));
-        assert_eq!(conn.wait(t2).unwrap(), StorageResponse::Drained(false));
+        let sampled = StorageResponse::Sampled(BagSample::default());
+        assert!(server.reply(env2.id, Ok(sampled.clone())));
+        assert_eq!(conn.wait(t2).unwrap(), sampled);
     }
 
     #[test]
@@ -2512,10 +2493,9 @@ mod tests {
         let mut port = channel.port();
         assert_eq!(port.num_nodes(), 2);
         assert!(!port.refresh_membership(), "no change, no growth");
-        // A node joins mid-job: served and published by sync, picked up
-        // by the existing port at its next refresh.
-        let idx = cluster.add_node();
-        channel.sync();
+        // A node joins mid-job: served and published by the endpoint,
+        // picked up by the existing port at its next refresh.
+        let idx = channel.add_node();
         assert!(port.refresh_membership());
         assert_eq!(port.num_nodes(), 3);
         port.insert_batch(idx, bag, &[chunk(9)]).unwrap();
@@ -2591,33 +2571,12 @@ mod tests {
 
     #[test]
     fn fresh_port_sees_synced_nodes_immediately() {
-        let cluster = StorageCluster::new(1, ClusterConfig::default());
-        let channel = crate::StorageEndpoint::channel(cluster.clone());
+        let channel =
+            crate::StorageEndpoint::channel(StorageCluster::new(1, ClusterConfig::default()));
         assert_eq!(channel.port().num_nodes(), 1);
-        cluster.add_node();
-        channel.sync();
+        channel.add_node();
         assert_eq!(channel.membership().len(), 2);
         assert_eq!(channel.port().num_nodes(), 2);
-    }
-
-    #[test]
-    fn drain_request_starts_node_draining() {
-        let node = StorageNode::new(StorageNodeId(0));
-        assert_eq!(
-            dispatch(&node, StorageRequest::Drain).unwrap(),
-            StorageResponse::Done
-        );
-        let e = dispatch(
-            &node,
-            StorageRequest::InsertBatch {
-                bag: BagId(1),
-                origin: 0,
-                run: next_run_id(),
-                chunks: vec![chunk(1)].into(),
-            },
-        )
-        .unwrap_err();
-        assert_eq!(e, StorageError::NodeDraining(StorageNodeId(0)));
     }
 
     #[test]
@@ -2944,16 +2903,16 @@ mod tests {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let bag = cluster.create_bag();
         let dying = |cluster: &Arc<StorageCluster>| {
-            NodeConnection::new(Box::new(DiesAfterExecuting {
+            Box::new(DiesAfterExecuting {
                 node: cluster.node(0),
                 dead: false,
-            }))
+            })
         };
         let timeout = StorageError::Timeout(StorageNodeId(0));
 
         // The request left, so its outcome is unknown: `Timeout`, not the
         // failed retransmission's `Disconnected`.
-        let mut conn = dying(&cluster);
+        let mut conn = NodeConnection::new(dying(&cluster));
         let request = StorageRequest::InsertBatch {
             bag,
             origin: 0,
@@ -2966,11 +2925,11 @@ mod tests {
         // A port surfaces it and re-routes nothing to node 1, through a
         // synchronous insert, an uncoalesced stage and a window flush.
         let port = |cluster: &Arc<StorageCluster>| {
-            let conns = vec![
+            let transports: Vec<Box<dyn Transport>> = vec![
                 dying(cluster),
-                NodeConnection::new(Box::new(InlineTransport::new(cluster.node(1)))),
+                Box::new(InlineTransport::new(cluster.node(1))),
             ];
-            RpcPort::from_connections(cluster.clone(), conns, DEFAULT_REQUEST_TIMEOUT)
+            port_over(cluster.clone(), transports)
         };
         assert_eq!(
             port(&cluster).insert_batch(0, bag, &[chunk(2)]),
@@ -3017,8 +2976,6 @@ mod tests {
         assert!(StorageRequest::Sample { bag }.is_idempotent());
         assert!(StorageRequest::SnapshotFrom { bag, origin: 0 }.is_idempotent());
         assert!(StorageRequest::Seal { bag }.is_idempotent());
-        assert!(StorageRequest::Drain.is_idempotent());
-        assert!(StorageRequest::IsDrained.is_idempotent());
         assert!(StorageRequest::Ping.is_idempotent());
     }
 
@@ -3128,18 +3085,17 @@ mod tests {
             Fault::Failed => cluster.node(1).fail(),
             Fault::DiskSick => sick.store(true, std::sync::atomic::Ordering::Relaxed),
             Fault::DeadConnection => {
-                let conns = (0..3)
-                    .map(|i| {
-                        let transport: Box<dyn Transport> = match i {
+                let transports = (0..3)
+                    .map(|i| -> Box<dyn Transport> {
+                        match i {
                             1 => Box::new(DeadTransport {
                                 node: StorageNodeId(1),
                             }),
                             _ => Box::new(InlineTransport::new(cluster.node(i))),
-                        };
-                        NodeConnection::new(transport)
+                        }
                     })
                     .collect();
-                port = RpcPort::from_connections(cluster, conns, DEFAULT_REQUEST_TIMEOUT);
+                port = port_over(cluster, transports);
             }
         }
         (port, bag)

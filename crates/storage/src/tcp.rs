@@ -20,8 +20,8 @@
 //!   carries for a TCP member.
 //! * [`JoinServer`] + [`join_cluster`] — the control plane: a
 //!   `hurricane-node` process dials the driver's join listener, announces
-//!   its data address, and is appended to the driver's cluster and
-//!   membership; the driver replies with the assigned node id.
+//!   its data address, and is appended to the driver's membership; the
+//!   driver replies with the assigned node id.
 //!
 //! Wire layout is defined in [`crate::wire`] and documented in `WIRE.md`.
 //! A chunk's bytes are copied in user space once per hop: sent from the
@@ -31,7 +31,6 @@
 //! version, serving node id — so a client immediately detects version
 //! skew or a connection to the wrong node.
 
-use crate::cluster::StorageCluster;
 use crate::error::StorageError;
 use crate::membership::{Connect, Membership};
 use crate::node::StorageNode;
@@ -56,8 +55,9 @@ pub const JOIN_MAGIC: [u8; 4] = *b"HURJ";
 /// request tags 2, 4 and 5 and response tags 2 and 4 (the mirror, the
 /// indexed read and the all-origin snapshot): the pointer mirror is a
 /// `ClaimConsumed`, and every snapshot reads one origin with
-/// `SnapshotFrom`.
-pub const WIRE_VERSION: u8 = 3;
+/// `SnapshotFrom`. Version 4 retired request tags 11 and 12 and response
+/// tag 7 (`Drain`, `IsDrained`, `Drained`), which no client sent.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Poll interval of non-blocking accept loops.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -386,10 +386,9 @@ fn serve_connection(
 /// The driver-side membership listener.
 ///
 /// A starting `hurricane-node` dials this, announces its data address,
-/// and the driver appends a shadow node to its cluster (metadata
-/// authority: placement, bag registry, seal state) plus a
-/// [`TcpConnector`] member to its [`Membership`]. Live ports pick the
-/// node up on their next `refresh_membership`.
+/// and the driver appends a [`TcpConnector`] member to its
+/// [`Membership`], the one node list its ports and placement read. Live
+/// ports pick the node up on their next `refresh_membership`.
 pub struct JoinServer {
     local: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -398,11 +397,7 @@ pub struct JoinServer {
 
 impl JoinServer {
     /// Binds the join listener and starts admitting nodes.
-    pub fn bind(
-        cluster: Arc<StorageCluster>,
-        membership: Membership,
-        addr: &str,
-    ) -> io::Result<Self> {
+    pub fn bind(membership: Membership, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
@@ -415,7 +410,7 @@ impl JoinServer {
                 while !tstop.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            let _ = admit(&cluster, &membership, stream);
+                            let _ = admit(&membership, stream);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             std::thread::sleep(ACCEPT_POLL);
@@ -464,13 +459,9 @@ impl std::fmt::Debug for JoinServer {
     }
 }
 
-/// Serves one join request: reads the announcement, appends the node,
+/// Serves one join request: reads the announcement, appends the member,
 /// replies with its assigned id.
-fn admit(
-    cluster: &Arc<StorageCluster>,
-    membership: &Membership,
-    mut stream: TcpStream,
-) -> io::Result<()> {
+fn admit(membership: &Membership, mut stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut head = [0u8; 5];
     stream.read_exact(&mut head)?;
@@ -488,14 +479,7 @@ fn admit(
     stream.read_exact(&mut addr)?;
     let addr = String::from_utf8(addr).map_err(|_| proto_err("join address not utf-8"))?;
 
-    // Shadow node first, then the member: a refresh that sees the new
-    // member must also see the grown cluster (placement sizing).
-    let idx = cluster.add_node();
-    let node = membership.join(Arc::new(TcpConnector {
-        node: StorageNodeId(idx as u32),
-        addr,
-    }));
-    debug_assert_eq!(node.0 as usize, idx, "cluster and membership diverged");
+    let node = membership.join_with(|node| Arc::new(TcpConnector { node, addr }));
 
     let mut reply = Vec::with_capacity(varint::MAX_VARINT_LEN);
     varint::encode(node.0 as u64, &mut reply);
@@ -523,7 +507,6 @@ pub fn join_cluster(driver_addr: &str, data_addr: &str) -> io::Result<StorageNod
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
     use crate::rpc::{StorageRequest, StorageResponse};
     use hurricane_common::BagId;
     use hurricane_format::Chunk;
@@ -647,17 +630,28 @@ mod tests {
 
     #[test]
     fn dial_refuses_a_server_speaking_wire_version_2() {
-        let (addr, server) = hello_server(2);
-        let Err(err) = TcpTransport::dial(&addr, None) else {
-            panic!("a version 2 hello was accepted");
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("wire version"), "{err}");
-        server.join().unwrap();
+        for old in [2, 3] {
+            let (addr, server) = hello_server(old);
+            let Err(err) = TcpTransport::dial(&addr, None) else {
+                panic!("a version {old} hello was accepted");
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("wire version"), "{err}");
+            server.join().unwrap();
+        }
         // The same hello at the current version dials.
         let (addr, server) = hello_server(WIRE_VERSION);
         drop(TcpTransport::dial(&addr, Some(StorageNodeId(0))).unwrap());
         server.join().unwrap();
+    }
+
+    #[test]
+    fn wire_md_documents_the_current_version() {
+        let title = include_str!("../../../WIRE.md").lines().next().unwrap();
+        assert_eq!(
+            title,
+            format!("# Hurricane wire protocol (`WIRE_VERSION = {WIRE_VERSION}`)")
+        );
     }
 
     #[test]
@@ -691,22 +685,22 @@ mod tests {
 
     #[test]
     fn join_server_admits_nodes_in_order() {
-        // Cluster and membership start aligned (one pre-known node, as
-        // the TCP endpoint seeds them); every join must keep them so.
-        let cluster = StorageCluster::new(1, ClusterConfig::default());
+        // One pre-known node, as the TCP endpoint seeds the membership;
+        // each join takes the next id.
         let membership = Membership::new();
         membership.join(Arc::new(TcpConnector {
             node: StorageNodeId(0),
             addr: "127.0.0.1:9000".into(),
         }));
-        let join = JoinServer::bind(cluster.clone(), membership.clone(), "127.0.0.1:0").unwrap();
+        let join = JoinServer::bind(membership.clone(), "127.0.0.1:0").unwrap();
         let driver = join.local_addr().to_string();
 
         let a = join_cluster(&driver, "127.0.0.1:9001").unwrap();
         let b = join_cluster(&driver, "127.0.0.1:9002").unwrap();
         assert_eq!((a, b), (StorageNodeId(1), StorageNodeId(2)));
-        assert_eq!(cluster.num_nodes(), 3);
         assert_eq!(membership.len(), 3);
+        let nodes: Vec<_> = membership.members().iter().map(|m| m.node).collect();
+        assert_eq!(nodes, [0, 1, 2].map(StorageNodeId));
         join.shutdown();
     }
 }

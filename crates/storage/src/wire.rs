@@ -258,8 +258,9 @@ fn get_remove_batch(input: &mut &[u8]) -> Result<NodeRemoveBatch, CodecError> {
 // StorageRequest.
 // ---------------------------------------------------------------------------
 
-// Tags 2, 4 and 5 were retired in wire version 3: never sent and never
-// reused (WIRE.md); decoding one is an `InvalidTag` error like any
+// Tags 2, 4 and 5 were retired in wire version 3, and 11 and 12 (the
+// node-drain requests, which nothing sent) in version 4: never sent and
+// never reused (WIRE.md); decoding one is an `InvalidTag` error like any
 // unknown tag.
 const REQ_INSERT_BATCH: u8 = 0;
 const REQ_REMOVE_BATCH: u8 = 1;
@@ -269,8 +270,6 @@ const REQ_SEAL: u8 = 7;
 const REQ_REWIND: u8 = 8;
 const REQ_DISCARD: u8 = 9;
 const REQ_COLLECT: u8 = 10;
-const REQ_DRAIN: u8 = 11;
-const REQ_IS_DRAINED: u8 = 12;
 const REQ_PING: u8 = 13;
 const REQ_CLAIM_CONSUMED: u8 = 14;
 
@@ -320,8 +319,6 @@ fn put_request_body<'a>(req: &'a StorageRequest, sink: &mut impl Sink<'a>) {
             out.push(REQ_COLLECT);
             put_bag(*bag, out);
         }
-        StorageRequest::Drain => out.push(REQ_DRAIN),
-        StorageRequest::IsDrained => out.push(REQ_IS_DRAINED),
         StorageRequest::Ping => out.push(REQ_PING),
         StorageRequest::ClaimConsumed { bag, origin, tags } => {
             out.push(REQ_CLAIM_CONSUMED);
@@ -364,8 +361,6 @@ fn get_request_body(input: &mut &[u8]) -> Result<StorageRequest, CodecError> {
         REQ_COLLECT => StorageRequest::Collect {
             bag: get_bag(input)?,
         },
-        REQ_DRAIN => StorageRequest::Drain,
-        REQ_IS_DRAINED => StorageRequest::IsDrained,
         REQ_PING => StorageRequest::Ping,
         REQ_CLAIM_CONSUMED => StorageRequest::ClaimConsumed {
             bag: get_bag(input)?,
@@ -380,14 +375,13 @@ fn get_request_body(input: &mut &[u8]) -> Result<StorageRequest, CodecError> {
 // StorageResponse.
 // ---------------------------------------------------------------------------
 
-// Tags 2 and 4 were retired in wire version 3, like the requests they
-// answered.
+// Tags 2 and 4 were retired in wire version 3 and tag 7 in version 4,
+// like the requests they answered.
 const RESP_INSERTED: u8 = 0;
 const RESP_REMOVED: u8 = 1;
 const RESP_SAMPLED: u8 = 3;
 const RESP_CHUNKS: u8 = 5;
 const RESP_DONE: u8 = 6;
-const RESP_DRAINED: u8 = 7;
 const RESP_PONG: u8 = 8;
 const RESP_CLAIMED: u8 = 9;
 
@@ -408,10 +402,6 @@ fn put_response<'a>(resp: &'a StorageResponse, sink: &mut impl Sink<'a>) {
             put_chunks(chunks, sink);
         }
         StorageResponse::Done => out.push(RESP_DONE),
-        StorageResponse::Drained(flag) => {
-            out.push(RESP_DRAINED);
-            put_bool(*flag, out);
-        }
         StorageResponse::Pong => out.push(RESP_PONG),
         StorageResponse::Claimed(tags) => {
             out.push(RESP_CLAIMED);
@@ -427,7 +417,6 @@ fn get_response(input: &mut &[u8]) -> Result<StorageResponse, CodecError> {
         RESP_SAMPLED => StorageResponse::Sampled(get_sample(input)?),
         RESP_CHUNKS => StorageResponse::Chunks(get_chunks(input)?),
         RESP_DONE => StorageResponse::Done,
-        RESP_DRAINED => StorageResponse::Drained(get_bool(input)?),
         RESP_PONG => StorageResponse::Pong,
         RESP_CLAIMED => StorageResponse::Claimed(get_tags(input)?),
         t => return Err(CodecError::InvalidTag(t)),

@@ -7,8 +7,7 @@
 //!
 //! Keys are logical IP identifiers in `0..num_ips`; the simulated
 //! geolocation function maps an IP to its region by equal adjacent key
-//! ranges, exactly matching the partition generator. [`ip_string`]
-//! renders a key as a dotted quad for the text-file form used in examples.
+//! ranges, exactly matching the partition generator.
 
 use crate::zipf::ZipfSampler;
 use hurricane_common::DetRng;
@@ -105,19 +104,6 @@ pub fn region_of(ip: u32, num_ips: usize, regions: usize) -> u32 {
     r.min(regions as u32 - 1)
 }
 
-/// Renders an IP key as a dotted quad (for the text-file input form).
-pub fn ip_string(ip: u32) -> String {
-    // Spread keys over the address space so examples look like real logs.
-    let x = hurricane_common::SplitMix64::mix(ip as u64) as u32;
-    format!(
-        "{}.{}.{}.{}",
-        (x >> 24) & 0xff,
-        (x >> 16) & 0xff,
-        (x >> 8) & 0xff,
-        x & 0xff
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,18 +187,5 @@ mod tests {
         for (r, &c) in counts.iter().enumerate() {
             assert!((c as f64 - expect).abs() / expect < 0.1, "region {r}: {c}");
         }
-    }
-
-    #[test]
-    fn ip_string_is_a_dotted_quad() {
-        let s = ip_string(42);
-        let parts: Vec<&str> = s.split('.').collect();
-        assert_eq!(parts.len(), 4);
-        for p in parts {
-            let v: u32 = p.parse().unwrap();
-            assert!(v <= 255);
-        }
-        assert_eq!(ip_string(42), ip_string(42));
-        assert_ne!(ip_string(42), ip_string(43));
     }
 }

@@ -80,14 +80,6 @@ pub fn reference_join(r: &[Tuple], s: &[Tuple]) -> Vec<(u32, u64, u64)> {
     out
 }
 
-/// Expected join output size per key-range partition, used by the
-/// simulator: hit rate of partition p is (R mass in p) × (S mass in p).
-pub fn partition_hit_weights(spec: &JoinSpec, partitions: usize) -> Vec<f64> {
-    let masses = crate::zipf::region_masses(spec.num_keys, partitions, spec.skew);
-    // S is uniform over partitions; output size ∝ R-mass × S-mass ∝ R-mass.
-    masses
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,15 +141,5 @@ mod tests {
                 (2, 20, 200)
             ]
         );
-    }
-
-    #[test]
-    fn hit_weights_skewed_by_r() {
-        let w_uniform = partition_hit_weights(&spec(0.0), 32);
-        let w_skewed = partition_hit_weights(&spec(1.0), 32);
-        let imb_u = crate::zipf::imbalance(&w_uniform);
-        let imb_s = crate::zipf::imbalance(&w_skewed);
-        assert!(imb_u < 1.5);
-        assert!(imb_s > 10.0, "skewed hit weights imbalance {imb_s}");
     }
 }

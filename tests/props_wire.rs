@@ -24,7 +24,7 @@ type RawRequest = ((u8, u64, u32, u64, u64), Vec<Vec<u8>>, Vec<(u64, u32, u32)>)
 fn raw_request() -> impl Strategy<Value = RawRequest> {
     (
         (
-            0u8..12,
+            0u8..10,
             any::<u64>(),
             any::<u32>(),
             any::<u64>(),
@@ -61,9 +61,7 @@ fn build_request(raw: RawRequest) -> StorageRequest {
         5 => StorageRequest::Rewind { bag },
         6 => StorageRequest::Discard { bag },
         7 => StorageRequest::Collect { bag },
-        8 => StorageRequest::Drain,
-        9 => StorageRequest::IsDrained,
-        10 => StorageRequest::ClaimConsumed { bag, origin, tags },
+        8 => StorageRequest::ClaimConsumed { bag, origin, tags },
         _ => StorageRequest::Ping,
     }
 }
@@ -80,7 +78,7 @@ type RawReply = (
 
 fn raw_reply() -> impl Strategy<Value = RawReply> {
     (
-        0u8..12,
+        0u8..11,
         any::<u64>(),
         any::<u32>(),
         prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 0..5),
@@ -115,12 +113,11 @@ fn build_reply_result(raw: RawReply) -> Result<StorageResponse, StorageError> {
         })),
         3 => Ok(StorageResponse::Chunks(chunks)),
         4 => Ok(StorageResponse::Done),
-        5 => Ok(StorageResponse::Drained(flag_b)),
-        6 => Ok(StorageResponse::Pong),
-        7 => Ok(StorageResponse::Claimed(tags)),
-        8 => Err(StorageError::NodeDown(StorageNodeId(small))),
-        9 => Err(StorageError::BagSealed(BagId(big))),
-        10 => Err(StorageError::Timeout(StorageNodeId(small))),
+        5 => Ok(StorageResponse::Pong),
+        6 => Ok(StorageResponse::Claimed(tags)),
+        7 => Err(StorageError::NodeDown(StorageNodeId(small))),
+        8 => Err(StorageError::BagSealed(BagId(big))),
+        9 => Err(StorageError::Timeout(StorageNodeId(small))),
         _ => Err(StorageError::Codec(CodecError::InvalidTag(tag))),
     }
 }
@@ -262,14 +259,15 @@ fn decoders_are_total(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
 
 /// Request tags 2, 4 and 5 (`MirrorConsumed`, `ReadAt`, `Snapshot`) and
 /// response tags 2 and 4 (`Mirrored`, `ChunkAt`) were retired in wire
-/// version 3 and are never reused: an envelope carrying one is a typed
-/// `InvalidTag` error whatever the bytes after it (here: the retired
-/// variant's old fields, nothing, and junk).
+/// version 3, request tags 11 and 12 (`Drain`, `IsDrained`) and response
+/// tag 7 (`Drained`) in version 4, and none is ever reused: an envelope
+/// carrying one is a typed `InvalidTag` error whatever the bytes after it
+/// (here: a retired variant's old fields, nothing, and junk).
 #[test]
 fn retired_tags_decode_to_invalid_tag() {
     let tails: [&[u8]; 3] = [&[4, 2, 0], &[], &[0xFF; 12]];
     for tail in tails {
-        for tag in [2u8, 4, 5] {
+        for tag in [2u8, 4, 5, 11, 12] {
             // id, client, seq, then the body's tag.
             let mut req = vec![1, 7, 9, tag];
             req.extend_from_slice(tail);
@@ -279,7 +277,7 @@ fn retired_tags_decode_to_invalid_tag() {
                 "request tag {tag}"
             );
         }
-        for tag in [2u8, 4] {
+        for tag in [2u8, 4, 7] {
             // id, `Ok`, then the response's tag.
             let mut rep = vec![1, 1, tag];
             rep.extend_from_slice(tail);

@@ -77,8 +77,9 @@ fn request_timeout_surfaces_through_the_port() {
         .unwrap();
     // A port whose single connection leads to a server nobody runs.
     let (transport, _server) = loopback(StorageNodeId(0));
-    let conns = vec![NodeConnection::new(Box::new(transport))];
-    let mut port = RpcPort::from_connections(cluster.clone(), conns, Duration::from_millis(30));
+    let membership = Membership::new();
+    membership.join(OnceConnect::new(Box::new(transport)));
+    let mut port = RpcPort::from_membership(cluster.clone(), membership, Duration::from_millis(30));
     let err = port.remove_batch(0, bag, 4).unwrap_err();
     assert_eq!(err, StorageError::Timeout(StorageNodeId(0)));
 }
