@@ -14,13 +14,17 @@
 //! the work on power-law graphs. Clone partials merge by keyed
 //! contribution sums.
 //!
-//! Hot-path mechanics: the init task fans the edge list into one private
-//! copy per iteration by **chunk splatting** — each input chunk forwards
-//! to all `iters` outputs as refcount bumps (`TaskCtx::splat_chunk`),
-//! never re-encoding an edge — and the degree count, the rank snapshot
-//! (`TaskCtx::for_each_snapshot_record`, folded straight into the rank
-//! and degree vectors) and the per-iteration edge traversal
-//! (`TaskCtx::for_each_record`) all stream **borrowed views**, so no
+//! Hot-path mechanics: the edge list is varint-decoded once per job. The
+//! init task views every edge of its input to count degrees, and in the
+//! same pass re-encodes it as a fixed-width `(FixedU32, FixedU32)` pair
+//! ([`Edge`]) into chunks of the configured chunk size
+//! ([`TaskCtx::chunk_size`]). Each sealed fixed-width chunk goes to all
+//! `iters` edge copies by **chunk splatting** (`TaskCtx::splat_chunk`,
+//! one refcount bump per copy), and every iteration drains its copy as
+//! fixed-width pairs, which decode with no varint work. The rank
+//! snapshot (`TaskCtx::for_each_snapshot_record`, folded straight into
+//! the rank and degree vectors) and the per-iteration edge traversal
+//! (`TaskCtx::for_each_record`) stream **borrowed views**, so no
 //! iteration owns a copy of the rank table or allocates per record.
 //! Every task writes its rank records `for v in 0..n`, so every clone
 //! partial ascends, and clone partials reconcile through the *streaming*
@@ -32,7 +36,8 @@
 use hurricane_core::graph::{AppGraph, GraphBag, GraphBuilder};
 use hurricane_core::merges::{ConcatMerge, KeyedMerge};
 use hurricane_core::task::{BagReader, BagWriter, MergeLogic, TaskCtx};
-use hurricane_core::{AppReport, EngineError, HurricaneApp, HurricaneConfig};
+use hurricane_core::{AppReport, EngineError, HurricaneApp, HurricaneConfig, TaskLogic};
+use hurricane_format::{ChunkWriter, FixedU32};
 use hurricane_storage::StorageCluster;
 use std::sync::Arc;
 
@@ -41,6 +46,10 @@ pub const DAMPING: f64 = 0.85;
 
 /// One rank record on the wire: `(vertex, contribution, out_degree)`.
 pub type RankRecord = (u32, f64, u32);
+
+/// One edge of an iteration's private edge copy: `(src, dst)`, eight
+/// bytes on the wire.
+pub type Edge = (FixedU32, FixedU32);
 
 /// Static parameters of a PageRank job.
 #[derive(Debug, Clone, Copy)]
@@ -88,6 +97,42 @@ impl MergeLogic for InitMerge {
     }
 }
 
+/// The init task over `n` vertices and `iters` iterations: counts
+/// out-degrees, writes the initial rank records to output 0, and fans
+/// the edge list out into one private copy per iteration (outputs
+/// `1..=iters`; bags are consumed destructively, and each iteration needs
+/// its own).
+///
+/// The edge copies are re-encoded once, in the degree count's pass over
+/// the varint input: each edge is pushed as a fixed-width [`Edge`] into
+/// chunks of the configured size, and each sealed chunk is forwarded to
+/// every copy as refcount bumps, so no iteration decodes a varint.
+fn init_task(n: u32, iters: usize) -> impl TaskLogic {
+    move |ctx: &mut TaskCtx| {
+        let copy_outs: Vec<usize> = (1..=iters).collect();
+        let mut deg = vec![0u32; n as usize];
+        let mut copies = ChunkWriter::<Edge>::new(ctx.chunk_size());
+        while let Some(chunk) = ctx.next_chunk(0)? {
+            hurricane_format::try_for_each_view::<(u32, u32), EngineError, _>(&chunk, |(u, v)| {
+                deg[u as usize] += 1;
+                if let Some(sealed) = copies.push(&(FixedU32(u), FixedU32(v)))? {
+                    ctx.splat_chunk(&copy_outs, &sealed)?;
+                }
+                Ok(())
+            })?;
+        }
+        if let Some(last) = copies.finish() {
+            ctx.splat_chunk(&copy_outs, &last)?;
+        }
+        for v in 0..n {
+            // (vertex, (contribution, partial degree)) — keyed merge
+            // reconciles degrees across clones.
+            ctx.write_record(0, &(v, (1.0 / n as f64, deg[v as usize])))?;
+        }
+        Ok(())
+    }
+}
+
 impl PageRankJob {
     /// Builds the unrolled iteration graph.
     pub fn plan(&self) -> PageRankPlan {
@@ -99,35 +144,11 @@ impl PageRankJob {
         let edge_copies: Vec<GraphBag> = (0..iters).map(|i| g.bag(format!("edges.{i}"))).collect();
         let mut init_outs = vec![ranks0];
         init_outs.extend(&edge_copies);
-        // Init: count out-degrees, emit initial rank records, and fan the
-        // edge list out into one private copy per iteration (bags are
-        // consumed destructively; iterations each need their own).
-        //
-        // The fan-out is *chunk splatting*: each input chunk is already
-        // the exact byte stream an edge copy needs, so it is forwarded to
-        // all `iters` outputs as refcount bumps — the per-record
-        // re-encode-k-times loop this task used to run is gone, and the
-        // degree count reads the same chunk through borrowed views.
         g.task_with_merge(
             "init",
             &[edges_src],
             &init_outs,
-            move |ctx: &mut TaskCtx| {
-                let copy_outs: Vec<usize> = (1..=iters).collect();
-                let mut deg = vec![0u32; n as usize];
-                while let Some(chunk) = ctx.next_chunk(0)? {
-                    hurricane_format::for_each_view::<(u32, u32), _>(&chunk, |(u, _)| {
-                        deg[u as usize] += 1;
-                    })?;
-                    ctx.splat_chunk(&copy_outs, &chunk)?;
-                }
-                for v in 0..n {
-                    // (vertex, (contribution, partial degree)) — keyed
-                    // merge reconciles degrees across clones.
-                    ctx.write_record(0, &(v, (1.0 / n as f64, deg[v as usize])))?;
-                }
-                Ok(())
-            },
+            init_task(n, iters),
             InitMerge,
         );
         let mut prev_ranks = ranks0;
@@ -150,10 +171,10 @@ impl PageRankJob {
                         },
                     )?;
                     // Edge chunks: exactly-once across clones — this is
-                    // where skewed work splits. Borrowed views keep the
-                    // traversal allocation-free.
+                    // where skewed work splits. Fixed-width pairs decode
+                    // with no varint work.
                     let mut acc = vec![0.0f64; n as usize];
-                    ctx.for_each_record::<(u32, u32), _>(1, |(u, v)| {
+                    ctx.for_each_record::<Edge, _>(1, |(FixedU32(u), FixedU32(v))| {
                         let d = deg[u as usize];
                         if d > 0 {
                             acc[v as usize] += rank[u as usize] / d as f64;
@@ -364,6 +385,87 @@ mod tests {
         for e in granted {
             let bar = (e.instances as f64 + 1.0) * (e.startup_s + e.reconcile_s);
             assert!(e.remaining_s.is_finite() && e.remaining_s > bar, "{e}");
+        }
+    }
+
+    #[test]
+    fn clones_of_init_and_of_the_iterations_keep_ranks_exact() {
+        // A ping on every chunk and a slot for every instance: init and
+        // the iterations are cloned while they run, so init's edge copies
+        // come from several instances and the iterations drain them
+        // concurrently.
+        let spec = RmatSpec {
+            scale: 8,
+            edges: 256 * 1024,
+            seed: 31,
+        };
+        let edges: Vec<(u32, u32)> = RmatGen::new(spec)
+            .map(|(u, v)| (u as u32, v as u32))
+            .collect();
+        let job = PageRankJob {
+            vertices: 1 << 8,
+            iterations: 5,
+        };
+        let config = HurricaneConfig {
+            chunk_size: 1024,
+            clone_interval: Duration::ZERO,
+            ..config()
+        };
+        let cluster = StorageCluster::new(4, ClusterConfig::default());
+        let (got, report) = job.run(cluster, config, &edges).expect("pagerank run");
+        for (v, (g, e)) in got.iter().zip(&job.reference(&edges)).enumerate() {
+            assert!((g - e).abs() < 1e-9, "vertex {v}: got {g}, expected {e}");
+        }
+        let clones = |task: u32| report.clones_per_task.get(&task).copied().unwrap_or(0);
+        assert!(
+            clones(0) > 0,
+            "init was not cloned: {:?}",
+            report.clones_per_task
+        );
+        assert!(
+            (1..=5).any(|t| clones(t) > 0),
+            "no iteration was cloned: {:?}",
+            report.clones_per_task
+        );
+    }
+
+    #[test]
+    fn init_copies_hold_the_source_edges_in_fixed_width_chunks() {
+        // The init task alone, so its three edge copies are sinks that
+        // can be read after the run; a ping on every chunk lets clones
+        // write some of them.
+        let mut g = GraphBuilder::new();
+        let source = g.source("edges");
+        let ranks = g.bag("ranks.0");
+        let copies: Vec<GraphBag> = (0..3).map(|i| g.bag(format!("edges.{i}"))).collect();
+        let mut outs = vec![ranks];
+        outs.extend(&copies);
+        g.task_with_merge("init", &[source], &outs, init_task(256, 3), InitMerge);
+        let chunk_size = 100;
+        let config = HurricaneConfig {
+            chunk_size,
+            clone_interval: Duration::ZERO,
+            ..config()
+        };
+        let cluster = StorageCluster::new(4, ClusterConfig::default());
+        let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster, config).unwrap();
+        let mut edges = rmat_256();
+        app.fill_source(source, edges.iter().copied()).unwrap();
+        app.run().unwrap();
+        edges.sort_unstable();
+        for copy in copies {
+            let mut got = Vec::new();
+            for chunk in app.read_chunks(copy).unwrap() {
+                // 96 bytes: the most whole eight-byte edges under 100.
+                assert!(chunk.len() <= 96 && chunk.len() % 8 == 0, "{}", chunk.len());
+                for (FixedU32(u), FixedU32(v)) in
+                    hurricane_format::decode_all::<Edge>(&chunk).unwrap()
+                {
+                    got.push((u, v));
+                }
+            }
+            got.sort_unstable();
+            assert_eq!(got, edges);
         }
     }
 

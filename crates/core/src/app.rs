@@ -3,7 +3,8 @@
 //! [`HurricaneApp`] owns one application's physical resources: the mapping
 //! from graph bags to storage bags, the three scheduling work bags, and
 //! the shared control plane. `deploy → fill sources → run → read sinks`
-//! is the whole lifecycle:
+//! is the whole lifecycle; the run collects every bag a completed task
+//! read, so sinks are what is left to read:
 //!
 //! ```
 //! use hurricane_core::{AppGraph, HurricaneApp, HurricaneConfig, TaskCtx, EngineError};
@@ -365,8 +366,12 @@ impl HurricaneApp {
         self.start()?.wait()
     }
 
-    /// Reads every record of a bag non-destructively (typically a sink,
-    /// after the run).
+    /// Reads every record of a bag non-destructively.
+    ///
+    /// After [`HurricaneApp::run`] only sinks ([`AppGraph::sinks`], the
+    /// bags no task consumes) can be read: the master collects every
+    /// other bag once the task reading it completes, and reading one
+    /// fails with `StorageError::BagCollected`.
     pub fn read_records<T: Record>(&self, bag: GraphBag) -> Result<Vec<T>, EngineError> {
         let mut out = Vec::new();
         for c in &self.read_chunks(bag)? {
@@ -376,7 +381,8 @@ impl HurricaneApp {
     }
 
     /// Reads every chunk of a bag non-destructively, through an inline
-    /// port over the cluster.
+    /// port over the cluster. After the run only sinks can be read (see
+    /// [`HurricaneApp::read_records`]).
     pub fn read_chunks(&self, bag: GraphBag) -> Result<Vec<Chunk>, EngineError> {
         let bag = self.physical_bag(bag);
         Ok(RpcPort::inline(self.cluster.clone()).snapshot_bag(bag)?)

@@ -13,6 +13,19 @@
 //! completion state from non-destructive snapshots, after which compute
 //! nodes (which kept working during the outage) never notice.
 //!
+//! Bag lifecycle. A graph bag is created at deploy, filled (a source
+//! before the run, any other bag by its producer's instances, or by its
+//! merge for a task with one), sealed when its producer completes, and
+//! read by its one consumer (`BagDef::consumer`). When that consumer
+//! completes, the master collects the bag: the storage nodes free its
+//! chunks and every later access fails with `BagCollected`. Clone
+//! partials are created by the master when it schedules an instance,
+//! sealed when it schedules the merge, and collected when the task
+//! completes. Sinks and the ready, running and done bags are never
+//! collected. Collection runs after the schedule burst that completion
+//! unlocked, is best-effort (a storage node that is down keeps its copy)
+//! and idempotent (a recovered master seals and collects again).
+//!
 //! The master reaches the workers only through the [`Runtime`] it shares
 //! with them: the work bags, the kill switch and the control channel.
 //! When the job completes or a unit fails it, the master shuts the kill
@@ -26,7 +39,7 @@ use crate::manager::Runtime;
 use crate::task::{CloneRequest, ControlMsg};
 use crossbeam::channel::Receiver;
 use hurricane_common::{BagId, TaskId, TaskInstanceId};
-use hurricane_storage::{RpcPort, WorkBag};
+use hurricane_storage::{RpcPort, StorageError, WorkBag};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -287,8 +300,12 @@ impl Master {
     /// application start (and whenever one completion unlocks several
     /// dependents) the schedule burst costs one storage round-trip per
     /// node instead of one per task.
+    ///
+    /// A completed task's dead bags ([`Master::complete_task`]) are
+    /// collected after the burst is inserted.
     fn progress(&mut self) -> Result<(), EngineError> {
         let mut burst: Vec<Descriptor> = Vec::new();
+        let mut dead: Vec<BagId> = Vec::new();
         for idx in 0..self.state.len() {
             let t = TaskId(idx as u32);
             if self.state[idx].completed {
@@ -324,22 +341,32 @@ impl Master {
                         self.schedule_merge(t)?;
                     }
                 } else if st.merge_done {
-                    self.complete_task(t)?;
+                    dead.extend(self.complete_task(t)?);
                 }
             } else {
-                self.complete_task(t)?;
+                dead.extend(self.complete_task(t)?);
             }
         }
         self.ready.insert_batch(&burst)?;
+        // Freeing memory waits until the newly runnable tasks are out.
+        for bag in dead {
+            unless_collected(self.control.collect_bag(bag))?;
+        }
         Ok(())
     }
 
-    fn complete_task(&mut self, t: TaskId) -> Result<(), EngineError> {
+    /// Seals `t`'s outputs and marks it completed. Returns the bags no
+    /// task will read again: every input of `t`, since a bag has at most
+    /// one consumer and a completed task is never restarted, and every
+    /// clone partial of its merge.
+    fn complete_task(&mut self, t: TaskId) -> Result<Vec<BagId>, EngineError> {
         for &b in &self.rt.graph.task(t).outputs {
-            self.control.seal_bag(self.physical(b))?;
+            unless_collected(self.control.seal_bag(self.physical(b)))?;
         }
         self.state[t.index()].completed = true;
-        Ok(())
+        let mut dead = self.task_input_bags(t);
+        dead.extend(self.partial_bags(t));
+        Ok(dead.into_iter().map(BagId).collect())
     }
 
     /// Builds the descriptor for instance `clone_id` of task `t` at its
@@ -658,6 +685,17 @@ impl Master {
         }
         self.report.restarts += 1;
         Ok(())
+    }
+}
+
+/// `result`, with "already collected" read as success. A master rebuilt
+/// by [`Master::recover`] replays every completion, so it seals the
+/// outputs and collects the dead bags of tasks an earlier incarnation
+/// completed, and some of those bags are collected already.
+fn unless_collected(result: Result<(), StorageError>) -> Result<(), StorageError> {
+    match result {
+        Err(StorageError::BagCollected(_)) => Ok(()),
+        other => other,
     }
 }
 

@@ -442,6 +442,16 @@ impl TaskCtx {
         self.node
     }
 
+    /// The configured chunk capacity in bytes
+    /// ([`HurricaneConfig::chunk_size`](crate::HurricaneConfig)), which
+    /// every output writer seals its chunks at: for a task that builds
+    /// chunks itself and forwards them with [`TaskCtx::emit_chunk`] or
+    /// [`TaskCtx::splat_chunk`].
+    pub fn chunk_size(&self) -> usize {
+        // Graph validation gives every task at least one output.
+        self.outputs[0].body.chunk_size()
+    }
+
     /// Removes the next chunk from input `i`, or `None` once drained.
     ///
     /// Also performs the periodic overload ping: a worker that keeps

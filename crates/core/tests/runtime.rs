@@ -1,13 +1,15 @@
 //! End-to-end tests of the Hurricane runtime: correctness under cloning,
 //! merge reconciliation, and fault injection.
 
+use hurricane_common::BagId;
 use hurricane_core::graph::GraphBuilder;
 use hurricane_core::merges::{KeyedMerge, ReduceMerge};
 use hurricane_core::task::TaskCtx;
-use hurricane_core::{EngineError, HurricaneApp, HurricaneConfig};
-use hurricane_storage::{ClusterConfig, StorageCluster};
-use std::sync::Arc;
-use std::time::Duration;
+use hurricane_core::{EngineError, GraphBag, HurricaneApp, HurricaneConfig};
+use hurricane_storage::{ClusterConfig, RpcPort, StorageCluster, StorageError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// A per-chunk artificial compute cost that makes tasks long enough to
 /// clone (and to kill mid-flight) at laptop scale.
@@ -636,39 +638,218 @@ fn a_panicking_task_fails_the_job_instead_of_hanging_it() {
 #[test]
 fn an_input_read_only_by_snapshot_is_never_removed_from() {
     // PageRank's `iter` shape: input 0 is read whole, input 1 drained.
+    // The master collects both once `iter` completes, so each instance
+    // samples them itself, after it has seen the drained input end:
+    // by then every chunk of `work` has been removed and no instance
+    // can remove from `state` any more.
     for config in [test_config(), test_config().with_storage_rpc()] {
         let cluster = StorageCluster::new(2, ClusterConfig::default());
         let mut g = GraphBuilder::new();
         let state = g.source("state");
         let work = g.source("work");
         let out = g.bag("out");
-        g.task("iter", &[state, work], &[out], |ctx: &mut TaskCtx| {
+        let bags: Arc<OnceLock<[BagId; 2]>> = Arc::default();
+        let (seen, sampled) = (bags.clone(), cluster.clone());
+        g.task("iter", &[state, work], &[out], move |ctx: &mut TaskCtx| {
             let state: Vec<u64> = ctx.snapshot_input(0)?;
             let mut n = 0u64;
             while let Some(recs) = ctx.next_records::<u64>(1)? {
                 busy_work(50);
                 n += recs.len() as u64;
             }
-            ctx.write_record(0, &(state.len() as u64, n))?;
+            let mut port = RpcPort::inline(sampled.clone());
+            let [state_bag, work_bag] = *seen.get().expect("set before the run");
+            let state_removed = port.sample_bag(state_bag)?.removed_chunks;
+            let work = port.sample_bag(work_bag)?;
+            let work_left = work.total_chunks - work.removed_chunks;
+            ctx.write_record(0, &(state.len() as u64, n, state_removed, work_left))?;
             Ok(())
         });
-        let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster.clone(), config).unwrap();
+        let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster, config).unwrap();
+        bags.set([app.physical_bag(state), app.physical_bag(work)])
+            .unwrap();
         app.fill_source(state, 0..5_000u64).unwrap();
         app.fill_source(work, 0..5_000u64).unwrap();
         app.run().unwrap();
-        let mut port = hurricane_storage::RpcPort::inline(cluster);
-        let sample = |port: &mut hurricane_storage::RpcPort, bag| {
-            port.sample_bag(app.physical_bag(bag)).unwrap()
-        };
-        assert_eq!(sample(&mut port, state).removed_chunks, 0);
-        let work = sample(&mut port, work);
-        assert_eq!(work.removed_chunks, work.total_chunks);
-        let outputs: Vec<(u64, u64)> = app.read_records(out).unwrap();
+        let outputs: Vec<(u64, u64, u64, u64)> = app.read_records(out).unwrap();
         assert!(!outputs.is_empty());
-        for (state_len, _) in &outputs {
-            assert_eq!(*state_len, 5_000);
+        for &(state_len, _, state_removed, work_left) in &outputs {
+            assert_eq!(state_len, 5_000, "a snapshot reads all of `state`");
+            assert_eq!(state_removed, 0, "`state` is never removed from");
+            assert_eq!(work_left, 0, "`work` is removed in full");
         }
         assert_eq!(outputs.iter().map(|o| o.1).sum::<u64>(), 5_000);
+    }
+}
+
+/// A three-stage pipeline over the source `values`: `route` splits it
+/// into `even` and `odd` (no merge: its instances write the shared
+/// outputs), `sum.even` and `sum.odd` sum each half with busy work per
+/// chunk and a merge over their clone partials, and `total` reads
+/// `half.even` by snapshot and drains `half.odd` into the one sink,
+/// `total`, which holds `(even sum, odd sum)`. `total` starts reading
+/// only once `gate` is set. Returns the app, the source, the bags a
+/// completed task read (the source first) and the sink.
+fn collection_pipeline(
+    cluster: Arc<StorageCluster>,
+    config: HurricaneConfig,
+    gate: Arc<AtomicBool>,
+) -> (HurricaneApp, GraphBag, Vec<GraphBag>, GraphBag) {
+    let mut g = GraphBuilder::new();
+    let values = g.source("values");
+    let halves = [g.bag("even"), g.bag("odd")];
+    g.task("route", &[values], &halves, |ctx: &mut TaskCtx| {
+        while let Some(recs) = ctx.next_records::<u64>(0)? {
+            for r in recs {
+                ctx.write_record((r % 2) as usize, &r)?;
+            }
+        }
+        Ok(())
+    });
+    let mut sums = Vec::new();
+    for (name, half) in ["even", "odd"].into_iter().zip(halves) {
+        let sum = g.bag(format!("half.{name}"));
+        g.task_with_merge(
+            format!("sum.{name}"),
+            &[half],
+            &[sum],
+            |ctx: &mut TaskCtx| {
+                let mut total = 0u64;
+                while let Some(recs) = ctx.next_records::<u64>(0)? {
+                    busy_work(300);
+                    total += recs.iter().sum::<u64>();
+                }
+                ctx.write_record(0, &total)
+            },
+            ReduceMerge::new(|a: u64, b: u64| a + b),
+        );
+        sums.push(sum);
+    }
+    let total = g.bag("total");
+    g.task("total", &sums, &[total], move |ctx: &mut TaskCtx| {
+        while !gate.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let even: u64 = ctx.snapshot_input::<u64>(0)?.iter().sum();
+        let odd = ctx.fold_records::<u64, _, _>(1, 0u64, |acc, v| acc + v)?;
+        ctx.write_record(0, &(even, odd))
+    });
+    let app = HurricaneApp::deploy(g.build().unwrap(), cluster, config).unwrap();
+    let read = vec![values, halves[0], halves[1], sums[0], sums[1]];
+    (app, values, read, total)
+}
+
+/// The sums `collection_pipeline` writes to its sink for `0..n`.
+fn even_odd_sums(n: u64) -> (u64, u64) {
+    let even = (0..n).filter(|v| v % 2 == 0).sum();
+    (even, n * (n - 1) / 2 - even)
+}
+
+/// Every bag `cluster` has made, by id (ids are dense from 0): `None`
+/// for a collected bag, else the bytes its nodes hold of it.
+fn every_bag(cluster: &Arc<StorageCluster>) -> Vec<Option<u64>> {
+    let made = cluster.create_bag().0;
+    let mut port = RpcPort::inline(cluster.clone());
+    (0..made)
+        .map(|id| match port.sample_bag(BagId(id)) {
+            Ok(sample) => Some(sample.resident_bytes),
+            Err(StorageError::BagCollected(_)) => None,
+            Err(e) => panic!("sampling bag {id}: {e}"),
+        })
+        .collect()
+}
+
+#[test]
+fn every_bag_a_completed_task_read_is_collected() {
+    for config in [test_config(), test_config().with_storage_rpc()] {
+        let inline = !config.storage_rpc;
+        let cluster = StorageCluster::new(4, ClusterConfig::default());
+        let gate = Arc::new(AtomicBool::new(true));
+        let (mut app, values, read, total) = collection_pipeline(cluster.clone(), config, gate);
+        // Every id below this one was made at deploy: the graph's bags
+        // and the ready, running and done bags. Clone partials and spill
+        // runs come after it.
+        let deployed = cluster.create_bag().0 as usize;
+        let n = 100_000u64;
+        app.fill_source(values, 0..n).unwrap();
+        app.run().unwrap();
+        let sink: Vec<(u64, u64)> = app.read_records(total).unwrap();
+        assert_eq!(sink, [even_odd_sums(n)], "inline {inline}");
+
+        let bags = every_bag(&cluster);
+        for &b in &read {
+            let name = &app.graph().bag(b).name;
+            assert_eq!(
+                bags[app.physical_bag(b).0 as usize],
+                None,
+                "{name}, inline {inline}"
+            );
+        }
+        let partials = &bags[deployed + 1..];
+        assert!(
+            partials.len() >= 2,
+            "one partial per merge-bearing task at least"
+        );
+        assert!(
+            partials.iter().all(Option::is_none),
+            "a clone partial outlived its merge, inline {inline}: {partials:?}"
+        );
+        if inline {
+            // Nothing but the sink and the three work bags holds a byte.
+            let graph: Vec<usize> = (0..app.graph().num_bags())
+                .map(|b| app.physical_bag(GraphBag(b)).0 as usize)
+                .collect();
+            let work: Vec<u64> = (0..deployed)
+                .filter(|id| !graph.contains(id))
+                .map(|id| bags[id].expect("a work bag is never collected"))
+                .collect();
+            assert_eq!(work.len(), 3, "ready, running and done");
+            let sink = bags[app.physical_bag(total).0 as usize].expect("the sink stays");
+            assert!(sink > 0);
+            let resident: u64 = (0..cluster.num_nodes())
+                .map(|i| cluster.node(i).resident_bytes())
+                .sum();
+            assert_eq!(resident, sink + work.iter().sum::<u64>());
+        }
+    }
+}
+
+#[test]
+fn a_master_recovered_after_two_stages_completed_finishes_exactly() {
+    // The recovered master replays the completions of `route` and both
+    // `sum` tasks: it seals their outputs and collects their inputs and
+    // partials again, though the crashed master had collected them.
+    let cluster = StorageCluster::new(4, ClusterConfig::default());
+    let gate = Arc::new(AtomicBool::new(false));
+    let (app, values, read, total) =
+        collection_pipeline(cluster.clone(), test_config(), gate.clone());
+    let n = 100_000u64;
+    app.fill_source(values, 0..n).unwrap();
+    let mut running = app.start().unwrap();
+    // Both `sum` tasks have completed once their inputs are collected;
+    // `total` is held at its gate meanwhile.
+    let halves = [app.physical_bag(read[1]), app.physical_bag(read[2])];
+    let mut port = RpcPort::inline(cluster.clone());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !halves
+        .iter()
+        .all(|&b| port.sample_bag(b) == Err(StorageError::BagCollected(b)))
+    {
+        if Instant::now() > deadline {
+            gate.store(true, Ordering::Release);
+            panic!("the first two stages never had their inputs collected");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    running.crash_and_recover_master().unwrap();
+    gate.store(true, Ordering::Release);
+    let report = running.wait().unwrap();
+    assert_eq!(report.master_recoveries, 1);
+    let sink: Vec<(u64, u64)> = app.read_records(total).unwrap();
+    assert_eq!(sink, [even_odd_sums(n)]);
+    for &b in &read {
+        let bag = app.physical_bag(b);
+        assert_eq!(port.sample_bag(bag), Err(StorageError::BagCollected(bag)));
     }
 }
 

@@ -1,11 +1,15 @@
 //! PageRank over an RMAT power-law graph on the Hurricane runtime.
 //!
-//! Five unrolled iterations over a 65536-vertex RMAT graph. The skewed
-//! degree distribution concentrates edge traffic in a few vertex ranges,
-//! so busy tasks ask for clones; the printed clone log shows what Eq. 2
-//! made of each request (an iteration's clone would have to repay a
-//! rank-snapshot fold and a keyed contribution-sum merge, which streams
-//! the clones' ascending partials in one pass).
+//! Five unrolled iterations over a 65536-vertex RMAT graph. The init task
+//! decodes the varint edge list once, re-encodes it as fixed-width
+//! `(FixedU32, FixedU32)` pairs and splats each chunk of those to the five
+//! iterations' edge copies, so no iteration decodes a varint; each copy is
+//! collected once its iteration completes. The skewed degree distribution
+//! concentrates edge traffic in a few vertex ranges, so busy tasks ask
+//! for clones; the printed clone log shows what Eq. 2 made of each
+//! request (an iteration's clone would have to repay a rank-snapshot
+//! fold and a keyed contribution-sum merge, which streams the clones'
+//! ascending partials in one pass).
 //!
 //! Run with: `cargo run --release --example pagerank`
 
