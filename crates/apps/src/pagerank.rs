@@ -393,7 +393,11 @@ mod tests {
         // A ping on every chunk and a slot for every instance: init and
         // the iterations are cloned while they run, so init's edge copies
         // come from several instances and the iterations drain them
-        // concurrently.
+        // concurrently. Two compute nodes cap init at two instances:
+        // init asks at its first chunk, and with four nodes it took all
+        // three clones it could, and the measured cost of merging its
+        // four partials, which every iteration's request is charged,
+        // then made Eq. 2 refuse every iteration.
         let spec = RmatSpec {
             scale: 8,
             edges: 256 * 1024,
@@ -407,6 +411,7 @@ mod tests {
             iterations: 5,
         };
         let config = HurricaneConfig {
+            compute_nodes: 2,
             chunk_size: 1024,
             clone_interval: Duration::ZERO,
             ..config()

@@ -37,7 +37,7 @@ use crate::config::HurricaneConfig;
 use crate::error::EngineError;
 use crate::graph::{AppGraph, BagKind, GraphBag};
 use crate::manager::{
-    spawn_manager, ComputeNodeHandle, RunningRegistry, Runtime, SeedGen, WorkBagIds,
+    spawn_manager, ComputeNodeHandle, Doorbell, RunningRegistry, Runtime, SeedGen, WorkBagIds,
 };
 use crate::master::{CloneLogEntry, CloneVerdict, Master, MasterOutcome};
 use crate::task::{BagWriter, ControlMsg, KillSwitch};
@@ -338,6 +338,7 @@ impl HurricaneApp {
             config: self.config.clone(),
             kill: Arc::new(KillSwitch::new()),
             registry: RunningRegistry::new(),
+            doorbell: Doorbell::default(),
             control_tx,
             workbags: self.workbags,
             bag_map: self.bag_map.clone(),
@@ -459,7 +460,7 @@ impl RunningApp {
             handle.join().map_err(|_| EngineError::MasterGone)?
         };
         // Whatever happened, release the workers.
-        self.rt.kill.shutdown_all();
+        self.rt.shutdown();
         for m in self.managers.drain(..) {
             m.join();
         }

@@ -24,11 +24,17 @@ pub struct HurricaneConfig {
     /// Batch-sampling factor `b`: outstanding storage requests per
     /// consumer (paper picks 10).
     pub batch_factor: usize,
-    /// Minimum spacing between clone requests from one worker (paper: 2 s).
+    /// Minimum spacing between clone requests from one worker (paper: 2 s),
+    /// and between the clones the master grants one task. A worker's
+    /// first request does not wait for it: it goes out with the worker's
+    /// first chunk.
     pub clone_interval: Duration,
     /// Disable cloning entirely (the paper's HurricaneNC configuration).
     pub cloning_enabled: bool,
-    /// Master poll period for the done bag / control messages.
+    /// The longest the master waits between rounds. It is woken at once
+    /// by every control message (a unit's completion, a clone request, a
+    /// node failure), so this is a backstop against a lost wake-up, not a
+    /// period.
     pub master_poll: Duration,
     /// Who runs the storage-node side of the data plane. Every bag
     /// client speaks the same storage protocol (envelopes, `(client,

@@ -19,20 +19,26 @@
 //!
 //! What a clock seam must reach, and all of it is wall-clock:
 //!
-//! * a worker sleeps 500 µs while its node is failed or the ready bag is
-//!   empty, and 1 ms after a failed claim, until the kill switch is shut
+//! * a worker whose ready-bag claim came back empty waits on the
+//!   [`Doorbell`], which every ready-bag insert rings (the master's
+//!   schedule burst, a clone grant, a merge, a restart, a worker's
+//!   requeue), for at most 500 µs; it sleeps 500 µs while its node is
+//!   failed and 1 ms after a failed claim, until the kill switch is shut
 //!   down (`worker_loop`);
 //! * a reader whose buffer is empty blocks up to 200 µs on one in-flight
 //!   probe, or backs off 10 µs–1 ms on an unsealed empty bag or with
 //!   nothing in flight (`Prefetcher::fetch`, `storage/src/prefetch.rs`);
-//! * the master sleeps `master_poll` per round (`Master::run`) and
-//!   200 µs per check while cancelled workers quiesce
-//!   (`Master::restart_task`);
+//! * the master blocks on its control channel between rounds, for at
+//!   most `master_poll` (`Master::run`): a worker sends
+//!   [`ControlMsg::UnitDone`] once its done record is in and its slot
+//!   is free, so the poll is only a backstop; while cancelled workers
+//!   quiesce it waits on the [`RunningRegistry`], woken by each
+//!   deregistration, for at most 5 s (`Master::restart_task`);
 //! * a merge waits for its scoped output workers
 //!   (`merges::merge_outputs`);
 //! * `RunningApp` joins the master (`RunningApp::wait`, and
 //!   `RunningApp::crash_and_recover_master` on a crash) and then, after
-//!   `KillSwitch::shutdown_all`, every slot (in `wait`, via
+//!   `Runtime::shutdown`, every slot (in `wait`, via
 //!   `ComputeNodeHandle::join`);
 //! * every storage request's token is redeemed in one place of
 //!   `storage/src/rpc.rs`: `NodeConnection::wait` blocks for the reply
@@ -57,7 +63,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,14 +78,66 @@ pub struct WorkBagIds {
     pub done: BagId,
 }
 
+/// Locks `m`, recovering the data of a holder that panicked (every
+/// critical section below is a single map or counter update).
+fn lock<T>(m: &std::sync::Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The worker slots' wake-up: an epoch under a mutex and a condvar.
+/// Whoever inserts into the ready bag rings it; a slot that found the
+/// ready bag empty waits on it.
+///
+/// A waiter reads [`Doorbell::epoch`] *before* it looks for work and
+/// waits only while the epoch is still the one it read, so a ring that
+/// lands between the empty look and the wait is not lost.
+#[derive(Debug, Default)]
+pub struct Doorbell {
+    epoch: std::sync::Mutex<u64>,
+    rung: Condvar,
+}
+
+impl Doorbell {
+    /// The number of rings so far.
+    pub fn epoch(&self) -> u64 {
+        *lock(&self.epoch)
+    }
+
+    /// Wakes every waiter.
+    pub fn ring(&self) {
+        *lock(&self.epoch) += 1;
+        self.rung.notify_all();
+    }
+
+    /// Waits until the epoch moves past `seen` or `timeout` passes, and
+    /// returns whether it moved.
+    pub fn wait(&self, seen: u64, timeout: Duration) -> bool {
+        let (epoch, _) = self
+            .rung
+            .wait_timeout_while(lock(&self.epoch), timeout, |e| *e == seen)
+            .unwrap_or_else(PoisonError::into_inner);
+        *epoch != seen
+    }
+}
+
+type UnitKey = (u32, u32, u32, u8);
+
 /// Soft-state registry of units currently executing on some worker.
 ///
 /// This is the in-process analog of the heartbeat visibility the paper's
-/// master gets from its cluster: recovery uses it to wait until cancelled
-/// workers have actually unwound before rewinding their input bags.
+/// master gets from its cluster: the clone gate reads the busy slots
+/// from it, and recovery waits on it until cancelled workers have
+/// actually unwound before rewinding their input bags.
 #[derive(Debug, Default)]
 pub struct RunningRegistry {
-    inner: Mutex<HashMap<(u32, u32, u32, u8), u32>>,
+    inner: std::sync::Mutex<HashMap<UnitKey, u32>>,
+    deregistered: Condvar,
+}
+
+fn active_upto(units: &HashMap<UnitKey, u32>, task: u32, generation: u32) -> bool {
+    units
+        .keys()
+        .any(|&(t, g, _, _)| t == task && g <= generation)
 }
 
 impl RunningRegistry {
@@ -88,28 +146,38 @@ impl RunningRegistry {
         Self::default()
     }
 
-    fn register(&self, task: u32, generation: u32, clone: u32, kind: u8, node: u32) {
-        self.inner
-            .lock()
-            .insert((task, generation, clone, kind), node);
+    pub(crate) fn register(&self, task: u32, generation: u32, clone: u32, kind: u8, node: u32) {
+        lock(&self.inner).insert((task, generation, clone, kind), node);
     }
 
-    fn deregister(&self, task: u32, generation: u32, clone: u32, kind: u8) {
-        self.inner.lock().remove(&(task, generation, clone, kind));
+    pub(crate) fn deregister(&self, task: u32, generation: u32, clone: u32, kind: u8) {
+        lock(&self.inner).remove(&(task, generation, clone, kind));
+        self.deregistered.notify_all();
     }
 
     /// Number of units currently executing cluster-wide.
     pub fn active(&self) -> usize {
-        self.inner.lock().len()
+        lock(&self.inner).len()
     }
 
     /// Returns whether any unit of `task` at generation ≤ `generation` is
     /// still executing.
     pub fn task_active_upto(&self, task: u32, generation: u32) -> bool {
-        self.inner
-            .lock()
-            .keys()
-            .any(|&(t, g, _, _)| t == task && g <= generation)
+        active_upto(&lock(&self.inner), task, generation)
+    }
+
+    /// Waits until no unit of `task` at generation ≤ `generation` is
+    /// executing, woken by each deregistration, or until `deadline`;
+    /// returns whether they all quiesced.
+    pub fn wait_quiesced(&self, task: u32, generation: u32, deadline: Instant) -> bool {
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let (units, _) = self
+            .deregistered
+            .wait_timeout_while(lock(&self.inner), timeout, |units| {
+                active_upto(units, task, generation)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        !active_upto(&units, task, generation)
     }
 }
 
@@ -152,9 +220,9 @@ impl SeedGen {
 /// The control plane of one running application, built once by
 /// [`HurricaneApp::start`](crate::HurricaneApp::start) and held as an
 /// `Arc<Runtime>` by the master, every worker slot and the
-/// [`RunningApp`](crate::RunningApp) handle. Its one stop signal is the
-/// kill switch: [`KillSwitch::shutdown_all`] cancels every unit and ends
-/// every worker loop.
+/// [`RunningApp`](crate::RunningApp) handle. Its one stop signal is
+/// `Runtime::shutdown`: it shuts the kill switch down, which cancels
+/// every unit and ends every worker loop.
 pub struct Runtime {
     /// The application graph (blueprints live here).
     pub graph: Arc<AppGraph>,
@@ -167,8 +235,11 @@ pub struct Runtime {
     pub config: Arc<HurricaneConfig>,
     /// Shared cancellation state, and the stop signal.
     pub kill: Arc<KillSwitch>,
-    /// Running-unit soft state (quiesce detection during recovery).
+    /// Running-unit soft state (busy slots, and quiesce detection during
+    /// recovery).
     pub registry: RunningRegistry,
+    /// Rung after every ready-bag insert; idle worker slots wait on it.
+    pub doorbell: Doorbell,
     /// Channel to the application master.
     pub control_tx: Sender<ControlMsg>,
     /// The scheduling bags.
@@ -203,6 +274,13 @@ impl Runtime {
     pub(crate) fn workbag<T: hurricane_format::Record>(&self, bag: BagId) -> WorkBag<T> {
         WorkBag::with_client(self.bag_client(bag))
     }
+
+    /// Stops the application: shuts the kill switch down and rings the
+    /// doorbell, so idle slots see it at once.
+    pub(crate) fn shutdown(&self) {
+        self.kill.shutdown_all();
+        self.doorbell.ring();
+    }
 }
 
 /// Handle to one compute node: its worker slots.
@@ -227,8 +305,7 @@ impl ComputeNodeHandle {
         self.alive.store(true, Ordering::Relaxed);
     }
 
-    /// Joins the node's worker slots (call after
-    /// [`KillSwitch::shutdown_all`]).
+    /// Joins the node's worker slots (call after `Runtime::shutdown`).
     pub fn join(self) {
         for slot in self.slots {
             let _ = slot.join();
@@ -257,8 +334,13 @@ pub fn spawn_manager(node_id: u32, rt: &Arc<Runtime>) -> ComputeNodeHandle {
     }
 }
 
+/// How long an idle slot waits on the doorbell before it looks at the
+/// ready bag again: only a backstop, since every insert rings.
+const IDLE_WAIT: Duration = Duration::from_micros(500);
+
 /// One worker slot: claims a descriptor from the ready bag and hands it
 /// to [`run_claimed`], until the kill switch shuts the application down.
+/// A slot that finds the ready bag empty waits on the doorbell.
 fn worker_loop(node_id: u32, rt: &Arc<Runtime>, alive: &Arc<AtomicBool>) {
     let mut ready: WorkBag<Descriptor> = rt.workbag(rt.workbags.ready);
     let mut running: WorkBag<RunningRecord> = rt.workbag(rt.workbags.running);
@@ -271,9 +353,10 @@ fn worker_loop(node_id: u32, rt: &Arc<Runtime>, alive: &Arc<AtomicBool>) {
     const CLAIM_ERROR_LIMIT: u32 = 2_000; // ≈2 s of 1 ms retries
     while !rt.kill.is_shutdown() {
         if !alive.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::sleep(IDLE_WAIT);
             continue;
         }
+        let seen = rt.doorbell.epoch();
         match ready.try_take_batch(1).map(|mut claimed| claimed.pop()) {
             Ok(Some(desc)) => {
                 claim_errors = 0;
@@ -281,7 +364,7 @@ fn worker_loop(node_id: u32, rt: &Arc<Runtime>, alive: &Arc<AtomicBool>) {
             }
             Ok(None) => {
                 claim_errors = 0;
-                std::thread::sleep(Duration::from_micros(500));
+                rt.doorbell.wait(seen, IDLE_WAIT);
             }
             Err(e) => {
                 claim_errors += 1;
@@ -334,11 +417,14 @@ fn run_claimed(
         // If the ready bag refuses too the descriptor is gone — fail the
         // job loudly instead of letting the master poll forever for a
         // unit nobody holds.
-        if let Err(e) = ready.insert(&desc) {
-            let _ = rt.control_tx.send(ControlMsg::Fatal {
-                task,
-                message: format!("work descriptor lost on requeue: {e}"),
-            });
+        match ready.insert(&desc) {
+            Ok(()) => rt.doorbell.ring(),
+            Err(e) => {
+                let _ = rt.control_tx.send(ControlMsg::Fatal {
+                    task,
+                    message: format!("work descriptor lost on requeue: {e}"),
+                });
+            }
         }
         return;
     }
@@ -359,12 +445,15 @@ fn run_claimed(
 }
 
 /// Executes one claimed unit (task instance or merge) to completion.
+/// Once its done record is in and its registry entry is gone, it tells
+/// the master with [`ControlMsg::UnitDone`]: the master's next round
+/// then sees both the completion and the free slot.
 fn run_unit(node_id: u32, desc: Descriptor, rt: &Arc<Runtime>, node_alive: &Arc<AtomicBool>) {
     let started = Instant::now();
     let inst = desc.instance_id();
     let key = (inst.task.0, desc.generation, inst.clone.0, desc.kind);
     rt.registry.register(key.0, key.1, key.2, key.3, node_id);
-    let _guard = RegistryGuard {
+    let guard = RegistryGuard {
         registry: &rt.registry,
         key,
     };
@@ -393,7 +482,7 @@ fn run_unit(node_id: u32, desc: Descriptor, rt: &Arc<Runtime>, node_alive: &Arc<
             // forever. Surface the storage failure instead of hanging
             // the job (seen with injected disk faults eating the done
             // bag's journal append).
-            if let Err(e) = done.insert(&DoneRecord {
+            let msg = match done.insert(&DoneRecord {
                 kind: desc.kind,
                 instance: desc.instance,
                 generation: desc.generation,
@@ -401,11 +490,14 @@ fn run_unit(node_id: u32, desc: Descriptor, rt: &Arc<Runtime>, node_alive: &Arc<
                 outputs: desc.outputs.clone(),
                 elapsed_us: started.elapsed().as_micros() as u64,
             }) {
-                let _ = rt.control_tx.send(ControlMsg::Fatal {
+                Ok(()) => ControlMsg::UnitDone,
+                Err(e) => ControlMsg::Fatal {
                     task: inst.task.0,
                     message: format!("completion record lost: {e}"),
-                });
-            }
+                },
+            };
+            drop(guard);
+            let _ = rt.control_tx.send(msg);
         }
         Err(EngineError::Cancelled) => {}
         Err(e) => {
@@ -458,7 +550,7 @@ fn run_task(
         generation: desc.generation,
         clone_tx: rt.config.cloning_enabled.then(|| rt.control_tx.clone()),
         clone_interval: rt.config.clone_interval,
-        last_ping: Instant::now(),
+        last_ping: None,
         started,
         startup: None,
         consumed: Arc::new([]),
@@ -642,6 +734,7 @@ mod tests {
             config: Arc::new(HurricaneConfig::default()),
             kill: Arc::new(KillSwitch::new()),
             registry: RunningRegistry::new(),
+            doorbell: Doorbell::default(),
             control_tx: crossbeam::channel::unbounded().0,
             workbags,
             bag_map: Arc::new(bag_map),
@@ -701,6 +794,65 @@ mod tests {
             };
         }
         assert_eq!(r.active(), 0);
+    }
+
+    #[test]
+    fn a_ring_before_the_wait_is_not_lost() {
+        let bell = Doorbell::default();
+        let seen = bell.epoch();
+        bell.ring();
+        let t = Instant::now();
+        assert!(bell.wait(seen, Duration::from_secs(10)));
+        assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
+    }
+
+    #[test]
+    fn a_parked_waiter_wakes_on_a_ring_before_its_timeout() {
+        let bell = Arc::new(Doorbell::default());
+        let seen = bell.epoch();
+        let waiter = {
+            let bell = bell.clone();
+            std::thread::spawn(move || {
+                let t = Instant::now();
+                (bell.wait(seen, Duration::from_secs(10)), t.elapsed())
+            })
+        };
+        // The sleep makes it likely that the waiter is parked when the
+        // ring lands, the case this test is for; a ring that lands first
+        // is the test above.
+        std::thread::sleep(Duration::from_millis(20));
+        bell.ring();
+        let (rung, waited) = waiter.join().unwrap();
+        assert!(rung);
+        assert!(waited < Duration::from_secs(5), "{waited:?}");
+    }
+
+    #[test]
+    fn an_unrung_wait_returns_at_its_timeout() {
+        let bell = Doorbell::default();
+        let t = Instant::now();
+        assert!(!bell.wait(bell.epoch(), Duration::from_millis(20)));
+        assert!(t.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn quiescing_is_woken_by_the_last_deregistration() {
+        let r = Arc::new(RunningRegistry::new());
+        r.register(1, 0, 0, KIND_TASK, 0);
+        r.register(2, 0, 0, KIND_TASK, 0);
+        let t = Instant::now();
+        let unwinding = {
+            let r = r.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                r.deregister(1, 0, 0, KIND_TASK);
+            })
+        };
+        assert!(r.wait_quiesced(1, 0, t + Duration::from_secs(10)));
+        assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
+        unwinding.join().unwrap();
+        // Task 2's unit never leaves: the wait ends at its deadline.
+        assert!(!r.wait_quiesced(2, 0, Instant::now() + Duration::from_millis(20)));
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //! and idempotent (a recovered master seals and collects again).
 //!
 //! The master reaches the workers only through the [`Runtime`] it shares
-//! with them: the work bags, the kill switch and the control channel.
-//! When the job completes or a unit fails it, the master shuts the kill
-//! switch down, which cancels every unit and ends every worker loop.
+//! with them: the work bags, the doorbell it rings after each ready-bag
+//! insert, the kill switch and the control channel, on which it blocks
+//! between rounds. When the job completes or a unit fails it, the master
+//! shuts the kill switch down, which cancels every unit and ends every
+//! worker loop.
 
 use crate::app::AppReport;
 use crate::descriptor::{Descriptor, DoneRecord, RunningRecord, KIND_MERGE, KIND_TASK};
@@ -58,7 +60,8 @@ pub enum CloneVerdict {
     AtInstanceCap,
     /// Less than `clone_interval` since the task's previous clone.
     Interval,
-    /// Every worker slot in the cluster is executing a unit.
+    /// Every worker slot in the cluster is executing a unit. The request
+    /// is parked and decided again in the first round with a free slot.
     NoCapacity,
     /// Fewer than `MIN_REMAINING_CHUNKS_TO_CLONE` chunks are left in the
     /// inputs the requester consumes.
@@ -142,6 +145,9 @@ struct TaskState {
     merge_scheduled: bool,
     merge_done: bool,
     last_clone: Option<Instant>,
+    /// The latest request refused only for `NoCapacity`, decided again
+    /// in the first round with a free slot ([`Master::retry_parked`]).
+    parked: Option<CloneRequest>,
 }
 
 /// The application master.
@@ -231,14 +237,24 @@ impl Master {
     }
 
     /// Runs the master to completion (or crash).
+    ///
+    /// Between rounds the master blocks on its control channel, for at
+    /// most `master_poll`. Every event a round acts on sends a message:
+    /// a worker's [`ControlMsg::UnitDone`] once its done record is in
+    /// and its slot is free, a clone request, a node failure. The poll
+    /// is only a backstop against a lost wake-up.
     pub fn run(mut self) -> Result<MasterOutcome, EngineError> {
+        let mut woken_by = None;
         loop {
-            while let Ok(msg) = self.control_rx.try_recv() {
+            while let Some(msg) = woken_by.take().or_else(|| self.control_rx.try_recv().ok()) {
                 match msg {
-                    ControlMsg::CloneRequest(req) => self.handle_clone_request(&req)?,
+                    ControlMsg::CloneRequest(req) => {
+                        self.handle_clone_request(req)?;
+                    }
+                    ControlMsg::UnitDone => {}
                     ControlMsg::NodeFailed { node } => self.handle_node_failure(node)?,
                     ControlMsg::Fatal { task, message } => {
-                        self.rt.kill.shutdown_all();
+                        self.rt.shutdown();
                         return Err(EngineError::TaskFailed {
                             task: TaskId(task),
                             message,
@@ -247,25 +263,68 @@ impl Master {
                     ControlMsg::CrashMaster => return Ok(MasterOutcome::Crashed(self.control_rx)),
                 }
             }
-            // Batched claim: completions arrive in bursts when clones
-            // finish together; one storage pass drains the whole burst.
-            loop {
-                let recs = self.done_bag.try_take_batch(32)?;
-                if recs.is_empty() {
-                    break;
-                }
-                for rec in recs {
-                    self.handle_done(rec);
-                }
-            }
-            self.progress()?;
+            self.round()?;
             if self.state.iter().all(|s| s.completed) {
-                self.rt.kill.shutdown_all();
+                self.rt.shutdown();
                 self.report.count_clones();
                 return Ok(MasterOutcome::Completed(self.report));
             }
-            std::thread::sleep(self.rt.config.master_poll);
+            woken_by = self
+                .control_rx
+                .recv_timeout(self.rt.config.master_poll)
+                .ok();
         }
+    }
+
+    /// One round after the control messages: drains the done bag,
+    /// advances the graph, then decides parked clone requests again if
+    /// a slot is free.
+    fn round(&mut self) -> Result<(), EngineError> {
+        // Batched claim: completions arrive in bursts when clones
+        // finish together; one storage pass drains the whole burst.
+        loop {
+            let recs = self.done_bag.try_take_batch(32)?;
+            if recs.is_empty() {
+                break;
+            }
+            for rec in recs {
+                self.handle_done(rec);
+            }
+        }
+        self.progress()?;
+        self.retry_parked()
+    }
+
+    /// The worker slots of the whole cluster.
+    fn slots(&self) -> usize {
+        self.rt.config.compute_nodes * self.rt.config.worker_slots
+    }
+
+    /// Decides every parked request again, in task order, while fewer
+    /// units run than there are slots: the requester's rate and start-up
+    /// as it sent them, the remaining bytes sampled afresh. The first
+    /// grant ends the pass, since its clone takes the free slot.
+    fn retry_parked(&mut self) -> Result<(), EngineError> {
+        for idx in 0..self.state.len() {
+            if self.rt.registry.active() >= self.slots() {
+                break;
+            }
+            if let Some(req) = self.state[idx].parked.take() {
+                if self.handle_clone_request(req)? == CloneVerdict::Granted {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Inserts `descs` into the ready bag and rings the doorbell.
+    fn post(&mut self, descs: &[Descriptor]) -> Result<(), EngineError> {
+        if !descs.is_empty() {
+            self.ready.insert_batch(descs)?;
+            self.rt.doorbell.ring();
+        }
+        Ok(())
     }
 
     fn physical(&self, graph_bag: usize) -> BagId {
@@ -347,7 +406,7 @@ impl Master {
                 dead.extend(self.complete_task(t)?);
             }
         }
-        self.ready.insert_batch(&burst)?;
+        self.post(&burst)?;
         // Freeing memory waits until the newly runnable tasks are out.
         for bag in dead {
             unless_collected(self.control.collect_bag(bag))?;
@@ -363,7 +422,9 @@ impl Master {
         for &b in &self.rt.graph.task(t).outputs {
             unless_collected(self.control.seal_bag(self.physical(b)))?;
         }
-        self.state[t.index()].completed = true;
+        let st = &mut self.state[t.index()];
+        st.completed = true;
+        st.parked = None;
         let mut dead = self.task_input_bags(t);
         dead.extend(self.partial_bags(t));
         Ok(dead.into_iter().map(BagId).collect())
@@ -411,8 +472,7 @@ impl Master {
     /// Schedules instance `clone_id` of task `t` at its current generation.
     fn schedule_instance(&mut self, t: TaskId, clone_id: u32) -> Result<(), EngineError> {
         let desc = self.make_instance_descriptor(t, clone_id);
-        self.ready.insert(&desc)?;
-        Ok(())
+        self.post(&[desc])
     }
 
     /// Seals partials and schedules the merge reconciling them
@@ -430,8 +490,11 @@ impl Master {
             inputs: partials,
             outputs: self.task_output_bags(t),
         };
-        self.ready.insert(&desc)?;
-        self.state[t.index()].merge_scheduled = true;
+        self.post(&[desc])?;
+        let st = &mut self.state[t.index()];
+        st.merge_scheduled = true;
+        // Every instance is done: nothing is left for a clone to join.
+        st.parked = None;
         Ok(())
     }
 
@@ -476,8 +539,10 @@ impl Master {
         (self.reconciles > 0).then(|| self.reconcile_us as f64 * 1e-6 / self.reconciles as f64)
     }
 
-    /// Applies the cloning policy to one worker request (paper §4.2) and
-    /// logs the verdict.
+    /// Applies the cloning policy to one worker request (paper §4.2),
+    /// logs the verdict and returns it. A request refused only for
+    /// `NoCapacity` is parked in place of the task's earlier one; any
+    /// other verdict drops the parked request.
     ///
     /// Only the inputs the worker removes chunks from (`req.consumed`)
     /// hold work a clone could share, so only they are sampled. Every
@@ -485,15 +550,18 @@ impl Master {
     /// as remaining would keep the minimum-chunks gate open forever and
     /// grant clones after the consumed inputs ran dry; loading it is
     /// part of the start-up the worker measured.
-    fn handle_clone_request(&mut self, req: &CloneRequest) -> Result<(), EngineError> {
-        let entry = self.decide_clone(req)?;
+    fn handle_clone_request(&mut self, req: CloneRequest) -> Result<CloneVerdict, EngineError> {
+        let entry = self.decide_clone(&req)?;
+        let t = TaskId(req.task);
+        if let Some(st) = self.state.get_mut(t.index()) {
+            st.parked = (entry.verdict == CloneVerdict::NoCapacity).then_some(req);
+        }
         if entry.verdict == CloneVerdict::Granted {
-            let t = TaskId(req.task);
             self.state[t.index()].last_clone = Some(Instant::now());
             self.schedule_instance(t, entry.instances)?;
         }
         self.report.clone_log.push(entry);
-        Ok(())
+        Ok(entry.verdict)
     }
 
     /// Runs `req` through the gates in order; the entry is filled in as
@@ -536,7 +604,7 @@ impl Master {
         {
             return verdict(Interval, entry);
         }
-        if self.rt.registry.active() >= config.compute_nodes * config.worker_slots {
+        if self.rt.registry.active() >= self.slots() {
             return verdict(NoCapacity, entry);
         }
         // Paper: "T is estimated by sampling the input bag ... to
@@ -623,14 +691,11 @@ impl Master {
         // into a discarded output bag would corrupt the retry.
         self.rt.kill.kill(t.0, old_gen);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while self.rt.registry.task_active_upto(t.0, old_gen) {
-            if Instant::now() > deadline {
-                return Err(EngineError::TaskFailed {
-                    task: t,
-                    message: "cancelled workers failed to quiesce".into(),
-                });
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        if !self.rt.registry.wait_quiesced(t.0, old_gen, deadline) {
+            return Err(EngineError::TaskFailed {
+                task: t,
+                message: "cancelled workers failed to quiesce".into(),
+            });
         }
         let rt = Arc::clone(&self.rt);
         let task = rt.graph.task(t);
@@ -656,6 +721,7 @@ impl Master {
             st.generation += 1;
             st.merge_scheduled = false;
             st.merge_done = false;
+            st.parked = None;
             // progress() reschedules the merge at the new generation.
         } else {
             // Task-phase restart: discard all outputs (real or partial),
@@ -681,6 +747,7 @@ impl Master {
             // Keep only instance 0's (now discarded, reusable) partials.
             st.partials.retain(|&clone, _| clone == 0);
             st.last_clone = None;
+            st.parked = None;
             self.schedule_instance(t, 0)?;
         }
         self.report.restarts += 1;
@@ -704,7 +771,7 @@ mod tests {
     use super::*;
     use crate::config::HurricaneConfig;
     use crate::graph::AppGraph;
-    use crate::manager::{RunningRegistry, SeedGen, WorkBagIds};
+    use crate::manager::{Doorbell, RunningRegistry, SeedGen, WorkBagIds};
     use crate::merges::ReduceMerge;
     use crate::task::{BagWriter, KillSwitch, TaskCtx};
     use hurricane_storage::{BagClient, ClusterConfig, StorageCluster, StorageEndpoint};
@@ -765,6 +832,7 @@ mod tests {
             config: Arc::new(HurricaneConfig::default()),
             kill: Arc::new(KillSwitch::new()),
             registry: RunningRegistry::new(),
+            doorbell: Doorbell::default(),
             control_tx,
             workbags,
             bag_map: Arc::new(bag_map),
@@ -792,7 +860,7 @@ mod tests {
     }
 
     fn ask(master: &mut Master, req: CloneRequest) -> CloneLogEntry {
-        master.handle_clone_request(&req).unwrap();
+        master.handle_clone_request(req).unwrap();
         master.report.count_clones();
         *master
             .report
@@ -964,6 +1032,107 @@ mod tests {
         complete(&mut master, KIND_MERGE, 0, 1_400);
         assert_eq!(master.report.merges_run, 1);
         assert_eq!(master.observed_reconcile(), None);
+    }
+
+    /// Occupies every worker slot of the harness's cluster with a unit of
+    /// a task outside its graph.
+    fn fill_slots(master: &Master) {
+        for clone in 0..master.slots() as u32 {
+            master.rt.registry.register(9, 0, clone, KIND_TASK, 0);
+        }
+    }
+
+    /// Ends one of [`fill_slots`]'s units.
+    fn free_slot(master: &Master) {
+        master.rt.registry.deregister(9, 0, 0, KIND_TASK);
+    }
+
+    /// Removes `chunks` chunks of the harness task's consumed input.
+    fn drain_work(master: &Master, chunks: u64) {
+        let work = BagId(master.task_input_bags(TaskId(0))[1]);
+        take(master.rt.endpoint.cluster(), work, chunks);
+    }
+
+    #[test]
+    fn a_request_refused_for_capacity_is_granted_when_a_slot_frees() {
+        let mut master = master_over(35, 160, 10, false);
+        fill_slots(&master);
+        let e = ask(&mut master, request(20, 0, 10));
+        assert_eq!(e.verdict, CloneVerdict::NoCapacity);
+        // A later request replaces the parked one.
+        let e = ask(&mut master, request(25, 0, 10));
+        assert_eq!(e.verdict, CloneVerdict::NoCapacity);
+        // While every slot is busy, rounds decide nothing.
+        master.round().unwrap();
+        assert_eq!(master.report.clone_log.len(), 2);
+        // The worker drains 20 more chunks, then a slot frees. The next
+        // round decides the parked request again with no new request:
+        // the bytes are sampled afresh, the rate (10 chunks in 25 ms)
+        // is the request's.
+        drain_work(&master, 20);
+        free_slot(&master);
+        master.round().unwrap();
+        master.report.count_clones();
+        let e = *master.report.clone_log.last().unwrap();
+        assert_eq!(e.verdict, CloneVerdict::Granted);
+        assert_eq!((e.instances, e.remaining_chunks), (1, 130));
+        assert!((e.remaining_s - 0.025 * 13.0).abs() < 1e-9, "{e:?}");
+        assert_eq!(master.report.total_clones, 1);
+        assert!(master.state[0].parked.is_none());
+        let clone = TaskInstanceId::clone_of(TaskId(0), 1);
+        let ready = master.ready.scan_all().unwrap();
+        assert_eq!(ready.iter().filter(|d| d.instance_id() == clone).count(), 1);
+        // Nothing is left to decide.
+        master.round().unwrap();
+        assert_eq!(master.report.clone_log.len(), 3);
+    }
+
+    #[test]
+    fn a_parked_request_is_dropped_by_completion_restart_or_another_verdict() {
+        // The task's only instance completes while its request is parked.
+        let mut completed = master_over(35, 160, 10, false);
+        fill_slots(&completed);
+        assert_eq!(
+            ask(&mut completed, request(20, 0, 10)).verdict,
+            CloneVerdict::NoCapacity
+        );
+        complete(&mut completed, KIND_TASK, 0, 28_000);
+        completed.round().unwrap();
+        assert!(completed.state[0].completed);
+        // A restart bumps the generation.
+        let mut restarted = master_over(35, 160, 10, false);
+        fill_slots(&restarted);
+        assert_eq!(
+            ask(&mut restarted, request(20, 0, 10)).verdict,
+            CloneVerdict::NoCapacity
+        );
+        restarted.restart_task(TaskId(0)).unwrap();
+        for master in [&mut completed, &mut restarted] {
+            assert!(master.state[0].parked.is_none());
+            free_slot(master);
+            master.round().unwrap();
+            assert_eq!(master.report.clone_log.len(), 1, "nothing decided again");
+        }
+        // Decided again once a slot frees, the request meets the chunk
+        // gate: the worker drained all but 3 chunks meanwhile. That
+        // verdict drops it.
+        let mut drained = master_over(35, 160, 10, false);
+        fill_slots(&drained);
+        assert_eq!(
+            ask(&mut drained, request(20, 0, 10)).verdict,
+            CloneVerdict::NoCapacity
+        );
+        drain_work(&drained, 147);
+        free_slot(&drained);
+        drained.round().unwrap();
+        let e = *drained.report.clone_log.last().unwrap();
+        assert_eq!(
+            (e.verdict, e.remaining_chunks),
+            (CloneVerdict::TooFewChunks, 3)
+        );
+        assert!(drained.state[0].parked.is_none());
+        drained.round().unwrap();
+        assert_eq!(drained.report.clone_log.len(), 2);
     }
 
     /// Chunks left to remove from `bag`, chunks it holds, and whether it

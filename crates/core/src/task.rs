@@ -9,11 +9,16 @@
 //!   `(task, generation)` has been killed (node-failure recovery) or whose
 //!   node has been failed observes [`EngineError::Cancelled`] and unwinds
 //!   without emitting a done record.
-//! * **Overload signalling** — a worker that has been continuously busy
-//!   for the clone interval sends a [`ControlMsg::CloneRequest`] to the
-//!   master (paper §4.2: "a compute node generates a clone message
-//!   periodically, when the CPU or its local network interface is
-//!   saturated ... at least 2 seconds apart").
+//! * **Overload signalling** — a worker sends a
+//!   [`ControlMsg::CloneRequest`] to the master as soon as it has taken
+//!   its first chunk from an input it consumes, when its drain rate is
+//!   first measured, and again each time the clone interval has passed
+//!   since its previous request (paper §4.2: "a compute node generates a
+//!   clone message periodically, when the CPU or its local network
+//!   interface is saturated ... at least 2 seconds apart": the interval
+//!   spaces requests, it does not delay the first). A request the
+//!   master refuses only because every slot is busy is parked there and
+//!   decided again once a slot frees, so the worker need not ask again.
 
 use crate::error::EngineError;
 use crossbeam::channel::Sender;
@@ -62,6 +67,9 @@ pub struct CloneRequest {
 pub enum ControlMsg {
     /// A worker reports sustained load and asks for its task to be cloned.
     CloneRequest(CloneRequest),
+    /// A unit's done record is appended and its slot is free: the
+    /// master's wake-up (it carries nothing the done bag does not).
+    UnitDone,
     /// A compute node failed (detected or injected).
     NodeFailed {
         /// The failed node.
@@ -421,7 +429,9 @@ pub struct TaskCtx {
     pub(crate) generation: u32,
     pub(crate) clone_tx: Option<Sender<ControlMsg>>,
     pub(crate) clone_interval: Duration,
-    pub(crate) last_ping: Instant,
+    /// When the worker's latest clone request went out; `None` until its
+    /// first.
+    pub(crate) last_ping: Option<Instant>,
     /// When the worker's unit started (before its ports were opened).
     pub(crate) started: Instant,
     /// `started` to the first `next_chunk` call, once it has been made.
@@ -454,16 +464,20 @@ impl TaskCtx {
 
     /// Removes the next chunk from input `i`, or `None` once drained.
     ///
-    /// Also performs the periodic overload ping: a worker that keeps
-    /// getting chunks without waiting is continuously busy, and every
-    /// `clone_interval` it asks the master to consider cloning its task.
+    /// Also performs the overload ping: a worker asks the master to
+    /// consider cloning its task as soon as it has taken its first chunk,
+    /// when its drain rate is first measured, and again each time
+    /// `clone_interval` has passed since its previous request.
     pub fn next_chunk(&mut self, i: usize) -> Result<Option<Chunk>, EngineError> {
         if !self.consumed.contains(&(i as u32)) {
             self.consumed = self.consumed.iter().copied().chain([i as u32]).collect();
         }
         let startup = *self.startup.get_or_insert_with(|| self.started.elapsed());
-        self.maybe_ping(startup);
-        self.inputs[i].next_chunk()
+        let chunk = self.inputs[i].next_chunk()?;
+        if chunk.is_some() {
+            self.maybe_ping(startup);
+        }
+        Ok(chunk)
     }
 
     /// Appends `record` to output `o`.
@@ -631,8 +645,11 @@ impl TaskCtx {
 
     fn maybe_ping(&mut self, startup: Duration) {
         let Some(tx) = &self.clone_tx else { return };
-        if self.last_ping.elapsed() >= self.clone_interval {
-            self.last_ping = Instant::now();
+        if self
+            .last_ping
+            .is_none_or(|at| at.elapsed() >= self.clone_interval)
+        {
+            self.last_ping = Some(Instant::now());
             let _ = tx.send(ControlMsg::CloneRequest(CloneRequest {
                 task: self.instance.task.0,
                 generation: self.generation,
@@ -960,7 +977,7 @@ mod tests {
             generation: 0,
             clone_tx: None,
             clone_interval: Duration::from_secs(3600),
-            last_ping: Instant::now(),
+            last_ping: None,
             started: Instant::now(),
             startup: None,
             consumed: Arc::new([]),
@@ -1139,24 +1156,43 @@ mod tests {
         ctx.clone_tx = Some(tx);
         ctx.clone_interval = Duration::ZERO;
         let _: Vec<u64> = ctx.snapshot_input(0).unwrap();
+        assert!(rx.try_recv().is_err(), "no request before the first chunk");
         let first = ctx.next_chunk(1).unwrap().expect("work is not empty");
         let request = |msg| match msg {
             ControlMsg::CloneRequest(r) => r,
             other => panic!("unexpected message {other:?}"),
         };
-        // The ping precedes the fetch: the first request has taken
-        // nothing yet, and its start-up covers the snapshot load.
+        // The first request goes out with the first chunk and reports its
+        // bytes; its start-up covers the snapshot load.
         let r = request(rx.try_recv().unwrap());
         assert_eq!(*r.consumed, [1]);
-        assert_eq!(r.taken_bytes, 0);
+        assert_eq!(r.taken_bytes, first.len() as u64);
         assert!(r.startup <= r.busy);
-        // The second reports the first chunk's bytes against the same
+        // The second reports both chunks' bytes against the same
         // start-up.
-        ctx.next_chunk(1).unwrap();
+        let second = ctx.next_chunk(1).unwrap().expect("work is not empty");
         let r2 = request(rx.try_recv().unwrap());
-        assert_eq!(r2.taken_bytes, first.len() as u64);
+        assert_eq!(r2.taken_bytes, (first.len() + second.len()) as u64);
         assert_eq!(r2.startup, r.startup);
         assert!(r2.busy >= r.busy);
+    }
+
+    #[test]
+    fn the_interval_spaces_requests_after_the_first() {
+        // An hour-long interval: the first chunk still asks at once, and
+        // nothing else asks in the hour after it.
+        let cluster = StorageCluster::new(2, ClusterConfig::default());
+        let work = filled_bag(&cluster, 0..100);
+        let mut ctx = test_ctx(&cluster, vec![work], vec![]);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        ctx.clone_tx = Some(tx);
+        let first = ctx.next_chunk(0).unwrap().expect("work is not empty");
+        match rx.try_recv() {
+            Ok(ControlMsg::CloneRequest(r)) => assert_eq!(r.taken_bytes, first.len() as u64),
+            other => panic!("expected the first request, got {other:?}"),
+        }
+        while ctx.next_chunk(0).unwrap().is_some() {}
+        assert!(rx.try_recv().is_err(), "one request within the interval");
     }
 
     #[test]

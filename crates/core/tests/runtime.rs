@@ -369,6 +369,58 @@ fn multi_stage_pipeline_with_concat_stage() {
 }
 
 #[test]
+fn a_chain_of_merged_stages_hands_off_without_waiting_for_the_poll() {
+    // Five stages, each a task with a merge that reads the stage before
+    // it: ten handoffs (a task's instances to its merge, a merge to the
+    // next stage), each of which the master makes. The master polls
+    // every 5 s; a handoff that waited for the poll would hold the job
+    // past 5 s, so each one has to come from a worker's wake-up.
+    const STAGES: u64 = 5;
+    let config = HurricaneConfig {
+        master_poll: Duration::from_secs(5),
+        ..test_config()
+    };
+    let cluster = StorageCluster::new(4, ClusterConfig::default());
+    let mut g = GraphBuilder::new();
+    let input = g.source("values");
+    let mut bag = input;
+    for stage in 0..STAGES {
+        let next = g.bag(format!("stage.{stage}"));
+        // Σ (x + 1): one more per record, whichever clone reads it.
+        g.task_with_merge(
+            format!("add.{stage}"),
+            &[bag],
+            &[next],
+            |ctx: &mut TaskCtx| {
+                let mut total = 0u64;
+                while let Some(recs) = ctx.next_records::<u64>(0)? {
+                    total += recs.iter().map(|x| x + 1).sum::<u64>();
+                }
+                ctx.write_record(0, &total)?;
+                Ok(())
+            },
+            ReduceMerge::new(|a: u64, b: u64| a + b),
+        );
+        bag = next;
+    }
+    let mut app = HurricaneApp::deploy(g.build().unwrap(), cluster, config).unwrap();
+    let n = 1_000u64;
+    app.fill_source(input, 0..n).unwrap();
+    let t = Instant::now();
+    let report = app.run().unwrap();
+    let took = t.elapsed();
+    // Stage 0 sums x + 1 over the input; each later stage adds one to
+    // the single total of the one before.
+    let out: Vec<u64> = app.read_records(bag).unwrap();
+    assert_eq!(out, vec![n * (n + 1) / 2 + STAGES - 1]);
+    assert_eq!(u64::from(report.merges_run), STAGES);
+    assert!(
+        took < Duration::from_secs(2),
+        "{took:?} for {STAGES} stages"
+    );
+}
+
+#[test]
 fn compute_node_failure_recovers_exactly() {
     let cluster = StorageCluster::new(4, ClusterConfig::default());
     let (app, input, summed) = sum_pipeline(cluster, test_config(), 200);
